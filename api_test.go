@@ -95,8 +95,8 @@ func TestMustPreset(t *testing.T) {
 // registered names, resolution, and WithStrategy derivation.
 func TestStrategyAPI(t *testing.T) {
 	names := StrategyNames()
-	if len(names) != 4 || names[0] != DefaultStrategy {
-		t.Fatalf("StrategyNames() = %v, want default-first 4 strategies", names)
+	if len(names) != 3 || names[0] != DefaultStrategy {
+		t.Fatalf("StrategyNames() = %v, want default-first 3 strategies", names)
 	}
 	for _, name := range names {
 		canon, err := ResolveStrategy(strings.ToUpper(name))
@@ -202,5 +202,21 @@ func TestBuildWithStderr(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("WithStderr received no explain output")
+	}
+}
+
+// TestBuildRejectsDuplicateModuleNames checks both kinds of build reject
+// two modules under one name, even when their symbols don't collide and
+// the link alone would succeed.
+func TestBuildRejectsDuplicateModuleNames(t *testing.T) {
+	sources := []Source{
+		{Name: "a.mc", Text: []byte("int main() { return 1; }")},
+		{Name: "a.mc", Text: []byte("int f() { return 2; }")},
+	}
+	for _, opts := range [][]BuildOption{nil, {WithBuildDir(t.TempDir())}} {
+		_, err := Build(context.Background(), sources, MustPreset("L2"), opts...)
+		if err == nil || !strings.Contains(err.Error(), `duplicate module name "a.mc"`) {
+			t.Errorf("Build with %d option(s): err = %v, want a duplicate-name error", len(opts), err)
+		}
 	}
 }

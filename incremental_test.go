@@ -3,7 +3,9 @@ package ipra
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"ipra/internal/core"
 	"ipra/internal/incremental"
 	"ipra/internal/parv"
+	"ipra/internal/telemetry"
 )
 
 // incrementalTestSources is a three-module program with two cross-module
@@ -313,5 +316,194 @@ func TestIncrementalBenchmarkSuite(t *testing.T) {
 	}
 	if !bytes.Equal(canonicalExe(t, clean.Exe), canonicalExe(t, incr2.Exe)) {
 		t.Error("whitespace touch changed the executable bytes")
+	}
+}
+
+// twoModuleSources is a small program whose modules consult each other's
+// directives: main.mc calls into lib.mc, which calls within itself.
+func twoModuleSources() []Source {
+	return []Source{
+		{Name: "main.mc", Text: []byte(`
+int helper(int x);
+int leaf(int x);
+int main() { return helper(1) + leaf(2); }
+`)},
+		{Name: "lib.mc", Text: []byte(`
+int leaf(int x) { return x + 1; }
+int helper(int x) { return leaf(x) * 2; }
+`)},
+	}
+}
+
+// tracedBuild runs Build under a fresh tracer.
+func tracedBuild(t *testing.T, sources []Source, cfg Config, opts ...BuildOption) *BuildResult {
+	t.Helper()
+	res, err := Build(context.Background(), sources, cfg, append(opts, WithTelemetry(telemetry.New()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// compiledModules lists, sorted, the modules a traced build ran through
+// the given compiler phase ("phase1" or "phase2"): every "module" span
+// under that phase's span.
+func compiledModules(rep *telemetry.Report, phase string) []string {
+	var out []string
+	var walk func(ns []*telemetry.ReportSpan, inPhase bool)
+	walk = func(ns []*telemetry.ReportSpan, inPhase bool) {
+		for _, n := range ns {
+			if inPhase && n.Name == "module" {
+				out = append(out, fmt.Sprint(n.Attrs["module"]))
+				continue
+			}
+			walk(n.Children, inPhase || n.Name == phase)
+		}
+	}
+	walk(rep.Spans, false)
+	sort.Strings(out)
+	return out
+}
+
+// spanNames is the set of (non-instant) span names in a report.
+func spanNames(rep *telemetry.Report) map[string]bool {
+	names := make(map[string]bool)
+	var walk func(ns []*telemetry.ReportSpan)
+	walk = func(ns []*telemetry.ReportSpan) {
+		for _, n := range ns {
+			if !n.Instant {
+				names[n.Name] = true
+			}
+			walk(n.Children)
+		}
+	}
+	walk(rep.Spans)
+	return names
+}
+
+// TestIncrementalCleanThenNoOpRebuild checks the no-edit rebuild: neither
+// compiler phase runs, the explanation says so module by module, and
+// every artifact equals the first build's.
+func TestIncrementalCleanThenNoOpRebuild(t *testing.T) {
+	ResetPhase1Cache()
+	dir := t.TempDir()
+	cfg := MustPreset("C")
+	clean := tracedBuild(t, twoModuleSources(), cfg, WithBuildDir(dir))
+	if out := clean.Incremental; out.Phase1Rebuilds != 2 || out.Phase2Rebuilds != 2 || out.StateReset {
+		t.Fatalf("clean build: rebuilds = %d/%d, reset = %v; want 2/2 and no reset", out.Phase1Rebuilds, out.Phase2Rebuilds, out.StateReset)
+	}
+
+	var buf bytes.Buffer
+	noop := tracedBuild(t, twoModuleSources(), cfg, WithBuildDir(dir), WithStderr(&buf))
+	out := noop.Incremental
+	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 0 {
+		t.Errorf("no-op rebuild: rebuilds = %d/%d, want 0/0\n%s", out.Phase1Rebuilds, out.Phase2Rebuilds, &buf)
+	}
+	for _, phase := range []string{"phase1", "phase2"} {
+		if got := compiledModules(noop.Report, phase); len(got) != 0 {
+			t.Errorf("no-op rebuild ran %s on %v", phase, got)
+		}
+	}
+	if !reflect.DeepEqual(noop.Modules, clean.Modules) ||
+		!reflect.DeepEqual(noop.Summaries, clean.Summaries) ||
+		!reflect.DeepEqual(noop.Objects, clean.Objects) {
+		t.Error("no-op rebuild artifacts differ from the clean build")
+	}
+	if !bytes.Equal(canonicalExe(t, noop.Exe), canonicalExe(t, clean.Exe)) {
+		t.Error("no-op rebuild changed the executable")
+	}
+	if noop.DB.Hash() != clean.DB.Hash() {
+		t.Error("no-op rebuild computed a different program database")
+	}
+	a := out.Analyzer
+	want := "incremental: main.mc: phase 1 reused; phase 2 reused\n" +
+		"incremental: lib.mc: phase 1 reused; phase 2 reused\n" +
+		fmt.Sprintf("incremental: analyzer: %d webs reused, %d rebuilt (%d dirty modules)\n", a.WebsReused, a.WebsRebuilt, a.DirtyModules) +
+		"incremental: 0/2 phase-1 recompiles, 0/2 phase-2 recompiles\n"
+	if buf.String() != want {
+		t.Errorf("explain output:\n%q\nwant:\n%q", buf.String(), want)
+	}
+}
+
+// TestIncrementalSourceEditRebuildsOnlyEditedModule edits one module's
+// body: only that module runs either compiler phase, and the result equals
+// a store-less build of the edited program.
+func TestIncrementalSourceEditRebuildsOnlyEditedModule(t *testing.T) {
+	ResetPhase1Cache()
+	dir := t.TempDir()
+	cfg := MustPreset("C")
+	tracedBuild(t, twoModuleSources(), cfg, WithBuildDir(dir))
+
+	edited := editSource(t, twoModuleSources(), "lib.mc", "x + 1", "x + 3")
+	var buf bytes.Buffer
+	res := tracedBuild(t, edited, cfg, WithBuildDir(dir), WithStderr(&buf))
+	if out := res.Incremental; out.Phase1Rebuilds != 1 || out.Phase2Rebuilds != 1 {
+		t.Fatalf("rebuilds = %d/%d, want 1/1\n%s", out.Phase1Rebuilds, out.Phase2Rebuilds, &buf)
+	}
+	for _, phase := range []string{"phase1", "phase2"} {
+		if got := compiledModules(res.Report, phase); !reflect.DeepEqual(got, []string{"lib.mc"}) {
+			t.Errorf("%s compiled %v, want only lib.mc", phase, got)
+		}
+	}
+	if !strings.Contains(buf.String(), "lib.mc: phase 1 recompiled (source changed); phase 2 recompiled (source changed)") {
+		t.Errorf("explain output missing edit rationale:\n%s", &buf)
+	}
+	if !strings.Contains(buf.String(), "main.mc: phase 1 reused; phase 2 reused") {
+		t.Errorf("explain output missing reuse line:\n%s", &buf)
+	}
+	clean, err := Build(context.Background(), edited, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonicalExe(t, res.Exe), canonicalExe(t, clean.Exe)) {
+		t.Error("edited incremental build differs from a store-less build")
+	}
+}
+
+// TestIncrementalSpanNamesMatchStorelessBuild pins the one-driver span
+// tree: a first build into an empty build directory emits exactly the
+// span names of a store-less build, plus persist. The phase-1 cache is off
+// so both builds run the front end.
+func TestIncrementalSpanNamesMatchStorelessBuild(t *testing.T) {
+	for _, name := range []string{"L2", "C", "F"} {
+		cfg := MustPreset(name)
+		cfg.DisableCache = true
+		var opts []BuildOption
+		if cfg.WantProfile {
+			opts = append(opts, WithProfile(incrTestMaxInstrs))
+		}
+		storeless := tracedBuild(t, twoModuleSources(), cfg, opts...)
+		stored := tracedBuild(t, twoModuleSources(), cfg, append(opts, WithBuildDir(t.TempDir()))...)
+		want, got := spanNames(storeless.Report), spanNames(stored.Report)
+		if !got["persist"] {
+			t.Errorf("%s: build-dir build has no persist span", name)
+		}
+		delete(got, "persist")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: span names differ:\nstore-less: %v\nbuild dir:  %v", name, want, got)
+		}
+	}
+}
+
+// TestIncrementalStorelessBuildPersistsNothing checks a build without a
+// build directory does no persistence work: no persist span, no
+// incremental analyzer (so no invalidate-analyzer event or fallback
+// count), no incremental counters, and no rebuild record.
+func TestIncrementalStorelessBuildPersistsNothing(t *testing.T) {
+	for _, name := range []string{"L2", "C"} {
+		res := tracedBuild(t, twoModuleSources(), MustPreset(name))
+		if res.Incremental != nil {
+			t.Errorf("%s: store-less build has an Incremental outcome", name)
+		}
+		for _, span := range []string{"persist", "invalidate-analyzer", "invalidate-phase1", "invalidate-phase2"} {
+			if res.Report.Find(span) != nil {
+				t.Errorf("%s: store-less build emitted %q", name, span)
+			}
+		}
+		for c := range res.Report.Counters {
+			if strings.HasPrefix(c, "incremental.") {
+				t.Errorf("%s: store-less build counted %s", name, c)
+			}
+		}
 	}
 }

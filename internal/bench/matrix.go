@@ -1,10 +1,10 @@
 // The strategy experiment matrix: every benchmark × configuration ×
 // allocation strategy cell, measured under identical conditions. The
 // point of the matrix is competitive: the paper's priority coloring, the
-// classical first-fit staging, the tiling/reuse-interval policy, and the
-// spill-everywhere lower-bound oracle all run behind the same
-// core.Strategy seam, so their cycle counts are directly comparable —
-// and the oracle's savings must bound every contender from below.
+// tiling/reuse-interval policy, and the spill-everywhere lower-bound
+// oracle all run behind the same core.Strategy seam, so their cycle
+// counts are directly comparable — and the oracle's savings must bound
+// every contender from below.
 package bench
 
 import (

@@ -1,13 +1,12 @@
 // The Strategy interface: web promotion and its interaction with spill
 // motion, pluggable behind one seam. The analyzer pipeline (graph →
 // refsets → webs → *coloring* → clusters → directives) delegates exactly
-// the starred stage to a Strategy: given the webs, their priorities, and
-// (on demand) an explicit interference structure, the strategy decides
-// which webs occupy which callee-saves registers and whether spill
-// motion may run at all. Everything around it — web identification,
-// filtering, cluster preallocation, directive assembly, the verifier —
-// is strategy-independent, which is what lets competing policies from
-// the related work run under identical conditions.
+// the starred stage to a Strategy: given the webs and their priorities,
+// the strategy decides which webs occupy which callee-saves registers and
+// whether spill motion may run at all. Everything around it — web
+// identification, filtering, cluster preallocation, directive assembly,
+// the verifier — is strategy-independent, which is what lets competing
+// policies from the related work run under identical conditions.
 package core
 
 import (
@@ -27,10 +26,6 @@ const (
 	// StrategyPriority is the paper's priority-based web coloring (§4.1.3)
 	// — the default, and the policy every golden output is pinned to.
 	StrategyPriority = "priority"
-	// StrategyFirstFit is priority-ordered first-fit over the explicit
-	// interference structure: the classical liveness → interference →
-	// assignment staging, run over webs instead of live ranges.
-	StrategyFirstFit = "firstfit"
 	// StrategySpillEverywhere promotes nothing and vetoes spill motion —
 	// every procedure keeps the standard linkage convention. It is the
 	// tractable lower-bound oracle of Bouchez et al.: any competing
@@ -49,8 +44,6 @@ const DefaultStrategyName = StrategyPriority
 // StrategyInput is everything a strategy may consult: the call graph,
 // the reference-set families, and the identified webs with priorities
 // computed and filters applied (discarded webs are marked, not removed).
-// The explicit interference structure is built lazily on first use so
-// policies that do not need it (the default) pay nothing for it.
 type StrategyInput struct {
 	Graph *callgraph.Graph
 	Sets  *refsets.Sets
@@ -60,17 +53,6 @@ type StrategyInput struct {
 	Webs []*webs.Web
 	// Opt carries the analyzer options (promotion mode, register budget).
 	Opt Options
-
-	interference *webs.InterferenceGraph
-}
-
-// Interference returns the explicit interference graph over the
-// considered webs, building and caching it on first call.
-func (in *StrategyInput) Interference() *webs.InterferenceGraph {
-	if in.interference == nil {
-		in.interference = webs.BuildInterference(in.Webs, len(in.Graph.Nodes))
-	}
-	return in.interference
 }
 
 // Assignment is a strategy's decision. Active webs must carry Color in
@@ -127,7 +109,6 @@ func RegisterStrategy(s Strategy) {
 
 func init() {
 	RegisterStrategy(priorityStrategy{})
-	RegisterStrategy(firstFitStrategy{})
 	RegisterStrategy(spillEverywhereStrategy{})
 	RegisterStrategy(tilingStrategy{})
 }

@@ -8,13 +8,12 @@ import (
 	"ipra/internal/core"
 	"ipra/internal/progen"
 	"ipra/internal/verify"
-	"ipra/internal/webs"
 )
 
 func TestStrategyRegistry(t *testing.T) {
 	names := core.StrategyNames()
-	if len(names) != 4 {
-		t.Fatalf("StrategyNames() = %v, want 4 strategies", names)
+	if len(names) != 3 {
+		t.Fatalf("StrategyNames() = %v, want 3 strategies", names)
 	}
 	if names[0] != core.DefaultStrategyName {
 		t.Errorf("StrategyNames()[0] = %q, want the default %q", names[0], core.DefaultStrategyName)
@@ -104,39 +103,5 @@ func TestStrategiesVerifierClean(t *testing.T) {
 				t.Errorf("spill-everywhere colored %d webs, want 0", res.Stats.WebsColored)
 			}
 		}
-	}
-}
-
-// TestFirstFitColoringIsProper rebuilds the interference structure the
-// first-fit strategy colored from and checks no two interfering webs
-// share a register.
-func TestFirstFitColoringIsProper(t *testing.T) {
-	pcfg, err := progen.Preset("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := progen.GenerateSummaries(pcfg)
-	opt := core.DefaultOptions()
-	opt.Strategy = core.StrategyFirstFit
-	res, err := core.Analyze(context.Background(), sums, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ig := webs.BuildInterference(res.Webs, len(res.Graph.Nodes))
-	colored := 0
-	for i, w := range ig.Webs {
-		if w.Color < 0 {
-			continue
-		}
-		colored++
-		for _, j := range ig.Adj[i] {
-			n := ig.Webs[j]
-			if n.Color == w.Color {
-				t.Errorf("webs %s and %s interfere but share color %d", w.Var, n.Var, w.Color)
-			}
-		}
-	}
-	if colored == 0 {
-		t.Error("first-fit colored no webs on the small progen preset")
 	}
 }

@@ -1,29 +1,33 @@
-// Package incremental is the persistent incremental recompilation engine
-// for the two-pass organization (§2, §4.3 of the paper).
+// Package incremental is the build directory of the two-pass organization
+// (§2, §4.3 of the paper): the persistent state that lets a build
+// recompile only what changed.
 //
 // The paper's scheme pays for cross-module allocation with recompilation:
 // whenever the program database changes, the compiler second phase must
 // re-run. But phase 2 is module-at-a-time and order-independent, and each
 // module consumes only a small slice of the database — the directives of
 // its own procedures and of its direct callees, plus the program-wide
-// eligibility list. This package makes the edit-recompile loop
+// eligibility list. A build against a Store makes the edit-recompile loop
 // proportional to what changed:
 //
 //	hash sources            → phase-1-recompile only changed modules
-//	re-run the analyzer     → always (it is whole-program and cheap)
+//	re-run the analyzer     → always (it is whole-program), reusing the
+//	                          stored analyzer state where the edit allows
 //	diff the database       → against stored per-procedure directive hashes
 //	phase-2-recompile       → only modules whose sources or consumed
 //	                          directives changed
 //	relink                  → from stored + fresh objects
 //
-// The load-bearing invariant: an incremental rebuild produces the same
-// modules, summaries, database, objects, and executable as a clean build
-// of the same sources — reuse is pure memoization, never approximation.
+// The build driver (ipra.Build) runs those stages and asks the Store at
+// each one what it may reuse; this package owns only the directory: the
+// manifest, the artifact files, the analyzer-state binding, the directive
+// diff, and the explanation of every decision. A build without a
+// directory runs the same stages against a nil *Store.
 //
-// The engine is toolchain-agnostic: callers inject the compiler phases as
-// a Toolchain of hooks (the ipra package wires its phase helpers in from
-// Build's WithBuildDir path), which also keeps this package free of an
-// import cycle with the driver above it.
+// The load-bearing invariant: a build against a store produces the same
+// modules, summaries, database, objects, and executable as a store-less
+// build of the same sources — reuse is pure memoization, never
+// approximation.
 package incremental
 
 import (
@@ -34,76 +38,15 @@ import (
 	"strings"
 
 	"ipra/internal/cache"
+	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
-	"ipra/internal/pipeline"
 	"ipra/internal/summary"
 	"ipra/internal/telemetry"
 )
 
-// Source is one module's name and source text.
-type Source struct {
-	Name string
-	Text []byte
-}
-
-// Toolchain injects the compiler phases the driver orchestrates. Every
-// hook must be deterministic in its arguments; the driver's caching is
-// sound exactly because phase 1 is a pure function of the source text and
-// phase 2 a pure function of the phase-1 module plus the directives it
-// consults.
-type Toolchain struct {
-	// Fingerprint identifies the toolchain build (phase implementations,
-	// Go toolchain). Stored state with a different fingerprint is
-	// discarded wholesale.
-	Fingerprint string
-	// Phase1 parses, checks, and lowers one module, returning the IR and
-	// its summary record. The context carries the build's telemetry.
-	Phase1 func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error)
-	// Analyze runs the program analyzer over the merged summary set.
-	Analyze func(ctx context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error)
-	// AnalyzeIncremental, when non-nil, replaces Analyze: it receives the
-	// modules whose phase 1 re-ran (a sound superset of the changed
-	// summaries) and the previously persisted analyzer state, and returns
-	// the database, the refreshed state to persist (nil to persist
-	// nothing), and a reuse record. The database must be byte-identical to
-	// what Analyze would return — the engine treats analyzer reuse as pure
-	// memoization, exactly like its own phase caches.
-	AnalyzeIncremental func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *AnalyzerReuse, error)
-	// Phase2 returns the per-module second-phase compiler for a database
-	// (the closure lets the caller precompute database-wide state, e.g.
-	// the eligibility set, once per build).
-	Phase2 func(ctx context.Context, db *pdb.Database) func(ctx context.Context, m *ir.Module) (*parv.Object, error)
-	// Link binds the objects, in module order.
-	Link func(ctx context.Context, objs []*parv.Object) (*parv.Executable, error)
-}
-
-// Options control one Build.
-type Options struct {
-	// Jobs bounds the phase fan-out (pipeline.Workers semantics).
-	Jobs int
-	// Explain, when non-nil, receives one line per module explaining why
-	// it was or wasn't rebuilt, plus a summary line.
-	Explain io.Writer
-}
-
-// AnalyzerReuse records what the incremental program analyzer reused for
-// one build (toolchain-level mirror of the analyzer's own reuse stats,
-// kept here so this package needs no import of the analyzer).
-type AnalyzerReuse struct {
-	// Fallback names why a full analysis ran ("" when the incremental
-	// path succeeded).
-	Fallback     string
-	DirtyModules int
-	WebsReused   int
-	WebsRebuilt  int
-	// ClustersRebuilt reports whether spill-motion clusters were
-	// re-identified rather than reused.
-	ClustersRebuilt bool
-}
-
-// Action records what Build did for one module and why.
+// Action records what one build did for one module and why.
 type Action struct {
 	Module        string
 	Phase1Rebuilt bool
@@ -112,244 +55,140 @@ type Action struct {
 	Phase2Reason  string // why phase 2 re-ran; "" when reused
 }
 
-// Outcome is the result of one Build: the full artifact set (identical to
-// a clean build's) plus the per-module rebuild record.
+// Outcome is the rebuild record of one build against a store.
 type Outcome struct {
-	Modules   []*ir.Module
-	Summaries []*summary.ModuleSummary
-	DB        *pdb.Database
-	Objects   []*parv.Object
-	Exe       *parv.Executable
-
 	Actions                        []Action
 	Phase1Rebuilds, Phase2Rebuilds int
 	// Analyzer reports what the incremental program analyzer reused; nil
-	// when the toolchain has no AnalyzeIncremental hook.
-	Analyzer *AnalyzerReuse
+	// when the configuration runs no analyzer.
+	Analyzer *core.ReuseStats
 	// StateReset is true when an existing build directory's state was
 	// rejected (format/toolchain fingerprint mismatch or corruption).
 	StateReset bool
 }
 
-// Build runs a minimal rebuild of sources against the build directory,
-// updating the stored state on success. On error the store is left
-// untouched, so a failed build never poisons later ones.
-//
-// The context carries the build's telemetry: each stage runs under its
-// own span, every invalidation decision is recorded as an instant event
-// naming the module and the reason, and the rebuild/reuse totals land on
-// the tracer's counters (incremental.phase1_rebuilds, ..._reused, and the
-// phase-2 pair).
-func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts Options) (*Outcome, error) {
-	ctx, span := telemetry.StartSpan(ctx, "incremental")
-	defer span.End()
-	span.SetStr("dir", dir)
-	span.SetInt("modules", int64(len(sources)))
-
-	seen := make(map[string]bool, len(sources))
-	for _, src := range sources {
-		if seen[src.Name] {
-			return nil, fmt.Errorf("incremental: duplicate module name %q", src.Name)
-		}
-		seen[src.Name] = true
+// ReusePhase1 returns module i's stored phase-1 record when its source is
+// unchanged. Otherwise it records why phase 1 must re-run (an
+// invalidate-phase1 event on the context's tracer) and returns false; the
+// caller compiles the module.
+func (s *Store) ReusePhase1(ctx context.Context, i int, text []byte) (*ir.Module, *summary.ModuleSummary, bool) {
+	if s == nil {
+		return nil, nil, false
 	}
-
-	st, err := openStore(dir, tc.Fingerprint)
-	if err != nil {
-		return nil, err
+	a := &s.out.Actions[i]
+	hash := cache.SourceKey(a.Module, text, s.toolchain).Hex()
+	s.next[i].SourceHash = hash
+	reason := ""
+	prev := s.prev.Modules[a.Module]
+	switch {
+	case prev == nil:
+		reason = s.resetReason
+		if reason == "" {
+			reason = "new module"
+		}
+	case prev.SourceHash != hash:
+		reason = "source changed"
+	default:
+		m, ms, err := s.loadPhase1(prev)
+		if err == nil {
+			return m, ms, true
+		}
+		reason = "stored phase-1 record unreadable"
 	}
-	out := &Outcome{
-		Modules:    make([]*ir.Module, len(sources)),
-		Summaries:  make([]*summary.ModuleSummary, len(sources)),
-		Objects:    make([]*parv.Object, len(sources)),
-		Actions:    make([]Action, len(sources)),
-		StateReset: st.reset,
+	ev := telemetry.Event(ctx, "invalidate-phase1")
+	ev.SetStr("module", a.Module)
+	ev.SetStr("reason", reason)
+	ev.End()
+	a.Phase1Rebuilt, a.Phase1Reason = true, reason
+	return nil, nil, false
+}
+
+// Dirty lists the modules whose phase 1 re-ran: a sound superset of the
+// modules whose summaries changed, which is what the incremental analyzer
+// needs to know.
+func (s *Store) Dirty() []string {
+	var dirty []string
+	for _, a := range s.out.Actions {
+		if a.Phase1Rebuilt {
+			dirty = append(dirty, a.Module)
+		}
 	}
+	return dirty
+}
 
-	// ---- Phase 1: hash every source, recompile only changed modules.
-	p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
-	hashes := make([]string, len(sources))
-	err = pipeline.ForEachCtx(p1ctx, opts.Jobs, len(sources), func(ctx context.Context, i int) error {
-		src := sources[i]
-		out.Actions[i].Module = src.Name
-		hashes[i] = cache.SourceKey(src.Name, src.Text, tc.Fingerprint).Hex()
+// AnalyzerState returns the analyzer state the previous build persisted,
+// or nil when there is none still bound to the stored manifest. Its
+// content is opaque to the store.
+func (s *Store) AnalyzerState() []byte {
+	s.prevState = s.loadAnalyzerState()
+	return s.prevState
+}
 
-		reason := ""
-		prev := st.prev.Modules[src.Name]
-		switch {
-		case prev == nil:
-			reason = st.resetReason
-			if reason == "" {
-				reason = "new module"
-			}
-		case prev.SourceHash != hashes[i]:
-			reason = "source changed"
-		default:
-			m, ms, err := st.loadPhase1(prev)
-			if err == nil {
-				out.Modules[i], out.Summaries[i] = m, ms
-				return nil
-			}
-			reason = "stored phase-1 record unreadable"
-		}
-		ev := telemetry.Event(ctx, "invalidate-phase1")
-		ev.SetStr("module", src.Name)
-		ev.SetStr("reason", reason)
-		ev.End()
-		m, ms, err := tc.Phase1(ctx, src.Name, src.Text)
-		if err != nil {
-			return fmt.Errorf("%s: %w", src.Name, err)
-		}
-		out.Modules[i], out.Summaries[i] = m, ms
-		out.Actions[i].Phase1Rebuilt = true
-		out.Actions[i].Phase1Reason = reason
-		return nil
-	})
-	p1Span.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- Program analyzer: always re-run on the merged summary set (it
-	// needs the whole program). With an AnalyzeIncremental hook, the
-	// persisted analyzer state lets the run rebuild only the slices the
-	// phase-1 rebuilds invalidated.
-	var analyzerState []byte
-	var prevAnalyzerState []byte
-	var db *pdb.Database
-	if tc.AnalyzeIncremental != nil {
-		var dirty []string
-		for i := range out.Actions {
-			if out.Actions[i].Phase1Rebuilt {
-				dirty = append(dirty, out.Actions[i].Module)
-			}
-		}
-		prevAnalyzerState = st.loadAnalyzerState()
-		var reuse *AnalyzerReuse
-		db, analyzerState, reuse, err = tc.AnalyzeIncremental(ctx, out.Summaries, dirty, prevAnalyzerState)
-		out.Analyzer = reuse
-		if reuse != nil {
-			if reuse.Fallback == "" {
-				telemetry.Count(ctx, "incremental.analyzer_incremental", 1)
-			} else {
-				telemetry.Count(ctx, "incremental.analyzer_fallbacks", 1)
-			}
-		}
+// SetAnalyzer records what the incremental analyzer reused and the
+// refreshed state Persist should keep (nil keeps none), and counts the
+// run on the tracer as incremental or as a declared fallback.
+func (s *Store) SetAnalyzer(ctx context.Context, state []byte, reuse *core.ReuseStats) {
+	s.state, s.out.Analyzer = state, reuse
+	if reuse.Fallback == "" {
+		telemetry.Count(ctx, "incremental.analyzer_incremental", 1)
 	} else {
-		db, err = tc.Analyze(ctx, out.Summaries)
+		telemetry.Count(ctx, "incremental.analyzer_fallbacks", 1)
 	}
-	if err != nil {
-		return nil, err
+}
+
+// Diff decides phase 2 for every module: a module recompiles when its
+// phase 1 re-ran, when the program-wide eligibility list changed, or when
+// a directive it consults differs from the stored hash. Each decision the
+// diff alone discovers is recorded as an invalidate-phase2 event.
+func (s *Store) Diff(ctx context.Context, modules []*ir.Module, db *pdb.Database) {
+	if s == nil {
+		return
 	}
-	out.DB = db
-
-	// ---- Directive diff: decide phase 2 per module.
-	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
-	eligibleHash := db.EligibleHash()
-	directives := make([]map[string]string, len(sources))
-	for i, m := range out.Modules {
-		consulted := consultedProcs(m)
-		hashesOf := make(map[string]string, len(consulted))
-		for _, proc := range consulted {
-			hashesOf[proc] = db.Lookup(proc).DirectiveHash()
-		}
-		directives[i] = hashesOf
-
-		a := &out.Actions[i]
-		prev := st.prev.Modules[m.Name]
-		switch {
-		case a.Phase1Rebuilt:
+	eligible := db.EligibleHash()
+	for i, m := range modules {
+		next := &s.next[i]
+		next.EligibleHash = eligible
+		next.Directives = directiveHashes(m, db)
+		a := &s.out.Actions[i]
+		if a.Phase1Rebuilt {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
-		case prev.EligibleHash != eligibleHash:
-			a.Phase2Rebuilt, a.Phase2Reason = true, "eligible globals changed"
-		default:
-			if changed := diffDirectives(prev.Directives, hashesOf); len(changed) > 0 {
-				a.Phase2Rebuilt, a.Phase2Reason = true, "directives changed: "+strings.Join(changed, ", ")
-			}
+			continue
 		}
-		if a.Phase2Rebuilt && !a.Phase1Rebuilt {
-			// Phase-1 rebuilds already logged their decision; these are the
-			// pure directive-driven invalidations the diff discovered.
-			ev := telemetry.Event(dctx, "invalidate-phase2")
-			ev.SetStr("module", m.Name)
-			ev.SetStr("reason", a.Phase2Reason)
+		if reason := phase2Reason(s.prev.Modules[a.Module], next); reason != "" {
+			a.Phase2Rebuilt, a.Phase2Reason = true, reason
+			ev := telemetry.Event(ctx, "invalidate-phase2")
+			ev.SetStr("module", a.Module)
+			ev.SetStr("reason", reason)
 			ev.End()
 		}
 	}
-	diffSpan.End()
+}
 
-	// ---- Phase 2: recompile invalidated modules, reload the rest.
-	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
-	compile := tc.Phase2(p2ctx, db)
-	err = pipeline.ForEachCtx(p2ctx, opts.Jobs, len(sources), func(ctx context.Context, i int) error {
-		a := &out.Actions[i]
-		if !a.Phase2Rebuilt {
-			obj, err := st.loadObject(st.prev.Modules[out.Modules[i].Name])
-			if err == nil {
-				out.Objects[i] = obj
-				return nil
-			}
-			a.Phase2Rebuilt, a.Phase2Reason = true, "stored object unreadable"
-		}
-		obj, err := compile(ctx, out.Modules[i])
-		if err != nil {
-			return fmt.Errorf("%s: %w", out.Modules[i].Name, err)
-		}
-		out.Objects[i] = obj
+// ReuseObject returns module i's stored object when Diff left its phase 2
+// valid and the object still reads; otherwise nil, and the caller
+// compiles the module.
+func (s *Store) ReuseObject(i int) *parv.Object {
+	if s == nil {
 		return nil
-	})
-	p2Span.End()
+	}
+	a := &s.out.Actions[i]
+	if a.Phase2Rebuilt {
+		return nil
+	}
+	obj, err := s.loadObject(s.prev.Modules[a.Module])
 	if err != nil {
-		return nil, err
+		a.Phase2Rebuilt, a.Phase2Reason = true, "stored object unreadable"
+		return nil
 	}
+	return obj
+}
 
-	// ---- Link, always: it is whole-program and reads every object.
-	lctx, linkSpan := telemetry.StartSpan(ctx, "link")
-	exe, err := tc.Link(lctx, out.Objects)
-	linkSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	out.Exe = exe
-
-	// ---- Persist the new state: fresh artifacts for rebuilt modules,
-	// carried-over records for reused ones, then the manifest (atomically;
-	// unreferenced artifacts are pruned).
-	_, persistSpan := telemetry.StartSpan(ctx, "persist")
-	next := manifest{Modules: make(map[string]*moduleState, len(sources))}
-	for i, src := range sources {
-		a := out.Actions[i]
-		ms := &moduleState{
-			SourceHash:   hashes[i],
-			EligibleHash: eligibleHash,
-			Directives:   directives[i],
-		}
-		if a.Phase1Rebuilt {
-			if ms.Phase1File, err = st.writePhase1(src.Name, out.Modules[i], out.Summaries[i]); err != nil {
-				return nil, err
-			}
-		} else {
-			ms.Phase1File = st.prev.Modules[src.Name].Phase1File
-		}
-		if a.Phase2Rebuilt {
-			if ms.ObjectFile, err = st.writeObject(src.Name, out.Objects[i]); err != nil {
-				return nil, err
-			}
-		} else {
-			ms.ObjectFile = st.prev.Modules[src.Name].ObjectFile
-		}
-		next.Modules[src.Name] = ms
-	}
-	if err := st.save(next); err != nil {
-		return nil, err
-	}
-	if analyzerState != nil {
-		if err := st.saveAnalyzerState(next, analyzerState, prevAnalyzerState); err != nil {
-			return nil, err
-		}
-	}
-	persistSpan.End()
-
+// Outcome tallies the build's rebuild record, adds the totals to the
+// tracer's counters (incremental.phase1_rebuilds, ..._reused, and the
+// phase-2 pair), and, when w is non-nil, writes one line per module
+// explaining why it was or wasn't rebuilt.
+func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
+	out := &s.out
 	for _, a := range out.Actions {
 		if a.Phase1Rebuilt {
 			out.Phase1Rebuilds++
@@ -366,10 +205,33 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	if out.StateReset {
 		telemetry.Count(ctx, "incremental.state_resets", 1)
 	}
-	if opts.Explain != nil {
-		explain(opts.Explain, st, out)
+	if w != nil {
+		explain(w, s.resetReason, out)
 	}
-	return out, nil
+	return out
+}
+
+// directiveHashes hashes every directive module m's phase 2 consults.
+func directiveHashes(m *ir.Module, db *pdb.Database) map[string]string {
+	consulted := consultedProcs(m)
+	hashes := make(map[string]string, len(consulted))
+	for _, proc := range consulted {
+		hashes[proc] = db.Lookup(proc).DirectiveHash()
+	}
+	return hashes
+}
+
+// phase2Reason says why a module whose source is unchanged must re-run
+// phase 2 under the database next was computed from ("" when its stored
+// object is still valid).
+func phase2Reason(prev, next *moduleState) string {
+	if prev.EligibleHash != next.EligibleHash {
+		return "eligible globals changed"
+	}
+	if changed := diffDirectives(prev.Directives, next.Directives); len(changed) > 0 {
+		return "directives changed: " + strings.Join(changed, ", ")
+	}
+	return ""
 }
 
 // diffDirectives returns the sorted names of procedures whose directive
@@ -419,9 +281,9 @@ func consultedProcs(m *ir.Module) []string {
 
 // explain writes the per-module rebuild record in module order, preceded
 // by a state-reset notice when stored state was discarded.
-func explain(w io.Writer, st *store, out *Outcome) {
+func explain(w io.Writer, resetReason string, out *Outcome) {
 	if out.StateReset {
-		fmt.Fprintf(w, "incremental: discarding build state: %s\n", st.resetReason)
+		fmt.Fprintf(w, "incremental: discarding build state: %s\n", resetReason)
 	}
 	phase := func(rebuilt bool, reason string) string {
 		if !rebuilt {

@@ -4,196 +4,199 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/summary"
 )
 
-// fakeToolchain is a miniature deterministic toolchain over a toy source
-// format: each line of source text reads "funcname" or "funcname>callee".
-// It counts invocations so tests can assert exactly which phases re-ran,
-// and exposes a promotion knob so tests can change directives without
-// changing sources.
-type fakeToolchain struct {
-	phase1Calls, phase2Calls atomic.Int64
-	phase2Modules            []string // names compiled by phase 2 (mutex-free: Jobs=1 in tests)
-	promote                  map[string]uint8
-}
+// The store-level tests drive a Store through the same calls the build
+// driver makes, with miniature deterministic phases over a toy source
+// format: each word of source text reads "funcname" or "funcname>callee".
+// The database is hand-built, so a test changes directives by changing
+// the promote map without touching any source.
 
-func (ft *fakeToolchain) toolchain() Toolchain {
-	return Toolchain{
-		Fingerprint: "fake/v1",
-		Phase1: func(_ context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error) {
-			ft.phase1Calls.Add(1)
-			m := &ir.Module{Name: name}
-			ms := &summary.ModuleSummary{Module: name}
-			for _, line := range strings.Fields(string(text)) {
-				fn, callee, _ := strings.Cut(line, ">")
-				f := &ir.Func{Name: fn, Module: name, Blocks: []*ir.Block{{}}}
-				if callee != "" {
-					f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Call, Callee: callee})
-				}
-				m.Funcs = append(m.Funcs, f)
-				ms.Procs = append(ms.Procs, summary.ProcRecord{Name: fn, Module: name})
-			}
-			return m, ms, nil
-		},
-		Analyze: func(_ context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error) {
-			db := pdb.New()
-			for _, s := range sums {
-				for _, p := range s.Procs {
-					d := pdb.Standard(p.Name)
-					if r, ok := ft.promote[p.Name]; ok {
-						d.Caller = d.Caller.Remove(r)
-						d.Callee = d.Callee.Remove(r)
-						d.Promoted = []pdb.PromotedGlobal{{Name: "g", Reg: r}}
-					}
-					db.Procs[p.Name] = d
-				}
-			}
-			return db, nil
-		},
-		Phase2: func(_ context.Context, db *pdb.Database) func(context.Context, *ir.Module) (*parv.Object, error) {
-			return func(_ context.Context, m *ir.Module) (*parv.Object, error) {
-				ft.phase2Calls.Add(1)
-				ft.phase2Modules = append(ft.phase2Modules, m.Name)
-				o := &parv.Object{Module: m.Name}
-				for _, f := range m.Funcs {
-					// The "code" depends on the function's own directives,
-					// like real phase 2 output does.
-					d := db.Lookup(f.Name)
-					var reg uint8
-					if len(d.Promoted) > 0 {
-						reg = d.Promoted[0].Reg
-					}
-					o.Funcs = append(o.Funcs, &parv.ObjFunc{
-						Name: f.Name,
-						Code: []parv.Instr{{Op: parv.LDI, Rd: reg}},
-					})
-				}
-				return o, nil
-			}
-		},
-		Link: func(_ context.Context, objs []*parv.Object) (*parv.Executable, error) {
-			exe := &parv.Executable{FuncIdx: map[string]int{}, GlobalAddr: map[string]int32{}}
-			for _, o := range objs {
-				for _, f := range o.Funcs {
-					exe.FuncIdx[f.Name] = len(exe.Funcs)
-					exe.Funcs = append(exe.Funcs, parv.FuncInfo{Name: f.Name, Start: len(exe.Code), End: len(exe.Code) + len(f.Code)})
-					exe.Code = append(exe.Code, f.Code...)
-				}
-			}
-			return exe, nil
-		},
+type toySource struct{ name, text string }
+
+func twoModules() []toySource {
+	return []toySource{
+		{"main.mc", "main>helper main>leaf"},
+		{"lib.mc", "helper>leaf leaf"},
 	}
 }
 
-func mustBuild(t *testing.T, dir string, sources []Source, tc Toolchain, opts Options) *Outcome {
+// toyPhase1 lowers one toy module.
+func toyPhase1(src toySource) (*ir.Module, *summary.ModuleSummary) {
+	m := &ir.Module{Name: src.name}
+	ms := &summary.ModuleSummary{Module: src.name}
+	for _, word := range strings.Fields(src.text) {
+		fn, callee, _ := strings.Cut(word, ">")
+		f := &ir.Func{Name: fn, Module: src.name, Blocks: []*ir.Block{{}}}
+		if callee != "" {
+			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Call, Callee: callee})
+		}
+		m.Funcs = append(m.Funcs, f)
+		ms.Procs = append(ms.Procs, summary.ProcRecord{Name: fn, Module: src.name})
+	}
+	return m, ms
+}
+
+// toyDB hand-builds the program database: standard linkage everywhere,
+// except that promote[p] = r promotes global g into register r in p.
+func toyDB(sums []*summary.ModuleSummary, promote map[string]uint8, eligible []string) *pdb.Database {
+	db := pdb.New()
+	db.EligibleGlobals = eligible
+	for _, s := range sums {
+		for _, p := range s.Procs {
+			d := pdb.Standard(p.Name)
+			if r, ok := promote[p.Name]; ok {
+				d.Caller = d.Caller.Remove(r)
+				d.Callee = d.Callee.Remove(r)
+				d.Promoted = []pdb.PromotedGlobal{{Name: "g", Reg: r}}
+			}
+			db.Procs[p.Name] = d
+		}
+	}
+	return db
+}
+
+// toyPhase2 compiles one module; its "code" depends on the module's own
+// directives, as real phase-2 output does.
+func toyPhase2(m *ir.Module, db *pdb.Database) *parv.Object {
+	o := &parv.Object{Module: m.Name}
+	for _, f := range m.Funcs {
+		var reg uint8
+		if d := db.Lookup(f.Name); len(d.Promoted) > 0 {
+			reg = d.Promoted[0].Reg
+		}
+		o.Funcs = append(o.Funcs, &parv.ObjFunc{Name: f.Name, Code: []parv.Instr{{Op: parv.LDI, Rd: reg}}})
+	}
+	return o
+}
+
+// toyOptions vary one toy build.
+type toyOptions struct {
+	fingerprint string // toolchain fingerprint; "" means "toy/v1"
+	promote     map[string]uint8
+	eligible    []string // the database's eligibility list
+	explain     io.Writer
+	// offered, when non-nil, runs an incremental analyzer: it records the
+	// state the store offered and persists a recognizable blob.
+	offered *[][]byte
+}
+
+// toyResult is what one toy build compiled and produced.
+type toyResult struct {
+	out            *Outcome
+	phase1, phase2 []string // modules each phase compiled, in order
+	modules        []*ir.Module
+	sums           []*summary.ModuleSummary
+	objs           []*parv.Object
+}
+
+// toyBuild runs one build against the store in dir, stage by stage as
+// the build driver does.
+func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResult {
 	t.Helper()
-	out, err := Build(context.Background(), dir, sources, tc, opts)
+	ctx := context.Background()
+	if o.fingerprint == "" {
+		o.fingerprint = "toy/v1"
+	}
+	names := make([]string, len(srcs))
+	for i, src := range srcs {
+		names[i] = src.name
+	}
+	st, err := Open(dir, o.fingerprint, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	r := toyResult{
+		modules: make([]*ir.Module, len(srcs)),
+		sums:    make([]*summary.ModuleSummary, len(srcs)),
+		objs:    make([]*parv.Object, len(srcs)),
+	}
+	for i, src := range srcs {
+		m, ms, ok := st.ReusePhase1(ctx, i, []byte(src.text))
+		if !ok {
+			m, ms = toyPhase1(src)
+			r.phase1 = append(r.phase1, src.name)
+		}
+		r.modules[i], r.sums[i] = m, ms
+	}
+	db := toyDB(r.sums, o.promote, o.eligible)
+	if o.offered != nil {
+		prev := st.AnalyzerState()
+		*o.offered = append(*o.offered, prev)
+		reuse := &core.ReuseStats{DirtyModules: len(st.Dirty()), WebsReused: len(db.Procs)}
+		if prev == nil {
+			reuse.Fallback = "no analyzer state"
+		}
+		st.SetAnalyzer(ctx, []byte("analyzer-state-blob"), reuse)
+	}
+	st.Diff(ctx, r.modules, db)
+	for i, m := range r.modules {
+		if r.objs[i] = st.ReuseObject(i); r.objs[i] == nil {
+			r.objs[i] = toyPhase2(m, db)
+			r.phase2 = append(r.phase2, m.Name)
+		}
+	}
+	if err := st.Persist(r.modules, r.sums, r.objs); err != nil {
+		t.Fatal(err)
+	}
+	r.out = st.Outcome(ctx, o.explain)
+	return r
 }
 
-func twoModules() []Source {
-	return []Source{
-		{Name: "main.mc", Text: []byte("main>helper main>leaf")},
-		{Name: "lib.mc", Text: []byte("helper>leaf leaf")},
+func readManifest(t *testing.T, dir string) manifest {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
-func TestCleanThenNoOpRebuild(t *testing.T) {
-	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	clean := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-	if clean.Phase1Rebuilds != 2 || clean.Phase2Rebuilds != 2 {
-		t.Fatalf("clean build: rebuilds = %d/%d, want 2/2", clean.Phase1Rebuilds, clean.Phase2Rebuilds)
+func writeManifest(t *testing.T, dir string, m manifest) {
+	t.Helper()
+	data, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if clean.StateReset {
-		t.Error("first build in an empty directory is not a state reset")
-	}
-
-	var buf bytes.Buffer
-	noop := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
-	if noop.Phase1Rebuilds != 0 || noop.Phase2Rebuilds != 0 {
-		t.Errorf("no-op rebuild: rebuilds = %d/%d, want 0/0\n%s", noop.Phase1Rebuilds, noop.Phase2Rebuilds, &buf)
-	}
-	if got := ft.phase1Calls.Load(); got != 2 {
-		t.Errorf("phase 1 ran %d times total, want 2", got)
-	}
-	if got := ft.phase2Calls.Load(); got != 2 {
-		t.Errorf("phase 2 ran %d times total, want 2", got)
-	}
-	// The reused artifact set must equal the clean build's.
-	if !reflect.DeepEqual(noop.Modules, clean.Modules) ||
-		!reflect.DeepEqual(noop.Summaries, clean.Summaries) ||
-		!reflect.DeepEqual(noop.Objects, clean.Objects) ||
-		!reflect.DeepEqual(noop.Exe, clean.Exe) {
-		t.Error("no-op rebuild artifacts differ from the clean build")
-	}
-	if noop.DB.Hash() != clean.DB.Hash() {
-		t.Error("no-op rebuild computed a different program database")
-	}
-	want := "incremental: main.mc: phase 1 reused; phase 2 reused\n" +
-		"incremental: lib.mc: phase 1 reused; phase 2 reused\n" +
-		"incremental: 0/2 phase-1 recompiles, 0/2 phase-2 recompiles\n"
-	if buf.String() != want {
-		t.Errorf("explain output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
-func TestSourceEditRebuildsOnlyEditedModule(t *testing.T) {
-	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-
-	edited := twoModules()
-	edited[1].Text = []byte("helper>leaf leaf extra")
-	ft.phase2Modules = nil
-	var buf bytes.Buffer
-	out := mustBuild(t, dir, edited, ft.toolchain(), Options{Jobs: 1, Explain: &buf})
-	if out.Phase1Rebuilds != 1 || out.Phase2Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d/%d, want 1/1\n%s", out.Phase1Rebuilds, out.Phase2Rebuilds, &buf)
-	}
-	if !reflect.DeepEqual(ft.phase2Modules, []string{"lib.mc"}) {
-		t.Errorf("phase 2 compiled %v, want only lib.mc", ft.phase2Modules)
-	}
-	if !strings.Contains(buf.String(), "lib.mc: phase 1 recompiled (source changed); phase 2 recompiled (source changed)") {
-		t.Errorf("explain output missing edit rationale:\n%s", &buf)
-	}
-	if !strings.Contains(buf.String(), "main.mc: phase 1 reused; phase 2 reused") {
-		t.Errorf("explain output missing reuse line:\n%s", &buf)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestDirectiveChangeRecompilesConsumers is the per-module phase-2
+// decision over hand-built databases: a directive change recompiles
+// exactly the modules that consult it.
 func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 
 	// Change leaf's directives without touching any source. Both modules
 	// consult leaf (main calls it directly, lib defines it), so both must
 	// re-run phase 2 — but phase 1 must not run at all.
-	ft.promote = map[string]uint8{"leaf": 17}
-	ft.phase2Modules = nil
 	var buf bytes.Buffer
-	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
-	if out.Phase1Rebuilds != 0 {
-		t.Errorf("phase-1 rebuilds = %d, want 0", out.Phase1Rebuilds)
+	r := toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17}, explain: &buf})
+	if r.out.Phase1Rebuilds != 0 || len(r.phase1) != 0 {
+		t.Errorf("phase-1 rebuilds = %d (%v), want 0", r.out.Phase1Rebuilds, r.phase1)
 	}
-	if out.Phase2Rebuilds != 2 {
-		t.Errorf("phase-2 rebuilds = %d, want 2\n%s", out.Phase2Rebuilds, &buf)
+	if r.out.Phase2Rebuilds != 2 || !reflect.DeepEqual(r.phase2, []string{"main.mc", "lib.mc"}) {
+		t.Errorf("phase-2 rebuilds = %d (%v), want both modules\n%s", r.out.Phase2Rebuilds, r.phase2, &buf)
 	}
 	if !strings.Contains(buf.String(), "phase 2 recompiled (directives changed: leaf)") {
 		t.Errorf("explain output missing directive rationale:\n%s", &buf)
@@ -201,89 +204,93 @@ func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 
 	// Now promote only main: lib.mc never consults main's directives, so
 	// only main.mc re-runs phase 2.
-	ft.promote = map[string]uint8{"leaf": 17, "main": 16}
-	ft.phase2Modules = nil
-	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-	if out.Phase2Rebuilds != 1 || !reflect.DeepEqual(ft.phase2Modules, []string{"main.mc"}) {
-		t.Errorf("rebuilds = %d (%v), want only main.mc", out.Phase2Rebuilds, ft.phase2Modules)
+	r = toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17, "main": 16}})
+	if r.out.Phase2Rebuilds != 1 || !reflect.DeepEqual(r.phase2, []string{"main.mc"}) {
+		t.Errorf("rebuilds = %d (%v), want only main.mc", r.out.Phase2Rebuilds, r.phase2)
+	}
+	if a := r.out.Actions[0]; a.Phase2Reason != "directives changed: main" {
+		t.Errorf("main.mc phase-2 reason = %q", a.Phase2Reason)
+	}
+
+	// A changed eligibility list recompiles every module.
+	r = toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17, "main": 16}, eligible: []string{"g"}})
+	if !reflect.DeepEqual(r.phase2, []string{"main.mc", "lib.mc"}) {
+		t.Errorf("eligibility change: phase 2 compiled %v, want both modules", r.phase2)
+	}
+	for _, a := range r.out.Actions {
+		if a.Phase2Reason != "eligible globals changed" {
+			t.Errorf("%s: phase-2 reason = %q, want an eligibility invalidation", a.Module, a.Phase2Reason)
+		}
 	}
 }
 
 func TestFingerprintMismatchDiscardsState(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 
-	tc := ft.toolchain()
-	tc.Fingerprint = "fake/v2"
 	var buf bytes.Buffer
-	out := mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1, Explain: &buf})
-	if !out.StateReset {
+	r := toyBuild(t, dir, twoModules(), toyOptions{fingerprint: "toy/v2", explain: &buf})
+	if !r.out.StateReset {
 		t.Error("fingerprint mismatch must be reported as a state reset")
 	}
-	if out.Phase1Rebuilds != 2 || out.Phase2Rebuilds != 2 {
-		t.Errorf("rebuilds = %d/%d, want full rebuild", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	if r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 {
+		t.Errorf("rebuilds = %d/%d, want full rebuild", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
 	if !strings.Contains(buf.String(), "discarding build state: fingerprint mismatch") {
 		t.Errorf("explain output missing reset notice:\n%s", &buf)
 	}
 
 	// The new state must be valid: an immediate rebuild is a no-op.
-	out = mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
-	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 0 {
-		t.Errorf("post-reset rebuild not clean: %d/%d", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	r = toyBuild(t, dir, twoModules(), toyOptions{fingerprint: "toy/v2"})
+	if r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("post-reset rebuild not clean: %d/%d", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
 }
 
 func TestCorruptManifestAndArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 
 	// Corrupt manifest: full rebuild, no error.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-	if !out.StateReset || out.Phase1Rebuilds != 2 {
-		t.Errorf("corrupt manifest: reset=%v rebuilds=%d, want full reset", out.StateReset, out.Phase1Rebuilds)
+	r := toyBuild(t, dir, twoModules(), toyOptions{})
+	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 {
+		t.Errorf("corrupt manifest: reset=%v rebuilds=%d, want full reset", r.out.StateReset, r.out.Phase1Rebuilds)
 	}
 
 	// Corrupt one object file: that module silently recompiles.
-	var m manifest
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
+	m := readManifest(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, m.Modules["lib.mc"].ObjectFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	objFile := m.Modules["lib.mc"].ObjectFile
-	if err := os.WriteFile(filepath.Join(dir, objFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ft.phase2Modules = nil
 	var buf bytes.Buffer
-	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
-	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 1 {
-		t.Errorf("corrupt object: rebuilds = %d/%d, want 0/1", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	r = toyBuild(t, dir, twoModules(), toyOptions{explain: &buf})
+	if r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 1 || !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) {
+		t.Errorf("corrupt object: rebuilds = %d/%d (%v), want 0/1", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, r.phase2)
 	}
 	if !strings.Contains(buf.String(), "lib.mc: phase 1 reused; phase 2 recompiled (stored object unreadable)") {
 		t.Errorf("explain output:\n%s", &buf)
 	}
 
+	// Corrupt one phase-1 record: that module recompiles both phases.
+	m = readManifest(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, m.Modules["main.mc"].Phase1File), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r = toyBuild(t, dir, twoModules(), toyOptions{})
+	if a := r.out.Actions[0]; !reflect.DeepEqual(r.phase1, []string{"main.mc"}) || a.Phase1Reason != "stored phase-1 record unreadable" || !a.Phase2Rebuilt {
+		t.Errorf("corrupt phase-1 record: phase 1 compiled %v, action %+v", r.phase1, a)
+	}
+
 	// A manifest pointing outside the build directory must not be followed.
+	m = readManifest(t, dir)
 	m.Modules["lib.mc"].ObjectFile = "../escape.gob"
-	data, err = json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-	if out.Phase2Rebuilds != 1 {
-		t.Errorf("path-escaping manifest entry: rebuilds = %d, want 1 recompile", out.Phase2Rebuilds)
+	writeManifest(t, dir, m)
+	r = toyBuild(t, dir, twoModules(), toyOptions{})
+	if r.out.Phase2Rebuilds != 1 || !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) {
+		t.Errorf("path-escaping manifest entry: rebuilds = %d (%v), want lib.mc recompiled", r.out.Phase2Rebuilds, r.phase2)
 	}
 }
 
@@ -294,26 +301,17 @@ func TestCorruptManifestAndArtifacts(t *testing.T) {
 // orphaned .gob artifacts.
 func TestGobEraBuildDirTriggersFullRebuild(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	tc := ft.toolchain()
 
 	// A gob-era directory: v1 fingerprint, artifacts named *.gob with
 	// contents the wire decoders would reject outright.
 	gobArtifacts := []string{"p1-main_mc-deadbeef.gob", "obj-main_mc-deadbeef.gob", "p1-lib_mc-cafef00d.gob", "obj-lib_mc-cafef00d.gob"}
-	old := manifest{
-		Fingerprint: "ipra-build/v1|" + tc.Fingerprint,
+	writeManifest(t, dir, manifest{
+		Fingerprint: "ipra-build/v1|toy/v1",
 		Modules: map[string]*moduleState{
 			"main.mc": {SourceHash: "stale", Phase1File: gobArtifacts[0], ObjectFile: gobArtifacts[1]},
 			"lib.mc":  {SourceHash: "stale", Phase1File: gobArtifacts[2], ObjectFile: gobArtifacts[3]},
 		},
-	}
-	data, err := json.Marshal(&old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 	for _, name := range gobArtifacts {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("\x13\xff\x81gob-era bytes"), 0o644); err != nil {
 			t.Fatal(err)
@@ -321,12 +319,12 @@ func TestGobEraBuildDirTriggersFullRebuild(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	out := mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1, Explain: &buf})
-	if !out.StateReset {
+	r := toyBuild(t, dir, twoModules(), toyOptions{explain: &buf})
+	if !r.out.StateReset {
 		t.Error("gob-era build dir must be reported as a state reset")
 	}
-	if out.Phase1Rebuilds != 2 || out.Phase2Rebuilds != 2 {
-		t.Errorf("rebuilds = %d/%d, want full rebuild", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	if r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 {
+		t.Errorf("rebuilds = %d/%d, want full rebuild", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
 	if !strings.Contains(buf.String(), "fingerprint mismatch") {
 		t.Errorf("explain output missing fingerprint-mismatch notice:\n%s", &buf)
@@ -341,22 +339,18 @@ func TestGobEraBuildDirTriggersFullRebuild(t *testing.T) {
 	}
 
 	// The upgraded state is valid: an immediate rebuild is a no-op.
-	out = mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
-	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 0 {
-		t.Errorf("post-upgrade rebuild not clean: %d/%d", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	r = toyBuild(t, dir, twoModules(), toyOptions{})
+	if r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("post-upgrade rebuild not clean: %d/%d", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
 }
 
 func TestModuleRemovalPrunesArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 
 	// Drop lib.mc; its artifacts must be pruned from the directory.
-	// (main.mc still calls helper/leaf, which now resolve to standard
-	// directives — the fake analyzer only knows summarized procs.)
-	only := twoModules()[:1]
-	mustBuild(t, dir, only, ft.toolchain(), Options{Jobs: 1})
+	toyBuild(t, dir, twoModules()[:1], toyOptions{})
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -368,17 +362,9 @@ func TestModuleRemovalPrunesArtifacts(t *testing.T) {
 	}
 
 	// Re-adding the module rebuilds it from source.
-	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
-	if out.Phase1Rebuilds != 1 {
-		t.Errorf("re-added module: phase-1 rebuilds = %d, want 1", out.Phase1Rebuilds)
-	}
-}
-
-func TestDuplicateModuleNamesRejected(t *testing.T) {
-	srcs := []Source{{Name: "a.mc"}, {Name: "a.mc"}}
-	ft := &fakeToolchain{}
-	if _, err := Build(context.Background(), t.TempDir(), srcs, ft.toolchain(), Options{Jobs: 1}); err == nil {
-		t.Error("duplicate module names must be rejected")
+	r := toyBuild(t, dir, twoModules(), toyOptions{})
+	if !reflect.DeepEqual(r.phase1, []string{"lib.mc"}) || r.out.Actions[1].Phase1Reason != "new module" {
+		t.Errorf("re-added module: phase 1 compiled %v, action %+v; want lib.mc as a new module", r.phase1, r.out.Actions[1])
 	}
 }
 
@@ -412,54 +398,33 @@ func TestDiffDirectives(t *testing.T) {
 	}
 }
 
-// withAnalyzerHook wraps a fake toolchain with an AnalyzeIncremental hook
-// that records the state it was offered and persists a recognizable blob.
-func withAnalyzerHook(tc Toolchain, gotPrev *[][]byte) Toolchain {
-	analyze := tc.Analyze
-	tc.AnalyzeIncremental = func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *AnalyzerReuse, error) {
-		*gotPrev = append(*gotPrev, prevState)
-		db, err := analyze(ctx, sums)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		reuse := &AnalyzerReuse{DirtyModules: len(dirty), WebsReused: len(db.Procs)}
-		if prevState == nil {
-			reuse.Fallback = "no analyzer state"
-		}
-		return db, []byte("analyzer-state-blob"), reuse, nil
-	}
-	return tc
-}
-
 // TestAnalyzerStatePersistence checks the analyzer.state round trip: the
 // first build sees no state, repeat builds see exactly what the previous
 // build persisted, and a manifest written without the state file (an older
 // binary's build) invalidates the stored state instead of offering it.
 func TestAnalyzerStatePersistence(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	var gotPrev [][]byte
-	tc := withAnalyzerHook(ft.toolchain(), &gotPrev)
+	var offered [][]byte
 
 	var buf bytes.Buffer
-	out := mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1, Explain: &buf})
-	if out.Analyzer == nil || out.Analyzer.Fallback == "" {
-		t.Fatalf("first build: Analyzer = %+v, want a no-state fallback", out.Analyzer)
+	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
+	if r.out.Analyzer == nil || r.out.Analyzer.Fallback == "" {
+		t.Fatalf("first build: Analyzer = %+v, want a no-state fallback", r.out.Analyzer)
 	}
-	if len(gotPrev) != 1 || gotPrev[0] != nil {
-		t.Fatalf("first build offered state %q, want none", gotPrev)
+	if len(offered) != 1 || offered[0] != nil {
+		t.Fatalf("first build offered state %q, want none", offered)
 	}
 	if !strings.Contains(buf.String(), "analyzer: full analysis (no analyzer state)") {
 		t.Errorf("explain output missing analyzer fallback line:\n%s", &buf)
 	}
 
 	buf.Reset()
-	out = mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1, Explain: &buf})
-	if len(gotPrev) != 2 || string(gotPrev[1]) != "analyzer-state-blob" {
-		t.Fatalf("repeat build offered state %q, want the persisted blob", gotPrev[1])
+	r = toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
+	if len(offered) != 2 || string(offered[1]) != "analyzer-state-blob" {
+		t.Fatalf("repeat build offered state %q, want the persisted blob", offered[1])
 	}
-	if out.Analyzer == nil || out.Analyzer.Fallback != "" {
-		t.Errorf("repeat build: Analyzer = %+v, want incremental", out.Analyzer)
+	if r.out.Analyzer == nil || r.out.Analyzer.Fallback != "" {
+		t.Errorf("repeat build: Analyzer = %+v, want incremental", r.out.Analyzer)
 	}
 	if !strings.Contains(buf.String(), "webs reused") {
 		t.Errorf("explain output missing analyzer reuse line:\n%s", &buf)
@@ -468,28 +433,28 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 	// An edited build still receives the state (it is bound to the manifest
 	// the state was saved with; the dirty list carries the change).
 	edited := twoModules()
-	edited[1].Text = []byte("helper>leaf leaf extra")
-	out = mustBuild(t, dir, edited, tc, Options{Jobs: 1})
-	if len(gotPrev) != 3 || string(gotPrev[2]) != "analyzer-state-blob" {
-		t.Fatalf("edited build offered state %q, want the persisted blob", gotPrev[2])
+	edited[1].text = "helper>leaf leaf extra"
+	r = toyBuild(t, dir, edited, toyOptions{offered: &offered})
+	if len(offered) != 3 || string(offered[2]) != "analyzer-state-blob" {
+		t.Fatalf("edited build offered state %q, want the persisted blob", offered[2])
 	}
-	if out.Analyzer.DirtyModules != 1 {
-		t.Errorf("edited build: DirtyModules = %d, want 1", out.Analyzer.DirtyModules)
+	if r.out.Analyzer.DirtyModules != 1 {
+		t.Errorf("edited build: DirtyModules = %d, want 1", r.out.Analyzer.DirtyModules)
 	}
 
-	// A build through a toolchain without the hook — an older binary —
-	// advances the manifest without refreshing analyzer.state. The stored
-	// state now belongs to a different manifest generation and must be
-	// dropped, not offered.
+	// A build that persists no analyzer state — an older binary, or a
+	// configuration without the analyzer — advances the manifest without
+	// refreshing analyzer.state. The stored state now belongs to a
+	// different manifest generation and must be dropped, not offered.
 	older := twoModules()
-	older[0].Text = []byte("main>helper main>leaf main-extra")
-	mustBuild(t, dir, older, ft.toolchain(), Options{Jobs: 1})
-	out = mustBuild(t, dir, older, tc, Options{Jobs: 1})
-	if len(gotPrev) != 4 || gotPrev[3] != nil {
-		t.Fatalf("stale analyzer state offered after an out-of-band manifest update: %q", gotPrev[3])
+	older[0].text = "main>helper main>leaf main-extra"
+	toyBuild(t, dir, older, toyOptions{})
+	r = toyBuild(t, dir, older, toyOptions{offered: &offered})
+	if len(offered) != 4 || offered[3] != nil {
+		t.Fatalf("stale analyzer state offered after an out-of-band manifest update: %q", offered[3])
 	}
-	if out.Analyzer == nil || out.Analyzer.Fallback == "" {
-		t.Errorf("stale-state build: Analyzer = %+v, want fallback", out.Analyzer)
+	if r.out.Analyzer == nil || r.out.Analyzer.Fallback == "" {
+		t.Errorf("stale-state build: Analyzer = %+v, want fallback", r.out.Analyzer)
 	}
 }
 
@@ -497,10 +462,8 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 // rewrite analyzer.state when neither the sources nor the state moved.
 func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 	dir := t.TempDir()
-	ft := &fakeToolchain{}
-	var gotPrev [][]byte
-	tc := withAnalyzerHook(ft.toolchain(), &gotPrev)
-	mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
+	var offered [][]byte
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
 
 	path := filepath.Join(dir, analyzerStateName)
 	before, err := os.Stat(path)
@@ -513,7 +476,7 @@ func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 	}
 	before, _ = os.Stat(path)
 
-	mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
 	after, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

@@ -65,30 +65,46 @@ type manifest struct {
 	Modules     map[string]*moduleState `json:"modules"`
 }
 
-// store wraps one opened build directory.
-type store struct {
+// Store is one build's view of a build directory: the state the previous
+// build persisted, plus the decisions and records of the build in
+// progress, one per module in source order. Open one per build.
+//
+// A nil *Store is a build without a directory: it holds nothing, so
+// ReusePhase1 and ReuseObject never reuse and Diff records nothing. The
+// other methods need a directory.
+type Store struct {
 	dir         string
-	fingerprint string
+	toolchain   string // the caller's toolchain fingerprint (source hashes)
+	fingerprint string // FormatVersion + toolchain: the manifest guard
 	prev        manifest
-	// resetReason is non-empty when an existing manifest was discarded
-	// (fingerprint mismatch or unreadable state); reset distinguishes that
-	// from a first build in an empty directory.
-	reset       bool
+	// resetReason names why the build starts from nothing: a first build
+	// in an empty directory, or (with out.StateReset) rejected state.
 	resetReason string
+
+	out              Outcome
+	next             []moduleState // the records Persist writes
+	prevState, state []byte        // analyzer state offered / to persist
 }
 
-// openStore loads the build directory's manifest, rejecting state written
+// Open loads the build directory's manifest (creating the directory if
+// missing) for a build of the named modules, rejecting state written
 // under a different format or toolchain fingerprint.
-func openStore(dir, toolchainFingerprint string) (*store, error) {
+func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("incremental: empty build directory path")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	s := &store{
+	s := &Store{
 		dir:         dir,
+		toolchain:   toolchainFingerprint,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
+		next:        make([]moduleState, len(modules)),
+		out:         Outcome{Actions: make([]Action, len(modules))},
+	}
+	for i, name := range modules {
+		s.out.Actions[i].Module = name
 	}
 	s.prev.Modules = make(map[string]*moduleState)
 
@@ -102,12 +118,11 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		s.reset = true
-		s.resetReason = "unreadable manifest: " + err.Error()
+		s.out.StateReset, s.resetReason = true, "unreadable manifest: "+err.Error()
 		return s, nil
 	}
 	if m.Fingerprint != s.fingerprint {
-		s.reset = true
+		s.out.StateReset = true
 		s.resetReason = fmt.Sprintf("fingerprint mismatch (stored %q, want %q)", m.Fingerprint, s.fingerprint)
 		return s, nil
 	}
@@ -136,7 +151,7 @@ func artifactFile(prefix, module string) string {
 // path resolves a manifest-recorded base name inside the build directory,
 // rejecting anything that could escape it (a tampered manifest must not
 // become a file read elsewhere on disk).
-func (s *store) path(base string) (string, error) {
+func (s *Store) path(base string) (string, error) {
 	if base == "" || base != filepath.Base(base) {
 		return "", fmt.Errorf("incremental: invalid artifact name %q in manifest", base)
 	}
@@ -144,7 +159,7 @@ func (s *store) path(base string) (string, error) {
 }
 
 // loadPhase1 reads a stored phase-1 record.
-func (s *store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary, error) {
+func (s *Store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary, error) {
 	p, err := s.path(ms.Phase1File)
 	if err != nil {
 		return nil, nil, err
@@ -153,7 +168,7 @@ func (s *store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary,
 }
 
 // loadObject reads a stored object file.
-func (s *store) loadObject(ms *moduleState) (*parv.Object, error) {
+func (s *Store) loadObject(ms *moduleState) (*parv.Object, error) {
 	p, err := s.path(ms.ObjectFile)
 	if err != nil {
 		return nil, err
@@ -162,19 +177,19 @@ func (s *store) loadObject(ms *moduleState) (*parv.Object, error) {
 }
 
 // writePhase1 persists a phase-1 record and returns its base name.
-func (s *store) writePhase1(module string, m *ir.Module, sum *summary.ModuleSummary) (string, error) {
+func (s *Store) writePhase1(module string, m *ir.Module, sum *summary.ModuleSummary) (string, error) {
 	base := artifactFile("p1", module)
 	return base, cache.WriteEntryFile(filepath.Join(s.dir, base), m, sum)
 }
 
 // writeObject persists an object file and returns its base name.
-func (s *store) writeObject(module string, o *parv.Object) (string, error) {
+func (s *Store) writeObject(module string, o *parv.Object) (string, error) {
 	base := artifactFile("obj", module)
 	return base, parv.WriteObjectFile(filepath.Join(s.dir, base), o)
 }
 
 // analyzerStateName is the persisted analyzer state file. Its content is
-// opaque to this package (the AnalyzeIncremental hook owns the format); a
+// opaque to this package (the build driver encodes and decodes it); a
 // small header binds it to the manifest it was saved alongside, so state
 // from any other manifest generation — including one written by an older
 // binary that did not know about this file — is never trusted.
@@ -203,7 +218,7 @@ func manifestDigest(m manifest) string {
 
 // loadAnalyzerState returns the stored analyzer state bytes, or nil when
 // absent, unreadable, or bound to a different manifest generation.
-func (s *store) loadAnalyzerState() []byte {
+func (s *Store) loadAnalyzerState() []byte {
 	data, err := os.ReadFile(filepath.Join(s.dir, analyzerStateName))
 	if err != nil {
 		return nil
@@ -219,18 +234,19 @@ func (s *store) loadAnalyzerState() []byte {
 	return []byte(body)
 }
 
-// saveAnalyzerState persists the analyzer state bound to the manifest just
-// saved. A write is skipped when nothing moved: same bytes, same sources.
-func (s *store) saveAnalyzerState(next manifest, state, prevState []byte) error {
+// saveAnalyzerState persists the build's analyzer state bound to the
+// manifest just saved. A write is skipped when nothing moved: same bytes,
+// same sources.
+func (s *Store) saveAnalyzerState(next manifest) error {
 	digest := manifestDigest(next)
-	if prevState != nil && string(prevState) == string(state) && digest == manifestDigest(s.prev) {
+	if s.prevState != nil && string(s.prevState) == string(s.state) && digest == manifestDigest(s.prev) {
 		return nil
 	}
-	data := make([]byte, 0, len(analyzerStateMagic)+len(digest)+1+len(state))
+	data := make([]byte, 0, len(analyzerStateMagic)+len(digest)+1+len(s.state))
 	data = append(data, analyzerStateMagic...)
 	data = append(data, digest...)
 	data = append(data, '\n')
-	data = append(data, state...)
+	data = append(data, s.state...)
 	tmp := filepath.Join(s.dir, analyzerStateName+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("incremental: %w", err)
@@ -241,10 +257,46 @@ func (s *store) saveAnalyzerState(next manifest, state, prevState []byte) error 
 	return nil
 }
 
+// Persist writes the build's new state: fresh artifacts for the modules
+// whose phases re-ran, carried-over records for the rest, then the
+// manifest (atomically; unreferenced artifacts are pruned) and the
+// analyzer state bound to it. Until the manifest is replaced the previous
+// state stays in force, so a build that fails never poisons later ones.
+func (s *Store) Persist(modules []*ir.Module, sums []*summary.ModuleSummary, objs []*parv.Object) error {
+	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
+	for i := range s.next {
+		ms, a := &s.next[i], s.out.Actions[i]
+		prev := s.prev.Modules[a.Module]
+		var err error
+		if a.Phase1Rebuilt {
+			if ms.Phase1File, err = s.writePhase1(a.Module, modules[i], sums[i]); err != nil {
+				return err
+			}
+		} else {
+			ms.Phase1File = prev.Phase1File
+		}
+		if a.Phase2Rebuilt {
+			if ms.ObjectFile, err = s.writeObject(a.Module, objs[i]); err != nil {
+				return err
+			}
+		} else {
+			ms.ObjectFile = prev.ObjectFile
+		}
+		next.Modules[a.Module] = ms
+	}
+	if err := s.save(next); err != nil {
+		return err
+	}
+	if s.state == nil {
+		return nil
+	}
+	return s.saveAnalyzerState(next)
+}
+
 // save atomically replaces the manifest and prunes artifact files no
 // longer referenced by it (modules removed from the program, or artifacts
 // renamed by a format change).
-func (s *store) save(m manifest) error {
+func (s *Store) save(m manifest) error {
 	m.Fingerprint = s.fingerprint
 	data, err := json.MarshalIndent(&m, "", " ")
 	if err != nil {

@@ -119,6 +119,12 @@ func Interfere(a, b *Web) bool {
 	return a.Nodes.Intersects(b.Nodes)
 }
 
+// Considered returns the colorable candidates in priority order (highest
+// priority first, ties broken by web ID). This is the canonical candidate
+// ordering every allocation strategy consumes; the paper's priority
+// coloring walks exactly this list.
+func Considered(ws []*Web) []*Web { return considered(ws) }
+
 // considered returns the colorable candidates in priority order.
 func considered(ws []*Web) []*Web {
 	var cs []*Web

@@ -93,9 +93,9 @@ type Config struct {
 	DisableCache bool
 }
 
-// analyzerOptions resolves the analyzer options one compile passes to
-// core.Analyze: the configured options plus the per-build profile, job
-// bound, and allocation strategy.
+// analyzerOptions resolves the analyzer options one build pass hands the
+// program analyzer: the configured options plus the per-build profile,
+// job bound, and allocation strategy.
 func (c Config) analyzerOptions() core.Options {
 	o := c.Analyzer
 	o.Profile = c.Profile
@@ -216,7 +216,6 @@ const DefaultStrategy = core.DefaultStrategyName
 // drivers can name individual policies without importing internal/core.
 const (
 	StrategyPriority        = core.StrategyPriority
-	StrategyFirstFit        = core.StrategyFirstFit
 	StrategySpillEverywhere = core.StrategySpillEverywhere
 	StrategyTiling          = core.StrategyTiling
 )
@@ -280,6 +279,17 @@ func Phase1(src Source) (*ir.Module, error) {
 		return nil, err
 	}
 	return irm, nil
+}
+
+// Phase2 runs the compiler second phase on one module: apply the program
+// database's directives, optimize, and generate code — the per-module
+// step of every Build. It never mutates m; everything runs on a scratch
+// clone. The output is a pure function of the module IR, the directives
+// of its own procedures and direct callees, and the eligibility set: the
+// property that lets phase 2 run module-at-a-time in any order (§4.3) and
+// that the build directory's directive-diff invalidation relies on.
+func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
+	return phase2Module(context.Background(), m, db, eligibleMap(db))
 }
 
 // Summaries produces the summary file contents for each module, fanning
@@ -451,7 +461,7 @@ func WithTelemetry(t *telemetry.Tracer) BuildOption {
 	return func(s *buildSettings) { s.tracer = t }
 }
 
-// WithStderr directs diagnostic output — the incremental driver's
+// WithStderr directs diagnostic output — a WithBuildDir build's
 // per-module rebuild explanations — to w.
 func WithStderr(w io.Writer) BuildOption {
 	return func(s *buildSettings) { s.stderr = w }
@@ -512,8 +522,10 @@ type BuildResult struct {
 // phase and summaries, program analyzer (when cfg.UseAnalyzer), compiler
 // second phase, and link, fanning the module-at-a-time phases across
 // cfg.Jobs workers with output byte-identical to a sequential run.
-// Options select profile-guided compilation (WithProfile), persistent
-// incremental build state (WithBuildDir), and telemetry (WithTelemetry).
+// Module names must be unique. Options select profile-guided compilation
+// (WithProfile), persistent incremental build state (WithBuildDir), and
+// telemetry (WithTelemetry). Every build runs the same driver; a build
+// without a build directory is one with no store to reuse from.
 func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOption) (*BuildResult, error) {
 	var s buildSettings
 	for _, o := range opts {
@@ -541,64 +553,41 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 
 // runBuild dispatches one Build under its resolved settings.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
-	if s.aggProfile != nil {
+	switch {
+	case s.aggProfile != nil:
 		// Externally supplied counts replace the training pass entirely:
-		// one compile against the main build directory, with the profile
+		// one pass against the main build directory, with the profile
 		// wired through the analyzer exactly as a training run's would be.
 		cfg.Profile = s.aggProfile
-		p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
+	case s.profiled:
+		// Profile-guided (§6.1): compile with heuristic counts, run once
+		// to collect call counts, then re-analyze and re-compile with the
+		// profile. Incremental builds keep the training pass's state in a
+		// "train" subdirectory, so the profiled directives in the main
+		// store are never churned by the training pass and a no-edit
+		// rebuild of both passes recompiles nothing.
+		trainDir := ""
+		if s.buildDir != "" {
+			trainDir = filepath.Join(s.buildDir, "train")
+		}
+		first, _, err := buildPass(ctx, sources, cfg, trainDir, s.stderr)
 		if err != nil {
 			return err
 		}
 		if s.verify {
-			if err := verifyAnalysis(ctx, p); err != nil {
-				return err
+			if err := verifyAnalysis(ctx, first); err != nil {
+				return fmt.Errorf("training pass: %w", err)
 			}
 		}
-		res.Program, res.Incremental = p, out
-		return nil
-	}
-	if !s.profiled {
-		p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
+		_, runSpan := telemetry.StartSpan(ctx, "train-run")
+		res.Train, err = first.Run(s.trainInstrs, true)
+		runSpan.End()
 		if err != nil {
-			return err
+			return fmt.Errorf("profiling run: %w", err)
 		}
-		if s.verify {
-			if err := verifyAnalysis(ctx, p); err != nil {
-				return err
-			}
-		}
-		res.Program, res.Incremental = p, out
-		return nil
+		cfg.Profile = res.Train.Profile
 	}
-
-	// Profile-guided (§6.1): compile with heuristic counts, run once to
-	// collect call counts, then re-analyze and re-compile with the
-	// profile. Incremental builds keep the training pass's state in a
-	// "train" subdirectory, so the profiled directives in the main store
-	// are never churned by the training pass and a no-edit rebuild of
-	// both passes recompiles nothing.
-	trainDir := ""
-	if s.buildDir != "" {
-		trainDir = filepath.Join(s.buildDir, "train")
-	}
-	first, _, err := compileWith(ctx, sources, cfg, trainDir, s.stderr)
-	if err != nil {
-		return err
-	}
-	if s.verify {
-		if err := verifyAnalysis(ctx, first); err != nil {
-			return fmt.Errorf("training pass: %w", err)
-		}
-	}
-	_, runSpan := telemetry.StartSpan(ctx, "train-run")
-	train, err := first.Run(s.trainInstrs, true)
-	runSpan.End()
-	if err != nil {
-		return fmt.Errorf("profiling run: %w", err)
-	}
-	cfg.Profile = train.Profile
-	p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
+	p, out, err := buildPass(ctx, sources, cfg, s.buildDir, s.stderr)
 	if err != nil {
 		return err
 	}
@@ -607,86 +596,165 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 			return err
 		}
 	}
-	res.Program, res.Train, res.Incremental = p, train, out
+	res.Program, res.Incremental = p, out
 	return nil
 }
 
-// compileWith compiles once: in memory when buildDir is empty, against
-// the persistent build directory otherwise.
-func compileWith(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
-	if buildDir == "" {
-		p, err := compile(ctx, sources, cfg)
-		return p, nil, err
-	}
-	return compileIncremental(ctx, sources, cfg, buildDir, explainW)
-}
-
-// compile runs the in-memory pipeline over the sources. The first phase,
-// the summary computation, and the second phase all fan out across
-// cfg.Jobs workers; results land in position-indexed slices, so the
-// output is byte-identical to a sequential (Jobs: 1) run.
-func compile(ctx context.Context, sources []Source, cfg Config) (*Program, error) {
-	ctx, span := telemetry.StartSpan(ctx, "compile")
+// buildPass runs the pipeline once over the sources: phase 1 → analyze →
+// diff → phase 2 → link → persist. With a build directory the pass
+// reuses every artifact the stored state proves current, persists the
+// new state, and returns the record of what it rebuilt and why (explained
+// on explainW when non-nil). Without one (dir == "") there is no store:
+// every module compiles, nothing is loaded or persisted, and the Outcome
+// is nil. Reuse is pure memoization, so the program is byte-identical
+// either way.
+//
+// Phase 1, the summaries, and phase 2 fan out across cfg.Jobs workers
+// into position-indexed slices, so the output is identical to a
+// sequential (Jobs: 1) pass.
+//
+// The configuration needs no fingerprint of its own in the build state:
+// nothing in Config reaches phase 1, and phase 2 sees the configuration
+// only through the program database, whose directives are diffed
+// directly. Switching configurations — or allocation strategies, which
+// participate in the analyzer's own options hash — over one build
+// directory therefore rebuilds exactly the modules whose directives the
+// switch changes.
+func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
+	ctx, span := telemetry.StartSpan(ctx, "incremental")
 	defer span.End()
-	span.SetStr("config", cfg.Name)
-	p := &Program{Config: cfg}
+	span.SetInt("modules", int64(len(sources)))
 
-	// ---- Compiler first phase + summaries, modules in parallel.
-	type phase1Out struct {
-		m  *ir.Module
-		ms *summary.ModuleSummary
-	}
-	p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
-	front, err := pipeline.MapCtx(p1ctx, cfg.Jobs, sources, func(ctx context.Context, _ int, src Source) (phase1Out, error) {
-		m, ms, err := phase1Module(ctx, src, cfg)
-		if err != nil {
-			return phase1Out{}, fmt.Errorf("%s: %w", src.Name, err)
+	n := len(sources)
+	names := make([]string, n)
+	seen := make(map[string]bool, n)
+	for i, src := range sources {
+		if seen[src.Name] {
+			return nil, nil, fmt.Errorf("duplicate module name %q", src.Name)
 		}
-		return phase1Out{m: m, ms: ms}, nil
+		seen[src.Name] = true
+		names[i] = src.Name
+	}
+	var st *incremental.Store
+	if dir != "" {
+		span.SetStr("dir", dir)
+		var err error
+		if st, err = incremental.Open(dir, ToolchainFingerprint(), names); err != nil {
+			return nil, nil, err
+		}
+	}
+	p := &Program{
+		Config:    cfg,
+		Modules:   make([]*ir.Module, n),
+		Summaries: make([]*summary.ModuleSummary, n),
+		Objects:   make([]*parv.Object, n),
+	}
+
+	// ---- Compiler first phase + summaries, for every module the store
+	// cannot serve.
+	p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
+	err := pipeline.ForEachCtx(p1ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
+		m, ms, ok := st.ReusePhase1(ctx, i, sources[i].Text)
+		if !ok {
+			var err error
+			if m, ms, err = phase1Module(ctx, sources[i], cfg); err != nil {
+				return fmt.Errorf("%s: %w", sources[i].Name, err)
+			}
+		}
+		p.Modules[i], p.Summaries[i] = m, ms
+		return nil
 	})
 	p1Span.End()
 	if err != nil {
-		return nil, err
-	}
-	for _, f := range front {
-		p.Modules = append(p.Modules, f.m)
-		p.Summaries = append(p.Summaries, f.ms)
+		return nil, nil, err
 	}
 
-	// ---- Program analyzer.
-	if cfg.UseAnalyzer {
-		res, err := core.Analyze(ctx, p.Summaries, cfg.analyzerOptions())
-		if err != nil {
-			return nil, err
-		}
-		p.Analysis = res
-		p.DB = res.DB
-	} else {
-		p.DB = pdb.New()
-		p.DB.EligibleGlobals = eligibleFromSummaries(p.Summaries)
+	// ---- Program analyzer: always re-run on the whole summary set.
+	if err := analyze(ctx, p, cfg, st); err != nil {
+		return nil, nil, err
 	}
 
-	// ---- Compiler second phase, modules in parallel (order-independent;
-	// the program database is shared read-only).
+	// ---- Directive diff: decide phase 2 per module.
+	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
+	st.Diff(dctx, p.Modules, p.DB)
+	diffSpan.End()
+
+	// ---- Compiler second phase for every module the store cannot serve
+	// (order-independent; the program database is shared read-only).
 	eligible := eligibleMap(p.DB)
 	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
-	p.Objects, err = pipeline.MapCtx(p2ctx, cfg.Jobs, p.Modules, func(ctx context.Context, _ int, m *ir.Module) (*parv.Object, error) {
-		return phase2Module(ctx, m, p.DB, eligible)
+	err = pipeline.ForEachCtx(p2ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
+		if p.Objects[i] = st.ReuseObject(i); p.Objects[i] != nil {
+			return nil
+		}
+		var err error
+		p.Objects[i], err = phase2Module(ctx, p.Modules[i], p.DB, eligible)
+		return err
 	})
 	p2Span.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// ---- Link.
+	// ---- Link, always: it is whole-program and reads every object.
 	_, linkSpan := telemetry.StartSpan(ctx, "link")
-	exe, err := parv.Link(p.Objects, parv.LinkConfig{DataSize: cfg.DataSize})
+	p.Exe, err = parv.Link(p.Objects, parv.LinkConfig{DataSize: cfg.DataSize})
 	linkSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p.Exe = exe
-	return p, nil
+
+	// ---- Persist the new state.
+	if st == nil {
+		return p, nil, nil
+	}
+	_, persistSpan := telemetry.StartSpan(ctx, "persist")
+	err = st.Persist(p.Modules, p.Summaries, p.Objects)
+	persistSpan.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, st.Outcome(ctx, explainW), nil
+}
+
+// analyze runs the program analyzer over p's summaries and sets p's
+// analysis and database; the level-2 baseline gets a database holding
+// only the program-wide eligibility list. With a store, the incremental
+// analyzer starts from the state the store held (an unreadable blob just
+// means a full analysis), rebuilds only what the phase-1 rebuilds
+// invalidated, and hands the refreshed encoding back to the store.
+func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store) error {
+	if !cfg.UseAnalyzer {
+		p.DB = pdb.New()
+		p.DB.EligibleGlobals = eligibleFromSummaries(p.Summaries)
+		return nil
+	}
+	o := cfg.analyzerOptions()
+	if st == nil {
+		res, err := core.Analyze(ctx, p.Summaries, o)
+		if err != nil {
+			return err
+		}
+		p.Analysis, p.DB = res, res.DB
+		return nil
+	}
+	var prev *core.State
+	if data := st.AnalyzerState(); len(data) > 0 {
+		if s, err := core.DecodeState(data); err == nil {
+			prev = s
+		}
+	}
+	res, next, reuse, err := core.AnalyzeIncremental(ctx, p.Summaries, o, prev, st.Dirty())
+	if err != nil {
+		return err
+	}
+	p.Analysis, p.DB = res, res.DB
+	var state []byte
+	if next != nil && next.Unsupported() == "" {
+		state = next.Encode()
+	}
+	st.SetAnalyzer(ctx, state, reuse)
+	return nil
 }
 
 // eligibleMap converts the database's eligibility list into the lookup set
@@ -699,12 +767,8 @@ func eligibleMap(db *pdb.Database) map[string]bool {
 	return eligible
 }
 
-// phase2Module runs the compiler second phase on one module: apply the
-// database's directives, optimize, and generate code. It never mutates m;
-// everything runs on a scratch clone. The output is a pure function of the
-// module IR, the directives of its own procedures and direct callees, and
-// the eligibility set — the property the incremental driver's
-// directive-diff invalidation relies on.
+// phase2Module is Phase2 under a "module" span, with the database's
+// eligibility set computed once per build rather than once per module.
 func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
 	_, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
@@ -775,109 +839,14 @@ func eligibleFromSummaries(sums []*summary.ModuleSummary) []string {
 // directive application, code generator, or object format change meaning.
 const phase2Fingerprint = "ipra/phase2+codegen/v1"
 
-// toolchainFingerprint stamps incremental build state. It combines both
-// phase fingerprints with the Go toolchain version, so state written by an
-// older compiler build is rejected wholesale rather than misinterpreted.
-func toolchainFingerprint() string {
-	return phase1Fingerprint + "|" + phase2Fingerprint + "|" + runtime.Version()
-}
-
 // ToolchainFingerprint identifies this binary's compilation semantics:
 // every persistent or shared artifact (incremental build state, a build
 // daemon's caches) is keyed or guarded by it, so artifacts produced under
-// different semantics are rebuilt rather than reused. Two binaries with
+// different semantics are rebuilt rather than reused. It combines both
+// phase fingerprints with the Go toolchain version; two binaries with
 // equal fingerprints produce byte-identical output for identical inputs.
-func ToolchainFingerprint() string { return toolchainFingerprint() }
-
-// compileIncremental is compile backed by a persistent build directory:
-// it recompiles phase 1 only for modules whose source changed, re-runs
-// the program analyzer on the merged summary set, recompiles phase 2 only
-// for modules whose source or consumed directives changed, and relinks
-// from stored plus fresh objects. The result is byte-identical to compile
-// on the same sources and configuration — reuse is pure memoization — and
-// the returned Outcome records what was rebuilt and why.
-//
-// The configuration needs no fingerprint of its own in the build state:
-// nothing in Config reaches phase 1, and phase 2 sees the configuration
-// only through the program database, whose directives are diffed directly.
-// Switching configurations — or allocation strategies, which participate
-// in the analyzer's own options hash — over one build directory therefore
-// rebuilds exactly the modules whose directives the switch changes.
-func compileIncremental(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
-	p := &Program{Config: cfg}
-	tc := incremental.Toolchain{
-		Fingerprint: toolchainFingerprint(),
-		Phase1: func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error) {
-			return phase1Module(ctx, Source{Name: name, Text: text}, cfg)
-		},
-		Analyze: func(ctx context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error) {
-			if !cfg.UseAnalyzer {
-				db := pdb.New()
-				db.EligibleGlobals = eligibleFromSummaries(sums)
-				return db, nil
-			}
-			res, err := core.Analyze(ctx, sums, cfg.analyzerOptions())
-			if err != nil {
-				return nil, err
-			}
-			p.Analysis = res
-			return res.DB, nil
-		},
-		Phase2: func(ctx context.Context, db *pdb.Database) func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
-			eligible := eligibleMap(db)
-			return func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
-				return phase2Module(ctx, m, db, eligible)
-			}
-		},
-		Link: func(ctx context.Context, objs []*parv.Object) (*parv.Executable, error) {
-			return parv.Link(objs, parv.LinkConfig{DataSize: cfg.DataSize})
-		},
-	}
-	if cfg.UseAnalyzer {
-		// With the analyzer on, replace the full Analyze with the
-		// incremental entry point: decode whatever state the build
-		// directory held (an unreadable blob just means a full analysis),
-		// analyze reusing it, and hand back the refreshed encoding.
-		tc.AnalyzeIncremental = func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *incremental.AnalyzerReuse, error) {
-			o := cfg.analyzerOptions()
-			var prev *core.State
-			if len(prevState) > 0 {
-				if s, err := core.DecodeState(prevState); err == nil {
-					prev = s
-				}
-			}
-			res, st, rs, err := core.AnalyzeIncremental(ctx, sums, o, prev, dirty)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			p.Analysis = res
-			var state []byte
-			if st != nil && st.Unsupported() == "" {
-				state = st.Encode()
-			}
-			return res.DB, state, &incremental.AnalyzerReuse{
-				Fallback:        rs.Fallback,
-				DirtyModules:    rs.DirtyModules,
-				WebsReused:      rs.WebsReused,
-				WebsRebuilt:     rs.WebsRebuilt,
-				ClustersRebuilt: rs.ClustersRebuilt,
-			}, nil
-		}
-	}
-	srcs := make([]incremental.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = incremental.Source{Name: s.Name, Text: s.Text}
-	}
-	out, err := incremental.Build(ctx, buildDir, srcs, tc, incremental.Options{Jobs: cfg.Jobs, Explain: explainW})
-	if err != nil {
-		return nil, nil, err
-	}
-	p.Modules = out.Modules
-	p.Summaries = out.Summaries
-	p.DB = out.DB
-	p.Objects = out.Objects
-	p.Exe = out.Exe
-	return p, out, nil
+func ToolchainFingerprint() string {
+	return phase1Fingerprint + "|" + phase2Fingerprint + "|" + runtime.Version()
 }
 
 // RunResult is the outcome of executing a compiled program on the

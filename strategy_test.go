@@ -118,15 +118,20 @@ func TestStrategySwitchInvalidatesBuildDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	switched, err := Build(context.Background(), sources, MustPreset("C").WithStrategy("firstfit"),
+	switched, err := Build(context.Background(), sources, MustPreset("C").WithStrategy("tiling"),
 		WithBuildDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	clean, err := Build(context.Background(), sources, MustPreset("C").WithStrategy("firstfit"))
+	clean, err := Build(context.Background(), sources, MustPreset("C").WithStrategy("tiling"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The premise: the two strategies disagree on this program, so a build
+	// dir serving the stale priority analysis would show in the bytes.
+	if bytes.Equal(exeBytes(t, clean.Exe), exeBytes(t, first.Exe)) {
+		t.Fatal("tiling and priority build identical executables; the test cannot see a stale analysis")
 	}
 	if !bytes.Equal(exeBytes(t, switched.Exe), exeBytes(t, clean.Exe)) {
 		t.Error("strategy switch over a warm build dir differs from a clean build")

@@ -183,20 +183,20 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 	}
 	byName, counters := validateTrace(t, buf.Bytes())
 
-	// Top-level shape: one build span holding two compile passes (train +
+	// Top-level shape: one build span holding two driver passes (train +
 	// final) and the training run.
 	if n := len(byName["build"]); n != 1 {
 		t.Errorf("build spans = %d, want 1", n)
 	}
-	if n := len(byName["compile"]); n != 2 {
-		t.Errorf("compile spans = %d, want 2 (train + final)", n)
+	if n := len(byName["incremental"]); n != 2 {
+		t.Errorf("incremental spans = %d, want 2 (train + final)", n)
 	}
-	requireNested(t, byName, "build", "compile")
+	requireNested(t, byName, "build", "incremental")
 	requireNested(t, byName, "build", "train-run")
 
-	// Pipeline stages nest inside a compile pass.
-	for _, stage := range []string{"phase1", "analyze", "phase2", "link"} {
-		requireNested(t, byName, "compile", stage)
+	// Pipeline stages nest inside a driver pass.
+	for _, stage := range []string{"phase1", "analyze", "diff", "phase2", "link"} {
+		requireNested(t, byName, "incremental", stage)
 	}
 	// Per-module spans: 2 modules x 2 passes in each compiler phase.
 	if n := len(byName["module"]); n != 8 {

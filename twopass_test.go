@@ -1,14 +1,13 @@
 package ipra
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"testing"
 
-	"ipra/internal/codegen"
 	"ipra/internal/core"
 	"ipra/internal/ir"
-	"ipra/internal/opt"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/summary"
@@ -24,7 +23,8 @@ import (
 //
 // The point of the paper's organization is that phase 2 is order
 // independent and module-at-a-time; this test compiles the modules in
-// reverse order from a cold start (files only).
+// reverse order from a cold start (files only), then links them in source
+// order, where the executable must equal Build's byte for byte.
 func TestTwoPassFileBasedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	sources := []Source{
@@ -86,32 +86,18 @@ int add(int x) { total += x; return total; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	eligible := map[string]bool{}
-	for _, g := range db.EligibleGlobals {
-		eligible[g] = true
-	}
-	var objs []*parv.Object
+	objs := make([]*parv.Object, len(irPaths))
 	for i := len(irPaths) - 1; i >= 0; i-- {
 		m, err := ir.ReadFile(irPaths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fn := range m.Funcs {
-			d := db.Lookup(fn.Name)
-			skip := map[string]bool{}
-			for _, pg := range d.Promoted {
-				skip[pg.Name] = true
-			}
-			opt.ApplyWebDirectives(fn, d.Promoted)
-			opt.Level2(fn, eligible, skip)
-		}
-		obj, err := codegen.Compile(m, db)
-		if err != nil {
+		if objs[i], err = Phase2(m, db); err != nil {
 			t.Fatal(err)
 		}
-		objs = append(objs, obj)
 	}
 
+	// ---- Link in source order.
 	exe, err := parv.Link(objs, parv.LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -132,16 +118,13 @@ int add(int x) { total += x; return total; }
 			"module boundary did not take effect", vm.Stats.SingletonRefs())
 	}
 
-	// Same program through the in-memory driver agrees.
+	// The same program through Build is the same executable, byte for
+	// byte: the file-based flow and the build driver share one phase 2.
 	p2, err := Build(context.Background(), sources, MustPreset("C"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Run(10_000_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Exit != exit {
-		t.Errorf("file pipeline exit %d != in-memory exit %d", exit, r2.Exit)
+	if !bytes.Equal(exeBytes(t, exe), exeBytes(t, p2.Exe)) {
+		t.Error("file-based executable differs from Build's")
 	}
 }
