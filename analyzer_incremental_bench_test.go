@@ -16,7 +16,10 @@ import (
 // every iteration pays the same single-edit delta (a chained benchmark
 // would instead mutate the workload out from under itself). Compare against
 // the matching BenchmarkAnalyzer* run (BENCH_analyzer.json), which is the
-// clean-analysis cost the incremental path avoids.
+// clean-analysis cost the incremental path avoids. Noop and body edits
+// patch; call and cycle edits change the call structure and measure the
+// declared fallback (a clean analysis plus a state reusing the untouched
+// modules' stamps).
 func benchmarkIncrementalAnalyzer(b *testing.B, preset string, kind progen.EditKind) {
 	cfg, err := progen.Preset(preset)
 	if err != nil {
@@ -51,8 +54,9 @@ func benchmarkIncrementalAnalyzer(b *testing.B, preset string, kind progen.EditK
 		if err != nil {
 			b.Fatal(err)
 		}
-		if kind != progen.EditCycle && rs.Fallback != "" {
-			b.Fatalf("unexpected fallback: %s", rs.Fallback)
+		patched := kind == progen.EditNoop || kind == progen.EditBody
+		if patched != (rs.Fallback == "") {
+			b.Fatalf("%s edit: fallback %q", kind, rs.Fallback)
 		}
 		if len(res.DB.Procs) == 0 {
 			b.Fatal("analyzer produced an empty database")
@@ -89,9 +93,15 @@ func BenchmarkIncrementalAnalyzerLargeCall(b *testing.B) {
 	benchmarkIncrementalAnalyzer(b, "large", progen.EditCall)
 }
 
-// The cycle edit always falls back to a full analysis (the recursion
-// structure changed); this run documents the fallback cost staying at the
+// The cycle edit always falls back to a full analysis (the call structure
+// changed); these runs document the fallback cost staying at the
 // clean-analysis baseline rather than regressing.
+func BenchmarkIncrementalAnalyzerSmallCycleFallback(b *testing.B) {
+	benchmarkIncrementalAnalyzer(b, "small", progen.EditCycle)
+}
+func BenchmarkIncrementalAnalyzerMediumCycleFallback(b *testing.B) {
+	benchmarkIncrementalAnalyzer(b, "medium", progen.EditCycle)
+}
 func BenchmarkIncrementalAnalyzerLargeCycleFallback(b *testing.B) {
 	benchmarkIncrementalAnalyzer(b, "large", progen.EditCycle)
 }

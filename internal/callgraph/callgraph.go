@@ -10,11 +10,7 @@
 package callgraph
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 
 	"ipra/internal/ir"
@@ -170,15 +166,14 @@ func Build(summaries []*summary.ModuleSummary) (*Graph, error) {
 			}
 		}
 	}
-	for at := range g.AddrTakenProcs {
+	// Address-taken names no module defines or calls directly, in sorted
+	// order: node IDs index every derived structure, so the node order
+	// must be a function of the summaries alone.
+	for _, at := range sortedSet(g.AddrTakenProcs) {
 		addNode(at, "", nil)
 	}
 
-	// Direct and indirect call edges. Every callee was given a node above,
-	// so the missing-node error cannot fire here.
-	if err := g.buildEdges(summaries); err != nil {
-		return nil, err
-	}
+	g.buildEdges(summaries)
 
 	for _, n := range g.Nodes {
 		if len(n.In) == 0 {
@@ -252,88 +247,6 @@ func (g *Graph) mergeGlobals(summaries []*summary.ModuleSummary) {
 	}
 }
 
-// NodeSeqHash fingerprints the node identity sequence: every node's name
-// and module in ID order, plus whether it carries a summary record. The
-// incremental analyzer can reuse a stored graph only while this sequence
-// is unchanged, since node IDs index every derived structure (reference
-// sets, web bitsets, cluster maps).
-func (g *Graph) NodeSeqHash() string {
-	h := sha256.New()
-	for _, nd := range g.Nodes {
-		io.WriteString(h, nd.Name)
-		h.Write([]byte{0})
-		io.WriteString(h, nd.Module)
-		if nd.Rec != nil {
-			h.Write([]byte{0, 1})
-		} else {
-			h.Write([]byte{0, 0})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-// ExpectedNodeSeqHash predicts, without building a graph, the NodeSeqHash
-// a clean Build over the given summaries would produce. It replays Build's
-// node-creation order: recorded procedures in module and record order,
-// then external direct callees in call order, then any remaining
-// address-taken names. Build adds that last group in map iteration order,
-// which is not reproducible, so when such residue exists the function
-// returns a sentinel that never equals a real hash — the incremental
-// analyzer then refuses to reuse stored state for the program.
-func ExpectedNodeSeqHash(summaries []*summary.ModuleSummary) string {
-	type ent struct {
-		name, module string
-		hasRec       bool
-	}
-	seen := make(map[string]int)
-	var seq []ent
-	add := func(name, module string, rec bool) {
-		if i, ok := seen[name]; ok {
-			if rec {
-				seq[i].hasRec = true
-			}
-			return
-		}
-		seen[name] = len(seq)
-		seq = append(seq, ent{name, module, rec})
-	}
-	addrTaken := make(map[string]bool)
-	for _, ms := range summaries {
-		for i := range ms.Procs {
-			rec := &ms.Procs[i]
-			add(rec.Name, rec.Module, true)
-			for _, at := range rec.AddrTakenProcs {
-				addrTaken[at] = true
-			}
-		}
-	}
-	for _, ms := range summaries {
-		for i := range ms.Procs {
-			for _, cs := range ms.Procs[i].Calls {
-				add(cs.Callee, "", false)
-			}
-		}
-	}
-	for _, at := range sortedSet(addrTaken) {
-		if _, ok := seen[at]; !ok {
-			return "!addr-taken-residue" // Build's order is map-random here
-		}
-	}
-
-	h := sha256.New()
-	for _, e := range seq {
-		io.WriteString(h, e.name)
-		h.Write([]byte{0})
-		io.WriteString(h, e.module)
-		if e.hasRec {
-			h.Write([]byte{0, 1})
-		} else {
-			h.Write([]byte{0, 0})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
 // Restore assembles a graph from deserialized nodes and start IDs — the
 // incremental analyzer's state-decode path. Edge lists, SCC labels,
 // dominators, and counts must already be populated on the nodes; the
@@ -351,31 +264,6 @@ func Restore(nodes []*Node, starts []int) *Graph {
 	}
 	g.recomputeOrders()
 	return g
-}
-
-// SCCSignature fingerprints the strongly-connected-component structure in
-// a labeling-independent way: for every node in ID order, the minimum
-// node ID in its component plus its Recursive flag. Two graphs have equal
-// signatures exactly when their SCC partitions and recursion flags agree,
-// regardless of how Tarjan numbered the components.
-func (g *Graph) SCCSignature() string {
-	minRep := make(map[int]int)
-	for _, nd := range g.Nodes {
-		if r, ok := minRep[nd.SCC]; !ok || nd.ID < r {
-			minRep[nd.SCC] = nd.ID
-		}
-	}
-	h := sha256.New()
-	var buf [9]byte
-	for _, nd := range g.Nodes {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(minRep[nd.SCC]))
-		buf[8] = 0
-		if nd.Recursive {
-			buf[8] = 1
-		}
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // BindRecords rebinds fresh summary records onto the existing node set:
@@ -416,46 +304,6 @@ func (g *Graph) BindRecords(summaries []*summary.ModuleSummary) error {
 	return nil
 }
 
-// RebuildEdges re-derives the whole edge set, global tables, start nodes,
-// and graph orders from fresh summaries over the existing node set — the
-// incremental analyzer's structural-edit path. The summaries must
-// describe the same node identity sequence the graph was built from
-// (guarded by NodeSeqHash); a summary that would introduce a new node
-// returns an error, signalling the caller to fall back to a full Build.
-//
-// Edges are re-added in Build's exact iteration order, so per-node In and
-// Out lists — whose order feeds float summations downstream — match a
-// clean Build byte for byte.
-func (g *Graph) RebuildEdges(summaries []*summary.ModuleSummary) error {
-	if err := g.BindRecords(summaries); err != nil {
-		return err
-	}
-	if err := g.buildEdges(summaries); err != nil {
-		return err
-	}
-
-	g.Starts = g.Starts[:0]
-	for _, n := range g.Nodes {
-		if len(n.In) == 0 {
-			g.Starts = append(g.Starts, n.ID)
-		}
-	}
-	if len(g.Starts) == 0 {
-		if id, ok := g.byName["main"]; ok {
-			g.Starts = []int{id}
-		} else if len(g.Nodes) > 0 {
-			g.Starts = []int{0}
-		} else {
-			return fmt.Errorf("callgraph: empty program")
-		}
-	}
-
-	g.recomputeOrders()
-	g.computeSCC()
-	g.computeDominators()
-	return nil
-}
-
 // buildEdges derives the whole edge set from the summaries onto the
 // existing node set. It runs the iteration twice: a counting pass sizes
 // three exactly-fitting slabs (the Edge values and the per-node Out/In
@@ -464,12 +312,9 @@ func (g *Graph) RebuildEdges(summaries []*summary.ModuleSummary) error {
 // Edges are added in Build's historical order (summary, record, call
 // site; indirect targets in sorted-name order) because per-node In/Out
 // order feeds float summations downstream: the resulting graph must match
-// an edge-at-a-time construction exactly.
-//
-// A call site whose callee has no node returns an error, signalling
-// RebuildEdges callers to fall back to a full Build; Build itself creates
-// every callee node up front, so the error cannot fire there.
-func (g *Graph) buildEdges(summaries []*summary.ModuleSummary) error {
+// an edge-at-a-time construction exactly. Build creates a node for every
+// callee and address-taken name before calling it.
+func (g *Graph) buildEdges(summaries []*summary.ModuleSummary) {
 	targets := sortedSet(g.AddrTakenProcs)
 	n := len(g.Nodes)
 	outDeg := make([]int, n)
@@ -480,12 +325,8 @@ func (g *Graph) buildEdges(summaries []*summary.ModuleSummary) error {
 			rec := &ms.Procs[i]
 			from := g.byName[rec.Name]
 			for _, cs := range rec.Calls {
-				to, ok := g.byName[cs.Callee]
-				if !ok {
-					return fmt.Errorf("callgraph: rebuild would add node %s", cs.Callee)
-				}
 				outDeg[from]++
-				inDeg[to]++
+				inDeg[g.byName[cs.Callee]]++
 				total++
 			}
 			if rec.MakesIndirectCalls {
@@ -537,7 +378,6 @@ func (g *Graph) buildEdges(summaries []*summary.ModuleSummary) error {
 			}
 		}
 	}
-	return nil
 }
 
 func sortedSet(m map[string]bool) []string {

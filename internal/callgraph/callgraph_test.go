@@ -236,6 +236,33 @@ func TestIndirectCallEdges(t *testing.T) {
 	}
 }
 
+// TestAddrTakenResidueNodeOrder pins the node order of address-taken
+// names that no module defines or calls directly: node IDs index every
+// derived structure, so repeated builds of the same summaries must number
+// them identically (sorted by name, after every other node).
+func TestAddrTakenResidueNodeOrder(t *testing.T) {
+	ms := &summary.ModuleSummary{Module: "m.mc", Procs: []summary.ProcRecord{
+		{Name: "main", Module: "m.mc",
+			Calls:              []summary.CallSite{{Callee: "putint", Freq: 1}},
+			MakesIndirectCalls: true, IndirectCallFreq: 4,
+			AddrTakenProcs: []string{"lib:d", "lib:b", "lib:c", "lib:a"}},
+	}}
+	want := []string{"main", "putint", "lib:a", "lib:b", "lib:c", "lib:d"}
+	for i := 0; i < 50; i++ {
+		g, err := Build([]*summary.ModuleSummary{ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(g.Nodes))
+		for id, nd := range g.Nodes {
+			got[id] = nd.Name
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("build %d: node order %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestExternalProceduresAreLeaves(t *testing.T) {
 	ms := &summary.ModuleSummary{Module: "m.mc", Procs: []summary.ProcRecord{
 		{Name: "main", Module: "m.mc", Calls: []summary.CallSite{{Callee: "putchar", Freq: 5}}},

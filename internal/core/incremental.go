@@ -1,13 +1,15 @@
 // AnalyzeIncremental: the incremental program analyzer. Given the state
 // of a previous analysis and a hint of which modules may have changed, it
-// re-derives only the invalidated slices — reference-set columns for the
-// variables dirty modules touch, webs whose member sets intersect changed
-// call edges, clusters only when call counts or register needs moved —
-// and re-runs the cheap closing stages (filter, coloring, preallocation,
-// directives) through the exact same code paths as a clean Analyze. The
-// output is therefore byte-identical to a clean analysis by construction;
-// whenever a precondition for exact patching fails, the function falls
-// back to a full analysis instead of approximating.
+// patches record-only edits — changed call frequencies and global
+// references under an unchanged call structure — by re-deriving only the
+// invalidated slices: reference-set columns whose membership flipped, the
+// webs of those variables, clusters only when call counts or register
+// needs moved. The cheap closing stages (filter, coloring, preallocation,
+// directives) re-run through the exact same code paths as a clean Analyze,
+// so the output is byte-identical to a clean analysis by construction.
+// Any other edit — a changed call structure among them — and any failed
+// precondition for exact patching is a declared fallback to a full
+// analysis instead of an approximation.
 package core
 
 import (
@@ -35,7 +37,6 @@ type ReuseStats struct {
 	WebsReused  int
 	WebsRebuilt int
 
-	Structural       bool // the call-edge structure changed
 	CountsRecomputed bool
 	ClustersRebuilt  bool
 }
@@ -48,9 +49,10 @@ type ReuseStats struct {
 // configuration, in which case the analysis is simply full.
 //
 // The returned State is prev patched in place when the incremental path
-// ran, or a fresh state after a fallback. Either way it owns the graph,
-// sets, and webs inside the returned Result: results from earlier runs
-// over the same State must not be read afterwards.
+// ran, or a fresh state after a fallback, which keeps prev's stamps of the
+// modules dirty does not name. Either way it owns the graph, sets, and
+// webs inside the returned Result: results from earlier runs over the
+// same State must not be read afterwards.
 func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary, opt Options, prev *State, dirty []string) (*Result, *State, *ReuseStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "analyze")
 	defer span.End()
@@ -69,10 +71,9 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		st := NewState(res, summaries, opt)
+		st := newState(res, summaries, opt, prev, dirty)
 		telemetry.Count(ctx, "analyzer.webs_rebuilt", int64(len(res.Webs)))
 		rs.WebsRebuilt = len(res.Webs)
-		rs.Structural = true
 		rs.CountsRecomputed = true
 		if opt.SpillMotion {
 			rs.ClustersRebuilt = true
@@ -121,17 +122,6 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	}
 	rs.DirtyModules = len(changedMods)
 
-	if len(changedMods) == 0 && prev.res != nil && opt.Profile == nil {
-		// Nothing moved and the previous result is still in memory.
-		res := prev.res
-		telemetry.Count(ctx, "analyzer.webs", int64(res.Stats.WebsFound))
-		telemetry.Count(ctx, "analyzer.webs_colored", int64(res.Stats.WebsColored))
-		telemetry.Count(ctx, "analyzer.clusters", int64(res.Stats.Clusters))
-		telemetry.Count(ctx, "analyzer.webs_reused", int64(len(res.Webs)))
-		rs.WebsReused = len(res.Webs)
-		return res, prev, rs, nil
-	}
-
 	g := prev.g
 	sets := prev.sets
 
@@ -170,9 +160,9 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	}
 	rs.DirtyProcs = len(edits)
 
-	// The conservative indirect-call target set must be unchanged: every
-	// indirect call site fans out to all of it, so a change there moves
-	// edges at procedures far from the edit. Both the old and the new
+	// The conservative indirect-call target set is call structure too:
+	// every indirect call site fans out to all of it, so a change there
+	// moves edges at procedures far from the edit. Both the old and the new
 	// union come from the per-module stamp contributions — a graph decoded
 	// from disk carries no record bindings to read them from.
 	changed := make(map[int]bool, len(changedMods))
@@ -198,26 +188,25 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 		}
 	}
 	if len(newAT) != len(oldAT) {
-		return fallback("indirect-call target set changed")
+		return fallback("call structure changed")
 	}
 	for at := range newAT {
 		if !oldAT[at] {
-			return fallback("indirect-call target set changed")
+			return fallback("call structure changed")
 		}
 	}
 	g.AddrTakenProcs = oldAT
 
-	// Diff each edited procedure's edges against the old graph and seed
-	// the dirty variable set — all against the OLD sets and edges, before
-	// any mutation. A changed structural edge (u,v) can affect exactly the
-	// variables in C_REF[v] ∪ L_REF[v] (reachability below the edge) and
-	// P_REF[u] ∪ L_REF[u] (reachability above it); a changed record can
-	// affect the variables in its old L_REF row plus its new references.
+	// Each edited procedure must keep its call structure: the same direct
+	// callees in the same order and the same indirect fan-out. Anything
+	// else moves edges, and with them reference sets, SCCs, and dominators
+	// far from the edit — a clean analysis is the cheaper way to get them.
+	// Edge frequencies are patched in place as they are compared (a
+	// fallback discards prev); the dirty variables are seeded against the
+	// old reference sets.
 	dirtyVars := ir.NewBitSet(len(sets.Vars))
-	dirtyNodes := ir.NewBitSet(len(g.Nodes))
 	for _, ed := range edits {
 		nd, rec := ed.nd, ed.rec
-		u := nd.ID
 
 		// The direct-call prefix of the old Out list: Build appends a
 		// record's direct edges before its indirect fan-out, and duplicate
@@ -230,125 +219,63 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 			}
 			nDirect++
 		}
-		structural := false
-		oldDirect := nd.Out[:nDirect]
-		if len(oldDirect) != len(rec.Calls) {
-			structural = true
-		} else {
-			for k := range rec.Calls {
-				to := g.NodeByName(rec.Calls[k].Callee)
-				if to == nil || to.ID != oldDirect[k].To {
-					structural = true
-					break
-				}
-				if oldDirect[k].LocalFreq != rec.Calls[k].Freq {
-					rs.CountsRecomputed = true
-				}
+		if nDirect != len(rec.Calls) {
+			return fallback("call structure changed")
+		}
+		for k := range rec.Calls {
+			to := g.NodeByName(rec.Calls[k].Callee)
+			if to == nil || to.ID != nd.Out[k].To {
+				return fallback("call structure changed")
+			}
+			if nd.Out[k].LocalFreq != rec.Calls[k].Freq {
+				nd.Out[k].LocalFreq = rec.Calls[k].Freq
+				rs.CountsRecomputed = true
 			}
 		}
 		oldIndirect := nd.Out[nDirect:]
 		newIndirect := rec.MakesIndirectCalls && len(g.AddrTakenProcs) > 0
 		if (len(oldIndirect) > 0) != newIndirect {
-			structural = true
-		} else if newIndirect {
+			return fallback("call structure changed")
+		}
+		if newIndirect {
 			freq := rec.IndirectCallFreq / int64(len(oldIndirect))
 			if freq == 0 {
 				freq = 1
 			}
-			if oldIndirect[0].LocalFreq != freq {
-				rs.CountsRecomputed = true
+			for _, e := range oldIndirect {
+				if e.LocalFreq != freq {
+					e.LocalFreq = freq
+					rs.CountsRecomputed = true
+				}
 			}
 		}
 
-		if structural {
-			rs.Structural = true
-			dirtyVars.OrWith(sets.LRef[u])
-			for _, gr := range rec.GlobalRefs {
-				if vi, ok := sets.Index[gr.Name]; ok {
+		// Only u's L_REF row can move, so a column changes exactly when
+		// membership in u's reference list flips — frequency-only changes
+		// leave every reference-set bit (and thus every web) as it was.
+		u := nd.ID
+		inNew := make(map[int]bool, len(rec.GlobalRefs))
+		for _, gr := range rec.GlobalRefs {
+			if vi, ok := sets.Index[gr.Name]; ok {
+				inNew[vi] = true
+				if !sets.LRef[u].Has(vi) {
 					dirtyVars.Set(vi)
 				}
 			}
-			seedNode := func(v int) {
-				dirtyNodes.Set(v)
-				dirtyVars.OrWith(sets.CRef[v])
-				dirtyVars.OrWith(sets.LRef[v])
-			}
-			dirtyNodes.Set(u)
-			dirtyVars.OrWith(sets.PRef[u])
-			for _, e := range nd.Out {
-				seedNode(e.To)
-			}
-			for k := range rec.Calls {
-				if to := g.NodeByName(rec.Calls[k].Callee); to != nil {
-					seedNode(to.ID)
-				}
-			}
-			if newIndirect {
-				for at := range g.AddrTakenProcs {
-					seedNode(g.NodeByName(at).ID)
-				}
-			}
-		} else {
-			// Record-only edit: the graph is untouched and only u's L_REF
-			// row can move, so a column changes exactly when membership in
-			// u's reference list flips — frequency-only changes leave every
-			// reference-set bit (and thus every web) as it was.
-			inNew := make(map[int]bool, len(rec.GlobalRefs))
-			for _, gr := range rec.GlobalRefs {
-				if vi, ok := sets.Index[gr.Name]; ok {
-					inNew[vi] = true
-					if !sets.LRef[u].Has(vi) {
-						dirtyVars.Set(vi)
-					}
-				}
-			}
-			sets.LRef[u].ForEach(func(vi int) {
-				if !inNew[vi] {
-					dirtyVars.Set(vi)
-				}
-			})
 		}
-	}
-	if rs.Structural {
-		rs.CountsRecomputed = true
+		sets.LRef[u].ForEach(func(vi int) {
+			if !inNew[vi] {
+				dirtyVars.Set(vi)
+			}
+		})
 	}
 	if opt.Profile != nil {
 		rs.CountsRecomputed = true
 	}
 
-	// Mutate the graph. A structural edit re-derives the whole edge set in
-	// Build's iteration order (In/Out order feeds float summations); a
-	// record-only edit rebinds the summary records and patches frequencies
-	// in place.
-	if rs.Structural {
-		if callgraph.ExpectedNodeSeqHash(summaries) != prev.nodeSeq {
-			return fallback("call graph shape changed")
-		}
-		if err := g.RebuildEdges(summaries); err != nil {
-			return fallback(err.Error())
-		}
-		if g.SCCSignature() != prev.sccSig {
-			return fallback("recursion structure changed")
-		}
-	} else {
-		if err := g.BindRecords(summaries); err != nil {
-			return fallback(err.Error())
-		}
-		for _, ed := range edits {
-			nd, rec := ed.nd, ed.rec
-			for k := range rec.Calls {
-				nd.Out[k].LocalFreq = rec.Calls[k].Freq
-			}
-			if m := len(nd.Out) - len(rec.Calls); m > 0 {
-				freq := rec.IndirectCallFreq / int64(m)
-				if freq == 0 {
-					freq = 1
-				}
-				for k := len(rec.Calls); k < len(nd.Out); k++ {
-					nd.Out[k].LocalFreq = freq
-				}
-			}
-		}
+	// Rebind the summary records; the node and edge sets stay as they are.
+	if err := g.BindRecords(summaries); err != nil {
+		return fallback(err.Error())
 	}
 
 	// The promotion-eligible universe indexes every reference-set column
@@ -385,23 +312,11 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	rsSpan.SetInt("changed", int64(len(changedCols)))
 	rsSpan.End()
 
-	// A web must be rebuilt when its variable's columns changed, or when
-	// its member set touches a node incident to a changed edge: web
-	// construction on the new graph proceeds identically until it would
-	// traverse a changed edge, which requires a member endpoint.
+	// A web must be rebuilt exactly when its variable's columns changed:
+	// the edges it was grown over are unchanged.
 	rebuildVars := ir.NewBitSet(len(sets.Vars))
 	for _, vi := range changedCols {
 		rebuildVars.Set(vi)
-	}
-	if rs.Structural {
-		for vi, ws := range prev.perVar {
-			for _, w := range ws {
-				if w.Nodes.Intersects(dirtyNodes) {
-					rebuildVars.Set(vi)
-					break
-				}
-			}
-		}
 	}
 
 	_, webSpan := telemetry.StartSpan(ctx, "webs")
@@ -486,6 +401,5 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	for id := range g.Nodes {
 		prev.needs[id] = need(id)
 	}
-	prev.res = a.res
 	return a.res, prev, rs, nil
 }

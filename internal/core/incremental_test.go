@@ -1,17 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"ipra/internal/progen"
 	"ipra/internal/summary"
 	"ipra/internal/verify"
+	"ipra/internal/webs"
 )
 
 // incrementalConfigs are the analyzer shapes of the build presets A–F
 // (profiles excluded: attaching one only forces the count stage, which
-// the structural edits below exercise anyway).
+// the frequency edits below exercise anyway).
 func incrementalConfigs() map[string]Options {
 	spillOnly := Options{SpillMotion: true, Promotion: PromoteNone}
 	coloring := DefaultOptions()
@@ -102,16 +104,9 @@ func TestIncrementalMatchesClean(t *testing.T) {
 						if rs.WebsReused == 0 {
 							t.Errorf("%s: expected web reuse, got %+v", desc, rs)
 						}
-					case progen.EditCall:
-						if rs.Fallback != "" {
-							t.Errorf("%s: unexpected fallback %q", desc, rs.Fallback)
-						}
-						if !rs.Structural {
-							t.Errorf("%s: expected structural edit, got %+v", desc, rs)
-						}
-					case progen.EditCycle:
-						if rs.Fallback == "" {
-							t.Errorf("%s: expected SCC fallback, got %+v", desc, rs)
+					case progen.EditCall, progen.EditCycle:
+						if rs.Fallback != callStructureChanged {
+							t.Errorf("%s: fallback %q, want %q", desc, rs.Fallback, callStructureChanged)
 						}
 					}
 
@@ -121,6 +116,10 @@ func TestIncrementalMatchesClean(t *testing.T) {
 		})
 	}
 }
+
+// callStructureChanged is the declared fallback of every edit that changes
+// a caller's callees, its indirect fan-out, or the address-taken set.
+const callStructureChanged = "call structure changed"
 
 // TestIncrementalStateRoundTrip runs one edit through an encode/decode
 // cycle of the analyzer state — the build-directory path — and asserts
@@ -156,8 +155,12 @@ func TestIncrementalStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: incremental analyze: %v", desc, err)
 		}
-		if rs.Fallback != "" {
-			t.Errorf("%s: unexpected fallback %q after round trip", desc, rs.Fallback)
+		want := ""
+		if kind == progen.EditCall {
+			want = callStructureChanged
+		}
+		if rs.Fallback != want {
+			t.Errorf("%s: fallback %q after round trip, want %q", desc, rs.Fallback, want)
 		}
 		if got, want := inc.DB.Hash(), clean.DB.Hash(); got != want {
 			t.Fatalf("%s: database diverged after round trip (incremental %s, clean %s)", desc, got, want)
@@ -169,6 +172,137 @@ func TestIncrementalStateRoundTrip(t *testing.T) {
 		if _, err := DecodeState(st2.Encode()); err != nil {
 			t.Fatalf("%s: re-encode: %v", desc, err)
 		}
+	}
+}
+
+// TestFallbackStateMatchesNewState guards the fallback's stamp reuse: the
+// state a structural fallback returns keeps the previous stamps of the
+// modules the edit did not touch, and must encode exactly as a state built
+// from scratch over the same summaries.
+func TestFallbackStateMatchesNewState(t *testing.T) {
+	cfg, err := progen.Preset("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := DefaultOptions()
+	sums := progen.GenerateSummaries(cfg)
+	res, err := Analyze(ctx, sums, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeState(NewState(res, sums, opt).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []progen.EditKind{progen.EditCall, progen.EditCycle} {
+		mut, desc := progen.MutateSummaries(cfg, sums, 3, kind)
+		_, st, rs, err := AnalyzeIncremental(ctx, mut, opt, decoded, diffModules(sums, mut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Fallback != callStructureChanged {
+			t.Fatalf("%s: fallback %q, want %q", desc, rs.Fallback, callStructureChanged)
+		}
+		clean, err := Analyze(ctx, mut, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Encode(), NewState(clean, mut, opt).Encode()) {
+			t.Errorf("%s: fallback state encodes differently from NewState over the same summaries", desc)
+		}
+	}
+}
+
+// TestDecodeStateRejectsBadIndexes corrupts one node or variable index in
+// an otherwise valid state per case: each must be a decode error, never a
+// state that panics the next analysis.
+func TestDecodeStateRejectsBadIndexes(t *testing.T) {
+	cfg, err := progen.Preset("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := DefaultOptions()
+	sums := progen.GenerateSummaries(cfg)
+	res, err := Analyze(ctx, sums, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Clusters.Clusters) == 0 {
+		t.Fatal("program has no clusters to corrupt")
+	}
+	var web *webs.Web
+	for _, w := range res.Webs {
+		if len(w.Entries) > 0 {
+			web = w
+			break
+		}
+	}
+	if web == nil {
+		t.Fatal("program has no web with entries to corrupt")
+	}
+	cases := []struct {
+		name    string
+		corrupt func(st *State) func()
+	}{
+		{"cluster member", func(st *State) func() {
+			c := st.clusters.Clusters[0]
+			saved := c.Members
+			c.Members = append(append([]int(nil), saved...), 1<<20)
+			return func() { c.Members = saved }
+		}},
+		{"cluster root", func(st *State) func() {
+			c := st.clusters.Clusters[0]
+			saved := c.Root
+			c.Root = 1 << 20
+			return func() { c.Root = saved }
+		}},
+		{"member root", func(st *State) func() {
+			st.clusters.MemberRoot[1<<20] = st.clusters.Clusters[0].Root
+			return func() { delete(st.clusters.MemberRoot, 1<<20) }
+		}},
+		{"web entry", func(st *State) func() {
+			saved := web.Entries
+			web.Entries = append(append([]int(nil), saved...), 1<<20)
+			return func() { web.Entries = saved }
+		}},
+		{"scc id", func(st *State) func() {
+			nd := st.g.Nodes[0]
+			saved := nd.SCC
+			nd.SCC = 1 << 40
+			return func() { nd.SCC = saved }
+		}},
+		{"idom", func(st *State) func() {
+			nd := st.g.Nodes[len(st.g.Nodes)-1]
+			saved := nd.IDom
+			nd.IDom = 1 << 20
+			return func() { nd.IDom = saved }
+		}},
+		{"idom cycle", func(st *State) func() {
+			nd := st.g.Nodes[0]
+			saved := nd.IDom
+			nd.IDom = 0
+			return func() { nd.IDom = saved }
+		}},
+		{"variable bit", func(st *State) func() {
+			row := st.sets.LRef[0]
+			saved := row[len(row)-1]
+			row[len(row)-1] |= 1 << 63
+			return func() { row[len(row)-1] = saved }
+		}},
+	}
+	st := NewState(res, sums, opt)
+	for _, tc := range cases {
+		restore := tc.corrupt(st)
+		data := st.Encode()
+		restore()
+		if _, err := DecodeState(data); err == nil {
+			t.Errorf("%s: corrupt state decoded without error", tc.name)
+		}
+	}
+	if _, err := DecodeState(st.Encode()); err != nil {
+		t.Fatalf("restored state no longer decodes: %v", err)
 	}
 }
 
@@ -194,7 +328,7 @@ func TestIncrementalFallbackGuards(t *testing.T) {
 	}{
 		{name: "nil state", prev: func() *State { return nil }, opt: opt, sums: func() []*summary.ModuleSummary { return sums }},
 		{name: "options changed", prev: func() *State { return NewState(res, sums, opt) },
-			opt: func() Options { o := opt; o.ColoringRegs = 4; return o }(),
+			opt:  func() Options { o := opt; o.ColoringRegs = 4; return o }(),
 			sums: func() []*summary.ModuleSummary { return sums }},
 		{name: "module set changed", prev: func() *State { return NewState(res, sums, opt) }, opt: opt,
 			sums: func() []*summary.ModuleSummary { return sums[:len(sums)-1] }},

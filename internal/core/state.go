@@ -4,8 +4,8 @@
 // summary hashes so a later run can tell exactly which slices an edit
 // invalidated. AnalyzeIncremental (incremental.go) consumes a State to
 // rebuild only the dirty region; this file defines the State itself, its
-// construction from a finished Result, and a flat binary encoding for the
-// build directory.
+// construction from a finished Result, and its encoding for the build
+// directory as an internal/wire artifact.
 //
 // The encoding is deliberately explicit. Per-node In edge lists are
 // serialized as (from-node, out-index) pairs rather than re-derived,
@@ -14,9 +14,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -26,11 +24,16 @@ import (
 	"ipra/internal/refsets"
 	"ipra/internal/summary"
 	"ipra/internal/webs"
+	"ipra/internal/wire"
 )
 
-// stateMagic versions the analyzer state encoding; decoding anything else
-// fails, and the caller falls back to a full analysis.
-const stateMagic = "ipra-analyzer-state/v1"
+// Wire kind and body version of the analyzer state. A state of any other
+// kind or version fails to decode, and the caller falls back to a full
+// analysis.
+const (
+	stateKind    = "analyzer-state"
+	stateVersion = 1
+)
 
 // moduleStamp records what the analyzer last saw of one module: enough to
 // detect a change (Hash), locate it (RecHashes per procedure), and rebuild
@@ -52,16 +55,12 @@ type State struct {
 	optKey      string
 	unsupported string // non-empty: program shape the incremental path cannot handle
 	stamps      []moduleStamp
-	nodeSeq     string // Graph.NodeSeqHash at build time
-	sccSig      string // Graph.SCCSignature at build time
 
 	g        *callgraph.Graph
 	sets     *refsets.Sets
 	perVar   [][]*webs.Web // identified webs grouped by variable index
 	clusters *clusters.Identification
 	needs    []int // needFunc value per node at build time
-
-	res *Result // in-memory only; nil after a decode
 }
 
 // Unsupported returns the reason the incremental path cannot reuse this
@@ -120,22 +119,36 @@ func makeStamp(ms *summary.ModuleSummary) moduleStamp {
 
 // NewState captures the analyzer state of a finished clean run. Program
 // shapes the incremental path cannot patch exactly — duplicate procedure
-// definitions, address-taken residue nodes whose Build order is not
-// reproducible, merged webs, partial programs — are marked unsupported:
+// definitions, merged webs, partial programs — are marked unsupported:
 // the state still stamps the modules, but every later run falls back to a
 // full analysis until the shape goes away.
 func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *State {
+	return newState(res, summaries, opt, nil, nil)
+}
+
+// newState is NewState reusing prev's stamps: a module prev stamped at the
+// same position that dirty does not name (dirty is AnalyzeIncremental's
+// hint, a superset of the modules that changed since prev) keeps its
+// stamp instead of being re-hashed.
+func newState(res *Result, summaries []*summary.ModuleSummary, opt Options, prev *State, dirty []string) *State {
 	st := &State{
 		optKey:   optionsKey(opt),
 		stamps:   make([]moduleStamp, len(summaries)),
 		g:        res.Graph,
 		sets:     res.Sets,
 		clusters: res.Clusters,
-		res:      res,
+	}
+	hinted := make(map[string]bool, len(dirty))
+	for _, name := range dirty {
+		hinted[name] = true
 	}
 	procSeen := make(map[string]bool)
 	for i, ms := range summaries {
-		st.stamps[i] = makeStamp(ms)
+		if prev != nil && i < len(prev.stamps) && prev.stamps[i].Name == ms.Module && !hinted[ms.Module] {
+			st.stamps[i] = prev.stamps[i]
+		} else {
+			st.stamps[i] = makeStamp(ms)
+		}
 		for j := range ms.Procs {
 			if procSeen[ms.Procs[j].Name] {
 				st.unsupported = "duplicate procedure " + ms.Procs[j].Name
@@ -153,13 +166,6 @@ func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *Sta
 	if st.unsupported != "" {
 		return st
 	}
-
-	st.nodeSeq = res.Graph.NodeSeqHash()
-	if callgraph.ExpectedNodeSeqHash(summaries) != st.nodeSeq {
-		st.unsupported = "call graph node order is not reproducible from summaries"
-		return st
-	}
-	st.sccSig = res.Graph.SCCSignature()
 
 	need := needFunc(res.Graph)
 	st.needs = make([]int, len(res.Graph.Nodes))
@@ -184,187 +190,43 @@ func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *Sta
 	return st
 }
 
-// ----------------------------------------------------------------------------
-// Binary encoding
-
-type stateEnc struct{ b []byte }
-
-func (e *stateEnc) u(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
-func (e *stateEnc) i(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *stateEnc) bool(v bool)  { e.b = append(e.b, b2u(v)) }
-func (e *stateEnc) s(s string)   { e.u(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *stateEnc) f(v float64)  { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *stateEnc) w(v uint64)   { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *stateEnc) strs(ss []string) {
-	e.u(uint64(len(ss)))
-	for _, s := range ss {
-		e.s(s)
-	}
-}
-func (e *stateEnc) ints(vs []int) {
-	e.u(uint64(len(vs)))
-	for _, v := range vs {
-		e.u(uint64(v))
-	}
-}
-
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-type stateDec struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: truncated analyzer state")
-	}
-	d.b = nil
-}
-
-func (d *stateDec) u() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) i() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) bool() bool {
-	if len(d.b) < 1 {
-		d.fail()
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v != 0
-}
-
-func (d *stateDec) s() string {
-	n := d.u()
-	if uint64(len(d.b)) < n {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) f() float64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *stateDec) w() uint64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-// count reads a collection length and bounds it: every serialized element
-// occupies at least one byte, so a length beyond the remaining buffer is
-// corruption, not a huge allocation to attempt.
-func (d *stateDec) count() int {
-	n := d.u()
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *stateDec) strs() []string {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.s()
-	}
-	return out
-}
-
-func (d *stateDec) ints() []int {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.u())
-	}
-	return out
-}
-
-// Encode serializes the state for the build directory. The in-memory
-// Result is not part of the encoding; a decoded state re-derives its
-// Result through AnalyzeIncremental's reuse pipeline.
+// Encode serializes the state for the build directory as an
+// analyzer-state wire artifact.
 func (st *State) Encode() []byte {
-	e := &stateEnc{b: make([]byte, 0, 1<<16)}
-	e.s(stateMagic)
-	e.s(st.optKey)
-	e.s(st.unsupported)
-	e.u(uint64(len(st.stamps)))
+	e := wire.NewEncoder(stateKind, stateVersion)
+	e.Str(st.optKey)
+	e.Str(st.unsupported)
+	e.U(uint64(len(st.stamps)))
 	for i := range st.stamps {
 		m := &st.stamps[i]
-		e.s(m.Name)
-		e.s(m.Hash)
-		e.strs(m.Procs)
-		e.strs(m.RecHashes)
-		e.strs(m.AddrTaken)
+		e.Str(m.Name)
+		e.Str(m.Hash)
+		e.Strs(m.Procs)
+		e.Strs(m.RecHashes)
+		e.Strs(m.AddrTaken)
 	}
 	if st.unsupported != "" {
-		return e.b
+		return e.Finish()
 	}
-	e.s(st.nodeSeq)
-	e.s(st.sccSig)
 
 	g := st.g
-	e.u(uint64(len(g.Nodes)))
+	e.U(uint64(len(g.Nodes)))
 	for _, nd := range g.Nodes {
-		e.s(nd.Name)
-		e.s(nd.Module)
-		e.u(uint64(nd.SCC))
-		e.bool(nd.Recursive)
-		e.i(int64(nd.IDom))
-		e.u(uint64(nd.DomDepth))
-		e.f(nd.Count)
+		e.Str(nd.Name)
+		e.Str(nd.Module)
+		e.U(uint64(nd.SCC))
+		e.Bool(nd.Recursive)
+		e.I(int64(nd.IDom))
+		e.U(uint64(nd.DomDepth))
+		e.F64(nd.Count)
 	}
 	for _, nd := range g.Nodes {
-		e.u(uint64(len(nd.Out)))
+		e.U(uint64(len(nd.Out)))
 		for _, edge := range nd.Out {
-			e.u(uint64(edge.To))
-			e.i(edge.LocalFreq)
-			e.bool(edge.Indirect)
-			e.f(edge.Count)
+			e.U(uint64(edge.To))
+			e.I(edge.LocalFreq)
+			e.Bool(edge.Indirect)
+			e.F64(edge.Count)
 		}
 	}
 	outIdx := make(map[*callgraph.Edge]int)
@@ -374,102 +236,107 @@ func (st *State) Encode() []byte {
 		}
 	}
 	for _, nd := range g.Nodes {
-		e.u(uint64(len(nd.In)))
+		e.U(uint64(len(nd.In)))
 		for _, edge := range nd.In {
-			e.u(uint64(edge.From))
-			e.u(uint64(outIdx[edge]))
+			e.U(uint64(edge.From))
+			e.U(uint64(outIdx[edge]))
 		}
 	}
-	e.ints(g.Starts)
+	e.Ints(g.Starts)
 	for _, v := range st.needs {
-		e.i(int64(v))
+		e.I(int64(v))
 	}
 
+	// Each reference-set family is one word list: its rows, n × words.
 	sets := st.sets
-	e.strs(sets.Vars)
-	words := 0
-	if len(g.Nodes) > 0 {
-		words = len(sets.LRef[0])
-	}
-	e.u(uint64(words))
+	e.Strs(sets.Vars)
+	words := len(ir.NewBitSet(len(sets.Vars)))
+	e.U(uint64(words))
+	rows := make([]uint64, 0, len(g.Nodes)*words)
 	for _, fam := range [][]ir.BitSet{sets.LRef, sets.PRef, sets.CRef} {
+		rows = rows[:0]
 		for _, bs := range fam {
-			for _, word := range bs {
-				e.w(word)
-			}
+			rows = append(rows, bs...)
 		}
+		e.Words(rows)
 	}
 
+	var ids []int
 	for _, ws := range st.perVar {
-		e.u(uint64(len(ws)))
+		e.U(uint64(len(ws)))
 		for _, w := range ws {
-			e.bool(w.FromCycle)
-			e.f(w.Priority)
-			e.f(w.RefWeight)
-			e.f(w.EntryWeight)
-			e.u(uint64(w.LRefNodes))
-			e.ints(w.Entries)
-			e.ints(w.Nodes.Elems(nil))
+			e.Bool(w.FromCycle)
+			e.F64(w.Priority)
+			e.F64(w.RefWeight)
+			e.F64(w.EntryWeight)
+			e.U(uint64(w.LRefNodes))
+			e.Ints(w.Entries)
+			ids = w.Nodes.Elems(ids[:0])
+			e.Ints(ids)
 		}
 	}
 
-	if st.clusters == nil {
-		e.bool(false)
-	} else {
-		e.bool(true)
-		e.u(uint64(len(st.clusters.Clusters)))
+	e.Bool(st.clusters != nil)
+	if st.clusters != nil {
+		e.U(uint64(len(st.clusters.Clusters)))
 		for _, c := range st.clusters.Clusters {
-			e.u(uint64(c.Root))
-			e.ints(c.Members)
+			e.U(uint64(c.Root))
+			e.Ints(c.Members)
 		}
-		roots := make([]int, 0, len(st.clusters.MemberRoot))
+		members := make([]int, 0, len(st.clusters.MemberRoot))
 		for m := range st.clusters.MemberRoot {
-			roots = append(roots, m)
+			members = append(members, m)
 		}
-		sort.Ints(roots)
-		e.u(uint64(len(roots)))
-		for _, m := range roots {
-			e.u(uint64(m))
-			e.u(uint64(st.clusters.MemberRoot[m]))
+		sort.Ints(members)
+		e.U(uint64(len(members)))
+		for _, m := range members {
+			e.U(uint64(m))
+			e.U(uint64(st.clusters.MemberRoot[m]))
 		}
 	}
-	return e.b
+	return e.Finish()
 }
 
 // DecodeState rebuilds a State from Encode's output. Node Rec pointers
 // and the merged global table are not serialized; AnalyzeIncremental
 // rebinds them from the current summaries before any stage runs.
+//
+// Every node and variable index the state carries is checked against the
+// node and variable counts, and the dominator tree must be a forest: a
+// corrupt state is a decode error, never a panic in a later stage.
 func DecodeState(data []byte) (*State, error) {
-	d := &stateDec{b: data}
-	if magic := d.s(); magic != stateMagic {
-		return nil, fmt.Errorf("core: analyzer state version mismatch (got %q, want %q)", magic, stateMagic)
+	d, err := wire.NewDecoder(data, stateKind, stateVersion)
+	if err != nil {
+		return nil, err
+	}
+	corrupt := func(what string) (*State, error) {
+		return nil, fmt.Errorf("core: corrupt analyzer state: %s", what)
 	}
 	st := &State{
-		optKey:      d.s(),
-		unsupported: d.s(),
+		optKey:      d.Str(),
+		unsupported: d.Str(),
 	}
-	st.stamps = make([]moduleStamp, d.count())
+	st.stamps = make([]moduleStamp, d.Count(1))
 	for i := range st.stamps {
 		m := &st.stamps[i]
-		m.Name = d.s()
-		m.Hash = d.s()
-		m.Procs = d.strs()
-		m.RecHashes = d.strs()
-		m.AddrTaken = d.strs()
+		m.Name = d.Str()
+		m.Hash = d.Str()
+		m.Procs = d.Strs()
+		m.RecHashes = d.Strs()
+		m.AddrTaken = d.Strs()
 		if len(m.RecHashes) != len(m.Procs) {
-			d.fail()
+			return corrupt("stamp record hashes")
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	if st.unsupported != "" {
+		if err := d.Finish(); err != nil {
+			return nil, err
+		}
 		return st, nil
 	}
-	st.nodeSeq = d.s()
-	st.sccSig = d.s()
 
-	n := d.count()
+	n := d.Count(1)
+	inRange := func(id int) bool { return id >= 0 && id < n }
 	nodes := make([]*callgraph.Node, n)
 	// Decoded records are slab-allocated: the node count is known up
 	// front, and edges are carved from chunks, so a decode allocates per
@@ -479,115 +346,121 @@ func DecodeState(data []byte) (*State, error) {
 		nodes[id] = &nodeSlab[id]
 		*nodes[id] = callgraph.Node{
 			ID:        id,
-			Name:      d.s(),
-			Module:    d.s(),
-			SCC:       int(d.u()),
-			Recursive: d.bool(),
-			IDom:      int(d.i()),
-			DomDepth:  int(d.u()),
-			Count:     d.f(),
+			Name:      d.Str(),
+			Module:    d.Str(),
+			SCC:       int(d.U()),
+			Recursive: d.Bool(),
+			IDom:      int(d.I()),
+			DomDepth:  int(d.U()),
+			Count:     d.F64(),
+		}
+		if !inRange(nodes[id].SCC) {
+			return corrupt("SCC id")
+		}
+	}
+	// Dominator depths must grow by one along every IDom link, which also
+	// rules out IDom cycles (Dominates walks the chain to the root).
+	for _, nd := range nodes {
+		switch {
+		case nd.IDom == -1 && nd.DomDepth == 1:
+		case inRange(nd.IDom) && nd.DomDepth == nodes[nd.IDom].DomDepth+1:
+		default:
+			return corrupt("dominator tree")
 		}
 	}
 	var edgeSlab []callgraph.Edge
-	newEdge := func() *callgraph.Edge {
-		if len(edgeSlab) == 0 {
-			edgeSlab = make([]callgraph.Edge, 1024)
-		}
-		e := &edgeSlab[0]
-		edgeSlab = edgeSlab[1:]
-		return e
-	}
 	for id := range nodes {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
 		nodes[id].Out = make([]*callgraph.Edge, m)
 		for k := range nodes[id].Out {
-			to := int(d.u())
-			if to < 0 || to >= n {
-				d.fail()
-				to = 0
+			if len(edgeSlab) == 0 {
+				edgeSlab = make([]callgraph.Edge, 1024)
 			}
-			e := newEdge()
+			e := &edgeSlab[0]
+			edgeSlab = edgeSlab[1:]
 			*e = callgraph.Edge{
 				From:      id,
-				To:        to,
-				LocalFreq: d.i(),
-				Indirect:  d.bool(),
-				Count:     d.f(),
+				To:        int(d.U()),
+				LocalFreq: d.I(),
+				Indirect:  d.Bool(),
+				Count:     d.F64(),
+			}
+			if !inRange(e.To) {
+				return corrupt("edge target")
 			}
 			nodes[id].Out[k] = e
 		}
 	}
 	for id := range nodes {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
 		nodes[id].In = make([]*callgraph.Edge, m)
 		for k := range nodes[id].In {
-			from := int(d.u())
-			outIdx := int(d.u())
-			if from < 0 || from >= n || outIdx < 0 || outIdx >= len(nodes[from].Out) || nodes[from].Out[outIdx].To != id {
-				d.fail()
-				return nil, d.err
+			from := int(d.U())
+			outIdx := int(d.U())
+			if !inRange(from) || outIdx < 0 || outIdx >= len(nodes[from].Out) || nodes[from].Out[outIdx].To != id {
+				return corrupt("in-edge")
 			}
 			nodes[id].In[k] = nodes[from].Out[outIdx]
 		}
 	}
-	starts := d.ints()
+	starts := d.Ints()
 	for _, s := range starts {
-		if s < 0 || s >= n {
-			d.fail()
+		if !inRange(s) {
+			return corrupt("start node")
 		}
 	}
 	st.needs = make([]int, n)
 	for i := range st.needs {
-		st.needs[i] = int(d.i())
-	}
-	if d.err != nil {
-		return nil, d.err
+		st.needs[i] = int(d.I())
 	}
 	st.g = callgraph.Restore(nodes, starts)
 
-	vars := d.strs()
-	words := d.count()
+	vars := d.Strs()
 	sets := &refsets.Sets{Vars: vars, Index: make(map[string]int, len(vars))}
 	for i, v := range vars {
 		sets.Index[v] = i
 	}
-	readFam := func() []ir.BitSet {
-		fam := make([]ir.BitSet, n)
-		// A family occupies n*words 8-byte words on the wire; a product
-		// beyond the remaining buffer is corruption, not an allocation to
-		// attempt (n and words are individually bounded, their product
-		// is not).
-		if uint64(n)*uint64(words) > uint64(len(d.b)/8) {
-			d.fail()
-			return fam
-		}
-		// One backing array per family, mirroring refsets.Compute.
-		backing := make(ir.BitSet, n*words)
-		for i := range fam {
-			bs := backing[i*words : (i+1)*words : (i+1)*words]
-			for k := range bs {
-				bs[k] = d.w()
-			}
-			fam[i] = bs
-		}
-		return fam
+	if len(sets.Index) != len(vars) {
+		return corrupt("duplicate variable")
 	}
-	sets.LRef = readFam()
-	sets.PRef = readFam()
-	sets.CRef = readFam()
+	words := d.Count(8)
+	if words != len(ir.NewBitSet(len(vars))) {
+		return corrupt("reference-set width")
+	}
+	// Each family's word list is its backing array, rows carved from it.
+	// No row may hold a bit at or beyond the variable count.
+	tail := uint(len(vars) % 64)
+	var fams [3][]ir.BitSet
+	for f := range fams {
+		backing := d.Words()
+		// n and words are each bounded by the input, their product is
+		// not: compare in 64 bits.
+		if uint64(len(backing)) != uint64(n)*uint64(words) {
+			return corrupt("reference-set size")
+		}
+		fams[f] = make([]ir.BitSet, n)
+		for i := range fams[f] {
+			row := backing[i*words : (i+1)*words : (i+1)*words]
+			if row[words-1]>>tail != 0 {
+				return corrupt("reference-set variable")
+			}
+			fams[f][i] = row
+		}
+	}
+	sets.LRef, sets.PRef, sets.CRef = fams[0], fams[1], fams[2]
 	st.sets = sets
 
 	st.perVar = make([][]*webs.Web, len(vars))
 	var webSlab []webs.Web
 	var webBits ir.BitArena
 	for vi := range st.perVar {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
@@ -599,17 +472,21 @@ func DecodeState(data []byte) (*State, error) {
 			w := &webSlab[0]
 			webSlab = webSlab[1:]
 			*w = webs.Web{Var: vars[vi], Color: -1}
-			w.FromCycle = d.bool()
-			w.Priority = d.f()
-			w.RefWeight = d.f()
-			w.EntryWeight = d.f()
-			w.LRefNodes = int(d.u())
-			w.Entries = d.ints()
+			w.FromCycle = d.Bool()
+			w.Priority = d.F64()
+			w.RefWeight = d.F64()
+			w.EntryWeight = d.F64()
+			w.LRefNodes = int(d.U())
+			w.Entries = d.Ints()
+			for _, id := range w.Entries {
+				if !inRange(id) {
+					return corrupt("web entry")
+				}
+			}
 			w.Nodes = webBits.New(n)
-			for _, id := range d.ints() {
-				if id < 0 || id >= n {
-					d.fail()
-					break
+			for _, id := range d.Ints() {
+				if !inRange(id) {
+					return corrupt("web node")
 				}
 				w.Nodes.Set(id)
 			}
@@ -617,26 +494,37 @@ func DecodeState(data []byte) (*State, error) {
 		}
 	}
 
-	if d.bool() {
+	if d.Bool() {
 		id := &clusters.Identification{
 			RootCluster: make(map[int]*clusters.Cluster),
 			MemberRoot:  make(map[int]int),
 		}
-		id.Clusters = make([]*clusters.Cluster, d.count())
+		id.Clusters = make([]*clusters.Cluster, d.Count(1))
 		for k := range id.Clusters {
-			c := &clusters.Cluster{Root: int(d.u()), Members: d.ints()}
+			c := &clusters.Cluster{Root: int(d.U()), Members: d.Ints()}
+			if !inRange(c.Root) {
+				return corrupt("cluster root")
+			}
+			for _, m := range c.Members {
+				if !inRange(m) {
+					return corrupt("cluster member")
+				}
+			}
 			id.Clusters[k] = c
 			id.RootCluster[c.Root] = c
 		}
-		pairs := d.count()
+		pairs := d.Count(2)
 		for k := 0; k < pairs; k++ {
-			m := int(d.u())
-			id.MemberRoot[m] = int(d.u())
+			m, r := int(d.U()), int(d.U())
+			if !inRange(m) || !inRange(r) {
+				return corrupt("cluster member root")
+			}
+			id.MemberRoot[m] = r
 		}
 		st.clusters = id
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package ipra
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"os/exec"
@@ -10,8 +11,10 @@ import (
 	"testing"
 
 	"ipra/internal/cache"
+	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
+	"ipra/internal/progen"
 	"ipra/internal/summary"
 )
 
@@ -77,7 +80,7 @@ func goldenModule() *ir.Module {
 		Funcs: []*ir.Func{f, leaf},
 		Globals: []*ir.Global{
 			{Name: "m:g", Module: "m", Size: 8, Init: []byte{1, 0, 2, 0, 0, 0, 0, 0},
-				Relocs: []ir.Reloc{{Offset: 4, Target: "m:g", Addend: -4}},
+				Relocs:  []ir.Reloc{{Offset: 4, Target: "m:g", Addend: -4}},
 				Defined: true, Scalar: false},
 			{Name: "m:s", Module: "m", Size: 4, Init: []byte{}, Defined: true, Static: true, Scalar: true},
 			{Name: "ext:v", Module: "ext", Size: 4, Scalar: true, AddrTaken: true}, // nil Init: extern
@@ -373,6 +376,67 @@ func FuzzWireExecutableDecode(f *testing.F) {
 		}
 		if _, err := parv.DecodeExecutable(buf.Bytes()); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+	})
+}
+
+// FuzzAnalyzerStateDecode feeds arbitrary bytes to core.DecodeState, as a
+// corrupt analyzer.state in a build directory would. Decoding must return
+// a state or an error; a decoded state must then carry a no-op and a body
+// edit through AnalyzeIncremental to a result or an error, never a panic.
+func FuzzAnalyzerStateDecode(f *testing.F) {
+	// The seed state's program is small enough for many executions per
+	// second and still has indirect calls, recursion, statics, webs and
+	// clusters.
+	cfg := progen.Config{Seed: 5, Modules: 3, ProcsPerModule: 6, Globals: 16,
+		SubsystemSize: 3, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 2}
+	sums := progen.GenerateSummaries(cfg)
+	opt := core.DefaultOptions()
+	opt.Jobs = 1
+	ctx := context.Background()
+	res, err := core.Analyze(ctx, sums, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := core.NewState(res, sums, opt)
+	if r := st.Unsupported(); r != "" {
+		f.Fatalf("state unsupported: %s", r)
+	}
+	data := st.Encode()
+	f.Add(data)
+	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
+		f.Add(data[:n])
+	}
+	for _, i := range []int{0, len(data) / 3, len(data) / 2, 2 * len(data) / 3, len(data) - 1} {
+		bad := bytes.Clone(data)
+		bad[i] ^= 0xff
+		f.Add(bad)
+	}
+
+	body, _ := progen.MutateSummaries(cfg, sums, 1, progen.EditBody)
+	edits := []struct {
+		sums  []*summary.ModuleSummary
+		dirty []string
+	}{
+		{sums, []string{sums[0].Module}},
+		{body, nil},
+	}
+	for i := range body {
+		if body[i] != sums[i] {
+			edits[1].dirty = append(edits[1].dirty, body[i].Module)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, ed := range edits {
+			// Each run patches its state in place: decode a fresh one.
+			prev, err := core.DecodeState(data)
+			if err != nil {
+				return
+			}
+			res, _, _, err := core.AnalyzeIncremental(ctx, ed.sums, opt, prev, ed.dirty)
+			if err == nil && res == nil {
+				t.Fatal("AnalyzeIncremental returned neither a result nor an error")
+			}
 		}
 	})
 }
