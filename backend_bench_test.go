@@ -55,7 +55,7 @@ func cloneModules(mods []*ir.Module) []*ir.Module {
 // module: web directives, then opt.Level2, per function.
 func BenchmarkOptLevel2(b *testing.B) {
 	p := backendProgram(b)
-	eligible := eligibleMap(p.DB)
+	eligible := p.DB.EligibleSet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,7 +74,7 @@ var benchObject *parv.Object
 // allocation and emission) of every optimized module.
 func BenchmarkCodegenCompile(b *testing.B) {
 	p := backendProgram(b)
-	eligible := eligibleMap(p.DB)
+	eligible := p.DB.EligibleSet()
 	work := cloneModules(p.Modules)
 	for _, m := range work {
 		optimizeModule(m, p.DB, eligible)

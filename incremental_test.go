@@ -278,9 +278,10 @@ func TestIncrementalStateDirIsolation(t *testing.T) {
 
 // TestIncrementalBenchmarkSuite compiles a real Table 3 benchmark through
 // the incremental path and checks identity with the clean build, then a
-// whitespace-only touch of one module: the touched module recompiles, and
-// the executable bytes stay identical (the same check the CI smoke job
-// performs through the mcc CLI).
+// whitespace-only touch of one module: the touched module re-runs phase 1,
+// its record comes out byte-equal to the stored one, so its phase 2 is
+// reused, and the executable bytes stay identical (the same check the CI
+// smoke job performs through the mcc CLI).
 func TestIncrementalBenchmarkSuite(t *testing.T) {
 	ResetPhase1Cache()
 	bm, err := benchprogs.ByName("dhrystone")
@@ -307,12 +308,16 @@ func TestIncrementalBenchmarkSuite(t *testing.T) {
 	touched := append([]Source(nil), sources...)
 	touched[1] = Source{Name: touched[1].Name, Text: append([]byte(nil), touched[1].Text...)}
 	touched[1].Text = append(touched[1].Text, '\n')
-	incr2, err := Build(ctx, touched, cfg, WithBuildDir(dir))
-	if err != nil {
-		t.Fatal(err)
+	incr2 := tracedBuild(t, touched, cfg, WithBuildDir(dir))
+	if out := incr2.Incremental; out.Phase1Rebuilds != 1 || out.Phase1Unchanged != 1 || out.Phase2Rebuilds != 0 {
+		t.Errorf("touch rebuild: %d/%d with %d phase-1 records unchanged, want 1/0 with 1",
+			out.Phase1Rebuilds, out.Phase2Rebuilds, out.Phase1Unchanged)
 	}
-	if out := incr2.Incremental; out.Phase1Rebuilds != 1 || out.Phase2Rebuilds != 1 {
-		t.Errorf("touch rebuild: %d/%d, want 1/1", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	if got := incr2.Report.Counters["incremental.phase1_unchanged"]; got != 1 {
+		t.Errorf("incremental.phase1_unchanged = %d, want 1", got)
+	}
+	if ev := incr2.Report.Find("phase1-unchanged"); ev == nil || ev.Attrs["module"] != touched[1].Name {
+		t.Errorf("trace has no phase1-unchanged event for %s: %+v", touched[1].Name, ev)
 	}
 	if !bytes.Equal(canonicalExe(t, clean.Exe), canonicalExe(t, incr2.Exe)) {
 		t.Error("whitespace touch changed the executable bytes")

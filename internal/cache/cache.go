@@ -18,7 +18,7 @@
 // more than the allocations of the copies themselves.
 //
 // The same wire payload doubles as the on-disk phase-1 record of the
-// incremental build directory (WriteEntryFile / ReadEntryFile), so the
+// incremental build directory (EncodeEntry / ReadEntryFile), so the
 // in-memory cache and the persistent store never disagree about what a
 // phase-1 artifact is.
 package cache
@@ -108,17 +108,8 @@ func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	return m, ms, nil
 }
 
-// WriteEntryFile persists a phase-1 entry to the given path (the
+// ReadEntryFile loads a phase-1 entry written as EncodeEntry's bytes (the
 // incremental build directory's per-module phase-1 record).
-func WriteEntryFile(path string, m *ir.Module, ms *summary.ModuleSummary) error {
-	data, err := EncodeEntry(m, ms)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadEntryFile loads a phase-1 entry persisted by WriteEntryFile.
 func ReadEntryFile(path string) (*ir.Module, *summary.ModuleSummary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

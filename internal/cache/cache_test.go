@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -162,7 +163,11 @@ func TestLRUOrderUnderChurn(t *testing.T) {
 func TestEntryFileRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.p1")
 	m, ms := testModule("m.mc"), testSummary("m.mc")
-	if err := WriteEntryFile(path, m, ms); err != nil {
+	data, err := EncodeEntry(m, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	gm, gms, err := ReadEntryFile(path)

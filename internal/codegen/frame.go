@@ -10,7 +10,9 @@ import (
 )
 
 // Compile translates an optimized IR module into a PARV object under the
-// program database directives.
+// program database directives. It reads the directives of the module's
+// own functions and, through clobberOf, its direct callees' clobber sets:
+// exactly what pdb's phase-2 keys cover. Keep the two in step.
 func Compile(mod *ir.Module, db *pdb.Database) (*parv.Object, error) {
 	obj := &parv.Object{Module: mod.Name}
 	for _, g := range mod.Globals {

@@ -5,22 +5,26 @@
 // The paper's scheme pays for cross-module allocation with recompilation:
 // whenever the program database changes, the compiler second phase must
 // re-run. But phase 2 is module-at-a-time and order-independent, and each
-// module consumes only a small slice of the database — the directives of
-// its own procedures and of its direct callees, plus the program-wide
-// eligibility list. A build against a Store makes the edit-recompile loop
+// module reads only a small slice of the database, which pdb's phase-2
+// keys name exactly: its own procedures' directives without WebIDs, its
+// direct callees' clobber sets, and the eligibility of the globals it
+// declares. A build against a Store makes the edit-recompile loop
 // proportional to what changed:
 //
-//	hash sources            → phase-1-recompile only changed modules
+//	hash sources            → phase-1-recompile only changed modules; a
+//	                          recompiled module whose record encodes
+//	                          byte-equal to the stored one (a comment
+//	                          edit, or its revert) counts as unchanged
 //	re-run the analyzer     → always (it is whole-program), reusing the
 //	                          stored analyzer state where the edit allows
-//	diff the database       → against stored per-procedure directive hashes
-//	phase-2-recompile       → only modules whose sources or consumed
-//	                          directives changed
+//	diff the database       → against each module's stored phase-2 keys
+//	phase-2-recompile       → only modules whose phase-1 record or
+//	                          phase-2 keys changed
 //	relink                  → from stored + fresh objects
 //
 // The build driver (ipra.Build) runs those stages and asks the Store at
 // each one what it may reuse; this package owns only the directory: the
-// manifest, the artifact files, the analyzer-state binding, the directive
+// manifest, the artifact files, the analyzer-state binding, the key
 // diff, and the explanation of every decision. A build without a
 // directory runs the same stages against a nil *Store.
 //
@@ -51,14 +55,21 @@ type Action struct {
 	Module        string
 	Phase1Rebuilt bool
 	Phase1Reason  string // why phase 1 re-ran; "" when reused
-	Phase2Rebuilt bool
-	Phase2Reason  string // why phase 2 re-ran; "" when reused
+	// Phase1Unchanged marks a phase-1 re-run whose record encoded
+	// byte-equal to the stored one: the module is not dirty for the
+	// analyzer, and its phase 2 is decided by the key diff alone.
+	Phase1Unchanged bool
+	Phase2Rebuilt   bool
+	Phase2Reason    string // why phase 2 re-ran; "" when reused
 }
 
 // Outcome is the rebuild record of one build against a store.
 type Outcome struct {
 	Actions                        []Action
 	Phase1Rebuilds, Phase2Rebuilds int
+	// Phase1Unchanged counts the phase-1 rebuilds whose record came out
+	// byte-equal to the stored one.
+	Phase1Unchanged int
 	// Analyzer reports what the incremental program analyzer reused; nil
 	// when the configuration runs no analyzer.
 	Analyzer *core.ReuseStats
@@ -87,7 +98,7 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, text []byte) (*ir.Module
 			reason = "new module"
 		}
 	case prev.SourceHash != hash:
-		reason = "source changed"
+		reason = sourceChanged
 	default:
 		m, ms, err := s.loadPhase1(prev)
 		if err == nil {
@@ -103,13 +114,45 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, text []byte) (*ir.Module
 	return nil, nil, false
 }
 
-// Dirty lists the modules whose phase 1 re-ran: a sound superset of the
-// modules whose summaries changed, which is what the incremental analyzer
-// needs to know.
+// sourceChanged is the phase-1 reason of an edited module: the only one
+// whose fresh record may still be the stored one.
+const sourceChanged = "source changed"
+
+// SetPhase1 takes module i's freshly compiled phase-1 output: it encodes
+// the record Persist will write and names it by its content. When an
+// edited module's record gets the name the stored manifest holds, the
+// record is byte-equal to the stored one (a comment edit, or the revert
+// of one) and the module is phase-1-unchanged (a phase1-unchanged event
+// on the context's tracer): not dirty for the analyzer, its phase 2
+// decided by the key diff alone, and its stored record kept.
+func (s *Store) SetPhase1(ctx context.Context, i int, m *ir.Module, ms *summary.ModuleSummary) error {
+	if s == nil {
+		return nil
+	}
+	data, err := cache.EncodeEntry(m, ms)
+	if err != nil {
+		return err
+	}
+	a, next := &s.out.Actions[i], &s.next[i]
+	next.Phase1File = artifactFile("p1", a.Module, data)
+	if prev := s.prev.Modules[a.Module]; prev != nil && a.Phase1Reason == sourceChanged && prev.Phase1File == next.Phase1File {
+		a.Phase1Unchanged = true
+		ev := telemetry.Event(ctx, "phase1-unchanged")
+		ev.SetStr("module", a.Module)
+		ev.End()
+		return nil
+	}
+	s.phase1[i] = data
+	return nil
+}
+
+// Dirty lists the modules whose phase-1 record changed: a sound superset
+// of the modules whose summaries changed, which is what the incremental
+// analyzer needs to know.
 func (s *Store) Dirty() []string {
 	var dirty []string
 	for _, a := range s.out.Actions {
-		if a.Phase1Rebuilt {
+		if a.Phase1Rebuilt && !a.Phase1Unchanged {
 			dirty = append(dirty, a.Module)
 		}
 	}
@@ -137,20 +180,18 @@ func (s *Store) SetAnalyzer(ctx context.Context, state []byte, reuse *core.Reuse
 }
 
 // Diff decides phase 2 for every module: a module recompiles when its
-// phase 1 re-ran, when the program-wide eligibility list changed, or when
-// a directive it consults differs from the stored hash. Each decision the
-// diff alone discovers is recorded as an invalidate-phase2 event.
+// phase-1 record changed, or when one of its phase-2 keys (pdb.Keys)
+// differs from the stored one. Each decision the diff alone discovers is
+// recorded as an invalidate-phase2 event.
 func (s *Store) Diff(ctx context.Context, modules []*ir.Module, db *pdb.Database) {
 	if s == nil {
 		return
 	}
-	eligible := db.EligibleHash()
+	keys := pdb.NewKeys(db)
 	for i, m := range modules {
-		next := &s.next[i]
-		next.EligibleHash = eligible
-		next.Directives = directiveHashes(m, db)
-		a := &s.out.Actions[i]
-		if a.Phase1Rebuilt {
+		next, a := &s.next[i], &s.out.Actions[i]
+		next.EligibleHash, next.Directives = keys.Module(m)
+		if a.Phase1Rebuilt && !a.Phase1Unchanged {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
 			continue
 		}
@@ -184,14 +225,17 @@ func (s *Store) ReuseObject(i int) *parv.Object {
 }
 
 // Outcome tallies the build's rebuild record, adds the totals to the
-// tracer's counters (incremental.phase1_rebuilds, ..._reused, and the
-// phase-2 pair), and, when w is non-nil, writes one line per module
-// explaining why it was or wasn't rebuilt.
+// tracer's counters (incremental.phase1_rebuilds, ..._reused and
+// ..._unchanged, and the phase-2 pair), and, when w is non-nil, writes one
+// line per module explaining why it was or wasn't rebuilt.
 func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 	out := &s.out
 	for _, a := range out.Actions {
 		if a.Phase1Rebuilt {
 			out.Phase1Rebuilds++
+		}
+		if a.Phase1Unchanged {
+			out.Phase1Unchanged++
 		}
 		if a.Phase2Rebuilt {
 			out.Phase2Rebuilds++
@@ -200,6 +244,7 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 	n := int64(len(out.Actions))
 	telemetry.Count(ctx, "incremental.phase1_rebuilds", int64(out.Phase1Rebuilds))
 	telemetry.Count(ctx, "incremental.phase1_reused", n-int64(out.Phase1Rebuilds))
+	telemetry.Count(ctx, "incremental.phase1_unchanged", int64(out.Phase1Unchanged))
 	telemetry.Count(ctx, "incremental.phase2_rebuilds", int64(out.Phase2Rebuilds))
 	telemetry.Count(ctx, "incremental.phase2_reused", n-int64(out.Phase2Rebuilds))
 	if out.StateReset {
@@ -211,20 +256,13 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 	return out
 }
 
-// directiveHashes hashes every directive module m's phase 2 consults.
-func directiveHashes(m *ir.Module, db *pdb.Database) map[string]string {
-	consulted := consultedProcs(m)
-	hashes := make(map[string]string, len(consulted))
-	for _, proc := range consulted {
-		hashes[proc] = db.Lookup(proc).DirectiveHash()
-	}
-	return hashes
-}
-
-// phase2Reason says why a module whose source is unchanged must re-run
-// phase 2 under the database next was computed from ("" when its stored
-// object is still valid).
+// phase2Reason says why a module whose phase-1 record is unchanged must
+// re-run phase 2 under the keys next was computed from ("" when its
+// stored object is still valid).
 func phase2Reason(prev, next *moduleState) string {
+	if !pdb.IsPhase2Key(prev.EligibleHash) {
+		return "phase-2 keys from an older build"
+	}
 	if prev.EligibleHash != next.EligibleHash {
 		return "eligible globals changed"
 	}
@@ -253,32 +291,6 @@ func diffDirectives(prev, cur map[string]string) []string {
 	return changed
 }
 
-// consultedProcs lists every procedure whose database directives the
-// module's phase-2 compilation may read: the module's own functions (their
-// promotions and register sets) and its direct callees (their published
-// clobber sets, §7.6.2). The scan runs on the phase-1 IR, before
-// optimization; optimization only ever removes calls, so this is a sound
-// superset of what phase 2 actually consults.
-func consultedProcs(m *ir.Module) []string {
-	set := make(map[string]bool)
-	for _, f := range m.Funcs {
-		set[f.Name] = true
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if in := &b.Instrs[i]; in.Op == ir.Call && !in.IndirectCall {
-					set[in.Callee] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // explain writes the per-module rebuild record in module order, preceded
 // by a state-reset notice when stored state was discarded.
 func explain(w io.Writer, resetReason string, out *Outcome) {
@@ -292,10 +304,12 @@ func explain(w io.Writer, resetReason string, out *Outcome) {
 		return "recompiled (" + reason + ")"
 	}
 	for _, a := range out.Actions {
+		p1 := phase(a.Phase1Rebuilt, a.Phase1Reason)
+		if a.Phase1Unchanged {
+			p1 += ", record unchanged"
+		}
 		fmt.Fprintf(w, "incremental: %s: phase 1 %s; phase 2 %s\n",
-			a.Module,
-			phase(a.Phase1Rebuilt, a.Phase1Reason),
-			phase(a.Phase2Rebuilt, a.Phase2Reason))
+			a.Module, p1, phase(a.Phase2Rebuilt, a.Phase2Reason))
 	}
 	if r := out.Analyzer; r != nil {
 		if r.Fallback != "" {

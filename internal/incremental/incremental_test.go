@@ -3,6 +3,8 @@ package incremental
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -12,25 +14,28 @@ import (
 	"testing"
 	"time"
 
+	"ipra/internal/cache"
 	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
+	"ipra/internal/regs"
 	"ipra/internal/summary"
 )
 
 // The store-level tests drive a Store through the same calls the build
 // driver makes, with miniature deterministic phases over a toy source
-// format: each word of source text reads "funcname" or "funcname>callee".
-// The database is hand-built, so a test changes directives by changing
-// the promote map without touching any source.
+// format: each word of source text reads "funcname", "funcname>callee",
+// or "@global" (a global declaration). The database is hand-built, so a
+// test changes directives by changing the promote, clobber and eligible
+// options without touching any source.
 
 type toySource struct{ name, text string }
 
 func twoModules() []toySource {
 	return []toySource{
 		{"main.mc", "main>helper main>leaf"},
-		{"lib.mc", "helper>leaf leaf"},
+		{"lib.mc", "helper>leaf leaf @g"},
 	}
 }
 
@@ -39,6 +44,10 @@ func toyPhase1(src toySource) (*ir.Module, *summary.ModuleSummary) {
 	m := &ir.Module{Name: src.name}
 	ms := &summary.ModuleSummary{Module: src.name}
 	for _, word := range strings.Fields(src.text) {
+		if g, ok := strings.CutPrefix(word, "@"); ok {
+			m.Globals = append(m.Globals, &ir.Global{Name: g, Module: src.name, Size: 4, Defined: true, Scalar: true})
+			continue
+		}
 		fn, callee, _ := strings.Cut(word, ">")
 		f := &ir.Func{Name: fn, Module: src.name, Blocks: []*ir.Block{{}}}
 		if callee != "" {
@@ -51,17 +60,21 @@ func toyPhase1(src toySource) (*ir.Module, *summary.ModuleSummary) {
 }
 
 // toyDB hand-builds the program database: standard linkage everywhere,
-// except that promote[p] = r promotes global g into register r in p.
-func toyDB(sums []*summary.ModuleSummary, promote map[string]uint8, eligible []string) *pdb.Database {
+// except that promote[p] = r promotes global g into register r in p, and
+// clobber[p] = c publishes c as p's clobber set.
+func toyDB(sums []*summary.ModuleSummary, o toyOptions) *pdb.Database {
 	db := pdb.New()
-	db.EligibleGlobals = eligible
+	db.EligibleGlobals = o.eligible
 	for _, s := range sums {
 		for _, p := range s.Procs {
 			d := pdb.Standard(p.Name)
-			if r, ok := promote[p.Name]; ok {
+			if r, ok := o.promote[p.Name]; ok {
 				d.Caller = d.Caller.Remove(r)
 				d.Callee = d.Callee.Remove(r)
 				d.Promoted = []pdb.PromotedGlobal{{Name: "g", Reg: r}}
+			}
+			if c, ok := o.clobber[p.Name]; ok {
+				d.HasClobber, d.ClobberAtCalls = true, c
 			}
 			db.Procs[p.Name] = d
 		}
@@ -87,6 +100,7 @@ func toyPhase2(m *ir.Module, db *pdb.Database) *parv.Object {
 type toyOptions struct {
 	fingerprint string // toolchain fingerprint; "" means "toy/v1"
 	promote     map[string]uint8
+	clobber     map[string]regs.Set
 	eligible    []string // the database's eligibility list
 	explain     io.Writer
 	// offered, when non-nil, runs an incremental analyzer: it records the
@@ -98,6 +112,7 @@ type toyOptions struct {
 type toyResult struct {
 	out            *Outcome
 	phase1, phase2 []string // modules each phase compiled, in order
+	dirty          []string // the store's Dirty() after phase 1
 	modules        []*ir.Module
 	sums           []*summary.ModuleSummary
 	objs           []*parv.Object
@@ -129,10 +144,14 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 		if !ok {
 			m, ms = toyPhase1(src)
 			r.phase1 = append(r.phase1, src.name)
+			if err := st.SetPhase1(ctx, i, m, ms); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r.modules[i], r.sums[i] = m, ms
 	}
-	db := toyDB(r.sums, o.promote, o.eligible)
+	r.dirty = st.Dirty()
+	db := toyDB(r.sums, o)
 	if o.offered != nil {
 		prev := st.AnalyzerState()
 		*o.offered = append(*o.offered, prev)
@@ -149,7 +168,7 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 			r.phase2 = append(r.phase2, m.Name)
 		}
 	}
-	if err := st.Persist(r.modules, r.sums, r.objs); err != nil {
+	if err := st.Persist(r.objs); err != nil {
 		t.Fatal(err)
 	}
 	r.out = st.Outcome(ctx, o.explain)
@@ -182,16 +201,17 @@ func writeManifest(t *testing.T, dir string, m manifest) {
 
 // TestDirectiveChangeRecompilesConsumers is the per-module phase-2
 // decision over hand-built databases: a directive change recompiles
-// exactly the modules that consult it.
+// exactly the modules whose phase 2 reads it.
 func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 	dir := t.TempDir()
 	toyBuild(t, dir, twoModules(), toyOptions{})
 
-	// Change leaf's directives without touching any source. Both modules
-	// consult leaf (main calls it directly, lib defines it), so both must
-	// re-run phase 2 — but phase 1 must not run at all.
+	// Change leaf's clobber set without touching any source. Both modules
+	// call leaf (main directly, lib from helper), so both must re-run
+	// phase 2 — but phase 1 must not run at all.
+	clobber := map[string]regs.Set{"leaf": regs.Of(19)}
 	var buf bytes.Buffer
-	r := toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17}, explain: &buf})
+	r := toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, explain: &buf})
 	if r.out.Phase1Rebuilds != 0 || len(r.phase1) != 0 {
 		t.Errorf("phase-1 rebuilds = %d (%v), want 0", r.out.Phase1Rebuilds, r.phase1)
 	}
@@ -202,9 +222,20 @@ func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 		t.Errorf("explain output missing directive rationale:\n%s", &buf)
 	}
 
-	// Now promote only main: lib.mc never consults main's directives, so
+	// Promote in leaf: only lib.mc, which defines leaf, reads its
+	// promotions and register sets; main.mc reads only its clobber set.
+	r = toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, promote: map[string]uint8{"leaf": 17}})
+	if r.out.Phase2Rebuilds != 1 || !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) {
+		t.Errorf("rebuilds = %d (%v), want only lib.mc", r.out.Phase2Rebuilds, r.phase2)
+	}
+	if a := r.out.Actions[1]; a.Phase2Reason != "directives changed: leaf" {
+		t.Errorf("lib.mc phase-2 reason = %q", a.Phase2Reason)
+	}
+
+	// Now promote in main: lib.mc never consults main's directives, so
 	// only main.mc re-runs phase 2.
-	r = toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17, "main": 16}})
+	promote := map[string]uint8{"leaf": 17, "main": 16}
+	r = toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, promote: promote})
 	if r.out.Phase2Rebuilds != 1 || !reflect.DeepEqual(r.phase2, []string{"main.mc"}) {
 		t.Errorf("rebuilds = %d (%v), want only main.mc", r.out.Phase2Rebuilds, r.phase2)
 	}
@@ -212,15 +243,201 @@ func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 		t.Errorf("main.mc phase-2 reason = %q", a.Phase2Reason)
 	}
 
-	// A changed eligibility list recompiles every module.
-	r = toyBuild(t, dir, twoModules(), toyOptions{promote: map[string]uint8{"leaf": 17, "main": 16}, eligible: []string{"g"}})
-	if !reflect.DeepEqual(r.phase2, []string{"main.mc", "lib.mc"}) {
-		t.Errorf("eligibility change: phase 2 compiled %v, want both modules", r.phase2)
+	// g's eligibility changes: only lib.mc declares g, so only lib.mc
+	// re-runs phase 2.
+	r = toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, promote: promote, eligible: []string{"g"}})
+	if !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) {
+		t.Errorf("eligibility change: phase 2 compiled %v, want lib.mc", r.phase2)
 	}
-	for _, a := range r.out.Actions {
-		if a.Phase2Reason != "eligible globals changed" {
-			t.Errorf("%s: phase-2 reason = %q, want an eligibility invalidation", a.Module, a.Phase2Reason)
+	if a := r.out.Actions[1]; a.Phase2Reason != "eligible globals changed" {
+		t.Errorf("lib.mc phase-2 reason = %q, want an eligibility invalidation", a.Phase2Reason)
+	}
+
+	// The eligibility of a global neither module declares is read by
+	// neither.
+	r = toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, promote: promote, eligible: []string{"g", "other"}})
+	if r.out.Phase2Rebuilds != 0 {
+		t.Errorf("undeclared global's eligibility: phase 2 compiled %v, want nothing", r.phase2)
+	}
+}
+
+// TestUnchangedPhase1RecordKeepsPhase2 is the phase-1 cut-off: a source
+// edit whose phase-1 record encodes byte-equal to the stored one (here
+// extra whitespace) re-runs phase 1 only. The module is not dirty for the
+// analyzer, its phase 2 and stored record are reused, and the revert is
+// the same.
+func TestUnchangedPhase1RecordKeepsPhase2(t *testing.T) {
+	dir := t.TempDir()
+	var offered [][]byte
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	p1 := filepath.Join(dir, readManifest(t, dir).Modules["lib.mc"].Phase1File)
+	before, err := os.Stat(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := before.ModTime().Add(-time.Hour)
+	if err := os.Chtimes(p1, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	touched := twoModules()
+	touched[1].text = "helper>leaf   leaf\n@g"
+	for _, srcs := range [][]toySource{touched, twoModules()} {
+		var buf bytes.Buffer
+		r := toyBuild(t, dir, srcs, toyOptions{offered: &offered, explain: &buf})
+		if !reflect.DeepEqual(r.phase1, []string{"lib.mc"}) || r.out.Phase1Unchanged != 1 || r.out.Phase2Rebuilds != 0 {
+			t.Errorf("phase 1 compiled %v (%d unchanged), phase-2 rebuilds %d; want lib.mc, 1, 0\n%s",
+				r.phase1, r.out.Phase1Unchanged, r.out.Phase2Rebuilds, &buf)
 		}
+		if r.out.Analyzer.DirtyModules != 0 {
+			t.Errorf("analyzer saw %d dirty modules, want 0", r.out.Analyzer.DirtyModules)
+		}
+		if !strings.Contains(buf.String(), "lib.mc: phase 1 recompiled (source changed), record unchanged; phase 2 reused") {
+			t.Errorf("explain output missing the cut-off:\n%s", &buf)
+		}
+	}
+	if after, err := os.Stat(p1); err != nil || !after.ModTime().Equal(old) {
+		t.Errorf("an unchanged phase-1 record was rewritten (%v)", err)
+	}
+	if r := toyBuild(t, dir, twoModules(), toyOptions{}); r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("rebuild after the revert: %d/%d, want 0/0", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
+	}
+}
+
+// TestInterruptedPersistKeepsLiveState covers a build cut off inside
+// Persist: it has written the edited module's new artifacts but not the
+// manifest, so the live manifest still describes the build before. Re-run,
+// the edited build must see lib.mc as edited (dirty, both phases re-run)
+// and match a clean build; the previous sources must still build from the
+// previous records and objects. The same holds when lib.mc's stored record
+// file itself holds the edited record.
+func TestInterruptedPersistKeepsLiveState(t *testing.T) {
+	edited := twoModules()
+	edited[1].text = "helper>leaf leaf extra @g"
+	clean := func(srcs []toySource) toyResult { return toyBuild(t, t.TempDir(), srcs, toyOptions{}) }
+	wantSame := func(what string, got, want toyResult) {
+		t.Helper()
+		for i := range want.objs {
+			gotRec, err1 := cache.EncodeEntry(got.modules[i], got.sums[i])
+			wantRec, err2 := cache.EncodeEntry(want.modules[i], want.sums[i])
+			if err1 != nil || err2 != nil || !bytes.Equal(gotRec, wantRec) {
+				t.Errorf("%s: %s: phase-1 record differs from a clean build's (%v, %v)", what, want.modules[i].Name, err1, err2)
+			}
+			if !bytes.Equal(parv.EncodeObject(got.objs[i]), parv.EncodeObject(want.objs[i])) {
+				t.Errorf("%s: %s: object differs from a clean build's", what, want.modules[i].Name)
+			}
+		}
+	}
+	rerun := func(what, dir string) {
+		t.Helper()
+		r := toyBuild(t, dir, edited, toyOptions{})
+		if !reflect.DeepEqual(r.dirty, []string{"lib.mc"}) || !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) || r.out.Phase1Unchanged != 0 {
+			t.Errorf("%s: dirty %v, phase 2 compiled %v, %d unchanged records; want lib.mc, lib.mc, 0",
+				what, r.dirty, r.phase2, r.out.Phase1Unchanged)
+		}
+		wantSame(what, r, clean(edited))
+	}
+
+	// Persist cut off after its artifact writes: the edited build's
+	// artifacts sit beside the live manifest's.
+	interrupted := func() string {
+		dir, cut := t.TempDir(), t.TempDir()
+		toyBuild(t, dir, twoModules(), toyOptions{})
+		toyBuild(t, cut, twoModules(), toyOptions{})
+		toyBuild(t, cut, edited, toyOptions{})
+		entries, err := os.ReadDir(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if name := e.Name(); strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-") {
+				data, err := os.ReadFile(filepath.Join(cut, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return dir
+	}
+	rerun("re-run", interrupted())
+	dir := interrupted()
+	r := toyBuild(t, dir, twoModules(), toyOptions{})
+	if r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("previous sources: rebuilds %d/%d, want 0/0", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
+	}
+	wantSame("previous sources", r, clean(twoModules()))
+
+	// lib.mc's stored record file holds the edited record; the manifest
+	// still names the old one.
+	dir = t.TempDir()
+	toyBuild(t, dir, twoModules(), toyOptions{})
+	m, ms := toyPhase1(edited[1])
+	rec, err := cache.EncodeEntry(m, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, readManifest(t, dir).Modules["lib.mc"].Phase1File), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rerun("overwritten record", dir)
+}
+
+// TestParentKeyedBuildDirRebuildsPhase2Once opens a build directory whose
+// manifest has the form builds wrote before phase-2 keys: bare
+// whole-directive hashes and a bare program-wide eligibility hash. It is
+// not a state reset: phase 1 is reused, phase 2 re-runs once, and the
+// build after that rebuilds nothing.
+func TestParentKeyedBuildDirRebuildsPhase2Once(t *testing.T) {
+	dir := t.TempDir()
+	opts := toyOptions{promote: map[string]uint8{"leaf": 17}, eligible: []string{"g"}}
+	first := toyBuild(t, dir, twoModules(), opts)
+
+	bare := func(d *pdb.ProcDirectives) string {
+		sum := sha256.Sum256(d.CanonicalBytes())
+		return hex.EncodeToString(sum[:16])
+	}
+	db := toyDB(first.sums, opts)
+	stored := readManifest(t, dir)
+	type parentState struct {
+		SourceHash   string            `json:"sourceHash"`
+		Phase1File   string            `json:"phase1File"`
+		ObjectFile   string            `json:"objectFile"`
+		EligibleHash string            `json:"eligibleHash"`
+		Directives   map[string]string `json:"directives"`
+	}
+	parent := map[string]*parentState{}
+	for _, m := range first.modules {
+		ms := stored.Modules[m.Name]
+		ps := &parentState{ms.SourceHash, ms.Phase1File, ms.ObjectFile, db.EligibleHash(), map[string]string{}}
+		for name := range pdb.Consulted(m) {
+			ps.Directives[name] = bare(db.Lookup(name))
+		}
+		parent[m.Name] = ps
+	}
+	data, err := json.Marshal(map[string]any{"fingerprint": stored.Fingerprint, "modules": parent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	opts.explain = &buf
+	r := toyBuild(t, dir, twoModules(), opts)
+	if r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 2 {
+		t.Errorf("reset = %v, rebuilds = %d/%d; want no reset, phase 1 reused, phase 2 rebuilt\n%s",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
+	}
+	if !strings.Contains(buf.String(), "main.mc: phase 1 reused; phase 2 recompiled (phase-2 keys from an older build)") {
+		t.Errorf("explain output:\n%s", &buf)
+	}
+	opts.explain = nil
+	if r := toyBuild(t, dir, twoModules(), opts); r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("second build: rebuilds = %d/%d, want 0/0", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
 }
 
@@ -376,14 +593,15 @@ func TestConsultedProcs(t *testing.T) {
 				{Op: ir.Call, Callee: "g"},
 				{Op: ir.Call, IndirectCall: true, Callee: ""},
 				{Op: ir.Call, Callee: "putint"},
+				{Op: ir.Call, Callee: "f"},
 			}}}},
 			{Name: "h", Blocks: []*ir.Block{{}}},
 		},
 	}
-	got := consultedProcs(m)
-	want := []string{"f", "g", "h", "putint"}
+	got := pdb.Consulted(m)
+	want := map[string]pdb.Use{"f": pdb.UseOwn | pdb.UseCall, "g": pdb.UseCall, "h": pdb.UseOwn, "putint": pdb.UseCall}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("consultedProcs = %v, want %v", got, want)
+		t.Errorf("Consulted = %v, want %v", got, want)
 	}
 }
 

@@ -3,19 +3,26 @@
 //
 // Layout:
 //
-//	<build-dir>/manifest.json    fingerprint + per-module state (below)
-//	<build-dir>/p1-<module>.wire phase-1 record (IR module + summary, the
-//	                             cache package's entry encoding)
-//	<build-dir>/obj-<module>.wire compiled object (parv object encoding)
+//	<build-dir>/manifest.json   fingerprint + per-module state (below)
+//	<build-dir>/p1-<module>-<hash>.wire
+//	                            phase-1 record (IR module + summary, the
+//	                            cache package's entry encoding)
+//	<build-dir>/obj-<module>-<hash>.wire
+//	                            compiled object (parv object encoding)
+//
+// An artifact's name carries a hash of its module and its bytes
+// (artifactFile), so a name the manifest holds vouches for the file's
+// content, and a build never overwrites an artifact the live manifest
+// names with other bytes.
 //
 // The manifest records, per module: the phase-1 source hash, the names of
-// the two artifact files, and a hash of every program-database directive
-// the module's phase-2 compilation consumed (one per consulted procedure,
-// plus the program-wide eligibility list). Everything is guarded by a
-// fingerprint combining the store format version with the caller's
-// toolchain fingerprint; state written by a different format or toolchain
-// is rejected wholesale — stale artifacts must never survive a compiler
-// upgrade, because nothing else could tell them apart from fresh ones.
+// the two artifact files, and the module's phase-2 keys (pdb.Keys): one
+// per consulted procedure plus the eligibility key of the globals it
+// declares. Everything is guarded by a fingerprint combining the store
+// format version with the caller's toolchain fingerprint; state written by
+// a different format or toolchain is rejected wholesale — stale artifacts
+// must never survive a compiler upgrade, because nothing else could tell
+// them apart from fresh ones.
 package incremental
 
 import (
@@ -39,7 +46,13 @@ import (
 // Bump it whenever either changes shape or meaning — including the
 // encoding of any artifact the directory stores — so older directories
 // are rebuilt from scratch instead of misread. v2: artifacts moved from
-// gob to the wire format (and .gob suffixes to .wire).
+// gob to the wire format (and .gob suffixes to .wire). Two changes within
+// v2 need no bump. Artifact names gained a content hash; names are read
+// from the manifest, so older names still resolve. The key fields changed
+// meaning: bare whole-directive and program-wide eligibility hashes became
+// pdb's versioned phase-2 keys. A versioned key never equals a bare hash,
+// so such a directory keeps its phase-1 records and recompiles phase 2
+// once.
 const FormatVersion = "ipra-build/v2"
 
 const manifestName = "manifest.json"
@@ -52,9 +65,9 @@ type moduleState struct {
 	// Phase1File / ObjectFile are base names inside the build directory.
 	Phase1File string `json:"phase1File"`
 	ObjectFile string `json:"objectFile"`
-	// EligibleHash fingerprints the program-wide eligibility list the
-	// module's phase 2 consumed; Directives holds one hash per consulted
-	// procedure (the module's own functions and its direct callees).
+	// EligibleHash is the eligibility key of the globals the module
+	// declares; Directives holds one phase-2 key per consulted procedure
+	// (the module's own functions and its direct callees).
 	EligibleHash string            `json:"eligibleHash"`
 	Directives   map[string]string `json:"directives"`
 }
@@ -70,8 +83,8 @@ type manifest struct {
 // progress, one per module in source order. Open one per build.
 //
 // A nil *Store is a build without a directory: it holds nothing, so
-// ReusePhase1 and ReuseObject never reuse and Diff records nothing. The
-// other methods need a directory.
+// ReusePhase1 and ReuseObject never reuse, and SetPhase1 and Diff record
+// nothing. The other methods need a directory.
 type Store struct {
 	dir         string
 	toolchain   string // the caller's toolchain fingerprint (source hashes)
@@ -83,6 +96,7 @@ type Store struct {
 
 	out              Outcome
 	next             []moduleState // the records Persist writes
+	phase1           [][]byte      // encoded phase-1 records Persist writes
 	prevState, state []byte        // analyzer state offered / to persist
 }
 
@@ -101,6 +115,7 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 		toolchain:   toolchainFingerprint,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
 		next:        make([]moduleState, len(modules)),
+		phase1:      make([][]byte, len(modules)),
 		out:         Outcome{Actions: make([]Action, len(modules))},
 	}
 	for i, name := range modules {
@@ -132,10 +147,11 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	return s, nil
 }
 
-// artifactFile derives the stable artifact base name for a module. The
-// sanitized module name keeps the directory browsable; the name-hash
-// suffix keeps distinct modules from colliding after sanitization.
-func artifactFile(prefix, module string) string {
+// artifactFile names a module's artifact by its content. The sanitized
+// module name keeps the directory browsable; the hash of module name and
+// bytes keeps distinct modules apart after sanitization and makes equal
+// names mean equal bytes.
+func artifactFile(prefix, module string, data []byte) string {
 	sanitized := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
@@ -144,8 +160,11 @@ func artifactFile(prefix, module string) string {
 			return '_'
 		}
 	}, module)
-	suffix := cache.SourceKey(module, nil, "artifact-name").Hex()[:8]
-	return prefix + "-" + sanitized + "-" + suffix + ".wire"
+	h := sha256.New()
+	io.WriteString(h, module)
+	h.Write([]byte{0})
+	h.Write(data)
+	return prefix + "-" + sanitized + "-" + hex.EncodeToString(h.Sum(nil)[:16]) + ".wire"
 }
 
 // path resolves a manifest-recorded base name inside the build directory,
@@ -176,16 +195,13 @@ func (s *Store) loadObject(ms *moduleState) (*parv.Object, error) {
 	return parv.ReadObjectFile(p)
 }
 
-// writePhase1 persists a phase-1 record and returns its base name.
-func (s *Store) writePhase1(module string, m *ir.Module, sum *summary.ModuleSummary) (string, error) {
-	base := artifactFile("p1", module)
-	return base, cache.WriteEntryFile(filepath.Join(s.dir, base), m, sum)
-}
-
-// writeObject persists an object file and returns its base name.
-func (s *Store) writeObject(module string, o *parv.Object) (string, error) {
-	base := artifactFile("obj", module)
-	return base, parv.WriteObjectFile(filepath.Join(s.dir, base), o)
+// writeArtifact writes an artifact under the base name artifactFile gave
+// it.
+func (s *Store) writeArtifact(base string, data []byte) error {
+	if err := os.WriteFile(filepath.Join(s.dir, base), data, 0o644); err != nil {
+		return fmt.Errorf("incremental: %w", err)
+	}
+	return nil
 }
 
 // analyzerStateName is the persisted analyzer state file. Its content is
@@ -258,25 +274,31 @@ func (s *Store) saveAnalyzerState(next manifest) error {
 }
 
 // Persist writes the build's new state: fresh artifacts for the modules
-// whose phases re-ran, carried-over records for the rest, then the
-// manifest (atomically; unreferenced artifacts are pruned) and the
-// analyzer state bound to it. Until the manifest is replaced the previous
-// state stays in force, so a build that fails never poisons later ones.
-func (s *Store) Persist(modules []*ir.Module, sums []*summary.ModuleSummary, objs []*parv.Object) error {
+// whose phase-1 record or object changed (the records SetPhase1 encoded),
+// carried-over records for the rest, then the manifest (atomically;
+// unreferenced artifacts are pruned) and the analyzer state bound to it.
+// Until the manifest is replaced the previous state stays in force, and
+// the artifacts it names keep their bytes, so a build that fails or is
+// interrupted never poisons later ones.
+func (s *Store) Persist(objs []*parv.Object) error {
 	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
 	for i := range s.next {
 		ms, a := &s.next[i], s.out.Actions[i]
 		prev := s.prev.Modules[a.Module]
-		var err error
-		if a.Phase1Rebuilt {
-			if ms.Phase1File, err = s.writePhase1(a.Module, modules[i], sums[i]); err != nil {
+		switch {
+		case !a.Phase1Rebuilt:
+			ms.Phase1File = prev.Phase1File
+		case ms.Phase1File == "":
+			return fmt.Errorf("incremental: %s: phase 1 re-ran without SetPhase1", a.Module)
+		case s.phase1[i] != nil:
+			if err := s.writeArtifact(ms.Phase1File, s.phase1[i]); err != nil {
 				return err
 			}
-		} else {
-			ms.Phase1File = prev.Phase1File
 		}
 		if a.Phase2Rebuilt {
-			if ms.ObjectFile, err = s.writeObject(a.Module, objs[i]); err != nil {
+			data := parv.EncodeObject(objs[i])
+			ms.ObjectFile = artifactFile("obj", a.Module, data)
+			if err := s.writeArtifact(ms.ObjectFile, data); err != nil {
 				return err
 			}
 		} else {

@@ -1,0 +1,141 @@
+package pdb
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"strings"
+
+	"ipra/internal/ir"
+	"ipra/internal/regs"
+)
+
+// Phase-2 keys: what one module's compiler second phase reads of the
+// database, and nothing more. Phase 2 (ipra's optimizeModule, then
+// codegen.Compile) reads:
+//
+//   - of each procedure the module defines: the promotion list, each
+//     entry's Name, Reg, IsEntry and NeedStore, in list order; the FREE,
+//     CALLER, CALLEE and MSPILL sets; and IsClusterRoot;
+//   - of each procedure the module calls directly: HasClobber and, when it
+//     is set, ClobberAtCalls (codegen's clobberOf);
+//   - the eligibility of each global the module declares. Module.Globals
+//     lists every global, defined or extern, that the module's code can
+//     name, and the optimizer reads eligibility only of named globals.
+//
+// It never reads a promotion's WebID (a program-wide sequence number that
+// one web more or fewer renumbers), a directive's Name, or anything of a
+// procedure the module neither defines nor calls. A module's key is one
+// Phase2Key per procedure Consulted names plus its eligibility key; equal
+// keys under two databases mean byte-identical objects.
+// TestPhase2KeySoundness checks that differentially, and fails when phase
+// 2 starts reading something the keys omit: change the keys with the
+// reads.
+//
+// Every key starts with keyVersion, so no hash a build directory stored
+// before these keys existed compares equal to one (IsPhase2Key tells
+// them apart).
+
+// Use says which of a procedure's directives one module's phase 2 reads.
+type Use uint8
+
+const (
+	// UseOwn: the module defines the procedure.
+	UseOwn Use = 1 << iota
+	// UseCall: the module calls the procedure directly.
+	UseCall
+)
+
+const keyVersion = "k1:"
+
+// Consulted returns every procedure whose directives module m's phase 2
+// may read, and how. The scan runs on the phase-1 IR, before
+// optimization; optimization only ever removes calls, so this is a sound
+// superset of what phase 2 actually reads.
+func Consulted(m *ir.Module) map[string]Use {
+	uses := make(map[string]Use)
+	for _, f := range m.Funcs {
+		uses[f.Name] |= UseOwn
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				if in := &b.Instrs[i]; in.Op == ir.Call && !in.IndirectCall {
+					uses[in.Callee] |= UseCall
+				}
+			}
+		}
+	}
+	return uses
+}
+
+// Phase2Key returns the key of what a module's phase 2 reads of d under
+// use u, hashed from a fixed binary layout that starts with u.
+func (d *ProcDirectives) Phase2Key(u Use) string {
+	var buf [128]byte
+	b := append(buf[:0], byte(u))
+	if u&UseOwn != 0 {
+		b = binary.AppendUvarint(b, uint64(len(d.Promoted)))
+		for _, p := range d.Promoted {
+			b = binary.AppendUvarint(b, uint64(len(p.Name)))
+			b = append(b, p.Name...)
+			b = append(b, p.Reg, bit(p.IsEntry)|bit(p.NeedStore)<<1)
+		}
+		for _, s := range [...]regs.Set{d.Free, d.Caller, d.Callee, d.MSpill} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(s))
+		}
+		b = append(b, bit(d.IsClusterRoot))
+	}
+	if u&UseCall != 0 {
+		b = append(b, bit(d.HasClobber))
+		if d.HasClobber {
+			b = binary.LittleEndian.AppendUint32(b, uint32(d.ClobberAtCalls))
+		}
+	}
+	sum := sha256.Sum256(b)
+	return keyVersion + hex.EncodeToString(sum[:16])
+}
+
+// IsPhase2Key reports whether key was computed by this package's phase-2
+// keys, rather than stored by a build directory from before them.
+func IsPhase2Key(key string) bool { return strings.HasPrefix(key, keyVersion) }
+
+// Keys computes phase-2 keys under one database.
+type Keys struct {
+	db       *Database
+	eligible map[string]bool
+}
+
+// NewKeys returns the key computer for db.
+func NewKeys(db *Database) *Keys {
+	return &Keys{db: db, eligible: db.EligibleSet()}
+}
+
+// Eligibility returns the key of the eligibility of the declared globals,
+// in declaration order.
+func (k *Keys) Eligibility(globals []*ir.Global) string {
+	h := sha256.New()
+	var buf [64]byte
+	for _, g := range globals {
+		b := binary.AppendUvarint(buf[:0], uint64(len(g.Name)))
+		b = append(b, g.Name...)
+		h.Write(append(b, bit(k.eligible[g.Name])))
+	}
+	return keyVersion + hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// Module returns module m's whole key: its eligibility key and one key
+// per consulted procedure.
+func (k *Keys) Module(m *ir.Module) (eligibility string, procs map[string]string) {
+	consulted := Consulted(m)
+	procs = make(map[string]string, len(consulted))
+	for name, u := range consulted {
+		procs[name] = k.db.Lookup(name).Phase2Key(u)
+	}
+	return k.Eligibility(m.Globals), procs
+}
+
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}

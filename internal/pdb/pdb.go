@@ -134,7 +134,8 @@ func promotedLess(a, b *PromotedGlobal) bool {
 
 // SortPromoted puts a promotion list into the canonical order
 // CanonicalBytes serializes in. Producers that sort at construction time
-// let every later hash of the directives skip its defensive copy-and-sort.
+// let every later encoding of the directives skip its defensive
+// copy-and-sort.
 func SortPromoted(ps []PromotedGlobal) {
 	// Insertion sort: promotion lists hold at most a handful of entries
 	// (bounded by the callee-saves set), and sort.Slice's reflection-based
@@ -150,8 +151,7 @@ func SortPromoted(ps []PromotedGlobal) {
 // JSON encoding with the Promoted list in canonical order. Two
 // semantically identical directive sets always produce the same bytes, no
 // matter what order the analyzer emitted the promotions in, so the bytes
-// (and DirectiveHash over them) are safe to persist and compare across
-// builds.
+// (and Hash over them) are safe to persist and compare across builds.
 func (d *ProcDirectives) CanonicalBytes() []byte {
 	cp := *d
 	if len(d.Promoted) > 1 && !sort.SliceIsSorted(d.Promoted, func(i, j int) bool {
@@ -169,18 +169,8 @@ func (d *ProcDirectives) CanonicalBytes() []byte {
 	return data
 }
 
-// DirectiveHash fingerprints the directives a procedure's phase-2
-// compilation consumes. The incremental driver stores one hash per
-// consulted procedure and recompiles a module only when one of them
-// changes.
-func (d *ProcDirectives) DirectiveHash() string {
-	sum := sha256.Sum256(d.CanonicalBytes())
-	return hex.EncodeToString(sum[:16])
-}
-
 // EligibleHash fingerprints the program-wide intraprocedural promotion
-// eligibility list, which phase 2 consults for every function of every
-// module (order-insensitive).
+// eligibility list (order-insensitive), as part of Hash.
 func (db *Database) EligibleHash() string {
 	sorted := append([]string(nil), db.EligibleGlobals...)
 	sort.Strings(sorted)
@@ -191,9 +181,23 @@ func (db *Database) EligibleHash() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// EligibleSet returns the eligibility list as the lookup set the
+// optimizer and Keys consume.
+func (db *Database) EligibleSet() map[string]bool {
+	set := make(map[string]bool, len(db.EligibleGlobals))
+	for _, g := range db.EligibleGlobals {
+		set[g] = true
+	}
+	return set
+}
+
 // Hash fingerprints the whole database: every procedure's canonical
-// directives plus the eligibility list. Two databases hash equal iff phase
-// 2 would behave identically under them.
+// directives, WebIDs included, plus the eligibility list. It is the
+// database's content identity (the daemon's directive hash, the profile
+// aggregator's stale-record guard, analyzer equality tests). Equal hashes
+// imply identical phase-2 output, but not conversely: phase 2 reads far
+// less than the whole database, and the build directory keys each module
+// on exactly that (Keys).
 func (db *Database) Hash() string {
 	names := make([]string, 0, len(db.Procs))
 	for name := range db.Procs {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ipra/internal/ir"
 	"ipra/internal/regs"
 )
 
@@ -58,6 +59,8 @@ func TestValidateCatchesOverlaps(t *testing.T) {
 	}
 }
 
+// TestDirectiveHashStability pins the canonical encoding Database.Hash is
+// taken over: promotion order does not matter, and every field does.
 func TestDirectiveHashStability(t *testing.T) {
 	mk := func() *ProcDirectives {
 		return &ProcDirectives{
@@ -71,35 +74,165 @@ func TestDirectiveHashStability(t *testing.T) {
 			},
 		}
 	}
+	canon := func(d *ProcDirectives) string { return string(d.CanonicalBytes()) }
 	d := mk()
-	if d.DirectiveHash() != mk().DirectiveHash() {
-		t.Error("identical directives must hash identically")
+	if canon(d) != canon(mk()) {
+		t.Error("identical directives must encode identically")
 	}
 
 	// Promotion order must not matter: the canonical form sorts by name.
 	swapped := mk()
 	swapped.Promoted[0], swapped.Promoted[1] = swapped.Promoted[1], swapped.Promoted[0]
-	if swapped.DirectiveHash() != d.DirectiveHash() {
-		t.Error("promotion order changed the hash")
+	if canon(swapped) != canon(d) {
+		t.Error("promotion order changed the encoding")
 	}
 	if swapped.Promoted[0].Name != "a" {
 		t.Error("canonicalization must not reorder the caller's slice")
 	}
 
-	// Every semantic change must change the hash.
+	// Every change must change the encoding, WebID included.
 	for name, mut := range map[string]func(*ProcDirectives){
 		"free set":      func(d *ProcDirectives) { d.Free = regs.Of(9) },
 		"caller set":    func(d *ProcDirectives) { d.Caller = regs.Of(19) },
 		"mspill set":    func(d *ProcDirectives) { d.MSpill = regs.Of(10) },
 		"promotion reg": func(d *ProcDirectives) { d.Promoted[0].Reg = 15 },
 		"need store":    func(d *ProcDirectives) { d.Promoted[1].NeedStore = true },
+		"web id":        func(d *ProcDirectives) { d.Promoted[1].WebID = 3 },
 		"cluster root":  func(d *ProcDirectives) { d.IsClusterRoot = true },
 		"clobber":       func(d *ProcDirectives) { d.HasClobber = true; d.ClobberAtCalls = regs.Of(19) },
 	} {
 		c := mk()
 		mut(c)
-		if c.DirectiveHash() == d.DirectiveHash() {
-			t.Errorf("%s change did not change the hash", name)
+		if canon(c) == canon(d) {
+			t.Errorf("%s change did not change the encoding", name)
+		}
+	}
+}
+
+// TestPhase2Key pins what the phase-2 keys cover: renumbering every web
+// changes no key, and every field phase 2 reads changes the key of the
+// use that reads it.
+func TestPhase2Key(t *testing.T) {
+	mk := func() *Database {
+		db := New()
+		db.EligibleGlobals = []string{"a", "g"}
+		db.Procs["f"] = &ProcDirectives{
+			Name:   "f",
+			Free:   regs.Of(8),
+			Caller: regs.Of(19, 20),
+			Callee: regs.Of(3),
+			MSpill: regs.Of(10),
+			Promoted: []PromotedGlobal{
+				{Name: "a", Reg: 16, WebID: 2},
+				{Name: "g", Reg: 17, IsEntry: true, NeedStore: true, WebID: 4},
+			},
+			HasClobber:     true,
+			ClobberAtCalls: regs.Of(19, 20, 21),
+		}
+		return db
+	}
+	globals := []*ir.Global{{Name: "a"}, {Name: "b"}, {Name: "g"}}
+	uses := []Use{UseOwn, UseCall, UseOwn | UseCall}
+	type key struct {
+		procs       [3]string
+		eligibility string
+	}
+	keyOf := func(db *Database) key {
+		var out key
+		for i, u := range uses {
+			out.procs[i] = db.Lookup("f").Phase2Key(u)
+		}
+		out.eligibility = NewKeys(db).Eligibility(globals)
+		return out
+	}
+	base := keyOf(mk())
+	for i := range uses {
+		if !IsPhase2Key(base.procs[i]) {
+			t.Errorf("IsPhase2Key(%q) = false", base.procs[i])
+		}
+		for j := range uses {
+			if i != j && base.procs[i] == base.procs[j] {
+				t.Errorf("keys of uses %d and %d are equal", uses[i], uses[j])
+			}
+		}
+	}
+	if !IsPhase2Key(base.eligibility) {
+		t.Errorf("IsPhase2Key(%q) = false", base.eligibility)
+	}
+	if IsPhase2Key("0123456789abcdef0123456789abcdef") {
+		t.Error("a bare hash parses as a phase-2 key")
+	}
+
+	// Fields phase 2 never reads: no key moves.
+	for name, mut := range map[string]func(*Database){
+		"web ids renumbered": func(db *Database) {
+			for i := range db.Procs["f"].Promoted {
+				db.Procs["f"].Promoted[i].WebID += 100
+			}
+		},
+		"undeclared global eligible": func(db *Database) { db.EligibleGlobals = append(db.EligibleGlobals, "zz") },
+		"unrelated procedure":        func(db *Database) { db.Procs["h"] = Standard("h") },
+	} {
+		db := mk()
+		mut(db)
+		if keyOf(db) != base {
+			t.Errorf("%s changed a key", name)
+		}
+	}
+	// ClobberAtCalls is read only when HasClobber is set.
+	unset, other := mk(), mk()
+	unset.Procs["f"].HasClobber, other.Procs["f"].HasClobber = false, false
+	other.Procs["f"].ClobberAtCalls = regs.Of(4)
+	if keyOf(unset) != keyOf(other) {
+		t.Error("ClobberAtCalls moved a key although HasClobber is unset")
+	}
+
+	// Fields phase 2 reads: the key of every use that reads them moves,
+	// and no other.
+	own, call := []bool{true, false, true}, []bool{false, true, true}
+	for _, c := range []struct {
+		name  string
+		reads []bool // per use in uses
+		mut   func(*ProcDirectives)
+	}{
+		{"promotion reg", own, func(d *ProcDirectives) { d.Promoted[0].Reg = 15 }},
+		{"promotion name", own, func(d *ProcDirectives) { d.Promoted[0].Name = "b" }},
+		{"promotion order", own, func(d *ProcDirectives) { d.Promoted[0], d.Promoted[1] = d.Promoted[1], d.Promoted[0] }},
+		{"promotion dropped", own, func(d *ProcDirectives) { d.Promoted = d.Promoted[:1] }},
+		{"is entry", own, func(d *ProcDirectives) { d.Promoted[0].IsEntry = true }},
+		{"need store", own, func(d *ProcDirectives) { d.Promoted[1].NeedStore = false }},
+		{"free set", own, func(d *ProcDirectives) { d.Free = regs.Of(9) }},
+		{"caller set", own, func(d *ProcDirectives) { d.Caller = regs.Of(19) }},
+		{"callee set", own, func(d *ProcDirectives) { d.Callee = regs.Of(4) }},
+		{"mspill set", own, func(d *ProcDirectives) { d.MSpill = regs.Of(11) }},
+		{"cluster root", own, func(d *ProcDirectives) { d.IsClusterRoot = true }},
+		{"has clobber", call, func(d *ProcDirectives) { d.HasClobber = false }},
+		{"clobber set", call, func(d *ProcDirectives) { d.ClobberAtCalls = regs.Of(19) }},
+	} {
+		db := mk()
+		c.mut(db.Procs["f"])
+		got := keyOf(db)
+		for i, u := range uses {
+			if moved := got.procs[i] != base.procs[i]; moved != c.reads[i] {
+				t.Errorf("%s: key of use %d moved = %v, want %v", c.name, u, moved, c.reads[i])
+			}
+		}
+		if got.eligibility != base.eligibility {
+			t.Errorf("%s: eligibility key moved", c.name)
+		}
+	}
+
+	// Eligibility of a declared global moves the eligibility key only.
+	for name, eligible := range map[string][]string{
+		"declared global becomes eligible":   {"a", "b", "g"},
+		"declared global becomes ineligible": {"a"},
+	} {
+		db := mk()
+		db.EligibleGlobals = eligible
+		got := keyOf(db)
+		if got.eligibility == base.eligibility || got.procs != base.procs {
+			t.Errorf("%s: eligibility key moved = %v, procedure keys moved = %v", name,
+				got.eligibility != base.eligibility, got.procs != base.procs)
 		}
 	}
 }

@@ -34,8 +34,8 @@
 //     a least-fixpoint clobber closure proves ClobberAtCalls (§7.6.2)
 //     over-approximates everything a call may actually destroy.
 //   - hashes: the directives phase 2 consumes are byte-stable — the
-//     canonical encoding is a decode fixpoint, DirectiveHash is
-//     insensitive to promotion order, and the database and call graph
+//     canonical encoding is a decode fixpoint and is insensitive to
+//     promotion order, and the database and call graph
 //     agree on exactly which procedures are compiled.
 package verify
 
@@ -155,8 +155,9 @@ func (c *checker) checkDatabase() {
 		case nd.Rec == nil:
 			c.violate(ClassHashes, name, "directives for an external (uncompiled) procedure")
 		}
-		// The canonical encoding must be a decode fixpoint: phase 2 and the
-		// incremental driver may re-serialize what they read.
+		// The canonical encoding must be a decode fixpoint: the database
+		// travels as JSON (ipra-analyze -o, mcc -phase2 -pdb), and
+		// Database.Hash is taken over the encoding.
 		b := d.CanonicalBytes()
 		var rt pdb.ProcDirectives
 		if err := json.Unmarshal(b, &rt); err != nil {
@@ -164,16 +165,16 @@ func (c *checker) checkDatabase() {
 		} else if !bytes.Equal(rt.CanonicalBytes(), b) {
 			c.violate(ClassHashes, name, "canonical encoding is not a decode fixpoint")
 		}
-		// DirectiveHash must not depend on the order the analyzer emitted
-		// the promotions in.
+		// The canonical encoding must not depend on the order the analyzer
+		// emitted the promotions in.
 		if len(d.Promoted) > 1 {
 			perm := *d
 			perm.Promoted = make([]pdb.PromotedGlobal, len(d.Promoted))
 			for i, p := range d.Promoted {
 				perm.Promoted[len(d.Promoted)-1-i] = p
 			}
-			if perm.DirectiveHash() != d.DirectiveHash() {
-				c.violate(ClassHashes, name, "DirectiveHash depends on promotion order")
+			if !bytes.Equal(perm.CanonicalBytes(), b) {
+				c.violate(ClassHashes, name, "canonical encoding depends on promotion order")
 			}
 		}
 	}

@@ -284,12 +284,11 @@ func Phase1(src Source) (*ir.Module, error) {
 // Phase2 runs the compiler second phase on one module: apply the program
 // database's directives, optimize, and generate code — the per-module
 // step of every Build. It never mutates m; everything runs on a scratch
-// clone. The output is a pure function of the module IR, the directives
-// of its own procedures and direct callees, and the eligibility set: the
-// property that lets phase 2 run module-at-a-time in any order (§4.3) and
-// that the build directory's directive-diff invalidation relies on.
+// clone. The output is a pure function of the module IR and of what pdb's
+// phase-2 keys cover: the property that lets phase 2 run module-at-a-time
+// in any order (§4.3) and that the build directory's key diff relies on.
 func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
-	return phase2Module(context.Background(), m, db, eligibleMap(db))
+	return phase2Module(context.Background(), m, db, db.EligibleSet())
 }
 
 // Summaries produces the summary file contents for each module, fanning
@@ -442,7 +441,7 @@ func WithAggregatedProfile(p *parv.Profile) BuildOption {
 // WithBuildDir makes the build incremental against a persistent build
 // directory (created if missing): phase 1 re-runs only for modules whose
 // source changed, the analyzer always re-runs, and phase 2 re-runs only
-// for modules whose source or consumed directives changed. The output is
+// for modules whose phase-1 record or phase-2 keys changed. The output is
 // byte-identical to a from-scratch Build; the rebuild record lands in
 // BuildResult.Incremental. Profile-guided builds keep their training pass
 // in a "train" subdirectory so repeat builds skip it too. An empty dir
@@ -615,11 +614,11 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 //
 // The configuration needs no fingerprint of its own in the build state:
 // nothing in Config reaches phase 1, and phase 2 sees the configuration
-// only through the program database, whose directives are diffed
-// directly. Switching configurations — or allocation strategies, which
-// participate in the analyzer's own options hash — over one build
-// directory therefore rebuilds exactly the modules whose directives the
-// switch changes.
+// only through the program database, of which each module's phase-2 keys
+// cover everything phase 2 reads. Switching configurations — or
+// allocation strategies, which participate in the analyzer's own options
+// hash — over one build directory therefore rebuilds exactly the modules
+// whose keys the switch changes.
 func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
 	ctx, span := telemetry.StartSpan(ctx, "incremental")
 	defer span.End()
@@ -660,6 +659,9 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 			if m, ms, err = phase1Module(ctx, sources[i], cfg); err != nil {
 				return fmt.Errorf("%s: %w", sources[i].Name, err)
 			}
+			if err := st.SetPhase1(ctx, i, m, ms); err != nil {
+				return fmt.Errorf("%s: %w", sources[i].Name, err)
+			}
 		}
 		p.Modules[i], p.Summaries[i] = m, ms
 		return nil
@@ -674,14 +676,14 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 		return nil, nil, err
 	}
 
-	// ---- Directive diff: decide phase 2 per module.
+	// ---- Key diff: decide phase 2 per module.
 	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
 	st.Diff(dctx, p.Modules, p.DB)
 	diffSpan.End()
 
 	// ---- Compiler second phase for every module the store cannot serve
 	// (order-independent; the program database is shared read-only).
-	eligible := eligibleMap(p.DB)
+	eligible := p.DB.EligibleSet()
 	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
 	err = pipeline.ForEachCtx(p2ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
 		if p.Objects[i] = st.ReuseObject(i); p.Objects[i] != nil {
@@ -709,7 +711,7 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 		return p, nil, nil
 	}
 	_, persistSpan := telemetry.StartSpan(ctx, "persist")
-	err = st.Persist(p.Modules, p.Summaries, p.Objects)
+	err = st.Persist(p.Objects)
 	persistSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -757,16 +759,6 @@ func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store)
 	return nil
 }
 
-// eligibleMap converts the database's eligibility list into the lookup set
-// the optimizer consumes.
-func eligibleMap(db *pdb.Database) map[string]bool {
-	eligible := make(map[string]bool, len(db.EligibleGlobals))
-	for _, g := range db.EligibleGlobals {
-		eligible[g] = true
-	}
-	return eligible
-}
-
 // phase2Module is Phase2 under a "module" span, with the database's
 // eligibility set computed once per build rather than once per module.
 func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
@@ -783,7 +775,8 @@ func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible 
 }
 
 // optimizeModule applies the database's web directives to every function
-// of m and runs the level-2 optimizer over it, in place.
+// of m and runs the level-2 optimizer over it, in place. What it reads of
+// the database is part of pdb's phase-2 keys; keep the two in step.
 func optimizeModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) {
 	for _, f := range m.Funcs {
 		dir := db.Lookup(f.Name)

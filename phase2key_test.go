@@ -1,0 +1,216 @@
+package ipra
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ipra/internal/benchprogs"
+	"ipra/internal/ir"
+	"ipra/internal/parv"
+	"ipra/internal/pdb"
+	"ipra/internal/progen"
+)
+
+// keyFamily is one list of phase-1 modules and several databases to
+// compile it under.
+type keyFamily struct {
+	name    string
+	modules []*ir.Module
+	dbs     []*pdb.Database
+}
+
+// keyFamilies builds the database pairs TestPhase2KeySoundness compares,
+// under L2 and A–F: each generated program before and after one edit of
+// every kind (the edited modules compiled under both databases), and each
+// benchmark program under every configuration.
+func keyFamilies(t *testing.T) []keyFamily {
+	t.Helper()
+	build := func(sources []Source, cfg Config, trainInstrs uint64) *BuildResult {
+		t.Helper()
+		var opts []BuildOption
+		if cfg.WantProfile {
+			opts = append(opts, WithProfile(trainInstrs))
+		}
+		res, err := Build(context.Background(), sources, cfg, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		return res
+	}
+	var fams []keyFamily
+	for _, seed := range []int64{11, 12, 13} {
+		pcfg := analyzerEditConfig()
+		pcfg.Seed = seed
+		base := progen.Generate(pcfg)
+		for _, cfg := range determinismConfigs() {
+			before := build(progenSources(base), cfg, 5_000_000)
+			for i, kind := range progen.EditKinds() {
+				edited, desc := progen.Mutate(pcfg, base, seed*100+int64(i), kind)
+				after := build(progenSources(edited), cfg, 5_000_000)
+				fams = append(fams, keyFamily{
+					name:    fmt.Sprintf("progen%d/%s/%s", seed, cfg.Name, desc),
+					modules: after.Modules,
+					dbs:     []*pdb.Database{before.DB, after.DB},
+				})
+			}
+		}
+	}
+	for _, b := range benchprogs.All() {
+		fam := keyFamily{name: b.Name}
+		for _, cfg := range determinismConfigs() {
+			res := build(benchSources(t, b), cfg, b.MaxInstrs)
+			fam.modules = res.Modules
+			fam.dbs = append(fam.dbs, res.DB)
+		}
+		fams = append(fams, fam)
+	}
+	return fams
+}
+
+// keyTwin returns a database that agrees with db on everything module m's
+// phase-2 key covers and rewrites everything else: every WebID and Name;
+// the directives of procedures m neither defines nor calls (including
+// procedures db has none for); everything but the clobber contract of
+// procedures m only calls; the clobber contract of procedures m only
+// defines, and ClobberAtCalls wherever HasClobber is unset; and the
+// eligibility of every global m does not declare. procs and globals name
+// every procedure and global of the program.
+func keyTwin(db *pdb.Database, m *ir.Module, procs, globals []string) *pdb.Database {
+	uses := pdb.Consulted(m)
+	twin := pdb.New()
+	for _, name := range procs {
+		u := uses[name]
+		src, ok := db.Procs[name]
+		if !ok {
+			if u != 0 {
+				continue // the standard fallback, either way
+			}
+			src = pdb.Standard(name)
+		}
+		d := *src
+		d.Name = name + "'"
+		d.Promoted = append([]pdb.PromotedGlobal(nil), src.Promoted...)
+		for i := range d.Promoted {
+			d.Promoted[i].WebID = 1000 - d.Promoted[i].WebID
+		}
+		if u&pdb.UseOwn == 0 {
+			d.Promoted = append(d.Promoted, pdb.PromotedGlobal{Name: globals[0], Reg: 18, IsEntry: true, NeedStore: true})
+			d.Free, d.Caller, d.Callee, d.MSpill = d.MSpill, d.Free, d.Caller, d.Callee
+			d.IsClusterRoot = !d.IsClusterRoot
+		}
+		if u&pdb.UseCall == 0 {
+			d.HasClobber = !d.HasClobber
+		}
+		if u&pdb.UseCall == 0 || !d.HasClobber {
+			d.ClobberAtCalls ^= 0x0007fff8
+		}
+		twin.Procs[name] = &d
+	}
+	declared := make(map[string]bool, len(m.Globals))
+	for _, g := range m.Globals {
+		declared[g.Name] = true
+	}
+	eligible := db.EligibleSet()
+	for _, g := range globals {
+		if eligible[g] != !declared[g] {
+			twin.EligibleGlobals = append(twin.EligibleGlobals, g)
+		}
+	}
+	return twin
+}
+
+// TestPhase2KeySoundness is the differential behind pdb's phase-2 keys:
+// whenever a module's key is equal under two databases, Phase2 produces
+// byte-identical objects under both. Besides the database pairs
+// keyFamilies builds, every database is compared against its keyTwin for
+// every module, whose key must be equal: the test fails as soon as phase 2
+// reads something the keys omit.
+func TestPhase2KeySoundness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-build differential matrix")
+	}
+	type moduleKey struct {
+		eligibility string
+		procs       map[string]string
+	}
+	keyOf := func(m *ir.Module, db *pdb.Database) moduleKey {
+		e, p := pdb.NewKeys(db).Module(m)
+		return moduleKey{e, p}
+	}
+	compile := func(m *ir.Module, db *pdb.Database) []byte {
+		t.Helper()
+		obj, err := Phase2(m, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parv.EncodeObject(obj)
+	}
+	var sameKey, sameKeyDiffDB, diffKey, twins int
+	for _, fam := range keyFamilies(t) {
+		procSet, globalSet := map[string]bool{}, map[string]bool{}
+		for _, m := range fam.modules {
+			for _, f := range m.Funcs {
+				procSet[f.Name] = true
+			}
+			for _, g := range m.Globals {
+				globalSet[g.Name] = true
+			}
+		}
+		for _, db := range fam.dbs {
+			for _, d := range db.Procs {
+				procSet[d.Name] = true
+			}
+		}
+		procs, globals := sortedKeys(procSet), append(sortedKeys(globalSet), "unnamed'")
+
+		for _, m := range fam.modules {
+			objs := make([][]byte, len(fam.dbs))
+			keys := make([]moduleKey, len(fam.dbs))
+			for i, db := range fam.dbs {
+				objs[i], keys[i] = compile(m, db), keyOf(m, db)
+				twin := keyTwin(db, m, procs, globals)
+				if !reflect.DeepEqual(keyOf(m, twin), keys[i]) {
+					t.Fatalf("%s/%s: the twin of database %d has a different key", fam.name, m.Name, i)
+				}
+				if !bytes.Equal(compile(m, twin), objs[i]) {
+					t.Errorf("%s/%s: database %d and its twin have equal keys but compile differently: phase 2 reads something the keys omit",
+						fam.name, m.Name, i)
+				}
+				twins++
+			}
+			for i := range fam.dbs {
+				for j := i + 1; j < len(fam.dbs); j++ {
+					if !reflect.DeepEqual(keys[i], keys[j]) {
+						diffKey++
+						continue
+					}
+					sameKey++
+					if fam.dbs[i].Hash() != fam.dbs[j].Hash() {
+						sameKeyDiffDB++
+					}
+					if !bytes.Equal(objs[i], objs[j]) {
+						t.Errorf("%s/%s: databases %d and %d have equal keys but compile differently", fam.name, m.Name, i, j)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d equal-key pairs (%d of them under different databases), %d different-key pairs, %d twins",
+		sameKey, sameKeyDiffDB, diffKey, twins)
+	if sameKeyDiffDB == 0 || diffKey == 0 {
+		t.Error("the database pairs never exercise the key: no equal key under different databases, or no differing key")
+	}
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
