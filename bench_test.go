@@ -261,24 +261,30 @@ func BenchmarkAnalyzer(b *testing.B) {
 	}
 }
 
-// BenchmarkVM measures simulator speed in instructions per second on the
-// Dhrystone analog (reported as instrs/op).
+// BenchmarkVM measures the simulator on every benchmark analog under
+// config C: one op is one run of the program (instrs/op instructions), and
+// Minstr/s is the simulated instruction rate.
+//
+//	go test -run '^$' -bench BenchmarkVM -benchmem .
 func BenchmarkVM(b *testing.B) {
-	bm, err := benchprogs.ByName("dhrystone")
-	if err != nil {
-		b.Fatal(err)
+	for _, bm := range benchprogs.All() {
+		b.Run(bm.Name, func(b *testing.B) {
+			p, err := ipra.Build(context.Background(), sourcesOf(b, bm), ipra.MustPreset("C"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				res, err := p.Run(bm.MaxInstrs, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs = res.Stats.Instrs
+			}
+			b.ReportMetric(float64(instrs), "instrs/op")
+			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
 	}
-	p, err := ipra.Build(context.Background(), sourcesOf(b, bm), ipra.MustPreset("C"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		res, err := p.Run(bm.MaxInstrs, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs = res.Stats.Instrs
-	}
-	b.ReportMetric(float64(instrs), "instrs")
 }

@@ -151,45 +151,236 @@ func TestVMSingletonAccounting(t *testing.T) {
 	}
 }
 
+// trapCase is one program that must stop with exactly the given trap,
+// after exactly the given number of instructions and cycles: the faulting
+// instruction counts in Instrs but not in Cycles.
+type trapCase struct {
+	name           string
+	code           []Instr
+	limit          uint64 // instruction budget; 0 selects 100
+	trap           Trap
+	instrs, cycles uint64
+}
+
+func runTrapCase(t *testing.T, exe *Executable, tc trapCase) {
+	t.Helper()
+	limit := tc.limit
+	if limit == 0 {
+		limit = 100
+	}
+	vm := NewVM(exe)
+	_, err := vm.Run(limit)
+	if err == nil {
+		t.Fatal("expected trap")
+	}
+	var trap *Trap
+	if !asTrap(err, &trap) {
+		t.Fatalf("error is not a *Trap: %T %v", err, err)
+	}
+	if *trap != tc.trap {
+		t.Errorf("trap = %+v, want %+v", *trap, tc.trap)
+	}
+	if vm.Stats.Instrs != tc.instrs || vm.Stats.Cycles != tc.cycles {
+		t.Errorf("instrs/cycles at the trap = %d/%d, want %d/%d",
+			vm.Stats.Instrs, vm.Stats.Cycles, tc.instrs, tc.cycles)
+	}
+}
+
+// The data segment of exeFromFuncs programs: [DataBase, dataEnd).
+const dataEnd = DataBase + 1<<20
+
 func TestVMTraps(t *testing.T) {
-	cases := []struct {
-		name string
-		code []Instr
-		want string
-	}{
-		{"null-load", []Instr{{Op: LDW, Rd: 19, Ra: 0, Imm: 0, MemSize: 4}}, "unmapped"},
-		{"null-store", []Instr{{Op: STW, Ra: 0, Rb: 0, Imm: 4, MemSize: 4}}, "unmapped"},
+	inMain := func(pc int, msg string) Trap { return Trap{PC: pc, Func: "main", Msg: msg} }
+	ret := Instr{Op: BV, Ra: RegRP}
+	cases := []trapCase{
+		{"null-load", []Instr{{Op: LDW, Rd: 19, Ra: 0, Imm: 0, MemSize: 4}, ret},
+			0, inMain(0, "load of unmapped address 0x0"), 1, 0},
+		{"null-store", []Instr{{Op: STW, Ra: 0, Rb: 0, Imm: 4, MemSize: 4}, ret},
+			0, inMain(0, "store to unmapped address 0x4"), 1, 0},
 		{"div-zero", []Instr{
 			{Op: LDI, Rd: 19, Imm: 1},
-			{Op: DIV, Rd: 19, Ra: 19, Rb: 0}}, "division by zero"},
+			{Op: DIV, Rd: 19, Ra: 19, Rb: 0}, ret},
+			0, inMain(1, "division by zero"), 2, 1},
 		{"rem-zero", []Instr{
 			{Op: LDI, Rd: 19, Imm: 1},
-			{Op: REM, Rd: 19, Ra: 19, Rb: 0}}, "remainder by zero"},
+			{Op: REM, Rd: 19, Ra: 19, Rb: 0}, ret},
+			0, inMain(1, "remainder by zero"), 2, 1},
 		{"bad-indirect", []Instr{
 			{Op: LDI, Rd: 19, Imm: 12345},
-			{Op: BLR, Rd: RegRP, Ra: 19}}, "indirect call"},
+			{Op: BLR, Rd: RegRP, Ra: 19}, ret},
+			0, inMain(1, "indirect call to bad address 0x3039"), 2, 1},
 		{"misaligned", []Instr{
 			{Op: LDI, Rd: 19, Imm: DataBase + 1},
-			{Op: LDW, Rd: 20, Ra: 19, Imm: 0, MemSize: 4}}, "misaligned"},
+			{Op: LDW, Rd: 20, Ra: 19, Imm: 0, MemSize: 4}, ret},
+			0, inMain(1, "misaligned word load at 0x10001"), 2, 1},
+		{"misaligned-word-store", []Instr{
+			{Op: LDI, Rd: 19, Imm: DataBase + 2},
+			{Op: STW, Ra: 19, Rb: 0, Imm: 0, MemSize: 4}, ret},
+			0, inMain(1, "misaligned word store at 0x10002"), 2, 1},
+		{"misaligned-halfword-load", []Instr{
+			{Op: LDI, Rd: 19, Imm: DataBase + 1},
+			{Op: LDW, Rd: 20, Ra: 19, Imm: 0, MemSize: 2}, ret},
+			0, inMain(1, "misaligned halfword load at 0x10001"), 2, 1},
+		{"misaligned-halfword-store", []Instr{
+			{Op: LDI, Rd: 19, Imm: DataBase + 1},
+			{Op: STW, Ra: 19, Rb: 0, Imm: 0, MemSize: 2}, ret},
+			0, inMain(1, "misaligned halfword store at 0x10001"), 2, 1},
+		{"store-unmapped-high", []Instr{
+			{Op: LDI, Rd: 19, Imm: dataEnd},
+			{Op: STW, Ra: 19, Rb: 0, Imm: 0, MemSize: 1}, ret},
+			0, inMain(1, "store to unmapped address 0x110000"), 2, 1},
+		// A misaligned word that also crosses the end of the segment:
+		// the unmapped check wins over the alignment check.
+		{"unmapped-before-misaligned", []Instr{
+			{Op: LDI, Rd: 19, Imm: dataEnd - 2},
+			{Op: LDW, Rd: 20, Ra: 19, Imm: 0, MemSize: 4}, ret},
+			0, inMain(1, "load of unmapped address 0x10fffe"), 2, 1},
+		// Address arithmetic wraps in 32 bits, like the registers.
+		{"address-wraps", []Instr{
+			{Op: LDI, Rd: 19, Imm: 0x7fffffff},
+			{Op: LDW, Rd: 20, Ra: 19, Imm: 1, MemSize: 4}, ret},
+			0, inMain(1, "load of unmapped address 0x80000000"), 2, 1},
+		{"bad-jump", []Instr{
+			{Op: LDI, Rd: 19, Imm: 12345},
+			{Op: BV, Ra: 19}, ret},
+			0, inMain(1, "jump to bad address 0x3039"), 2, 1},
+		{"unknown-syscall", []Instr{{Op: SYS, Imm: 99}, ret},
+			0, inMain(0, "unknown syscall 99"), 1, 0},
+		// Running past the last instruction: the trap names no function.
+		{"fall-off-end", []Instr{{Op: NOP}},
+			0, Trap{PC: 1, Func: "?", Msg: "pc out of range"}, 1, 1},
+		{"branch-out-of-range", []Instr{{Op: B, Target: 7}, ret},
+			0, Trap{PC: 7, Func: "?", Msg: "pc out of range"}, 1, 2},
+		{"instruction-limit", []Instr{{Op: B, Target: 0}},
+			50, inMain(0, "instruction limit (50) exceeded"), 50, 100},
+		// The budget is checked before the pc.
+		{"limit-before-pc-range", []Instr{{Op: NOP}},
+			1, Trap{PC: 1, Func: "?", Msg: "instruction limit (1) exceeded"}, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code := append(tc.code, Instr{Op: BV, Ra: RegRP})
-			exe := exeFromFuncs(t, nil, &ObjFunc{Name: "main", Code: code})
-			vm := NewVM(exe)
-			_, err := vm.Run(100)
-			if err == nil {
-				t.Fatal("expected trap")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("trap = %v, want substring %q", err, tc.want)
-			}
-			var trap *Trap
-			if !asTrap(err, &trap) {
-				t.Errorf("error is not a *Trap: %T", err)
-			}
+			runTrapCase(t, exeFromFuncs(t, nil, &ObjFunc{Name: "main", Code: tc.code}), tc)
 		})
 	}
+}
+
+// TestVMTrapNamesStaticFunction: a trap names the function whose text
+// holds the faulting pc.
+func TestVMTrapNamesStaticFunction(t *testing.T) {
+	callee := &ObjFunc{Name: "callee", Code: []Instr{
+		{Op: LDW, Rd: 19, Ra: 0, Imm: 8, MemSize: 4},
+		{Op: BV, Ra: RegRP},
+	}}
+	mainFn := &ObjFunc{Name: "main", Code: []Instr{
+		{Op: MOV, Rd: 3, Ra: RegRP},
+		{Op: BL, Rd: RegRP},
+		{Op: BV, Ra: 3},
+	}, Relocs: []Reloc{{Index: 1, Kind: RelCall, Sym: "callee"}}}
+	exe := exeFromFuncs(t, nil, mainFn, callee)
+	runTrapCase(t, exe, trapCase{
+		trap:   Trap{PC: 3, Func: "callee", Msg: "load of unmapped address 0x8"},
+		instrs: 3, cycles: 3,
+	})
+}
+
+// TestVMDataSegmentEdges pins the data segment's boundaries and zero fill:
+// an address never written reads 0, the last bytes below the segment's end
+// can be read and written, the first byte past it faults, and an initial
+// image whose length is no multiple of any page size is loaded exactly,
+// with zeros after it.
+func TestVMDataSegmentEdges(t *testing.T) {
+	const size = 1<<20 + 12 // the segment's end is no multiple of a page
+	const end = DataBase + size
+	init := make([]byte, 5003)
+	for i := range init {
+		init[i] = byte(i*7 + 1)
+	}
+	img := &DataSym{Name: "img", Size: int32(len(init)), Defined: true, Init: init}
+	link := func(t *testing.T, code ...Instr) *Executable {
+		t.Helper()
+		obj := &Object{Module: "test.mc", Globals: []*DataSym{img},
+			Funcs: []*ObjFunc{{Name: "main", Code: code}}}
+		exe, err := Link([]*Object{obj}, LinkConfig{DataSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exe
+	}
+	run := func(t *testing.T, code ...Instr) int32 {
+		t.Helper()
+		vm := NewVM(link(t, append(code, Instr{Op: BV, Ra: RegRP})...))
+		exit, err := vm.Run(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exit
+	}
+
+	t.Run("untouched-reads-zero", func(t *testing.T) {
+		got := run(t,
+			Instr{Op: LDI, Rd: 19, Imm: DataBase + 1<<19},
+			Instr{Op: LDI, Rd: 20, Imm: -1},
+			Instr{Op: STW, Ra: 19, Rb: 20, Imm: 64, MemSize: 4},
+			Instr{Op: LDW, Rd: 21, Ra: 19, Imm: 0, MemSize: 4},
+			Instr{Op: LDW, Rd: 22, Ra: 19, Imm: 1 << 16, MemSize: 2},
+			Instr{Op: LDW, Rd: 23, Ra: 19, Imm: -(1 << 16) + 3, MemSize: 1},
+			Instr{Op: OR, Rd: RegRet, Ra: 21, Rb: 22},
+			Instr{Op: OR, Rd: RegRet, Ra: RegRet, Rb: 23},
+		)
+		if got != 0 {
+			t.Errorf("untouched memory reads %#x, want 0", got)
+		}
+	})
+	t.Run("last-word", func(t *testing.T) {
+		got := run(t,
+			Instr{Op: LDI, Rd: 19, Imm: end - 4},
+			Instr{Op: LDI, Rd: 20, Imm: 0x12345678},
+			Instr{Op: STW, Ra: 19, Rb: 20, Imm: 0, MemSize: 4},
+			Instr{Op: LDI, Rd: 20, Imm: 0x9a},
+			Instr{Op: STW, Ra: 19, Rb: 20, Imm: 3, MemSize: 1},
+			Instr{Op: LDW, Rd: RegRet, Ra: 19, Imm: 0, MemSize: 4},
+		)
+		if got != -0x65cba988 { // 0x9a345678
+			t.Errorf("last word reads %#x, want 0x9a345678", uint32(got))
+		}
+		for _, c := range []struct {
+			name string
+			in   Instr
+			msg  string
+		}{
+			{"load-past-end", Instr{Op: LDW, Rd: 20, Ra: 19, Imm: 4, MemSize: 1}, "load of unmapped address 0x11000c"},
+			{"store-past-end", Instr{Op: STW, Ra: 19, Rb: 0, Imm: 4, MemSize: 1}, "store to unmapped address 0x11000c"},
+			{"halfword-across-end", Instr{Op: LDW, Rd: 20, Ra: 19, Imm: 4 - 1, MemSize: 2}, "load of unmapped address 0x11000b"},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				exe := link(t, Instr{Op: LDI, Rd: 19, Imm: end - 4}, c.in, Instr{Op: BV, Ra: RegRP})
+				runTrapCase(t, exe, trapCase{trap: Trap{PC: 1, Func: "main", Msg: c.msg}, instrs: 2, cycles: 1})
+			})
+		}
+	})
+	t.Run("image-tail", func(t *testing.T) {
+		exe := link(t)
+		base := exe.GlobalAddr["img"]
+		if len(exe.Data) != len(init) {
+			t.Fatalf("data image is %d bytes, want %d", len(exe.Data), len(init))
+		}
+		n := int32(len(init))
+		got := run(t,
+			Instr{Op: LDI, Rd: 19, Imm: base + n - 1},
+			Instr{Op: LDW, Rd: 20, Ra: 19, Imm: 0, MemSize: 1},  // last image byte
+			Instr{Op: LDW, Rd: 21, Ra: 19, Imm: 1, MemSize: 1},  // first byte past it
+			Instr{Op: LDW, Rd: 22, Ra: 19, Imm: -2, MemSize: 2}, // halfword inside it
+			Instr{Op: SHLI, Rd: 21, Ra: 21, Imm: 8},
+			Instr{Op: SHLI, Rd: 22, Ra: 22, Imm: 16},
+			Instr{Op: OR, Rd: RegRet, Ra: 20, Rb: 21},
+			Instr{Op: OR, Rd: RegRet, Ra: RegRet, Rb: 22},
+		)
+		last := uint32(init[n-1])
+		half := uint32(init[n-3]) | uint32(init[n-2])<<8
+		if want := int32(last | half<<16); got != want {
+			t.Errorf("image tail reads %#x, want %#x", uint32(got), uint32(want))
+		}
+	})
 }
 
 func asTrap(err error, out **Trap) bool {

@@ -11,13 +11,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"ipra/internal/benchprogs"
+	"ipra/internal/parv"
 	"ipra/internal/progen"
 )
 
-var updateStrategyGolden = flag.Bool("update-strategy", false, "rewrite testdata/strategy_goldens.json from the current default allocator")
+var updateStrategyGolden = flag.Bool("update-strategy", false, "rewrite the default-strategy goldens (testdata/strategy_goldens.json, testdata/simulator_goldens.json) from the current compiler and simulator")
 
 const strategyGoldenPath = "testdata/strategy_goldens.json"
 
@@ -63,10 +65,84 @@ var coldBuildShape = progen.Config{
 	SubsystemSize: 7, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 2,
 }
 
-func exeHash(t testing.TB, res *BuildResult) string {
+// goldenBuild is what the golden tests keep of one (program, preset)
+// build: the executable and, under a profiled preset, its training run.
+type goldenBuild struct {
+	exe   *parv.Executable
+	train *RunResult
+}
+
+var goldenBuildsOnce struct {
+	sync.Once
+	builds map[string]goldenBuild // keyed program/preset
+	err    error
+}
+
+// goldenBuilds builds every golden program under every preset once per
+// test binary, so the executable-hash and the simulator goldens read the
+// same builds.
+func goldenBuilds(t testing.TB) map[string]goldenBuild {
 	t.Helper()
-	sum := sha256.Sum256(exeBytes(t, res.Exe))
-	return hex.EncodeToString(sum[:])
+	programs := goldenPrograms(t)
+	g := &goldenBuildsOnce
+	g.Do(func() {
+		g.builds = make(map[string]goldenBuild)
+		for prog, p := range programs {
+			for _, name := range PresetNames() {
+				cfg, err := PresetByName(name)
+				if err != nil {
+					g.err = err
+					return
+				}
+				var opts []BuildOption
+				if cfg.WantProfile {
+					// The budget is part of the pinned configuration.
+					opts = append(opts, WithProfile(p.trainInstrs))
+				}
+				res, err := Build(context.Background(), p.sources, cfg, opts...)
+				if err != nil {
+					g.err = fmt.Errorf("%s/%s: %w", prog, name, err)
+					return
+				}
+				g.builds[prog+"/"+name] = goldenBuild{exe: res.Exe, train: res.Train}
+			}
+		}
+	})
+	if g.err != nil {
+		t.Fatal(g.err)
+	}
+	return g.builds
+}
+
+// writeGoldenJSON writes a golden file with one sorted key per line.
+func writeGoldenJSON(t testing.TB, path string, entries map[string]any) {
+	t.Helper()
+	keys := make([]string, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var buf bytes.Buffer
+	buf.WriteString("{\n")
+	for i, k := range keys {
+		v, err := json.Marshal(entries[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		comma := ","
+		if i == len(keys)-1 {
+			comma = ""
+		}
+		fmt.Fprintf(&buf, "  %q: %s%s\n", k, v, comma)
+	}
+	buf.WriteString("}\n")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d goldens to %s", len(entries), path)
 }
 
 // TestDefaultStrategyGoldens pins the default (paper priority-coloring)
@@ -77,50 +153,18 @@ func exeHash(t testing.TB, res *BuildResult) string {
 // intentional, refresh with `go test -run TestDefaultStrategyGoldens
 // -update-strategy`.
 func TestDefaultStrategyGoldens(t *testing.T) {
-	programs := goldenPrograms(t)
 	got := make(map[string]string)
-	for prog, p := range programs {
-		for _, name := range PresetNames() {
-			cfg, err := PresetByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var opts []BuildOption
-			if cfg.WantProfile {
-				// The budget is part of the pinned configuration.
-				opts = append(opts, WithProfile(p.trainInstrs))
-			}
-			res, err := Build(context.Background(), p.sources, cfg, opts...)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", prog, name, err)
-			}
-			got[prog+"/"+name] = exeHash(t, res)
-		}
+	for key, b := range goldenBuilds(t) {
+		sum := sha256.Sum256(exeBytes(t, b.exe))
+		got[key] = hex.EncodeToString(sum[:])
 	}
 
 	if *updateStrategyGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
+		entries := make(map[string]any, len(got))
+		for k, v := range got {
+			entries[k] = v
 		}
-		sort.Strings(keys)
-		var buf bytes.Buffer
-		buf.WriteString("{\n")
-		for i, k := range keys {
-			comma := ","
-			if i == len(keys)-1 {
-				comma = ""
-			}
-			fmt.Fprintf(&buf, "  %q: %q%s\n", k, got[k], comma)
-		}
-		buf.WriteString("}\n")
-		if err := os.MkdirAll(filepath.Dir(strategyGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(strategyGoldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d goldens to %s", len(got), strategyGoldenPath)
+		writeGoldenJSON(t, strategyGoldenPath, entries)
 		return
 	}
 
