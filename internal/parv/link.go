@@ -71,14 +71,14 @@ type FuncInfo struct {
 	End   int // one past the last instruction
 }
 
-// Executable is a fully linked PARV program.
+// Executable is a fully linked PARV program. Its functions partition the
+// code in order, the entry is an instruction, and the data segment holds
+// the initial image: Link builds it so and DecodeExecutable checks it.
 type Executable struct {
 	Code  []Instr
 	Funcs []FuncInfo
 	// FuncIdx maps a function name to its index in Funcs.
 	FuncIdx map[string]int
-	// funcOfPC maps every text index to the containing function's index.
-	funcOfPC []int32
 
 	Data       []byte // initial image of the globals region
 	GlobalAddr map[string]int32
@@ -90,25 +90,33 @@ type Executable struct {
 // FuncOfPC returns the index (into Funcs) of the function containing the
 // given text index, or -1.
 func (e *Executable) FuncOfPC(pc int) int {
-	e.ensureIndex()
-	if pc < 0 || pc >= len(e.funcOfPC) {
-		return -1
-	}
-	return int(e.funcOfPC[pc])
-}
-
-// ensureIndex rebuilds the pc→function table, which is derived state the
-// wire encoding deliberately does not carry.
-func (e *Executable) ensureIndex() {
-	if len(e.funcOfPC) == len(e.Code) {
-		return
-	}
-	e.funcOfPC = make([]int32, len(e.Code))
 	for i, fi := range e.Funcs {
-		for pc := fi.Start; pc < fi.End; pc++ {
-			e.funcOfPC[pc] = int32(i)
+		if pc >= fi.Start && pc < fi.End {
+			return i
 		}
 	}
+	return -1
+}
+
+// check reports why the executable breaks the layout invariants above.
+func (e *Executable) check() error {
+	pc := 0
+	for _, fi := range e.Funcs {
+		if fi.Start != pc || fi.End < fi.Start || fi.End > len(e.Code) {
+			return fmt.Errorf("function %s spans [%d,%d); want a range in [%d,%d]", fi.Name, fi.Start, fi.End, pc, len(e.Code))
+		}
+		pc = fi.End
+	}
+	if pc != len(e.Code) {
+		return fmt.Errorf("functions cover %d of %d instructions", pc, len(e.Code))
+	}
+	if e.Entry < 0 || e.Entry >= len(e.Code) {
+		return fmt.Errorf("entry %d is outside the code (%d instructions)", e.Entry, len(e.Code))
+	}
+	if int64(e.DataSize) < int64(len(e.Data)) {
+		return fmt.Errorf("data size %d cannot hold the %d-byte data image", e.DataSize, len(e.Data))
+	}
+	return nil
 }
 
 // LinkConfig controls linking.
@@ -241,13 +249,6 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 		}
 		exe.Funcs = append(exe.Funcs, FuncInfo{Name: f.Name, Start: start, End: len(exe.Code)})
 	}
-	exe.funcOfPC = make([]int32, len(exe.Code))
-	for i, fi := range exe.Funcs {
-		for pc := fi.Start; pc < fi.End; pc++ {
-			exe.funcOfPC[pc] = int32(i)
-		}
-	}
-
 	// ---- Apply code relocations.
 	for _, f := range forder {
 		base := exe.Funcs[exe.FuncIdx[f.Name]].Start

@@ -192,7 +192,10 @@ func EncodeExecutable(buf *bytes.Buffer, exe *Executable) error {
 }
 
 // DecodeExecutable reads a canonical executable image, rebuilding the
-// derived name→index maps.
+// derived name→index maps. It rejects an image whose functions do not
+// partition its code, whose entry is not an instruction, or whose data
+// segment cannot hold its data image, so that a decoded executable can be
+// disassembled and run without a panic.
 func DecodeExecutable(data []byte) (*Executable, error) {
 	d, err := wire.NewDecoder(data, exeWireKind, exeWireVersion)
 	if err != nil {
@@ -220,6 +223,9 @@ func DecodeExecutable(data []byte) (*Executable, error) {
 	exe.DataSize = int32(d.I())
 	exe.Entry = int(d.I())
 	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("parv: decode executable: %w", err)
+	}
+	if err := exe.check(); err != nil {
 		return nil, fmt.Errorf("parv: decode executable: %w", err)
 	}
 	exe.FuncIdx = make(map[string]int, len(exe.Funcs))

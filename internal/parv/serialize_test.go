@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -92,5 +93,133 @@ func TestObjectFileRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, o) {
 		t.Errorf("object roundtrip mismatch:\n%+v\n%+v", got, o)
+	}
+}
+
+// roundTrip encodes exe and decodes the bytes, as mvm does with a file
+// and ipra-loadgen with a daemon's response.
+func roundTrip(t *testing.T, exe *Executable) (*Executable, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeExecutable(&buf, exe); err != nil {
+		t.Fatal(err)
+	}
+	return DecodeExecutable(buf.Bytes())
+}
+
+// TestMalformedExecutables: each of these executables decoded and then
+// panicked the simulator. DecodeExecutable rejects a layout the simulator
+// cannot index, and an instruction that cannot execute traps when run.
+func TestMalformedExecutables(t *testing.T) {
+	cases := []struct {
+		name      string
+		mutate    func(e *Executable)
+		decodeErr string // substring of the decode error; "" if accepted
+		trap      Trap   // the trap of an accepted executable
+	}{
+		{"register-out-of-range", func(e *Executable) { e.Code[0].Rd = 200 },
+			"", Trap{PC: 0, Func: "main", Msg: "illegal register 200"}},
+		{"function-past-code", func(e *Executable) { e.Funcs[0].End = len(e.Code) + 5 },
+			"function main spans [0,7)", Trap{}},
+		{"negative-data-size", func(e *Executable) { e.DataSize = -8 },
+			"data size -8 cannot hold the 4-byte data image", Trap{}},
+		{"data-image-too-large", func(e *Executable) { e.DataSize = 2 },
+			"data size 2 cannot hold the 4-byte data image", Trap{}},
+		{"functions-leave-a-gap", func(e *Executable) { e.Funcs[0].End-- },
+			"functions cover 1 of 2 instructions", Trap{}},
+		{"function-out-of-order", func(e *Executable) { e.Funcs[0].Start = 1 },
+			"function main spans [1,2)", Trap{}},
+		{"entry-past-code", func(e *Executable) { e.Entry = 2 },
+			"entry 2 is outside the code", Trap{}},
+		{"negative-entry", func(e *Executable) { e.Entry = -1 },
+			"entry -1 is outside the code", Trap{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exe := testExecutable()
+			tc.mutate(exe)
+			got, err := roundTrip(t, exe)
+			if tc.decodeErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.decodeErr) {
+					t.Fatalf("decode error = %v, want %q", err, tc.decodeErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewVM(got).Run(100)
+			trap, ok := err.(*Trap)
+			if !ok || *trap != tc.trap {
+				t.Fatalf("run = %v, want trap %+v", err, tc.trap)
+			}
+		})
+	}
+}
+
+// TestIllegalInstructionsTrapWhenExecuted: decoding never fails on an
+// instruction; one that cannot execute traps only if it runs, counting in
+// Instrs but not in Cycles.
+func TestIllegalInstructionsTrapWhenExecuted(t *testing.T) {
+	cases := []struct {
+		in  Instr
+		msg string
+	}{
+		{Instr{Op: Op(200)}, "illegal opcode op(200)"},
+		{Instr{Op: ADD, Rd: 19, Ra: 40, Rb: 1}, "illegal register 40"},
+		{Instr{Op: CB, Ra: 19, Rb: 20, Cond: Cond(9)}, "illegal condition 9"},
+		{Instr{Op: LDW, Rd: 19, Ra: RegDP, MemSize: 3}, "illegal access width 3"},
+		{Instr{Op: STW, Ra: RegDP, Rb: 19, MemSize: 0}, "illegal access width 0"},
+		{Instr{Op: BL, Rd: RegRP, Target: 99}, "call to bad address 0x40000063"},
+		{Instr{Op: SYS, Imm: 42}, "unknown syscall 42"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.msg, func(t *testing.T) {
+			// Never executed: the program returns before reaching it.
+			skip := exeFromFuncs(t, nil, &ObjFunc{Name: "main", Code: []Instr{
+				{Op: LDI, Rd: RegRet, Imm: 5}, {Op: BV, Ra: RegRP}, tc.in,
+			}})
+			if exit, err := NewVM(skip).Run(100); err != nil || exit != 5 {
+				t.Fatalf("run = %d, %v; want 5, nil", exit, err)
+			}
+			hit := exeFromFuncs(t, nil, &ObjFunc{Name: "main", Code: []Instr{
+				{Op: LDI, Rd: 19, Imm: 1}, tc.in, {Op: BV, Ra: RegRP},
+			}})
+			runTrapCase(t, hit, trapCase{trap: Trap{PC: 1, Func: "main", Msg: tc.msg}, instrs: 2, cycles: 1})
+		})
+	}
+}
+
+// TestVMDoesNotMutateExecutable runs one decoded executable on several
+// machines at once (meaningful under -race) and checks its encoding is
+// unchanged.
+func TestVMDoesNotMutateExecutable(t *testing.T) {
+	exe, err := roundTrip(t, testExecutable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := EncodeExecutable(&before, exe); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			vm := NewVM(exe)
+			vm.ProfileEdges = true
+			vm.Run(1000)
+			vm.Profile()
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		<-done
+	}
+	var after bytes.Buffer
+	if err := EncodeExecutable(&after, exe); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) || !reflect.DeepEqual(exe.Funcs, testExecutable().Funcs) {
+		t.Error("running the executable changed it")
 	}
 }

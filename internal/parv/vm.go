@@ -1,7 +1,6 @@
 package parv
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -57,13 +56,109 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("parv trap at pc=%d (%s): %s", t.PC, t.Func, t.Msg)
 }
 
+// Data memory is zeroed on demand: the segment is a table of pages, a page
+// is allocated when the initial image covers it or a store first touches
+// it, and a load from a page never allocated reads 0.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
+// vop is a decoded operation: a PARV opcode specialised by its condition
+// code, access width or syscall, so that executing it needs no further
+// dispatch.
+type vop uint8
+
+const (
+	vNOP vop = iota
+	vLDI
+	vMOV
+	vADD
+	vADDI
+	vSUB
+	vSUBI
+	vMUL
+	vDIV
+	vREM
+	vAND
+	vOR
+	vXOR
+	vANDI
+	vORI
+	vXORI
+	vSHL
+	vSHR
+	vSHLI
+	vSHRI
+	vNEG
+	vNOT
+	vCMPEQ // the six conditions in Cond order, for CMP, CMPI, CB and CBI
+	vCMPNE
+	vCMPLT
+	vCMPLE
+	vCMPGT
+	vCMPGE
+	vCMPIEQ
+	vCMPINE
+	vCMPILT
+	vCMPILE
+	vCMPIGT
+	vCMPIGE
+	vLDB // loads and stores by width: byte, halfword, word
+	vLDH
+	vLDW
+	vSTB
+	vSTH
+	vSTW
+	vB
+	vCBEQ
+	vCBNE
+	vCBLT
+	vCBLE
+	vCBGT
+	vCBGE
+	vCBIEQ
+	vCBINE
+	vCBILT
+	vCBILE
+	vCBIGT
+	vCBIGE
+	vBL
+	vBLR
+	vBV
+	vEXIT
+	vPUTCHAR
+	vPUTINT
+	vILLEGAL // cannot execute; VM.illegal holds the reason
+)
+
+// dinstr is one instruction as the VM executes it. Register fields that
+// the operation does not use are 0.
+type dinstr struct {
+	op         vop
+	rd, ra, rb uint8
+	imm        int32 // the immediate; for BL, the callee's index in Funcs
+	target     int32
+	cost       uint8 // Instr.Cycles: taken for B/BL/BLR/BV, not taken for CB/CBI
+	takenCost  uint8 // CB/CBI: Instr.Cycles(true)
+	single     uint8 // 1 for a singleton load or store
+}
+
 // VM is a PARV instruction-level simulator.
 type VM struct {
-	exe  *Executable
-	regs [NumRegs]int32
-	pc   int
-	mem  []byte
-	out  bytes.Buffer
+	exe     *Executable
+	code    []dinstr
+	fnOf    []int32        // text index → index in exe.Funcs, -1 if none
+	illegal map[int]string // why each vILLEGAL instruction cannot execute
+
+	regs  [NumRegs]int32
+	pc    int
+	pages []*page
+	size  int64 // data segment bytes
+	out   []byte
 
 	Stats Stats
 
@@ -73,252 +168,566 @@ type VM struct {
 	curFn        int32
 }
 
-// NewVM prepares a machine for one run of the executable.
+// NewVM prepares a machine for one run of the executable: it decodes the
+// code and lays the initial data image into the pages it covers. The
+// executable is only read, so several machines may run it at once.
 func NewVM(exe *Executable) *VM {
-	exe.ensureIndex()
-	vm := &VM{exe: exe, mem: make([]byte, exe.DataSize)}
-	copy(vm.mem, exe.Data)
+	n := len(exe.Code)
+	vm := &VM{exe: exe, code: make([]dinstr, n), fnOf: make([]int32, n)}
+	for pc := range vm.fnOf {
+		vm.fnOf[pc] = -1
+	}
+	for i, fi := range exe.Funcs {
+		for pc := max(fi.Start, 0); pc < min(fi.End, n); pc++ {
+			vm.fnOf[pc] = int32(i)
+		}
+	}
+	for pc := range exe.Code {
+		vm.code[pc] = vm.decode(pc, &exe.Code[pc])
+	}
+
+	size := max(int(exe.DataSize), 0)
+	vm.size = int64(size)
+	vm.pages = make([]*page, (size+pageMask)>>pageShift)
+	data := exe.Data[:min(len(exe.Data), size)]
+	for off := 0; off < len(data); off += pageSize {
+		p := new(page)
+		copy(p[:], data[off:])
+		vm.pages[off>>pageShift] = p
+	}
+
 	vm.regs[RegSP] = DataBase + exe.DataSize - 64
 	vm.regs[RegDP] = DataBase
 	vm.regs[RegRP] = haltRA
 	vm.pc = exe.Entry
-	vm.curFn = int32(exe.FuncOfPC(exe.Entry))
+	vm.curFn = -1
+	if exe.Entry >= 0 && exe.Entry < n {
+		vm.curFn = vm.fnOf[exe.Entry]
+	}
 	vm.edges = make(map[uint64]uint64)
 	return vm
 }
 
+// Operand fields each opcode reads or writes.
+const (
+	useRd = 1 << iota
+	useRa
+	useRb
+	useCond
+)
+
+var opUses = [...]uint8{
+	LDI: useRd, MOV: useRd | useRa, NEG: useRd | useRa, NOT: useRd | useRa,
+	ADD: useRd | useRa | useRb, SUB: useRd | useRa | useRb, MUL: useRd | useRa | useRb,
+	DIV: useRd | useRa | useRb, REM: useRd | useRa | useRb, AND: useRd | useRa | useRb,
+	OR: useRd | useRa | useRb, XOR: useRd | useRa | useRb, SHL: useRd | useRa | useRb,
+	SHR:  useRd | useRa | useRb,
+	ADDI: useRd | useRa, SUBI: useRd | useRa, ANDI: useRd | useRa, ORI: useRd | useRa,
+	XORI: useRd | useRa, SHLI: useRd | useRa, SHRI: useRd | useRa,
+	CMP: useRd | useRa | useRb | useCond, CMPI: useRd | useRa | useCond,
+	LDW: useRd | useRa, STW: useRa | useRb,
+	CB: useRa | useRb | useCond, CBI: useRa | useCond,
+	BL: useRd, BLR: useRd | useRa, BV: useRa,
+	NOP: 0, B: 0, SYS: 0,
+}
+
+// direct maps the opcodes that decode one-to-one.
+var direct = [...]vop{
+	NOP: vNOP, LDI: vLDI, MOV: vMOV, ADD: vADD, ADDI: vADDI, SUB: vSUB, SUBI: vSUBI,
+	MUL: vMUL, DIV: vDIV, REM: vREM, AND: vAND, OR: vOR, XOR: vXOR, ANDI: vANDI,
+	ORI: vORI, XORI: vXORI, SHL: vSHL, SHR: vSHR, SHLI: vSHLI, SHRI: vSHRI,
+	NEG: vNEG, NOT: vNOT, B: vB, BL: vBL, BLR: vBLR, BV: vBV,
+}
+
+// decode translates one instruction. An instruction that cannot execute
+// (unknown opcode, register, condition, width or syscall, or a call
+// outside the code) becomes vILLEGAL and traps only if it is executed.
+func (vm *VM) decode(pc int, in *Instr) dinstr {
+	bad := func(format string, args ...interface{}) dinstr {
+		if vm.illegal == nil {
+			vm.illegal = make(map[int]string)
+		}
+		vm.illegal[pc] = fmt.Sprintf(format, args...)
+		return dinstr{op: vILLEGAL}
+	}
+	if int(in.Op) >= len(opUses) {
+		return bad("illegal opcode %s", in.Op)
+	}
+	uses := opUses[in.Op]
+	regs := [3]uint8{in.Rd, in.Ra, in.Rb}
+	for i, flag := range [3]uint8{useRd, useRa, useRb} {
+		if uses&flag == 0 {
+			regs[i] = 0
+		} else if regs[i] >= NumRegs {
+			return bad("illegal register %d", regs[i])
+		}
+	}
+	if uses&useCond != 0 && in.Cond > GE {
+		return bad("illegal condition %d", in.Cond)
+	}
+	d := dinstr{rd: regs[0], ra: regs[1], rb: regs[2], imm: in.Imm, target: in.Target}
+
+	taken := false
+	switch in.Op {
+	case CMP:
+		d.op = vCMPEQ + vop(in.Cond)
+	case CMPI:
+		d.op = vCMPIEQ + vop(in.Cond)
+	case CB:
+		d.op = vCBEQ + vop(in.Cond)
+	case CBI:
+		d.op = vCBIEQ + vop(in.Cond)
+	case LDW, STW:
+		base := vLDB
+		if in.Op == STW {
+			base = vSTB
+		}
+		switch in.MemSize {
+		case 1:
+			d.op = base
+		case 2:
+			d.op = base + 1
+		case 4:
+			d.op = base + 2
+		default:
+			return bad("illegal access width %d", in.MemSize)
+		}
+		if in.Singleton {
+			d.single = 1
+		}
+	case SYS:
+		switch in.Imm {
+		case SysExit:
+			d.op = vEXIT
+		case SysPutchar:
+			d.op = vPUTCHAR
+		case SysPutint:
+			d.op = vPUTINT
+		default:
+			return bad("unknown syscall %d", in.Imm)
+		}
+	case BL:
+		if in.Target < 0 || int(in.Target) >= len(vm.code) {
+			return bad("call to bad address %#x", uint32(TextBase+in.Target))
+		}
+		d.imm = vm.fnOf[in.Target]
+		fallthrough
+	default:
+		d.op = direct[in.Op]
+		taken = in.Op == B || in.Op == BL || in.Op == BLR || in.Op == BV
+	}
+	switch in.Op {
+	case SHLI, SHRI:
+		d.imm &= 31
+	}
+	d.cost = uint8(in.Cycles(taken))
+	if in.Op == CB || in.Op == CBI {
+		d.takenCost = uint8(in.Cycles(true))
+	}
+	return d
+}
+
 // Output returns everything the program wrote via putchar/putint.
-func (vm *VM) Output() string { return vm.out.String() }
+func (vm *VM) Output() string { return string(vm.out) }
 
 // Reg returns the current value of a register (for tests).
 func (vm *VM) Reg(r uint8) int32 { return vm.regs[r] }
+
+// funcName names the function at index f of Funcs, or "?".
+func (vm *VM) funcName(f int64) string {
+	if f < 0 || f >= int64(len(vm.exe.Funcs)) {
+		return "?"
+	}
+	return vm.exe.Funcs[f].Name
+}
 
 // Profile converts the collected edge counts to symbolic form.
 func (vm *VM) Profile() *Profile {
 	p := &Profile{Edges: make(map[EdgeKey]uint64), Calls: make(map[string]uint64)}
 	for k, n := range vm.edges {
-		caller := vm.exe.Funcs[k>>32].Name
-		callee := vm.exe.Funcs[k&0xffffffff].Name
+		caller := vm.funcName(int64(int32(k >> 32)))
+		callee := vm.funcName(int64(int32(k)))
 		p.Edges[EdgeKey{Caller: caller, Callee: callee}] += n
 		p.Calls[callee] += n
 	}
 	return p
 }
 
-func (vm *VM) trap(format string, args ...interface{}) error {
-	name := "?"
-	if f := vm.exe.FuncOfPC(vm.pc); f >= 0 {
-		name = vm.exe.Funcs[f].Name
+// accessFault describes a load or store of width bytes at addr that is
+// outside the data segment or misaligned; outside wins.
+func (vm *VM) accessFault(store bool, width int64, addr int32) string {
+	what, dir := "load", "load of"
+	if store {
+		what, dir = "store", "store to"
 	}
-	return &Trap{PC: vm.pc, Func: name, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (vm *VM) load(addr int32, size uint8) (int32, error) {
-	off := int64(addr) - DataBase
-	if off < 0 || off+int64(size) > int64(len(vm.mem)) {
-		return 0, vm.trap("load of unmapped address %#x", uint32(addr))
+	if off := int64(addr) - DataBase; off < 0 || off+width > vm.size {
+		return fmt.Sprintf("%s unmapped address %#x", dir, uint32(addr))
 	}
-	switch size {
-	case 1:
-		return int32(vm.mem[off]), nil
-	case 2:
-		if off%2 != 0 {
-			return 0, vm.trap("misaligned halfword load at %#x", uint32(addr))
-		}
-		return int32(binary.LittleEndian.Uint16(vm.mem[off:])), nil
-	default:
-		if off%4 != 0 {
-			return 0, vm.trap("misaligned word load at %#x", uint32(addr))
-		}
-		return int32(binary.LittleEndian.Uint32(vm.mem[off:])), nil
+	unit := "word"
+	if width == 2 {
+		unit = "halfword"
 	}
-}
-
-func (vm *VM) store(addr int32, size uint8, v int32) error {
-	off := int64(addr) - DataBase
-	if off < 0 || off+int64(size) > int64(len(vm.mem)) {
-		return vm.trap("store to unmapped address %#x", uint32(addr))
-	}
-	switch size {
-	case 1:
-		vm.mem[off] = byte(v)
-	case 2:
-		if off%2 != 0 {
-			return vm.trap("misaligned halfword store at %#x", uint32(addr))
-		}
-		binary.LittleEndian.PutUint16(vm.mem[off:], uint16(v))
-	default:
-		if off%4 != 0 {
-			return vm.trap("misaligned word store at %#x", uint32(addr))
-		}
-		binary.LittleEndian.PutUint32(vm.mem[off:], uint32(v))
-	}
-	return nil
+	return fmt.Sprintf("misaligned %s %s at %#x", unit, what, uint32(addr))
 }
 
 // Run executes until the program halts or maxInstrs instructions have
 // retired (0 means a default of 2 billion). It returns the exit status.
+//
+// The pc and the counters live in locals while the machine runs and are
+// written back on every exit. A trapping instruction counts in
+// Stats.Instrs but not in Stats.Cycles. Control transfers set pc and
+// continue; every other instruction falls through to the common tail.
 func (vm *VM) Run(maxInstrs uint64) (int32, error) {
 	if maxInstrs == 0 {
 		maxInstrs = 2_000_000_000
 	}
-	code := vm.exe.Code
-	for {
-		if vm.Stats.Instrs >= maxInstrs {
-			return 0, vm.trap("instruction limit (%d) exceeded", maxInstrs)
-		}
-		if vm.pc < 0 || vm.pc >= len(code) {
-			return 0, vm.trap("pc out of range")
-		}
-		in := &code[vm.pc]
-		vm.Stats.Instrs++
-		r := &vm.regs
-		taken := false
-		next := vm.pc + 1
+	code, fnOf, pages, size := vm.code, vm.fnOf, vm.pages, vm.size
+	profile, edges := vm.ProfileEdges, vm.edges
+	r := &vm.regs
+	pc, curFn := vm.pc, vm.curFn
+	// The counters live in locals: the hot pc, instruction and cycle counts as
+	// scalars, the rest in a copy of Stats that the compiler keeps in the
+	// stack frame rather than in registers.
+	st := vm.Stats
+	instrs, cycles := st.Instrs, st.Cycles
 
-		switch in.Op {
-		case NOP:
-		case LDI:
-			r[in.Rd] = in.Imm
-		case MOV:
-			r[in.Rd] = r[in.Ra]
-		case ADD:
-			r[in.Rd] = r[in.Ra] + r[in.Rb]
-		case ADDI:
-			r[in.Rd] = r[in.Ra] + in.Imm
-		case SUB:
-			r[in.Rd] = r[in.Ra] - r[in.Rb]
-		case SUBI:
-			r[in.Rd] = r[in.Ra] - in.Imm
-		case MUL:
-			r[in.Rd] = r[in.Ra] * r[in.Rb]
-		case DIV:
-			if r[in.Rb] == 0 {
-				return 0, vm.trap("division by zero")
+	var exit int32
+	var msg string // set when the machine traps
+	// Register fields are masked with &31 only so that the compiler drops
+	// its bounds checks: decode already rejected every register >= 32.
+run:
+	for {
+		if instrs >= maxInstrs {
+			msg = fmt.Sprintf("instruction limit (%d) exceeded", maxInstrs)
+			break
+		}
+		if uint(pc) >= uint(len(code)) {
+			msg = "pc out of range"
+			break
+		}
+		d := &code[pc]
+		instrs++
+
+		switch d.op {
+		case vNOP:
+		case vLDI:
+			r[d.rd&31] = d.imm
+		case vMOV:
+			r[d.rd&31] = r[d.ra&31]
+		case vADD:
+			r[d.rd&31] = r[d.ra&31] + r[d.rb&31]
+		case vADDI:
+			r[d.rd&31] = r[d.ra&31] + d.imm
+		case vSUB:
+			r[d.rd&31] = r[d.ra&31] - r[d.rb&31]
+		case vSUBI:
+			r[d.rd&31] = r[d.ra&31] - d.imm
+		case vMUL:
+			r[d.rd&31] = r[d.ra&31] * r[d.rb&31]
+		case vDIV:
+			if r[d.rb&31] == 0 {
+				msg = "division by zero"
+				break run
 			}
-			r[in.Rd] = r[in.Ra] / r[in.Rb]
-		case REM:
-			if r[in.Rb] == 0 {
-				return 0, vm.trap("remainder by zero")
+			r[d.rd&31] = r[d.ra&31] / r[d.rb&31]
+		case vREM:
+			if r[d.rb&31] == 0 {
+				msg = "remainder by zero"
+				break run
 			}
-			r[in.Rd] = r[in.Ra] % r[in.Rb]
-		case AND:
-			r[in.Rd] = r[in.Ra] & r[in.Rb]
-		case OR:
-			r[in.Rd] = r[in.Ra] | r[in.Rb]
-		case XOR:
-			r[in.Rd] = r[in.Ra] ^ r[in.Rb]
-		case ANDI:
-			r[in.Rd] = r[in.Ra] & in.Imm
-		case ORI:
-			r[in.Rd] = r[in.Ra] | in.Imm
-		case XORI:
-			r[in.Rd] = r[in.Ra] ^ in.Imm
-		case SHL:
-			r[in.Rd] = r[in.Ra] << uint(r[in.Rb]&31)
-		case SHR:
-			r[in.Rd] = r[in.Ra] >> uint(r[in.Rb]&31)
-		case SHLI:
-			r[in.Rd] = r[in.Ra] << uint(in.Imm&31)
-		case SHRI:
-			r[in.Rd] = r[in.Ra] >> uint(in.Imm&31)
-		case NEG:
-			r[in.Rd] = -r[in.Ra]
-		case NOT:
-			r[in.Rd] = ^r[in.Ra]
-		case CMP:
-			r[in.Rd] = b2i32(in.Cond.Holds(r[in.Ra], r[in.Rb]))
-		case CMPI:
-			r[in.Rd] = b2i32(in.Cond.Holds(r[in.Ra], in.Imm))
-		case LDW:
-			v, err := vm.load(r[in.Ra]+in.Imm, in.MemSize)
-			if err != nil {
-				return 0, err
+			r[d.rd&31] = r[d.ra&31] % r[d.rb&31]
+		case vAND:
+			r[d.rd&31] = r[d.ra&31] & r[d.rb&31]
+		case vOR:
+			r[d.rd&31] = r[d.ra&31] | r[d.rb&31]
+		case vXOR:
+			r[d.rd&31] = r[d.ra&31] ^ r[d.rb&31]
+		case vANDI:
+			r[d.rd&31] = r[d.ra&31] & d.imm
+		case vORI:
+			r[d.rd&31] = r[d.ra&31] | d.imm
+		case vXORI:
+			r[d.rd&31] = r[d.ra&31] ^ d.imm
+		case vSHL:
+			r[d.rd&31] = r[d.ra&31] << uint(r[d.rb&31]&31)
+		case vSHR:
+			r[d.rd&31] = r[d.ra&31] >> uint(r[d.rb&31]&31)
+		case vSHLI:
+			r[d.rd&31] = r[d.ra&31] << uint(d.imm)
+		case vSHRI:
+			r[d.rd&31] = r[d.ra&31] >> uint(d.imm)
+		case vNEG:
+			r[d.rd&31] = -r[d.ra&31]
+		case vNOT:
+			r[d.rd&31] = ^r[d.ra&31]
+
+		case vCMPEQ:
+			r[d.rd&31] = b2i32(r[d.ra&31] == r[d.rb&31])
+		case vCMPNE:
+			r[d.rd&31] = b2i32(r[d.ra&31] != r[d.rb&31])
+		case vCMPLT:
+			r[d.rd&31] = b2i32(r[d.ra&31] < r[d.rb&31])
+		case vCMPLE:
+			r[d.rd&31] = b2i32(r[d.ra&31] <= r[d.rb&31])
+		case vCMPGT:
+			r[d.rd&31] = b2i32(r[d.ra&31] > r[d.rb&31])
+		case vCMPGE:
+			r[d.rd&31] = b2i32(r[d.ra&31] >= r[d.rb&31])
+		case vCMPIEQ:
+			r[d.rd&31] = b2i32(r[d.ra&31] == d.imm)
+		case vCMPINE:
+			r[d.rd&31] = b2i32(r[d.ra&31] != d.imm)
+		case vCMPILT:
+			r[d.rd&31] = b2i32(r[d.ra&31] < d.imm)
+		case vCMPILE:
+			r[d.rd&31] = b2i32(r[d.ra&31] <= d.imm)
+		case vCMPIGT:
+			r[d.rd&31] = b2i32(r[d.ra&31] > d.imm)
+		case vCMPIGE:
+			r[d.rd&31] = b2i32(r[d.ra&31] >= d.imm)
+
+		// Address arithmetic wraps in 32 bits; a load from a page never
+		// allocated reads 0, a store allocates its page.
+		case vLDB:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off >= size {
+				msg = vm.accessFault(false, 1, addr)
+				break run
 			}
-			r[in.Rd] = v
-			vm.Stats.Loads++
-			if in.Singleton {
-				vm.Stats.SingletonLoads++
+			var v int32
+			if p := pages[off>>pageShift]; p != nil {
+				v = int32(p[off&pageMask])
 			}
-		case STW:
-			if err := vm.store(r[in.Ra]+in.Imm, in.MemSize, r[in.Rb]); err != nil {
-				return 0, err
+			r[d.rd&31] = v
+			st.Loads++
+			st.SingletonLoads += uint64(d.single)
+		case vLDH:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off+2 > size || off&1 != 0 {
+				msg = vm.accessFault(false, 2, addr)
+				break run
 			}
-			vm.Stats.Stores++
-			if in.Singleton {
-				vm.Stats.SingletonStores++
+			var v int32
+			if p := pages[off>>pageShift]; p != nil {
+				v = int32(binary.LittleEndian.Uint16(p[off&pageMask:]))
 			}
-		case B:
-			next = int(in.Target)
-			taken = true
-		case CB:
-			if in.Cond.Holds(r[in.Ra], r[in.Rb]) {
-				next = int(in.Target)
-				taken = true
+			r[d.rd&31] = v
+			st.Loads++
+			st.SingletonLoads += uint64(d.single)
+		case vLDW:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off+4 > size || off&3 != 0 {
+				msg = vm.accessFault(false, 4, addr)
+				break run
 			}
-		case CBI:
-			if in.Cond.Holds(r[in.Ra], in.Imm) {
-				next = int(in.Target)
-				taken = true
+			var v int32
+			if p := pages[off>>pageShift]; p != nil {
+				v = int32(binary.LittleEndian.Uint32(p[off&pageMask:]))
 			}
-		case BL:
-			r[in.Rd] = int32(TextBase + vm.pc + 1)
-			next = int(in.Target)
-			taken = true
-			vm.Stats.Calls++
-			vm.recordCall(next)
-		case BLR:
-			r[in.Rd] = int32(TextBase + vm.pc + 1)
-			t := int(r[in.Ra]) - TextBase
+			r[d.rd&31] = v
+			st.Loads++
+			st.SingletonLoads += uint64(d.single)
+		case vSTB:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off >= size {
+				msg = vm.accessFault(true, 1, addr)
+				break run
+			}
+			p := pages[off>>pageShift]
+			if p == nil {
+				p = new(page)
+				pages[off>>pageShift] = p
+			}
+			p[off&pageMask] = byte(r[d.rb&31])
+			st.Stores++
+			st.SingletonStores += uint64(d.single)
+		case vSTH:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off+2 > size || off&1 != 0 {
+				msg = vm.accessFault(true, 2, addr)
+				break run
+			}
+			p := pages[off>>pageShift]
+			if p == nil {
+				p = new(page)
+				pages[off>>pageShift] = p
+			}
+			binary.LittleEndian.PutUint16(p[off&pageMask:], uint16(r[d.rb&31]))
+			st.Stores++
+			st.SingletonStores += uint64(d.single)
+		case vSTW:
+			addr := r[d.ra&31] + d.imm
+			off := int64(addr) - DataBase
+			if off < 0 || off+4 > size || off&3 != 0 {
+				msg = vm.accessFault(true, 4, addr)
+				break run
+			}
+			p := pages[off>>pageShift]
+			if p == nil {
+				p = new(page)
+				pages[off>>pageShift] = p
+			}
+			binary.LittleEndian.PutUint32(p[off&pageMask:], uint32(r[d.rb&31]))
+			st.Stores++
+			st.SingletonStores += uint64(d.single)
+
+		case vB:
+			cycles += uint64(d.cost)
+			pc = int(d.target)
+			continue
+		case vCBEQ:
+			if r[d.ra&31] == r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBNE:
+			if r[d.ra&31] != r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBLT:
+			if r[d.ra&31] < r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBLE:
+			if r[d.ra&31] <= r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBGT:
+			if r[d.ra&31] > r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBGE:
+			if r[d.ra&31] >= r[d.rb&31] {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBIEQ:
+			if r[d.ra&31] == d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBINE:
+			if r[d.ra&31] != d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBILT:
+			if r[d.ra&31] < d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBILE:
+			if r[d.ra&31] <= d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBIGT:
+			if r[d.ra&31] > d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+		case vCBIGE:
+			if r[d.ra&31] >= d.imm {
+				cycles += uint64(d.takenCost)
+				pc = int(d.target)
+				continue
+			}
+
+		// Calls and returns track the running function for the profile.
+		case vBL:
+			r[d.rd&31] = int32(TextBase + pc + 1)
+			r[RegZero] = 0
+			st.Calls++
+			if profile {
+				edges[uint64(curFn)<<32|uint64(uint32(d.imm))]++
+			}
+			curFn = d.imm
+			cycles += uint64(d.cost)
+			pc = int(d.target)
+			continue
+		case vBLR:
+			r[d.rd&31] = int32(TextBase + pc + 1)
+			t := int(r[d.ra&31]) - TextBase
 			if t < 0 || t >= len(code) {
-				return 0, vm.trap("indirect call to bad address %#x", uint32(r[in.Ra]))
+				msg = fmt.Sprintf("indirect call to bad address %#x", uint32(r[d.ra&31]))
+				break run
 			}
-			next = t
-			taken = true
-			vm.Stats.Calls++
-			vm.recordCall(next)
-		case BV:
-			if r[in.Ra] == haltRA {
-				vm.Stats.Cycles += in.Cycles(true)
-				return r[RegRet], nil
+			r[RegZero] = 0
+			st.Calls++
+			if profile {
+				edges[uint64(curFn)<<32|uint64(uint32(fnOf[t]))]++
 			}
-			t := int(r[in.Ra]) - TextBase
+			curFn = fnOf[t]
+			cycles += uint64(d.cost)
+			pc = t
+			continue
+		case vBV:
+			if r[d.ra&31] == haltRA {
+				cycles += uint64(d.cost)
+				exit = r[RegRet]
+				break run
+			}
+			t := int(r[d.ra&31]) - TextBase
 			if t < 0 || t >= len(code) {
-				return 0, vm.trap("jump to bad address %#x", uint32(r[in.Ra]))
+				msg = fmt.Sprintf("jump to bad address %#x", uint32(r[d.ra&31]))
+				break run
 			}
-			next = t
-			taken = true
-			vm.curFn = vm.exe.funcOfPC[t]
-		case SYS:
-			switch in.Imm {
-			case SysExit:
-				vm.Stats.Cycles++
-				return r[26], nil
-			case SysPutchar:
-				vm.out.WriteByte(byte(r[26]))
-				r[RegRet] = r[26]
-			case SysPutint:
-				vm.out.WriteString(strconv.Itoa(int(r[26])))
-				r[RegRet] = r[26]
-			default:
-				return 0, vm.trap("unknown syscall %d", in.Imm)
-			}
-		default:
-			return 0, vm.trap("illegal opcode %s", in.Op)
+			curFn = fnOf[t]
+			cycles += uint64(d.cost)
+			pc = t
+			continue
+
+		case vEXIT:
+			cycles += uint64(d.cost)
+			exit = r[26]
+			break run
+		case vPUTCHAR:
+			vm.out = append(vm.out, byte(r[26]))
+			r[RegRet] = r[26]
+		case vPUTINT:
+			vm.out = strconv.AppendInt(vm.out, int64(r[26]), 10)
+			r[RegRet] = r[26]
+		default: // vILLEGAL
+			msg = vm.illegal[pc]
+			break run
 		}
 
 		r[RegZero] = 0 // r0 is hardwired
-		vm.Stats.Cycles += in.Cycles(taken)
-		vm.pc = next
+		cycles += uint64(d.cost)
+		pc++
 	}
-}
 
-func (vm *VM) recordCall(targetPC int) {
-	callee := vm.exe.funcOfPC[targetPC]
-	if vm.ProfileEdges {
-		vm.edges[uint64(vm.curFn)<<32|uint64(uint32(callee))]++
+	vm.pc, vm.curFn = pc, curFn
+	st.Instrs, st.Cycles = instrs, cycles
+	vm.Stats = st
+	if msg != "" {
+		name := "?"
+		if uint(pc) < uint(len(fnOf)) {
+			name = vm.funcName(int64(fnOf[pc]))
+		}
+		return 0, &Trap{PC: pc, Func: name, Msg: msg}
 	}
-	vm.curFn = callee
+	return exit, nil
 }
 
 func b2i32(b bool) int32 {

@@ -363,8 +363,24 @@ func FuzzWireObjectDecode(f *testing.F) {
 	})
 }
 
+// FuzzWireExecutableDecode also runs every executable the decoder accepts:
+// the simulator must reach an exit or a *parv.Trap, never a panic.
 func FuzzWireExecutableDecode(f *testing.F) {
 	seedWireFuzz(f, "exe-v1.bin")
+	// Executables that once decoded and then panicked the simulator.
+	for _, mutate := range []func(e *parv.Executable){
+		func(e *parv.Executable) { e.Code[0].Rd = 200 },
+		func(e *parv.Executable) { e.Funcs[1].End = 99 },
+		func(e *parv.Executable) { e.DataSize = -1 },
+	} {
+		exe := goldenExe()
+		mutate(exe)
+		var buf bytes.Buffer
+		if err := parv.EncodeExecutable(&buf, exe); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		exe, err := parv.DecodeExecutable(data)
 		if err != nil {
@@ -377,6 +393,14 @@ func FuzzWireExecutableDecode(f *testing.F) {
 		if _, err := parv.DecodeExecutable(buf.Bytes()); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}
+		vm := parv.NewVM(exe)
+		vm.ProfileEdges = true
+		if _, err := vm.Run(10_000); err != nil {
+			if _, ok := err.(*parv.Trap); !ok {
+				t.Fatalf("run failed with %T, want *parv.Trap: %v", err, err)
+			}
+		}
+		vm.Profile()
 	})
 }
 
