@@ -208,7 +208,10 @@ func TestVMDoesNotMutateExecutable(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			vm := NewVM(exe)
 			vm.ProfileEdges = true
-			vm.Run(1000)
+			// The program calls itself until the budget runs out.
+			if _, err := vm.Run(1000); err == nil || vm.Stats.Calls == 0 {
+				t.Errorf("run = %v after %d calls, want the instruction limit", err, vm.Stats.Calls)
+			}
 			vm.Profile()
 		}()
 	}

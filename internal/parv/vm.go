@@ -208,35 +208,34 @@ func NewVM(exe *Executable) *VM {
 	return vm
 }
 
-// Operand fields each opcode reads or writes.
+// Operand fields an opcode reads or writes.
 const (
 	useRd = 1 << iota
 	useRa
 	useRb
 	useCond
+	rdRa   = useRd | useRa
+	rdRaRb = useRd | useRa | useRb
 )
 
-var opUses = [...]uint8{
-	LDI: useRd, MOV: useRd | useRa, NEG: useRd | useRa, NOT: useRd | useRa,
-	ADD: useRd | useRa | useRb, SUB: useRd | useRa | useRb, MUL: useRd | useRa | useRb,
-	DIV: useRd | useRa | useRb, REM: useRd | useRa | useRb, AND: useRd | useRa | useRb,
-	OR: useRd | useRa | useRb, XOR: useRd | useRa | useRb, SHL: useRd | useRa | useRb,
-	SHR:  useRd | useRa | useRb,
-	ADDI: useRd | useRa, SUBI: useRd | useRa, ANDI: useRd | useRa, ORI: useRd | useRa,
-	XORI: useRd | useRa, SHLI: useRd | useRa, SHRI: useRd | useRa,
-	CMP: useRd | useRa | useRb | useCond, CMPI: useRd | useRa | useCond,
-	LDW: useRd | useRa, STW: useRa | useRb,
-	CB: useRa | useRb | useCond, CBI: useRa | useCond,
-	BL: useRd, BLR: useRd | useRa, BV: useRa,
-	NOP: 0, B: 0, SYS: 0,
-}
-
-// direct maps the opcodes that decode one-to-one.
-var direct = [...]vop{
-	NOP: vNOP, LDI: vLDI, MOV: vMOV, ADD: vADD, ADDI: vADDI, SUB: vSUB, SUBI: vSUBI,
-	MUL: vMUL, DIV: vDIV, REM: vREM, AND: vAND, OR: vOR, XOR: vXOR, ANDI: vANDI,
-	ORI: vORI, XORI: vXORI, SHL: vSHL, SHR: vSHR, SHLI: vSHLI, SHRI: vSHRI,
-	NEG: vNEG, NOT: vNOT, B: vB, BL: vBL, BLR: vBLR, BV: vBV,
+// opInfo gives each opcode's decoded operation, the first of its variants
+// where decode specialises it, and the operand fields it uses.
+var opInfo = [...]struct {
+	op   vop
+	uses uint8
+}{
+	NOP: {vNOP, 0}, LDI: {vLDI, useRd}, MOV: {vMOV, rdRa},
+	ADD: {vADD, rdRaRb}, ADDI: {vADDI, rdRa}, SUB: {vSUB, rdRaRb}, SUBI: {vSUBI, rdRa},
+	MUL: {vMUL, rdRaRb}, DIV: {vDIV, rdRaRb}, REM: {vREM, rdRaRb},
+	AND: {vAND, rdRaRb}, OR: {vOR, rdRaRb}, XOR: {vXOR, rdRaRb},
+	ANDI: {vANDI, rdRa}, ORI: {vORI, rdRa}, XORI: {vXORI, rdRa},
+	SHL: {vSHL, rdRaRb}, SHR: {vSHR, rdRaRb}, SHLI: {vSHLI, rdRa}, SHRI: {vSHRI, rdRa},
+	NEG: {vNEG, rdRa}, NOT: {vNOT, rdRa},
+	CMP: {vCMPEQ, rdRaRb | useCond}, CMPI: {vCMPIEQ, rdRa | useCond},
+	LDW: {vLDB, rdRa}, STW: {vSTB, useRa | useRb},
+	B: {vB, 0}, CB: {vCBEQ, useRa | useRb | useCond}, CBI: {vCBIEQ, useRa | useCond},
+	BL: {vBL, useRd}, BLR: {vBLR, rdRa}, BV: {vBV, useRa},
+	SYS: {vEXIT, 0},
 }
 
 // decode translates one instruction. An instruction that cannot execute
@@ -250,45 +249,36 @@ func (vm *VM) decode(pc int, in *Instr) dinstr {
 		vm.illegal[pc] = fmt.Sprintf(format, args...)
 		return dinstr{op: vILLEGAL}
 	}
-	if int(in.Op) >= len(opUses) {
+	if int(in.Op) >= len(opInfo) {
 		return bad("illegal opcode %s", in.Op)
 	}
-	uses := opUses[in.Op]
+	info := opInfo[in.Op]
 	regs := [3]uint8{in.Rd, in.Ra, in.Rb}
 	for i, flag := range [3]uint8{useRd, useRa, useRb} {
-		if uses&flag == 0 {
+		if info.uses&flag == 0 {
 			regs[i] = 0
 		} else if regs[i] >= NumRegs {
 			return bad("illegal register %d", regs[i])
 		}
 	}
-	if uses&useCond != 0 && in.Cond > GE {
-		return bad("illegal condition %d", in.Cond)
-	}
-	d := dinstr{rd: regs[0], ra: regs[1], rb: regs[2], imm: in.Imm, target: in.Target}
-
-	taken := false
-	switch in.Op {
-	case CMP:
-		d.op = vCMPEQ + vop(in.Cond)
-	case CMPI:
-		d.op = vCMPIEQ + vop(in.Cond)
-	case CB:
-		d.op = vCBEQ + vop(in.Cond)
-	case CBI:
-		d.op = vCBIEQ + vop(in.Cond)
-	case LDW, STW:
-		base := vLDB
-		if in.Op == STW {
-			base = vSTB
+	d := dinstr{op: info.op, rd: regs[0], ra: regs[1], rb: regs[2], imm: in.Imm, target: in.Target}
+	if info.uses&useCond != 0 {
+		if in.Cond > GE {
+			return bad("illegal condition %d", in.Cond)
 		}
+		d.op += vop(in.Cond)
+	}
+
+	switch in.Op {
+	case SHLI, SHRI:
+		d.imm &= 31
+	case LDW, STW:
 		switch in.MemSize {
 		case 1:
-			d.op = base
 		case 2:
-			d.op = base + 1
+			d.op++
 		case 4:
-			d.op = base + 2
+			d.op += 2
 		default:
 			return bad("illegal access width %d", in.MemSize)
 		}
@@ -298,7 +288,6 @@ func (vm *VM) decode(pc int, in *Instr) dinstr {
 	case SYS:
 		switch in.Imm {
 		case SysExit:
-			d.op = vEXIT
 		case SysPutchar:
 			d.op = vPUTCHAR
 		case SysPutint:
@@ -311,18 +300,16 @@ func (vm *VM) decode(pc int, in *Instr) dinstr {
 			return bad("call to bad address %#x", uint32(TextBase+in.Target))
 		}
 		d.imm = vm.fnOf[in.Target]
-		fallthrough
-	default:
-		d.op = direct[in.Op]
-		taken = in.Op == B || in.Op == BL || in.Op == BLR || in.Op == BV
 	}
+
 	switch in.Op {
-	case SHLI, SHRI:
-		d.imm &= 31
-	}
-	d.cost = uint8(in.Cycles(taken))
-	if in.Op == CB || in.Op == CBI {
+	case B, BL, BLR, BV:
+		d.cost = uint8(in.Cycles(true))
+	case CB, CBI:
+		d.cost = uint8(in.Cycles(false))
 		d.takenCost = uint8(in.Cycles(true))
+	default:
+		d.cost = uint8(in.Cycles(false))
 	}
 	return d
 }
