@@ -249,6 +249,7 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 		}
 		exe.Funcs = append(exe.Funcs, FuncInfo{Name: f.Name, Start: start, End: len(exe.Code)})
 	}
+
 	// ---- Apply code relocations.
 	for _, f := range forder {
 		base := exe.Funcs[exe.FuncIdx[f.Name]].Start

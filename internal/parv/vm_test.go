@@ -508,6 +508,44 @@ func TestVMCycleCosts(t *testing.T) {
 	}
 }
 
+// TestVMConditionsMatchHolds runs every condition of CMP, CMPI, CB and
+// CBI against Cond.Holds, and checks a taken branch costs the taken cycles.
+func TestVMConditionsMatchHolds(t *testing.T) {
+	pairs := [][2]int32{{-1, 0}, {0, 0}, {1, 0}, {-2147483648, 2147483647}, {7, -7}}
+	for _, c := range []Cond{EQ, NE, LT, LE, GT, GE} {
+		for _, p := range pairs {
+			want := b2i32(c.Holds(p[0], p[1]))
+			load := []Instr{{Op: LDI, Rd: 19, Imm: p[0]}, {Op: LDI, Rd: 20, Imm: p[1]}}
+			for _, cmp := range []Instr{
+				{Op: CMP, Rd: RegRet, Ra: 19, Rb: 20, Cond: c},
+				{Op: CMPI, Rd: RegRet, Ra: 19, Imm: p[1], Cond: c},
+			} {
+				if vm, got := runMain(t, append(load, cmp)...); got != want || vm.Stats.Cycles != 5 {
+					t.Errorf("%s %d, %d = %d in %d cycles, want %d in 5", cmp.String(), p[0], p[1], got, vm.Stats.Cycles, want)
+				}
+			}
+			for _, br := range []Instr{
+				{Op: CB, Ra: 19, Rb: 20, Cond: c, Target: 5},
+				{Op: CBI, Ra: 19, Imm: p[1], Cond: c, Target: 5},
+			} {
+				// Falls through to ret = 0, or branches to ret = 1.
+				code := append(load, br,
+					Instr{Op: LDI, Rd: RegRet, Imm: 0}, Instr{Op: BV, Ra: RegRP},
+					Instr{Op: LDI, Rd: RegRet, Imm: 1}, Instr{Op: BV, Ra: RegRP})
+				vm := NewVM(exeFromFuncs(t, nil, &ObjFunc{Name: "main", Code: code}))
+				got, err := vm.Run(100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cycles := uint64(1 + 1 + br.Cycles(want == 1) + 1 + 2)
+				if got != want || vm.Stats.Cycles != cycles {
+					t.Errorf("%s %d, %d: ret %d in %d cycles, want %d in %d", br.String(), p[0], p[1], got, vm.Stats.Cycles, want, cycles)
+				}
+			}
+		}
+	}
+}
+
 // TestCondProperties checks Holds/Negate duality over random values.
 func TestCondProperties(t *testing.T) {
 	conds := []Cond{EQ, NE, LT, LE, GT, GE}
