@@ -80,11 +80,7 @@ func TestSimulatorGoldens(t *testing.T) {
 	}
 
 	if *updateStrategyGolden {
-		entries := make(map[string]any, len(got))
-		for k, v := range got {
-			entries[k] = v
-		}
-		writeGoldenJSON(t, simulatorGoldenPath, entries)
+		writeGoldenJSON(t, simulatorGoldenPath, got)
 		return
 	}
 

@@ -115,7 +115,7 @@ func goldenBuilds(t testing.TB) map[string]goldenBuild {
 }
 
 // writeGoldenJSON writes a golden file with one sorted key per line.
-func writeGoldenJSON(t testing.TB, path string, entries map[string]any) {
+func writeGoldenJSON[V any](t testing.TB, path string, entries map[string]V) {
 	t.Helper()
 	keys := make([]string, 0, len(entries))
 	for k := range entries {
@@ -160,11 +160,7 @@ func TestDefaultStrategyGoldens(t *testing.T) {
 	}
 
 	if *updateStrategyGolden {
-		entries := make(map[string]any, len(got))
-		for k, v := range got {
-			entries[k] = v
-		}
-		writeGoldenJSON(t, strategyGoldenPath, entries)
+		writeGoldenJSON(t, strategyGoldenPath, got)
 		return
 	}
 
