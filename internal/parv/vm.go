@@ -321,8 +321,8 @@ func (vm *VM) Output() string { return string(vm.out) }
 func (vm *VM) Reg(r uint8) int32 { return vm.regs[r] }
 
 // funcName names the function at index f of Funcs, or "?".
-func (vm *VM) funcName(f int64) string {
-	if f < 0 || f >= int64(len(vm.exe.Funcs)) {
+func (vm *VM) funcName(f int32) string {
+	if f < 0 || int(f) >= len(vm.exe.Funcs) {
 		return "?"
 	}
 	return vm.exe.Funcs[f].Name
@@ -332,8 +332,8 @@ func (vm *VM) funcName(f int64) string {
 func (vm *VM) Profile() *Profile {
 	p := &Profile{Edges: make(map[EdgeKey]uint64), Calls: make(map[string]uint64)}
 	for k, n := range vm.edges {
-		caller := vm.funcName(int64(int32(k >> 32)))
-		callee := vm.funcName(int64(int32(k)))
+		caller := vm.funcName(int32(k >> 32))
+		callee := vm.funcName(int32(k))
 		p.Edges[EdgeKey{Caller: caller, Callee: callee}] += n
 		p.Calls[callee] += n
 	}
@@ -360,10 +360,9 @@ func (vm *VM) accessFault(store bool, width int64, addr int32) string {
 // Run executes until the program halts or maxInstrs instructions have
 // retired (0 means a default of 2 billion). It returns the exit status.
 //
-// The pc and the counters live in locals while the machine runs and are
-// written back on every exit. A trapping instruction counts in
-// Stats.Instrs but not in Stats.Cycles. Control transfers set pc and
-// continue; every other instruction falls through to the common tail.
+// Stats and the pc are written back on every exit, halt or trap, so a
+// run stopped by the instruction limit resumes with a larger one. A
+// trapping instruction counts in Stats.Instrs but not in Stats.Cycles.
 func (vm *VM) Run(maxInstrs uint64) (int32, error) {
 	if maxInstrs == 0 {
 		maxInstrs = 2_000_000_000
@@ -372,9 +371,10 @@ func (vm *VM) Run(maxInstrs uint64) (int32, error) {
 	profile, edges := vm.ProfileEdges, vm.edges
 	r := &vm.regs
 	pc, curFn := vm.pc, vm.curFn
-	// The counters live in locals: the hot pc, instruction and cycle counts as
-	// scalars, the rest in a copy of Stats that the compiler keeps in the
-	// stack frame rather than in registers.
+	// The counters live in locals: the instruction and cycle counts as
+	// scalars, the other five in a copy of Stats that stays in the stack
+	// frame. As seven scalars they were spilled and reloaded around the
+	// loop on every instruction.
 	st := vm.Stats
 	instrs, cycles := st.Instrs, st.Cycles
 
@@ -382,6 +382,8 @@ func (vm *VM) Run(maxInstrs uint64) (int32, error) {
 	var msg string // set when the machine traps
 	// Register fields are masked with &31 only so that the compiler drops
 	// its bounds checks: decode already rejected every register >= 32.
+	// Control transfers set pc and continue; every other instruction
+	// falls through to the common tail.
 run:
 	for {
 		if instrs >= maxInstrs {
@@ -710,7 +712,7 @@ run:
 	if msg != "" {
 		name := "?"
 		if uint(pc) < uint(len(fnOf)) {
-			name = vm.funcName(int64(fnOf[pc]))
+			name = vm.funcName(fnOf[pc])
 		}
 		return 0, &Trap{PC: pc, Func: name, Msg: msg}
 	}

@@ -404,6 +404,11 @@ func TestVMInstructionLimit(t *testing.T) {
 	if vm.Stats.Instrs != 1000 {
 		t.Errorf("executed %d instructions, want 1000", vm.Stats.Instrs)
 	}
+	// A larger budget resumes where the run stopped.
+	if _, err := vm.Run(1500); err == nil || vm.Stats.Instrs != 1500 || vm.Stats.Cycles != 3000 {
+		t.Errorf("resumed run = %v at %d instructions, %d cycles; want the limit at 1500, 3000",
+			err, vm.Stats.Instrs, vm.Stats.Cycles)
+	}
 }
 
 func TestVMCallsAndProfile(t *testing.T) {
