@@ -17,10 +17,11 @@
 // over length-prefixed sections — no reflection — so a hit costs little
 // more than the allocations of the copies themselves.
 //
-// The same wire payload doubles as the on-disk phase-1 record of the
-// incremental build directory (EncodeEntry / ReadEntryFile), so the
-// in-memory cache and the persistent store never disagree about what a
-// phase-1 artifact is.
+// The same wire payload is the on-disk phase-1 record of the incremental
+// build directory: Get and Put hand the entry's bytes back to the caller,
+// which passes them to the store unchanged, so the in-memory cache and
+// the persistent store never disagree about what a phase-1 artifact is,
+// and a record is encoded once per compile.
 package cache
 
 import (
@@ -28,12 +29,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ipra/internal/ir"
+	"ipra/internal/lru"
 	"ipra/internal/summary"
 	"ipra/internal/telemetry"
 	"ipra/internal/wire"
@@ -66,14 +67,6 @@ func SourceKey(name string, text []byte, fingerprint string) Key {
 	return k
 }
 
-// entry is one cached module: the wire bytes plus its position in the
-// intrusive LRU list (front = most recently used, back = eviction victim).
-type entry struct {
-	key        Key
-	data       []byte
-	prev, next *entry
-}
-
 // Wire format identity of a cache entry (also the incremental build dir's
 // phase-1 record). Bump the version whenever the body layout — the module
 // encoding, the summary encoding, or their order — changes.
@@ -87,11 +80,11 @@ const (
 // the summary, sharing a single string table. The bytes are
 // self-contained: DecodeEntry (or a hit on an in-memory entry)
 // reconstructs private copies.
-func EncodeEntry(m *ir.Module, ms *summary.ModuleSummary) ([]byte, error) {
+func EncodeEntry(m *ir.Module, ms *summary.ModuleSummary) []byte {
 	e := wire.NewEncoder(wireKind, wireVersion)
 	ir.AppendModule(e, m)
 	summary.AppendSummary(e, ms)
-	return e.Finish(), nil
+	return e.Finish()
 }
 
 // DecodeEntry is the inverse of EncodeEntry.
@@ -108,20 +101,6 @@ func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	return m, ms, nil
 }
 
-// ReadEntryFile loads a phase-1 entry written as EncodeEntry's bytes (the
-// incremental build directory's per-module phase-1 record).
-func ReadEntryFile(path string) (*ir.Module, *summary.ModuleSummary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, ms, err := DecodeEntry(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cache: %s: %w", path, err)
-	}
-	return m, ms, nil
-}
-
 // Stats is a consistent snapshot of the traffic counters.
 type Stats struct {
 	Hits, Misses, Evictions uint64
@@ -132,12 +111,7 @@ type Stats struct {
 type Cache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[Key]*entry
-	// head is the most recently used entry, tail the least; both nil when
-	// the cache is empty. Maintaining the list makes eviction O(1): Put
-	// pops the tail instead of rescanning every entry for the oldest
-	// clock reading.
-	head, tail *entry
+	entries *lru.Cache[Key, []byte] // the entries' wire bytes
 
 	// Traffic counters are atomics, not fields guarded by mu: Stats may be
 	// polled while parallel compile workers hammer Get/Put, and a plain
@@ -157,57 +131,24 @@ func New(max int) *Cache {
 	if max <= 0 {
 		max = DefaultMaxEntries
 	}
-	return &Cache{max: max, entries: make(map[Key]*entry)}
+	return &Cache{max: max, entries: lru.New[Key, []byte](max)}
 }
 
-// unlink removes e from the LRU list. Callers must hold c.mu.
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry. Callers must hold c.mu.
-func (c *Cache) pushFront(e *entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// Get returns private copies of the cached module and summary, or ok =
-// false on a miss. The returned values share no memory with the cache or
-// with any other caller.
-func (c *Cache) Get(k Key) (*ir.Module, *summary.ModuleSummary, bool) {
-	return c.get(context.Background(), k)
-}
-
-// get is Get with the build's telemetry context threaded to the
-// serialization counters (cache.decode_ns / cache.decode_bytes).
-func (c *Cache) get(ctx context.Context, k Key) (*ir.Module, *summary.ModuleSummary, bool) {
+// Get returns private copies of the cached module and summary, plus the
+// entry's wire bytes (shared and read-only), or ok = false on a miss. The
+// module and summary share no memory with the cache or with any other
+// caller. Hits and misses land on the context's tracer as cache.hits /
+// cache.misses and the decode cost as cache.decode_ns /
+// cache.decode_bytes; the process-wide Stats counters tick regardless.
+func (c *Cache) Get(ctx context.Context, k Key) (*ir.Module, *summary.ModuleSummary, []byte, bool) {
 	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, nil, false
-	}
-	c.unlink(e)
-	c.pushFront(e)
-	data := e.data
+	data, ok := c.entries.Get(k)
 	c.mu.Unlock()
+	if !ok {
+		c.misses.Add(1)
+		telemetry.Count(ctx, "cache.misses", 1)
+		return nil, nil, nil, false
+	}
 	c.hits.Add(1)
 
 	// Decode outside the lock: it is the expensive part of a hit.
@@ -219,82 +160,40 @@ func (c *Cache) get(ctx context.Context, k Key) (*ir.Module, *summary.ModuleSumm
 		// A decode failure means the entry is corrupt; drop it and report
 		// a miss so the caller recompiles.
 		c.mu.Lock()
-		if cur := c.entries[k]; cur != nil {
-			c.unlink(cur)
-			delete(c.entries, k)
-		}
+		c.entries.Remove(k)
 		c.mu.Unlock()
-		return nil, nil, false
-	}
-	return m, ms, true
-}
-
-// GetCtx is Get with the build's telemetry threaded through: hits and
-// misses land on the context's tracer as cache.hits / cache.misses (the
-// process-wide Stats counters tick regardless).
-func (c *Cache) GetCtx(ctx context.Context, k Key) (*ir.Module, *summary.ModuleSummary, bool) {
-	m, ms, ok := c.get(ctx, k)
-	if ok {
-		telemetry.Count(ctx, "cache.hits", 1)
-	} else {
 		telemetry.Count(ctx, "cache.misses", 1)
+		return nil, nil, nil, false
 	}
-	return m, ms, ok
+	telemetry.Count(ctx, "cache.hits", 1)
+	return m, ms, data, true
 }
 
-// Put stores the module and summary under k. The values are encoded
-// immediately, so the caller remains free to mutate its copies afterward.
-func (c *Cache) Put(k Key, m *ir.Module, ms *summary.ModuleSummary) error {
-	_, err := c.put(context.Background(), k, m, ms)
-	return err
-}
-
-// PutCtx is Put with the build's telemetry threaded through: evictions
-// this insertion forced land on the context's tracer as cache.evictions,
-// and the serialization cost as cache.encode_ns / cache.encode_bytes.
-func (c *Cache) PutCtx(ctx context.Context, k Key, m *ir.Module, ms *summary.ModuleSummary) error {
-	evicted, err := c.put(ctx, k, m, ms)
-	if evicted > 0 {
-		telemetry.Count(ctx, "cache.evictions", evicted)
-	}
-	return err
-}
-
-// put inserts the entry and returns how many victims were evicted.
-func (c *Cache) put(ctx context.Context, k Key, m *ir.Module, ms *summary.ModuleSummary) (evicted int64, err error) {
+// Put encodes the module and summary, stores the bytes under k and
+// returns them. The caller remains free to mutate its copies afterward.
+// Evictions this insertion forced land on the context's tracer as
+// cache.evictions, and the encoding cost as cache.encode_ns /
+// cache.encode_bytes.
+func (c *Cache) Put(ctx context.Context, k Key, m *ir.Module, ms *summary.ModuleSummary) []byte {
 	start := time.Now()
-	data, err := EncodeEntry(m, ms)
-	if err != nil {
-		return 0, err
-	}
+	data := EncodeEntry(m, ms)
 	telemetry.Count(ctx, "cache.encode_ns", time.Since(start).Nanoseconds())
 	telemetry.Count(ctx, "cache.encode_bytes", int64(len(data)))
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[k]; e != nil {
-		e.data = data
-		c.unlink(e)
-		c.pushFront(e)
-		return 0, nil
+	evicted := c.entries.Put(k, data)
+	c.mu.Unlock()
+	if evicted > 0 {
+		c.evictions.Add(uint64(evicted))
+		telemetry.Count(ctx, "cache.evictions", int64(evicted))
 	}
-	e := &entry{key: k, data: data}
-	c.entries[k] = e
-	c.pushFront(e)
-	for len(c.entries) > c.max {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.entries, victim.key)
-		c.evictions.Add(1)
-		evicted++
-	}
-	return evicted, nil
+	return data
 }
 
 // Stats returns a snapshot of the traffic counters. It is safe to call
 // concurrently with Get and Put.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	n := len(c.entries)
+	n := c.entries.Len()
 	c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits.Load(),
@@ -308,8 +207,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[Key]*entry)
-	c.head, c.tail = nil, nil
+	c.entries = lru.New[Key, []byte](c.max)
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,14 +48,14 @@ func TestSourceKeyComponents(t *testing.T) {
 	}
 }
 
+var ctx = context.Background()
+
 func TestGetReturnsIsolatedCopies(t *testing.T) {
 	c := New(8)
 	k := SourceKey("m.mc", []byte("x"), "")
-	if err := c.Put(k, testModule("m.mc"), testSummary("m.mc")); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(ctx, k, testModule("m.mc"), testSummary("m.mc"))
 
-	m1, s1, ok := c.Get(k)
+	m1, s1, _, ok := c.Get(ctx, k)
 	if !ok {
 		t.Fatal("expected hit")
 	}
@@ -61,7 +63,7 @@ func TestGetReturnsIsolatedCopies(t *testing.T) {
 	m1.Globals[0].Name = "corrupted"
 	s1.Procs[0].CalleeSavesNeeded = 99
 
-	m2, s2, ok := c.Get(k)
+	m2, s2, _, ok := c.Get(ctx, k)
 	if !ok {
 		t.Fatal("expected second hit")
 	}
@@ -75,14 +77,12 @@ func TestGetReturnsIsolatedCopies(t *testing.T) {
 
 func TestMissAndStats(t *testing.T) {
 	c := New(8)
-	if _, _, ok := c.Get(SourceKey("absent", nil, "")); ok {
+	if _, _, _, ok := c.Get(ctx, SourceKey("absent", nil, "")); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
 	k := SourceKey("m.mc", []byte("x"), "")
-	if err := c.Put(k, testModule("m.mc"), testSummary("m.mc")); err != nil {
-		t.Fatal(err)
-	}
-	c.Get(k)
+	c.Put(ctx, k, testModule("m.mc"), testSummary("m.mc"))
+	c.Get(ctx, k)
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 entry", s)
@@ -99,21 +99,17 @@ func TestLRUEviction(t *testing.T) {
 	kb := SourceKey("b", nil, "")
 	kc := SourceKey("c", nil, "")
 	for _, k := range []Key{ka, kb} {
-		if err := c.Put(k, testModule("m"), testSummary("m")); err != nil {
-			t.Fatal(err)
-		}
+		c.Put(ctx, k, testModule("m"), testSummary("m"))
 	}
-	c.Get(ka) // b is now least recently used
-	if err := c.Put(kc, testModule("m"), testSummary("m")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Get(kb); ok {
+	c.Get(ctx, ka) // b is now least recently used
+	c.Put(ctx, kc, testModule("m"), testSummary("m"))
+	if _, _, _, ok := c.Get(ctx, kb); ok {
 		t.Error("least recently used entry b should have been evicted")
 	}
-	if _, _, ok := c.Get(ka); !ok {
+	if _, _, _, ok := c.Get(ctx, ka); !ok {
 		t.Error("recently used entry a should have survived")
 	}
-	if _, _, ok := c.Get(kc); !ok {
+	if _, _, _, ok := c.Get(ctx, kc); !ok {
 		t.Error("new entry c should be present")
 	}
 	if s := c.Stats(); s.Evictions != 1 {
@@ -122,36 +118,31 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestLRUOrderUnderChurn drives a larger cache through interleaved Puts,
-// re-Puts, and Gets and checks that eviction follows exact LRU order — the
-// invariant the intrusive list must preserve without the old full-scan.
+// re-Puts, and Gets and checks that eviction follows exact LRU order.
 func TestLRUOrderUnderChurn(t *testing.T) {
 	const n = 8
 	c := New(n)
 	key := func(i int) Key { return SourceKey(fmt.Sprintf("m%d", i), nil, "") }
 	for i := 0; i < n; i++ {
-		if err := c.Put(key(i), testModule("m"), testSummary("m")); err != nil {
-			t.Fatal(err)
-		}
+		c.Put(ctx, key(i), testModule("m"), testSummary("m"))
 	}
 	// Touch half the entries (mix of Get and re-Put); the untouched half
 	// must then be evicted first, in their original insertion order.
 	for i := 0; i < n; i += 2 {
 		if i%4 == 0 {
-			c.Get(key(i))
-		} else if err := c.Put(key(i), testModule("m"), testSummary("m")); err != nil {
-			t.Fatal(err)
+			c.Get(ctx, key(i))
+		} else {
+			c.Put(ctx, key(i), testModule("m"), testSummary("m"))
 		}
 	}
 	for round, i := 0, 1; i < n; round, i = round+1, i+2 {
-		if err := c.Put(key(n+round), testModule("m"), testSummary("m")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := c.Get(key(i)); ok {
+		c.Put(ctx, key(n+round), testModule("m"), testSummary("m"))
+		if _, _, _, ok := c.Get(ctx, key(i)); ok {
 			t.Fatalf("entry %d survived; expected it evicted on round %d", i, round)
 		}
 	}
 	for i := 0; i < n; i += 2 {
-		if _, _, ok := c.Get(key(i)); !ok {
+		if _, _, _, ok := c.Get(ctx, key(i)); !ok {
 			t.Errorf("recently used entry %d was evicted", i)
 		}
 	}
@@ -163,31 +154,44 @@ func TestLRUOrderUnderChurn(t *testing.T) {
 func TestEntryFileRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.p1")
 	m, ms := testModule("m.mc"), testSummary("m.mc")
-	data, err := EncodeEntry(m, ms)
-	if err != nil {
+	if err := os.WriteFile(path, EncodeEntry(m, ms), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	read := func() (*ir.Module, *summary.ModuleSummary) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, gms, err := DecodeEntry(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gm, gms
 	}
-	gm, gms, err := ReadEntryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gm, gms := read()
 	if !reflect.DeepEqual(gm, m) || !reflect.DeepEqual(gms, ms) {
 		t.Error("entry file roundtrip lost data")
 	}
 	// Decoded copies must be private.
 	gm.Globals[0].Name = "corrupted"
-	gm2, _, err := ReadEntryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gm2.Globals[0].Name != "g" {
+	if gm2, _ := read(); gm2.Globals[0].Name != "g" {
 		t.Error("reread entry shares memory with a previous read")
 	}
-	if _, _, err := ReadEntryFile(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Error("missing entry file must error")
+	data := EncodeEntry(m, ms)
+	if _, _, err := DecodeEntry(data[:len(data)-1]); err == nil {
+		t.Error("truncated entry must error")
+	}
+
+	// The bytes Put returns, and a hit hands back, are the entry's
+	// encoding: the record the build directory stores.
+	c := New(8)
+	k := SourceKey("m.mc", nil, "")
+	if put := c.Put(ctx, k, m, ms); !bytes.Equal(put, data) {
+		t.Error("Put returned bytes other than EncodeEntry's")
+	}
+	if _, _, got, ok := c.Get(ctx, k); !ok || !bytes.Equal(got, data) {
+		t.Errorf("Get returned other bytes than EncodeEntry's (hit %v)", ok)
 	}
 }
 
@@ -220,11 +224,8 @@ func TestStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPerWorker; i++ {
 				k := SourceKey(fmt.Sprintf("m%d", (w*opsPerWorker+i)%16), nil, "")
-				if _, _, ok := c.Get(k); !ok {
-					if err := c.Put(k, m, ms); err != nil {
-						t.Error(err)
-						return
-					}
+				if _, _, _, ok := c.Get(ctx, k); !ok {
+					c.Put(ctx, k, m, ms)
 				}
 			}
 		}(w)
@@ -244,8 +245,8 @@ func TestStatsConcurrent(t *testing.T) {
 
 // BenchmarkPutFullCache measures Put into a cache at capacity, where every
 // insert evicts. The pre-LRU-list implementation rescanned all entries on
-// each eviction (O(n) per Put); the intrusive list pops the tail in O(1),
-// which this benchmark demonstrates at a size where the scan dominated.
+// each eviction (O(n) per Put); the LRU list pops the tail in O(1), which
+// this benchmark demonstrates at a size where the scan dominated.
 func BenchmarkPutFullCache(b *testing.B) {
 	const size = 4096
 	c := New(size)
@@ -255,14 +256,10 @@ func BenchmarkPutFullCache(b *testing.B) {
 		keys[i] = SourceKey(fmt.Sprintf("m%d", i), nil, "")
 	}
 	for i := 0; i < size; i++ {
-		if err := c.Put(keys[i], m, ms); err != nil {
-			b.Fatal(err)
-		}
+		c.Put(ctx, keys[i], m, ms)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Put(keys[size+i], m, ms); err != nil {
-			b.Fatal(err)
-		}
+		c.Put(ctx, keys[size+i], m, ms)
 	}
 }

@@ -452,11 +452,6 @@ type Sets struct {
 	MSpill regs.Set
 }
 
-// StandardSets is the conventional linkage: no free or mspill registers.
-func StandardSets() *Sets {
-	return &Sets{Caller: regs.StdCallerSaved(), Callee: regs.StdCalleeSaved()}
-}
-
 // Assignment carries the computed sets and AVAIL information per node,
 // indexed by node ID (node IDs are dense, so flat slices beat maps on the
 // analyzer's hot path).

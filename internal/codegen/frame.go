@@ -48,12 +48,6 @@ func Compile(mod *ir.Module, db *pdb.Database) (*parv.Object, error) {
 	return obj, nil
 }
 
-// CompileFunc lowers, allocates, and emits one function under worst-case
-// call clobber assumptions (no per-callee information).
-func CompileFunc(f *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives) (*parv.ObjFunc, error) {
-	return compileFunc(f, mod, dir, nil)
-}
-
 func compileFunc(f *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives, clobberOf func(string) regs.Set) (*parv.ObjFunc, error) {
 	lf, err := lower(f, mod, dir)
 	if err != nil {

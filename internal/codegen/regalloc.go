@@ -116,7 +116,7 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 	// — plus the linkage registers rp and ret0.
 	worstClobber := dir.Caller.Union(dir.MSpill).Add(parv.RegRP).Add(parv.RegRet)
 	clobberFor := func(in *linstr) regs.Set {
-		if in.op == parv.BL && clobberOf != nil {
+		if in.op == parv.BL {
 			if c := clobberOf(in.sym); !c.Empty() {
 				// Never exceed the worst case (a callee cannot clobber
 				// registers this procedure treats as preserved); always

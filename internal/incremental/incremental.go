@@ -24,9 +24,9 @@
 //
 // The build driver (ipra.Build) runs those stages and asks the Store at
 // each one what it may reuse; this package owns only the directory: the
-// manifest, the artifact files, the analyzer-state binding, the key
-// diff, and the explanation of every decision. A build without a
-// directory runs the same stages against a nil *Store.
+// manifest, the artifact files (phase-1 records, objects and the
+// analyzer state), the key diff, and the explanation of every decision.
+// A build without a directory runs the same stages against a nil *Store.
 //
 // The load-bearing invariant: a build against a store produces the same
 // modules, summaries, database, objects, and executable as a store-less
@@ -38,6 +38,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -79,15 +80,17 @@ type Outcome struct {
 }
 
 // ReusePhase1 returns module i's stored phase-1 record when its source is
-// unchanged. Otherwise it records why phase 1 must re-run (an
-// invalidate-phase1 event on the context's tracer) and returns false; the
-// caller compiles the module.
-func (s *Store) ReusePhase1(ctx context.Context, i int, text []byte) (*ir.Module, *summary.ModuleSummary, bool) {
+// unchanged: when key, the module's cache.SourceKey under the toolchain
+// fingerprint the store was opened with, matches the stored source hash.
+// Otherwise it records why phase 1 must re-run (an invalidate-phase1
+// event on the context's tracer) and returns false; the caller compiles
+// the module.
+func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*ir.Module, *summary.ModuleSummary, bool) {
 	if s == nil {
 		return nil, nil, false
 	}
 	a := &s.out.Actions[i]
-	hash := cache.SourceKey(a.Module, text, s.toolchain).Hex()
+	hash := key.Hex()
 	s.next[i].SourceHash = hash
 	reason := ""
 	prev := s.prev.Modules[a.Module]
@@ -118,20 +121,17 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, text []byte) (*ir.Module
 // whose fresh record may still be the stored one.
 const sourceChanged = "source changed"
 
-// SetPhase1 takes module i's freshly compiled phase-1 output: it encodes
-// the record Persist will write and names it by its content. When an
-// edited module's record gets the name the stored manifest holds, the
-// record is byte-equal to the stored one (a comment edit, or the revert
-// of one) and the module is phase-1-unchanged (a phase1-unchanged event
-// on the context's tracer): not dirty for the analyzer, its phase 2
-// decided by the key diff alone, and its stored record kept.
-func (s *Store) SetPhase1(ctx context.Context, i int, m *ir.Module, ms *summary.ModuleSummary) error {
+// SetPhase1 takes module i's freshly compiled phase-1 record, the bytes
+// cache.EncodeEntry gives it, and names them by their content; Persist
+// writes them as they are. When an edited module's record gets the name
+// the stored manifest holds, the record is byte-equal to the stored one
+// (a comment edit, or the revert of one) and the module is
+// phase-1-unchanged (a phase1-unchanged event on the context's tracer):
+// not dirty for the analyzer, its phase 2 decided by the key diff alone,
+// and its stored record kept.
+func (s *Store) SetPhase1(ctx context.Context, i int, data []byte) {
 	if s == nil {
-		return nil
-	}
-	data, err := cache.EncodeEntry(m, ms)
-	if err != nil {
-		return err
+		return
 	}
 	a, next := &s.out.Actions[i], &s.next[i]
 	next.Phase1File = artifactFile("p1", a.Module, data)
@@ -140,10 +140,9 @@ func (s *Store) SetPhase1(ctx context.Context, i int, m *ir.Module, ms *summary.
 		ev := telemetry.Event(ctx, "phase1-unchanged")
 		ev.SetStr("module", a.Module)
 		ev.End()
-		return nil
+		return
 	}
 	s.phase1[i] = data
-	return nil
 }
 
 // Dirty lists the modules whose phase-1 record changed: a sound superset
@@ -159,11 +158,16 @@ func (s *Store) Dirty() []string {
 	return dirty
 }
 
-// AnalyzerState returns the analyzer state the previous build persisted,
-// or nil when there is none still bound to the stored manifest. Its
-// content is opaque to the store.
+// AnalyzerState returns the bytes of the analyzer state the stored
+// manifest names, or nil when it names none or the file does not read.
+// Its content is opaque to the store: a corrupt state is the analyzer's
+// to reject.
 func (s *Store) AnalyzerState() []byte {
-	s.prevState = s.loadAnalyzerState()
+	if p, err := s.path(s.prev.Analyzer); err == nil {
+		if data, err := os.ReadFile(p); err == nil {
+			s.prevState = data
+		}
+	}
 	return s.prevState
 }
 

@@ -104,8 +104,10 @@ type toyOptions struct {
 	eligible    []string // the database's eligibility list
 	explain     io.Writer
 	// offered, when non-nil, runs an incremental analyzer: it records the
-	// state the store offered and persists a recognizable blob.
+	// state the store offered and persists state, a recognizable blob
+	// ("" means "analyzer-state-blob").
 	offered *[][]byte
+	state   string
 }
 
 // toyResult is what one toy build compiled and produced.
@@ -121,6 +123,16 @@ type toyResult struct {
 // toyBuild runs one build against the store in dir, stage by stage as
 // the build driver does.
 func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResult {
+	t.Helper()
+	r, err := toyBuildErr(t, dir, srcs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// toyBuildErr is toyBuild returning Persist's error.
+func toyBuildErr(t *testing.T, dir string, srcs []toySource, o toyOptions) (toyResult, error) {
 	t.Helper()
 	ctx := context.Background()
 	if o.fingerprint == "" {
@@ -140,13 +152,11 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 		objs:    make([]*parv.Object, len(srcs)),
 	}
 	for i, src := range srcs {
-		m, ms, ok := st.ReusePhase1(ctx, i, []byte(src.text))
+		m, ms, ok := st.ReusePhase1(ctx, i, cache.SourceKey(src.name, []byte(src.text), o.fingerprint))
 		if !ok {
 			m, ms = toyPhase1(src)
 			r.phase1 = append(r.phase1, src.name)
-			if err := st.SetPhase1(ctx, i, m, ms); err != nil {
-				t.Fatal(err)
-			}
+			st.SetPhase1(ctx, i, cache.EncodeEntry(m, ms))
 		}
 		r.modules[i], r.sums[i] = m, ms
 	}
@@ -159,7 +169,10 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 		if prev == nil {
 			reuse.Fallback = "no analyzer state"
 		}
-		st.SetAnalyzer(ctx, []byte("analyzer-state-blob"), reuse)
+		if o.state == "" {
+			o.state = "analyzer-state-blob"
+		}
+		st.SetAnalyzer(ctx, []byte(o.state), reuse)
 	}
 	st.Diff(ctx, r.modules, db)
 	for i, m := range r.modules {
@@ -169,10 +182,10 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 		}
 	}
 	if err := st.Persist(r.objs); err != nil {
-		t.Fatal(err)
+		return r, err
 	}
 	r.out = st.Outcome(ctx, o.explain)
-	return r
+	return r, nil
 }
 
 func readManifest(t *testing.T, dir string) manifest {
@@ -318,10 +331,8 @@ func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 	wantSame := func(what string, got, want toyResult) {
 		t.Helper()
 		for i := range want.objs {
-			gotRec, err1 := cache.EncodeEntry(got.modules[i], got.sums[i])
-			wantRec, err2 := cache.EncodeEntry(want.modules[i], want.sums[i])
-			if err1 != nil || err2 != nil || !bytes.Equal(gotRec, wantRec) {
-				t.Errorf("%s: %s: phase-1 record differs from a clean build's (%v, %v)", what, want.modules[i].Name, err1, err2)
+			if !bytes.Equal(cache.EncodeEntry(got.modules[i], got.sums[i]), cache.EncodeEntry(want.modules[i], want.sums[i])) {
+				t.Errorf("%s: %s: phase-1 record differs from a clean build's", what, want.modules[i].Name)
 			}
 			if !bytes.Equal(parv.EncodeObject(got.objs[i]), parv.EncodeObject(want.objs[i])) {
 				t.Errorf("%s: %s: object differs from a clean build's", what, want.modules[i].Name)
@@ -374,11 +385,7 @@ func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 	// still names the old one.
 	dir = t.TempDir()
 	toyBuild(t, dir, twoModules(), toyOptions{})
-	m, ms := toyPhase1(edited[1])
-	rec, err := cache.EncodeEntry(m, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := cache.EncodeEntry(toyPhase1(edited[1]))
 	if err := os.WriteFile(filepath.Join(dir, readManifest(t, dir).Modules["lib.mc"].Phase1File), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -616,10 +623,10 @@ func TestDiffDirectives(t *testing.T) {
 	}
 }
 
-// TestAnalyzerStatePersistence checks the analyzer.state round trip: the
+// TestAnalyzerStatePersistence checks the analyzer state round trip: the
 // first build sees no state, repeat builds see exactly what the previous
-// build persisted, and a manifest written without the state file (an older
-// binary's build) invalidates the stored state instead of offering it.
+// build persisted, and a build that runs no analyzer names no state, so
+// the next analyzer run is offered none and the old artifact is pruned.
 func TestAnalyzerStatePersistence(t *testing.T) {
 	dir := t.TempDir()
 	var offered [][]byte
@@ -635,6 +642,10 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 	if !strings.Contains(buf.String(), "analyzer: full analysis (no analyzer state)") {
 		t.Errorf("explain output missing analyzer fallback line:\n%s", &buf)
 	}
+	artifact := readManifest(t, dir).Analyzer
+	if !strings.HasPrefix(artifact, "analyzer-state-") || !strings.HasSuffix(artifact, ".wire") {
+		t.Fatalf("manifest names analyzer state %q, want analyzer-state-<hash>.wire", artifact)
+	}
 
 	buf.Reset()
 	r = toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
@@ -648,8 +659,9 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 		t.Errorf("explain output missing analyzer reuse line:\n%s", &buf)
 	}
 
-	// An edited build still receives the state (it is bound to the manifest
-	// the state was saved with; the dirty list carries the change).
+	// An edited build still receives the state (the manifest it is named
+	// in holds the records it was computed from; the dirty list carries
+	// the change).
 	edited := twoModules()
 	edited[1].text = "helper>leaf leaf extra"
 	r = toyBuild(t, dir, edited, toyOptions{offered: &offered})
@@ -660,16 +672,21 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 		t.Errorf("edited build: DirtyModules = %d, want 1", r.out.Analyzer.DirtyModules)
 	}
 
-	// A build that persists no analyzer state — an older binary, or a
-	// configuration without the analyzer — advances the manifest without
-	// refreshing analyzer.state. The stored state now belongs to a
-	// different manifest generation and must be dropped, not offered.
+	// A build that runs no analyzer advances the manifest and names no
+	// state. The stored state belongs to older records: it is pruned,
+	// and the next analyzer run is offered nothing.
 	older := twoModules()
 	older[0].text = "main>helper main>leaf main-extra"
 	toyBuild(t, dir, older, toyOptions{})
+	if m := readManifest(t, dir); m.Analyzer != "" {
+		t.Errorf("a build without an analyzer named state %q", m.Analyzer)
+	}
+	if _, err := os.Stat(filepath.Join(dir, artifact)); !os.IsNotExist(err) {
+		t.Errorf("unnamed analyzer state %s survived (%v)", artifact, err)
+	}
 	r = toyBuild(t, dir, older, toyOptions{offered: &offered})
 	if len(offered) != 4 || offered[3] != nil {
-		t.Fatalf("stale analyzer state offered after an out-of-band manifest update: %q", offered[3])
+		t.Fatalf("stale analyzer state offered after a build without the analyzer: %q", offered[3])
 	}
 	if r.out.Analyzer == nil || r.out.Analyzer.Fallback == "" {
 		t.Errorf("stale-state build: Analyzer = %+v, want fallback", r.out.Analyzer)
@@ -677,13 +694,13 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 }
 
 // TestAnalyzerStateSkipsNoOpWrite ensures a no-edit rebuild does not
-// rewrite analyzer.state when neither the sources nor the state moved.
+// rewrite the analyzer state when its bytes did not move.
 func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 	dir := t.TempDir()
 	var offered [][]byte
 	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
 
-	path := filepath.Join(dir, analyzerStateName)
+	path := filepath.Join(dir, readManifest(t, dir).Analyzer)
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -700,6 +717,112 @@ func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !after.ModTime().Equal(before.ModTime()) {
-		t.Error("no-op rebuild rewrote analyzer.state")
+		t.Error("no-op rebuild rewrote the analyzer state")
+	}
+}
+
+// TestAnalyzerStateTamperedIsRewritten overwrites the named analyzer
+// state with junk. The store offers the bytes as they are (rejecting them
+// is the analyzer's business), and the build rewrites the artifact even
+// though its name is unchanged, so the next build is offered the real
+// state again.
+func TestAnalyzerStateTamperedIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	var offered [][]byte
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	path := filepath.Join(dir, readManifest(t, dir).Analyzer)
+	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	if string(offered[1]) != "junk" {
+		t.Errorf("tampered build offered %q, want the file's bytes as they are", offered[1])
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "analyzer-state-blob" {
+		t.Errorf("tampered artifact holds %q after the build (%v), want it rewritten", data, err)
+	}
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	if string(offered[2]) != "analyzer-state-blob" {
+		t.Errorf("build after the rewrite offered %q, want the persisted blob", offered[2])
+	}
+}
+
+// TestAnalyzerStateSurvivesInterruptedPersist cuts a build off after it has
+// written its artifacts, the new analyzer state among them, but before
+// the manifest swap. The next build must be offered the previous state:
+// the live manifest still names it, and it still holds its bytes.
+func TestAnalyzerStateSurvivesInterruptedPersist(t *testing.T) {
+	dir := t.TempDir()
+	var offered [][]byte
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, state: "state-before"})
+	prev := readManifest(t, dir).Analyzer
+
+	// A directory where the manifest's temporary file belongs makes the
+	// swap fail after every artifact write.
+	block := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	edited := twoModules()
+	edited[1].text = "helper>leaf leaf extra @g"
+	if _, err := toyBuildErr(t, dir, edited, toyOptions{offered: &offered, state: "state-cut"}); err == nil {
+		t.Fatal("build with a blocked manifest swap succeeded")
+	}
+	cut := artifactFile("analyzer-state", "", []byte("state-cut"))
+	if _, err := os.Stat(filepath.Join(dir, cut)); err != nil {
+		t.Fatalf("the cut-off build did not write its analyzer state: %v", err)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, state: "state-before"})
+	if string(offered[2]) != "state-before" {
+		t.Errorf("build after the cut-off was offered %q, want the previous state", offered[2])
+	}
+	if m := readManifest(t, dir); m.Analyzer != prev {
+		t.Errorf("manifest names %q, want %q", m.Analyzer, prev)
+	}
+	if _, err := os.Stat(filepath.Join(dir, cut)); !os.IsNotExist(err) {
+		t.Errorf("the cut-off build's analyzer state was not pruned (%v)", err)
+	}
+}
+
+// TestAnalyzerStateParentFile opens a directory in the form older builds
+// wrote: a manifest naming no analyzer state beside a headered
+// analyzer.state file. It offers no state, which costs one full analysis
+// and no module rebuilds, prunes the old file, and the next build is
+// incremental.
+func TestAnalyzerStateParentFile(t *testing.T) {
+	dir := t.TempDir()
+	var offered [][]byte
+	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	m := readManifest(t, dir)
+	if err := os.Remove(filepath.Join(dir, m.Analyzer)); err != nil {
+		t.Fatal(err)
+	}
+	m.Analyzer = ""
+	writeManifest(t, dir, m)
+	old := filepath.Join(dir, "analyzer.state")
+	if err := os.WriteFile(old, []byte("ipra-analyzer-store/v1\n0123456789abcdef01234567\nanalyzer-state-blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
+	if offered[1] != nil || r.out.Analyzer.Fallback == "" {
+		t.Errorf("offered %q (fallback %q), want no state and a fallback", offered[1], r.out.Analyzer.Fallback)
+	}
+	if r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("reset = %v, rebuilds = %d/%d; want no reset and 0/0\n%s",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Errorf("analyzer.state survived (%v)", err)
+	}
+	r = toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	if string(offered[2]) != "analyzer-state-blob" || r.out.Analyzer.Fallback != "" {
+		t.Errorf("next build offered %q (fallback %q), want the persisted blob", offered[2], r.out.Analyzer.Fallback)
 	}
 }

@@ -1,31 +1,41 @@
 // The persistent build-state store: a build directory holding a JSON
-// manifest plus per-module phase-1 records and object files.
+// manifest plus the content-named artifacts it lists.
 //
 // Layout:
 //
-//	<build-dir>/manifest.json   fingerprint + per-module state (below)
+//	<build-dir>/manifest.json   fingerprint, analyzer state name, and
+//	                            per-module state (below)
 //	<build-dir>/p1-<module>-<hash>.wire
 //	                            phase-1 record (IR module + summary, the
 //	                            cache package's entry encoding)
 //	<build-dir>/obj-<module>-<hash>.wire
 //	                            compiled object (parv object encoding)
+//	<build-dir>/analyzer-state-<hash>.wire
+//	                            the incremental analyzer's state (an
+//	                            analyzer-state wire artifact, opaque here)
 //
 // An artifact's name carries a hash of its module and its bytes
 // (artifactFile), so a name the manifest holds vouches for the file's
 // content, and a build never overwrites an artifact the live manifest
-// names with other bytes.
+// names with other bytes. Every artifact is written before the manifest
+// that names it replaces the previous one, and files no manifest names
+// are pruned after the swap, so a build cut off at any point leaves the
+// previous build's state whole.
 //
 // The manifest records, per module: the phase-1 source hash, the names of
 // the two artifact files, and the module's phase-2 keys (pdb.Keys): one
 // per consulted procedure plus the eligibility key of the globals it
-// declares. Everything is guarded by a fingerprint combining the store
-// format version with the caller's toolchain fingerprint; state written by
-// a different format or toolchain is rejected wholesale — stale artifacts
+// declares. The analyzer state it names was computed from exactly the
+// phase-1 records it names; a build that runs no analyzer names none.
+// Everything is guarded by a fingerprint combining the store format
+// version with the caller's toolchain fingerprint; state written by a
+// different format or toolchain is rejected wholesale — stale artifacts
 // must never survive a compiler upgrade, because nothing else could tell
 // them apart from fresh ones.
 package incremental
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,7 +43,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"ipra/internal/cache"
@@ -52,7 +61,9 @@ import (
 // meaning: bare whole-directive and program-wide eligibility hashes became
 // pdb's versioned phase-2 keys. A versioned key never equals a bare hash,
 // so such a directory keeps its phase-1 records and recompiles phase 2
-// once.
+// once. The analyzer state moved from a headered analyzer.state file to
+// an artifact the manifest names; a manifest without that name offers no
+// state, which costs one full analysis.
 const FormatVersion = "ipra-build/v2"
 
 const manifestName = "manifest.json"
@@ -74,8 +85,11 @@ type moduleState struct {
 
 // manifest is the whole persisted build state.
 type manifest struct {
-	Fingerprint string                  `json:"fingerprint"`
-	Modules     map[string]*moduleState `json:"modules"`
+	Fingerprint string `json:"fingerprint"`
+	// Analyzer is the base name of the analyzer state computed from the
+	// modules' phase-1 records; "" when the build ran no analyzer.
+	Analyzer string                  `json:"analyzer,omitempty"`
+	Modules  map[string]*moduleState `json:"modules"`
 }
 
 // Store is one build's view of a build directory: the state the previous
@@ -87,7 +101,6 @@ type manifest struct {
 // nothing. The other methods need a directory.
 type Store struct {
 	dir         string
-	toolchain   string // the caller's toolchain fingerprint (source hashes)
 	fingerprint string // FormatVersion + toolchain: the manifest guard
 	prev        manifest
 	// resetReason names why the build starts from nothing: a first build
@@ -112,7 +125,6 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	}
 	s := &Store{
 		dir:         dir,
-		toolchain:   toolchainFingerprint,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
 		next:        make([]moduleState, len(modules)),
 		phase1:      make([][]byte, len(modules)),
@@ -147,24 +159,26 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	return s, nil
 }
 
-// artifactFile names a module's artifact by its content. The sanitized
-// module name keeps the directory browsable; the hash of module name and
-// bytes keeps distinct modules apart after sanitization and makes equal
-// names mean equal bytes.
+// artifactFile names an artifact by its content. The sanitized module
+// name keeps the directory browsable; the hash of module name and bytes
+// keeps distinct modules apart after sanitization and makes equal names
+// mean equal bytes. A whole-program artifact has no module ("").
 func artifactFile(prefix, module string, data []byte) string {
-	sanitized := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, module)
 	h := sha256.New()
 	io.WriteString(h, module)
 	h.Write([]byte{0})
 	h.Write(data)
-	return prefix + "-" + sanitized + "-" + hex.EncodeToString(h.Sum(nil)[:16]) + ".wire"
+	if module != "" {
+		prefix += "-" + strings.Map(func(r rune) rune {
+			switch {
+			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
+				return r
+			default:
+				return '_'
+			}
+		}, module)
+	}
+	return prefix + "-" + hex.EncodeToString(h.Sum(nil)[:16]) + ".wire"
 }
 
 // path resolves a manifest-recorded base name inside the build directory,
@@ -183,7 +197,11 @@ func (s *Store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary,
 	if err != nil {
 		return nil, nil, err
 	}
-	return cache.ReadEntryFile(p)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cache.DecodeEntry(data)
 }
 
 // loadObject reads a stored object file.
@@ -204,84 +222,25 @@ func (s *Store) writeArtifact(base string, data []byte) error {
 	return nil
 }
 
-// analyzerStateName is the persisted analyzer state file. Its content is
-// opaque to this package (the build driver encodes and decodes it); a
-// small header binds it to the manifest it was saved alongside, so state
-// from any other manifest generation — including one written by an older
-// binary that did not know about this file — is never trusted.
-const analyzerStateName = "analyzer.state"
-
-const analyzerStateMagic = "ipra-analyzer-store/v1\n"
-
-// manifestDigest fingerprints a manifest's source set: the analyzer state
-// is valid exactly while every module summary it stamped is still the one
-// phase 1 derives, which is a function of the per-module source hashes.
-func manifestDigest(m manifest) string {
-	names := make([]string, 0, len(m.Modules))
-	for name := range m.Modules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, name := range names {
-		io.WriteString(h, name)
-		h.Write([]byte{0})
-		io.WriteString(h, m.Modules[name].SourceHash)
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:12])
-}
-
-// loadAnalyzerState returns the stored analyzer state bytes, or nil when
-// absent, unreadable, or bound to a different manifest generation.
-func (s *Store) loadAnalyzerState() []byte {
-	data, err := os.ReadFile(filepath.Join(s.dir, analyzerStateName))
-	if err != nil {
-		return nil
-	}
-	rest, ok := strings.CutPrefix(string(data), analyzerStateMagic)
-	if !ok {
-		return nil
-	}
-	digest, body, ok := strings.Cut(rest, "\n")
-	if !ok || digest != manifestDigest(s.prev) {
-		return nil
-	}
-	return []byte(body)
-}
-
-// saveAnalyzerState persists the build's analyzer state bound to the
-// manifest just saved. A write is skipped when nothing moved: same bytes,
-// same sources.
-func (s *Store) saveAnalyzerState(next manifest) error {
-	digest := manifestDigest(next)
-	if s.prevState != nil && string(s.prevState) == string(s.state) && digest == manifestDigest(s.prev) {
-		return nil
-	}
-	data := make([]byte, 0, len(analyzerStateMagic)+len(digest)+1+len(s.state))
-	data = append(data, analyzerStateMagic...)
-	data = append(data, digest...)
-	data = append(data, '\n')
-	data = append(data, s.state...)
-	tmp := filepath.Join(s.dir, analyzerStateName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, analyzerStateName)); err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	return nil
-}
-
 // Persist writes the build's new state: fresh artifacts for the modules
-// whose phase-1 record or object changed (the records SetPhase1 encoded),
-// carried-over records for the rest, then the manifest (atomically;
-// unreferenced artifacts are pruned) and the analyzer state bound to it.
-// Until the manifest is replaced the previous state stays in force, and
-// the artifacts it names keep their bytes, so a build that fails or is
+// whose phase-1 record or object changed (the records SetPhase1 named),
+// carried-over records for the rest, the analyzer state, then the
+// manifest (atomically; unreferenced artifacts are pruned). Until the
+// manifest is replaced the previous state stays in force, and the
+// artifacts it names keep their bytes, so a build that fails or is
 // interrupted never poisons later ones.
 func (s *Store) Persist(objs []*parv.Object) error {
 	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
+	if s.state != nil {
+		// Rewrite unless the file already holds these bytes: a name
+		// vouches for its content only while nobody tampered with it.
+		next.Analyzer = artifactFile("analyzer-state", "", s.state)
+		if next.Analyzer != s.prev.Analyzer || !bytes.Equal(s.prevState, s.state) {
+			if err := s.writeArtifact(next.Analyzer, s.state); err != nil {
+				return err
+			}
+		}
+	}
 	for i := range s.next {
 		ms, a := &s.next[i], s.out.Actions[i]
 		prev := s.prev.Modules[a.Module]
@@ -306,18 +265,13 @@ func (s *Store) Persist(objs []*parv.Object) error {
 		}
 		next.Modules[a.Module] = ms
 	}
-	if err := s.save(next); err != nil {
-		return err
-	}
-	if s.state == nil {
-		return nil
-	}
-	return s.saveAnalyzerState(next)
+	return s.save(next)
 }
 
 // save atomically replaces the manifest and prunes artifact files no
-// longer referenced by it (modules removed from the program, or artifacts
-// renamed by a format change).
+// longer referenced by it (modules removed from the program, artifacts
+// renamed by a format change, superseded analyzer states, and the
+// analyzer.state file of older builds).
 func (s *Store) save(m manifest) error {
 	m.Fingerprint = s.fingerprint
 	data, err := json.MarshalIndent(&m, "", " ")
@@ -332,7 +286,7 @@ func (s *Store) save(m manifest) error {
 		return fmt.Errorf("incremental: %w", err)
 	}
 
-	referenced := make(map[string]bool, 2*len(m.Modules))
+	referenced := map[string]bool{m.Analyzer: true}
 	for _, ms := range m.Modules {
 		referenced[ms.Phase1File] = true
 		referenced[ms.ObjectFile] = true
@@ -342,8 +296,10 @@ func (s *Store) save(m manifest) error {
 		return nil // pruning is best-effort
 	}
 	for _, e := range entries {
+		// "analyzer" covers both analyzer-state-*.wire and the older
+		// analyzer.state; other files (a profile snapshot) are not ours.
 		name := e.Name()
-		if referenced[name] || !(strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-")) {
+		if referenced[name] || !(strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-") || strings.HasPrefix(name, "analyzer")) {
 			continue
 		}
 		os.Remove(filepath.Join(s.dir, name))

@@ -107,15 +107,6 @@ func (o Op) IsBinary() bool {
 	return false
 }
 
-// IsCompare reports whether the op is a comparison.
-func (o Op) IsCompare() bool {
-	switch o {
-	case CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE:
-		return true
-	}
-	return false
-}
-
 // MemKind classifies a memory reference.
 type MemKind int
 

@@ -177,9 +177,6 @@ func alignUp(n, a int) int {
 // AlignOf exposes the alignment rule used for layout.
 func AlignOf(t Type) int { return alignOf(t) }
 
-// AlignUp rounds n up to a multiple of a.
-func AlignUp(n, a int) int { return alignUp(n, a) }
-
 // IsScalar reports whether t is a register-sized scalar (int, char, or a
 // pointer) — exactly the values that fit in one PARV register and are thus
 // candidates for register promotion (§4.1.2 of the paper).

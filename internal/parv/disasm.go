@@ -14,11 +14,3 @@ func Disassemble(w io.Writer, exe *Executable) {
 		}
 	}
 }
-
-// DisassembleFunc writes the listing of one object function (pre-link).
-func DisassembleFunc(w io.Writer, f *ObjFunc) {
-	fmt.Fprintf(w, "%s:\n", f.Name)
-	for i := range f.Code {
-		fmt.Fprintf(w, "%6d\t%s\n", i, f.Code[i].String())
-	}
-}

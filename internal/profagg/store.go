@@ -1,12 +1,12 @@
 package profagg
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"ipra/internal/lru"
 	"ipra/internal/parv"
 	"ipra/internal/telemetry"
 )
@@ -40,8 +40,7 @@ type Store struct {
 	tracer *telemetry.Tracer
 
 	mu       sync.Mutex
-	order    *list.List               // LRU over *programState, front = most recent
-	programs map[string]*list.Element // program key -> element
+	programs *lru.Cache[string, *programState] // by program key
 }
 
 // programState is one program's live aggregation state.
@@ -87,8 +86,7 @@ func New(opts Options) *Store {
 	return &Store{
 		opts:     opts,
 		tracer:   opts.Tracer,
-		order:    list.New(),
-		programs: make(map[string]*list.Element),
+		programs: lru.New[string, *programState](opts.MaxPrograms),
 	}
 }
 
@@ -103,9 +101,8 @@ func (s *Store) dirFor(program string) string {
 // state returns the program's live state, creating it (and loading any
 // persisted snapshot) on first touch. Caller holds s.mu.
 func (s *Store) state(program string) *programState {
-	if el, ok := s.programs[program]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*programState)
+	if st, ok := s.programs.Get(program); ok {
+		return st
 	}
 	st := &programState{program: program}
 	if dir := s.dirFor(program); dir != "" {
@@ -117,12 +114,8 @@ func (s *Store) state(program string) *programState {
 			}
 		}
 	}
-	s.programs[program] = s.order.PushFront(st)
-	for s.order.Len() > s.opts.MaxPrograms {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.programs, el.Value.(*programState).program)
-		s.tracer.Add("profagg.evictions", 1)
+	if n := s.programs.Put(program, st); n > 0 {
+		s.tracer.Add("profagg.evictions", int64(n))
 	}
 	return st
 }
@@ -237,22 +230,13 @@ func (s *Store) RegisterRetrained(program string, model *DriftModel, meta any) {
 // ActiveAggregate returns the aggregate hash and mean profile a build of
 // the program must use — set once a drift-triggered re-analysis has
 // committed to the aggregated allocation. The hash extends the daemon's
-// request keys; the profile feeds WithAggregatedProfile.
+// request keys; the profile feeds WithAggregatedProfile. A program not in
+// memory loads its snapshot, so a persisted retrained aggregate still
+// gates builds after a daemon restart.
 func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Profile, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, found := s.programs[program]
-	if !found {
-		// Not in memory; a persisted retrained aggregate must still
-		// gate builds after a daemon restart.
-		st := s.state(program)
-		if st.agg == nil || !st.agg.Retrained {
-			return "", nil, false
-		}
-		return st.agg.Hash(), st.agg.MeanProfile(), true
-	}
-	st := el.Value.(*programState)
-	s.order.MoveToFront(el)
+	st := s.state(program)
 	if st.agg == nil || !st.agg.Retrained {
 		return "", nil, false
 	}
@@ -266,12 +250,8 @@ func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Prof
 func (s *Store) BeginRetrain(program string) (meta any, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, found := s.programs[program]
-	if !found {
-		return nil, false
-	}
-	st := el.Value.(*programState)
-	if st.model == nil || st.agg == nil || st.meta == nil {
+	st, found := s.programs.Get(program)
+	if !found || st.model == nil || st.agg == nil || st.meta == nil {
 		return nil, false
 	}
 	st.agg.Retrained = true
@@ -283,12 +263,9 @@ func (s *Store) BeginRetrain(program string) (meta any, ok bool) {
 func (s *Store) AbortRetrain(program string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.programs[program]; ok {
-		st := el.Value.(*programState)
-		if st.agg != nil {
-			st.agg.Retrained = false
-			s.persist(st)
-		}
+	if st, ok := s.programs.Get(program); ok && st.agg != nil {
+		st.agg.Retrained = false
+		s.persist(st)
 	}
 }
 
@@ -309,5 +286,5 @@ func (s *Store) Snapshot(program string) ([]byte, bool) {
 func (s *Store) Programs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.programs)
+	return s.programs.Len()
 }

@@ -188,3 +188,51 @@ func TestClientWaitReadyHonorsContext(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// TestServedResultCacheBound: the result cache holds at most
+// ResultCacheEntries responses and evicts the least recently used one.
+// With room for two of three programs, the first one built is the one
+// rebuilt; with the cache disabled, every request builds.
+func TestServedResultCacheBound(t *testing.T) {
+	request := func(i int) *BuildRequest {
+		src := Source{Name: "m.mc", Text: fmt.Sprintf("int main() { return %d; }", i)}
+		return &BuildRequest{Config: "L2", Sources: []Source{src}}
+	}
+	send := func(srv *Server, i int) (built, hit bool) {
+		t.Helper()
+		before := srv.Counters()
+		resp, err := srv.Build(context.Background(), request(i))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		after := srv.Counters()
+		built = after["served.builds"] == before["served.builds"]+1
+		hit = after["served.result_hits"] == before["served.result_hits"]+1
+		if hit != resp.ResultCached {
+			t.Errorf("request %d: result_hits moved %v, ResultCached %v", i, hit, resp.ResultCached)
+		}
+		return built, hit
+	}
+
+	srv := New(Options{Jobs: 1, ResultCacheEntries: 2})
+	for i := 0; i < 3; i++ {
+		if built, _ := send(srv, i); !built {
+			t.Fatalf("first request %d did not build", i)
+		}
+	}
+	for _, i := range []int{1, 2} {
+		if built, hit := send(srv, i); built || !hit {
+			t.Errorf("request %d sent again: built %v, result hit %v; want a hit", i, built, hit)
+		}
+	}
+	if built, hit := send(srv, 0); !built || hit {
+		t.Errorf("evicted request 0 sent again: built %v, result hit %v; want a rebuild", built, hit)
+	}
+
+	srv = New(Options{Jobs: 1, ResultCacheEntries: -1})
+	for _, i := range []int{0, 0, 1, 1} {
+		if built, hit := send(srv, i); !built || hit {
+			t.Errorf("cache disabled, request %d: built %v, result hit %v; want a build", i, built, hit)
+		}
+	}
+}

@@ -6,13 +6,15 @@
 // What stays hot between requests:
 //
 //   - the process-wide phase-1/summary cache (internal/cache), so a
-//     module parsed for one client is never re-parsed for another;
-//   - one persistent incremental build directory per (config, module
-//     name-set) program identity (internal/incremental), so an edited
-//     program gets a minimal rebuild and its analyzer.state carries the
-//     call graph, webs, and clusters forward;
-//   - a bounded in-memory result cache mapping request keys to finished
-//     responses, so a byte-identical re-request never compiles at all.
+//     module parsed for one client is never re-parsed for another; a
+//     build directory stores the very bytes the cache holds;
+//   - one persistent incremental build directory per (config, strategy,
+//     module name-set) program identity (internal/incremental), so an
+//     edited program gets a minimal rebuild and its analyzer-state
+//     artifact carries the call graph, webs, and clusters forward;
+//   - a bounded in-memory result cache (an internal/lru map) from request
+//     keys to finished responses, so a byte-identical re-request never
+//     compiles at all.
 //
 // Every cache layer is keyed or guarded by the toolchain fingerprint: the
 // result cache and single-flight keys embed it directly, and the
@@ -30,7 +32,6 @@ package served
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	"ipra"
+	"ipra/internal/lru"
 	"ipra/internal/parv"
 	"ipra/internal/pipeline"
 	"ipra/internal/profagg"
@@ -114,56 +116,6 @@ type inflight struct {
 	err  error
 }
 
-// resultCache is a small mutex-guarded LRU of finished responses.
-type resultCache struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List               // front = most recent
-	entries map[string]*list.Element // key -> element holding *resultEntry
-}
-
-type resultEntry struct {
-	key  string
-	resp *BuildResponse
-}
-
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *resultCache) get(key string) (*BuildResponse, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*resultEntry).resp, true
-}
-
-func (c *resultCache) put(key string, resp *BuildResponse) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*resultEntry).resp = resp
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&resultEntry{key: key, resp: resp})
-	for c.order.Len() > c.max {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.entries, el.Value.(*resultEntry).key)
-	}
-}
-
 // Server is one daemon instance. Create with New, expose with Handler or
 // Serve, stop with Shutdown.
 type Server struct {
@@ -184,8 +136,10 @@ type Server struct {
 	mu      sync.Mutex
 	flights map[string]*inflight
 	dirLock map[string]*dirMutex // per-build-dir serialization, refcounted
+	// results caches finished responses by request key; nil when
+	// Options.ResultCacheEntries disables it.
+	results *lru.Cache[string, *BuildResponse]
 
-	results  *resultCache
 	profiles *profagg.Store
 
 	// buildFn runs one deduplicated build; tests wrap it to hold builds
@@ -207,9 +161,8 @@ func New(opts Options) *Server {
 	if opts.QueueDepth < 0 {
 		opts.QueueDepth = 0
 	}
-	cacheMax := opts.ResultCacheEntries
-	if cacheMax == 0 {
-		cacheMax = 128
+	if opts.ResultCacheEntries == 0 {
+		opts.ResultCacheEntries = 128
 	}
 	if opts.TrainInstrs == 0 {
 		opts.TrainInstrs = 100_000_000
@@ -231,7 +184,9 @@ func New(opts Options) *Server {
 		running:     make(chan struct{}, opts.Concurrency),
 		flights:     make(map[string]*inflight),
 		dirLock:     make(map[string]*dirMutex),
-		results:     newResultCache(cacheMax),
+	}
+	if opts.ResultCacheEntries > 0 {
+		s.results = lru.New[string, *BuildResponse](opts.ResultCacheEntries)
 	}
 	var dir func(string) string
 	if opts.StateDir != "" {
@@ -314,7 +269,7 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if req.aggHash != "" {
 		key += "|agg:" + req.aggHash
 	}
-	if resp, ok := s.results.get(key); ok {
+	if resp, ok := s.cachedResult(key); ok {
 		s.tracer.Add("served.result_hits", 1)
 		out := *resp
 		out.RequestID = s.nextID.Add(1)
@@ -352,12 +307,22 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	fl.resp, fl.err = s.admitAndBuild(ctx, req)
 	s.mu.Lock()
 	delete(s.flights, key)
+	if fl.err == nil && s.results != nil {
+		s.results.Put(key, fl.resp)
+	}
 	s.mu.Unlock()
 	close(fl.done)
-	if fl.err == nil {
-		s.results.put(key, fl.resp)
-	}
 	return fl.resp, fl.err
+}
+
+// cachedResult looks a finished response up in the result cache.
+func (s *Server) cachedResult(key string) (*BuildResponse, bool) {
+	if s.results == nil {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.results.Get(key)
 }
 
 // admitAndBuild pushes one leader request through the bounded queue and

@@ -358,23 +358,6 @@ func (d *Decoder) Words() []uint64 {
 	return out
 }
 
-// WordsInto reads a length-prefixed word list into dst, which must have
-// exactly the encoded length; a mismatch is a decode error.
-func (d *Decoder) WordsInto(dst []uint64) {
-	n := d.Count(8)
-	if d.err != nil {
-		return
-	}
-	if n != len(dst) {
-		d.fail()
-		return
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(d.body)
-		d.body = d.body[8:]
-	}
-}
-
 // Strs reads a length-prefixed list of string-table references.
 func (d *Decoder) Strs() []string {
 	n := d.Count(1)

@@ -336,7 +336,7 @@ func summarizeModule(m *ir.Module) *summary.ModuleSummary {
 	return ms
 }
 
-// phase1Fingerprint versions the cached phase-1 artifacts. It must change
+// phase1Fingerprint versions the phase-1 artifacts. It must change
 // whenever the parser, semantic analysis, IR generation, optimizer, or
 // summary computation change meaning; no Config field reaches phase 1
 // today, so the configuration contributes nothing beyond this constant.
@@ -367,18 +367,19 @@ func ResetPhase1Cache() { phase1Cache.Reset() }
 
 // phase1Module produces one module's phase-1 output and summary, serving
 // both from the cache when the source content has been compiled before.
-// Under telemetry it runs as a "module" span with "frontend" and
-// "summarize" children on the miss path, and ticks the cache counters.
-func phase1Module(ctx context.Context, src Source, cfg Config) (*ir.Module, *summary.ModuleSummary, error) {
+// It also returns the record's wire bytes when anyone wants them: the
+// cache's bytes on a hit or a Put, or one encoding when wantRecord asks
+// for them with the cache off. Under telemetry it runs as a "module" span
+// with "frontend" and "summarize" children on the miss path, and ticks
+// the cache counters.
+func phase1Module(ctx context.Context, src Source, key cache.Key, useCache, wantRecord bool) (*ir.Module, *summary.ModuleSummary, []byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
 	span.SetStr("module", src.Name)
-	var key cache.Key
-	if !cfg.DisableCache {
-		key = cache.SourceKey(src.Name, src.Text, phase1Fingerprint)
-		if m, ms, ok := phase1Cache.GetCtx(ctx, key); ok {
+	if useCache {
+		if m, ms, data, ok := phase1Cache.Get(ctx, key); ok {
 			span.SetStr("cache", "hit")
-			return m, ms, nil
+			return m, ms, data, nil
 		}
 		span.SetStr("cache", "miss")
 	}
@@ -386,17 +387,19 @@ func phase1Module(ctx context.Context, src Source, cfg Config) (*ir.Module, *sum
 	m, err := Phase1(src)
 	feSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	_, sumSpan := telemetry.StartSpan(ctx, "summarize")
 	ms := summarizeModule(m)
 	sumSpan.End()
-	if !cfg.DisableCache {
-		if err := phase1Cache.PutCtx(ctx, key, m, ms); err != nil {
-			return nil, nil, err
-		}
+	var data []byte
+	switch {
+	case useCache:
+		data = phase1Cache.Put(ctx, key, m, ms)
+	case wantRecord:
+		data = cache.EncodeEntry(m, ms)
 	}
-	return m, ms, nil
+	return m, ms, data, nil
 }
 
 // BuildOption configures one Build call.
@@ -634,11 +637,12 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 		seen[src.Name] = true
 		names[i] = src.Name
 	}
+	toolchain := ToolchainFingerprint()
 	var st *incremental.Store
 	if dir != "" {
 		span.SetStr("dir", dir)
 		var err error
-		if st, err = incremental.Open(dir, ToolchainFingerprint(), names); err != nil {
+		if st, err = incremental.Open(dir, toolchain, names); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -650,18 +654,23 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 	}
 
 	// ---- Compiler first phase + summaries, for every module the store
-	// cannot serve.
+	// cannot serve. One source key per module serves both the store and
+	// the cache; a build with neither hashes nothing.
+	useCache := !cfg.DisableCache
 	p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
 	err := pipeline.ForEachCtx(p1ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
-		m, ms, ok := st.ReusePhase1(ctx, i, sources[i].Text)
+		var key cache.Key
+		if st != nil || useCache {
+			key = cache.SourceKey(sources[i].Name, sources[i].Text, toolchain)
+		}
+		m, ms, ok := st.ReusePhase1(ctx, i, key)
 		if !ok {
+			var data []byte
 			var err error
-			if m, ms, err = phase1Module(ctx, sources[i], cfg); err != nil {
+			if m, ms, data, err = phase1Module(ctx, sources[i], key, useCache, st != nil); err != nil {
 				return fmt.Errorf("%s: %w", sources[i].Name, err)
 			}
-			if err := st.SetPhase1(ctx, i, m, ms); err != nil {
-				return fmt.Errorf("%s: %w", sources[i].Name, err)
-			}
+			st.SetPhase1(ctx, i, data)
 		}
 		p.Modules[i], p.Summaries[i] = m, ms
 		return nil

@@ -65,11 +65,7 @@ func serializeWorkload(tb testing.TB) *serializeArtifacts {
 			}
 		}
 		arts.summary = summary.SummarizeModule(arts.module)
-		arts.entry, err = cache.EncodeEntry(arts.module, arts.summary)
-		if err != nil {
-			serializeErr = err
-			return
-		}
+		arts.entry = cache.EncodeEntry(arts.module, arts.summary)
 		serializeArts = arts
 	})
 	if serializeErr != nil {
@@ -85,10 +81,7 @@ func BenchmarkSerializeEncodeEntry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := cache.EncodeEntry(arts.module, arts.summary)
-		if err != nil {
-			b.Fatal(err)
-		}
+		data := cache.EncodeEntry(arts.module, arts.summary)
 		if i == 0 {
 			b.SetBytes(int64(len(data)))
 		}
@@ -113,21 +106,18 @@ func BenchmarkSerializeDecodeEntry(b *testing.B) {
 // every insertion encodes the entry and evicts a victim.
 func BenchmarkSerializePutFull(b *testing.B) {
 	arts := serializeWorkload(b)
+	ctx := context.Background()
 	c := cache.New(64)
 	keyOf := func(i int) cache.Key {
 		return cache.SourceKey(arts.module.Name, nil, string(rune('a'+i%128)))
 	}
 	for i := 0; i < 64; i++ {
-		if err := c.Put(keyOf(i), arts.module, arts.summary); err != nil {
-			b.Fatal(err)
-		}
+		c.Put(ctx, keyOf(i), arts.module, arts.summary)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Put(keyOf(i), arts.module, arts.summary); err != nil {
-			b.Fatal(err)
-		}
+		c.Put(ctx, keyOf(i), arts.module, arts.summary)
 	}
 }
 
@@ -135,15 +125,14 @@ func BenchmarkSerializePutFull(b *testing.B) {
 // bytes into private copies.
 func BenchmarkSerializeGetHit(b *testing.B) {
 	arts := serializeWorkload(b)
+	ctx := context.Background()
 	c := cache.New(4)
 	k := cache.SourceKey(arts.module.Name, nil, "get-hit")
-	if err := c.Put(k, arts.module, arts.summary); err != nil {
-		b.Fatal(err)
-	}
+	c.Put(ctx, k, arts.module, arts.summary)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := c.Get(k); !ok {
+		if _, _, _, ok := c.Get(ctx, k); !ok {
 			b.Fatal("unexpected miss")
 		}
 	}

@@ -159,10 +159,7 @@ func goldenExe() *parv.Executable {
 // goldenFixtures returns the canonical encoding of each fixture value,
 // keyed by its fixture file name.
 func goldenFixtures(t testing.TB) map[string][]byte {
-	entry, err := cache.EncodeEntry(goldenModule(), goldenSummary())
-	if err != nil {
-		t.Fatal(err)
-	}
+	entry := cache.EncodeEntry(goldenModule(), goldenSummary())
 	var exeBuf bytes.Buffer
 	if err := parv.EncodeExecutable(&exeBuf, goldenExe()); err != nil {
 		t.Fatal(err)
@@ -335,11 +332,7 @@ func FuzzWireCacheEntryDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := cache.EncodeEntry(m, ms)
-		if err != nil {
-			t.Fatalf("re-encode of accepted input failed: %v", err)
-		}
-		if _, _, err := cache.DecodeEntry(enc); err != nil {
+		if _, _, err := cache.DecodeEntry(cache.EncodeEntry(m, ms)); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}
 	})
@@ -405,7 +398,7 @@ func FuzzWireExecutableDecode(f *testing.F) {
 }
 
 // FuzzAnalyzerStateDecode feeds arbitrary bytes to core.DecodeState, as a
-// corrupt analyzer.state in a build directory would. Decoding must return
+// corrupt analyzer-state artifact in a build directory would. Decoding must return
 // a state or an error; a decoded state must then carry a no-op and a body
 // edit through AnalyzeIncremental to a result or an error, never a panic.
 func FuzzAnalyzerStateDecode(f *testing.F) {
