@@ -59,35 +59,3 @@ func TestRemove(t *testing.T) {
 		t.Error("entry 2 was evicted")
 	}
 }
-
-// TestOrderUnderChurn drives the cache through interleaved Puts,
-// re-Puts and Gets and checks that eviction follows exact LRU order.
-func TestOrderUnderChurn(t *testing.T) {
-	const n = 8
-	c := New[int, int](n)
-	for i := 0; i < n; i++ {
-		c.Put(i, i)
-	}
-	// Touch the even entries (mix of Get and re-Put); the odd ones must
-	// then be evicted first, in their original insertion order.
-	for i := 0; i < n; i += 2 {
-		if i%4 == 0 {
-			c.Get(i)
-		} else {
-			c.Put(i, i)
-		}
-	}
-	for round, i := 0, 1; i < n; round, i = round+1, i+2 {
-		if ev := c.Put(n+round, 0); ev != 1 {
-			t.Fatalf("round %d evicted %d, want 1", round, ev)
-		}
-		if _, ok := c.Get(i); ok {
-			t.Fatalf("entry %d survived; expected it evicted on round %d", i, round)
-		}
-	}
-	for i := 0; i < n; i += 2 {
-		if _, ok := c.Get(i); !ok {
-			t.Errorf("recently used entry %d was evicted", i)
-		}
-	}
-}
