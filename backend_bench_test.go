@@ -51,8 +51,10 @@ func cloneModules(mods []*ir.Module) []*ir.Module {
 	return out
 }
 
-// BenchmarkOptLevel2 measures phase 2's scalar optimization of every
-// module: web directives, then opt.Level2, per function.
+// BenchmarkOptLevel2 measures phase 2's optimization of every module,
+// which starts from the level-1 IR phase 1 kept (Program.Modules): web
+// directives, then opt.Promote, the half of opt.Level2 that phase 1 left,
+// per function.
 func BenchmarkOptLevel2(b *testing.B) {
 	p := backendProgram(b)
 	eligible := p.DB.EligibleSet()

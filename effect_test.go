@@ -56,6 +56,37 @@ func TestPromotionReducesSingletonRefs(t *testing.T) {
 	}
 }
 
+// deadStore stores a promotable global only under if (0): the store is
+// dead code, and the hot loop's calls to f must pay no promotion transfers
+// for it.
+const deadStore = `
+int g;
+int h(int x) { return x + 1; }
+int f(int x) { if (0) { g = 1; } return h(x); }
+int main() { int i; int s; s = 0; for (i = 0; i < 1000; i++) { s = s + f(i); } return s & 255; }
+`
+
+// TestDeadCodeGetsNoPromotion pins that intraprocedural promotion sees
+// only live code end to end: with the level-2 optimizer promoting before
+// it cleaned up, f loaded and stored g around its call and at its entry
+// and exit, 4,000 singleton references and 6,000 cycles in all.
+func TestDeadCodeGetsNoPromotion(t *testing.T) {
+	for _, tc := range []struct {
+		cfg                   string
+		cycles, loads, stores uint64
+	}{
+		{"L2", 34024, 1003, 1003},
+		{"C", 34027, 1004, 1004},
+	} {
+		res := compileAndRun(t, MustPreset(tc.cfg), src("main.mc", deadStore))
+		st := res.Stats
+		if res.Exit != 20 || st.Cycles != tc.cycles || st.Loads != tc.loads || st.Stores != tc.stores || st.SingletonRefs() != 0 {
+			t.Errorf("%s: exit=%d cycles=%d loads=%d stores=%d singleton=%d, want exit=20 cycles=%d loads=%d stores=%d singleton=0",
+				tc.cfg, res.Exit, st.Cycles, st.Loads, st.Stores, st.SingletonRefs(), tc.cycles, tc.loads, tc.stores)
+		}
+	}
+}
+
 // TestSpillMotionReducesCycles checks the Table 4 column A effect on a
 // call-intensive cluster: a cheap parent calling register-hungry children
 // in a loop.

@@ -162,7 +162,7 @@ func Analyze(ctx context.Context, summaries []*summary.ModuleSummary, opt Option
 	if err := a.stageGraph(ctx, summaries); err != nil {
 		return nil, err
 	}
-	a.stageRefsets(ctx)  // ---- Global variable promotion (§4.1).
+	a.stageRefsets(ctx) // ---- Global variable promotion (§4.1).
 	a.stageWebs(ctx)
 	if err := a.stageColoring(ctx); err != nil {
 		return nil, err

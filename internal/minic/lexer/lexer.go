@@ -152,7 +152,10 @@ func (l *Lexer) Next() token.Token {
 // All scans the remaining input and returns every token including the
 // trailing EOF. It is a convenience for tests and the parser.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	// Every token but EOF takes at least one byte of source, and MiniC
+	// averages three to five: half the remaining length holds the tokens
+	// of all but the densest code, so the slice is allocated once.
+	toks := make([]token.Token, 0, (len(l.src)-l.off)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -1,19 +1,34 @@
 // Package opt implements the "level 2" (global, intraprocedural)
-// optimizations of the compiler second phase: constant folding and
-// propagation, local copy propagation and common subexpression elimination,
-// control-flow simplification, dead code elimination, and intraprocedural
-// global variable promotion (the baseline behaviour the paper's
-// interprocedural promotion improves on).
+// optimizations: constant folding and propagation, local copy propagation
+// and common subexpression elimination, control-flow simplification, dead
+// code elimination, and intraprocedural global variable promotion (the
+// baseline behaviour the paper's interprocedural promotion improves on).
+// A build runs the scalar cleanups (Level1) in the compiler first phase and
+// the rest (Promote) in the second.
 package opt
 
 import (
 	"ipra/internal/ir"
 )
 
-// Level2 runs the full baseline pass pipeline over a function.
-// skipGlobals names globals that must not be touched by intraprocedural
-// promotion (because the program analyzer promoted them interprocedurally).
+// Level2 runs the full baseline pass pipeline over a function: Level1,
+// then Promote. skipGlobals names globals that must not be touched by
+// intraprocedural promotion (because the program analyzer promoted them
+// interprocedurally).
+//
+// Cleaning up first means promotion sees only the code that survives it,
+// so a global referenced only in dead code gets no entry, call or exit
+// transfers. It also lets a build split the pipeline across its phases:
+// Level1 once in phase 1, Promote in phase 2.
 func Level2(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
+	Level1(f)
+	Promote(f, eligible, skipGlobals)
+}
+
+// Promote is the second half of Level2, for a function Level1 already ran
+// on: intraprocedural promotion of the eligible globals (PromoteGlobals),
+// then at most three rounds of scalar cleanup.
+func Promote(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 	PromoteGlobals(f, eligible, skipGlobals)
 	for i := 0; i < 3; i++ {
 		LocalOpt(f)
@@ -25,8 +40,9 @@ func Level2(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 	}
 }
 
-// Level1 runs only the scalar cleanups (no global promotion); used for the
-// unoptimized comparison point and by tests.
+// Level1 runs only the scalar cleanups (no global promotion). A build runs
+// it once per module, in phase 1: its output is what the summary records
+// describe and what phase 2 starts from.
 func Level1(f *ir.Func) {
 	for i := 0; i < 2; i++ {
 		LocalOpt(f)
@@ -189,13 +205,16 @@ func optBlock(f *ir.Func, b *ir.Block, st *lvState) {
 
 		case ir.Copy:
 			src := in.A
+			if src == in.Dst {
+				// A self-copy leaves the register's value, and so every
+				// fact about it, as it was.
+				break
+			}
 			st.kill(in.Dst)
 			if v, ok := st.constOf[src]; ok {
 				st.constOf[in.Dst] = v
 			}
-			if src != in.Dst {
-				st.setCopy(in.Dst, src)
-			}
+			st.setCopy(in.Dst, src)
 
 		case ir.Neg, ir.Not:
 			if v, ok := st.constOf[in.A]; ok {

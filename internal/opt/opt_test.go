@@ -390,3 +390,60 @@ func TestLocalOptFactsDieWithTheirRegisters(t *testing.T) {
 		}
 	}
 }
+
+// TestLevel2PromotesOnlyLiveCode pins that intraprocedural promotion sees
+// only the code cleanup keeps: a global stored only in dead code gets no
+// entry, call or exit transfers.
+func TestLevel2PromotesOnlyLiveCode(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"if-zero", `
+int g;
+int h(int x);
+int f(int x) { if (0) { g = 1; } return h(x); }`},
+		{"after-return", `
+int g;
+int h(int x);
+int f(int x) { if (x) { return h(x); } else { return h(0); } g = 1; return 0; }`},
+	} {
+		f := lower(t, tc.src, "f")
+		Level2(f, map[string]bool{"g": true}, nil)
+		if err := f.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		loads, stores := countMemGlobal(f, ir.Load, "g"), countMemGlobal(f, ir.Store, "g")
+		if loads != 0 || stores != 0 {
+			t.Errorf("%s: %d loads and %d stores of g, want none:\n%s", tc.name, loads, stores, f)
+		}
+	}
+}
+
+// TestLocalOptSelfCopyKeepsFacts pins that a copy of a register into
+// itself changes nothing. A global read and written back becomes a
+// self-copy once it is a pinned register; treating that as a redefinition
+// dropped the facts about the register, so phase 2 of a build, whose
+// phase 1 had already folded the memory form, compiled it differently
+// from opt.Level2 over the raw IR.
+func TestLocalOptSelfCopyKeepsFacts(t *testing.T) {
+	f := &ir.Func{Name: "f", NextReg: 4, Pinned: map[ir.Reg]uint8{3: 18}, Blocks: []*ir.Block{{
+		Instrs: []ir.Instr{
+			{Op: ir.Copy, Dst: 1, A: 3},
+			{Op: ir.Copy, Dst: 3, A: 1}, // the pinned register into itself
+			{Op: ir.Copy, Dst: 2, A: 1},
+		},
+		Term: ir.Term{Kind: ir.TermReturn, Val: 2, HasVal: true},
+	}}}
+	LocalOpt(f)
+	want := []ir.Instr{
+		{Op: ir.Copy, Dst: 1, A: 3},
+		{Op: ir.Copy, Dst: 3, A: 3},
+		{Op: ir.Copy, Dst: 2, A: 3},
+	}
+	for i, in := range f.Blocks[0].Instrs {
+		if in.String() != want[i].String() {
+			t.Errorf("instr %d = %s, want %s", i, in.String(), want[i].String())
+		}
+	}
+	if v := f.Blocks[0].Term.Val; v != 3 {
+		t.Errorf("returns r%d, want the pinned r3", v)
+	}
+}

@@ -237,6 +237,12 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 	}
 
 	// ---- Lay out text, rebasing function-local branch targets.
+	size := 0
+	for _, f := range forder {
+		size += len(f.Code)
+	}
+	exe.Code = make([]Instr, 0, size)
+	exe.Funcs = make([]FuncInfo, 0, len(forder))
 	for _, f := range forder {
 		start := len(exe.Code)
 		exe.FuncIdx[f.Name] = len(exe.Funcs)

@@ -49,9 +49,9 @@ const (
 const keyVersion = "k1:"
 
 // Consulted returns every procedure whose directives module m's phase 2
-// may read, and how. The scan runs on the phase-1 IR, before
-// optimization; optimization only ever removes calls, so this is a sound
-// superset of what phase 2 actually reads.
+// may read, and how. The scan runs on the phase-1 artifact, level-1 IR
+// that phase 2 starts from; phase 2's optimization only ever removes
+// calls, so this is a sound superset of what phase 2 actually reads.
 func Consulted(m *ir.Module) map[string]Use {
 	uses := make(map[string]Use)
 	for _, f := range m.Funcs {

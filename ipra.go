@@ -253,8 +253,11 @@ func Configs() []Config {
 // Program is a fully compiled and linked program plus the artifacts of
 // each stage, for inspection and tests.
 type Program struct {
-	Config    Config
-	Modules   []*ir.Module // phase-1 output (pre-optimization)
+	Config Config
+	// Modules is each module's phase-1 artifact: Phase1's IR after
+	// opt.Level1, which the summaries describe and phase 2 starts from.
+	// It is not Phase1 output, so it is not valid Phase2 input either.
+	Modules   []*ir.Module
 	Summaries []*summary.ModuleSummary
 	Analysis  *core.Result // nil for Level2
 	DB        *pdb.Database
@@ -263,7 +266,9 @@ type Program struct {
 }
 
 // Phase1 runs the compiler first phase on one module: parse, check, and
-// lower to intermediate code. Summary records are produced separately by
+// lower to intermediate code. It returns the raw IR; a build optimizes it
+// with opt.Level1 once, in place, and keeps that as the module's phase-1
+// artifact (Program.Modules). Summary records are produced separately by
 // Summaries (they want an optimized copy, see §6).
 func Phase1(src Source) (*ir.Module, error) {
 	file, err := parser.ParseFile(src.Name, src.Text)
@@ -281,38 +286,48 @@ func Phase1(src Source) (*ir.Module, error) {
 	return irm, nil
 }
 
-// Phase2 runs the compiler second phase on one module: apply the program
-// database's directives, optimize, and generate code — the per-module
-// step of every Build. It never mutates m; everything runs on a scratch
-// clone. The output is a pure function of the module IR and of what pdb's
+// Phase2 runs the compiler second phase on one module of Phase1 output:
+// apply the program database's directives, optimize, and generate code —
+// what every Build does per module, starting from the level-1 IR its
+// phase 1 kept. It never mutates m; everything runs on a scratch clone.
+// The output is a pure function of the module IR and of what pdb's
 // phase-2 keys cover: the property that lets phase 2 run module-at-a-time
 // in any order (§4.3) and that the build directory's key diff relies on.
 func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
-	return phase2Module(context.Background(), m, db, db.EligibleSet())
+	work := m.Clone()
+	level1(work)
+	return compileModule(work, db, db.EligibleSet())
 }
 
-// Summaries produces the summary file contents for each module, fanning
-// the independent per-module work across CPUs. Following the prototype
-// described in §6, the first phase optimizes scratch copies before
-// summarizing: reference and call frequencies come from a copy without
-// global promotion (counts must reflect raw accesses), while the
+// Summaries produces the summary file contents for each module of Phase1
+// output, fanning the independent per-module work across CPUs. Following
+// the prototype described in §6, the first phase optimizes before
+// summarizing: reference and call frequencies come from the level-1 IR,
+// without global promotion (counts must reflect raw accesses), while the
 // callee-saves register estimate comes from a fully optimized copy, since
 // intraprocedural global promotion adds values that live across calls.
+// The records equal the ones a Build computes. It never mutates mods.
 func Summaries(mods []*ir.Module) []*summary.ModuleSummary {
 	out, _ := pipeline.Map(0, mods, func(_ int, m *ir.Module) (*summary.ModuleSummary, error) {
-		return summarizeModule(m), nil
+		work := m.Clone()
+		level1(work)
+		return summarize(work), nil
 	})
 	return out
 }
 
-// summarizeModule computes one module's summary record (see Summaries).
-// It never mutates m: all optimization runs on scratch clones.
-func summarizeModule(m *ir.Module) *summary.ModuleSummary {
-	scratch := m.Clone()
-	for _, f := range scratch.Funcs {
+// level1 runs opt.Level1 over every function of m, in place.
+func level1(m *ir.Module) {
+	for _, f := range m.Funcs {
 		opt.Level1(f)
 	}
-	ms := summary.SummarizeModule(scratch)
+}
+
+// summarize computes the summary record of level-1 module m (see
+// Summaries). It consumes m: the callee-saves estimates finish the level-2
+// optimizer over it in place.
+func summarize(m *ir.Module) *summary.ModuleSummary {
+	ms := summary.SummarizeModule(m)
 	byName := make(map[string]*summary.ProcRecord, len(ms.Procs))
 	for i := range ms.Procs {
 		byName[ms.Procs[i].Name] = &ms.Procs[i]
@@ -326,9 +341,8 @@ func summarizeModule(m *ir.Module) *summary.ModuleSummary {
 			local[g.Name] = true
 		}
 	}
-	full := m.Clone()
-	for _, f := range full.Funcs {
-		opt.Level2(f, local, nil)
+	for _, f := range m.Funcs {
+		opt.Promote(f, local, nil)
 		if rec := byName[f.Name]; rec != nil {
 			rec.CalleeSavesNeeded = summary.EstimateCalleeSaves(f)
 		}
@@ -340,7 +354,7 @@ func summarizeModule(m *ir.Module) *summary.ModuleSummary {
 // whenever the parser, semantic analysis, IR generation, optimizer, or
 // summary computation change meaning; no Config field reaches phase 1
 // today, so the configuration contributes nothing beyond this constant.
-const phase1Fingerprint = "ipra/phase1+summary/v1"
+const phase1Fingerprint = "ipra/phase1+summary/v2"
 
 // phase1Cache is the process-wide content-addressed cache. The benchmark
 // harness compiles every program once per configuration (L2 plus the six
@@ -365,8 +379,9 @@ func Phase1CacheStats() CacheStats {
 // measurements).
 func ResetPhase1Cache() { phase1Cache.Reset() }
 
-// phase1Module produces one module's phase-1 output and summary, serving
-// both from the cache when the source content has been compiled before.
+// phase1Module produces one module's phase-1 artifact — its level-1 IR —
+// and summary, serving both from the cache when the source content has
+// been compiled before.
 // It also returns the record's wire bytes when anyone wants them: the
 // cache's bytes on a hit or a Put, or one encoding when wantRecord asks
 // for them with the cache off. Under telemetry it runs as a "module" span
@@ -390,7 +405,8 @@ func phase1Module(ctx context.Context, src Source, key cache.Key, useCache, want
 		return nil, nil, nil, err
 	}
 	_, sumSpan := telemetry.StartSpan(ctx, "summarize")
-	ms := summarizeModule(m)
+	level1(m)
+	ms := summarize(m.Clone())
 	sumSpan.End()
 	var data []byte
 	switch {
@@ -768,15 +784,21 @@ func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store)
 	return nil
 }
 
-// phase2Module is Phase2 under a "module" span, with the database's
+// phase2Module is one build's phase 2 of level-1 module m, under a
+// "module" span: compileModule on a clone, with the database's
 // eligibility set computed once per build rather than once per module.
 func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
 	_, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
 	span.SetStr("module", m.Name)
-	work := m.Clone()
-	optimizeModule(work, db, eligible)
-	obj, err := codegen.Compile(work, db)
+	return compileModule(m.Clone(), db, eligible)
+}
+
+// compileModule optimizes level-1 module m in place and generates its
+// object.
+func compileModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
+	optimizeModule(m, db, eligible)
+	obj, err := codegen.Compile(m, db)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.Name, err)
 	}
@@ -784,8 +806,9 @@ func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible 
 }
 
 // optimizeModule applies the database's web directives to every function
-// of m and runs the level-2 optimizer over it, in place. What it reads of
-// the database is part of pdb's phase-2 keys; keep the two in step.
+// of level-1 module m and finishes the level-2 optimizer over it
+// (opt.Promote), in place. What it reads of the database is part of pdb's
+// phase-2 keys; keep the two in step.
 func optimizeModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) {
 	for _, f := range m.Funcs {
 		dir := db.Lookup(f.Name)
@@ -797,7 +820,7 @@ func optimizeModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) {
 		// before scalar optimization, so copy propagation folds them
 		// into their uses (§5).
 		opt.ApplyWebDirectives(f, dir.Promoted)
-		opt.Level2(f, eligible, skip)
+		opt.Promote(f, eligible, skip)
 	}
 }
 
@@ -839,7 +862,7 @@ func eligibleFromSummaries(sums []*summary.ModuleSummary) []string {
 // phase2Fingerprint versions the persisted phase-2 artifacts (objects in
 // an incremental build directory). It must change whenever the optimizer,
 // directive application, code generator, or object format change meaning.
-const phase2Fingerprint = "ipra/phase2+codegen/v1"
+const phase2Fingerprint = "ipra/phase2+codegen/v2"
 
 // ToolchainFingerprint identifies this binary's compilation semantics:
 // every persistent or shared artifact (incremental build state, a build

@@ -124,8 +124,10 @@ func keyTwin(db *pdb.Database, m *ir.Module, procs, globals []string) *pdb.Datab
 }
 
 // TestPhase2KeySoundness is the differential behind pdb's phase-2 keys:
-// whenever a module's key is equal under two databases, Phase2 produces
-// byte-identical objects under both. Besides the database pairs
+// whenever a module's key is equal under two databases, a build's phase 2
+// produces byte-identical objects under both. The modules are a build's
+// level-1 IR (Program.Modules), so they go to phase2Module, not to Phase2,
+// which takes Phase1 output. Besides the database pairs
 // keyFamilies builds, every database is compared against its keyTwin for
 // every module, whose key must be equal: the test fails as soon as phase 2
 // reads something the keys omit.
@@ -143,7 +145,7 @@ func TestPhase2KeySoundness(t *testing.T) {
 	}
 	compile := func(m *ir.Module, db *pdb.Database) []byte {
 		t.Helper()
-		obj, err := Phase2(m, db)
+		obj, err := phase2Module(context.Background(), m, db, db.EligibleSet())
 		if err != nil {
 			t.Fatal(err)
 		}
