@@ -333,8 +333,9 @@ func summarize(m *ir.Module) *summary.ModuleSummary {
 		byName[ms.Procs[i].Name] = &ms.Procs[i]
 	}
 
-	// Refine the register-need estimates on a level-2-optimized copy
-	// (module-local eligibility approximates what phase 2 will do).
+	// Refine the register-need estimates once the level-2 optimizer has
+	// finished (module-local eligibility approximates what phase 2 will
+	// do).
 	local := make(map[string]bool)
 	for _, g := range m.Globals {
 		if g.Scalar && g.Defined && !g.AddrTaken && g.Size <= 4 {
