@@ -41,18 +41,23 @@ func replayCompile(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
 // phase1Program is one program of TestPhase1OptimizesOnce's corpus, with
 // the instruction bound of its training run. A program with no bound runs
 // too long to train on (the small preset retires 1.75G instructions): its
-// profiled configurations take the partial profile of a bounded run of
-// its L2 build, through WithAggregatedProfile.
+// profiled configurations take partialProfile's counts through
+// WithAggregatedProfile.
 type phase1Program struct {
 	name        string
 	sources     []Source
 	trainInstrs uint64
 }
 
-// partialProfile runs exe for at most n instructions and returns the
-// call-edge counts collected by then.
-func partialProfile(exe *parv.Executable, n uint64) *parv.Profile {
-	vm := parv.NewVM(exe)
+// partialProfile builds sources under L2, runs the program for at most n
+// instructions and returns the call-edge counts collected by then.
+func partialProfile(t *testing.T, sources []Source, n uint64) *parv.Profile {
+	t.Helper()
+	res, err := Build(context.Background(), sources, MustPreset("L2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := parv.NewVM(res.Exe)
 	vm.ProfileEdges = true
 	_, _ = vm.Run(n) // stops at the bound; the counts so far are the point
 	return vm.Profile()
@@ -113,21 +118,18 @@ func TestPhase1OptimizesOnce(t *testing.T) {
 			}
 		}
 		sums := Summaries(raw)
-		var partial *parv.Profile
+		profiled := WithProfile(p.trainInstrs)
+		if p.trainInstrs == 0 {
+			profiled = WithAggregatedProfile(partialProfile(t, p.sources, 20_000_000))
+		}
 		for _, cfg := range determinismConfigs() {
 			var opts []BuildOption
-			switch {
-			case cfg.WantProfile && p.trainInstrs == 0:
-				opts = append(opts, WithAggregatedProfile(partial))
-			case cfg.WantProfile:
-				opts = append(opts, WithProfile(p.trainInstrs))
+			if cfg.WantProfile {
+				opts = append(opts, profiled)
 			}
 			res, err := Build(ctx, p.sources, cfg, opts...)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.name, cfg.Name, err)
-			}
-			if partial == nil && p.trainInstrs == 0 {
-				partial = partialProfile(res.Exe, 20_000_000)
 			}
 			for i, m := range raw {
 				where := fmt.Sprintf("%s/%s/%s", p.name, cfg.Name, m.Name)
