@@ -67,9 +67,9 @@ int main() { int i; int s; s = 0; for (i = 0; i < 1000; i++) { s = s + f(i); } r
 `
 
 // TestDeadCodeGetsNoPromotion pins that intraprocedural promotion sees
-// only live code end to end: with the level-2 optimizer promoting before
-// it cleaned up, f loaded and stored g around its call and at its entry
-// and exit, 4,000 singleton references and 6,000 cycles in all.
+// only live code end to end. A level-2 optimizer that promotes before it
+// cleans up makes f load and store g around its call and at its entry and
+// exit: 4,000 singleton references and 6,000 cycles more.
 func TestDeadCodeGetsNoPromotion(t *testing.T) {
 	for _, tc := range []struct {
 		cfg                   string

@@ -419,9 +419,9 @@ int f(int x) { if (x) { return h(x); } else { return h(0); } g = 1; return 0; }`
 
 // TestLocalOptSelfCopyKeepsFacts pins that a copy of a register into
 // itself changes nothing. A global read and written back becomes a
-// self-copy once it is a pinned register; treating that as a redefinition
-// dropped the facts about the register, so phase 2 of a build, whose
-// phase 1 had already folded the memory form, compiled it differently
+// self-copy once it is a pinned register. Treating that as a redefinition
+// would drop the facts about the register, and a build's phase 2, whose
+// phase 1 already folded the memory form, would compile it differently
 // from opt.Level2 over the raw IR.
 func TestLocalOptSelfCopyKeepsFacts(t *testing.T) {
 	f := &ir.Func{Name: "f", NextReg: 4, Pinned: map[ir.Reg]uint8{3: 18}, Blocks: []*ir.Block{{
