@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"ipra/internal/benchprogs"
+	"ipra/internal/cache"
 	"ipra/internal/core"
 	"ipra/internal/incremental"
 	"ipra/internal/parv"
@@ -409,10 +412,27 @@ func TestIncrementalCleanThenNoOpRebuild(t *testing.T) {
 			t.Errorf("no-op rebuild ran %s on %v", phase, got)
 		}
 	}
-	if !reflect.DeepEqual(noop.Modules, clean.Modules) ||
-		!reflect.DeepEqual(noop.Summaries, clean.Summaries) ||
-		!reflect.DeepEqual(noop.Objects, clean.Objects) {
+	if !reflect.DeepEqual(noop.Summaries, clean.Summaries) || !reflect.DeepEqual(noop.Objects, clean.Objects) {
 		t.Error("no-op rebuild artifacts differ from the clean build")
+	}
+	// A no-op rebuild decodes no IR: the stored records serve their
+	// summaries alone, and each is the clean build's record.
+	for i, m := range noop.Modules {
+		if m != nil {
+			t.Errorf("no-op rebuild decoded the IR of %s", m.Name)
+		}
+		name := clean.Modules[i].Name
+		stored, err := filepath.Glob(filepath.Join(dir, "p1-"+strings.ReplaceAll(name, ".", "_")+"-*.wire"))
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("%s: stored records %v (%v), want one", name, stored, err)
+		}
+		data, err := os.ReadFile(stored[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, cache.EncodeEntry(clean.Modules[i], clean.Summaries[i])) {
+			t.Errorf("%s: stored phase-1 record differs from the clean build's", name)
+		}
 	}
 	if !bytes.Equal(canonicalExe(t, noop.Exe), canonicalExe(t, clean.Exe)) {
 		t.Error("no-op rebuild changed the executable")
@@ -509,6 +529,57 @@ func TestIncrementalStorelessBuildPersistsNothing(t *testing.T) {
 			if strings.HasPrefix(c, "incremental.") {
 				t.Errorf("%s: store-less build counted %s", name, c)
 			}
+		}
+	}
+}
+
+// TestIncrementalFlippedRecordByteRebuilds flips one byte in the middle of
+// dhrystone's main-module phase-1 record, then rebuilds under another
+// configuration (C → D), so phase 2 re-runs over the record's IR. The
+// record no longer matches its name: the build recompiles the module
+// (stored phase-1 record unreadable) and links the executable a clean D
+// build links, where compiling the decoded record could panic or produce
+// other code.
+func TestIncrementalFlippedRecordByteRebuilds(t *testing.T) {
+	b, err := benchprogs.ByName("dhrystone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := benchSources(t, b)
+	ctx := context.Background()
+	clean, err := Build(ctx, srcs, MustPreset("D"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0.4, 0.5, 0.67, 0.75} {
+		ResetPhase1Cache()
+		dir := t.TempDir()
+		if _, err := Build(ctx, srcs, MustPreset("C"), WithBuildDir(dir)); err != nil {
+			t.Fatal(err)
+		}
+		records, err := filepath.Glob(filepath.Join(dir, "p1-dhry_main_mc-*.wire"))
+		if err != nil || len(records) != 1 {
+			t.Fatalf("main-module records %v (%v), want one", records, err)
+		}
+		data, err := os.ReadFile(records[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(frac * float64(len(data)))
+		data[at]++
+		if err := os.WriteFile(records[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		res, err := Build(ctx, srcs, MustPreset("D"), WithBuildDir(dir), WithStderr(&buf))
+		if err != nil {
+			t.Fatalf("byte %d of %d: %v", at, len(data), err)
+		}
+		if !strings.Contains(buf.String(), "dhry_main.mc: phase 1 recompiled (stored phase-1 record unreadable)") {
+			t.Errorf("byte %d of %d: explain output:\n%s", at, len(data), &buf)
+		}
+		if !bytes.Equal(canonicalExe(t, res.Exe), canonicalExe(t, clean.Exe)) {
+			t.Errorf("byte %d of %d: the rebuild links another executable than a clean D build", at, len(data))
 		}
 	}
 }

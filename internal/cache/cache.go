@@ -69,21 +69,23 @@ func SourceKey(name string, text []byte, fingerprint string) Key {
 
 // Wire format identity of a cache entry (also the incremental build dir's
 // phase-1 record). Bump the version whenever the body layout — the module
-// encoding, the summary encoding, or their order — changes.
+// encoding, the summary encoding, or their order — changes. v2: the
+// summary comes first, so DecodeSummary can stop before the module.
 const (
 	wireKind    = "cache-entry"
-	wireVersion = 1
+	wireVersion = 2
 )
 
 // EncodeEntry serializes a phase-1 module and its summary into the cache's
-// wire payload format: one wire file whose body is the module followed by
-// the summary, sharing a single string table. The bytes are
+// wire payload format: one wire file whose body is the summary followed by
+// the module, sharing a single string table. The bytes are
 // self-contained: DecodeEntry (or a hit on an in-memory entry)
-// reconstructs private copies.
+// reconstructs private copies of both, and DecodeSummary of the summary
+// alone.
 func EncodeEntry(m *ir.Module, ms *summary.ModuleSummary) []byte {
 	e := wire.NewEncoder(wireKind, wireVersion)
-	ir.AppendModule(e, m)
 	summary.AppendSummary(e, ms)
+	ir.AppendModule(e, m)
 	return e.Finish()
 }
 
@@ -93,12 +95,29 @@ func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: decode entry: %w", err)
 	}
-	m := ir.ReadModule(d)
 	ms := summary.ReadSummary(d)
+	m := ir.ReadModule(d)
 	if err := d.Finish(); err != nil {
 		return nil, nil, fmt.Errorf("cache: decode entry: %w", err)
 	}
 	return m, ms, nil
+}
+
+// DecodeSummary reads only the summary of an entry: the header, the string
+// table and the summary, stopping before the module. It checks no more of
+// the bytes than it reads, so a caller that takes the summary alone must
+// trust the rest of the entry by other means (the build directory checks
+// each record against the content hash in its name).
+func DecodeSummary(data []byte) (*summary.ModuleSummary, error) {
+	d, err := wire.NewDecoder(data, wireKind, wireVersion)
+	if err != nil {
+		return nil, fmt.Errorf("cache: decode summary: %w", err)
+	}
+	ms := summary.ReadSummary(d)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("cache: decode summary: %w", err)
+	}
+	return ms, nil
 }
 
 // Stats is a consistent snapshot of the traffic counters.

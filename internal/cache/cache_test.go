@@ -182,6 +182,12 @@ func TestEntryFileRoundtrip(t *testing.T) {
 	if _, _, err := DecodeEntry(data[:len(data)-1]); err == nil {
 		t.Error("truncated entry must error")
 	}
+	if got, err := DecodeSummary(data); err != nil || !reflect.DeepEqual(got, ms) {
+		t.Errorf("DecodeSummary = %+v, %v; want the entry's summary", got, err)
+	}
+	if _, err := DecodeSummary(data[:len(data)/4]); err == nil {
+		t.Error("an entry truncated inside its summary must error")
+	}
 
 	// The bytes Put returns, and a hit hands back, are the entry's
 	// encoding: the record the build directory stores.

@@ -38,13 +38,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
 	"ipra/internal/cache"
 	"ipra/internal/core"
-	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/summary"
@@ -79,15 +77,18 @@ type Outcome struct {
 	StateReset bool
 }
 
-// ReusePhase1 returns module i's stored phase-1 record when its source is
-// unchanged: when key, the module's cache.SourceKey under the toolchain
-// fingerprint the store was opened with, matches the stored source hash.
-// Otherwise it records why phase 1 must re-run (an invalidate-phase1
-// event on the context's tracer) and returns false; the caller compiles
-// the module.
-func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*ir.Module, *summary.ModuleSummary, bool) {
+// ReusePhase1 returns the summary of module i's stored phase-1 record when
+// its source is unchanged: when key, the module's cache.SourceKey under
+// the toolchain fingerprint the store was opened with, matches the stored
+// source hash, and the record's bytes match the name the manifest holds.
+// It decodes the summary alone, which is all the analyzer and the key
+// diff read, and keeps the verified bytes for Module, should the module's
+// phase 2 re-run. Otherwise it records why phase 1 must re-run (an
+// invalidate-phase1 event on the context's tracer) and returns false; the
+// caller compiles the module.
+func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*summary.ModuleSummary, bool) {
 	if s == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	a := &s.out.Actions[i]
 	hash := key.Hex()
@@ -103,9 +104,14 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*ir.Modu
 	case prev.SourceHash != hash:
 		reason = sourceChanged
 	default:
-		m, ms, err := s.loadPhase1(prev)
+		data, err := s.read(prev.Phase1File, "p1", a.Module)
+		var ms *summary.ModuleSummary
 		if err == nil {
-			return m, ms, true
+			ms, err = cache.DecodeSummary(data)
+		}
+		if err == nil {
+			s.next[i].Phase1File, s.records[i] = prev.Phase1File, data
+			return ms, true
 		}
 		reason = "stored phase-1 record unreadable"
 	}
@@ -114,7 +120,7 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*ir.Modu
 	ev.SetStr("reason", reason)
 	ev.End()
 	a.Phase1Rebuilt, a.Phase1Reason = true, reason
-	return nil, nil, false
+	return nil, false
 }
 
 // sourceChanged is the phase-1 reason of an edited module: the only one
@@ -134,15 +140,13 @@ func (s *Store) SetPhase1(ctx context.Context, i int, data []byte) {
 		return
 	}
 	a, next := &s.out.Actions[i], &s.next[i]
-	next.Phase1File = artifactFile("p1", a.Module, data)
+	next.Phase1File, s.records[i] = artifactFile("p1", a.Module, data), data
 	if prev := s.prev.Modules[a.Module]; prev != nil && a.Phase1Reason == sourceChanged && prev.Phase1File == next.Phase1File {
 		a.Phase1Unchanged = true
 		ev := telemetry.Event(ctx, "phase1-unchanged")
 		ev.SetStr("module", a.Module)
 		ev.End()
-		return
 	}
-	s.phase1[i] = data
 }
 
 // Dirty lists the modules whose phase-1 record changed: a sound superset
@@ -159,14 +163,12 @@ func (s *Store) Dirty() []string {
 }
 
 // AnalyzerState returns the bytes of the analyzer state the stored
-// manifest names, or nil when it names none or the file does not read.
-// Its content is opaque to the store: a corrupt state is the analyzer's
-// to reject.
+// manifest names, or nil when it names none or the file does not hold the
+// bytes its name vouches for. Beyond that its content is opaque to the
+// store: a state the analyzer cannot use is the analyzer's to reject.
 func (s *Store) AnalyzerState() []byte {
-	if p, err := s.path(s.prev.Analyzer); err == nil {
-		if data, err := os.ReadFile(p); err == nil {
-			s.prevState = data
-		}
+	if data, err := s.read(s.prev.Analyzer, "analyzer-state", ""); err == nil {
+		s.prevState = data
 	}
 	return s.prevState
 }
@@ -184,17 +186,17 @@ func (s *Store) SetAnalyzer(ctx context.Context, state []byte, reuse *core.Reuse
 }
 
 // Diff decides phase 2 for every module: a module recompiles when its
-// phase-1 record changed, or when one of its phase-2 keys (pdb.Keys)
-// differs from the stored one. Each decision the diff alone discovers is
-// recorded as an invalidate-phase2 event.
-func (s *Store) Diff(ctx context.Context, modules []*ir.Module, db *pdb.Database) {
+// phase-1 record changed, or when one of its phase-2 keys (pdb.Keys, from
+// the module's summary) differs from the stored one. Each decision the
+// diff alone discovers is recorded as an invalidate-phase2 event.
+func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb.Database) {
 	if s == nil {
 		return
 	}
 	keys := pdb.NewKeys(db)
-	for i, m := range modules {
+	for i, ms := range sums {
 		next, a := &s.next[i], &s.out.Actions[i]
-		next.EligibleHash, next.Directives = keys.Module(m)
+		next.EligibleHash, next.Directives = keys.Module(ms)
 		if a.Phase1Rebuilt && !a.Phase1Unchanged {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
 			continue
@@ -210,8 +212,8 @@ func (s *Store) Diff(ctx context.Context, modules []*ir.Module, db *pdb.Database
 }
 
 // ReuseObject returns module i's stored object when Diff left its phase 2
-// valid and the object still reads; otherwise nil, and the caller
-// compiles the module.
+// valid and the object still reads as the bytes its name vouches for;
+// otherwise nil, and the caller compiles the module.
 func (s *Store) ReuseObject(i int) *parv.Object {
 	if s == nil {
 		return nil
@@ -220,7 +222,11 @@ func (s *Store) ReuseObject(i int) *parv.Object {
 	if a.Phase2Rebuilt {
 		return nil
 	}
-	obj, err := s.loadObject(s.prev.Modules[a.Module])
+	data, err := s.read(s.prev.Modules[a.Module].ObjectFile, "obj", a.Module)
+	var obj *parv.Object
+	if err == nil {
+		obj, err = parv.DecodeObject(data)
+	}
 	if err != nil {
 		a.Phase2Rebuilt, a.Phase2Reason = true, "stored object unreadable"
 		return nil
@@ -264,9 +270,6 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 // re-run phase 2 under the keys next was computed from ("" when its
 // stored object is still valid).
 func phase2Reason(prev, next *moduleState) string {
-	if !pdb.IsPhase2Key(prev.EligibleHash) {
-		return "phase-2 keys from an older build"
-	}
 	if prev.EligibleHash != next.EligibleHash {
 		return "eligible globals changed"
 	}

@@ -3,13 +3,12 @@ package incremental
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -39,22 +38,26 @@ func twoModules() []toySource {
 	}
 }
 
-// toyPhase1 lowers one toy module.
+// toyPhase1 lowers one toy module. Its summary records the procedures,
+// their direct calls and the declared globals, as real summaries do.
 func toyPhase1(src toySource) (*ir.Module, *summary.ModuleSummary) {
 	m := &ir.Module{Name: src.name}
 	ms := &summary.ModuleSummary{Module: src.name}
 	for _, word := range strings.Fields(src.text) {
 		if g, ok := strings.CutPrefix(word, "@"); ok {
 			m.Globals = append(m.Globals, &ir.Global{Name: g, Module: src.name, Size: 4, Defined: true, Scalar: true})
+			ms.Globals = append(ms.Globals, summary.GlobalInfo{Name: g, Module: src.name, Size: 4, Defined: true, Scalar: true})
 			continue
 		}
 		fn, callee, _ := strings.Cut(word, ">")
 		f := &ir.Func{Name: fn, Module: src.name, Blocks: []*ir.Block{{}}}
+		rec := summary.ProcRecord{Name: fn, Module: src.name}
 		if callee != "" {
 			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Call, Callee: callee})
+			rec.Calls = []summary.CallSite{{Callee: callee, Freq: 1}}
 		}
 		m.Funcs = append(m.Funcs, f)
-		ms.Procs = append(ms.Procs, summary.ProcRecord{Name: fn, Module: src.name})
+		ms.Procs = append(ms.Procs, rec)
 	}
 	return m, ms
 }
@@ -113,16 +116,16 @@ type toyOptions struct {
 // toyResult is what one toy build compiled and produced.
 type toyResult struct {
 	out            *Outcome
-	phase1, phase2 []string // modules each phase compiled, in order
-	dirty          []string // the store's Dirty() after phase 1
-	modules        []*ir.Module
+	phase1, phase2 []string     // modules each phase compiled, in order
+	dirty          []string     // the store's Dirty() after phase 1
+	modules        []*ir.Module // nil where neither phase needed the IR
 	sums           []*summary.ModuleSummary
 	objs           []*parv.Object
 }
 
 // toyBuild runs one build against the store in dir, stage by stage as
 // the build driver does.
-func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResult {
+func toyBuild(t testing.TB, dir string, srcs []toySource, o toyOptions) toyResult {
 	t.Helper()
 	r, err := toyBuildErr(t, dir, srcs, o)
 	if err != nil {
@@ -132,7 +135,7 @@ func toyBuild(t *testing.T, dir string, srcs []toySource, o toyOptions) toyResul
 }
 
 // toyBuildErr is toyBuild returning Persist's error.
-func toyBuildErr(t *testing.T, dir string, srcs []toySource, o toyOptions) (toyResult, error) {
+func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyResult, error) {
 	t.Helper()
 	ctx := context.Background()
 	if o.fingerprint == "" {
@@ -152,13 +155,13 @@ func toyBuildErr(t *testing.T, dir string, srcs []toySource, o toyOptions) (toyR
 		objs:    make([]*parv.Object, len(srcs)),
 	}
 	for i, src := range srcs {
-		m, ms, ok := st.ReusePhase1(ctx, i, cache.SourceKey(src.name, []byte(src.text), o.fingerprint))
+		ms, ok := st.ReusePhase1(ctx, i, cache.SourceKey(src.name, []byte(src.text), o.fingerprint))
 		if !ok {
-			m, ms = toyPhase1(src)
+			r.modules[i], ms = toyPhase1(src)
 			r.phase1 = append(r.phase1, src.name)
-			st.SetPhase1(ctx, i, cache.EncodeEntry(m, ms))
+			st.SetPhase1(ctx, i, cache.EncodeEntry(r.modules[i], ms))
 		}
-		r.modules[i], r.sums[i] = m, ms
+		r.sums[i] = ms
 	}
 	r.dirty = st.Dirty()
 	db := toyDB(r.sums, o)
@@ -174,12 +177,18 @@ func toyBuildErr(t *testing.T, dir string, srcs []toySource, o toyOptions) (toyR
 		}
 		st.SetAnalyzer(ctx, []byte(o.state), reuse)
 	}
-	st.Diff(ctx, r.modules, db)
-	for i, m := range r.modules {
-		if r.objs[i] = st.ReuseObject(i); r.objs[i] == nil {
-			r.objs[i] = toyPhase2(m, db)
-			r.phase2 = append(r.phase2, m.Name)
+	st.Diff(ctx, r.sums, db)
+	for i, src := range srcs {
+		if r.objs[i] = st.ReuseObject(i); r.objs[i] != nil {
+			continue
 		}
+		if r.modules[i] == nil {
+			if r.modules[i], err = st.Module(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.objs[i] = toyPhase2(r.modules[i], db)
+		r.phase2 = append(r.phase2, src.name)
 	}
 	if err := st.Persist(r.objs); err != nil {
 		return r, err
@@ -188,26 +197,31 @@ func toyBuildErr(t *testing.T, dir string, srcs []toySource, o toyOptions) (toyR
 	return r, nil
 }
 
-func readManifest(t *testing.T, dir string) manifest {
+func readManifest(t testing.TB, dir string) manifest {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := decodeManifest(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func writeManifest(t *testing.T, dir string, m manifest) {
+func readArtifact(t testing.TB, dir, name string) []byte {
 	t.Helper()
-	data, err := json.Marshal(&m)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+	return data
+}
+
+func writeManifest(t testing.TB, dir string, m manifest) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeManifest(&m), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -327,15 +341,19 @@ func TestUnchangedPhase1RecordKeepsPhase2(t *testing.T) {
 func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 	edited := twoModules()
 	edited[1].text = "helper>leaf leaf extra @g"
-	clean := func(srcs []toySource) toyResult { return toyBuild(t, t.TempDir(), srcs, toyOptions{}) }
-	wantSame := func(what string, got, want toyResult) {
+	// wantSame compares the records the manifest in dir names, and the
+	// objects of build got, with a clean build's.
+	wantSame := func(what, dir string, got toyResult, srcs []toySource) {
 		t.Helper()
-		for i := range want.objs {
-			if !bytes.Equal(cache.EncodeEntry(got.modules[i], got.sums[i]), cache.EncodeEntry(want.modules[i], want.sums[i])) {
-				t.Errorf("%s: %s: phase-1 record differs from a clean build's", what, want.modules[i].Name)
+		cleanDir := t.TempDir()
+		want := toyBuild(t, cleanDir, srcs, toyOptions{})
+		gotM, wantM := readManifest(t, dir), readManifest(t, cleanDir)
+		for i, src := range srcs {
+			if !bytes.Equal(readArtifact(t, dir, gotM.Modules[src.name].Phase1File), readArtifact(t, cleanDir, wantM.Modules[src.name].Phase1File)) {
+				t.Errorf("%s: %s: phase-1 record differs from a clean build's", what, src.name)
 			}
 			if !bytes.Equal(parv.EncodeObject(got.objs[i]), parv.EncodeObject(want.objs[i])) {
-				t.Errorf("%s: %s: object differs from a clean build's", what, want.modules[i].Name)
+				t.Errorf("%s: %s: object differs from a clean build's", what, src.name)
 			}
 		}
 	}
@@ -346,7 +364,7 @@ func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 			t.Errorf("%s: dirty %v, phase 2 compiled %v, %d unchanged records; want lib.mc, lib.mc, 0",
 				what, r.dirty, r.phase2, r.out.Phase1Unchanged)
 		}
-		wantSame(what, r, clean(edited))
+		wantSame(what, dir, r, edited)
 	}
 
 	// Persist cut off after its artifact writes: the edited build's
@@ -379,7 +397,7 @@ func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 	if r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
 		t.Errorf("previous sources: rebuilds %d/%d, want 0/0", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
-	wantSame("previous sources", r, clean(twoModules()))
+	wantSame("previous sources", dir, r, twoModules())
 
 	// lib.mc's stored record file holds the edited record; the manifest
 	// still names the old one.
@@ -390,62 +408,6 @@ func TestInterruptedPersistKeepsLiveState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rerun("overwritten record", dir)
-}
-
-// TestParentKeyedBuildDirRebuildsPhase2Once opens a build directory whose
-// manifest has the form builds wrote before phase-2 keys: bare
-// whole-directive hashes and a bare program-wide eligibility hash. It is
-// not a state reset: phase 1 is reused, phase 2 re-runs once, and the
-// build after that rebuilds nothing.
-func TestParentKeyedBuildDirRebuildsPhase2Once(t *testing.T) {
-	dir := t.TempDir()
-	opts := toyOptions{promote: map[string]uint8{"leaf": 17}, eligible: []string{"g"}}
-	first := toyBuild(t, dir, twoModules(), opts)
-
-	bare := func(d *pdb.ProcDirectives) string {
-		sum := sha256.Sum256(d.CanonicalBytes())
-		return hex.EncodeToString(sum[:16])
-	}
-	db := toyDB(first.sums, opts)
-	stored := readManifest(t, dir)
-	type parentState struct {
-		SourceHash   string            `json:"sourceHash"`
-		Phase1File   string            `json:"phase1File"`
-		ObjectFile   string            `json:"objectFile"`
-		EligibleHash string            `json:"eligibleHash"`
-		Directives   map[string]string `json:"directives"`
-	}
-	parent := map[string]*parentState{}
-	for _, m := range first.modules {
-		ms := stored.Modules[m.Name]
-		ps := &parentState{ms.SourceHash, ms.Phase1File, ms.ObjectFile, db.EligibleHash(), map[string]string{}}
-		for name := range pdb.Consulted(m) {
-			ps.Directives[name] = bare(db.Lookup(name))
-		}
-		parent[m.Name] = ps
-	}
-	data, err := json.Marshal(map[string]any{"fingerprint": stored.Fingerprint, "modules": parent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	opts.explain = &buf
-	r := toyBuild(t, dir, twoModules(), opts)
-	if r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 2 {
-		t.Errorf("reset = %v, rebuilds = %d/%d; want no reset, phase 1 reused, phase 2 rebuilt\n%s",
-			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
-	}
-	if !strings.Contains(buf.String(), "main.mc: phase 1 reused; phase 2 recompiled (phase-2 keys from an older build)") {
-		t.Errorf("explain output:\n%s", &buf)
-	}
-	opts.explain = nil
-	if r := toyBuild(t, dir, twoModules(), opts); r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
-		t.Errorf("second build: rebuilds = %d/%d, want 0/0", r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
-	}
 }
 
 func TestFingerprintMismatchDiscardsState(t *testing.T) {
@@ -605,7 +567,7 @@ func TestConsultedProcs(t *testing.T) {
 			{Name: "h", Blocks: []*ir.Block{{}}},
 		},
 	}
-	got := pdb.Consulted(m)
+	got := pdb.Consulted(summary.SummarizeModule(m))
 	want := map[string]pdb.Use{"f": pdb.UseOwn | pdb.UseCall, "g": pdb.UseCall, "h": pdb.UseOwn, "putint": pdb.UseCall}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Consulted = %v, want %v", got, want)
@@ -722,8 +684,8 @@ func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 }
 
 // TestAnalyzerStateTamperedIsRewritten overwrites the named analyzer
-// state with junk. The store offers the bytes as they are (rejecting them
-// is the analyzer's business), and the build rewrites the artifact even
+// state with junk. The bytes do not match the name, so the store offers no
+// state (the declared fallback), and the build rewrites the artifact even
 // though its name is unchanged, so the next build is offered the real
 // state again.
 func TestAnalyzerStateTamperedIsRewritten(t *testing.T) {
@@ -735,9 +697,9 @@ func TestAnalyzerStateTamperedIsRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	if string(offered[1]) != "junk" {
-		t.Errorf("tampered build offered %q, want the file's bytes as they are", offered[1])
+	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	if offered[1] != nil || r.out.Analyzer.Fallback != "no analyzer state" {
+		t.Errorf("tampered build offered %q (fallback %q), want no state", offered[1], r.out.Analyzer.Fallback)
 	}
 	if data, err := os.ReadFile(path); err != nil || string(data) != "analyzer-state-blob" {
 		t.Errorf("tampered artifact holds %q after the build (%v), want it rewritten", data, err)
@@ -825,4 +787,209 @@ func TestAnalyzerStateParentFile(t *testing.T) {
 	if string(offered[2]) != "analyzer-state-blob" || r.out.Analyzer.Fallback != "" {
 		t.Errorf("next build offered %q (fallback %q), want the persisted blob", offered[2], r.out.Analyzer.Fallback)
 	}
+}
+
+// TestArtifactByteFlipsFallBack flips each byte of a stored phase-1
+// record, object and analyzer state in turn. A flipped artifact no longer
+// matches its name, so every flip is that artifact's declared fallback,
+// the build's outputs equal a clean build's, and the rewrite restores the
+// file's bytes.
+func TestArtifactByteFlipsFallBack(t *testing.T) {
+	dir := t.TempDir()
+	var offered [][]byte
+	clean := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	m := readManifest(t, dir)
+	lib := m.Modules["lib.mc"]
+	sameOutputs := func(what string, r toyResult) {
+		t.Helper()
+		if !reflect.DeepEqual(r.sums, clean.sums) {
+			t.Errorf("%s: summaries differ from a clean build's", what)
+		}
+		for i := range clean.objs {
+			if !bytes.Equal(parv.EncodeObject(r.objs[i]), parv.EncodeObject(clean.objs[i])) {
+				t.Errorf("%s: %s: object differs from a clean build's", what, r.out.Actions[i].Module)
+			}
+		}
+	}
+	for _, c := range []struct {
+		file     string
+		fellBack func(r toyResult) bool
+	}{
+		{lib.Phase1File, func(r toyResult) bool {
+			a := r.out.Actions[1]
+			return a.Phase1Reason == "stored phase-1 record unreadable" && a.Phase2Rebuilt && r.out.Phase1Rebuilds == 1
+		}},
+		{lib.ObjectFile, func(r toyResult) bool {
+			a := r.out.Actions[1]
+			return a.Phase2Reason == "stored object unreadable" && r.out.Phase1Rebuilds == 0 && r.out.Phase2Rebuilds == 1
+		}},
+		{m.Analyzer, func(r toyResult) bool {
+			return offered[len(offered)-1] == nil && r.out.Analyzer.Fallback == "no analyzer state" &&
+				r.out.Phase1Rebuilds == 0 && r.out.Phase2Rebuilds == 0
+		}},
+	} {
+		path := filepath.Join(dir, c.file)
+		orig := readArtifact(t, dir, c.file)
+		for i := range orig {
+			flipped := bytes.Clone(orig)
+			flipped[i] ^= 0xff
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s byte %d", c.file, i)
+			r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+			if !c.fellBack(r) {
+				t.Errorf("%s: not the declared fallback: %+v, analyzer %+v", what, r.out.Actions, r.out.Analyzer)
+			}
+			sameOutputs(what, r)
+			if got := readArtifact(t, dir, c.file); !bytes.Equal(got, orig) {
+				t.Fatalf("%s: the rebuild did not restore the artifact", what)
+			}
+		}
+	}
+}
+
+// TestBuildDirHoldsOnlyNamedFiles checks that after each kind of build the
+// directory holds exactly the manifest and the files it names.
+func TestBuildDirHoldsOnlyNamedFiles(t *testing.T) {
+	onlyNamed := func(what, dir string) {
+		t.Helper()
+		m := readManifest(t, dir)
+		want := []string{manifestName}
+		if m.Analyzer != "" {
+			want = append(want, m.Analyzer)
+		}
+		for _, ms := range m.Modules {
+			want = append(want, ms.Phase1File, ms.ObjectFile)
+		}
+		sort.Strings(want)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: directory holds %v, want %v", what, got, want)
+		}
+	}
+	var offered [][]byte
+	analyzer := toyOptions{offered: &offered}
+	edited := twoModules()
+	edited[1].text = "helper>leaf leaf extra @g"
+
+	dir := t.TempDir()
+	toyBuild(t, dir, twoModules(), analyzer)
+	onlyNamed("clean", dir)
+	toyBuild(t, dir, edited, analyzer)
+	onlyNamed("edit", dir)
+	toyBuild(t, dir, edited[:1], analyzer)
+	onlyNamed("module removal", dir)
+
+	// Persist cut off after its artifact writes: a directory where the
+	// manifest's temporary file belongs blocks the swap.
+	dir = t.TempDir()
+	toyBuild(t, dir, twoModules(), analyzer)
+	block := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := toyBuildErr(t, dir, edited, toyOptions{offered: &offered, state: "state-cut"}); err == nil {
+		t.Fatal("build with a blocked manifest swap succeeded")
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	toyBuild(t, dir, edited, analyzer)
+	onlyNamed("interrupted persist, re-run", dir)
+
+	// A directory in the older store format: a JSON manifest beside
+	// records under their older names and the headered analyzer state.
+	dir = t.TempDir()
+	for name, data := range map[string]string{
+		"manifest.json":                    "{\"fingerprint\": \"ipra-build/v2|toy/v1\", \"modules\": {}}",
+		"p1-main_mc-0123456789abcdef.wire": "ipra-wire/1\n",
+		"obj-lib_mc-0123456789abcdef.wire": "ipra-wire/1\n",
+		"analyzer.state":                   "ipra-analyzer-store/v1\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
+	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 {
+		t.Errorf("older-format directory: reset %v, rebuilds %d/%d; want a reset and a full rebuild\n%s",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
+	}
+	if !strings.Contains(buf.String(), "discarding build state: manifest.json from an older store format") {
+		t.Errorf("explain output missing the reset notice:\n%s", &buf)
+	}
+	onlyNamed("older store format", dir)
+}
+
+// TestManifestRoundTrip checks that a manifest decodes to what was
+// encoded, and that the encoding does not depend on map order.
+func TestManifestRoundTrip(t *testing.T) {
+	m := manifest{
+		Fingerprint: "ipra-build/v3|toy/v1",
+		Analyzer:    "analyzer-state-00.wire",
+		Modules: map[string]*moduleState{
+			"b.mc": {SourceHash: "s2", Phase1File: "p1-b", ObjectFile: "obj-b", EligibleHash: "e", Directives: map[string]string{"f": "k1", "g": "k2"}},
+			"a.mc": {SourceHash: "s1", Phase1File: "p1-a", ObjectFile: "obj-a", EligibleHash: "e", Directives: map[string]string{"g": "k2"}},
+			"c.mc": {Directives: map[string]string{}},
+		},
+	}
+	data := encodeManifest(&m)
+	got, err := decodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Errorf("decoded %+v, want %+v", got, m)
+	}
+	for i := 0; i < 10; i++ {
+		if !bytes.Equal(encodeManifest(&got), data) {
+			t.Fatal("encoding depends on map order")
+		}
+	}
+	if _, err := decodeManifest(data[:len(data)-1]); err == nil {
+		t.Error("a truncated manifest decoded")
+	}
+
+	// A toy store's manifest round-trips to the same bytes.
+	dir := t.TempDir()
+	toyBuild(t, dir, twoModules(), toyOptions{offered: new([][]byte)})
+	stored := readArtifact(t, dir, manifestName)
+	if again := readManifest(t, dir); !bytes.Equal(encodeManifest(&again), stored) {
+		t.Error("a stored manifest does not re-encode to its bytes")
+	}
+}
+
+// FuzzManifestDecode: any input decodes to a manifest or an error, never a
+// panic, and an accepted manifest re-encodes to one that decodes equal.
+func FuzzManifestDecode(f *testing.F) {
+	dir := f.TempDir()
+	toyBuild(f, dir, twoModules(), toyOptions{offered: new([][]byte)})
+	f.Add(readArtifact(f, dir, manifestName))
+	edited := twoModules()
+	edited[1].text = "helper>leaf leaf extra @g"
+	toyBuild(f, dir, edited, toyOptions{clobber: map[string]regs.Set{"leaf": regs.Of(19)}})
+	f.Add(readArtifact(f, dir, manifestName))
+	f.Add([]byte("not a manifest"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeManifest(encodeManifest(&m))
+		if err != nil {
+			t.Fatalf("re-decode of an accepted manifest failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatal("an accepted manifest does not round-trip")
+		}
+	})
 }

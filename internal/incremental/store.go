@@ -1,12 +1,13 @@
-// The persistent build-state store: a build directory holding a JSON
+// The persistent build-state store: a build directory holding a wire
 // manifest plus the content-named artifacts it lists.
 //
 // Layout:
 //
-//	<build-dir>/manifest.json   fingerprint, analyzer state name, and
-//	                            per-module state (below)
+//	<build-dir>/manifest.wire   fingerprint, analyzer state name, and
+//	                            per-module state (below); a wire artifact
+//	                            of kind build-manifest (manifest.go)
 //	<build-dir>/p1-<module>-<hash>.wire
-//	                            phase-1 record (IR module + summary, the
+//	                            phase-1 record (summary + IR module, the
 //	                            cache package's entry encoding)
 //	<build-dir>/obj-<module>-<hash>.wire
 //	                            compiled object (parv object encoding)
@@ -15,12 +16,18 @@
 //	                            analyzer-state wire artifact, opaque here)
 //
 // An artifact's name carries a hash of its module and its bytes
-// (artifactFile), so a name the manifest holds vouches for the file's
-// content, and a build never overwrites an artifact the live manifest
-// names with other bytes. Every artifact is written before the manifest
-// that names it replaces the previous one, and files no manifest names
-// are pruned after the swap, so a build cut off at any point leaves the
-// previous build's state whole.
+// (artifactFile), and every read checks the bytes against it (read): a
+// file that is not exactly what was written under its name reads as the
+// caller's declared fallback, never as an artifact. A build never
+// overwrites an artifact the live manifest names with other bytes. Every
+// artifact is written before the manifest that names it replaces the
+// previous one, and files no manifest names are pruned after the swap, so
+// a build cut off at any point leaves the previous build's state whole.
+//
+// A warm build reads only what it uses: a reused phase-1 record yields
+// its summary (cache.DecodeSummary), which is all the analyzer and the
+// key diff read, and its IR is decoded (Module) only when the module's
+// phase 2 re-runs.
 //
 // The manifest records, per module: the phase-1 source hash, the names of
 // the two artifact files, and the module's phase-2 keys (pdb.Keys): one
@@ -35,10 +42,8 @@
 package incremental
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -48,49 +53,23 @@ import (
 	"ipra/internal/cache"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
-	"ipra/internal/summary"
 )
 
 // FormatVersion versions the build directory layout and manifest schema.
 // Bump it whenever either changes shape or meaning — including the
 // encoding of any artifact the directory stores — so older directories
 // are rebuilt from scratch instead of misread. v2: artifacts moved from
-// gob to the wire format (and .gob suffixes to .wire). Two changes within
-// v2 need no bump. Artifact names gained a content hash; names are read
-// from the manifest, so older names still resolve. The key fields changed
-// meaning: bare whole-directive and program-wide eligibility hashes became
-// pdb's versioned phase-2 keys. A versioned key never equals a bare hash,
-// so such a directory keeps its phase-1 records and recompiles phase 2
-// once. The analyzer state moved from a headered analyzer.state file to
-// an artifact the manifest names; a manifest without that name offers no
-// state, which costs one full analysis.
-const FormatVersion = "ipra-build/v2"
+// gob to the wire format (and .gob suffixes to .wire); within v2,
+// artifact names gained a content hash, the keys became pdb's phase-2
+// keys, and the analyzer state became an artifact the manifest names. v3:
+// the phase-1 record puts its summary first (cache-entry v2), and the
+// manifest is manifest.wire instead of manifest.json. A v3 store that
+// finds a manifest.json resets: it rebuilds everything once and prunes the
+// old manifest and records.
+const FormatVersion = "ipra-build/v3"
 
-const manifestName = "manifest.json"
-
-// moduleState is the manifest record for one module.
-type moduleState struct {
-	// SourceHash is the phase-1 content hash (module name + source text +
-	// toolchain fingerprint).
-	SourceHash string `json:"sourceHash"`
-	// Phase1File / ObjectFile are base names inside the build directory.
-	Phase1File string `json:"phase1File"`
-	ObjectFile string `json:"objectFile"`
-	// EligibleHash is the eligibility key of the globals the module
-	// declares; Directives holds one phase-2 key per consulted procedure
-	// (the module's own functions and its direct callees).
-	EligibleHash string            `json:"eligibleHash"`
-	Directives   map[string]string `json:"directives"`
-}
-
-// manifest is the whole persisted build state.
-type manifest struct {
-	Fingerprint string `json:"fingerprint"`
-	// Analyzer is the base name of the analyzer state computed from the
-	// modules' phase-1 records; "" when the build ran no analyzer.
-	Analyzer string                  `json:"analyzer,omitempty"`
-	Modules  map[string]*moduleState `json:"modules"`
-}
+// legacyManifest is the v2 manifest, pruned by every v3 save.
+const legacyManifest = "manifest.json"
 
 // Store is one build's view of a build directory: the state the previous
 // build persisted, plus the decisions and records of the build in
@@ -107,10 +86,14 @@ type Store struct {
 	// in an empty directory, or (with out.StateReset) rejected state.
 	resetReason string
 
-	out              Outcome
-	next             []moduleState // the records Persist writes
-	phase1           [][]byte      // encoded phase-1 records Persist writes
-	prevState, state []byte        // analyzer state offered / to persist
+	out  Outcome
+	next []moduleState // the records Persist writes
+	// records holds each module's phase-1 record: the stored one
+	// ReusePhase1 verified, or the fresh one SetPhase1 named.
+	records [][]byte
+	// prevState is the stored analyzer state, once read and verified;
+	// state is the one to persist.
+	prevState, state []byte
 }
 
 // Open loads the build directory's manifest (creating the directory if
@@ -127,7 +110,7 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 		dir:         dir,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
 		next:        make([]moduleState, len(modules)),
-		phase1:      make([][]byte, len(modules)),
+		records:     make([][]byte, len(modules)),
 		out:         Outcome{Actions: make([]Action, len(modules))},
 	}
 	for i, name := range modules {
@@ -135,6 +118,13 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	}
 	s.prev.Modules = make(map[string]*moduleState)
 
+	// Only an older store writes legacyManifest, and every save here
+	// prunes it: when it is present, an older store wrote the directory
+	// last, and whatever manifest.wire says predates that build.
+	if _, err := os.Stat(filepath.Join(dir, legacyManifest)); err == nil {
+		s.out.StateReset, s.resetReason = true, legacyManifest+" from an older store format"
+		return s, nil
+	}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case os.IsNotExist(err):
@@ -143,8 +133,8 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 	case err != nil:
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := decodeManifest(data)
+	if err != nil {
 		s.out.StateReset, s.resetReason = true, "unreadable manifest: "+err.Error()
 		return s, nil
 	}
@@ -153,9 +143,7 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 		s.resetReason = fmt.Sprintf("fingerprint mismatch (stored %q, want %q)", m.Fingerprint, s.fingerprint)
 		return s, nil
 	}
-	if m.Modules != nil {
-		s.prev = m
-	}
+	s.prev = m
 	return s, nil
 }
 
@@ -191,26 +179,32 @@ func (s *Store) path(base string) (string, error) {
 	return filepath.Join(s.dir, base), nil
 }
 
-// loadPhase1 reads a stored phase-1 record.
-func (s *Store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary, error) {
-	p, err := s.path(ms.Phase1File)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cache.DecodeEntry(data)
-}
-
-// loadObject reads a stored object file.
-func (s *Store) loadObject(ms *moduleState) (*parv.Object, error) {
-	p, err := s.path(ms.ObjectFile)
+// read returns the bytes of the artifact the manifest names base, checked
+// against the content hash in the name: bytes other than the ones written
+// under that name (a flipped bit, a truncated or swapped file) are an
+// error, which every caller turns into its declared fallback. Every read
+// of an artifact goes through here.
+func (s *Store) read(base, prefix, module string) ([]byte, error) {
+	p, err := s.path(base)
 	if err != nil {
 		return nil, err
 	}
-	return parv.ReadObjectFile(p)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		return nil, err
+	}
+	if artifactFile(prefix, module, data) != base {
+		return nil, fmt.Errorf("incremental: %s does not hold the bytes its name vouches for", base)
+	}
+	return data, nil
+}
+
+// Module decodes the IR of module i's reused phase-1 record, the bytes
+// ReusePhase1 verified. The build calls it only for a module whose phase 2
+// re-runs; every other reused module is used through its summary alone.
+func (s *Store) Module(i int) (*ir.Module, error) {
+	m, _, err := cache.DecodeEntry(s.records[i])
+	return m, err
 }
 
 // writeArtifact writes an artifact under the base name artifactFile gave
@@ -232,10 +226,10 @@ func (s *Store) writeArtifact(base string, data []byte) error {
 func (s *Store) Persist(objs []*parv.Object) error {
 	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
 	if s.state != nil {
-		// Rewrite unless the file already holds these bytes: a name
-		// vouches for its content only while nobody tampered with it.
+		// The stored file already holds these bytes when it has this name
+		// and read back verified.
 		next.Analyzer = artifactFile("analyzer-state", "", s.state)
-		if next.Analyzer != s.prev.Analyzer || !bytes.Equal(s.prevState, s.state) {
+		if next.Analyzer != s.prev.Analyzer || s.prevState == nil {
 			if err := s.writeArtifact(next.Analyzer, s.state); err != nil {
 				return err
 			}
@@ -243,14 +237,11 @@ func (s *Store) Persist(objs []*parv.Object) error {
 	}
 	for i := range s.next {
 		ms, a := &s.next[i], s.out.Actions[i]
-		prev := s.prev.Modules[a.Module]
-		switch {
-		case !a.Phase1Rebuilt:
-			ms.Phase1File = prev.Phase1File
-		case ms.Phase1File == "":
+		if ms.Phase1File == "" {
 			return fmt.Errorf("incremental: %s: phase 1 re-ran without SetPhase1", a.Module)
-		case s.phase1[i] != nil:
-			if err := s.writeArtifact(ms.Phase1File, s.phase1[i]); err != nil {
+		}
+		if a.Phase1Rebuilt && !a.Phase1Unchanged {
+			if err := s.writeArtifact(ms.Phase1File, s.records[i]); err != nil {
 				return err
 			}
 		}
@@ -261,7 +252,7 @@ func (s *Store) Persist(objs []*parv.Object) error {
 				return err
 			}
 		} else {
-			ms.ObjectFile = prev.ObjectFile
+			ms.ObjectFile = s.prev.Modules[a.Module].ObjectFile
 		}
 		next.Modules[a.Module] = ms
 	}
@@ -271,15 +262,11 @@ func (s *Store) Persist(objs []*parv.Object) error {
 // save atomically replaces the manifest and prunes artifact files no
 // longer referenced by it (modules removed from the program, artifacts
 // renamed by a format change, superseded analyzer states, and the
-// analyzer.state file of older builds).
+// manifest.json and analyzer.state files of older builds).
 func (s *Store) save(m manifest) error {
 	m.Fingerprint = s.fingerprint
-	data, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return fmt.Errorf("incremental: marshal manifest: %w", err)
-	}
 	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, encodeManifest(&m), 0o644); err != nil {
 		return fmt.Errorf("incremental: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
@@ -299,10 +286,11 @@ func (s *Store) save(m manifest) error {
 		// "analyzer" covers both analyzer-state-*.wire and the older
 		// analyzer.state; other files (a profile snapshot) are not ours.
 		name := e.Name()
-		if referenced[name] || !(strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-") || strings.HasPrefix(name, "analyzer")) {
-			continue
+		ours := strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-") ||
+			strings.HasPrefix(name, "analyzer") || name == legacyManifest
+		if ours && !referenced[name] {
+			os.Remove(filepath.Join(s.dir, name))
 		}
-		os.Remove(filepath.Join(s.dir, name))
 	}
 	return nil
 }

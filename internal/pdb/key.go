@@ -4,10 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 
-	"ipra/internal/ir"
 	"ipra/internal/regs"
+	"ipra/internal/summary"
 )
 
 // Phase-2 keys: what one module's compiler second phase reads of the
@@ -23,6 +22,12 @@ import (
 //     lists every global, defined or extern, that the module's code can
 //     name, and the optimizer reads eligibility only of named globals.
 //
+// The keys are computed from the module's summary, which names all three
+// sets: its procedures, each one's direct callees, and its globals in
+// declaration order (summary.SummarizeModule records them from the same
+// level-1 IR phase 2 starts from). A build that reuses a module's phase-1
+// record therefore keys it without decoding the module's IR.
+//
 // It never reads a promotion's WebID (a program-wide sequence number that
 // one web more or fewer renumbers), a directive's Name, or anything of a
 // procedure the module neither defines nor calls. A module's key is one
@@ -31,10 +36,6 @@ import (
 // TestPhase2KeySoundness checks that differentially, and fails when phase
 // 2 starts reading something the keys omit: change the keys with the
 // reads.
-//
-// Every key starts with keyVersion, so no hash a build directory stored
-// before these keys existed compares equal to one (IsPhase2Key tells
-// them apart).
 
 // Use says which of a procedure's directives one module's phase 2 reads.
 type Use uint8
@@ -46,22 +47,19 @@ const (
 	UseCall
 )
 
-const keyVersion = "k1:"
-
-// Consulted returns every procedure whose directives module m's phase 2
-// may read, and how. The scan runs on the phase-1 artifact, level-1 IR
-// that phase 2 starts from; phase 2's optimization only ever removes
-// calls, so this is a sound superset of what phase 2 actually reads.
-func Consulted(m *ir.Module) map[string]Use {
+// Consulted returns every procedure whose directives the phase 2 of the
+// module ms summarizes may read, and how: its own procedures, and the
+// direct callees its summary records. The summary describes the phase-1
+// artifact, level-1 IR that phase 2 starts from, and records every direct
+// call in it; phase 2's optimization only ever removes calls, so this is a
+// sound superset of what phase 2 actually reads.
+func Consulted(ms *summary.ModuleSummary) map[string]Use {
 	uses := make(map[string]Use)
-	for _, f := range m.Funcs {
-		uses[f.Name] |= UseOwn
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if in := &b.Instrs[i]; in.Op == ir.Call && !in.IndirectCall {
-					uses[in.Callee] |= UseCall
-				}
-			}
+	for i := range ms.Procs {
+		p := &ms.Procs[i]
+		uses[p.Name] |= UseOwn
+		for _, c := range p.Calls {
+			uses[c.Callee] |= UseCall
 		}
 	}
 	return uses
@@ -91,12 +89,8 @@ func (d *ProcDirectives) Phase2Key(u Use) string {
 		}
 	}
 	sum := sha256.Sum256(b)
-	return keyVersion + hex.EncodeToString(sum[:16])
+	return hex.EncodeToString(sum[:16])
 }
-
-// IsPhase2Key reports whether key was computed by this package's phase-2
-// keys, rather than stored by a build directory from before them.
-func IsPhase2Key(key string) bool { return strings.HasPrefix(key, keyVersion) }
 
 // Keys computes phase-2 keys under one database.
 type Keys struct {
@@ -111,7 +105,7 @@ func NewKeys(db *Database) *Keys {
 
 // Eligibility returns the key of the eligibility of the declared globals,
 // in declaration order.
-func (k *Keys) Eligibility(globals []*ir.Global) string {
+func (k *Keys) Eligibility(globals []summary.GlobalInfo) string {
 	h := sha256.New()
 	var buf [64]byte
 	for _, g := range globals {
@@ -119,18 +113,18 @@ func (k *Keys) Eligibility(globals []*ir.Global) string {
 		b = append(b, g.Name...)
 		h.Write(append(b, bit(k.eligible[g.Name])))
 	}
-	return keyVersion + hex.EncodeToString(h.Sum(nil)[:16])
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// Module returns module m's whole key: its eligibility key and one key
-// per consulted procedure.
-func (k *Keys) Module(m *ir.Module) (eligibility string, procs map[string]string) {
-	consulted := Consulted(m)
+// Module returns the whole key of the module ms summarizes: its
+// eligibility key and one key per consulted procedure.
+func (k *Keys) Module(ms *summary.ModuleSummary) (eligibility string, procs map[string]string) {
+	consulted := Consulted(ms)
 	procs = make(map[string]string, len(consulted))
 	for name, u := range consulted {
 		procs[name] = k.db.Lookup(name).Phase2Key(u)
 	}
-	return k.Eligibility(m.Globals), procs
+	return k.Eligibility(ms.Globals), procs
 }
 
 func bit(b bool) byte {

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"ipra/internal/ir"
 	"ipra/internal/regs"
+	"ipra/internal/summary"
 )
 
 func TestStandardDirectives(t *testing.T) {
@@ -131,7 +131,7 @@ func TestPhase2Key(t *testing.T) {
 		}
 		return db
 	}
-	globals := []*ir.Global{{Name: "a"}, {Name: "b"}, {Name: "g"}}
+	globals := []summary.GlobalInfo{{Name: "a"}, {Name: "b"}, {Name: "g"}}
 	uses := []Use{UseOwn, UseCall, UseOwn | UseCall}
 	type key struct {
 		procs       [3]string
@@ -147,20 +147,11 @@ func TestPhase2Key(t *testing.T) {
 	}
 	base := keyOf(mk())
 	for i := range uses {
-		if !IsPhase2Key(base.procs[i]) {
-			t.Errorf("IsPhase2Key(%q) = false", base.procs[i])
-		}
 		for j := range uses {
 			if i != j && base.procs[i] == base.procs[j] {
 				t.Errorf("keys of uses %d and %d are equal", uses[i], uses[j])
 			}
 		}
-	}
-	if !IsPhase2Key(base.eligibility) {
-		t.Errorf("IsPhase2Key(%q) = false", base.eligibility)
-	}
-	if IsPhase2Key("0123456789abcdef0123456789abcdef") {
-		t.Error("a bare hash parses as a phase-2 key")
 	}
 
 	// Fields phase 2 never reads: no key moves.

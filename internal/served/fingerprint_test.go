@@ -3,10 +3,12 @@ package served
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ipra/internal/incremental"
 )
 
 // TestServedFingerprintSafety: a daemon serving a state directory whose
@@ -50,20 +52,20 @@ func TestServedFingerprintSafety(t *testing.T) {
 		t.Fatal("warm daemon build differs from local build")
 	}
 
-	// Simulate a daemon upgraded across a toolchain change: the on-disk
-	// manifest now claims a different fingerprint than the binary.
+	// Simulate a daemon upgraded across a format change: the on-disk
+	// manifest now claims a different fingerprint than the binary. The
+	// replacement has the same length, so the manifest still decodes.
 	buildDir := filepath.Join(stateDir, req().ProgramKey())
-	manifestPath := filepath.Join(buildDir, "manifest.json")
+	manifestPath := filepath.Join(buildDir, "manifest.wire")
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatalf("expected a manifest under %s: %v", buildDir, err)
 	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	older := strings.Repeat("x", len(incremental.FormatVersion))
+	tampered := bytes.Replace(raw, []byte(incremental.FormatVersion), []byte(older), 1)
+	if bytes.Equal(tampered, raw) {
+		t.Fatalf("manifest does not hold %q", incremental.FormatVersion)
 	}
-	m["fingerprint"], _ = json.Marshal("ipra-build/v1|some-older-toolchain")
-	tampered, _ := json.Marshal(m)
 	if err := os.WriteFile(manifestPath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,10 @@ type Program struct {
 	Config Config
 	// Modules is each module's phase-1 artifact: Phase1's IR after
 	// opt.Level1, which the summaries describe and phase 2 starts from.
-	// It is not Phase1 output, so it is not valid Phase2 input either.
+	// It is not Phase1 output, so it is not valid Phase2 input either. A
+	// WithBuildDir build decodes a reused module's IR only when its phase
+	// 2 re-runs, so the entry is nil for a module whose phase-1 record and
+	// object were both reused.
 	Modules   []*ir.Module
 	Summaries []*summary.ModuleSummary
 	Analysis  *core.Result // nil for Level2
@@ -680,16 +683,16 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 		if st != nil || useCache {
 			key = cache.SourceKey(sources[i].Name, sources[i].Text, toolchain)
 		}
-		m, ms, ok := st.ReusePhase1(ctx, i, key)
+		ms, ok := st.ReusePhase1(ctx, i, key)
 		if !ok {
-			var data []byte
-			var err error
-			if m, ms, data, err = phase1Module(ctx, sources[i], key, useCache, st != nil); err != nil {
+			m, fresh, data, err := phase1Module(ctx, sources[i], key, useCache, st != nil)
+			if err != nil {
 				return fmt.Errorf("%s: %w", sources[i].Name, err)
 			}
 			st.SetPhase1(ctx, i, data)
+			p.Modules[i], ms = m, fresh
 		}
-		p.Modules[i], p.Summaries[i] = m, ms
+		p.Summaries[i] = ms
 		return nil
 	})
 	p1Span.End()
@@ -704,11 +707,13 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 
 	// ---- Key diff: decide phase 2 per module.
 	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
-	st.Diff(dctx, p.Modules, p.DB)
+	st.Diff(dctx, p.Summaries, p.DB)
 	diffSpan.End()
 
 	// ---- Compiler second phase for every module the store cannot serve
-	// (order-independent; the program database is shared read-only).
+	// (order-independent; the program database is shared read-only). A
+	// module whose phase-1 record was reused has no IR yet: it is decoded
+	// here, and only for the modules phase 2 compiles.
 	eligible := p.DB.EligibleSet()
 	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
 	err = pipeline.ForEachCtx(p2ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
@@ -716,6 +721,11 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 			return nil
 		}
 		var err error
+		if p.Modules[i] == nil {
+			if p.Modules[i], err = st.Module(i); err != nil {
+				return fmt.Errorf("%s: %w", sources[i].Name, err)
+			}
+		}
 		p.Objects[i], err = phase2Module(ctx, p.Modules[i], p.DB, eligible)
 		return err
 	})

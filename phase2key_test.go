@@ -13,13 +13,15 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/progen"
+	"ipra/internal/summary"
 )
 
-// keyFamily is one list of phase-1 modules and several databases to
-// compile it under.
+// keyFamily is one list of phase-1 modules, their summaries, and several
+// databases to compile them under.
 type keyFamily struct {
 	name    string
 	modules []*ir.Module
+	sums    []*summary.ModuleSummary
 	dbs     []*pdb.Database
 }
 
@@ -54,6 +56,7 @@ func keyFamilies(t *testing.T) []keyFamily {
 				fams = append(fams, keyFamily{
 					name:    fmt.Sprintf("progen%d/%s/%s", seed, cfg.Name, desc),
 					modules: after.Modules,
+					sums:    after.Summaries,
 					dbs:     []*pdb.Database{before.DB, after.DB},
 				})
 			}
@@ -63,7 +66,7 @@ func keyFamilies(t *testing.T) []keyFamily {
 		fam := keyFamily{name: b.Name}
 		for _, cfg := range determinismConfigs() {
 			res := build(benchSources(t, b), cfg, b.MaxInstrs)
-			fam.modules = res.Modules
+			fam.modules, fam.sums = res.Modules, res.Summaries
 			fam.dbs = append(fam.dbs, res.DB)
 		}
 		fams = append(fams, fam)
@@ -71,16 +74,16 @@ func keyFamilies(t *testing.T) []keyFamily {
 	return fams
 }
 
-// keyTwin returns a database that agrees with db on everything module m's
-// phase-2 key covers and rewrites everything else: every WebID and Name;
+// keyTwin returns a database that agrees with db on everything the phase-2
+// key of the module ms summarizes covers and rewrites everything else: every WebID and Name;
 // the directives of procedures m neither defines nor calls (including
 // procedures db has none for); everything but the clobber contract of
-// procedures m only calls; the clobber contract of procedures m only
-// defines, and ClobberAtCalls wherever HasClobber is unset; and the
-// eligibility of every global m does not declare. procs and globals name
+// procedures the module only calls; the clobber contract of procedures it
+// only defines, and ClobberAtCalls wherever HasClobber is unset; and the
+// eligibility of every global it does not declare. procs and globals name
 // every procedure and global of the program.
-func keyTwin(db *pdb.Database, m *ir.Module, procs, globals []string) *pdb.Database {
-	uses := pdb.Consulted(m)
+func keyTwin(db *pdb.Database, ms *summary.ModuleSummary, procs, globals []string) *pdb.Database {
+	uses := pdb.Consulted(ms)
 	twin := pdb.New()
 	for _, name := range procs {
 		u := uses[name]
@@ -110,8 +113,8 @@ func keyTwin(db *pdb.Database, m *ir.Module, procs, globals []string) *pdb.Datab
 		}
 		twin.Procs[name] = &d
 	}
-	declared := make(map[string]bool, len(m.Globals))
-	for _, g := range m.Globals {
+	declared := make(map[string]bool, len(ms.Globals))
+	for _, g := range ms.Globals {
 		declared[g.Name] = true
 	}
 	eligible := db.EligibleSet()
@@ -139,8 +142,8 @@ func TestPhase2KeySoundness(t *testing.T) {
 		eligibility string
 		procs       map[string]string
 	}
-	keyOf := func(m *ir.Module, db *pdb.Database) moduleKey {
-		e, p := pdb.NewKeys(db).Module(m)
+	keyOf := func(ms *summary.ModuleSummary, db *pdb.Database) moduleKey {
+		e, p := pdb.NewKeys(db).Module(ms)
 		return moduleKey{e, p}
 	}
 	compile := func(m *ir.Module, db *pdb.Database) []byte {
@@ -169,13 +172,14 @@ func TestPhase2KeySoundness(t *testing.T) {
 		}
 		procs, globals := sortedKeys(procSet), append(sortedKeys(globalSet), "unnamed'")
 
-		for _, m := range fam.modules {
+		for mi, m := range fam.modules {
+			ms := fam.sums[mi]
 			objs := make([][]byte, len(fam.dbs))
 			keys := make([]moduleKey, len(fam.dbs))
 			for i, db := range fam.dbs {
-				objs[i], keys[i] = compile(m, db), keyOf(m, db)
-				twin := keyTwin(db, m, procs, globals)
-				if !reflect.DeepEqual(keyOf(m, twin), keys[i]) {
+				objs[i], keys[i] = compile(m, db), keyOf(ms, db)
+				twin := keyTwin(db, ms, procs, globals)
+				if !reflect.DeepEqual(keyOf(ms, twin), keys[i]) {
 					t.Fatalf("%s/%s: the twin of database %d has a different key", fam.name, m.Name, i)
 				}
 				if !bytes.Equal(compile(m, twin), objs[i]) {

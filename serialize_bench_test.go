@@ -102,6 +102,20 @@ func BenchmarkSerializeDecodeEntry(b *testing.B) {
 	}
 }
 
+// BenchmarkSerializeDecodeSummary measures reading only the summary of a
+// phase-1 cache entry, the cost a warm build pays per reused record.
+func BenchmarkSerializeDecodeSummary(b *testing.B) {
+	arts := serializeWorkload(b)
+	b.SetBytes(int64(len(arts.entry)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.DecodeSummary(arts.entry); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSerializePutFull measures Put into a cache at capacity, where
 // every insertion encodes the entry and evicts a victim.
 func BenchmarkSerializePutFull(b *testing.B) {

@@ -20,8 +20,8 @@ import (
 
 var updateWireGolden = flag.Bool("update", false, "rewrite the golden wire fixtures under testdata/wire")
 
-// The golden fixtures pin the v1 wire encoding of every serialized
-// artifact kind. A fixture mismatch means the encoding changed shape:
+// The golden fixtures pin the wire encoding of every serialized artifact
+// kind, one file per kind named with its version. A fixture mismatch means the encoding changed shape:
 // either revert the change, or bump that kind's wire version AND the
 // incremental store's FormatVersion, then regenerate with
 // `go test -run TestWireGolden -update`.
@@ -166,7 +166,7 @@ func goldenFixtures(t testing.TB) map[string][]byte {
 	}
 	return map[string][]byte{
 		"module-v1.bin":      ir.EncodeModule(goldenModule()),
-		"cache-entry-v1.bin": entry,
+		"cache-entry-v2.bin": entry,
 		"object-v1.bin":      parv.EncodeObject(goldenObject()),
 		"exe-v1.bin":         exeBuf.Bytes(),
 	}
@@ -222,7 +222,7 @@ func TestWireGoldenDecodes(t *testing.T) {
 		t.Error("module fixture decodes to a different value")
 	}
 
-	em, es, err := cache.DecodeEntry(read("cache-entry-v1.bin"))
+	em, es, err := cache.DecodeEntry(read("cache-entry-v2.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func FuzzWireModuleDecode(f *testing.F) {
 }
 
 func FuzzWireCacheEntryDecode(f *testing.F) {
-	seedWireFuzz(f, "cache-entry-v1.bin")
+	seedWireFuzz(f, "cache-entry-v2.bin")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ms, err := cache.DecodeEntry(data)
 		if err != nil {
