@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -85,26 +86,31 @@ func (e *StatusError) Draining() bool {
 	return e.Code == http.StatusServiceUnavailable && e.Reason == ReasonDraining
 }
 
-// post sends one JSON request and decodes the 200 reply into out.
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
+// roundTrip sends one request, with body as its wire-encoded payload when
+// it is not nil, and returns the 200 reply's body, read into one buffer
+// sized from its Content-Length. Any other status comes back as a
+// *StatusError.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	var payload io.Reader
+	if body != nil {
+		payload = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return decodeStatusError(resp)
+		return nil, decodeStatusError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return readBody(resp.Body, resp.ContentLength)
 }
 
 func decodeStatusError(resp *http.Response) error {
@@ -131,11 +137,11 @@ func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if retryCap <= 0 {
 		retryCap = 5 * time.Second
 	}
+	body := req.encode()
 	for attempt := 0; ; attempt++ {
-		var out BuildResponse
-		err := c.post(ctx, "/v1/build", req, &out)
+		data, err := c.roundTrip(ctx, http.MethodPost, "/v1/build", body)
 		if err == nil {
-			return &out, nil
+			return decodeBuildResponse(data)
 		}
 		se, ok := err.(*StatusError)
 		if !ok || !se.Saturated() || attempt >= c.Retries {
@@ -159,21 +165,12 @@ func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 // IngestProfile streams one wire-encoded fleet record to the daemon and
 // returns its drift verdict.
 func (c *Client) IngestProfile(ctx context.Context, record []byte) (*ProfileIngestResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/profile", bytes.NewReader(record))
+	data, err := c.roundTrip(ctx, http.MethodPost, "/v1/profile", record)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeStatusError(resp)
 	}
 	var out ProfileIngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -183,38 +180,17 @@ func (c *Client) IngestProfile(ctx context.Context, record []byte) (*ProfileInge
 // (profagg.DecodeAggregate parses it), enabling a byte-identical local
 // reproduction of the daemon's aggregated build.
 func (c *Client) ProfileSnapshot(ctx context.Context, program string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.baseURL+"/v1/profile/snapshot?program="+program, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeStatusError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.roundTrip(ctx, http.MethodGet, "/v1/profile/snapshot?program="+url.QueryEscape(program), nil)
 }
 
 // Stats fetches the daemon's counter and gauge snapshot.
 func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/stats", nil)
+	data, err := c.roundTrip(ctx, http.MethodGet, "/v1/stats", nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeStatusError(resp)
 	}
 	var out ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -222,19 +198,8 @@ func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
 
 // Health reports whether the daemon is accepting work.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/health", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeStatusError(resp)
-	}
-	return nil
+	_, err := c.roundTrip(ctx, http.MethodGet, "/v1/health", nil)
+	return err
 }
 
 // WaitReady polls Health until the daemon answers or the deadline

@@ -1,0 +1,248 @@
+package served
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+)
+
+// codecRequests cover every BuildRequest field, each at its zero value in
+// one request and set in another.
+func codecRequests() []*BuildRequest {
+	return []*BuildRequest{
+		{Config: "L2", Sources: []Source{{Name: "m.mc", Text: "int main() { return 0; }"}}},
+		{Config: "B", Strategy: "tiling", TrainInstrs: 5_000_000, Verify: true, Trace: true,
+			Sources: []Source{
+				{Name: "a.mc", Text: "int f() { return 1; }\n"},
+				{Name: "empty.mc", Text: ""},
+				{Name: "main.mc", Text: "int f();\nint main() { return f(); }\n"},
+			}},
+	}
+}
+
+// codecResponses cover every BuildResponse field: Incremental nil, set,
+// and set to its zero value; Counters and Trace empty and non-empty.
+func codecResponses() []*BuildResponse {
+	return []*BuildResponse{
+		{RequestID: 1, Config: "L2", Modules: 1, Exe: []byte("exe"), Instructions: 3, ElapsedMS: 0.25},
+		{RequestID: 1 << 40, Config: "C", Modules: 3, Exe: []byte{0, 1, 2, 0xff}, Instructions: 120,
+			Dedup: true, ResultCached: true,
+			Incremental: &IncrementalSummary{StateReset: true, Phase1Rebuilds: 2, Phase2Rebuilds: 1,
+				AnalyzerFallback: "call structure changed"},
+			Counters:  map[string]int64{"served.builds": 1, "cache.hits": 3, "analyzer.delta": -2},
+			ElapsedMS: 12.5, Trace: json.RawMessage(`{"traceEvents":[]}`), DirectiveHash: "0123abcd"},
+		{Incremental: &IncrementalSummary{}},
+	}
+}
+
+// TestBuildCodecRoundTrip: every field survives the build-request and
+// build-response codecs, and a decoded value re-encodes to its bytes.
+func TestBuildCodecRoundTrip(t *testing.T) {
+	for i, want := range codecRequests() {
+		data := want.encode()
+		got, err := decodeBuildRequest(data)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("request %d: decoded %+v, want %+v", i, got, want)
+		}
+		if !bytes.Equal(got.encode(), data) {
+			t.Errorf("request %d does not re-encode to its bytes", i)
+		}
+	}
+	for i, want := range codecResponses() {
+		data := want.encode()
+		got, err := decodeBuildResponse(data)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("response %d: decoded %+v, want %+v", i, got, want)
+		}
+		if !bytes.Equal(got.encode(), data) {
+			t.Errorf("response %d does not re-encode to its bytes", i)
+		}
+	}
+	// Counters go in name order whatever order the map yields them in.
+	resp := codecResponses()[1]
+	first := resp.encode()
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(resp.encode(), first) {
+			t.Fatal("one response encoded to two different byte strings")
+		}
+	}
+}
+
+// TestBuildCodecRejectsNonCanonical: the wire framing skips sections it
+// does not know, and a bool byte above 1 reads as true; a build body that
+// uses either is refused, so each value has exactly one encoding.
+func TestBuildCodecRejectsNonCanonical(t *testing.T) {
+	data := codecRequests()[0].encode()
+	extra := binary.AppendUvarint(bytes.Clone(data), 9) // section id 9, empty
+	extra = binary.AppendUvarint(extra, 0)
+	if _, err := decodeBuildRequest(extra); !errors.Is(err, errNotCanonical) {
+		t.Errorf("request with an unknown section: err = %v, want errNotCanonical", err)
+	}
+	// The one byte in which these two encodings differ is Dedup's.
+	plain := (&BuildResponse{Config: "C"}).encode()
+	dedup := (&BuildResponse{Config: "C", Dedup: true}).encode()
+	i := 0
+	for plain[i] == dedup[i] {
+		i++
+	}
+	dedup[i] = 2
+	if _, err := decodeBuildResponse(dedup); !errors.Is(err, errNotCanonical) {
+		t.Errorf("response with a bool byte of 2: err = %v, want errNotCanonical", err)
+	}
+}
+
+// TestReadBodyBoundsPresize: a body is read into one buffer sized from
+// its declared length, but a declared length reserves at most maxPresize
+// bytes before they arrive.
+func TestReadBodyBoundsPresize(t *testing.T) {
+	for _, declared := range []int64{-1, 0, 5, 1 << 40} {
+		got, err := readBody(strings.NewReader("hello"), declared)
+		if err != nil || string(got) != "hello" {
+			t.Fatalf("declared %d: read %q, %v", declared, got, err)
+		}
+		if cap(got) > maxPresize+bytes.MinRead {
+			t.Errorf("declared %d: a 5-byte body took a %d-byte buffer", declared, cap(got))
+		}
+	}
+	body := bytes.Repeat([]byte("x"), 100_000)
+	got, err := readBody(bytes.NewReader(body), int64(len(body)))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("read %d bytes, %v; want the %d-byte body", len(got), err, len(body))
+	}
+	if cap(got) != len(body)+bytes.MinRead {
+		t.Errorf("a body of its declared length regrew its buffer to %d bytes", cap(got))
+	}
+}
+
+// stubbedServer is a daemon whose compiler answers every admitted request
+// with a fixed small response, so a handler test exercises decoding,
+// validation, admission and the error mapping without compiling.
+func stubbedServer() *Server {
+	srv := New(Options{Jobs: 1})
+	srv.buildFn = func(_ context.Context, req *BuildRequest) (*BuildResponse, error) {
+		return &BuildResponse{Config: req.Config, Modules: len(req.Sources), Exe: []byte("exe")}, nil
+	}
+	return srv
+}
+
+// jsonBuildBody is a /v1/build body as clients sent it before the wire
+// codec.
+const jsonBuildBody = `{"config":"L2","sources":[{"name":"m.mc","text":"int main() { return 0; }"}]}`
+
+// FuzzBuildRequestDecode: any bytes decode to a request or an error,
+// never a panic, and an accepted request re-encodes to the same bytes.
+// Each input is also posted to the /v1/build handler, which must answer
+// without a panic or a 500. The handler's compiler is stubbed; the
+// compiler's own input is fuzzed by FuzzPhase1.
+func FuzzBuildRequestDecode(f *testing.F) {
+	for _, req := range codecRequests() {
+		data := req.encode()
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	f.Add([]byte(jsonBuildBody))
+	f.Add([]byte{})
+	handler := stubbedServer().Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, err := decodeBuildRequest(data); err == nil && !bytes.Equal(req.encode(), data) {
+			t.Fatal("an accepted request does not re-encode to its bytes")
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/build", bytes.NewReader(data)))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("handler answered 500: %s", rec.Body)
+		}
+	})
+}
+
+// FuzzBuildResponseDecode: any bytes decode to a response or an error,
+// never a panic, and an accepted response re-encodes to the same bytes.
+func FuzzBuildResponseDecode(f *testing.F) {
+	for _, resp := range codecResponses() {
+		data := resp.encode()
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	f.Add([]byte(`{"requestId":1,"exe":"ZXhl"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if resp, err := decodeBuildResponse(data); err == nil && !bytes.Equal(resp.encode(), data) {
+			t.Fatal("an accepted response does not re-encode to its bytes")
+		}
+	})
+}
+
+// TestServedRejectsJSONAndTruncatedBodies: /v1/build reads only a
+// build-request artifact. A JSON body, which a client from before the
+// wire codec sends, and a truncated artifact each come back through the
+// Client as 400 bad-request, and neither reaches admission.
+func TestServedRejectsJSONAndTruncatedBodies(t *testing.T) {
+	srv := stubbedServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := codecRequests()[0].encode()
+	for name, body := range map[string][]byte{
+		"json":      []byte(jsonBuildBody),
+		"truncated": whole[:len(whole)-1],
+	} {
+		_, err := client.roundTrip(context.Background(), http.MethodPost, "/v1/build", body)
+		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusBadRequest || se.Reason != ReasonBadRequest {
+			t.Errorf("%s body: got %v, want a 400 %q StatusError", name, err, ReasonBadRequest)
+		}
+	}
+	if n := srv.Counters()["served.requests"]; n != 0 {
+		t.Errorf("served.requests = %d after two malformed bodies, want 0", n)
+	}
+	if _, err := client.Build(context.Background(), codecRequests()[0]); err != nil {
+		t.Errorf("a well-formed request after them: %v", err)
+	}
+}
+
+// TestServedErrorRepliesCarryReason: the error replies that once went out
+// without a machine-readable Reason now carry one.
+func TestServedErrorRepliesCarryReason(t *testing.T) {
+	srv := stubbedServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	expect := func(what string, err error, code int, reason string) {
+		t.Helper()
+		if se, ok := err.(*StatusError); !ok || se.Code != code || se.Reason != reason {
+			t.Errorf("%s: got %v, want a %d %q StatusError", what, err, code, reason)
+		}
+	}
+	_, err = client.roundTrip(ctx, http.MethodGet, "/v1/build", nil)
+	expect("GET /v1/build", err, http.StatusMethodNotAllowed, ReasonBadRequest)
+	_, err = client.ProfileSnapshot(ctx, "0123456789abcdef")
+	expect("snapshot of an unknown program", err, http.StatusNotFound, ReasonNotFound)
+
+	// A body that fails mid-read.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/build",
+		iotest.ErrReader(errors.New("connection reset"))))
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusBadRequest || er.Reason != ReasonBadRequest {
+		t.Errorf("unreadable body: %d %s, want 400 %q", rec.Code, rec.Body, ReasonBadRequest)
+	}
+}

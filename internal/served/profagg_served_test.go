@@ -3,7 +3,10 @@ package served
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ipra"
@@ -193,5 +196,61 @@ func TestProfileVersionGuard(t *testing.T) {
 	}
 	if c["profagg.runs"] != 0 {
 		t.Errorf("profagg.runs = %d, stale counts were merged", c["profagg.runs"])
+	}
+}
+
+// TestProfileProgramKeyConfined: the daemon keeps a program's aggregate in
+// a directory named by its program key, so a key of any other shape than
+// ProgramKey's (16 lowercase hex digits) is refused with 400 bad-request
+// at /v1/profile and at the snapshot endpoint, and "../escaped" writes
+// nothing outside the state directory.
+func TestProfileProgramKeyConfined(t *testing.T) {
+	root := t.TempDir()
+	srv := New(Options{Jobs: 1, StateDir: filepath.Join(root, "state")})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	prof := &parv.Profile{Edges: map[parv.EdgeKey]uint64{{Caller: "main", Callee: "f"}: 3}}
+	record := func(program string) *profagg.Record {
+		rec := profagg.NewRecord(srv.Fingerprint(), program, "directives")
+		rec.AddRuns(prof, 2)
+		return rec
+	}
+	badRequest := func(what string, err error) {
+		t.Helper()
+		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusBadRequest || se.Reason != ReasonBadRequest {
+			t.Errorf("%s: got %v, want a 400 %q StatusError", what, err, ReasonBadRequest)
+		}
+	}
+
+	for _, program := range []string{"../escaped", "/tmp/abs", "0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0"} {
+		if _, err := srv.IngestProfile(ctx, record(program)); err == nil {
+			t.Errorf("IngestProfile accepted program %q", program)
+		}
+		_, err := client.IngestProfile(ctx, record(program).Encode())
+		badRequest("record for "+program, err)
+		_, err = client.ProfileSnapshot(ctx, program)
+		badRequest("snapshot of "+program, err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped")); !os.IsNotExist(err) {
+		t.Errorf("a record for ../escaped touched %s (stat: %v)", filepath.Join(root, "escaped"), err)
+	}
+
+	// A key of the right shape is still served.
+	const program = "0123456789abcdef"
+	ir, err := client.IngestProfile(ctx, record(program).Encode())
+	if err != nil || !ir.Accepted {
+		t.Fatalf("record for a well-formed key: %+v, %v", ir, err)
+	}
+	snap, err := client.ProfileSnapshot(ctx, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg, err := profagg.DecodeAggregate(snap); err != nil || agg.Program != program || agg.Runs != 2 {
+		t.Fatalf("snapshot of a well-formed key: %+v, %v", agg, err)
 	}
 }

@@ -1,23 +1,34 @@
-// The wire protocol of the build service: JSON request and response
-// bodies carried over HTTP, on a Unix socket (the default) or TCP.
+// The wire protocol of the build service, carried over HTTP on a Unix
+// socket (the default) or TCP. Build requests and replies are wire
+// artifacts (internal/wire) of the kinds "build-request" and
+// "build-response", version 1: source text and the executable travel as
+// raw length-prefixed bytes, so neither is escaped or base64-encoded.
+// Profile records and snapshots are wire artifacts of internal/profagg.
+// Everything else is JSON.
 //
 // Endpoints:
 //
 //	POST /v1/build   compile a source set under a named configuration;
-//	                 the body is a BuildRequest, the reply a BuildResponse
+//	                 the body is an encoded BuildRequest, the reply an
+//	                 encoded BuildResponse
 //	POST /v1/profile wire-encoded profagg.Record body; merges fleet call
-//	                 counts and replies with a ProfileIngestResponse
+//	                 counts and replies with a JSON ProfileIngestResponse
 //	GET  /v1/profile/snapshot?program=KEY
 //	                 the program's wire-encoded aggregate snapshot
-//	GET  /v1/stats   ServerStats: telemetry counters plus live gauges
-//	GET  /v1/health  200 once the server accepts work, 503 while draining
+//	GET  /v1/stats   JSON ServerStats: telemetry counters plus live gauges
+//	GET  /v1/health  JSON; 200 once the server accepts work, 503 while
+//	                 draining
 //
-// Error replies carry a machine-readable errorResponse.Reason alongside
-// the human-readable message, and the status code classifies the fault:
-// 400 for a malformed request, 422 for a compile failure in the submitted
-// program, 500 for a server-side fault, 503 with Reason "saturated" (plus
-// Retry-After) for a full admission queue and Reason "draining" for a
-// shutdown in progress — only the former is worth retrying.
+// A program KEY is what BuildRequest.ProgramKey returns: 16 lowercase hex
+// digits. Every error reply, on every endpoint, is a JSON errorResponse
+// that carries a machine-readable Reason alongside the human-readable
+// message, and the status code classifies the fault: 400 for a malformed
+// request (a /v1/build body that is not a build-request artifact, JSON
+// included), 404 with Reason "not-found" for a snapshot the daemon does
+// not hold, 422 for a compile failure in the submitted program, 500 for a
+// server-side fault, 503 with Reason "saturated" (plus Retry-After) for a
+// full admission queue and Reason "draining" for a shutdown in progress —
+// only the former is worth retrying.
 //
 // A BuildResponse's Exe field is the canonical parv executable encoding
 // (parv.EncodeExecutable), so a daemon-served build can be compared
@@ -25,10 +36,12 @@
 package served
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -36,35 +49,36 @@ import (
 
 	"ipra"
 	"ipra/internal/parv"
+	"ipra/internal/wire"
 )
 
 // Source is one MiniC module in a build request.
 type Source struct {
-	Name string `json:"name"`
-	Text string `json:"text"`
+	Name string
+	Text string
 }
 
 // BuildRequest asks the daemon for one whole-program compile.
 type BuildRequest struct {
 	// Config names a preset from the ipra registry: L2 or Table 4
 	// column A-F.
-	Config string `json:"config"`
+	Config string
 	// Strategy names the allocation strategy ("" for the preset's
 	// default). The server canonicalizes it on admission; it participates
 	// in both the dedup/result key and the build-directory identity.
-	Strategy string `json:"strategy,omitempty"`
+	Strategy string
 	// Sources is the complete module set of the program.
-	Sources []Source `json:"sources"`
+	Sources []Source
 	// TrainInstrs bounds the training run of profiled configurations
 	// (B, F); 0 uses the server default.
-	TrainInstrs uint64 `json:"trainInstrs,omitempty"`
+	TrainInstrs uint64
 	// Verify runs the whole-program allocation verifier over the
 	// analyzer's output and fails the request on violations.
-	Verify bool `json:"verify,omitempty"`
+	Verify bool
 	// Trace asks for this request's Chrome trace-event JSON in the
 	// response (per-request telemetry is always collected; the trace
 	// export is opt-in because it is large).
-	Trace bool `json:"trace,omitempty"`
+	Trace bool
 
 	// aggProfile/aggHash are resolved once per request on admission, when
 	// the program serves from a fleet-aggregated allocation: the
@@ -91,48 +105,48 @@ type IncrementalSummary struct {
 	// StateReset is true when the stored build state was rejected
 	// (toolchain fingerprint mismatch or corruption) and the program
 	// was rebuilt from scratch.
-	StateReset     bool `json:"stateReset"`
-	Phase1Rebuilds int  `json:"phase1Rebuilds"`
-	Phase2Rebuilds int  `json:"phase2Rebuilds"`
+	StateReset     bool
+	Phase1Rebuilds int
+	Phase2Rebuilds int
 	// AnalyzerFallback names why a full (rather than incremental)
 	// analysis ran; "" when the incremental path succeeded.
-	AnalyzerFallback string `json:"analyzerFallback,omitempty"`
+	AnalyzerFallback string
 }
 
 // BuildResponse is the daemon's reply to one BuildRequest.
 type BuildResponse struct {
 	// RequestID identifies the request in the daemon's log and trace.
-	RequestID uint64 `json:"requestId"`
-	Config    string `json:"config"`
-	Modules   int    `json:"modules"`
+	RequestID uint64
+	Config    string
+	Modules   int
 	// Exe is the canonical executable image (parv encoding);
 	// byte-identical to a local build of the same sources and config.
-	Exe []byte `json:"exe"`
+	Exe []byte
 	// Instructions is the executable's code length, a cheap sanity
 	// check clients print without decoding Exe.
-	Instructions int `json:"instructions"`
+	Instructions int
 	// Dedup is true when this request shared another identical
 	// in-flight build (single-flight) instead of compiling.
-	Dedup bool `json:"dedup,omitempty"`
+	Dedup bool
 	// ResultCached is true when the response was served whole from the
 	// in-memory result cache without any build.
-	ResultCached bool `json:"resultCached,omitempty"`
+	ResultCached bool
 	// Incremental summarizes build-dir reuse; nil for stateless builds
 	// and for dedup/result-cache responses.
-	Incremental *IncrementalSummary `json:"incremental,omitempty"`
+	Incremental *IncrementalSummary
 	// Counters is the request-scoped telemetry counter snapshot (cache
 	// traffic, rebuild totals, verifier violations, ...). Shared
 	// (dedup) responses carry the leader's counters.
-	Counters map[string]int64 `json:"counters,omitempty"`
+	Counters map[string]int64
 	// ElapsedMS is the server-side wall time of the request.
-	ElapsedMS float64 `json:"elapsedMs"`
+	ElapsedMS float64
 	// Trace is the request's Chrome trace-event JSON when asked for.
-	Trace json.RawMessage `json:"trace,omitempty"`
+	Trace json.RawMessage
 	// DirectiveHash identifies the program database the executable was
 	// compiled against ("" for Level2). Profiled clients stamp it into
 	// the records they stream to /v1/profile, which is how the daemon
 	// rejects counts measured under a stale allocation.
-	DirectiveHash string `json:"directiveHash,omitempty"`
+	DirectiveHash string
 }
 
 // ProfileIngestResponse is the /v1/profile reply.
@@ -177,7 +191,7 @@ type errorResponse struct {
 	Error string `json:"error"`
 	// Reason classifies the fault machine-readably: "saturated" (queue
 	// full, retry after RetryAfterSec), "draining" (shutdown, do not
-	// retry), "bad-request", "compile", "internal".
+	// retry), "bad-request", "not-found", "compile", "internal".
 	Reason string `json:"reason,omitempty"`
 	// RetryAfterSec accompanies 503 queue-full rejections.
 	RetryAfterSec int `json:"retryAfterSec,omitempty"`
@@ -188,6 +202,7 @@ const (
 	ReasonSaturated  = "saturated"
 	ReasonDraining   = "draining"
 	ReasonBadRequest = "bad-request"
+	ReasonNotFound   = "not-found"
 	ReasonCompile    = "compile"
 	ReasonInternal   = "internal"
 )
@@ -275,4 +290,154 @@ func (r *BuildRequest) ProgramKey() string {
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// validProgramKey reports whether s has the shape ProgramKey returns: 16
+// lowercase hex digits. The daemon names a program's state directory by
+// its key, so a key from the network is checked before it reaches a path.
+func validProgramKey(s string) bool {
+	return len(s) == 16 && strings.Trim(s, "0123456789abcdef") == ""
+}
+
+// The /v1/build bodies are wire artifacts of these kinds.
+const (
+	buildRequestKind     = "build-request"
+	buildRequestVersion  = 1
+	buildResponseKind    = "build-response"
+	buildResponseVersion = 1
+)
+
+// errNotCanonical rejects a body that decodes but is not the encoding of
+// what it decodes to: an unsorted or repeated counter, a bool byte other
+// than 0 or 1, an unreferenced string, a skipped section. Each value has
+// one encoding, so the codec's fuzz tests can check that an accepted body
+// re-encodes to the same bytes.
+var errNotCanonical = errors.New("served: body is not in canonical wire form")
+
+// encode serializes the request as a build-request artifact.
+func (r *BuildRequest) encode() []byte {
+	e := wire.NewEncoder(buildRequestKind, buildRequestVersion)
+	// The sources' text, plus every varint at its widest.
+	size := 5 * binary.MaxVarintLen64
+	for _, src := range r.Sources {
+		size += len(src.Text) + 2*binary.MaxVarintLen64
+	}
+	e.Grow(size)
+	e.Str(r.Config)
+	e.Str(r.Strategy)
+	e.U(r.TrainInstrs)
+	e.Bool(r.Verify)
+	e.Bool(r.Trace)
+	e.U(uint64(len(r.Sources)))
+	for _, src := range r.Sources {
+		e.Str(src.Name)
+		e.Text(src.Text)
+	}
+	return e.Finish()
+}
+
+// decodeBuildRequest parses a build-request artifact.
+func decodeBuildRequest(data []byte) (*BuildRequest, error) {
+	d, err := wire.NewDecoder(data, buildRequestKind, buildRequestVersion)
+	if err != nil {
+		return nil, err
+	}
+	r := &BuildRequest{
+		Config:      d.Str(),
+		Strategy:    d.Str(),
+		TrainInstrs: d.U(),
+		Verify:      d.Bool(),
+		Trace:       d.Bool(),
+	}
+	if n := d.Count(2); n > 0 {
+		r.Sources = make([]Source, n)
+		for i := range r.Sources {
+			r.Sources[i] = Source{Name: d.Str(), Text: d.Text()}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(r.encode(), data) {
+		return nil, errNotCanonical
+	}
+	return r, nil
+}
+
+// encode serializes the response as a build-response artifact. Counters
+// go as name-sorted pairs, so equal responses encode to equal bytes.
+func (r *BuildResponse) encode() []byte {
+	e := wire.NewEncoder(buildResponseKind, buildResponseVersion)
+	// The executable and the trace, plus every varint at its widest.
+	e.Grow(len(r.Exe) + len(r.Trace) + binary.MaxVarintLen64*(2*len(r.Counters)+16))
+	e.U(r.RequestID)
+	e.Str(r.Config)
+	e.U(uint64(r.Modules))
+	e.Bytes(r.Exe)
+	e.U(uint64(r.Instructions))
+	e.Bool(r.Dedup)
+	e.Bool(r.ResultCached)
+	e.Bool(r.Incremental != nil)
+	if inc := r.Incremental; inc != nil {
+		e.Bool(inc.StateReset)
+		e.U(uint64(inc.Phase1Rebuilds))
+		e.U(uint64(inc.Phase2Rebuilds))
+		e.Str(inc.AnalyzerFallback)
+	}
+	names := make([]string, 0, len(r.Counters))
+	for name := range r.Counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	e.U(uint64(len(names)))
+	for _, name := range names {
+		e.Str(name)
+		e.I(r.Counters[name])
+	}
+	e.F64(r.ElapsedMS)
+	e.Bytes(r.Trace)
+	e.Str(r.DirectiveHash)
+	return e.Finish()
+}
+
+// decodeBuildResponse parses a build-response artifact.
+func decodeBuildResponse(data []byte) (*BuildResponse, error) {
+	d, err := wire.NewDecoder(data, buildResponseKind, buildResponseVersion)
+	if err != nil {
+		return nil, err
+	}
+	r := &BuildResponse{
+		RequestID:    d.U(),
+		Config:       d.Str(),
+		Modules:      int(d.U()),
+		Exe:          d.Bytes(),
+		Instructions: int(d.U()),
+		Dedup:        d.Bool(),
+		ResultCached: d.Bool(),
+	}
+	if d.Bool() {
+		r.Incremental = &IncrementalSummary{
+			StateReset:       d.Bool(),
+			Phase1Rebuilds:   int(d.U()),
+			Phase2Rebuilds:   int(d.U()),
+			AnalyzerFallback: d.Str(),
+		}
+	}
+	if n := d.Count(2); n > 0 {
+		r.Counters = make(map[string]int64, n)
+		for i := 0; i < n; i++ {
+			name := d.Str()
+			r.Counters[name] = d.I()
+		}
+	}
+	r.ElapsedMS = d.F64()
+	r.Trace = d.Bytes()
+	r.DirectiveHash = d.Str()
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(r.encode(), data) {
+		return nil, errNotCanonical
+	}
+	return r, nil
 }

@@ -529,8 +529,13 @@ func (s *Server) registerProfileModel(req *BuildRequest, cfg ipra.Config, res *i
 
 // IngestProfile merges one fleet record and, when the merged aggregate
 // drifts from the trained order, replays the program's build request
-// against the aggregate — the in-process form of POST /v1/profile.
+// against the aggregate — the in-process form of POST /v1/profile. A
+// record whose program is not a program key is an error: the key names
+// the directory its aggregate is written to.
 func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*ProfileIngestResponse, error) {
+	if rec == nil || !validProgramKey(rec.Program) {
+		return nil, fmt.Errorf("served: profile record does not name a program key")
+	}
 	res, err := s.profiles.Ingest(rec)
 	if err != nil {
 		return nil, err
@@ -595,6 +600,20 @@ func (s *Server) retryAfterSec() int {
 // far past any real program here).
 const maxRequestBytes = 256 << 20
 
+// maxPresize bounds the buffer a body's declared Content-Length reserves
+// before its bytes arrive; a longer body grows the buffer as it is read.
+const maxPresize = 1 << 20
+
+// readBody reads r to EOF into one buffer sized from the body's declared
+// length, so a body up to maxPresize bytes is read without regrowing, and
+// a length a peer declares but never sends reserves at most maxPresize
+// bytes.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0), maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // Handler returns the server's HTTP interface.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -612,27 +631,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeWire sends a 200 reply whose body is one wire artifact.
+func writeWire(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required", Reason: ReasonBadRequest})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
 		return
 	}
-	var req BuildRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	req, err := decodeBuildRequest(body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error(), Reason: ReasonBadRequest})
 		return
 	}
-	resp, err := s.Build(r.Context(), &req)
+	resp, err := s.Build(r.Context(), req)
 	if err != nil {
 		s.writeBuildError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, resp.encode())
 }
 
 // writeBuildError maps a Build error onto the wire: each class gets its
@@ -677,7 +703,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required", Reason: ReasonBadRequest})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
 		return
@@ -697,17 +723,16 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfileSnapshot(w http.ResponseWriter, r *http.Request) {
 	program := r.URL.Query().Get("program")
-	if program == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "program query parameter required", Reason: ReasonBadRequest})
+	if !validProgramKey(program) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "program query parameter must be a program key", Reason: ReasonBadRequest})
 		return
 	}
 	data, ok := s.profiles.Snapshot(program)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no aggregate for program " + program})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no aggregate for program " + program, Reason: ReasonNotFound})
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
+	writeWire(w, data)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 // Package wire implements the flat, versioned binary format shared by
-// every persistent artifact in the pipeline: phase-1 cache entries,
-// incremental build-dir records, object files, and executable images.
+// every persistent artifact in the pipeline (phase-1 cache entries,
+// incremental build-dir records, object files, and executable images)
+// and by the build daemon's request and reply bodies.
 //
 // A wire file is a fixed magic string, a kind tag with a per-kind format
 // version, and a sequence of length-prefixed sections:
@@ -31,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // magic identifies a wire file; the trailing framing version covers the
@@ -57,6 +59,11 @@ type Encoder struct {
 func NewEncoder(kind string, version uint64) *Encoder {
 	return &Encoder{kind: kind, version: version, idx: make(map[string]uint64)}
 }
+
+// Grow reserves room for n more body bytes, so an encoder that knows its
+// size up front (a large inline payload) fills one buffer instead of
+// regrowing it.
+func (e *Encoder) Grow(n int) { e.body = slices.Grow(e.body, n) }
 
 // U appends an unsigned varint.
 func (e *Encoder) U(v uint64) { e.body = binary.AppendUvarint(e.body, v) }
@@ -96,6 +103,14 @@ func (e *Encoder) Str(s string) {
 func (e *Encoder) Bytes(b []byte) {
 	e.U(uint64(len(b)))
 	e.body = append(e.body, b...)
+}
+
+// Text appends a length-prefixed string inline, as Bytes lays out a byte
+// slice, bypassing the string table: the form for large text that occurs
+// once, such as a module's source, which deduplication would only hash.
+func (e *Encoder) Text(s string) {
+	e.U(uint64(len(s)))
+	e.body = append(e.body, s...)
 }
 
 // Words appends a length-prefixed []uint64 as raw little-endian words —
@@ -342,6 +357,17 @@ func (d *Decoder) Bytes() []byte {
 	copy(out, d.body)
 	d.body = d.body[n:]
 	return out
+}
+
+// Text reads a length-prefixed inline string written by Encoder.Text.
+func (d *Decoder) Text() string {
+	n := d.Count(1)
+	if d.err != nil {
+		return ""
+	}
+	s := string(d.body[:n])
+	d.body = d.body[n:]
+	return s
 }
 
 // Words reads a length-prefixed []uint64 written by Encoder.Words.

@@ -20,6 +20,8 @@ func TestRoundTrip(t *testing.T) {
 	e.Str("hello") // deduplicated
 	e.Bytes([]byte{1, 2, 3})
 	e.Bytes(nil)
+	e.Text("hello") // inline, not a table reference
+	e.Text("")
 	e.Words([]uint64{0xdeadbeef, 0, ^uint64(0)})
 	e.Strs([]string{"a", "hello", "a"})
 	e.Ints([]int{9, 0, 1 << 20})
@@ -61,6 +63,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := d.Bytes(); v != nil {
 		t.Errorf("Bytes() = %v, want nil", v)
+	}
+	if a, b := d.Text(), d.Text(); a != "hello" || b != "" {
+		t.Errorf("Text() = %q, %q", a, b)
 	}
 	ws := d.Words()
 	if len(ws) != 3 || ws[0] != 0xdeadbeef || ws[1] != 0 || ws[2] != ^uint64(0) {
@@ -185,6 +190,7 @@ func FuzzWireDecode(f *testing.F) {
 	e.Words([]uint64{1, 2, 3})
 	e.Ints([]int{4, 5})
 	e.Bytes([]byte("payload"))
+	e.Text("text")
 	e.F64(1.25)
 	f.Add(e.Finish())
 	f.Add([]byte(magic))
@@ -198,6 +204,7 @@ func FuzzWireDecode(f *testing.F) {
 		d.Words()
 		d.Ints()
 		d.Bytes()
+		d.Text()
 		d.F64()
 		d.U()
 		d.I()
