@@ -1,9 +1,10 @@
 // ipra-analyze is the program analyzer tool (§4 of the paper). It reads
-// the summary files produced by `mcc -phase1`, builds the program call
-// graph, runs global variable promotion and spill code motion, and writes
+// the summary records at the head of the phase-1 records (.p1) that
+// `mcc -phase1` writes, and never their code; builds the program call
+// graph; runs global variable promotion and spill code motion; and writes
 // the program database consumed by `mcc -phase2`.
 //
-//	ipra-analyze -o prog.pdb main.sum lib.sum ...
+//	ipra-analyze -o prog.pdb main.p1 lib.p1 ...
 //
 // Flags select the paper's strategies: -promotion {none,coloring,greedy,
 // blanket}, -regs N (coloring registers), -spill-motion, and -profile to
@@ -11,21 +12,20 @@
 //
 // For scaling experiments, -synth <preset> analyzes a synthesized whole
 // program (small/medium/large, ~500/2000/10000 procedures) instead of
-// summary files, -j bounds analyzer parallelism, and -cpuprofile/
+// phase-1 records, -j bounds analyzer parallelism, and -cpuprofile/
 // -memprofile capture pprof data for the run.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"ipra/internal/cache"
 	"ipra/internal/cliutil"
 	"ipra/internal/core"
-	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/progen"
 	"ipra/internal/summary"
@@ -50,7 +50,7 @@ func main() {
 	common.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() == 0 && *synth == "" {
-		fmt.Fprintln(os.Stderr, "ipra-analyze: no summary files (or use -synth <preset>)")
+		fmt.Fprintln(os.Stderr, "ipra-analyze: no phase-1 records (or use -synth <preset>)")
 		os.Exit(2)
 	}
 	if err := common.Start(); err != nil {
@@ -87,15 +87,9 @@ func main() {
 	}
 
 	if *profilePath != "" {
-		data, err := os.ReadFile(*profilePath)
-		if err != nil {
+		if opt.Profile, err = cliutil.ReadProfile(*profilePath); err != nil {
 			fatal(err)
 		}
-		var prof profileFile
-		if err := json.Unmarshal(data, &prof); err != nil {
-			fatal(fmt.Errorf("profile %s: %w", *profilePath, err))
-		}
-		opt.Profile = prof.toProfile()
 	}
 
 	var sums []*summary.ModuleSummary
@@ -107,9 +101,13 @@ func main() {
 		sums = progen.GenerateSummaries(pcfg)
 	}
 	for _, f := range flag.Args() {
-		ms, err := summary.ReadFile(f)
+		data, err := os.ReadFile(f)
 		if err != nil {
 			fatal(err)
+		}
+		ms, err := cache.DecodeSummary(data)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", f, err))
 		}
 		sums = append(sums, ms)
 	}
@@ -142,27 +140,4 @@ func main() {
 
 func fatal(err error) {
 	cliutil.Fatal("ipra-analyze", err)
-}
-
-// profileFile is the on-disk profile format shared with mvm.
-type profileFile struct {
-	Edges []profileEdge `json:"edges"`
-}
-
-type profileEdge struct {
-	Caller string `json:"caller"`
-	Callee string `json:"callee"`
-	Count  uint64 `json:"count"`
-}
-
-func (p *profileFile) toProfile() *parv.Profile {
-	prof := &parv.Profile{
-		Edges: make(map[parv.EdgeKey]uint64),
-		Calls: make(map[string]uint64),
-	}
-	for _, e := range p.Edges {
-		prof.Edges[parv.EdgeKey{Caller: e.Caller, Callee: e.Callee}] = e.Count
-		prof.Calls[e.Callee] += e.Count
-	}
-	return prof
 }

@@ -1,12 +1,15 @@
 // mcc is the MiniC compiler driver, exposing the paper's two-pass
 // organization (Figure 1) as a command-line tool:
 //
-//	mcc -phase1 file.mc ...   parse/check each module, writing file.ir
-//	                          (intermediate code) and file.sum (summary)
-//	mcc -phase2 -pdb p.json file.ir ...
-//	                          optimize and generate a PARV object file
-//	                          (file.obj) for each module under the program
-//	                          database's directives
+//	mcc -phase1 file.mc ...   parse, check and optimize each module,
+//	                          writing its phase-1 record file.p1: the
+//	                          summary the analyzer reads, then the level-1
+//	                          IR phase 2 compiles (the bytes a build
+//	                          directory stores as p1-*.wire)
+//	mcc -phase2 -pdb p.json file.p1 ...
+//	                          generate a PARV object file (file.obj) for
+//	                          each module under the program database's
+//	                          directives
 //	mcc -link out.exe file.obj ...
 //	                          link objects into an executable image
 //	mcc -incremental -build-dir dir file.mc ...
@@ -41,20 +44,19 @@ import (
 	"strings"
 
 	"ipra"
+	"ipra/internal/cache"
 	"ipra/internal/cliutil"
-	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/pipeline"
 	"ipra/internal/profagg"
 	"ipra/internal/served"
-	"ipra/internal/summary"
 )
 
 func main() {
 	var (
 		phase1      = flag.Bool("phase1", false, "run the compiler first phase on MiniC sources")
-		phase2      = flag.Bool("phase2", false, "run the compiler second phase on intermediate files")
+		phase2      = flag.Bool("phase2", false, "run the compiler second phase on phase-1 records")
 		link        = flag.String("link", "", "link object files into the named executable image")
 		incremental = flag.Bool("incremental", false, "full minimal-rebuild compile of MiniC sources against -build-dir")
 		remote      = flag.String("remote", "", "build on an ipra-served daemon at this address (unix:/path or host:port)")
@@ -75,6 +77,7 @@ func main() {
 	ctx := common.Context(context.Background())
 
 	var err error
+	localBuild := false // only a local build runs phase 1 in this process
 	switch {
 	case *phase1:
 		err = runPhase1(flag.Args(), *outDir, common.Jobs)
@@ -85,14 +88,16 @@ func main() {
 	case *remote != "":
 		err = runRemote(ctx, flag.Args(), *remote, build, common)
 	case *profileSnap != "":
+		localBuild = true
 		err = runSnapshotBuild(ctx, flag.Args(), *profileSnap, build, common)
 	case *incremental:
+		localBuild = true
 		err = runIncremental(ctx, flag.Args(), *buildDir, build, common, *explain)
 	default:
 		fmt.Fprintln(os.Stderr, "mcc: specify -phase1, -phase2, -link, -incremental, -remote, or -profile-snapshot (see -help)")
 		os.Exit(2)
 	}
-	if common.Verbose {
+	if common.Verbose && localBuild {
 		common.CacheStats(os.Stderr)
 	}
 	if ferr := common.Finish(); err == nil {
@@ -109,9 +114,9 @@ func stem(path string) string {
 }
 
 // runPhase1 compiles each source module independently on the worker
-// pool: parse, check, lower, write the intermediate file and the summary
-// file. Progress lines print in argument order once everything finishes,
-// so parallel and sequential runs emit identical output.
+// pool and writes its phase-1 record. Progress lines print in argument
+// order once everything finishes, so parallel and sequential runs emit
+// identical output.
 func runPhase1(files []string, outDir string, jobs int) error {
 	if len(files) == 0 {
 		return fmt.Errorf("phase1: no source files")
@@ -121,19 +126,15 @@ func runPhase1(files []string, outDir string, jobs int) error {
 		if err != nil {
 			return "", err
 		}
-		irm, err := ipra.Phase1(ipra.Source{Name: filepath.Base(f), Text: text})
+		m, ms, err := ipra.Phase1(ipra.Source{Name: filepath.Base(f), Text: text})
 		if err != nil {
 			return "", err
 		}
-		if err := ir.WriteFile(filepath.Join(outDir, stem(f)+".ir"), irm); err != nil {
+		out := filepath.Join(outDir, stem(f)+".p1")
+		if err := os.WriteFile(out, cache.EncodeEntry(m, ms), 0o644); err != nil {
 			return "", err
 		}
-		// Summaries reflect optimized code (§6).
-		ms := ipra.Summaries([]*ir.Module{irm})[0]
-		if err := summary.WriteFile(filepath.Join(outDir, stem(f)+".sum"), ms); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("mcc: %s -> %s.ir, %s.sum", f, stem(f), stem(f)), nil
+		return fmt.Sprintf("mcc: %s -> %s", f, out), nil
 	})
 	if err != nil {
 		return err
@@ -144,12 +145,12 @@ func runPhase1(files []string, outDir string, jobs int) error {
 	return nil
 }
 
-// runPhase2 compiles each intermediate file independently on the worker
+// runPhase2 compiles each phase-1 record independently on the worker
 // pool; the program database is shared read-only, exactly as the paper's
 // order-independent second phase requires (§4.3).
 func runPhase2(files []string, pdbPath, outDir string, jobs int) error {
 	if len(files) == 0 {
-		return fmt.Errorf("phase2: no intermediate files")
+		return fmt.Errorf("phase2: no phase-1 records")
 	}
 	db := pdb.New()
 	if pdbPath != "" {
@@ -160,9 +161,13 @@ func runPhase2(files []string, pdbPath, outDir string, jobs int) error {
 		}
 	}
 	lines, err := pipeline.Map(jobs, files, func(_ int, f string) (string, error) {
-		m, err := ir.ReadFile(f)
+		data, err := os.ReadFile(f)
 		if err != nil {
 			return "", err
+		}
+		m, _, err := cache.DecodeEntry(data)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", f, err)
 		}
 		obj, err := ipra.Phase2(m, db)
 		if err != nil {

@@ -8,11 +8,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"ipra/internal/cliutil"
 	"ipra/internal/parv"
@@ -56,7 +54,7 @@ func main() {
 	}
 
 	if *profileOut != "" {
-		if err := writeProfile(*profileOut, vm.Profile()); err != nil {
+		if err := cliutil.WriteProfile(*profileOut, vm.Profile()); err != nil {
 			fatal(err)
 		}
 	}
@@ -65,28 +63,4 @@ func main() {
 
 func fatal(err error) {
 	cliutil.Fatal("mvm", err)
-}
-
-type profileEdge struct {
-	Caller string `json:"caller"`
-	Callee string `json:"callee"`
-	Count  uint64 `json:"count"`
-}
-
-func writeProfile(path string, p *parv.Profile) error {
-	var edges []profileEdge
-	for k, n := range p.Edges {
-		edges = append(edges, profileEdge{Caller: k.Caller, Callee: k.Callee, Count: n})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Caller != edges[j].Caller {
-			return edges[i].Caller < edges[j].Caller
-		}
-		return edges[i].Callee < edges[j].Callee
-	})
-	data, err := json.MarshalIndent(map[string]interface{}{"edges": edges}, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -1,12 +1,16 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"io"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ipra"
+	"ipra/internal/parv"
 )
 
 // TestBuildFlagsResolvePresets: the shared -config flag resolves every
@@ -82,5 +86,45 @@ func TestBuildFlagsTrainingDefault(t *testing.T) {
 	}
 	if trainOnly.Lookup("config") != nil || trainOnly.Lookup("exe") != nil {
 		t.Error("RegisterTraining leaked client-only flags")
+	}
+}
+
+// TestProfileFileRoundtrip: a profile written the way mvm -profile writes
+// it reads back, the way ipra-analyze -profile reads it, with the edges
+// and call counts of the run.
+func TestProfileFileRoundtrip(t *testing.T) {
+	src := ipra.Source{Name: "m.mc", Text: []byte(`
+int leaf(int x) { return x + 1; }
+int mid(int x) { return leaf(x) + leaf(x + 1); }
+int main() {
+	int i;
+	int s = 0;
+	for (i = 0; i < 5; i++) { s += mid(i); }
+	return leaf(s) & 255;
+}
+`)}
+	res, err := ipra.Build(context.Background(), []ipra.Source{src}, ipra.MustPreset("L2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := parv.NewVM(res.Exe)
+	vm.ProfileEdges = true
+	if _, err := vm.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := vm.Profile()
+	if len(want.Edges) < 3 {
+		t.Fatalf("run profiled %d edges, want at least 3", len(want.Edges))
+	}
+	path := filepath.Join(t.TempDir(), "prof.json")
+	if err := WriteProfile(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Calls, want.Calls) {
+		t.Errorf("profile read back differs:\n got %+v\nwant %+v", got, want)
 	}
 }

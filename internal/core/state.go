@@ -29,10 +29,11 @@ import (
 
 // Wire kind and body version of the analyzer state. A state of any other
 // kind or version fails to decode, and the caller falls back to a full
-// analysis.
+// analysis. v2: summary stamps hash the summaries' wire encoding, not
+// their JSON.
 const (
 	stateKind    = "analyzer-state"
-	stateVersion = 1
+	stateVersion = 2
 )
 
 // moduleStamp records what the analyzer last saw of one module: enough to

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"ipra/internal/wire"
 )
 
 func TestBitSetBasics(t *testing.T) {
@@ -299,12 +301,14 @@ func TestSerializeRoundtrip(t *testing.T) {
 		}},
 		ExternFuncs: []string{"putchar"},
 	}
-	path := t.TempDir() + "/m.ir"
-	if err := WriteFile(path, m); err != nil {
+	e := wire.NewEncoder("test-module", 1)
+	AppendModule(e, m)
+	d, err := wire.NewDecoder(e.Finish(), "test-module", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
+	got := ReadModule(d)
+	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != m.Name || len(got.Funcs) != 1 || len(got.Globals) != 1 {

@@ -1,58 +1,10 @@
 package ir
 
 import (
-	"fmt"
-	"os"
 	"sort"
 
 	"ipra/internal/wire"
 )
-
-// Wire format identity of a standalone intermediate file. Bump the version
-// whenever the body layout below changes shape or meaning.
-const (
-	wireKind    = "module"
-	wireVersion = 1
-)
-
-// EncodeModule serializes a module as a standalone wire file.
-func EncodeModule(m *Module) []byte {
-	e := wire.NewEncoder(wireKind, wireVersion)
-	AppendModule(e, m)
-	return e.Finish()
-}
-
-// DecodeModule is the inverse of EncodeModule.
-func DecodeModule(data []byte) (*Module, error) {
-	d, err := wire.NewDecoder(data, wireKind, wireVersion)
-	if err != nil {
-		return nil, err
-	}
-	m := ReadModule(d)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// WriteFile saves a module as an intermediate file (the artifact the
-// compiler first phase hands to the second phase, §2).
-func WriteFile(path string, m *Module) error {
-	return os.WriteFile(path, EncodeModule(m), 0o644)
-}
-
-// ReadFile loads an intermediate file.
-func ReadFile(path string) (*Module, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := DecodeModule(data)
-	if err != nil {
-		return nil, fmt.Errorf("ir: decode %s: %w", path, err)
-	}
-	return m, nil
-}
 
 // AppendModule encodes m into an in-progress wire body, so composite
 // artifacts (the cache entry format) can embed a module without nested

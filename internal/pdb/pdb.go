@@ -93,23 +93,41 @@ func (db *Database) Lookup(name string) *ProcDirectives {
 	return Standard(name)
 }
 
-// Validate checks internal consistency of the directives: the four sets
-// must be disjoint, and promoted registers must not appear in any set.
+// Validate checks the directives' register domains and consistency, the
+// interference checks internal/verify makes that need no call graph:
+// FREE, CALLEE and MSPILL hold only callee-saves registers and CALLER only
+// allocatable ones; the four sets are disjoint; and promoted registers
+// are distinct callee-saves registers outside every set.
 func (d *ProcDirectives) Validate() error {
+	calleeSaves := regs.StdCalleeSaved()
 	sets := []struct {
-		name string
-		s    regs.Set
+		name      string
+		s, domain regs.Set
 	}{
-		{"FREE", d.Free}, {"CALLER", d.Caller}, {"CALLEE", d.Callee}, {"MSPILL", d.MSpill},
+		{"FREE", d.Free, calleeSaves},
+		{"CALLER", d.Caller, calleeSaves.Union(regs.StdCallerSaved())},
+		{"CALLEE", d.Callee, calleeSaves},
+		{"MSPILL", d.MSpill, calleeSaves},
 	}
 	for i := range sets {
+		if bad := sets[i].s.Minus(sets[i].domain); !bad.Empty() {
+			return fmt.Errorf("%s: %s holds %s, outside %s", d.Name, sets[i].name, bad, sets[i].domain)
+		}
 		for j := i + 1; j < len(sets); j++ {
 			if inter := sets[i].s.Intersect(sets[j].s); !inter.Empty() {
 				return fmt.Errorf("%s: %s and %s overlap on %s", d.Name, sets[i].name, sets[j].name, inter)
 			}
 		}
 	}
+	var promoted regs.Set
 	for _, p := range d.Promoted {
+		switch {
+		case !calleeSaves.Has(p.Reg):
+			return fmt.Errorf("%s: %s promoted to r%d, not a callee-saves register", d.Name, p.Name, p.Reg)
+		case promoted.Has(p.Reg):
+			return fmt.Errorf("%s: two globals promoted to r%d", d.Name, p.Reg)
+		}
+		promoted = promoted.Add(p.Reg)
 		for _, s := range sets {
 			if s.s.Has(p.Reg) {
 				return fmt.Errorf("%s: promoted register r%d for %s appears in %s", d.Name, p.Reg, p.Name, s.name)
@@ -199,19 +217,24 @@ func (db *Database) EligibleSet() map[string]bool {
 // less than the whole database, and the build directory keys each module
 // on exactly that (Keys).
 func (db *Database) Hash() string {
-	names := make([]string, 0, len(db.Procs))
-	for name := range db.Procs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	h := sha256.New()
-	for _, name := range names {
+	for _, name := range db.procNames() {
 		b := db.Procs[name].CanonicalBytes()
 		fmt.Fprintf(h, "%d:", len(b))
 		h.Write(b)
 	}
 	fmt.Fprintf(h, "|eligible=%s", db.EligibleHash())
 	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// procNames lists the procedures with directives, sorted.
+func (db *Database) procNames() []string {
+	names := make([]string, 0, len(db.Procs))
+	for name := range db.Procs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // WriteFile serializes the database as JSON.
@@ -223,7 +246,9 @@ func WriteFile(path string, db *Database) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// ReadFile loads a database.
+// ReadFile loads a database and checks every procedure's directives: each
+// is filed under its own name and passes Validate, so phase 2 never
+// compiles under directives the analyzer could not have emitted.
 func ReadFile(path string) (*Database, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -235,6 +260,15 @@ func ReadFile(path string) (*Database, error) {
 	}
 	if db.Procs == nil {
 		db.Procs = make(map[string]*ProcDirectives)
+	}
+	for _, name := range db.procNames() {
+		d := db.Procs[name]
+		if d == nil || d.Name != name {
+			return nil, fmt.Errorf("pdb %s: %s: the entry names another procedure or none", path, name)
+		}
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("pdb %s: %w", path, err)
+		}
 	}
 	return &db, nil
 }

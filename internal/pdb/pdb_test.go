@@ -3,6 +3,7 @@ package pdb
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ipra/internal/regs"
@@ -56,6 +57,67 @@ func TestValidateCatchesOverlaps(t *testing.T) {
 	}
 	if err := d.Validate(); err == nil {
 		t.Error("promoted register inside CALLER accepted")
+	}
+}
+
+// TestValidateRegisterDomains: directives outside the register domains
+// the analyzer draws from are rejected, each with the procedure's name.
+func TestValidateRegisterDomains(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    ProcDirectives
+	}{
+		{"promoted register out of range", ProcDirectives{Promoted: []PromotedGlobal{{Name: "g", Reg: 200}}}},
+		{"promoted caller-saves register", ProcDirectives{Promoted: []PromotedGlobal{{Name: "g", Reg: 19}}}},
+		{"two globals in one register", ProcDirectives{Promoted: []PromotedGlobal{{Name: "a", Reg: 5}, {Name: "b", Reg: 5}}}},
+		{"FREE holds every register", ProcDirectives{Free: ^regs.Set(0)}},
+		{"FREE equals CALLEE", ProcDirectives{Free: regs.Of(4, 5), Callee: regs.Of(4, 5)}},
+		{"CALLEE holds a caller-saves register", ProcDirectives{Callee: regs.Of(3, 19)}},
+		{"MSPILL holds a linkage register", ProcDirectives{MSpill: regs.Of(2)}},
+		{"CALLER holds the stack pointer", ProcDirectives{Caller: regs.Of(19, 30)}},
+	} {
+		tc.d.Name = "f"
+		err := tc.d.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.HasPrefix(err.Error(), "f: ") {
+			t.Errorf("%s: error %q does not name the procedure", tc.name, err)
+		}
+	}
+	ok := ProcDirectives{
+		Name:     "f",
+		Free:     regs.Of(8),
+		Caller:   regs.StdCallerSaved().Union(regs.Of(9)),
+		Callee:   regs.Of(3, 4),
+		MSpill:   regs.Of(10),
+		Promoted: []PromotedGlobal{{Name: "a", Reg: 17}, {Name: "b", Reg: 18}},
+	}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid directives rejected: %v", err)
+	}
+}
+
+// TestReadFileRejectsInvalidDatabases: a database file whose entry sits
+// under another procedure's name, or whose directives fail Validate, does
+// not load.
+func TestReadFileRejectsInvalidDatabases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		db   *Database
+	}{
+		{"misfiled entry", &Database{Procs: map[string]*ProcDirectives{"f": Standard("g")}}},
+		{"empty entry", &Database{Procs: map[string]*ProcDirectives{"f": nil}}},
+		{"bad register", &Database{Procs: map[string]*ProcDirectives{"f": {Name: "f", Promoted: []PromotedGlobal{{Name: "g", Reg: 200}}}}}},
+	} {
+		path := filepath.Join(t.TempDir(), "p.pdb")
+		if err := WriteFile(path, tc.db); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), "f: ") {
+			t.Errorf("%s: error %q does not name the procedure", tc.name, err)
+		}
 	}
 }
 

@@ -1,12 +1,38 @@
 package summary
 
-import "ipra/internal/wire"
+import (
+	"crypto/sha256"
+	"encoding/hex"
 
-// AppendSummary encodes ms into an in-progress wire body. Summary files
-// on disk stay JSON — they are a human-inspectable interchange format, and
-// Hash/RecordHash are defined over the canonical JSON bytes — but the
-// phase-1 cache entry embeds summaries in the shared wire format, where
-// they ride along with the IR module in one string table.
+	"ipra/internal/wire"
+)
+
+// Hash returns a stable content hash of a module summary: the sha256 of
+// its wire encoding (AppendSummary), hex-encoded and truncated to 8 bytes.
+// The incremental analyzer stamps its persisted state with these hashes
+// and diffs them against fresh summaries to find the dirty modules.
+func Hash(ms *ModuleSummary) string {
+	return hash(func(e *wire.Encoder) { AppendSummary(e, ms) })
+}
+
+// RecordHash returns a stable content hash of one procedure record, used
+// for per-procedure dirtiness within an already-dirty module.
+func RecordHash(rec *ProcRecord) string {
+	return hash(func(e *wire.Encoder) { appendProc(e, rec) })
+}
+
+// hash digests a wire file holding what appendTo encodes. The file is
+// never decoded, so its kind only labels what was hashed.
+func hash(appendTo func(*wire.Encoder)) string {
+	e := wire.NewEncoder("summary", 1)
+	appendTo(e)
+	sum := sha256.Sum256(e.Finish())
+	return hex.EncodeToString(sum[:8])
+}
+
+// AppendSummary encodes ms into an in-progress wire body: the head of a
+// phase-1 record (the cache package's entry), where the summary shares one
+// string table with the module's IR, and the bytes Hash is taken over.
 func AppendSummary(e *wire.Encoder, ms *ModuleSummary) {
 	e.Str(ms.Module)
 	e.U(uint64(len(ms.Procs)))

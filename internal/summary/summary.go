@@ -1,5 +1,5 @@
 // Package summary defines the per-procedure records the compiler first
-// phase writes to summary files (§3 of the paper):
+// phase emits for the program analyzer (§3 of the paper):
 //
 //   - the global variables accessed in the procedure, with local access
 //     frequencies and alias flags;
@@ -8,17 +8,16 @@
 //     procedure makes indirect calls;
 //   - an estimate of the number of callee-saves registers needed.
 //
-// The program analyzer reads all of a program's summary files to build the
-// call graph; no code is exchanged, only these records.
+// The program analyzer reads all of a program's summary records to build
+// the call graph; no code is exchanged, only these records. A module's
+// summary heads its phase-1 record (the cache package's entry: a build
+// directory's p1-*.wire, an mcc -phase1 .p1 file) in the wire form
+// AppendSummary defines, so the analyzer reads it without decoding the
+// module's code.
 package summary
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"math/bits"
-	"os"
 	"sort"
 
 	"ipra/internal/ir"
@@ -26,67 +25,67 @@ import (
 
 // GlobalRef is one global variable accessed by a procedure.
 type GlobalRef struct {
-	Name    string `json:"name"`
-	Freq    int64  `json:"freq"` // loop-depth-weighted local access count
-	Reads   int64  `json:"reads"`
-	Writes  int64  `json:"writes"`
-	Aliased bool   `json:"aliased"` // address computed in this procedure
+	Name    string
+	Freq    int64 // loop-depth-weighted local access count
+	Reads   int64
+	Writes  int64
+	Aliased bool // address computed in this procedure
 }
 
 // CallSite aggregates the calls from one procedure to one callee.
 type CallSite struct {
-	Callee string `json:"callee"`
-	Freq   int64  `json:"freq"` // loop-depth-weighted local call count
+	Callee string
+	Freq   int64 // loop-depth-weighted local call count
 }
 
 // ProcRecord is the summary record for one procedure.
 type ProcRecord struct {
-	Name   string `json:"name"`
-	Module string `json:"module"`
-	Static bool   `json:"static,omitempty"`
+	Name   string
+	Module string
+	Static bool
 
-	GlobalRefs []GlobalRef `json:"globalRefs,omitempty"`
-	Calls      []CallSite  `json:"calls,omitempty"`
+	GlobalRefs []GlobalRef
+	Calls      []CallSite
 
 	// AddrTakenProcs lists procedures whose addresses this procedure
 	// computes (possible indirect call targets, §7.3).
-	AddrTakenProcs []string `json:"addrTakenProcs,omitempty"`
+	AddrTakenProcs []string
 	// MakesIndirectCalls is set when the procedure contains indirect calls.
-	MakesIndirectCalls bool  `json:"indirectCalls,omitempty"`
-	IndirectCallFreq   int64 `json:"indirectCallFreq,omitempty"`
+	MakesIndirectCalls bool
+	IndirectCallFreq   int64
 
 	// CalleeSavesNeeded estimates how many callee-saves registers the
 	// procedure wants (values live across calls) under full level-2
 	// optimization, including intraprocedural global promotion.
-	CalleeSavesNeeded int `json:"calleeSavesNeeded"`
+	CalleeSavesNeeded int
 	// CalleeSavesBase is the same estimate before global promotion; the
 	// greedy web coloring strategy uses it, since web-promoting a global
 	// removes its promotion register from the procedure's own need.
-	CalleeSavesBase int `json:"calleeSavesBase"`
+	CalleeSavesBase int
 	// CallerSavesNeeded estimates the procedure's demand for caller-saves
 	// scratch registers (values not live across calls). The §7.6.2
 	// caller-saves preallocation extension turns this into a contract: the
 	// procedure's allocator is restricted to that many scratch registers,
 	// letting callers keep values in the remaining ones across calls.
-	CallerSavesNeeded int `json:"callerSavesNeeded"`
+	CallerSavesNeeded int
 }
 
 // GlobalInfo describes a global variable at module scope.
 type GlobalInfo struct {
-	Name      string `json:"name"`
-	Module    string `json:"module"`
-	Size      int32  `json:"size"`
-	Defined   bool   `json:"defined"`
-	Static    bool   `json:"static,omitempty"`
-	Scalar    bool   `json:"scalar,omitempty"`
-	AddrTaken bool   `json:"addrTaken,omitempty"` // aliased anywhere in the module
+	Name      string
+	Module    string
+	Size      int32
+	Defined   bool
+	Static    bool
+	Scalar    bool
+	AddrTaken bool // aliased anywhere in the module
 }
 
-// ModuleSummary is the summary file contents for one compilation unit.
+// ModuleSummary is the summary of one compilation unit.
 type ModuleSummary struct {
-	Module  string       `json:"module"`
-	Procs   []ProcRecord `json:"procs"`
-	Globals []GlobalInfo `json:"globals"`
+	Module  string
+	Procs   []ProcRecord
+	Globals []GlobalInfo
 }
 
 // freqOfDepth converts a loop nesting depth into the paper's compile-time
@@ -348,51 +347,4 @@ func sortedKeysI64(m map[string]int64) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// Hash returns a stable content hash of a module summary: the sha256 of
-// its canonical JSON form, hex-encoded and truncated to 16 bytes. The
-// incremental analyzer stamps its persisted state with these hashes and
-// diffs them against fresh summaries to find the dirty modules.
-func Hash(ms *ModuleSummary) string {
-	data, err := json.Marshal(ms)
-	if err != nil {
-		// ModuleSummary contains only marshalable field types.
-		panic(fmt.Sprintf("summary: hash marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
-}
-
-// RecordHash returns a stable content hash of one procedure record, used
-// for per-procedure dirtiness within an already-dirty module.
-func RecordHash(rec *ProcRecord) string {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("summary: record hash marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
-}
-
-// WriteFile serializes a summary file as JSON.
-func WriteFile(path string, ms *ModuleSummary) error {
-	data, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return fmt.Errorf("summary: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadFile loads a summary file.
-func ReadFile(path string) (*ModuleSummary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ms ModuleSummary
-	if err := json.Unmarshal(data, &ms); err != nil {
-		return nil, fmt.Errorf("summary %s: %w", path, err)
-	}
-	return &ms, nil
 }

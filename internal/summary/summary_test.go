@@ -1,10 +1,13 @@
 package summary_test
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ipra/internal/cache"
+	"ipra/internal/ir"
 	"ipra/internal/irgen"
 	"ipra/internal/minic/parser"
 	"ipra/internal/minic/sem"
@@ -187,21 +190,35 @@ int main() { return f(); }
 	}
 }
 
+// TestSummaryFileRoundtrip writes a summary in its file form, the head of
+// a phase-1 record, and reads it back the way the program analyzer does:
+// the summary alone, with an equal Hash.
 func TestSummaryFileRoundtrip(t *testing.T) {
 	ms := summarize(t, `
 int g;
 void f() { g++; }
 int main() { f(); return g; }
 `)
-	path := filepath.Join(t.TempDir(), "m.sum")
-	if err := summary.WriteFile(path, ms); err != nil {
+	path := filepath.Join(t.TempDir(), "m.p1")
+	if err := os.WriteFile(path, cache.EncodeEntry(&ir.Module{Name: "m.mc"}, ms), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := summary.ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cache.DecodeSummary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ms) {
 		t.Errorf("roundtrip mismatch:\n%+v\n%+v", got, ms)
+	}
+	if summary.Hash(got) != summary.Hash(ms) {
+		t.Error("Hash differs across the roundtrip")
+	}
+	got.Procs[0].Calls = append(got.Procs[0].Calls, summary.CallSite{Callee: "h", Freq: 1})
+	if summary.Hash(got) == summary.Hash(ms) {
+		t.Error("Hash ignores an added call")
 	}
 }

@@ -7,7 +7,7 @@
 // version, and a sequence of length-prefixed sections:
 //
 //	"ipra-wire/1\n"
-//	kind    uvarint-length string  ("module", "cache-entry", "object", ...)
+//	kind    uvarint-length string  ("cache-entry", "object", ...)
 //	version uvarint                (per-kind body format version)
 //	section*                       (id uvarint, length uvarint, payload)
 //

@@ -254,9 +254,8 @@ func Configs() []Config {
 // each stage, for inspection and tests.
 type Program struct {
 	Config Config
-	// Modules is each module's phase-1 artifact: Phase1's IR after
-	// opt.Level1, which the summaries describe and phase 2 starts from.
-	// It is not Phase1 output, so it is not valid Phase2 input either. A
+	// Modules is each module's phase-1 artifact, the level-1 IR that
+	// Phase1 returns, the summaries describe and Phase2 compiles. A
 	// WithBuildDir build decodes a reused module's IR only when its phase
 	// 2 re-runs, so the entry is nil for a module whose phase-1 record and
 	// object were both reused.
@@ -268,12 +267,19 @@ type Program struct {
 	Exe       *parv.Executable
 }
 
-// Phase1 runs the compiler first phase on one module: parse, check, and
-// lower to intermediate code. It returns the raw IR; a build optimizes it
-// with opt.Level1 once, in place, and keeps that as the module's phase-1
-// artifact (Program.Modules). Summary records are produced separately by
-// Summaries (they want an optimized copy, see §6).
-func Phase1(src Source) (*ir.Module, error) {
+// Phase1 runs the compiler first phase on one module: parse, check, lower
+// to intermediate code and optimize it with opt.Level1. It returns the
+// module's phase-1 artifact, the level-1 IR that Phase2 compiles, and the
+// summary record the program analyzer reads (§3). cache.EncodeEntry of
+// the two is the module's phase-1 record: the bytes a build directory
+// stores, and the .p1 file of mcc -phase1.
+func Phase1(src Source) (*ir.Module, *summary.ModuleSummary, error) {
+	m, ms, _, err := phase1Module(context.Background(), src, cache.Key{}, false, false)
+	return m, ms, err
+}
+
+// frontEnd parses, checks and lowers one module to raw IR.
+func frontEnd(src Source) (*ir.Module, error) {
 	file, err := parser.ParseFile(src.Name, src.Text)
 	if err != nil {
 		return nil, err
@@ -282,34 +288,29 @@ func Phase1(src Source) (*ir.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	irm, err := irgen.Generate(mod)
-	if err != nil {
-		return nil, err
-	}
-	return irm, nil
+	return irgen.Generate(mod)
 }
 
-// Phase2 runs the compiler second phase on one module of Phase1 output:
-// apply the program database's directives, optimize, and generate code —
-// what every Build does per module, starting from the level-1 IR its
-// phase 1 kept. It never mutates m; everything runs on a scratch clone.
-// The output is a pure function of the module IR and of what pdb's
-// phase-2 keys cover: the property that lets phase 2 run module-at-a-time
-// in any order (§4.3) and that the build directory's key diff relies on.
+// Phase2 runs the compiler second phase on one module's level-1 IR
+// (Phase1's artifact): apply the program database's directives, finish the
+// optimizer, and generate code, what every Build does per module. It never
+// mutates m; everything runs on a scratch clone. The output is a pure
+// function of the module IR and of what pdb's phase-2 keys cover: the
+// property that lets phase 2 run module-at-a-time in any order (§4.3) and
+// that the build directory's key diff relies on.
 func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
-	work := m.Clone()
-	level1(work)
-	return compileModule(work, db, db.EligibleSet())
+	return compileModule(m.Clone(), db, db.EligibleSet())
 }
 
-// Summaries produces the summary file contents for each module of Phase1
-// output, fanning the independent per-module work across CPUs. Following
-// the prototype described in §6, the first phase optimizes before
-// summarizing: reference and call frequencies come from the level-1 IR,
-// without global promotion (counts must reflect raw accesses), while the
-// callee-saves register estimate comes from a fully optimized copy, since
-// intraprocedural global promotion adds values that live across calls.
-// The records equal the ones a Build computes. It never mutates mods.
+// Summaries produces the summary record of each module of raw IR (a
+// front end's output, before opt.Level1), fanning the independent
+// per-module work across CPUs. Following the prototype described in §6,
+// the first phase optimizes before summarizing: reference and call
+// frequencies come from the level-1 IR, without global promotion (counts
+// must reflect raw accesses), while the callee-saves register estimate
+// comes from a fully optimized copy, since intraprocedural global
+// promotion adds values that live across calls. The records equal the
+// ones Phase1 and Build compute. It never mutates mods.
 func Summaries(mods []*ir.Module) []*summary.ModuleSummary {
 	out, _ := pipeline.Map(0, mods, func(_ int, m *ir.Module) (*summary.ModuleSummary, error) {
 		work := m.Clone()
@@ -403,7 +404,7 @@ func phase1Module(ctx context.Context, src Source, key cache.Key, useCache, want
 		span.SetStr("cache", "miss")
 	}
 	_, feSpan := telemetry.StartSpan(ctx, "frontend")
-	m, err := Phase1(src)
+	m, err := frontEnd(src)
 	feSpan.End()
 	if err != nil {
 		return nil, nil, nil, err

@@ -19,7 +19,7 @@ import (
 	"ipra/internal/summary"
 )
 
-// replayCompile compiles raw module m (Phase1 output) the way the
+// replayCompile compiles raw module m (frontEnd output) the way the
 // benchmark's replay does: web directives on the raw IR, then opt.Level2,
 // then the code generator. A build splits Level2 across its phases, so
 // this is the reference its objects must equal.
@@ -100,9 +100,10 @@ func phase1Programs(t *testing.T) []phase1Program {
 // opt.Level1 run: a build keeps each module's level-1 IR as its phase-1
 // artifact and finishes the level-2 optimizer on it twice, for the
 // callee-saves estimate and in phase 2. For every module of every program
-// under L2 and A–F, the build's summary must equal Summaries over the raw
-// IR, and its object must equal both Phase2 over the raw IR and the
-// benchmark replay's compile, which runs all of opt.Level2 on raw IR.
+// under L2 and A–F, the build's summary must equal both Phase1's and
+// Summaries over the raw IR, and its object must equal both Phase2 over
+// Phase1's artifact and the benchmark replay's compile, which runs all of
+// opt.Level2 on raw IR.
 func TestPhase1OptimizesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-build differential matrix")
@@ -111,9 +112,14 @@ func TestPhase1OptimizesOnce(t *testing.T) {
 	compared := 0
 	for _, p := range phase1Programs(t) {
 		raw := make([]*ir.Module, len(p.sources))
+		l1 := make([]*ir.Module, len(p.sources))
+		l1sums := make([]*summary.ModuleSummary, len(p.sources))
 		for i, src := range p.sources {
 			var err error
-			if raw[i], err = Phase1(src); err != nil {
+			if raw[i], err = frontEnd(src); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			if l1[i], l1sums[i], err = Phase1(src); err != nil {
 				t.Fatalf("%s: %v", p.name, err)
 			}
 		}
@@ -136,13 +142,16 @@ func TestPhase1OptimizesOnce(t *testing.T) {
 				if !reflect.DeepEqual(res.Summaries[i], sums[i]) {
 					t.Errorf("%s: the build's summary differs from Summaries over the raw IR", where)
 				}
+				if !reflect.DeepEqual(res.Summaries[i], l1sums[i]) {
+					t.Errorf("%s: the build's summary differs from Phase1's", where)
+				}
 				want := parv.EncodeObject(res.Objects[i])
-				obj, err := Phase2(m, res.DB)
+				obj, err := Phase2(l1[i], res.DB)
 				if err != nil {
 					t.Fatalf("%s: Phase2: %v", where, err)
 				}
 				if !bytes.Equal(parv.EncodeObject(obj), want) {
-					t.Errorf("%s: the build's object differs from Phase2 over the raw IR", where)
+					t.Errorf("%s: the build's object differs from Phase2 over Phase1's artifact", where)
 				}
 				if obj, err = replayCompile(m, res.DB); err != nil {
 					t.Fatalf("%s: replay compile: %v", where, err)
@@ -158,10 +167,10 @@ func TestPhase1OptimizesOnce(t *testing.T) {
 }
 
 // FuzzPhase1 feeds MiniC source to the compiler first phase. For every
-// module Phase1 accepts, nothing may panic, the build's phase 1 must
-// summarize it exactly as Summaries does, and under a one-module analysis
-// with default options the build's phase 2 must compile it exactly as the
-// benchmark replay's opt.Level2 path does.
+// module the front end accepts, nothing may panic, the build's phase 1
+// must summarize it exactly as Summaries does, and under a one-module
+// analysis with default options the build's phase 2 must compile it
+// exactly as the benchmark replay's opt.Level2 path does.
 func FuzzPhase1(f *testing.F) {
 	for _, b := range benchprogs.All() {
 		files, err := b.Sources()
@@ -176,13 +185,13 @@ func FuzzPhase1(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text []byte) {
 		ctx := context.Background()
 		src := Source{Name: "fuzz.mc", Text: text}
-		raw, err := Phase1(src)
+		raw, err := frontEnd(src)
 		if err != nil {
 			return
 		}
 		m, ms, _, err := phase1Module(ctx, src, cache.Key{}, false, false)
 		if err != nil {
-			t.Fatalf("phase1Module rejects what Phase1 accepts: %v", err)
+			t.Fatalf("phase1Module rejects what the front end accepts: %v", err)
 		}
 		if want := Summaries([]*ir.Module{raw})[0]; !reflect.DeepEqual(ms, want) {
 			t.Fatalf("the build's summary differs from Summaries over the raw IR:\n got %+v\nwant %+v", ms, want)

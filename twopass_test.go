@@ -3,28 +3,34 @@ package ipra
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"ipra/internal/benchprogs"
+	"ipra/internal/cache"
 	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
+	"ipra/internal/regs"
 	"ipra/internal/summary"
 )
 
 // TestTwoPassFileBasedPipeline drives the paper's Figure 1 flow through
 // actual files, the way the mcc / ipra-analyze tools do:
 //
-//	phase 1:  source -> .ir (intermediate) + .sum (summary) per module
-//	analyzer: all .sum -> program database file
-//	phase 2:  each .ir + database -> object, in ARBITRARY module order
+//	phase 1:  source -> phase-1 record (.p1: summary, then level-1 IR)
+//	analyzer: the summaries of all .p1 files -> program database file
+//	phase 2:  each .p1's IR + database -> object, in ARBITRARY module order
 //	link + run
 //
 // The point of the paper's organization is that phase 2 is order
 // independent and module-at-a-time; this test compiles the modules in
 // reverse order from a cold start (files only), then links them in source
-// order, where the executable must equal Build's byte for byte.
+// order, where the executable must equal Build's byte for byte. Each .p1
+// file must equal the record a build directory stores for its module.
 func TestTwoPassFileBasedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	sources := []Source{
@@ -43,30 +49,32 @@ int add(int x) { total += x; return total; }
 `)},
 	}
 
-	// ---- Phase 1: write .ir and .sum files.
-	var irPaths, sumPaths []string
+	// ---- Phase 1: write one .p1 file per module.
+	var p1Paths []string
 	for _, src := range sources {
-		m, err := Phase1(src)
+		m, ms, err := Phase1(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		irPath := filepath.Join(dir, src.Name+".ir")
-		if err := ir.WriteFile(irPath, m); err != nil {
+		path := filepath.Join(dir, src.Name+".p1")
+		if err := os.WriteFile(path, cache.EncodeEntry(m, ms), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ms := Summaries([]*ir.Module{m})[0]
-		sumPath := filepath.Join(dir, src.Name+".sum")
-		if err := summary.WriteFile(sumPath, ms); err != nil {
+		p1Paths = append(p1Paths, path)
+	}
+	readFile := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		irPaths = append(irPaths, irPath)
-		sumPaths = append(sumPaths, sumPath)
+		return data
 	}
 
-	// ---- Program analyzer: read summaries from disk, write the database.
+	// ---- Program analyzer: read only the summaries, write the database.
 	var sums []*summary.ModuleSummary
-	for _, p := range sumPaths {
-		ms, err := summary.ReadFile(p)
+	for _, p := range p1Paths {
+		ms, err := cache.DecodeSummary(readFile(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,9 +94,9 @@ int add(int x) { total += x; return total; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs := make([]*parv.Object, len(irPaths))
-	for i := len(irPaths) - 1; i >= 0; i-- {
-		m, err := ir.ReadFile(irPaths[i])
+	objs := make([]*parv.Object, len(p1Paths))
+	for i := len(p1Paths) - 1; i >= 0; i-- {
+		m, _, err := cache.DecodeEntry(readFile(p1Paths[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +127,114 @@ int add(int x) { total += x; return total; }
 	}
 
 	// The same program through Build is the same executable, byte for
-	// byte: the file-based flow and the build driver share one phase 2.
-	p2, err := Build(context.Background(), sources, MustPreset("C"))
+	// byte: the file-based flow and the build driver share both phases,
+	// and each .p1 file is the record the build directory stores.
+	buildDir := filepath.Join(dir, "build")
+	p2, err := Build(context.Background(), sources, MustPreset("C"), WithBuildDir(buildDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(exeBytes(t, exe), exeBytes(t, p2.Exe)) {
 		t.Error("file-based executable differs from Build's")
 	}
+	records, err := filepath.Glob(filepath.Join(buildDir, "p1-*.wire"))
+	if err != nil || len(records) != len(p1Paths) {
+		t.Fatalf("build directory holds phase-1 records %v (%v), want %d", records, err, len(p1Paths))
+	}
+	for _, p := range p1Paths {
+		found := false
+		for _, r := range records {
+			found = found || bytes.Equal(readFile(p), readFile(r))
+		}
+		if !found {
+			t.Errorf("%s equals no phase-1 record of the build directory", filepath.Base(p))
+		}
+	}
+}
+
+// FuzzPDBFile feeds program database files to phase 2 the way mcc -phase2
+// -pdb reads them. Any database pdb.ReadFile accepts must let Phase2
+// compile both dhrystone modules to an object or an error, never a panic.
+// The seeds are dhrystone's databases under A–F, plus C's with a promoted
+// register out of range (it panicked phase 2 before ReadFile checked
+// directives), with FREE equal to CALLEE, and with FREE holding every
+// register.
+func FuzzPDBFile(f *testing.F) {
+	b, err := benchprogs.ByName("dhrystone")
+	if err != nil {
+		f.Fatal(err)
+	}
+	sources := benchSources(f, b)
+	dir := f.TempDir()
+	seed := func(name string, db *pdb.Database) string {
+		path := filepath.Join(dir, name+".pdb")
+		if err := pdb.WriteFile(path, db); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		return path
+	}
+	var cPath string
+	for _, name := range []string{"A", "B", "C", "D", "E", "F"} {
+		cfg := MustPreset(name)
+		var opts []BuildOption
+		if cfg.WantProfile {
+			opts = append(opts, WithProfile(b.MaxInstrs))
+		}
+		res, err := Build(context.Background(), sources, cfg, opts...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if path := seed(name, res.DB); name == "C" {
+			cPath = path
+		}
+	}
+	for i, mutate := range []func(d *pdb.ProcDirectives){
+		func(d *pdb.ProcDirectives) { d.Promoted[0].Reg = 200 },
+		func(d *pdb.ProcDirectives) { d.Free = d.Callee },
+		func(d *pdb.ProcDirectives) { d.Free = ^regs.Set(0) },
+	} {
+		db, err := pdb.ReadFile(cPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var target *pdb.ProcDirectives
+		for _, d := range db.Procs {
+			if len(d.Promoted) > 0 && !d.Callee.Empty() && (target == nil || d.Name < target.Name) {
+				target = d
+			}
+		}
+		if target == nil {
+			f.Fatal("C's database promotes no global in a procedure with callee-saves registers")
+		}
+		mutate(target)
+		if _, err := pdb.ReadFile(seed(fmt.Sprintf("bad%d", i), db)); err == nil {
+			f.Fatalf("mutation %d of C's database still reads", i)
+		}
+	}
+
+	mods := make([]*ir.Module, len(sources))
+	for i, src := range sources {
+		if mods[i], _, err = Phase1(src); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "prog.pdb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := pdb.ReadFile(path)
+		if err != nil {
+			return
+		}
+		for _, m := range mods {
+			// An object or an error; a panic fails the target.
+			_, _ = Phase2(m, db)
+		}
+	})
 }

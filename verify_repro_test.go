@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"ipra/internal/core"
-	"ipra/internal/ir"
+	"ipra/internal/summary"
 	"ipra/internal/verify"
 )
 
@@ -24,11 +24,11 @@ func TestPartialBlanketReproVerifiesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := Phase1(Source{Name: "partial_blanket.mc", Text: text})
+	_, ms, err := Phase1(Source{Name: "partial_blanket.mc", Text: text})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := Summaries([]*ir.Module{mod})
+	sums := []*summary.ModuleSummary{ms}
 
 	opt := core.DefaultOptions()
 	opt.PartialProgram = true

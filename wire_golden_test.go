@@ -165,7 +165,6 @@ func goldenFixtures(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"module-v1.bin":      ir.EncodeModule(goldenModule()),
 		"cache-entry-v2.bin": entry,
 		"object-v1.bin":      parv.EncodeObject(goldenObject()),
 		"exe-v1.bin":         exeBuf.Bytes(),
@@ -212,14 +211,6 @@ func TestWireGoldenDecodes(t *testing.T) {
 			t.Fatalf("%v (regenerate with -update)", err)
 		}
 		return data
-	}
-
-	m, err := ir.DecodeModule(read("module-v1.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, goldenModule()) {
-		t.Error("module fixture decodes to a different value")
 	}
 
 	em, es, err := cache.DecodeEntry(read("cache-entry-v2.bin"))
@@ -307,24 +298,8 @@ func seedWireFuzz(f *testing.F, fixture string) {
 // or runtime fault — and anything it accepts must re-encode to a stable
 // canonical form.
 
-func FuzzWireModuleDecode(f *testing.F) {
-	seedWireFuzz(f, "module-v1.bin")
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ir.DecodeModule(data)
-		if err != nil {
-			return
-		}
-		enc := ir.EncodeModule(m)
-		m2, err := ir.DecodeModule(enc)
-		if err != nil {
-			t.Fatalf("re-decode of accepted input failed: %v", err)
-		}
-		if !bytes.Equal(ir.EncodeModule(m2), enc) {
-			t.Fatal("canonical encoding is not a fixpoint")
-		}
-	})
-}
-
+// FuzzWireCacheEntryDecode also pins the module encoding's canonical
+// form: the module has no wire kind of its own, only this one.
 func FuzzWireCacheEntryDecode(f *testing.F) {
 	seedWireFuzz(f, "cache-entry-v2.bin")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -332,8 +307,13 @@ func FuzzWireCacheEntryDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, _, err := cache.DecodeEntry(cache.EncodeEntry(m, ms)); err != nil {
+		enc := cache.EncodeEntry(m, ms)
+		m2, ms2, err := cache.DecodeEntry(enc)
+		if err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(cache.EncodeEntry(m2, ms2), enc) {
+			t.Fatal("canonical encoding is not a fixpoint")
 		}
 	})
 }
