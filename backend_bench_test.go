@@ -2,6 +2,7 @@ package ipra
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -67,6 +68,34 @@ func BenchmarkOptLevel2(b *testing.B) {
 		for _, m := range work {
 			optimizeModule(m, p.DB, eligible)
 		}
+	}
+}
+
+var benchExe *parv.Executable
+
+// BenchmarkColdBuild measures a whole clean build of the cold-build
+// benchmark program (coldBuildShape, configuration C, phase-1 cache
+// disabled), as the benchmark's cold-build workload runs it, with one
+// worker and with one per CPU. B/op and allocs/op are the build's
+// allocation:
+//
+//	go test -run '^$' -bench BenchmarkColdBuild -benchmem .
+func BenchmarkColdBuild(b *testing.B) {
+	src := progenSources(progen.Generate(coldBuildShape))
+	for _, jobs := range []int{1, 0} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			cfg := MustPreset("C")
+			cfg.DisableCache = true
+			cfg.Jobs = jobs
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Build(context.Background(), src, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchExe = res.Exe
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package ipra
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ipra/internal/progen"
@@ -52,6 +53,75 @@ func TestDifferentialGeneratedPrograms(t *testing.T) {
 			for _, c := range Configs() {
 				// Every fuzz input is also run through the allocation
 				// invariant verifier; a violation fails the build here.
+				opts := []BuildOption{WithVerify()}
+				if c.WantProfile {
+					opts = append(opts, WithProfile(100_000_000))
+				}
+				p, err := Build(context.Background(), sources, c, opts...)
+				if err != nil {
+					t.Fatalf("%s compile: %v", c.Name, err)
+				}
+				got, err := p.Run(100_000_000, false)
+				if err != nil {
+					t.Fatalf("%s run: %v", c.Name, err)
+				}
+				if got.Exit != want.Exit || got.Output != want.Output {
+					t.Errorf("%s: exit/output (%d,%q) differ from L2 (%d,%q)",
+						c.Name, got.Exit, got.Output, want.Exit, want.Output)
+				}
+			}
+		})
+	}
+}
+
+// spillShapes are program shapes whose register pressure makes the code
+// generator spill: seed 102's shape, and the shapes of a 300-seed sweep
+// (sweepShape) that once failed with "register allocation did not
+// converge" because each round spilled a reload temporary of the last.
+func spillShapes() []progen.Config {
+	shapes := []progen.Config{{Seed: 102, Modules: 2, ProcsPerModule: 4, Globals: 74,
+		SubsystemSize: 7, Recursion: true, Statics: true, LoopIters: 3}}
+	for _, seed := range []int64{6, 25, 31, 35, 60, 66, 68, 129, 135, 146, 183, 209, 223, 235, 288, 295, 298} {
+		shapes = append(shapes, sweepShape(seed))
+	}
+	return shapes
+}
+
+// sweepShape draws a program shape from seed, in the field order of the
+// sweep that found the allocator's loop; Recursion and Statics are on, as
+// ipra-progen sets them.
+func sweepShape(seed int64) progen.Config {
+	rng := rand.New(rand.NewSource(seed))
+	c := progen.Config{Seed: seed, Recursion: true, Statics: true}
+	c.Modules = 2 + rng.Intn(6)
+	c.ProcsPerModule = 4 + rng.Intn(17)
+	c.Globals = 8 + rng.Intn(70)
+	c.SubsystemSize = 2 + rng.Intn(7)
+	c.LoopIters = 1 + rng.Intn(3)
+	return c
+}
+
+// TestSpillingShapesBuild builds the spilling shapes under L2 and every
+// configuration A-F with the verifier on: each build must succeed and
+// behave like L2's.
+func TestSpillingShapesBuild(t *testing.T) {
+	shapes := spillShapes()
+	if testing.Short() {
+		shapes = shapes[:1]
+	}
+	for _, shape := range shapes {
+		shape := shape
+		t.Run(fmt.Sprintf("seed%d", shape.Seed), func(t *testing.T) {
+			sources := progenSources(progen.Generate(shape))
+			base, err := Build(context.Background(), sources, MustPreset("L2"), WithVerify())
+			if err != nil {
+				t.Fatalf("L2 compile: %v", err)
+			}
+			want, err := base.Run(100_000_000, false)
+			if err != nil {
+				t.Fatalf("L2 run: %v", err)
+			}
+			for _, c := range Configs() {
 				opts := []BuildOption{WithVerify()}
 				if c.WantProfile {
 					opts = append(opts, WithProfile(100_000_000))

@@ -100,6 +100,9 @@ func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	if err := d.Finish(); err != nil {
 		return nil, nil, fmt.Errorf("cache: decode entry: %w", err)
 	}
+	if err := ms.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("cache: decode entry: %w", err)
+	}
 	return m, ms, nil
 }
 
@@ -115,6 +118,9 @@ func DecodeSummary(data []byte) (*summary.ModuleSummary, error) {
 	}
 	ms := summary.ReadSummary(d)
 	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("cache: decode summary: %w", err)
+	}
+	if err := ms.Validate(); err != nil {
 		return nil, fmt.Errorf("cache: decode summary: %w", err)
 	}
 	return ms, nil

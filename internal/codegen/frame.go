@@ -107,8 +107,48 @@ func emit(f *lfunc, dir *pdb.ProcDirectives, res *allocResult, sizeOf func(strin
 	}
 	frameSize = (frameSize + 7) &^ 7
 
-	var code []parv.Instr
+	// Size the code and its relocations exactly: the prologue and
+	// epilogue counts follow from the decisions above, the body's from
+	// the blocks less their dropped fall-through branches.
+	drop := make([]bool, len(f.blocks))
+	prologue, epilogue := len(savedList)+len(entryWebs), len(savedList)+1
+	if frameSize > 0 {
+		prologue++
+		epilogue++
+	}
+	if saveRP {
+		prologue++
+		epilogue++
+	}
+	nRelocs := len(entryWebs)
+	for _, p := range entryWebs {
+		if p.NeedStore {
+			epilogue++
+			nRelocs++
+		}
+	}
+	body := 0
+	for i, b := range f.blocks {
+		body += len(b.instrs)
+		// Decide which trailing unconditional branches fall through.
+		if n := len(b.instrs); n > 0 {
+			last := b.instrs[n-1]
+			if last.op == parv.B && last.target == i+1 && i+1 < len(f.blocks) {
+				drop[i] = true
+				body--
+			}
+		}
+		for j := range b.instrs {
+			if b.instrs[j].hasRel {
+				nRelocs++
+			}
+		}
+	}
+	code := make([]parv.Instr, 0, prologue+body+epilogue)
 	var relocs []parv.Reloc
+	if nRelocs > 0 {
+		relocs = make([]parv.Reloc, 0, nRelocs)
+	}
 
 	add := func(in parv.Instr, rel *parv.Reloc) {
 		if rel != nil {
@@ -141,16 +181,6 @@ func emit(f *lfunc, dir *pdb.ProcDirectives, res *allocResult, sizeOf func(strin
 		start int
 	}
 	las := make([]layout, len(f.blocks))
-	// Decide which trailing unconditional branches fall through.
-	drop := make([]bool, len(f.blocks))
-	for i, b := range f.blocks {
-		if n := len(b.instrs); n > 0 {
-			last := b.instrs[n-1]
-			if last.op == parv.B && last.target == i+1 && i+1 < len(f.blocks) {
-				drop[i] = true
-			}
-		}
-	}
 	pos := len(code)
 	for i, b := range f.blocks {
 		las[i].start = pos

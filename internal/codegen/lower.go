@@ -16,64 +16,129 @@ type lowerer struct {
 	dir  *pdb.ProcDirectives
 	prom map[string]uint8 // web-promoted global -> dedicated register
 
-	vrOf map[ir.Reg]vreg
-	// constOf tracks IR registers holding known constants within the
-	// current block, enabling immediate instruction forms.
-	constOf map[ir.Reg]int32
-	// useCount counts IR register uses (to fold compares into branches).
-	useCount map[ir.Reg]int
+	// regs is what lowering knows of each IR register, indexed by
+	// register number (registers run from 1 to the function's NextReg).
+	regs []regInfo
+	// gen numbers the block being lowered: a register holds a known
+	// constant only while its regInfo.constGen equals gen, so starting a
+	// block forgets every constant at once.
+	gen uint32
 
 	cur *lblock
 }
 
+// regInfo is lowering's table entry for one IR register.
+type regInfo struct {
+	vr       vreg  // its virtual register; 0 until first lowered
+	uses     int32 // uses in the function, to fold compares into branches
+	constVal int32 // its value, while it holds a known constant
+	constGen uint32
+}
+
 func lower(irf *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives) (*lfunc, error) {
+	if irf.NextReg < 0 {
+		return nil, fmt.Errorf("codegen: %s: register count %d out of range", irf.Name, irf.NextReg)
+	}
 	lo := &lowerer{
-		f:        &lfunc{name: irf.Name, frameLocal: irf.FrameSize},
-		irf:      irf,
-		mod:      mod,
-		dir:      dir,
-		prom:     make(map[string]uint8),
-		vrOf:     make(map[ir.Reg]vreg),
-		useCount: make(map[ir.Reg]int),
+		f:    &lfunc{name: irf.Name, frameLocal: irf.FrameSize},
+		irf:  irf,
+		mod:  mod,
+		dir:  dir,
+		prom: make(map[string]uint8),
+		regs: make([]regInfo, int(irf.NextReg)+1),
 	}
 	for _, p := range dir.Promoted {
 		lo.prom[p.Name] = p.Reg
 	}
 
-	// Use counts for compare/branch folding.
+	// Use counts for compare/branch folding, and the size of each block's
+	// code: the LIR of the whole function is carved from one slab. Every
+	// register the table is indexed by is checked here, so a corrupt
+	// phase-1 record is an error, not an index out of range.
+	check := func(r ir.Reg) error {
+		if r < 0 || r > irf.NextReg {
+			return fmt.Errorf("codegen: %s: register %d out of range", irf.Name, r)
+		}
+		return nil
+	}
+	count := func(r ir.Reg) error {
+		if err := check(r); err != nil {
+			return err
+		}
+		lo.regs[r].uses++
+		return nil
+	}
+	for _, r := range irf.Params {
+		if err := check(r); err != nil {
+			return nil, err
+		}
+	}
+	sizes := make([]int, len(irf.Blocks))
+	total, edges := 0, 0
 	var uses []ir.Reg
-	for _, b := range irf.Blocks {
+	for bi, b := range irf.Blocks {
+		n := 0
+		if bi == 0 {
+			n = len(irf.Params)
+		}
 		for i := range b.Instrs {
-			uses = b.Instrs[i].Uses(uses[:0])
+			in := &b.Instrs[i]
+			uses = in.Uses(uses[:0])
 			for _, u := range uses {
-				lo.useCount[u]++
+				if err := count(u); err != nil {
+					return nil, err
+				}
 			}
-		}
-		if b.Term.Kind == ir.TermBranch {
-			lo.useCount[b.Term.Cond]++
-		}
-		if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
-			lo.useCount[b.Term.Val]++
-		}
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.Call {
+			if err := check(in.Def()); err != nil {
+				return nil, err
+			}
+			n += lirLen(in)
+			if in.Op == ir.Call {
 				lo.f.makesCalls = true
-				extra := len(b.Instrs[i].Args) - len(parv.ArgRegs)
+				extra := len(in.Args) - len(parv.ArgRegs)
 				if extra > 0 && int32(extra*4) > lo.f.outArgs {
 					lo.f.outArgs = int32(extra * 4)
 				}
 			}
 		}
+		switch b.Term.Kind {
+		case ir.TermJump:
+			n++
+			edges++
+		case ir.TermBranch:
+			if err := count(b.Term.Cond); err != nil {
+				return nil, err
+			}
+			n += 2
+			edges += 2
+		case ir.TermReturn:
+			n++
+			if b.Term.HasVal {
+				if err := count(b.Term.Val); err != nil {
+					return nil, err
+				}
+				n++
+			}
+		}
+		sizes[bi] = n
+		total += n
 	}
 
 	// Pre-create blocks so branch targets resolve.
-	for _, b := range irf.Blocks {
-		lo.f.blocks = append(lo.f.blocks, &lblock{id: b.ID, loopDepth: b.LoopDepth})
+	slab := make([]linstr, total)
+	succs := make([]int, edges)
+	blocks := make([]lblock, len(irf.Blocks))
+	lo.f.blocks = make([]*lblock, len(irf.Blocks))
+	for i, b := range irf.Blocks {
+		n := sizes[i]
+		blocks[i] = lblock{id: b.ID, loopDepth: b.LoopDepth, instrs: slab[:0:n]}
+		slab = slab[n:]
+		lo.f.blocks[i] = &blocks[i]
 	}
 
 	for _, b := range irf.Blocks {
 		lo.cur = lo.f.blocks[b.ID]
-		lo.constOf = make(map[ir.Reg]int32)
+		lo.gen++
 		if b.ID == 0 {
 			lo.lowerParams()
 		}
@@ -82,22 +147,49 @@ func lower(irf *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives) (*lfunc, error
 				return nil, err
 			}
 		}
-		lo.lowerTerm(b)
+		succs = lo.lowerTerm(b, succs)
 	}
 	return lo.f, nil
+}
+
+// lirLen is the number of LIR instructions lowerInstr emits for in.
+func lirLen(in *ir.Instr) int {
+	switch in.Op {
+	case ir.Nop:
+		return 0
+	case ir.Call:
+		n := len(in.Args) + 1
+		if in.Dst != 0 {
+			n++
+		}
+		return n
+	}
+	return 1
 }
 
 func (lo *lowerer) vr(r ir.Reg) vreg {
 	if phys, ok := lo.irf.Pinned[r]; ok {
 		return vreg(phys)
 	}
-	if v, ok := lo.vrOf[r]; ok {
+	if v := lo.regs[r].vr; v != 0 {
 		return v
 	}
 	v := lo.f.newVreg()
-	lo.vrOf[r] = v
+	lo.regs[r].vr = v
 	return v
 }
+
+// constOf returns r's value if it holds a constant known in this block.
+func (lo *lowerer) constOf(r ir.Reg) (int32, bool) {
+	ri := &lo.regs[r]
+	return ri.constVal, ri.constGen == lo.gen
+}
+
+func (lo *lowerer) setConst(r ir.Reg, v int32) {
+	lo.regs[r].constVal, lo.regs[r].constGen = v, lo.gen
+}
+
+func (lo *lowerer) forgetConst(r ir.Reg) { lo.regs[r].constGen = 0 }
 
 func (lo *lowerer) emit(in linstr) { lo.cur.instrs = append(lo.cur.instrs, in) }
 
@@ -166,38 +258,38 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 		return nil
 
 	case ir.Const:
-		lo.constOf[in.Dst] = int32(in.Imm)
+		lo.setConst(in.Dst, int32(in.Imm))
 		lo.emit(linstr{op: parv.LDI, rd: lo.vr(in.Dst), imm: int32(in.Imm)})
 		return nil
 
 	case ir.Copy:
 		lo.emit(linstr{op: parv.MOV, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
-		if c, ok := lo.constOf[in.A]; ok {
-			lo.constOf[in.Dst] = c
+		if c, ok := lo.constOf(in.A); ok {
+			lo.setConst(in.Dst, c)
 		} else {
-			delete(lo.constOf, in.Dst)
+			lo.forgetConst(in.Dst)
 		}
 		return nil
 
 	case ir.Neg:
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		lo.emit(linstr{op: parv.NEG, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
 		return nil
 
 	case ir.Not:
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		lo.emit(linstr{op: parv.NOT, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
 		return nil
 
 	case ir.Load:
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		return lo.lowerLoad(in)
 
 	case ir.Store:
 		return lo.lowerStore(in)
 
 	case ir.AddrGlobal:
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		kind := parv.RelFuncAddr
 		if lo.mod.GlobalByName(in.Callee) != nil {
 			kind = parv.RelDataAddr
@@ -209,7 +301,7 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 		return nil
 
 	case ir.AddrFrame:
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		lo.emit(linstr{op: parv.ADDI, rd: lo.vr(in.Dst), ra: vreg(parv.RegSP), imm: lo.f.outArgs + int32(in.Imm)})
 		return nil
 
@@ -217,30 +309,29 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 		return lo.lowerCall(in)
 	}
 
-	// Comparisons.
+	// Comparisons. The result is no constant; the operands are read
+	// before that is recorded, as Dst may be one of them.
 	if c, ok := condFor(in.Op); ok {
-		defer delete(lo.constOf, in.Dst)
-		if imm, isC := lo.constOf[in.B]; isC {
+		if imm, isC := lo.constOf(in.B); isC {
 			lo.emit(linstr{op: parv.CMPI, rd: lo.vr(in.Dst), ra: lo.vr(in.A), imm: imm, cond: c})
-			return nil
+		} else {
+			lo.emit(linstr{op: parv.CMP, rd: lo.vr(in.Dst), ra: lo.vr(in.A), rb: lo.vr(in.B), cond: c})
 		}
-		lo.emit(linstr{op: parv.CMP, rd: lo.vr(in.Dst), ra: lo.vr(in.A), rb: lo.vr(in.B), cond: c})
+		lo.forgetConst(in.Dst)
 		return nil
 	}
 
 	// Binary arithmetic.
 	if rop, iop, ok := binOpFor(in.Op); ok {
-		defer delete(lo.constOf, in.Dst)
-		if imm, isC := lo.constOf[in.B]; isC && iop != parv.NOP {
+		if imm, isC := lo.constOf(in.B); isC && iop != parv.NOP {
 			lo.emit(linstr{op: iop, rd: lo.vr(in.Dst), ra: lo.vr(in.A), imm: imm})
-			return nil
-		}
-		// Commutative ops can fold a constant left operand.
-		if imm, isC := lo.constOf[in.A]; isC && iop != parv.NOP && in.Op.IsCommutative() {
+		} else if imm, isC := lo.constOf(in.A); isC && iop != parv.NOP && in.Op.IsCommutative() {
+			// Commutative ops can fold a constant left operand.
 			lo.emit(linstr{op: iop, rd: lo.vr(in.Dst), ra: lo.vr(in.B), imm: imm})
-			return nil
+		} else {
+			lo.emit(linstr{op: rop, rd: lo.vr(in.Dst), ra: lo.vr(in.A), rb: lo.vr(in.B)})
 		}
-		lo.emit(linstr{op: rop, rd: lo.vr(in.Dst), ra: lo.vr(in.A), rb: lo.vr(in.B)})
+		lo.forgetConst(in.Dst)
 		return nil
 	}
 	return fmt.Errorf("codegen: %s: cannot lower %s", lo.f.name, in)
@@ -330,29 +421,32 @@ func (lo *lowerer) lowerCall(in *ir.Instr) error {
 		})
 	}
 	if in.Dst != 0 {
-		delete(lo.constOf, in.Dst)
+		lo.forgetConst(in.Dst)
 		lo.emit(linstr{op: parv.MOV, rd: lo.vr(in.Dst), ra: vreg(parv.RegRet)})
 	}
 	return nil
 }
 
 // lowerTerm lowers the block terminator. Compare results consumed only by
-// the branch fold into PA-RISC-style compare-and-branch instructions.
-func (lo *lowerer) lowerTerm(b *ir.Block) {
+// the branch fold into PA-RISC-style compare-and-branch instructions. The
+// block's successor list is carved from succs; it returns the rest.
+func (lo *lowerer) lowerTerm(b *ir.Block, succs []int) []int {
 	lb := lo.cur
 	switch b.Term.Kind {
 	case ir.TermJump:
 		lb.instrs = append(lb.instrs, linstr{op: parv.B, target: b.Term.True})
-		lb.succs = []int{b.Term.True}
+		lb.succs, succs = succs[:1:1], succs[1:]
+		lb.succs[0] = b.Term.True
 
 	case ir.TermBranch:
 		folded := false
+		cond := lo.regs[b.Term.Cond].vr
 		// Fold `vN = cmp a, b; branch vN` into `cb.cond a, b`.
-		if lo.useCount[b.Term.Cond] == 1 {
+		if lo.regs[b.Term.Cond].uses == 1 {
 			for i := len(lb.instrs) - 1; i >= 0; i-- {
 				in := lb.instrs[i]
 				if (in.op == parv.CMP || in.op == parv.CMPI) &&
-					!in.rd.isPhys() && in.rd == lo.vrOf[b.Term.Cond] {
+					!in.rd.isPhys() && in.rd == cond {
 					// Only fold when the compare is the defining instruction
 					// and nothing after it redefines the operands.
 					if defsBetween(lb.instrs[i+1:], in.ra, in.rb) {
@@ -368,7 +462,7 @@ func (lo *lowerer) lowerTerm(b *ir.Block) {
 					break
 				}
 				// Stop scanning at any instruction that defines the cond vreg.
-				if in.rd == lo.vrOf[b.Term.Cond] {
+				if in.rd == cond {
 					break
 				}
 			}
@@ -379,7 +473,8 @@ func (lo *lowerer) lowerTerm(b *ir.Block) {
 			})
 		}
 		lb.instrs = append(lb.instrs, linstr{op: parv.B, target: b.Term.False})
-		lb.succs = []int{b.Term.True, b.Term.False}
+		lb.succs, succs = succs[:2:2], succs[2:]
+		lb.succs[0], lb.succs[1] = b.Term.True, b.Term.False
 
 	case ir.TermReturn:
 		if b.Term.HasVal {
@@ -387,6 +482,7 @@ func (lo *lowerer) lowerTerm(b *ir.Block) {
 		}
 		lb.instrs = append(lb.instrs, linstr{op: parv.B, target: epilogueBlock})
 	}
+	return succs
 }
 
 // defsBetween reports whether any instruction defines ra or rb.

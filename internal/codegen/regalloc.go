@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"ipra/internal/ir"
@@ -141,8 +142,15 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 	localPref = append(localPref, dir.Free.Regs()...)
 	localPref = append(localPref, dir.Callee.Regs()...)
 
+	// Every virtual register from orig on is a temporary spillVreg made:
+	// a reload or a store source with one definition and one use. Those
+	// are colored ahead of every original register (spill everywhere: a
+	// spilled value's loads and stores are fixed, only the choice of which
+	// values to spill is open), so a failure always spills an original
+	// register, each at most once, and orig+1 rounds suffice.
+	orig := vregBase + vreg(f.nvregs)
 	for round := 0; ; round++ {
-		if round > 64 {
+		if round > int(orig-vregBase) {
 			return nil, fmt.Errorf("codegen: %s: register allocation did not converge", f.name)
 		}
 		liveOut := deadElim(f)
@@ -199,7 +207,7 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 			}
 		}
 
-		// Color in priority (cost) order.
+		// Color spill temporaries first, then in priority (cost) order.
 		order := make([]vreg, 0, f.nvregs)
 		for v := vregBase; v < vreg(n); v++ {
 			if cost[v] > 0 || g.hasAdj[v] {
@@ -207,6 +215,9 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 			}
 		}
 		sort.SliceStable(order, func(i, j int) bool {
+			if ti, tj := order[i] >= orig, order[j] >= orig; ti != tj {
+				return ti
+			}
 			return cost[order[i]] > cost[order[j]]
 		})
 
@@ -243,6 +254,9 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 			}
 		}
 
+		if failed >= orig {
+			return nil, fmt.Errorf("codegen: %s: no register left for spill temporary %s of %s", f.name, failed, instrOf(f, failed))
+		}
 		if failed >= 0 {
 			spillVreg(f, failed, res)
 			continue
@@ -273,10 +287,13 @@ func depthWeight(d int) float64 {
 	return w
 }
 
-// lirLiveness computes live-out sets per block over all n registers.
-func lirLiveness(f *lfunc, n int) []ir.BitSet {
+// lirLiveness computes live-out sets per block over all n registers in
+// sets, 4 sets per block, which it clears first.
+func lirLiveness(f *lfunc, sets []ir.BitSet) []ir.BitSet {
+	for _, s := range sets {
+		clear(s)
+	}
 	nb := len(f.blocks)
-	sets := ir.NewBitSets(4*nb, n)
 	use, def := sets[:nb], sets[nb:2*nb]
 	liveIn, liveOut := sets[2*nb:3*nb], sets[3*nb:]
 	var buf []vreg
@@ -327,9 +344,10 @@ func lirLiveness(f *lfunc, n int) []ir.BitSet {
 func deadElim(f *lfunc) []ir.BitSet {
 	n := int(vregBase) + int(f.nvregs)
 	live := ir.NewBitSet(n)
+	sets := ir.NewBitSets(4*len(f.blocks), n)
 	var buf []vreg
 	for {
-		liveOut := lirLiveness(f, n)
+		liveOut := lirLiveness(f, sets)
 		removed := false
 		for _, b := range f.blocks {
 			live.Copy(liveOut[b.id])
@@ -363,6 +381,21 @@ func deadElim(f *lfunc) []ir.BitSet {
 			return liveOut
 		}
 	}
+}
+
+// instrOf names the first instruction that mentions v, for diagnostics.
+func instrOf(f *lfunc, v vreg) string {
+	var buf []vreg
+	for _, b := range f.blocks {
+		for i := range b.instrs {
+			def, uses := b.instrs[i].defUse(buf[:0])
+			buf = uses
+			if def == v || slices.Contains(uses, v) {
+				return fmt.Sprintf("block %d instruction %d (%s)", b.id, i, b.instrs[i].op)
+			}
+		}
+	}
+	return "no instruction"
 }
 
 // spillVreg gives v a frame slot, rewriting each definition to store and

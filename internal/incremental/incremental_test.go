@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,7 +26,8 @@ import (
 // The store-level tests drive a Store through the same calls the build
 // driver makes, with miniature deterministic phases over a toy source
 // format: each word of source text reads "funcname", "funcname>callee",
-// or "@global" (a global declaration). The database is hand-built, so a
+// or "@global" (a global declaration); the words that name one procedure
+// make one procedure with each of their calls. The database is hand-built, so a
 // test changes directives by changing the promote, clobber and eligible
 // options without touching any source.
 
@@ -50,14 +52,17 @@ func toyPhase1(src toySource) (*ir.Module, *summary.ModuleSummary) {
 			continue
 		}
 		fn, callee, _ := strings.Cut(word, ">")
-		f := &ir.Func{Name: fn, Module: src.name, Blocks: []*ir.Block{{}}}
-		rec := summary.ProcRecord{Name: fn, Module: src.name}
-		if callee != "" {
-			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Call, Callee: callee})
-			rec.Calls = []summary.CallSite{{Callee: callee, Freq: 1}}
+		i := slices.IndexFunc(m.Funcs, func(f *ir.Func) bool { return f.Name == fn })
+		if i < 0 {
+			i = len(m.Funcs)
+			m.Funcs = append(m.Funcs, &ir.Func{Name: fn, Module: src.name, Blocks: []*ir.Block{{}}})
+			ms.Procs = append(ms.Procs, summary.ProcRecord{Name: fn, Module: src.name})
 		}
-		m.Funcs = append(m.Funcs, f)
-		ms.Procs = append(ms.Procs, rec)
+		if callee != "" {
+			b := m.Funcs[i].Blocks[0]
+			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.Call, Callee: callee})
+			ms.Procs[i].Calls = append(ms.Procs[i].Calls, summary.CallSite{Callee: callee, Freq: 1})
+		}
 	}
 	return m, ms
 }

@@ -26,7 +26,7 @@ func (r Reg) String() string {
 }
 
 // Op is an IR operation.
-type Op int
+type Op uint8
 
 // IR operations.
 const (
@@ -66,6 +66,9 @@ const (
 	AddrFrame  // Dst = &frame[Imm]
 
 	Call // Dst = Callee(Args...) or (*A)(Args...) when IndirectCall
+
+	// LastOp is the highest operation; a decoder rejects any above it.
+	LastOp = Call
 )
 
 var opNames = [...]string{
@@ -108,7 +111,7 @@ func (o Op) IsBinary() bool {
 }
 
 // MemKind classifies a memory reference.
-type MemKind int
+type MemKind uint8
 
 // Memory reference kinds.
 const (
@@ -116,14 +119,18 @@ const (
 	MemGlobal         // named global variable (Sym, +Off for members/elements)
 	MemFrame          // function frame slot at offset Off
 	MemPtr            // through pointer register Base, +Off
+
+	// LastMemKind is the highest kind; a decoder rejects any above it.
+	LastMemKind = MemPtr
 )
 
-// MemRef describes the address and width of a Load or Store.
+// MemRef describes the address and width of a Load or Store. Its fields
+// are ordered by size, so it packs into 32 bytes.
 type MemRef struct {
-	Kind MemKind
 	Sym  string // qualified global name (MemGlobal)
 	Base Reg    // pointer register (MemPtr)
 	Off  int32
+	Kind MemKind
 	Size uint8 // access width in bytes: 1, 2, or 4
 
 	// Singleton marks an access to a simple scalar variable of size 1/2/4 —
@@ -151,19 +158,22 @@ func (m MemRef) String() string {
 	return s
 }
 
-// Instr is one three-address instruction.
+// Instr is one three-address instruction. Its fields are ordered by size,
+// so it packs into 96 bytes on a 64-bit machine: every pass walks
+// instructions by value or in slices, so their size is memory traffic.
 type Instr struct {
-	Op  Op
+	// Call fields (Callee is also AddrGlobal's symbol).
+	Args   []Reg
+	Callee string // qualified name for direct calls
+
+	Mem MemRef
+	Imm int64
 	Dst Reg
 	A   Reg
 	B   Reg
-	Imm int64
-	Mem MemRef
+	Op  Op
 
-	// Call fields.
-	Callee       string // qualified name for direct calls
-	IndirectCall bool   // function address in A
-	Args         []Reg
+	IndirectCall bool // function address in A
 	ResultVoid   bool // call has no result even though Dst may be 0
 }
 

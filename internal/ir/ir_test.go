@@ -1,9 +1,12 @@
 package ir
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ipra/internal/wire"
 )
@@ -285,6 +288,87 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if m.Globals[0].Init[0] == 0xff {
 		t.Error("clone shares init storage")
+	}
+}
+
+// TestInstrSize bounds the instruction's size: every pass copies and
+// walks instructions, so a field that widens it is memory traffic.
+func TestInstrSize(t *testing.T) {
+	if s := unsafe.Sizeof(Instr{}); s > 96 {
+		t.Errorf("ir.Instr is %d bytes, want at most 96", s)
+	}
+}
+
+// callFunc is buildDiamond with a parameter and a call in b1.
+func callFunc() *Func {
+	f := buildDiamond()
+	p := f.NewReg()
+	f.Params, f.NParams = []Reg{p}, 1
+	b := f.Blocks[1]
+	b.Instrs = append(b.Instrs, Instr{Op: Call, Callee: "g", Args: []Reg{p, b.Instrs[0].Dst}, ResultVoid: true})
+	return f
+}
+
+// TestCopiesArePacked checks that Clone and ReadModule copy a function
+// exactly, with every slice a block holds capped at its length, so an
+// append to one cannot write into its neighbour in the function's slab.
+func TestCopiesArePacked(t *testing.T) {
+	m := &Module{Name: "m.mc", Funcs: []*Func{callFunc()}}
+	e := wire.NewEncoder("test-module", 1)
+	AppendModule(e, m)
+	d, err := wire.NewDecoder(e.Finish(), "test-module", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := ReadModule(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for what, got := range map[string]*Module{"Clone": m.Clone(), "ReadModule": read} {
+		f := got.Funcs[0]
+		if !reflect.DeepEqual(f, m.Funcs[0]) {
+			t.Errorf("%s: copy differs:\n%s\nwant\n%s", what, f, m.Funcs[0])
+		}
+		if cap(f.Params) != len(f.Params) {
+			t.Errorf("%s: params: len %d cap %d", what, len(f.Params), cap(f.Params))
+		}
+		for _, b := range f.Blocks {
+			if cap(b.Instrs) != len(b.Instrs) || cap(b.Preds) != len(b.Preds) || cap(b.Succs) != len(b.Succs) {
+				t.Errorf("%s: b%d: instrs, preds or succs not capped at their length", what, b.ID)
+			}
+			for i := range b.Instrs {
+				if a := b.Instrs[i].Args; cap(a) != len(a) {
+					t.Errorf("%s: b%d[%d]: args len %d cap %d", what, b.ID, i, len(a), cap(a))
+				}
+			}
+		}
+	}
+}
+
+// TestReadRejectsOutOfRangeCodes checks that an operation or memory kind
+// beyond the last one is a decode error, not a value the narrow field
+// would wrap.
+func TestReadRejectsOutOfRangeCodes(t *testing.T) {
+	for _, c := range []struct {
+		mutate func(in *Instr)
+		want   string
+	}{
+		{func(in *Instr) { in.Op = LastOp + 1 }, fmt.Sprintf("operation %d out of range", LastOp+1)},
+		{func(in *Instr) { in.Op = 255 }, "operation 255 out of range"},
+		{func(in *Instr) { in.Mem.Kind = LastMemKind + 1 }, fmt.Sprintf("memory reference kind %d out of range", LastMemKind+1)},
+	} {
+		f := buildDiamond()
+		c.mutate(&f.Blocks[2].Instrs[1])
+		e := wire.NewEncoder("test-module", 1)
+		AppendModule(e, &Module{Name: "m.mc", Funcs: []*Func{f}})
+		d, err := wire.NewDecoder(e.Finish(), "test-module", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ReadModule(d)
+		if err := d.Finish(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("decode error %v, want one containing %q", err, c.want)
+		}
 	}
 }
 

@@ -5,16 +5,43 @@ package ir
 type Liveness struct {
 	In  []BitSet
 	Out []BitSet
+
+	// sets and words back In, Out, the per-block use and def sets and a
+	// working set, so that Compute can reuse them for the next pass.
+	sets  []BitSet
+	words []uint64
 }
 
 // ComputeLiveness runs the classic backward dataflow over the CFG. The
 // function's Preds/Succs must be current (call Recompute first).
 func ComputeLiveness(f *Func) *Liveness {
+	lv := new(Liveness)
+	lv.Compute(f)
+	return lv
+}
+
+// Compute recomputes lv for f as ComputeLiveness does, reusing the storage
+// of lv's last computation when it is large enough: a pass that runs to a
+// fixpoint allocates its liveness once.
+func (lv *Liveness) Compute(f *Func) {
 	n := len(f.Blocks)
-	nr := int(f.NextReg)
-	sets := NewBitSets(4*n, nr)
-	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
-	use, def := sets[2*n:3*n], sets[3*n:]
+	w := (int(f.NextReg) + 64) / 64
+	k := 4*n + 1
+	if cap(lv.words) < k*w {
+		lv.words = make([]uint64, k*w)
+	} else {
+		lv.words = lv.words[:k*w]
+		clear(lv.words)
+	}
+	if cap(lv.sets) < k {
+		lv.sets = make([]BitSet, k)
+	}
+	sets := lv.sets[:k]
+	for i := range sets {
+		sets[i] = BitSet(lv.words[i*w : (i+1)*w : (i+1)*w])
+	}
+	lv.In, lv.Out = sets[:n:n], sets[n:2*n:2*n]
+	use, def, tmp := sets[2*n:3*n], sets[3*n:4*n], sets[4*n]
 
 	var scratch []Reg
 	for _, b := range f.Blocks {
@@ -46,7 +73,6 @@ func ComputeLiveness(f *Func) *Liveness {
 	// Iterate to fixpoint, visiting blocks in reverse order for fast
 	// convergence on reducible CFGs.
 	changed := true
-	tmp := NewBitSet(nr)
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -69,5 +95,4 @@ func ComputeLiveness(f *Func) *Liveness {
 			}
 		}
 	}
-	return lv
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"sort"
 
 	"ipra/internal/wire"
@@ -121,8 +122,9 @@ func appendRegs(e *wire.Encoder, rs []Reg) {
 func ReadModule(d *wire.Decoder) *Module {
 	m := &Module{Name: d.Str()}
 	n := d.Count(1)
+	var buf decodeBuf
 	for i := 0; i < n; i++ {
-		m.Funcs = append(m.Funcs, readFunc(d))
+		m.Funcs = append(m.Funcs, readFunc(d, &buf))
 	}
 	n = d.Count(1)
 	for i := 0; i < n; i++ {
@@ -132,14 +134,28 @@ func ReadModule(d *wire.Decoder) *Module {
 	return m
 }
 
-func readFunc(d *wire.Decoder) *Func {
+// decodeBuf holds one function's instructions, registers and CFG edges as
+// they are decoded, block after block; the wire format gives each block's
+// counts only as it reaches the block. readFunc then copies them into
+// exactly sized slabs, and ReadModule reuses the buffer for the next
+// function.
+type decodeBuf struct {
+	instrs []Instr
+	regs   []Reg
+	edges  []int
+}
+
+func readFunc(d *wire.Decoder, buf *decodeBuf) *Func {
 	f := &Func{
 		Name:    d.Str(),
 		Module:  d.Str(),
 		Static:  d.Bool(),
 		NParams: int(d.U()),
 	}
-	f.Params = readRegs(d)
+	buf.instrs, buf.regs, buf.edges = buf.instrs[:0], buf.regs[:0], buf.edges[:0]
+	// Until the slabs are carved, every slice below views the buffer,
+	// whose arrays may move as it grows: only their lengths are used.
+	f.Params = buf.readRegs(d)
 	f.ResultVoid = d.Bool()
 	f.NextReg = Reg(d.I())
 	f.FrameSize = int32(d.I())
@@ -151,42 +167,67 @@ func readFunc(d *wire.Decoder) *Func {
 		}
 	}
 	n := d.Count(1)
-	for i := 0; i < n; i++ {
-		f.Blocks = append(f.Blocks, readBlock(d))
+	blocks := make([]Block, n)
+	f.Blocks = make([]*Block, n)
+	for i := range blocks {
+		b := &blocks[i]
+		f.Blocks[i] = b
+		b.ID = int(d.U())
+		b.LoopDepth = int(d.U())
+		if ni := d.Count(1); ni > 0 {
+			start := len(buf.instrs)
+			for k := 0; k < ni; k++ {
+				buf.instrs = append(buf.instrs, Instr{})
+				buf.readInstr(d, &buf.instrs[len(buf.instrs)-1])
+			}
+			b.Instrs = buf.instrs[start:]
+		}
+		b.Term.Kind = TermKind(d.U())
+		b.Term.Cond = Reg(d.I())
+		b.Term.True = int(d.I())
+		b.Term.False = int(d.I())
+		b.Term.Val = Reg(d.I())
+		b.Term.HasVal = d.Bool()
+		b.Preds = buf.readInts(d)
+		b.Succs = buf.readInts(d)
+	}
+	s := newSlabs(len(buf.instrs), len(buf.regs), len(buf.edges))
+	copy(s.instrs, buf.instrs)
+	copy(s.regs, buf.regs)
+	copy(s.edges, buf.edges)
+	// The buffer holds the parameters, then each call's arguments in
+	// instruction order, then each block's predecessors and successors
+	// in block order: carve them in that order.
+	f.Params = carve(&s.regs, len(f.Params))
+	for i := range s.instrs {
+		if in := &s.instrs[i]; in.Args != nil {
+			in.Args = carve(&s.regs, len(in.Args))
+		}
+	}
+	for i := range blocks {
+		b := &blocks[i]
+		b.Instrs = carve(&s.instrs, len(b.Instrs))
+		b.Preds = carve(&s.edges, len(b.Preds))
+		b.Succs = carve(&s.edges, len(b.Succs))
 	}
 	return f
 }
 
-func readBlock(d *wire.Decoder) *Block {
-	b := &Block{
-		ID:        int(d.U()),
-		LoopDepth: int(d.U()),
+func (buf *decodeBuf) readInstr(d *wire.Decoder, in *Instr) {
+	if op := d.U(); op <= uint64(LastOp) {
+		in.Op = Op(op)
+	} else {
+		d.Fail(fmt.Sprintf("instruction operation %d out of range", op))
 	}
-	n := d.Count(1)
-	if n > 0 {
-		b.Instrs = make([]Instr, n)
-		for i := range b.Instrs {
-			readInstr(d, &b.Instrs[i])
-		}
-	}
-	b.Term.Kind = TermKind(d.U())
-	b.Term.Cond = Reg(d.I())
-	b.Term.True = int(d.I())
-	b.Term.False = int(d.I())
-	b.Term.Val = Reg(d.I())
-	b.Term.HasVal = d.Bool()
-	b.Preds = d.Ints()
-	b.Succs = d.Ints()
-	return b
-}
-
-func readInstr(d *wire.Decoder, in *Instr) {
-	in.Op = Op(d.U())
 	in.Dst = Reg(d.I())
 	in.A = Reg(d.I())
 	in.B = Reg(d.I())
 	in.Imm = d.I()
-	in.Mem.Kind = MemKind(d.U())
+	if kind := d.U(); kind <= uint64(LastMemKind) {
+		in.Mem.Kind = MemKind(kind)
+	} else {
+		d.Fail(fmt.Sprintf("memory reference kind %d out of range", kind))
+	}
 	in.Mem.Sym = d.Str()
 	in.Mem.Base = Reg(d.I())
 	in.Mem.Off = int32(d.I())
@@ -194,8 +235,36 @@ func readInstr(d *wire.Decoder, in *Instr) {
 	in.Mem.Singleton = d.Bool()
 	in.Callee = d.Str()
 	in.IndirectCall = d.Bool()
-	in.Args = readRegs(d)
+	in.Args = buf.readRegs(d)
 	in.ResultVoid = d.Bool()
+}
+
+// readRegs appends a register list to the buffer and returns its view,
+// nil when empty.
+func (buf *decodeBuf) readRegs(d *wire.Decoder) []Reg {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	start := len(buf.regs)
+	for i := 0; i < n; i++ {
+		buf.regs = append(buf.regs, Reg(d.I()))
+	}
+	return buf.regs[start:]
+}
+
+// readInts appends a list of block IDs to the buffer and returns its
+// view, nil when empty.
+func (buf *decodeBuf) readInts(d *wire.Decoder) []int {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	start := len(buf.edges)
+	for i := 0; i < n; i++ {
+		buf.edges = append(buf.edges, int(d.U()))
+	}
+	return buf.edges[start:]
 }
 
 func readGlobal(d *wire.Decoder) *Global {
@@ -227,18 +296,6 @@ func readGlobal(d *wire.Decoder) *Global {
 	return g
 }
 
-func readRegs(d *wire.Decoder) []Reg {
-	n := d.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Reg, n)
-	for i := range out {
-		out[i] = Reg(d.I())
-	}
-	return out
-}
-
 // Clone deep-copies a module with a direct structural copy. The optimizer
 // mutates IR in place, and the driver compiles the same phase-1 output
 // under several configurations, so each compilation works on its own copy.
@@ -265,27 +322,72 @@ func (m *Module) Clone() *Module {
 
 func (f *Func) clone() *Func {
 	cp := *f
-	cp.Params = append([]Reg(nil), f.Params...)
 	if f.Pinned != nil {
 		cp.Pinned = make(map[Reg]uint8, len(f.Pinned))
 		for r, p := range f.Pinned {
 			cp.Pinned[r] = p
 		}
 	}
+	nInstrs, nRegs, nEdges := 0, len(f.Params), 0
+	for _, b := range f.Blocks {
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Preds) + len(b.Succs)
+		for i := range b.Instrs {
+			nRegs += len(b.Instrs[i].Args)
+		}
+	}
+	s := newSlabs(nInstrs, nRegs, nEdges)
+	cp.Params = carveCopy(&s.regs, f.Params)
 	if f.Blocks != nil {
+		blocks := make([]Block, len(f.Blocks))
 		cp.Blocks = make([]*Block, len(f.Blocks))
 		for i, b := range f.Blocks {
-			nb := *b
-			nb.Instrs = append([]Instr(nil), b.Instrs...)
+			nb := &blocks[i]
+			*nb = *b
+			nb.Instrs = carveCopy(&s.instrs, b.Instrs)
 			for j := range nb.Instrs {
-				if nb.Instrs[j].Args != nil {
-					nb.Instrs[j].Args = append([]Reg(nil), nb.Instrs[j].Args...)
+				if in := &nb.Instrs[j]; in.Args != nil {
+					in.Args = carveCopy(&s.regs, in.Args)
 				}
 			}
-			nb.Preds = append([]int(nil), b.Preds...)
-			nb.Succs = append([]int(nil), b.Succs...)
-			cp.Blocks[i] = &nb
+			nb.Preds = carveCopy(&s.edges, b.Preds)
+			nb.Succs = carveCopy(&s.edges, b.Succs)
+			cp.Blocks[i] = nb
 		}
 	}
 	return &cp
+}
+
+// slabs is one function's storage in three allocations: its instructions,
+// its registers (parameters and call arguments) and its CFG edges (every
+// block's predecessors and successors). Clone and ReadModule carve each
+// slice a function holds from them, with its capacity capped at its
+// length, so an append to one slice copies it out instead of writing over
+// the next.
+type slabs struct {
+	instrs []Instr
+	regs   []Reg
+	edges  []int
+}
+
+func newSlabs(instrs, regs, edges int) slabs {
+	return slabs{make([]Instr, instrs), make([]Reg, regs), make([]int, edges)}
+}
+
+// carve returns the next n elements of *slab, capped at n, and moves
+// *slab past them; nil when n is 0.
+func carve[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// carveCopy carves a copy of src from *slab; nil when src is empty.
+func carveCopy[T any](slab *[]T, src []T) []T {
+	out := carve(slab, len(src))
+	copy(out, src)
+	return out
 }

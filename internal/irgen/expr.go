@@ -10,7 +10,7 @@ import (
 
 // typeOf returns sem's decayed type for the expression.
 func (fg *fgen) typeOf(e ast.Expr) types.Type {
-	if t, ok := fg.g.mod.ExprTypes[e]; ok {
+	if t := e.ExprType(); t != nil {
 		return t
 	}
 	return types.Int
@@ -441,13 +441,16 @@ func (fg *fgen) genStructAssign(e *ast.Assign) ir.Reg {
 
 func (fg *fgen) genCall(e *ast.Call, wantValue bool) ir.Reg {
 	var args []ir.Reg
-	for _, a := range e.Args {
-		args = append(args, fg.genExpr(a))
+	if len(e.Args) > 0 {
+		args = make([]ir.Reg, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = fg.genExpr(a)
+		}
 	}
 
 	in := ir.Instr{Op: ir.Call, Args: args}
 	resultVoid := true
-	if t := fg.g.mod.ExprTypes[e]; t != nil && t != types.Void {
+	if t := e.ExprType(); t != nil && t != types.Void {
 		resultVoid = false
 	}
 

@@ -37,6 +37,14 @@ func Generate(mod *sem.Module) (*ir.Module, error) {
 type generator struct {
 	mod *sem.Module
 	out *ir.Module
+
+	// buf holds the instructions of the function being generated in
+	// emission order, which interleaves blocks, and blockOf the block each
+	// belongs to. Once the function is complete, fill moves them into
+	// their blocks; both are reused from function to function.
+	buf     []ir.Instr
+	blockOf []int32
+	counts  []int
 }
 
 func (g *generator) emitGlobals() {
@@ -151,6 +159,7 @@ func (g *generator) genFunc(fn *sem.Function) (*ir.Func, error) {
 		}
 	}
 
+	g.fill(fg.f)
 	fg.f.Recompute()
 	if err := fg.f.Validate(); err != nil {
 		return nil, fmt.Errorf("irgen internal error: %w", err)
@@ -177,7 +186,34 @@ func (fg *fgen) emit(in ir.Instr) {
 	if fg.cur == nil {
 		return
 	}
-	fg.cur.Instrs = append(fg.cur.Instrs, in)
+	fg.g.buf = append(fg.g.buf, in)
+	fg.g.blockOf = append(fg.g.blockOf, int32(fg.cur.ID))
+}
+
+// fill moves the emitted instructions into f's blocks: one slab for the
+// function, each block's share capped at its length, so a pass that
+// appends to a block copies it out rather than overwrite the next.
+func (g *generator) fill(f *ir.Func) {
+	counts := g.counts[:0]
+	for range f.Blocks {
+		counts = append(counts, 0)
+	}
+	for _, id := range g.blockOf {
+		counts[id]++
+	}
+	slab := make([]ir.Instr, len(g.buf))
+	off := 0
+	for i, b := range f.Blocks {
+		if n := counts[i]; n > 0 {
+			b.Instrs = slab[off : off : off+n]
+			off += n
+		}
+	}
+	for i, id := range g.blockOf {
+		b := f.Blocks[id]
+		b.Instrs = append(b.Instrs, g.buf[i])
+	}
+	g.buf, g.blockOf, g.counts = g.buf[:0], g.blockOf[:0], counts
 }
 
 // seal terminates the current block and switches to next (which may be nil

@@ -255,7 +255,9 @@ func TestBreakContinueOutsideLoopRejected(t *testing.T) {
 }
 
 // TestAllBenchmarkProgramsLower pushes every Table 3 analog through the
-// front end and validates the IR of every function.
+// front end and validates the IR of every function. Each block's
+// instructions must be capped at their length: blocks share one slab per
+// function, and an append to one must not write into the next.
 func TestAllBenchmarkProgramsLower(t *testing.T) {
 	for _, bm := range benchprogs.All() {
 		files, err := bm.Sources()
@@ -278,6 +280,11 @@ func TestAllBenchmarkProgramsLower(t *testing.T) {
 			for _, fn := range irm.Funcs {
 				if err := fn.Validate(); err != nil {
 					t.Errorf("%s: %v", file.Name, err)
+				}
+				for _, b := range fn.Blocks {
+					if cap(b.Instrs) != len(b.Instrs) {
+						t.Errorf("%s: %s: b%d: %d instructions, capacity %d", file.Name, fn.Name, b.ID, len(b.Instrs), cap(b.Instrs))
+					}
 				}
 			}
 		}

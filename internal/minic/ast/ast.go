@@ -7,6 +7,7 @@ package ast
 
 import (
 	"ipra/internal/minic/token"
+	"ipra/internal/minic/types"
 )
 
 // Node is the interface implemented by all AST nodes.
@@ -17,8 +18,24 @@ type Node interface {
 // Expr is an expression node.
 type Expr interface {
 	Node
+	// ExprType is the expression's (decayed) type as the semantic checker
+	// recorded it, or nil if it recorded none.
+	ExprType() types.Type
+	// SetExprType records the expression's type.
+	SetExprType(types.Type)
 	exprNode()
 }
+
+// typed is embedded in every expression node: the checker records the
+// node's type in it and the IR generator reads it back, so each typed
+// expression costs one field, not a map entry.
+type typed struct{ t types.Type }
+
+// ExprType implements Expr.
+func (x *typed) ExprType() types.Type { return x.t }
+
+// SetExprType implements Expr.
+func (x *typed) SetExprType(t types.Type) { x.t = t }
 
 // Stmt is a statement node.
 type Stmt interface {
@@ -79,24 +96,28 @@ func (d *Declarator) Pos() token.Pos { return d.P }
 
 // IntLit is an integer (or character) literal.
 type IntLit struct {
+	typed
 	P     token.Pos
 	Value int64
 }
 
 // StrLit is a string literal.
 type StrLit struct {
+	typed
 	P     token.Pos
 	Value string
 }
 
 // Ident is a use of a name.
 type Ident struct {
+	typed
 	P    token.Pos
 	Name string
 }
 
 // Unary is a prefix operator: - ! ~ * & ++ --.
 type Unary struct {
+	typed
 	P  token.Pos
 	Op token.Kind
 	X  Expr
@@ -104,6 +125,7 @@ type Unary struct {
 
 // Postfix is a postfix operator: x++ or x--.
 type Postfix struct {
+	typed
 	P  token.Pos
 	Op token.Kind
 	X  Expr
@@ -111,6 +133,7 @@ type Postfix struct {
 
 // Binary is a binary operator (arithmetic, comparison, logical, shifts).
 type Binary struct {
+	typed
 	P    token.Pos
 	Op   token.Kind
 	X, Y Expr
@@ -118,6 +141,7 @@ type Binary struct {
 
 // Assign is a (possibly compound) assignment.
 type Assign struct {
+	typed
 	P   token.Pos
 	Op  token.Kind // Assign, PlusEq, ...
 	LHS Expr
@@ -126,6 +150,7 @@ type Assign struct {
 
 // Cond is the ternary conditional operator.
 type Cond struct {
+	typed
 	P    token.Pos
 	C    Expr
 	Then Expr
@@ -135,6 +160,7 @@ type Cond struct {
 // Call is a function call; Fun is either an Ident (direct call, possibly to
 // a function-pointer variable) or an arbitrary expression (indirect call).
 type Call struct {
+	typed
 	P    token.Pos
 	Fun  Expr
 	Args []Expr
@@ -142,6 +168,7 @@ type Call struct {
 
 // Index is array subscripting.
 type Index struct {
+	typed
 	P   token.Pos
 	X   Expr
 	Idx Expr
@@ -149,6 +176,7 @@ type Index struct {
 
 // Member is struct member access, either x.f or x->f.
 type Member struct {
+	typed
 	P     token.Pos
 	X     Expr
 	Name  string
@@ -157,6 +185,7 @@ type Member struct {
 
 // SizeofType is sizeof(type).
 type SizeofType struct {
+	typed
 	P    token.Pos
 	Type *TypeExpr
 	Decl *Declarator // optional array/pointer shape: sizeof(int[4]) is not supported; kept for pointer depth

@@ -27,11 +27,24 @@ type Lexer struct {
 	line int
 	col  int
 	errs []*Error
+	// names interns the text of identifiers and numbers: a module names
+	// each of its symbols many times, and each spelling is stored once.
+	names map[string]string
 }
 
 // New returns a lexer over src; file is used in positions and diagnostics.
 func New(file string, src []byte) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	return &Lexer{src: src, file: file, line: 1, col: 1, names: make(map[string]string)}
+}
+
+// intern returns b as a string, one copy per distinct spelling.
+func (l *Lexer) intern(b []byte) string {
+	if s, ok := l.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	l.names[s] = s
+	return s
 }
 
 // Errors returns the lexical errors encountered so far.
@@ -150,7 +163,8 @@ func (l *Lexer) Next() token.Token {
 }
 
 // All scans the remaining input and returns every token including the
-// trailing EOF. It is a convenience for tests and the parser.
+// trailing EOF. It is a convenience for tests; the parser pulls tokens
+// with Next.
 func (l *Lexer) All() []token.Token {
 	// Every token but EOF takes at least one byte of source, and MiniC
 	// averages three to five: half the remaining length holds the tokens
@@ -170,11 +184,12 @@ func (l *Lexer) scanIdent(pos token.Pos) token.Token {
 	for isLetter(l.peek()) || isDigit(l.peek()) {
 		l.advance()
 	}
-	lit := string(l.src[start:l.off])
-	if kw, ok := token.Keywords[lit]; ok {
-		return token.Token{Kind: kw, Lit: lit, Pos: pos}
+	text := l.src[start:l.off]
+	if kw, ok := token.Keywords[string(text)]; ok {
+		// A keyword's spelling is its kind's name: no copy of the text.
+		return token.Token{Kind: kw, Lit: kw.String(), Pos: pos}
 	}
-	return token.Token{Kind: token.Ident, Lit: lit, Pos: pos}
+	return token.Token{Kind: token.Ident, Lit: l.intern(text), Pos: pos}
 }
 
 func (l *Lexer) scanNumber(pos token.Pos) token.Token {
@@ -196,7 +211,7 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 			l.advance()
 		}
 	}
-	return token.Token{Kind: token.Int, Lit: string(l.src[start:l.off]), Val: val, Pos: pos}
+	return token.Token{Kind: token.Int, Lit: l.intern(l.src[start:l.off]), Val: val, Pos: pos}
 }
 
 // scanEscape decodes one character after a backslash has been consumed.

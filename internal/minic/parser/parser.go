@@ -24,7 +24,12 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parser holds parsing state for one module.
 type Parser struct {
-	toks []token.Token
+	lx *lexer.Lexer
+	// win is the current token and the two after it, the furthest the
+	// grammar looks ahead: the parser pulls tokens from the lexer as it
+	// advances instead of holding the module's whole token list.
+	win [3]token.Token
+	// pos counts the tokens consumed, so a loop can tell it made progress.
 	pos  int
 	errs []error
 
@@ -39,10 +44,9 @@ type Parser struct {
 // Errors on the returned parser state in package-internal tests.
 func ParseFile(name string, src []byte) (*ast.File, error) {
 	lx := lexer.New(name, src)
-	toks := lx.All()
-	p := &Parser{toks: toks, structTags: make(map[string]bool)}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, le)
+	p := &Parser{lx: lx, structTags: make(map[string]bool)}
+	for i := range p.win {
+		p.win[i] = lx.Next()
 	}
 	file := &ast.File{Name: name}
 	for !p.at(token.EOF) {
@@ -55,9 +59,16 @@ func ParseFile(name string, src []byte) (*ast.File, error) {
 			// Defensive: never loop without progress on malformed input.
 			p.advance()
 		}
-		if len(p.errs) > 32 {
+		if len(lx.Errors())+len(p.errs) > 32 {
 			break
 		}
+	}
+	// Lexical errors come first, so the one reported is the first in the
+	// file wherever parsing stopped.
+	for lx.Next().Kind != token.EOF {
+	}
+	if le := lx.Errors(); len(le) > 0 {
+		return file, le[0]
 	}
 	if len(p.errs) > 0 {
 		return file, p.errs[0]
@@ -65,19 +76,17 @@ func ParseFile(name string, src []byte) (*ast.File, error) {
 	return file, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() token.Token  { return p.win[0] }
+func (p *Parser) peek() token.Token { return p.win[1] }
 
 func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
 
+// advance consumes the current token; at EOF it stays put.
 func (p *Parser) advance() token.Token {
 	t := p.cur()
-	if p.pos < len(p.toks)-1 {
+	if t.Kind != token.EOF {
+		p.win[0], p.win[1] = p.win[1], p.win[2]
+		p.win[2] = p.lx.Next()
 		p.pos++
 	}
 	return t
@@ -147,7 +156,7 @@ func (p *Parser) parseTopDecl() ast.Decl {
 	// struct definition: struct Name { ... };
 	if p.at(token.KwStruct) && p.peek().Kind == token.Ident {
 		// Lookahead for '{' after the tag.
-		if p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == token.LBrace {
+		if p.win[2].Kind == token.LBrace {
 			if static || extern {
 				p.errorf(pos, "struct definition cannot be static or extern")
 			}

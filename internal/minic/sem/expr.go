@@ -11,7 +11,7 @@ import (
 func (c *checker) checkExpr(e ast.Expr) types.Type {
 	t := c.typeOf(e)
 	if t != nil {
-		c.mod.ExprTypes[e] = t
+		e.SetExprType(t)
 	}
 	return t
 }
@@ -342,7 +342,7 @@ func (c *checker) rawType(e ast.Expr) types.Type {
 			return sym.Type
 		}
 	}
-	return c.mod.ExprTypes[e]
+	return e.ExprType()
 }
 
 func (c *checker) typeOfCall(e *ast.Call) types.Type {
@@ -421,7 +421,7 @@ func (c *checker) checkArgs(e *ast.Call, ft *types.Func) {
 		return
 	}
 	for i, a := range e.Args {
-		at := c.mod.ExprTypes[a]
+		at := a.ExprType()
 		if at == nil {
 			continue
 		}

@@ -97,8 +97,9 @@ type Module struct {
 	Funcs   []*Function // defined and prototype functions
 	Strings []*Symbol   // anonymous globals for string literals
 
-	// ExprTypes maps every checked expression to its (decayed) type.
-	ExprTypes map[ast.Expr]types.Type
+	// Each checked expression's (decayed) type is on the expression
+	// itself: ast.Expr's ExprType.
+
 	// Refs maps identifier uses to their symbols.
 	Refs map[*ast.Ident]*Symbol
 	// FieldOf maps member expressions to the resolved struct field.
@@ -140,7 +141,6 @@ func Check(file *ast.File) (*Module, error) {
 		Name:          file.Name,
 		File:          file,
 		Structs:       make(map[string]*types.Struct),
-		ExprTypes:     make(map[ast.Expr]types.Type),
 		Refs:          make(map[*ast.Ident]*Symbol),
 		FieldOf:       make(map[*ast.Member]*types.Field),
 		globalsByName: make(map[string]*Symbol),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipra/internal/minic/ast"
 	"ipra/internal/minic/parser"
 	"ipra/internal/minic/types"
 )
@@ -209,17 +210,100 @@ int main() {
 	return ps[1].x + c + *ip;
 }
 `)
-	// Spot-check recorded types by walking for known expressions.
+	// Every expression of main is typed, on the expression itself.
 	found := map[string]bool{}
-	for e, ty := range m.ExprTypes {
-		_ = e
+	for _, e := range exprsOf(m.FuncByName("main").Decl.Body) {
+		ty := e.ExprType()
+		if ty == nil {
+			t.Errorf("%s: %T has no type", e.Pos(), e)
+			continue
+		}
 		found[ty.String()] = true
 	}
-	for _, want := range []string{"int", "int*", "struct P"} {
+	for _, want := range []string{"int", "int*", "char", "struct P"} {
 		if !found[want] {
 			t.Errorf("no expression typed %s", want)
 		}
 	}
+}
+
+// exprsOf returns every expression under s, operands before operators.
+func exprsOf(s ast.Stmt) []ast.Expr {
+	var out []ast.Expr
+	var expr func(e ast.Expr)
+	expr = func(e ast.Expr) {
+		if e == nil {
+			return
+		}
+		switch e := e.(type) {
+		case *ast.Unary:
+			expr(e.X)
+		case *ast.Postfix:
+			expr(e.X)
+		case *ast.Binary:
+			expr(e.X)
+			expr(e.Y)
+		case *ast.Assign:
+			expr(e.LHS)
+			expr(e.RHS)
+		case *ast.Cond:
+			expr(e.C)
+			expr(e.Then)
+			expr(e.Else)
+		case *ast.Call:
+			expr(e.Fun)
+			for _, a := range e.Args {
+				expr(a)
+			}
+		case *ast.Index:
+			expr(e.X)
+			expr(e.Idx)
+		case *ast.Member:
+			expr(e.X)
+		}
+		out = append(out, e)
+	}
+	var stmt func(s ast.Stmt)
+	stmt = func(s ast.Stmt) {
+		switch s := s.(type) {
+		case *ast.Block:
+			for _, x := range s.Stmts {
+				stmt(x)
+			}
+		case *ast.ExprStmt:
+			expr(s.X)
+		case *ast.If:
+			expr(s.Cond)
+			stmt(s.Then)
+			if s.Else != nil {
+				stmt(s.Else)
+			}
+		case *ast.While:
+			expr(s.Cond)
+			stmt(s.Body)
+		case *ast.DoWhile:
+			stmt(s.Body)
+			expr(s.Cond)
+		case *ast.For:
+			if s.Init != nil {
+				stmt(s.Init)
+			}
+			expr(s.Cond)
+			expr(s.Post)
+			stmt(s.Body)
+		case *ast.Return:
+			expr(s.X)
+		case *ast.LocalDecl:
+			for _, item := range s.Items {
+				expr(item.Init)
+				for _, x := range item.InitList {
+					expr(x)
+				}
+			}
+		}
+	}
+	stmt(s)
+	return out
 }
 
 func TestSemanticErrors(t *testing.T) {
@@ -303,8 +387,8 @@ int main() {
 `)
 	// No errors is the main assertion; also check p+3 stayed a pointer.
 	found := false
-	for _, ty := range m.ExprTypes {
-		if types.IsPointer(ty) {
+	for _, e := range exprsOf(m.FuncByName("main").Decl.Body) {
+		if types.IsPointer(e.ExprType()) {
 			found = true
 		}
 	}

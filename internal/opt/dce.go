@@ -7,13 +7,17 @@ import (
 // DeadCodeElim removes instructions whose results are unused and that have
 // no side effects, iterating until stable. It reports whether anything was
 // removed.
-func DeadCodeElim(f *ir.Func) bool {
+func DeadCodeElim(f *ir.Func) bool { return deadCodeElim(f, new(ir.Liveness)) }
+
+// deadCodeElim is DeadCodeElim computing liveness in lv, so the passes of
+// one function's pipeline share its storage.
+func deadCodeElim(f *ir.Func, lv *ir.Liveness) bool {
 	changed := false
 	live := ir.NewBitSet(int(f.NextReg))
 	var uses []ir.Reg
 	for {
 		f.Recompute()
-		lv := ir.ComputeLiveness(f)
+		lv.Compute(f)
 		removed := false
 		for _, b := range f.Blocks {
 			// Walk backwards tracking liveness within the block, packing

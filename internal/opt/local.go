@@ -30,10 +30,11 @@ func Level2(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 // then at most three rounds of scalar cleanup.
 func Promote(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 	PromoteGlobals(f, eligible, skipGlobals)
+	var lv ir.Liveness
 	for i := 0; i < 3; i++ {
 		LocalOpt(f)
 		changed := SimplifyCFG(f)
-		changed = DeadCodeElim(f) || changed
+		changed = deadCodeElim(f, &lv) || changed
 		if !changed {
 			break
 		}
@@ -44,10 +45,11 @@ func Promote(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) 
 // it once per module, in phase 1: its output is what the summary records
 // describe and what phase 2 starts from.
 func Level1(f *ir.Func) {
+	var lv ir.Liveness
 	for i := 0; i < 2; i++ {
 		LocalOpt(f)
 		SimplifyCFG(f)
-		DeadCodeElim(f)
+		deadCodeElim(f, &lv)
 	}
 }
 

@@ -70,18 +70,21 @@ func PromoteGlobals(f *ir.Func, eligible map[string]bool, skip map[string]bool) 
 	memRef := func(sym string, gi *ginfo) ir.MemRef {
 		return ir.MemRef{Kind: ir.MemGlobal, Sym: sym, Size: gi.size, Singleton: true}
 	}
-	flushes := func() []ir.Instr {
-		var out []ir.Instr
+	modified := 0
+	for _, n := range names {
+		if gmap[n].modified {
+			modified++
+		}
+	}
+	flush := func(out []ir.Instr) []ir.Instr {
 		for _, n := range names {
-			gi := gmap[n]
-			if gi.modified {
+			if gi := gmap[n]; gi.modified {
 				out = append(out, ir.Instr{Op: ir.Store, A: gi.vr, Mem: memRef(n, gi)})
 			}
 		}
 		return out
 	}
-	reloads := func() []ir.Instr {
-		var out []ir.Instr
+	reload := func(out []ir.Instr) []ir.Instr {
 		for _, n := range names {
 			gi := gmap[n]
 			out = append(out, ir.Instr{Op: ir.Load, Dst: gi.vr, Mem: memRef(n, gi)})
@@ -89,10 +92,33 @@ func PromoteGlobals(f *ir.Func, eligible map[string]bool, skip map[string]bool) 
 		return out
 	}
 
-	for _, b := range f.Blocks {
-		var out []ir.Instr
+	// The rewritten code is one slab, each block's share sized exactly:
+	// every call gains a flush before it and a reload after it, the entry
+	// a reload, and each return a flush.
+	sizes := make([]int, len(f.Blocks))
+	total := 0
+	for i, b := range f.Blocks {
+		n := len(b.Instrs)
 		if b.ID == 0 {
-			out = append(out, reloads()...)
+			n += len(names)
+		}
+		for j := range b.Instrs {
+			if b.Instrs[j].Op == ir.Call {
+				n += modified + len(names)
+			}
+		}
+		if b.Term.Kind == ir.TermReturn {
+			n += modified
+		}
+		sizes[i] = n
+		total += n
+	}
+	slab := make([]ir.Instr, total)
+	for bi, b := range f.Blocks {
+		out := slab[:0:sizes[bi]]
+		slab = slab[sizes[bi]:]
+		if b.ID == 0 {
+			out = reload(out)
 		}
 		for i := range b.Instrs {
 			in := b.Instrs[i]
@@ -114,15 +140,18 @@ func PromoteGlobals(f *ir.Func, eligible map[string]bool, skip map[string]bool) 
 			// that the variable's address is never taken anywhere in the
 			// program, so pointer loads and stores cannot alias it.
 			if in.Op == ir.Call {
-				out = append(out, flushes()...)
+				out = flush(out)
 				out = append(out, in)
-				out = append(out, reloads()...)
+				out = reload(out)
 				continue
 			}
 			out = append(out, in)
 		}
 		if b.Term.Kind == ir.TermReturn {
-			out = append(out, flushes()...)
+			out = flush(out)
+		}
+		if len(out) == 0 {
+			out = nil
 		}
 		b.Instrs = out
 	}

@@ -17,6 +17,7 @@
 package summary
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 
@@ -86,6 +87,49 @@ type ModuleSummary struct {
 	Module  string
 	Procs   []ProcRecord
 	Globals []GlobalInfo
+}
+
+// Validate checks what the analyzer assumes of a decoded summary: each
+// procedure is listed once and filed under the summary's module, and every
+// count, frequency, register need and size is non-negative. It returns the
+// first violation found, naming the module.
+func (ms *ModuleSummary) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("summary of module %q: %s", ms.Module, fmt.Sprintf(format, args...))
+	}
+	seen := make(map[string]bool, len(ms.Procs))
+	for i := range ms.Procs {
+		p := &ms.Procs[i]
+		if seen[p.Name] {
+			return bad("procedure %s listed twice", p.Name)
+		}
+		seen[p.Name] = true
+		if p.Module != ms.Module {
+			return bad("procedure %s filed under module %q", p.Name, p.Module)
+		}
+		for _, r := range p.GlobalRefs {
+			if r.Freq < 0 || r.Reads < 0 || r.Writes < 0 {
+				return bad("procedure %s: negative access count for %s", p.Name, r.Name)
+			}
+		}
+		for _, c := range p.Calls {
+			if c.Freq < 0 {
+				return bad("procedure %s: negative frequency for the call to %s", p.Name, c.Callee)
+			}
+		}
+		if p.IndirectCallFreq < 0 {
+			return bad("procedure %s: negative indirect call frequency", p.Name)
+		}
+		if p.CalleeSavesNeeded < 0 || p.CalleeSavesBase < 0 || p.CallerSavesNeeded < 0 {
+			return bad("procedure %s: negative register need", p.Name)
+		}
+	}
+	for _, g := range ms.Globals {
+		if g.Size < 0 {
+			return bad("global %s: negative size %d", g.Name, g.Size)
+		}
+	}
+	return nil
 }
 
 // freqOfDepth converts a loop nesting depth into the paper's compile-time

@@ -256,12 +256,7 @@ func (d *Decoder) corrupt(msg string) error {
 	return fmt.Errorf("wire: %s: %s", d.kind, msg)
 }
 
-func (d *Decoder) fail() {
-	if d.err == nil {
-		d.err = d.corrupt("truncated or corrupt body")
-	}
-	d.body = nil
-}
+func (d *Decoder) fail() { d.Fail("truncated or corrupt body") }
 
 // U reads an unsigned varint.
 func (d *Decoder) U() uint64 {
@@ -408,6 +403,16 @@ func (d *Decoder) Ints() []int {
 		out[i] = int(d.U())
 	}
 	return out
+}
+
+// Fail records msg as the sticky decode error, unless one is already
+// set: the way a reader reports a value the format can carry but the
+// decoded type cannot (an operation code out of range).
+func (d *Decoder) Fail(msg string) {
+	if d.err == nil {
+		d.err = d.corrupt(msg)
+	}
+	d.body = nil
 }
 
 // Err returns the sticky decode error, if any.

@@ -302,6 +302,23 @@ func seedWireFuzz(f *testing.F, fixture string) {
 // form: the module has no wire kind of its own, only this one.
 func FuzzWireCacheEntryDecode(f *testing.F) {
 	seedWireFuzz(f, "cache-entry-v2.bin")
+	// An operation code beyond ir.LastOp, which the decoder must reject
+	// rather than wrap into the instruction's one-byte field.
+	data, err := os.ReadFile(filepath.Join(wireGoldenDir, "cache-entry-v2.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, ms, err := cache.DecodeEntry(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, fn := range m.Funcs {
+		if len(fn.Blocks[0].Instrs) > 0 {
+			fn.Blocks[0].Instrs[0].Op = ir.LastOp + 1
+			break
+		}
+	}
+	f.Add(cache.EncodeEntry(m, ms))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ms, err := cache.DecodeEntry(data)
 		if err != nil {
