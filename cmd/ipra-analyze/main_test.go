@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +23,8 @@ func TestRejectsInvalidSummaries(t *testing.T) {
 	}
 	dir := t.TempDir()
 	tool := filepath.Join(dir, "ipra-analyze")
-	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", tool, ".")
+	// go test puts its own toolchain first on the PATH.
+	build := exec.Command("go", "build", "-o", tool, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
