@@ -69,7 +69,7 @@ func main() {
 	// Table 2.
 	ws := webs.Identify(g, sets)
 	webs.ComputePriorities(g, sets, ws)
-	webs.Filter(ws, webs.FilterOptions{KeepAll: true})
+	webs.Filter(ws, true)
 	colored := webs.Color(ws, 2)
 
 	fmt.Println("\nTable 2: webs and coloring (2 callee-saves registers)")

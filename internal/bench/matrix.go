@@ -47,7 +47,7 @@ type MatrixRow struct {
 type MatrixOptions struct {
 	// Benchmarks restricts the suite (nil = all).
 	Benchmarks []string
-	// Strategies restricts the strategy set (nil = every registered one).
+	// Strategies restricts the strategy set (nil = every strategy).
 	Strategies []string
 	// Configs restricts the configuration set (nil = Table 4 A-F).
 	Configs []string

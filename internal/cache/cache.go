@@ -89,7 +89,10 @@ func EncodeEntry(m *ir.Module, ms *summary.ModuleSummary) []byte {
 	return e.Finish()
 }
 
-// DecodeEntry is the inverse of EncodeEntry.
+// DecodeEntry is the inverse of EncodeEntry. It validates what it decodes
+// (summary.ModuleSummary.Validate, ir.Module.Validate), so the entry's
+// summary reads in the analyzer and its module compiles in phase 2 to an
+// object or an error, never a panic.
 func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	d, err := wire.NewDecoder(data, wireKind, wireVersion)
 	if err != nil {
@@ -102,6 +105,9 @@ func DecodeEntry(data []byte) (*ir.Module, *summary.ModuleSummary, error) {
 	}
 	if err := ms.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("cache: decode entry: %w", err)
+	}
+	if err := m.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("cache: decode entry: module %q: %w", m.Name, err)
 	}
 	return m, ms, nil
 }

@@ -55,17 +55,6 @@ type Node struct {
 	Count float64
 }
 
-// GlobalMeta is the merged, program-wide view of one global variable.
-type GlobalMeta struct {
-	Name      string
-	Module    string // defining module
-	Size      int32
-	Static    bool
-	Scalar    bool
-	Defined   bool
-	AddrTaken bool // aliased in any module
-}
-
 // Graph is the program call graph.
 type Graph struct {
 	Nodes  []*Node
@@ -75,8 +64,8 @@ type Graph struct {
 	// predecessor is treated as a start node", §4.1.2 fn 2).
 	Starts []int
 
-	// Globals merges the module-level global tables.
-	Globals map[string]*GlobalMeta
+	// Globals is the program-wide global table (summary.MergeGlobals).
+	Globals map[string]*summary.GlobalInfo
 
 	// AddrTakenProcs is the set of procedures whose addresses are computed
 	// anywhere (the conservative indirect-call target set, §7.3).
@@ -123,12 +112,9 @@ func (g *Graph) NodeByName(name string) *Node {
 func Build(summaries []*summary.ModuleSummary) (*Graph, error) {
 	g := &Graph{
 		byName:         make(map[string]int),
-		Globals:        make(map[string]*GlobalMeta),
+		Globals:        summary.MergeGlobals(summaries),
 		AddrTakenProcs: make(map[string]bool),
 	}
-
-	// Merge global tables across modules.
-	g.mergeGlobals(summaries)
 
 	// Create nodes for every summarized procedure.
 	addNode := func(name, module string, rec *summary.ProcRecord) *Node {
@@ -223,30 +209,6 @@ func (g *Graph) AddSyntheticCaller(name string, targets []int) *Node {
 	return n
 }
 
-// mergeGlobals folds the module-level global tables into g.Globals.
-func (g *Graph) mergeGlobals(summaries []*summary.ModuleSummary) {
-	for _, ms := range summaries {
-		for i := range ms.Globals {
-			gi := &ms.Globals[i]
-			meta := g.Globals[gi.Name]
-			if meta == nil {
-				meta = &GlobalMeta{Name: gi.Name}
-				g.Globals[gi.Name] = meta
-			}
-			if gi.Defined {
-				meta.Defined = true
-				meta.Module = gi.Module
-				meta.Size = gi.Size
-				meta.Scalar = gi.Scalar
-				meta.Static = gi.Static
-			}
-			if gi.AddrTaken {
-				meta.AddrTaken = true
-			}
-		}
-	}
-}
-
 // Restore assembles a graph from deserialized nodes and start IDs — the
 // incremental analyzer's state-decode path. Edge lists, SCC labels,
 // dominators, and counts must already be populated on the nodes; the
@@ -256,7 +218,7 @@ func Restore(nodes []*Node, starts []int) *Graph {
 		Nodes:          nodes,
 		byName:         make(map[string]int, len(nodes)),
 		Starts:         starts,
-		Globals:        make(map[string]*GlobalMeta),
+		Globals:        make(map[string]*summary.GlobalInfo),
 		AddrTakenProcs: make(map[string]bool),
 	}
 	for _, nd := range nodes {
@@ -274,8 +236,7 @@ func Restore(nodes []*Node, starts []int) *Graph {
 // replace Rec. A record or address-taken name that has no node returns an
 // error, signalling the caller to fall back to a full Build.
 func (g *Graph) BindRecords(summaries []*summary.ModuleSummary) error {
-	g.Globals = make(map[string]*GlobalMeta)
-	g.mergeGlobals(summaries)
+	g.Globals = summary.MergeGlobals(summaries)
 
 	for _, nd := range g.Nodes {
 		nd.Rec = nil

@@ -156,8 +156,8 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 type BuildFlags struct {
 	// ConfigName is the -config value: L2 or Table 4 column A-F.
 	ConfigName string
-	// StrategyName is the -strategy value: a registered allocation
-	// strategy, or "" for the preset's default (priority coloring).
+	// StrategyName is the -strategy value: an allocation strategy, or ""
+	// for the preset's default (priority coloring).
 	StrategyName string
 	// TrainInstrs is the -train-instrs value: the instruction budget of
 	// the training run of profiled configurations (B, F).

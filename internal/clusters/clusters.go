@@ -76,23 +76,9 @@ func (id *Identification) IsRoot(n int) bool {
 	return ok
 }
 
-// Options tunes cluster identification.
-type Options struct {
-	// RootBias scales the outgoing-call side of the root heuristic; a node
-	// becomes a root when dominatedCalleeCalls > RootBias*incomingCalls.
-	// 1.0 reproduces the plain comparison described in §4.2.2.
-	RootBias float64
-}
-
-// DefaultOptions returns the paper's plain heuristic.
-func DefaultOptions() Options { return Options{RootBias: 1.0} }
-
 // Identify finds the clusters of the call graph. Call counts must already
 // be estimated (heuristically or from profile data).
-func Identify(g *callgraph.Graph, opt Options) *Identification {
-	if opt.RootBias == 0 {
-		opt.RootBias = 1.0
-	}
+func Identify(g *callgraph.Graph) *Identification {
 	res := &Identification{
 		RootCluster: make(map[int]*Cluster),
 		MemberRoot:  make(map[int]int),
@@ -157,7 +143,7 @@ func Identify(g *callgraph.Graph, opt Options) *Identification {
 		// Root heuristic: start nodes always root a cluster (the program
 		// boundary adheres to the standard convention); otherwise compare
 		// incoming call counts with calls to dominated successors.
-		if isStartNode || wantsRoot(g, n, opt) {
+		if isStartNode || wantsRoot(g, n) {
 			makeRoot(n)
 		}
 	}
@@ -269,7 +255,7 @@ func formsCycleIn(g *callgraph.Graph, members ir.BitSet, n int, visited ir.BitSe
 // wantsRoot is the root candidacy heuristic of §4.2.2: compare the
 // incoming call counts with the outgoing call counts to immediate
 // successors that are dominated by the node.
-func wantsRoot(g *callgraph.Graph, n int, opt Options) bool {
+func wantsRoot(g *callgraph.Graph, n int) bool {
 	nd := g.Nodes[n]
 	var in, outDom float64
 	for _, e := range nd.In {
@@ -280,7 +266,7 @@ func wantsRoot(g *callgraph.Graph, n int, opt Options) bool {
 			outDom += e.Count
 		}
 	}
-	return outDom > opt.RootBias*in && outDom > 0
+	return outDom > in && outDom > 0
 }
 
 // Validate checks the cluster properties of §4.2.1; used by property tests.

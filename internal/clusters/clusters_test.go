@@ -67,7 +67,7 @@ func TestBasicCluster(t *testing.T) {
 		map[string][]string{"main": {"R"}, "R": {"S", "T"}},
 		map[string]int64{"R->S": 100, "R->T": 100},
 		map[string]int{"R": 2, "S": 3, "T": 3})
-	id := clusters.Identify(g, clusters.DefaultOptions())
+	id := clusters.Identify(g)
 	if err := clusters.Validate(g, id); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFigure7CallerPostPass(t *testing.T) {
 		map[string][]string{"main": {"J"}, "J": {"K", "L"}, "K": {"M"}, "L": {"M"}},
 		map[string]int64{"J->K": 50, "J->L": 50, "K->M": 50, "L->M": 50},
 		map[string]int{"K": 1, "L": 2, "M": 1})
-	id := clusters.Identify(g, clusters.DefaultOptions())
+	id := clusters.Identify(g)
 	if err := clusters.Validate(g, id); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRecursiveNodesAreNotMembers(t *testing.T) {
 		map[string][]string{"main": {"rec"}, "rec": {"rec", "leaf"}},
 		map[string]int64{"rec->leaf": 100, "rec->rec": 10},
 		map[string]int{"rec": 2, "leaf": 2})
-	id := clusters.Identify(g, clusters.DefaultOptions())
+	id := clusters.Identify(g)
 	if err := clusters.Validate(g, id); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMutualRecursionNotWhollyInside(t *testing.T) {
 		map[string][]string{"main": {"a"}, "a": {"b"}, "b": {"a", "w"}, "w": nil},
 		map[string]int64{"a->b": 50, "b->a": 50, "b->w": 200},
 		map[string]int{"a": 2, "b": 2, "w": 3})
-	id := clusters.Identify(g, clusters.DefaultOptions())
+	id := clusters.Identify(g)
 	if err := clusters.Validate(g, id); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestClusterInvariantsOnRandomGraphs(t *testing.T) {
 		edges["p0"] = append(edges["p0"], "p1")
 		g := buildGraph(t, edges, freqs, needs)
 
-		id := clusters.Identify(g, clusters.DefaultOptions())
+		id := clusters.Identify(g)
 		if err := clusters.Validate(g, id); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -284,7 +284,7 @@ func TestPruneDropsUnprofitableClusters(t *testing.T) {
 		},
 		Calls: map[string]uint64{"hot": 10000, "cold": 3},
 	})
-	id := clusters.Identify(g, clusters.DefaultOptions())
+	id := clusters.Identify(g)
 	clusters.Prune(g, id, need(g))
 	for _, c := range id.Clusters {
 		if c.Root == g.NodeByName("hot").ID {

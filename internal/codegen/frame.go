@@ -280,6 +280,3 @@ func materialize(in *linstr, frameSize int32) (parv.Instr, *parv.Reloc, error) {
 	}
 	return m, rel, nil
 }
-
-// Used by diagnostics in tests.
-var _ = regs.Set(0)

@@ -67,10 +67,6 @@ type Options struct {
 	// BlanketCount is the number of globals blanket promotion dedicates
 	// registers to (the paper uses 6).
 	BlanketCount int
-	// Filter tunes which webs are considered for coloring.
-	Filter webs.FilterOptions
-	// Cluster tunes cluster identification.
-	Cluster clusters.Options
 	// Profile, when non-nil, replaces the heuristic call counts with exact
 	// profiled counts (§7.5, Table 4 columns B and F).
 	Profile *parv.Profile
@@ -90,11 +86,11 @@ type Options struct {
 	// directives are byte-identical at every setting — results are merged
 	// in variable-index order.
 	Jobs int
-	// Strategy names the registered allocation strategy web promotion is
-	// delegated to ("" selects DefaultStrategyName, the paper's priority
-	// coloring). The strategy decides which webs occupy which
-	// callee-saves registers and may veto spill motion; see strategy.go
-	// and StrategyNames for the registered set.
+	// Strategy names the allocation strategy web promotion is delegated
+	// to ("" selects DefaultStrategyName, the paper's priority coloring).
+	// The strategy decides which webs occupy which callee-saves registers
+	// and may veto spill motion; see strategy.go and StrategyNames for
+	// the table of strategies.
 	Strategy string
 	// CallerSavesPreallocation enables the §7.6.2 [Chow 88]-style
 	// extension: each procedure's caller-saves usage is contracted to its
@@ -114,8 +110,6 @@ func DefaultOptions() Options {
 		Promotion:    PromoteColoring,
 		ColoringRegs: 6,
 		BlanketCount: 6,
-		Filter:       webs.DefaultFilter(),
-		Cluster:      clusters.DefaultOptions(),
 	}
 }
 
@@ -352,14 +346,18 @@ func discardUncompilableWebs(g *callgraph.Graph, ws []*webs.Web) {
 	}
 }
 
-// ApplyStructuralDiscards marks the webs the analyzer always discards for
-// structural (profile-independent) reasons: members without summary
-// records, and cross-module static entries. finishWebs applies exactly
-// these after the economic webs.Filter; external consumers that replay
-// the priority ordering outside a full analysis — the profile-drift model
-// in internal/profagg — call it so their considered set matches the
-// analyzer's web for web.
-func ApplyStructuralDiscards(g *callgraph.Graph, ws []*webs.Web) {
+// ConsiderWebs decides which webs are considered for coloring under the
+// current priorities: it clears every earlier discard, applies the §6.2
+// economic filter, then the structural rules (members without summary
+// records, cross-module static entries). Every analysis runs it, and so
+// does the profile-drift model in internal/profagg when it re-prices an
+// analysis's webs under another profile, so both consider the same webs.
+func ConsiderWebs(g *callgraph.Graph, ws []*webs.Web) {
+	for _, w := range ws {
+		w.Discarded = false
+		w.DiscardReason = ""
+	}
+	webs.Filter(ws, false)
 	discardCrossModuleStatics(g, ws)
 	discardUncompilableWebs(g, ws)
 }

@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"ipra/internal/callgraph"
 	"ipra/internal/ir"
@@ -281,13 +282,8 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	// The promotion-eligible universe indexes every reference-set column
 	// and web; if it moved, nothing indexed by it survives.
 	eligible := refsets.EligibleGlobals(g)
-	if len(eligible) != len(sets.Vars) {
+	if !slices.Equal(eligible, sets.Vars) {
 		return fallback("eligible globals changed")
-	}
-	for i, v := range eligible {
-		if sets.Vars[i] != v {
-			return fallback("eligible globals changed")
-		}
 	}
 
 	a, err := newAnalysis(opt)
@@ -335,8 +331,6 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	for i, w := range all {
 		w.ID = i + 1
 		w.Color = -1
-		w.Discarded = false
-		w.DiscardReason = ""
 	}
 	for _, w := range rebuilt {
 		webs.ComputeEntries(g, w)

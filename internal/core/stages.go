@@ -44,15 +44,9 @@ type analysis struct {
 	noSpillMotion bool
 }
 
-// newAnalysis normalizes the options, resolves the allocation strategy,
-// and allocates the result shell.
+// newAnalysis resolves the allocation strategy and allocates the result
+// shell.
 func newAnalysis(opt Options) (*analysis, error) {
-	if opt.Filter == (webs.FilterOptions{}) {
-		opt.Filter = webs.DefaultFilter()
-	}
-	if opt.Cluster.RootBias == 0 {
-		opt.Cluster = clusters.DefaultOptions()
-	}
 	strat, err := StrategyByName(opt.Strategy)
 	if err != nil {
 		return nil, err
@@ -139,8 +133,7 @@ func (a *analysis) stageWebs(ctx context.Context) {
 // graph, priorities, and web set, so the incremental path re-runs it
 // after splicing reused and rebuilt webs together.
 func (a *analysis) finishWebs() {
-	webs.Filter(a.res.Webs, a.opt.Filter)
-	ApplyStructuralDiscards(a.res.Graph, a.res.Webs)
+	ConsiderWebs(a.res.Graph, a.res.Webs)
 	a.res.Stats.WebsFound = len(a.res.Webs)
 	a.res.Stats.WebsConsidered = 0
 	for _, w := range a.res.Webs {
@@ -193,7 +186,7 @@ func (a *analysis) stageClusters(ctx context.Context) {
 	_, span := telemetry.StartSpan(ctx, "clusters")
 	defer span.End()
 	g := a.res.Graph
-	a.res.Clusters = clusters.Identify(g, a.opt.Cluster)
+	a.res.Clusters = clusters.Identify(g)
 	clusters.Prune(g, a.res.Clusters, needFunc(g))
 	a.refreshClusterStats()
 	span.SetInt("clusters", int64(a.res.Stats.Clusters))

@@ -76,19 +76,13 @@ func (st *State) Unsupported() string { return st.unsupported }
 // falls back to a full analysis instead of patching a state the new
 // policy never produced.
 func optionsKey(opt Options) string {
-	if opt.Filter == (webs.FilterOptions{}) {
-		opt.Filter = webs.DefaultFilter()
-	}
-	if opt.Cluster.RootBias == 0 {
-		opt.Cluster = clusters.DefaultOptions()
-	}
 	strat := opt.Strategy
 	if strat == "" {
 		strat = DefaultStrategyName
 	}
-	return fmt.Sprintf("v2|sm=%t|pm=%d|cr=%d|bc=%d|f=%+v|cl=%+v|pp=%t|mw=%t|prof=%t|csp=%t|strat=%s",
+	return fmt.Sprintf("v3|sm=%t|pm=%d|cr=%d|bc=%d|pp=%t|mw=%t|prof=%t|csp=%t|strat=%s",
 		opt.SpillMotion, opt.Promotion, opt.ColoringRegs, opt.BlanketCount,
-		opt.Filter, opt.Cluster, opt.PartialProgram, opt.MergeWebs,
+		opt.PartialProgram, opt.MergeWebs,
 		opt.Profile != nil, opt.CallerSavesPreallocation, strings.ToLower(strat))
 }
 

@@ -12,16 +12,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"ipra/internal/callgraph"
 	"ipra/internal/refsets"
 	"ipra/internal/webs"
 )
 
-// Registered strategy names.
+// Strategy names.
 const (
 	// StrategyPriority is the paper's priority-based web coloring (§4.1.3)
 	// — the default, and the policy every golden output is pinned to.
@@ -76,9 +74,9 @@ type Assignment struct {
 // Strategy is one allocation policy: it selects the promoted webs and
 // assigns their registers. Implementations must be deterministic — the
 // incremental driver replays them and asserts byte-identical output —
-// and safe for concurrent use (one registry instance serves all runs).
+// and safe for concurrent use (one table entry serves all runs).
 type Strategy interface {
-	// Name returns the registry name, lower-case and stable.
+	// Name returns the table name, lower-case and stable.
 	Name() string
 	// Allocate decides the promotion for one analysis. It may mutate the
 	// Color field of the webs in in.Webs (that is how the assignment is
@@ -86,76 +84,46 @@ type Strategy interface {
 	Allocate(ctx context.Context, in *StrategyInput) (*Assignment, error)
 }
 
-var (
-	strategyMu sync.RWMutex
-	strategies = make(map[string]Strategy)
-)
+// strategies is the strategy table, default first: the paper's priority
+// coloring, the spill-everywhere oracle of Bouchez et al., and the tiling
+// policy of Domagała et al. StrategyByName, ResolveStrategy and
+// StrategyNames all read it.
+var strategies = []Strategy{priorityStrategy{}, spillEverywhereStrategy{}, tilingStrategy{}}
 
-// RegisterStrategy adds a strategy under its Name. Registering a
-// duplicate or empty name panics: the registry is assembled at init time
-// and a collision is a programming error.
-func RegisterStrategy(s Strategy) {
-	name := strings.ToLower(s.Name())
-	if name == "" {
-		panic("core: RegisterStrategy with empty name")
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategies[name]; dup {
-		panic("core: duplicate strategy " + name)
-	}
-	strategies[name] = s
-}
-
-func init() {
-	RegisterStrategy(priorityStrategy{})
-	RegisterStrategy(spillEverywhereStrategy{})
-	RegisterStrategy(tilingStrategy{})
-}
-
-// StrategyByName looks up a registered strategy. The empty name resolves
-// to the default; lookup is case-insensitive.
+// StrategyByName looks up a strategy. The empty name resolves to the
+// default; lookup is case-insensitive, and an unknown name errors with
+// the table's names.
 func StrategyByName(name string) (Strategy, error) {
-	canon, err := ResolveStrategy(name)
-	if err != nil {
-		return nil, err
+	if name == "" {
+		return strategies[0], nil
 	}
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	return strategies[canon], nil
+	for _, s := range strategies {
+		if strings.EqualFold(s.Name(), name) {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown allocation strategy %q (have %s)",
+		name, strings.Join(StrategyNames(), ", "))
 }
 
 // ResolveStrategy canonicalizes a strategy name: "" resolves to
 // DefaultStrategyName, case is folded, and unknown names error with the
-// registered set.
+// table's names.
 func ResolveStrategy(name string) (string, error) {
-	if name == "" {
-		return DefaultStrategyName, nil
+	s, err := StrategyByName(name)
+	if err != nil {
+		return "", err
 	}
-	canon := strings.ToLower(name)
-	strategyMu.RLock()
-	_, ok := strategies[canon]
-	strategyMu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("core: unknown allocation strategy %q (have %s)",
-			name, strings.Join(StrategyNames(), ", "))
-	}
-	return canon, nil
+	return s.Name(), nil
 }
 
-// StrategyNames lists the registered strategies: the default first, the
-// rest alphabetical.
+// StrategyNames lists the strategies in table order, the default first.
 func StrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	names := make([]string, 0, len(strategies))
-	for name := range strategies {
-		if name != DefaultStrategyName {
-			names = append(names, name)
-		}
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.Name()
 	}
-	sort.Strings(names)
-	return append([]string{DefaultStrategyName}, names...)
+	return names
 }
 
 // coloringRegs clamps the configured web-coloring register budget to the

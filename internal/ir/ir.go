@@ -457,54 +457,101 @@ func (m *Module) GlobalByName(name string) *Global {
 	return nil
 }
 
-// Validate checks structural invariants: every block ID indexes Blocks,
-// terminator targets exist, register numbers are in range, and the entry
-// block is Blocks[0]. It returns the first violation found.
+// Validate checks what the optimizer and code generator assume of a
+// module decoded from bytes: no global has a negative size, and every
+// function passes Func.Validate. It returns the first violation found and
+// allocates nothing unless it finds one.
+func (m *Module) Validate() error {
+	for _, g := range m.Globals {
+		if g.Size < 0 {
+			return fmt.Errorf("global %s: negative size %d", g.Name, g.Size)
+		}
+	}
+	for _, f := range m.Funcs {
+		if err := f.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate checks structural invariants: the entry block is Blocks[0] and
+// every block's ID is its index; terminator kinds are known; terminator
+// targets, predecessors and successors name blocks; the register count is
+// not negative and every register the function names lies in
+// [0, NextReg], with each use a real register. It returns the first
+// violation found and allocates nothing unless it finds one.
 func (f *Func) Validate() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
+	}
+	if f.NextReg < 0 {
+		return fmt.Errorf("%s: register count %d out of range", f.Name, f.NextReg)
+	}
+	inRange := func(r Reg) bool { return r >= 0 && r <= f.NextReg }
+	for _, r := range f.Params {
+		if !inRange(r) {
+			return fmt.Errorf("%s: parameter register %d out of range", f.Name, r)
+		}
+	}
+	for r := range f.Pinned {
+		if !inRange(r) {
+			return fmt.Errorf("%s: pinned register %d out of range", f.Name, r)
+		}
 	}
 	for i, b := range f.Blocks {
 		if b.ID != i {
 			return fmt.Errorf("%s: block %d has ID %d", f.Name, i, b.ID)
 		}
-		check := func(id int) error {
-			if id < 0 || id >= len(f.Blocks) {
-				return fmt.Errorf("%s: b%d: branch target b%d out of range", f.Name, b.ID, id)
-			}
-			return nil
-		}
-		switch b.Term.Kind {
+		isBlock := func(id int) bool { return id >= 0 && id < len(f.Blocks) }
+		switch t := &b.Term; t.Kind {
 		case TermJump:
-			if err := check(b.Term.True); err != nil {
-				return err
+			if !isBlock(t.True) {
+				return fmt.Errorf("%s: b%d: branch target b%d out of range", f.Name, b.ID, t.True)
 			}
 		case TermBranch:
-			if err := check(b.Term.True); err != nil {
-				return err
+			if !isBlock(t.True) || !isBlock(t.False) {
+				return fmt.Errorf("%s: b%d: branch target b%d or b%d out of range", f.Name, b.ID, t.True, t.False)
 			}
-			if err := check(b.Term.False); err != nil {
-				return err
-			}
-			if b.Term.Cond == 0 {
-				return fmt.Errorf("%s: b%d: branch with no condition", f.Name, b.ID)
+			if t.Cond <= 0 || t.Cond > f.NextReg {
+				return fmt.Errorf("%s: b%d: branch condition register %d invalid", f.Name, b.ID, t.Cond)
 			}
 		case TermReturn:
-			if b.Term.HasVal && b.Term.Val == 0 {
-				return fmt.Errorf("%s: b%d: return value register missing", f.Name, b.ID)
+			if t.HasVal && (t.Val <= 0 || t.Val > f.NextReg) {
+				return fmt.Errorf("%s: b%d: return value register %d invalid", f.Name, b.ID, t.Val)
+			}
+		default:
+			return fmt.Errorf("%s: b%d: unknown terminator kind %d", f.Name, b.ID, t.Kind)
+		}
+		for _, id := range b.Preds {
+			if !isBlock(id) {
+				return fmt.Errorf("%s: b%d: predecessor b%d out of range", f.Name, b.ID, id)
 			}
 		}
-		var uses []Reg
+		for _, id := range b.Succs {
+			if !isBlock(id) {
+				return fmt.Errorf("%s: b%d: successor b%d out of range", f.Name, b.ID, id)
+			}
+		}
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
-			uses = in.Uses(uses[:0])
-			for _, u := range uses {
-				if u <= 0 || u > f.NextReg {
-					return fmt.Errorf("%s: b%d[%d]: use of invalid register %d", f.Name, b.ID, j, u)
+			if !inRange(in.Dst) || !inRange(in.A) || !inRange(in.B) || !inRange(in.Mem.Base) {
+				return fmt.Errorf("%s: b%d[%d]: register out of range", f.Name, b.ID, j)
+			}
+			for _, r := range in.Args {
+				if r <= 0 || r > f.NextReg {
+					return fmt.Errorf("%s: b%d[%d]: argument register %d invalid", f.Name, b.ID, j, r)
 				}
 			}
-			if d := in.Def(); d < 0 || d > f.NextReg {
-				return fmt.Errorf("%s: b%d[%d]: def of invalid register %d", f.Name, b.ID, j, d)
+			// The other uses, on a copy without the arguments so that they
+			// fit the stack buffer.
+			use := *in
+			use.Args = nil
+			var buf [4]Reg
+			for _, u := range use.Uses(buf[:0]) {
+				if u == 0 {
+					return fmt.Errorf("%s: b%d[%d]: use of register 0", f.Name, b.ID, j)
+				}
 			}
 		}
 	}

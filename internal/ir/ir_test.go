@@ -196,6 +196,30 @@ func TestValidateRejectsBad(t *testing.T) {
 	if err := f.Validate(); err == nil {
 		t.Error("misnumbered block accepted")
 	}
+
+	// What a decoded record can carry that the optimizer indexes by.
+	for name, mutate := range map[string]func(f *Func){
+		"negative register count":      func(f *Func) { f.NextReg = -1 },
+		"negative destination":         func(f *Func) { f.Blocks[0].Instrs[0].Dst = -3 },
+		"parameter out of range":       func(f *Func) { f.Params = []Reg{f.NextReg + 1} },
+		"pinned register out of range": func(f *Func) { f.Pinned = map[Reg]uint8{f.NextReg + 1: 18} },
+		"call argument register 0": func(f *Func) {
+			f.Blocks[1].Instrs[0] = Instr{Op: Call, Callee: "g", Args: []Reg{0}}
+		},
+		"unknown terminator kind":  func(f *Func) { f.Blocks[3].Term.Kind = TermReturn + 1 },
+		"predecessor out of range": func(f *Func) { f.Blocks[3].Preds[0] = -1 },
+		"successor out of range":   func(f *Func) { f.Blocks[0].Succs[1] = 4 },
+	} {
+		f := buildDiamond()
+		mutate(f)
+		if err := f.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	m := &Module{Name: "m.mc", Funcs: []*Func{buildDiamond()}, Globals: []*Global{{Name: "g", Size: -4}}}
+	if err := m.Validate(); err == nil {
+		t.Error("global of negative size accepted")
+	}
 }
 
 func TestLiveness(t *testing.T) {

@@ -635,10 +635,3 @@ func (fg *fgen) addrOfMem(m ir.MemRef) ir.Reg {
 	}
 	return r
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

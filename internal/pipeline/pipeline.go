@@ -99,6 +99,12 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context
 	close(idx)
 	wg.Wait()
 
+	// A worker's panic is a programming error in fn, not an input
+	// condition: every stage the pool runs reports bad input as an error
+	// (decoders and phase 2 validate what they read). It is re-raised here,
+	// on the caller's goroutine and naming the item, rather than crashing
+	// the process from a worker or being turned into an error that hides
+	// the bug.
 	for i, r := range panics {
 		if r != nil {
 			panic(fmt.Sprintf("pipeline: worker panic on item %d: %v", i, r))

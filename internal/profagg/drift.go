@@ -25,23 +25,20 @@
 package profagg
 
 import (
-	"fmt"
-	"sort"
-
 	"ipra/internal/callgraph"
 	"ipra/internal/core"
 	"ipra/internal/parv"
 	"ipra/internal/refsets"
-	"ipra/internal/summary"
 	"ipra/internal/webs"
 )
 
 // DriftModel holds the allocation-relevant skeleton of one program — the
-// call graph, reference sets, and web partition, all profile-independent
-// — plus the considered-web priority order of the profile the current
-// allocation was trained on. Checking a candidate profile re-runs only
-// the cheap count-dependent tail (ApplyProfile, ComputePriorities,
-// filter, sort), not web identification.
+// call graph, reference sets, and web partition of the analysis it
+// follows, all profile-independent — plus the considered-web priority
+// order of the profile that allocation was trained on. Checking a
+// candidate profile re-runs only the cheap count-dependent tail
+// (ApplyProfile, ComputePriorities, core.ConsiderWebs, webs.Considered),
+// not web identification.
 //
 // Methods are not safe for concurrent use; the Store serializes access.
 type DriftModel struct {
@@ -49,7 +46,6 @@ type DriftModel struct {
 	sets  *refsets.Sets
 	webs  []*webs.Web
 
-	filter webs.FilterOptions
 	// DirectiveHash identifies the program database of the allocation
 	// the model's base order belongs to; records measured under any
 	// other hash are stale.
@@ -59,65 +55,36 @@ type DriftModel struct {
 	baseOrder []int
 }
 
-// NewDriftModel builds the skeleton from the program's summaries and
-// records the priority order under the profile the current allocation
-// was trained on. filter mirrors the analyzer's options (the zero value
-// selects the same default the analyzer applies); jobs bounds web
-// identification parallelism.
-func NewDriftModel(sums []*summary.ModuleSummary, filter webs.FilterOptions, jobs int, trained *parv.Profile, directiveHash string) (*DriftModel, error) {
-	if trained == nil {
-		return nil, fmt.Errorf("profagg: drift model needs the trained profile")
-	}
-	g, err := callgraph.Build(sums)
-	if err != nil {
-		return nil, fmt.Errorf("profagg: drift model: %w", err)
-	}
-	if filter == (webs.FilterOptions{}) {
-		filter = webs.DefaultFilter()
-	}
-	eligible := refsets.EligibleGlobals(g)
-	sets := refsets.Compute(g, eligible)
-	m := &DriftModel{
-		graph:         g,
-		sets:          sets,
-		webs:          webs.IdentifyJobs(g, sets, jobs),
-		filter:        filter,
+// NewDriftModel takes over the graph, reference sets and webs of res, an
+// analysis run under the profile its allocation was trained on, and
+// records that analysis's considered-web order as the base order. res is
+// the model's from then on: later drift checks re-price its webs and
+// re-count its graph in place.
+func NewDriftModel(res *core.Result, directiveHash string) *DriftModel {
+	return &DriftModel{
+		graph:         res.Graph,
+		sets:          res.Sets,
+		webs:          res.Webs,
 		DirectiveHash: directiveHash,
+		baseOrder:     webIDs(webs.Considered(res.Webs)),
 	}
-	m.baseOrder = m.orderFor(trained)
-	return m, nil
 }
 
 // orderFor computes the considered-web priority order under p: exactly
-// the sequence the analyzer's coloring strategies consume — economic
-// filter plus the structural discards, survivors sorted by (priority
-// desc, ID asc).
+// the sequence the analyzer's coloring strategies consume.
 func (m *DriftModel) orderFor(p *parv.Profile) []int {
 	m.graph.ApplyProfile(p)
 	webs.ComputePriorities(m.graph, m.sets, m.webs)
-	for _, w := range m.webs {
-		w.Discarded = false
-		w.DiscardReason = ""
+	core.ConsiderWebs(m.graph, m.webs)
+	return webIDs(webs.Considered(m.webs))
+}
+
+func webIDs(ws []*webs.Web) []int {
+	ids := make([]int, len(ws))
+	for i, w := range ws {
+		ids[i] = w.ID
 	}
-	webs.Filter(m.webs, m.filter)
-	core.ApplyStructuralDiscards(m.graph, m.webs)
-	var cs []*webs.Web
-	for _, w := range m.webs {
-		if !w.Discarded {
-			cs = append(cs, w)
-		}
-	}
-	sort.SliceStable(cs, func(i, j int) bool {
-		if cs[i].Priority != cs[j].Priority {
-			return cs[i].Priority > cs[j].Priority
-		}
-		return cs[i].ID < cs[j].ID
-	})
-	order := make([]int, len(cs))
-	for i, w := range cs {
-		order[i] = w.ID
-	}
-	return order
+	return ids
 }
 
 // Drifted reports whether p would change the web-priority order — and

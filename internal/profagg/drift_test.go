@@ -1,12 +1,16 @@
 package profagg_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"ipra"
+	"ipra/internal/core"
+	"ipra/internal/parv"
 	"ipra/internal/profagg"
 	"ipra/internal/progen"
+	"ipra/internal/webs"
 )
 
 var driftCfg = progen.Config{
@@ -14,20 +18,36 @@ var driftCfg = progen.Config{
 	SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
 }
 
-// TestDriftModelPhaseShift is the differential test for the drift
-// trigger: under preset B's filter options, rotating the synthetic
-// workload's hot set by one phase must flip at least one web's position
-// in the considered-priority order, while re-presenting the trained
-// profile (or any aggregate of identical runs of it) must not.
-func TestDriftModelPhaseShift(t *testing.T) {
-	sums := progen.GenerateSummaries(driftCfg)
-	trained := progen.SynthesizeProfile(driftCfg, progen.DistShift, 0)
-	filter := ipra.MustPreset("B").Analyzer.Filter
-
-	m, err := profagg.NewDriftModel(sums, filter, 0, trained, "dh0")
+// analyzeB analyzes the drift scenario under preset B with profile p, as
+// the daemon's profiled build does.
+func analyzeB(t *testing.T, p *parv.Profile) *core.Result {
+	t.Helper()
+	o := ipra.MustPreset("B").Analyzer
+	o.Profile = p
+	res, err := core.Analyze(context.Background(), progen.GenerateSummaries(driftCfg), o)
 	if err != nil {
-		t.Fatalf("NewDriftModel: %v", err)
+		t.Fatal(err)
 	}
+	return res
+}
+
+// consideredIDs is the considered-web order of an analysis.
+func consideredIDs(res *core.Result) []int {
+	var ids []int
+	for _, w := range webs.Considered(res.Webs) {
+		ids = append(ids, w.ID)
+	}
+	return ids
+}
+
+// TestDriftModelPhaseShift is the differential test for the drift
+// trigger: over a preset B analysis, rotating the synthetic workload's hot
+// set by one phase must flip at least one web's position in the
+// considered-priority order, while re-presenting the trained profile (or
+// any aggregate of identical runs of it) must not.
+func TestDriftModelPhaseShift(t *testing.T) {
+	trained := progen.SynthesizeProfile(driftCfg, progen.DistShift, 0)
+	m := profagg.NewDriftModel(analyzeB(t, trained), "dh0")
 	if len(m.BaseOrder()) == 0 {
 		t.Fatal("trained order is empty; the scenario promotes no webs")
 	}
@@ -58,6 +78,11 @@ func TestDriftModelPhaseShift(t *testing.T) {
 	if m.DirectiveHash != "dh1" {
 		t.Fatalf("DirectiveHash = %q after rebase, want dh1", m.DirectiveHash)
 	}
+	// Re-pricing the trained analysis in place orders the webs exactly as
+	// a fresh analysis under the shifted profile does.
+	if got, want := m.BaseOrder(), consideredIDs(analyzeB(t, shifted)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebased order %v, fresh analysis %v", got, want)
+	}
 	if m.Drifted(shifted) {
 		t.Fatal("rebased baseline still reads as drifted")
 	}
@@ -72,13 +97,8 @@ func TestDriftModelPhaseShift(t *testing.T) {
 // hands back the build context and activates the aggregate, and
 // RegisterRetrained re-pins the aggregate to the re-analysis's hash.
 func TestStoreRetrainLifecycle(t *testing.T) {
-	sums := progen.GenerateSummaries(driftCfg)
 	trained := progen.SynthesizeProfile(driftCfg, progen.DistShift, 0)
-	filter := ipra.MustPreset("B").Analyzer.Filter
-	model, err := profagg.NewDriftModel(sums, filter, 0, trained, "dh0")
-	if err != nil {
-		t.Fatalf("NewDriftModel: %v", err)
-	}
+	model := profagg.NewDriftModel(analyzeB(t, trained), "dh0")
 
 	s := profagg.New(profagg.Options{Fingerprint: "fp"})
 	const prog = "progB"

@@ -17,10 +17,9 @@
 package refsets
 
 import (
-	"sort"
-
 	"ipra/internal/callgraph"
 	"ipra/internal/ir"
+	"ipra/internal/summary"
 )
 
 // Sets holds the computed reference sets over a fixed universe of eligible
@@ -36,18 +35,11 @@ type Sets struct {
 	CRef []ir.BitSet
 }
 
-// EligibleGlobals returns the globals that qualify for interprocedural
-// promotion (§4.1.2): small enough to fit in a single register, defined,
-// and never aliased (address taken) anywhere in the program.
+// EligibleGlobals returns the globals of g's program-wide table that
+// qualify for interprocedural promotion (summary.GlobalInfo.Eligible),
+// sorted.
 func EligibleGlobals(g *callgraph.Graph) []string {
-	var out []string
-	for name, meta := range g.Globals {
-		if meta.Scalar && meta.Defined && !meta.AddrTaken && meta.Size <= 4 {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return summary.EligibleNames(g.Globals)
 }
 
 // Compute builds the three set families for the given eligible variables.

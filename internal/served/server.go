@@ -505,24 +505,15 @@ func (s *Server) dirLocks() int {
 // request clone retained as the model's context is what a later drift
 // detection replays through Build.
 func (s *Server) registerProfileModel(req *BuildRequest, cfg ipra.Config, res *ipra.BuildResult, directiveHash string) {
-	if !cfg.WantProfile || directiveHash == "" {
+	if !cfg.WantProfile || directiveHash == "" || res.Analysis == nil {
 		return
 	}
 	program := req.ProgramKey()
+	model := profagg.NewDriftModel(res.Analysis, directiveHash)
 	switch {
 	case req.aggProfile != nil:
-		model, err := profagg.NewDriftModel(res.Program.Summaries, cfg.Analyzer.Filter, cfg.Jobs, req.aggProfile, directiveHash)
-		if err != nil {
-			s.logf("profagg: %s: drift model: %v", program, err)
-			return
-		}
 		s.profiles.RegisterRetrained(program, model, req.clone())
 	case res.Train != nil && res.Train.Profile != nil:
-		model, err := profagg.NewDriftModel(res.Program.Summaries, cfg.Analyzer.Filter, cfg.Jobs, res.Train.Profile, directiveHash)
-		if err != nil {
-			s.logf("profagg: %s: drift model: %v", program, err)
-			return
-		}
 		s.profiles.Register(program, model, req.clone())
 	}
 }

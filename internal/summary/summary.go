@@ -82,6 +82,50 @@ type GlobalInfo struct {
 	AddrTaken bool // aliased anywhere in the module
 }
 
+// Eligible reports whether the global qualifies for promotion (§4.1.2):
+// defined, scalar, small enough to fit in a single register, and never
+// aliased. Over a program-wide MergeGlobals entry it is the analyzer's
+// rule; over one module's table it is that module's local view.
+func (g *GlobalInfo) Eligible() bool {
+	return g.Defined && g.Scalar && !g.AddrTaken && g.Size <= 4
+}
+
+// MergeGlobals folds the module-level global tables into the program-wide
+// table: a global's module, size, scalarity and linkage come from its
+// defining module, and it is aliased if any module aliases it. The entries
+// are fresh copies that the caller may change.
+func MergeGlobals(sums []*ModuleSummary) map[string]*GlobalInfo {
+	out := make(map[string]*GlobalInfo)
+	for _, ms := range sums {
+		for i := range ms.Globals {
+			gi := &ms.Globals[i]
+			g := out[gi.Name]
+			if g == nil {
+				g = &GlobalInfo{Name: gi.Name}
+				out[gi.Name] = g
+			}
+			if gi.Defined {
+				g.Module, g.Size, g.Defined = gi.Module, gi.Size, true
+				g.Static, g.Scalar = gi.Static, gi.Scalar
+			}
+			g.AddrTaken = g.AddrTaken || gi.AddrTaken
+		}
+	}
+	return out
+}
+
+// EligibleNames returns the names of the eligible globals, sorted.
+func EligibleNames(globals map[string]*GlobalInfo) []string {
+	var out []string
+	for name, g := range globals {
+		if g.Eligible() {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // ModuleSummary is the summary of one compilation unit.
 type ModuleSummary struct {
 	Module  string
@@ -212,86 +256,72 @@ func Summarize(f *ir.Func) ProcRecord {
 	}
 	sort.Strings(rec.AddrTakenProcs)
 
-	rec.CalleeSavesNeeded = EstimateCalleeSaves(f)
+	// One liveness solution serves both register-need estimates.
+	f.Recompute()
+	lv := ir.ComputeLiveness(f)
+	rec.CalleeSavesNeeded = calleeSaves(f, lv)
 	rec.CalleeSavesBase = rec.CalleeSavesNeeded
-	rec.CallerSavesNeeded = EstimateCallerSaves(f)
+	rec.CallerSavesNeeded = callerSaves(f, lv)
 	return rec
 }
 
-// EstimateCallerSaves estimates the peak number of simultaneously live
-// values that do not cross calls — the procedure's scratch-register
-// demand.
-func EstimateCallerSaves(f *ir.Func) int {
-	f.Recompute()
-	lv := ir.ComputeLiveness(f)
-
-	// Pass 1: which registers cross a call?
-	crossing := ir.NewBitSet(int(f.NextReg))
-	walk(f, lv, func(in *ir.Instr, live ir.BitSet) {
-		if in.Op == ir.Call {
-			crossing.OrWith(live)
-		}
-	})
-	// Pass 2: peak liveness of non-crossing registers (register 0 is
-	// never counted).
-	crossing.Set(0)
-	peak := 0
-	walk(f, lv, func(in *ir.Instr, live ir.BitSet) {
-		n := 0
-		for w := range live {
-			n += bits.OnesCount64(live[w] &^ crossing[w])
-		}
-		if n > peak {
-			peak = n
-		}
-	})
-	if peak > 11 {
-		peak = 11 // size of the conventional caller-saves set
-	}
-	return peak
-}
-
-// walk runs fn at each instruction with the live-after set (backwards
-// per-block reconstruction from block-level liveness).
-func walk(f *ir.Func, lv *ir.Liveness, fn func(in *ir.Instr, liveAfter ir.BitSet)) {
-	var uses []ir.Reg
-	for _, b := range f.Blocks {
-		live := ir.NewBitSet(int(f.NextReg))
-		live.Copy(lv.Out[b.ID])
-		if b.Term.Kind == ir.TermBranch {
-			live.Set(int(b.Term.Cond))
-		}
-		if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
-			live.Set(int(b.Term.Val))
-		}
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := &b.Instrs[i]
-			fn(in, live)
-			if d := in.Def(); d != 0 {
-				live.Clear(int(d))
-			}
-			uses = in.Uses(uses[:0])
-			for _, u := range uses {
-				live.Set(int(u))
-			}
-		}
-	}
-}
-
-// EstimateCalleeSaves counts virtual registers live across at least one
-// call — the values that want callee-saves homes (capped at the size of the
+// EstimateCalleeSaves counts virtual registers live into at least one call
+// — the values that want callee-saves homes (capped at the size of the
 // conventional callee-saves set). The paper's prototype ran the first
 // phase through full optimization to make this estimate accurate (§6);
 // callers can refine a record by re-running this on a fully optimized
 // copy of the function.
 func EstimateCalleeSaves(f *ir.Func) int {
 	f.Recompute()
-	lv := ir.ComputeLiveness(f)
-	liveAcross := ir.NewBitSet(int(f.NextReg))
+	return calleeSaves(f, ir.ComputeLiveness(f))
+}
 
+// calleeSaves is EstimateCalleeSaves over f's liveness lv. A call's live-in
+// set holds what is live across it, plus its own arguments.
+func calleeSaves(f *ir.Func, lv *ir.Liveness) int {
+	liveAcross := ir.NewBitSet(int(f.NextReg))
+	walk(f, lv, func(in *ir.Instr, _, liveIn ir.BitSet) {
+		if in.Op == ir.Call {
+			liveAcross.OrWith(liveIn)
+		}
+	})
+	return min(liveAcross.Count(), 16)
+}
+
+// callerSaves estimates, from f's liveness lv, the peak number of
+// simultaneously live values that do not cross calls — the procedure's
+// scratch-register demand (capped at the size of the conventional
+// caller-saves set).
+func callerSaves(f *ir.Func, lv *ir.Liveness) int {
+	// Pass 1: which registers cross a call (are live out of one)?
+	crossing := ir.NewBitSet(int(f.NextReg))
+	walk(f, lv, func(in *ir.Instr, liveOut, _ ir.BitSet) {
+		if in.Op == ir.Call {
+			crossing.OrWith(liveOut)
+		}
+	})
+	// Pass 2: peak liveness of non-crossing registers (register 0 is
+	// never counted).
+	crossing.Set(0)
+	peak := 0
+	walk(f, lv, func(_ *ir.Instr, liveOut, _ ir.BitSet) {
+		n := 0
+		for w := range liveOut {
+			n += bits.OnesCount64(liveOut[w] &^ crossing[w])
+		}
+		peak = max(peak, n)
+	})
+	return min(peak, 11)
+}
+
+// walk runs fn at each instruction of f, backwards through each block,
+// with the registers live out of and into the instruction, reconstructed
+// from the block-level liveness lv. The two sets are scratch space that fn
+// must not keep.
+func walk(f *ir.Func, lv *ir.Liveness, fn func(in *ir.Instr, liveOut, liveIn ir.BitSet)) {
+	out, live := ir.NewBitSet(int(f.NextReg)), ir.NewBitSet(int(f.NextReg))
+	var uses []ir.Reg
 	for _, b := range f.Blocks {
-		// Recompute backwards liveness inside the block, sampling at calls.
-		live := ir.NewBitSet(int(f.NextReg))
 		live.Copy(lv.Out[b.ID])
 		if b.Term.Kind == ir.TermBranch {
 			live.Set(int(b.Term.Cond))
@@ -299,9 +329,9 @@ func EstimateCalleeSaves(f *ir.Func) int {
 		if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
 			live.Set(int(b.Term.Val))
 		}
-		var uses []ir.Reg
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
+			out.Copy(live)
 			if d := in.Def(); d != 0 {
 				live.Clear(int(d))
 			}
@@ -309,16 +339,9 @@ func EstimateCalleeSaves(f *ir.Func) int {
 			for _, u := range uses {
 				live.Set(int(u))
 			}
-			if in.Op == ir.Call {
-				liveAcross.OrWith(live)
-			}
+			fn(in, out, live)
 		}
 	}
-	n := liveAcross.Count()
-	if max := 16; n > max {
-		n = max
-	}
-	return n
 }
 
 // SummarizeModule builds the whole summary file for a module.

@@ -9,27 +9,18 @@ import (
 	"ipra/internal/refsets"
 )
 
-// FilterOptions tune which webs are considered for coloring (§6.2: in the
+// The §6.2 economic filter's thresholds, as the prototype ran it: in the
 // PA Optimizer experiment, 1094 webs were found but only 489 considered —
 // the rest were "too sparse (low ratio of L_REF nodes to total nodes)" or
-// single-node webs with infrequent access).
-type FilterOptions struct {
+// single-node webs with infrequent access.
+const (
 	// MinLRefRatio is the minimum fraction of members that must reference
 	// the variable locally.
-	MinLRefRatio float64
+	MinLRefRatio = 0.125
 	// MinSingleNodeWeight is the minimum estimated dynamic reference count
 	// for a single-node web to be worth a dedicated register.
-	MinSingleNodeWeight float64
-	// KeepAll disables the economic filters (webs with no entry nodes are
-	// still discarded — they cannot be promoted correctly). Used by the
-	// paper's illustrative examples and by tests.
-	KeepAll bool
-}
-
-// DefaultFilter mirrors the prototype's behaviour.
-func DefaultFilter() FilterOptions {
-	return FilterOptions{MinLRefRatio: 0.125, MinSingleNodeWeight: 8}
-}
+	MinSingleNodeWeight = 8
+)
 
 // ComputePriorities fills RefWeight, EntryWeight, LRefNodes and Priority
 // for every web. Following §4.1.3 and §7.5, the benefit estimate weighs
@@ -86,20 +77,23 @@ func ComputePriorities(g *callgraph.Graph, sets *refsets.Sets, ws []*Web) {
 	}
 }
 
-// Filter marks webs that should not be considered for coloring.
-func Filter(ws []*Web, opt FilterOptions) {
+// Filter marks webs that should not be considered for coloring. keepAll
+// disables the economic filters (webs with no entry nodes are still
+// discarded — they cannot be promoted correctly); the paper's illustrative
+// examples and tests set it.
+func Filter(ws []*Web, keepAll bool) {
 	for _, w := range ws {
 		size := w.Size()
 		switch {
 		case len(w.Entries) == 0:
 			w.Discarded = true
 			w.DiscardReason = "no entry nodes (cannot insert load/store)"
-		case opt.KeepAll:
+		case keepAll:
 			// keep everything else
-		case size == 1 && w.RefWeight < opt.MinSingleNodeWeight:
+		case size == 1 && w.RefWeight < MinSingleNodeWeight:
 			w.Discarded = true
 			w.DiscardReason = "single node with infrequent access"
-		case float64(w.LRefNodes)/float64(size) < opt.MinLRefRatio:
+		case float64(w.LRefNodes)/float64(size) < MinLRefRatio:
 			w.Discarded = true
 			w.DiscardReason = "too sparse (low L_REF ratio)"
 		case w.Priority <= 0:
@@ -123,10 +117,7 @@ func Interfere(a, b *Web) bool {
 // priority first, ties broken by web ID). This is the canonical candidate
 // ordering every allocation strategy consumes; the paper's priority
 // coloring walks exactly this list.
-func Considered(ws []*Web) []*Web { return considered(ws) }
-
-// considered returns the colorable candidates in priority order.
-func considered(ws []*Web) []*Web {
+func Considered(ws []*Web) []*Web {
 	var cs []*Web
 	for _, w := range ws {
 		if !w.Discarded {
@@ -188,7 +179,7 @@ func carveWebLists(cs []*Web, maxNodes int) [][]*Web {
 // formulation; only the cost drops from quadratic in the candidate count
 // to linear in total web membership.
 func Color(ws []*Web, numRegs int) int {
-	cs := considered(ws)
+	cs := Considered(ws)
 	colored := 0
 	maxNodes := 0
 	for _, w := range cs {
@@ -235,7 +226,7 @@ func Color(ws []*Web, numRegs int) int {
 // need maps node ID to the procedure's estimated callee-saves requirement;
 // totalRegs is the size of the callee-saves set.
 func GreedyColor(ws []*Web, g *callgraph.Graph, need func(int) int, totalRegs int) int {
-	cs := considered(ws)
+	cs := Considered(ws)
 	webAt := carveWebLists(cs, len(g.Nodes)) // node -> colored webs containing it
 	colored := 0
 	ids := make([]int, 0, 64)

@@ -177,7 +177,7 @@ func TestPaperFigure3Coloring(t *testing.T) {
 	g, sets := buildFig3(t)
 	ws := webs.Identify(g, sets)
 	webs.ComputePriorities(g, sets, ws)
-	webs.Filter(ws, webs.FilterOptions{KeepAll: true})
+	webs.Filter(ws, true)
 
 	colored := webs.Color(ws, 2)
 	if colored != 4 {

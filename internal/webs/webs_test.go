@@ -109,7 +109,7 @@ func TestColoringInvariants(t *testing.T) {
 		sets := refsets.Compute(g, refsets.EligibleGlobals(g))
 		ws := webs.Identify(g, sets)
 		webs.ComputePriorities(g, sets, ws)
-		webs.Filter(ws, webs.FilterOptions{KeepAll: true})
+		webs.Filter(ws, true)
 		k := 1 + rng.Intn(4)
 		colored := webs.Color(ws, k)
 
@@ -156,7 +156,7 @@ func TestGreedyColoringRespectsNeed(t *testing.T) {
 		sets := refsets.Compute(g, refsets.EligibleGlobals(g))
 		ws := webs.Identify(g, sets)
 		webs.ComputePriorities(g, sets, ws)
-		webs.Filter(ws, webs.FilterOptions{KeepAll: true})
+		webs.Filter(ws, true)
 
 		need := func(id int) int { return id % 5 }
 		total := 8
@@ -192,7 +192,7 @@ func TestBlanketSelect(t *testing.T) {
 	sets := refsets.Compute(g, refsets.EligibleGlobals(g))
 	ws := webs.Identify(g, sets)
 	webs.ComputePriorities(g, sets, ws)
-	webs.Filter(ws, webs.FilterOptions{KeepAll: true})
+	webs.Filter(ws, true)
 
 	bs := webs.BlanketSelect(g, sets, ws, 2)
 	if len(bs) > 2 {
@@ -267,7 +267,7 @@ func TestWebCensusShape(t *testing.T) {
 	sets := refsets.Compute(g, refsets.EligibleGlobals(g))
 	ws := webs.Identify(g, sets)
 	webs.ComputePriorities(g, sets, ws)
-	webs.Filter(ws, webs.DefaultFilter())
+	webs.Filter(ws, false)
 
 	considered := 0
 	for _, w := range ws {

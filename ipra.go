@@ -31,7 +31,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"ipra/internal/cache"
@@ -212,21 +211,21 @@ func MustPreset(name string) Config {
 // priority-based web coloring.
 const DefaultStrategy = core.DefaultStrategyName
 
-// The registered allocation strategy names, re-exported so matrix
-// drivers can name individual policies without importing internal/core.
+// The allocation strategy names, re-exported so matrix drivers can name
+// individual policies without importing internal/core.
 const (
 	StrategyPriority        = core.StrategyPriority
 	StrategySpillEverywhere = core.StrategySpillEverywhere
 	StrategyTiling          = core.StrategyTiling
 )
 
-// StrategyNames lists the registered allocation strategies, default
-// first. Use with Config.WithStrategy or a CLI -strategy flag.
+// StrategyNames lists the allocation strategies, default first. Use with
+// Config.WithStrategy or a CLI -strategy flag.
 func StrategyNames() []string { return core.StrategyNames() }
 
 // ResolveStrategy canonicalizes an allocation strategy name
 // (case-insensitive; "" resolves to DefaultStrategy) or errors with the
-// registered set.
+// known names.
 func ResolveStrategy(name string) (string, error) { return core.ResolveStrategy(name) }
 
 // WithStrategy derives a configuration that allocates under the named
@@ -341,8 +340,8 @@ func summarize(m *ir.Module) *summary.ModuleSummary {
 	// finished (module-local eligibility approximates what phase 2 will
 	// do).
 	local := make(map[string]bool)
-	for _, g := range m.Globals {
-		if g.Scalar && g.Defined && !g.AddrTaken && g.Size <= 4 {
+	for i := range ms.Globals {
+		if g := &ms.Globals[i]; g.Eligible() {
 			local[g.Name] = true
 		}
 	}
@@ -765,7 +764,7 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store) error {
 	if !cfg.UseAnalyzer {
 		p.DB = pdb.New()
-		p.DB.EligibleGlobals = eligibleFromSummaries(p.Summaries)
+		p.DB.EligibleGlobals = summary.EligibleNames(summary.MergeGlobals(p.Summaries))
 		return nil
 	}
 	o := cfg.analyzerOptions()
@@ -834,41 +833,6 @@ func optimizeModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) {
 		opt.ApplyWebDirectives(f, dir.Promoted)
 		opt.Promote(f, eligible, skip)
 	}
-}
-
-// eligibleFromSummaries computes program-wide promotion eligibility for the
-// level-2 baseline (scalar, defined, never aliased).
-func eligibleFromSummaries(sums []*summary.ModuleSummary) []string {
-	type info struct {
-		scalar, defined, aliased bool
-		size                     int32
-	}
-	m := make(map[string]*info)
-	for _, ms := range sums {
-		for _, g := range ms.Globals {
-			gi := m[g.Name]
-			if gi == nil {
-				gi = &info{}
-				m[g.Name] = gi
-			}
-			if g.Defined {
-				gi.defined = true
-				gi.scalar = g.Scalar
-				gi.size = g.Size
-			}
-			if g.AddrTaken {
-				gi.aliased = true
-			}
-		}
-	}
-	var out []string
-	for name, gi := range m {
-		if gi.scalar && gi.defined && !gi.aliased && gi.size <= 4 {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // phase2Fingerprint versions the persisted phase-2 artifacts (objects in

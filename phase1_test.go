@@ -170,7 +170,11 @@ func TestPhase1OptimizesOnce(t *testing.T) {
 // module the front end accepts, nothing may panic, the build's phase 1
 // must summarize it exactly as Summaries does, and under a one-module
 // analysis with default options the build's phase 2 must compile it
-// exactly as the benchmark replay's opt.Level2 path does.
+// exactly as the benchmark replay's opt.Level2 path does. The module is
+// also built alone under L2 and, with WithVerify, under C: the C build
+// must be verifier-clean, and when both executables halt within
+// fuzzRunInstrs instructions their exit and output must agree. A module
+// that does not link alone, or that runs out of instructions, stops there.
 func FuzzPhase1(f *testing.F) {
 	for _, b := range benchprogs.All() {
 		files, err := b.Sources()
@@ -208,5 +212,38 @@ func FuzzPhase1(f *testing.F) {
 		if gotErr == nil && !bytes.Equal(parv.EncodeObject(got), parv.EncodeObject(want)) {
 			t.Fatal("the build's object differs from opt.Level2 over the raw IR")
 		}
+		fuzzBehaviour(t, src)
 	})
+}
+
+// fuzzRunInstrs bounds each run of FuzzPhase1's executables.
+const fuzzRunInstrs = 1 << 22
+
+// fuzzBehaviour builds src alone under L2 and, verified, under C, and
+// compares the two executables' exit and output when both halt within
+// fuzzRunInstrs instructions. It returns quietly when src does not link
+// alone or L2's executable does not halt in time.
+func fuzzBehaviour(t *testing.T, src Source) {
+	ctx := context.Background()
+	l2cfg, ccfg := MustPreset("L2"), MustPreset("C")
+	l2cfg.DisableCache, ccfg.DisableCache = true, true
+	l2, err := Build(ctx, []Source{src}, l2cfg)
+	if err != nil {
+		return
+	}
+	c, err := Build(ctx, []Source{src}, ccfg, WithVerify())
+	if err != nil {
+		t.Fatalf("L2 builds, C with WithVerify fails: %v", err)
+	}
+	want, err := l2.Run(fuzzRunInstrs, false)
+	if err != nil {
+		return
+	}
+	got, err := c.Run(fuzzRunInstrs, false)
+	if err != nil {
+		return
+	}
+	if got.Exit != want.Exit || got.Output != want.Output {
+		t.Fatalf("C exits %d with output %q, L2 exits %d with output %q", got.Exit, got.Output, want.Exit, want.Output)
+	}
 }

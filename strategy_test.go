@@ -9,7 +9,7 @@ import (
 )
 
 // TestStrategyDifferential builds generated programs under every
-// registered strategy crossed with the baseline and every Table 4
+// strategy crossed with the baseline and every Table 4
 // configuration, with the allocation verifier on, and checks behaviour
 // against the L2 baseline. A strategy is free to allocate badly; it is
 // never free to change what the program computes or to violate the

@@ -152,6 +152,66 @@ int add(int x) { total += x; return total; }
 	}
 }
 
+// TestFlippedPhase1RecordsNeverPanic flips each byte of dhrystone's two
+// phase-1 records in turn (xor 0xff), as a corrupted .p1 file reaches mcc
+// -phase2: a file has no content-hash name to check it against. Every
+// record cache.DecodeEntry accepts must compile under an empty database to
+// an object or an error, never a panic. Under -short it flips every
+// seventh byte. The check that makes this hold, ir.Module.Validate, runs
+// on every decoded record, so it must allocate nothing.
+func TestFlippedPhase1RecordsNeverPanic(t *testing.T) {
+	b, err := benchprogs.ByName("dhrystone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	flips, decoded, panics := 0, 0, 0
+	for _, src := range benchSources(t, b) {
+		m, ms, err := Phase1(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = m.Validate() }); n != 0 {
+			t.Errorf("%s: ir.Module.Validate allocates %.0f times", src.Name, n)
+		}
+		rec := cache.EncodeEntry(m, ms)
+		for i := 0; i < len(rec); i += step {
+			rec[i] ^= 0xff
+			m, _, err := cache.DecodeEntry(rec)
+			rec[i] ^= 0xff
+			flips++
+			if err != nil {
+				continue
+			}
+			decoded++
+			if msg := phase2Panic(m); msg != "" {
+				if panics++; panics <= 5 {
+					t.Errorf("%s, byte %d flipped: Phase2 panicked: %s", src.Name, i, msg)
+				}
+			}
+		}
+	}
+	t.Logf("%d flipped records, %d decoded, %d panicked", flips, decoded, panics)
+	if panics > 5 {
+		t.Errorf("%d flipped records panicked Phase2 in all", panics)
+	}
+}
+
+// phase2Panic compiles m under an empty database and returns what Phase2
+// panicked with, or "" when it returned.
+func phase2Panic(m *ir.Module) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	Phase2(m, pdb.New())
+	return ""
+}
+
 // FuzzPDBFile feeds program database files to phase 2 the way mcc -phase2
 // -pdb reads them. Any database pdb.ReadFile accepts must let Phase2
 // compile both dhrystone modules to an object or an error, never a panic.

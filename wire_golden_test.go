@@ -14,6 +14,7 @@ import (
 	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
+	"ipra/internal/pdb"
 	"ipra/internal/progen"
 	"ipra/internal/summary"
 )
@@ -299,7 +300,10 @@ func seedWireFuzz(f *testing.F, fixture string) {
 // canonical form.
 
 // FuzzWireCacheEntryDecode also pins the module encoding's canonical
-// form: the module has no wire kind of its own, only this one.
+// form: the module has no wire kind of its own, only this one. An entry
+// that decodes is a phase-1 record mcc -phase2 may compile, so Phase2
+// must turn its module into an object or an error under an empty
+// database.
 func FuzzWireCacheEntryDecode(f *testing.F) {
 	seedWireFuzz(f, "cache-entry-v2.bin")
 	// An operation code beyond ir.LastOp, which the decoder must reject
@@ -332,6 +336,7 @@ func FuzzWireCacheEntryDecode(f *testing.F) {
 		if !bytes.Equal(cache.EncodeEntry(m2, ms2), enc) {
 			t.Fatal("canonical encoding is not a fixpoint")
 		}
+		Phase2(m, pdb.New())
 	})
 }
 
