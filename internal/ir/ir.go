@@ -489,6 +489,7 @@ func (f *Func) Validate() error {
 		return fmt.Errorf("%s: register count %d out of range", f.Name, f.NextReg)
 	}
 	inRange := func(r Reg) bool { return r >= 0 && r <= f.NextReg }
+	isBlock := func(id int) bool { return id >= 0 && id < len(f.Blocks) }
 	for _, r := range f.Params {
 		if !inRange(r) {
 			return fmt.Errorf("%s: parameter register %d out of range", f.Name, r)
@@ -503,7 +504,6 @@ func (f *Func) Validate() error {
 		if b.ID != i {
 			return fmt.Errorf("%s: block %d has ID %d", f.Name, i, b.ID)
 		}
-		isBlock := func(id int) bool { return id >= 0 && id < len(f.Blocks) }
 		switch t := &b.Term; t.Kind {
 		case TermJump:
 			if !isBlock(t.True) {
