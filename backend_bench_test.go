@@ -66,7 +66,9 @@ func BenchmarkOptLevel2(b *testing.B) {
 		work := cloneModules(p.Modules)
 		b.StartTimer()
 		for _, m := range work {
-			optimizeModule(m, p.DB, eligible)
+			for _, f := range m.Funcs {
+				optimizeFunc(f, p.DB, eligible)
+			}
 		}
 	}
 }
@@ -108,7 +110,9 @@ func BenchmarkCodegenCompile(b *testing.B) {
 	eligible := p.DB.EligibleSet()
 	work := cloneModules(p.Modules)
 	for _, m := range work {
-		optimizeModule(m, p.DB, eligible)
+		for _, f := range m.Funcs {
+			optimizeFunc(f, p.DB, eligible)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

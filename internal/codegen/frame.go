@@ -10,11 +10,25 @@ import (
 )
 
 // Compile translates an optimized IR module into a PARV object under the
-// program database directives. It reads the directives of the module's
-// own functions and, through clobberOf, its direct callees' clobber sets:
-// exactly what pdb's phase-2 keys cover. Keep the two in step.
+// program database directives: Data's symbols, then CompileFunc of every
+// function in module order.
 func Compile(mod *ir.Module, db *pdb.Database) (*parv.Object, error) {
-	obj := &parv.Object{Module: mod.Name}
+	obj := &parv.Object{Module: mod.Name, Globals: Data(mod)}
+	for _, f := range mod.Funcs {
+		of, err := CompileFunc(f, mod, db)
+		if err != nil {
+			return nil, err
+		}
+		obj.Funcs = append(obj.Funcs, of)
+	}
+	return obj, nil
+}
+
+// Data returns the data symbols of mod's object: one per global the
+// module declares, in declaration order, with the initial image of the
+// ones it defines. It reads no directive.
+func Data(mod *ir.Module) []*parv.DataSym {
+	var syms []*parv.DataSym
 	for _, g := range mod.Globals {
 		ds := &parv.DataSym{Name: g.Name, Size: g.Size, Defined: g.Defined}
 		if g.Defined {
@@ -26,7 +40,21 @@ func Compile(mod *ir.Module, db *pdb.Database) (*parv.Object, error) {
 				})
 			}
 		}
-		obj.Globals = append(obj.Globals, ds)
+		syms = append(syms, ds)
+	}
+	return syms
+}
+
+// CompileFunc translates one optimized function of mod into its object
+// code under the program database directives. It reads f, mod's globals,
+// f's own directives and, through clobberOf, the clobber sets of f's
+// direct callees: exactly what pdb's phase-2 keys cover for f. Keep the
+// two in step.
+func CompileFunc(f *ir.Func, mod *ir.Module, db *pdb.Database) (*parv.ObjFunc, error) {
+	dir := db.Lookup(f.Name)
+	lf, err := lower(f, mod, dir)
+	if err != nil {
+		return nil, err
 	}
 	// Per-callee clobber sets (the §7.6.2 caller-saves preallocation);
 	// zero means "unknown: assume the worst case".
@@ -36,22 +64,6 @@ func Compile(mod *ir.Module, db *pdb.Database) (*parv.Object, error) {
 			return d.ClobberAtCalls
 		}
 		return 0
-	}
-	for _, f := range mod.Funcs {
-		dir := db.Lookup(f.Name)
-		of, err := compileFunc(f, mod, dir, clobberOf)
-		if err != nil {
-			return nil, err
-		}
-		obj.Funcs = append(obj.Funcs, of)
-	}
-	return obj, nil
-}
-
-func compileFunc(f *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives, clobberOf func(string) regs.Set) (*parv.ObjFunc, error) {
-	lf, err := lower(f, mod, dir)
-	if err != nil {
-		return nil, err
 	}
 	res, err := allocate(lf, dir, clobberOf)
 	if err != nil {

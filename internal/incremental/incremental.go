@@ -19,7 +19,10 @@
 //	                          stored analyzer state where the edit allows
 //	diff the database       → against each module's stored phase-2 keys
 //	phase-2-recompile       → only modules whose phase-1 record or
-//	                          phase-2 keys changed
+//	                          phase-2 keys changed; of a module whose
+//	                          keys alone moved, only the procedures that
+//	                          read a moved key, the rest taken from its
+//	                          stored object
 //	relink                  → from stored + fresh objects
 //
 // The build driver (ipra.Build) runs those stages and asks the Store at
@@ -60,6 +63,11 @@ type Action struct {
 	Phase1Unchanged bool
 	Phase2Rebuilt   bool
 	Phase2Reason    string // why phase 2 re-ran; "" when reused
+	// Procs counts the module's procedures, and ProcsRecompiled those its
+	// phase 2 compiled: none when the stored object was reused, every one
+	// when phase 2 re-ran whole, and the stale ones when only the keys of
+	// some procedures moved (the rest keep their stored code).
+	Procs, ProcsRecompiled int
 }
 
 // Outcome is the rebuild record of one build against a store.
@@ -69,6 +77,10 @@ type Outcome struct {
 	// Phase1Unchanged counts the phase-1 rebuilds whose record came out
 	// byte-equal to the stored one.
 	Phase1Unchanged int
+	// ProcsRecompiled and ProcsReused split the procedures of the
+	// phase-2-recompiled modules into those phase 2 compiled and those
+	// whose stored code it kept.
+	ProcsRecompiled, ProcsReused int
 	// Analyzer reports what the incremental program analyzer reused; nil
 	// when the configuration runs no analyzer.
 	Analyzer *core.ReuseStats
@@ -187,8 +199,12 @@ func (s *Store) SetAnalyzer(ctx context.Context, state []byte, reuse *core.Reuse
 
 // Diff decides phase 2 for every module: a module recompiles when its
 // phase-1 record changed, or when one of its phase-2 keys (pdb.Keys, from
-// the module's summary) differs from the stored one. Each decision the
-// diff alone discovers is recorded as an invalidate-phase2 event.
+// the module's summary) differs from the stored one. A module whose
+// phase-1 record and eligibility key are unchanged recompiles only its
+// stale procedures (staleProcs): a procedure's phase 2 reads nothing of
+// the database but what its own key, its direct callees' keys and the
+// eligibility key cover. Each decision the diff alone discovers is
+// recorded as an invalidate-phase2 event.
 func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb.Database) {
 	if s == nil {
 		return
@@ -197,11 +213,22 @@ func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb
 	for i, ms := range sums {
 		next, a := &s.next[i], &s.out.Actions[i]
 		next.EligibleHash, next.Directives = keys.Module(ms)
+		a.Procs = len(ms.Procs)
 		if a.Phase1Rebuilt && !a.Phase1Unchanged {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
+			a.ProcsRecompiled = a.Procs
 			continue
 		}
-		if reason := phase2Reason(s.prev.Modules[a.Module], next); reason != "" {
+		prev := s.prev.Modules[a.Module]
+		reason := ""
+		if prev.EligibleHash != next.EligibleHash {
+			reason = "eligible globals changed"
+			a.ProcsRecompiled = a.Procs
+		} else if changed := diffDirectives(prev.Directives, next.Directives); len(changed) > 0 {
+			reason = "directives changed: " + strings.Join(changed, ", ")
+			s.stale[i], a.ProcsRecompiled = staleProcs(ms, changed)
+		}
+		if reason != "" {
 			a.Phase2Rebuilt, a.Phase2Reason = true, reason
 			ev := telemetry.Event(ctx, "invalidate-phase2")
 			ev.SetStr("module", a.Module)
@@ -209,35 +236,97 @@ func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb
 			ev.End()
 		}
 	}
+	s.sums = sums
 }
 
-// ReuseObject returns module i's stored object when Diff left its phase 2
-// valid and the object still reads as the bytes its name vouches for;
-// otherwise nil, and the caller compiles the module.
-func (s *Store) ReuseObject(i int) *parv.Object {
+// staleProcs marks, in summary order, the procedures of the module ms
+// summarizes whose phase 2 reads a key that moved, and counts them: those
+// whose own key changed, and those whose summary records a direct call to
+// a procedure whose key changed. changed names the moved keys.
+func staleProcs(ms *summary.ModuleSummary, changed []string) (stale []bool, n int) {
+	moved := make(map[string]bool, len(changed))
+	for _, name := range changed {
+		moved[name] = true
+	}
+	stale = make([]bool, len(ms.Procs))
+	for j := range ms.Procs {
+		p := &ms.Procs[j]
+		stale[j] = moved[p.Name]
+		for _, c := range p.Calls {
+			stale[j] = stale[j] || moved[c.Callee]
+		}
+		if stale[j] {
+			n++
+		}
+	}
+	return stale, n
+}
+
+// ReuseObject returns what module i's phase 2 may take from the module's
+// stored object. When Diff left the module's phase 2 valid it is the
+// object itself, and phase 2 compiles nothing. When Diff found only
+// procedure keys moved it is keep: the stored code of each procedure in
+// module order, nil for the stale ones, which phase 2 compiles. Otherwise
+// both are nil and phase 2 compiles every procedure; so also when the
+// stored object does not read back as the bytes its name vouches for, or
+// does not hold the module's procedures in order, which the record names
+// as "stored object unreadable".
+func (s *Store) ReuseObject(i int) (obj *parv.Object, keep []*parv.ObjFunc) {
 	if s == nil {
-		return nil
+		return nil, nil
 	}
 	a := &s.out.Actions[i]
-	if a.Phase2Rebuilt {
-		return nil
+	stale := s.stale[i]
+	if a.Phase2Rebuilt && stale == nil {
+		return nil, nil
 	}
 	data, err := s.read(s.prev.Modules[a.Module].ObjectFile, "obj", a.Module)
-	var obj *parv.Object
 	if err == nil {
 		obj, err = parv.DecodeObject(data)
 	}
-	if err != nil {
-		a.Phase2Rebuilt, a.Phase2Reason = true, "stored object unreadable"
-		return nil
+	if err == nil && stale != nil && !sameProcs(obj, s.sums[i]) {
+		err = fmt.Errorf("incremental: %s: stored object does not match the phase-1 record", a.Module)
 	}
-	return obj
+	switch {
+	case err != nil && !a.Phase2Rebuilt:
+		a.Phase2Rebuilt, a.Phase2Reason = true, "stored object unreadable"
+	case err != nil:
+		a.Phase2Reason += "; stored object unreadable"
+	case stale == nil:
+		return obj, nil
+	default:
+		keep = obj.Funcs
+		for j := range keep {
+			if stale[j] {
+				keep[j] = nil
+			}
+		}
+		return nil, keep
+	}
+	a.ProcsRecompiled = a.Procs
+	return nil, nil
+}
+
+// sameProcs reports whether obj holds the code of exactly the procedures
+// ms summarizes, in order.
+func sameProcs(obj *parv.Object, ms *summary.ModuleSummary) bool {
+	if len(obj.Funcs) != len(ms.Procs) {
+		return false
+	}
+	for j, f := range obj.Funcs {
+		if f.Name != ms.Procs[j].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // Outcome tallies the build's rebuild record, adds the totals to the
 // tracer's counters (incremental.phase1_rebuilds, ..._reused and
-// ..._unchanged, and the phase-2 pair), and, when w is non-nil, writes one
-// line per module explaining why it was or wasn't rebuilt.
+// ..._unchanged, the phase-2 pair, and incremental.phase2_procs_recompiled
+// and ..._reused over the phase-2-recompiled modules), and, when w is
+// non-nil, writes one line per module explaining why it was or wasn't
+// rebuilt.
 func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 	out := &s.out
 	for _, a := range out.Actions {
@@ -249,6 +338,8 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 		}
 		if a.Phase2Rebuilt {
 			out.Phase2Rebuilds++
+			out.ProcsRecompiled += a.ProcsRecompiled
+			out.ProcsReused += a.Procs - a.ProcsRecompiled
 		}
 	}
 	n := int64(len(out.Actions))
@@ -257,6 +348,8 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 	telemetry.Count(ctx, "incremental.phase1_unchanged", int64(out.Phase1Unchanged))
 	telemetry.Count(ctx, "incremental.phase2_rebuilds", int64(out.Phase2Rebuilds))
 	telemetry.Count(ctx, "incremental.phase2_reused", n-int64(out.Phase2Rebuilds))
+	telemetry.Count(ctx, "incremental.phase2_procs_recompiled", int64(out.ProcsRecompiled))
+	telemetry.Count(ctx, "incremental.phase2_procs_reused", int64(out.ProcsReused))
 	if out.StateReset {
 		telemetry.Count(ctx, "incremental.state_resets", 1)
 	}
@@ -264,19 +357,6 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 		explain(w, s.resetReason, out)
 	}
 	return out
-}
-
-// phase2Reason says why a module whose phase-1 record is unchanged must
-// re-run phase 2 under the keys next was computed from ("" when its
-// stored object is still valid).
-func phase2Reason(prev, next *moduleState) string {
-	if prev.EligibleHash != next.EligibleHash {
-		return "eligible globals changed"
-	}
-	if changed := diffDirectives(prev.Directives, next.Directives); len(changed) > 0 {
-		return "directives changed: " + strings.Join(changed, ", ")
-	}
-	return ""
 }
 
 // diffDirectives returns the sorted names of procedures whose directive
@@ -315,8 +395,11 @@ func explain(w io.Writer, resetReason string, out *Outcome) {
 		if a.Phase1Unchanged {
 			p1 += ", record unchanged"
 		}
-		fmt.Fprintf(w, "incremental: %s: phase 1 %s; phase 2 %s\n",
-			a.Module, p1, phase(a.Phase2Rebuilt, a.Phase2Reason))
+		p2 := phase(a.Phase2Rebuilt, a.Phase2Reason)
+		if a.Phase2Rebuilt && a.ProcsRecompiled < a.Procs {
+			p2 += fmt.Sprintf(", %d/%d procedures", a.ProcsRecompiled, a.Procs)
+		}
+		fmt.Fprintf(w, "incremental: %s: phase 1 %s; phase 2 %s\n", a.Module, p1, p2)
 	}
 	if r := out.Analyzer; r != nil {
 		if r.Fallback != "" {

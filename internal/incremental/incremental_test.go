@@ -91,17 +91,25 @@ func toyDB(sums []*summary.ModuleSummary, o toyOptions) *pdb.Database {
 }
 
 // toyPhase2 compiles one module; its "code" depends on the module's own
-// directives, as real phase-2 output does.
-func toyPhase2(m *ir.Module, db *pdb.Database) *parv.Object {
+// directives, as real phase-2 output does. Like the build's phase 2 it
+// takes each procedure keep holds from keep and compiles the rest; it
+// returns the names of the procedures it compiled.
+func toyPhase2(m *ir.Module, db *pdb.Database, keep []*parv.ObjFunc) (*parv.Object, []string) {
 	o := &parv.Object{Module: m.Name}
-	for _, f := range m.Funcs {
+	var compiled []string
+	for j, f := range m.Funcs {
+		if j < len(keep) && keep[j] != nil {
+			o.Funcs = append(o.Funcs, keep[j])
+			continue
+		}
+		compiled = append(compiled, f.Name)
 		var reg uint8
 		if d := db.Lookup(f.Name); len(d.Promoted) > 0 {
 			reg = d.Promoted[0].Reg
 		}
 		o.Funcs = append(o.Funcs, &parv.ObjFunc{Name: f.Name, Code: []parv.Instr{{Op: parv.LDI, Rd: reg}}})
 	}
-	return o
+	return o, compiled
 }
 
 // toyOptions vary one toy build.
@@ -122,6 +130,7 @@ type toyOptions struct {
 type toyResult struct {
 	out            *Outcome
 	phase1, phase2 []string     // modules each phase compiled, in order
+	procs          []string     // procedures phase 2 compiled, in order
 	dirty          []string     // the store's Dirty() after phase 1
 	modules        []*ir.Module // nil where neither phase needed the IR
 	sums           []*summary.ModuleSummary
@@ -184,7 +193,8 @@ func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyR
 	}
 	st.Diff(ctx, r.sums, db)
 	for i, src := range srcs {
-		if r.objs[i] = st.ReuseObject(i); r.objs[i] != nil {
+		obj, keep := st.ReuseObject(i)
+		if r.objs[i] = obj; obj != nil {
 			continue
 		}
 		if r.modules[i] == nil {
@@ -192,8 +202,10 @@ func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyR
 				t.Fatal(err)
 			}
 		}
-		r.objs[i] = toyPhase2(r.modules[i], db)
+		var compiled []string
+		r.objs[i], compiled = toyPhase2(r.modules[i], db, keep)
 		r.phase2 = append(r.phase2, src.name)
+		r.procs = append(r.procs, compiled...)
 	}
 	if err := st.Persist(r.objs); err != nil {
 		return r, err
@@ -290,6 +302,67 @@ func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 	r = toyBuild(t, dir, twoModules(), toyOptions{clobber: clobber, promote: promote, eligible: []string{"g", "other"}})
 	if r.out.Phase2Rebuilds != 0 {
 		t.Errorf("undeclared global's eligibility: phase 2 compiled %v, want nothing", r.phase2)
+	}
+}
+
+// salvageModules is twoModules with a procedure in lib.mc that neither
+// calls leaf nor is called by a procedure main.mc's key covers leaf for.
+func salvageModules() []toySource {
+	return []toySource{
+		{"main.mc", "main>helper main>other"},
+		{"lib.mc", "helper>leaf leaf other @g"},
+	}
+}
+
+// TestKeyChangeRecompilesStaleProcedures is the per-procedure phase-2
+// decision: a module whose phase-1 record and eligibility key are
+// unchanged recompiles only the procedures whose own key or a direct
+// callee's key moved, keeps the stored code of the others, counts both,
+// and says so; an eligibility change still recompiles the whole module.
+// Each build's objects equal a clean build's.
+func TestKeyChangeRecompilesStaleProcedures(t *testing.T) {
+	dir := t.TempDir()
+	toyBuild(t, dir, salvageModules(), toyOptions{})
+	clobber := map[string]regs.Set{"leaf": regs.Of(19)}
+	for _, step := range []struct {
+		what  string
+		opts  toyOptions
+		procs []string // the procedures lib.mc's phase 2 compiles
+		line  string
+	}{
+		// helper calls leaf and lib.mc defines it; other reads neither,
+		// and main.mc consults no key of leaf.
+		{"leaf's clobber set", toyOptions{clobber: clobber}, []string{"helper", "leaf"},
+			"lib.mc: phase 1 reused; phase 2 recompiled (directives changed: leaf), 2/3 procedures\n"},
+		// main.mc reads only other's clobber set, which is unchanged.
+		{"a promotion in other", toyOptions{clobber: clobber, promote: map[string]uint8{"other": 17}}, []string{"other"},
+			"lib.mc: phase 1 reused; phase 2 recompiled (directives changed: other), 1/3 procedures\n"},
+		{"g's eligibility", toyOptions{clobber: clobber, promote: map[string]uint8{"other": 17}, eligible: []string{"g"}},
+			[]string{"helper", "leaf", "other"},
+			"lib.mc: phase 1 reused; phase 2 recompiled (eligible globals changed)\n"},
+	} {
+		var buf bytes.Buffer
+		o := step.opts
+		o.explain = &buf
+		r := toyBuild(t, dir, salvageModules(), o)
+		if !reflect.DeepEqual(r.phase2, []string{"lib.mc"}) || !reflect.DeepEqual(r.procs, step.procs) {
+			t.Errorf("%s: phase 2 compiled modules %v, procedures %v; want lib.mc, %v", step.what, r.phase2, r.procs, step.procs)
+		}
+		if !strings.Contains(buf.String(), step.line) {
+			t.Errorf("%s: explain lacks %q:\n%s", step.what, step.line, &buf)
+		}
+		a := r.out.Actions[1]
+		if a.Procs != 3 || a.ProcsRecompiled != len(step.procs) ||
+			r.out.ProcsRecompiled != len(step.procs) || r.out.ProcsReused != 3-len(step.procs) {
+			t.Errorf("%s: lib.mc recompiled %d/%d, build %d recompiled + %d reused; want %d/3",
+				step.what, a.ProcsRecompiled, a.Procs, r.out.ProcsRecompiled, r.out.ProcsReused, len(step.procs))
+		}
+		clean := toyBuild(t, t.TempDir(), salvageModules(), step.opts)
+		for i := range clean.objs {
+			if !bytes.Equal(parv.EncodeObject(r.objs[i]), parv.EncodeObject(clean.objs[i])) {
+				t.Errorf("%s: %s: object differs from a clean build's", step.what, clean.out.Actions[i].Module)
+			}
+		}
 	}
 }
 
@@ -852,6 +925,65 @@ func TestArtifactByteFlipsFallBack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSalvagedObjectByteFlipsFallBack flips each byte of a stored object
+// that a per-procedure salvage reads. A flipped object no longer matches
+// its name, so the module's phase 2 runs whole instead of keeping stored
+// code, the outputs equal a clean build's, and the rewrite restores the
+// file. So does an object that reads back but does not hold the module's
+// procedures in order.
+func TestSalvagedObjectByteFlipsFallBack(t *testing.T) {
+	dir := t.TempDir()
+	toyBuild(t, dir, salvageModules(), toyOptions{})
+	file := readManifest(t, dir).Modules["lib.mc"].ObjectFile
+	path := filepath.Join(dir, file)
+	orig := readArtifact(t, dir, file)
+	// Alternating leaf's clobber set moves leaf's key on every build, so
+	// each one salvages lib.mc; toy code ignores clobber sets, so the
+	// object keeps its name.
+	opts := []toyOptions{{clobber: map[string]regs.Set{"leaf": regs.Of(19)}}, {}}
+	var cleans []toyResult
+	for _, o := range opts {
+		cleans = append(cleans, toyBuild(t, t.TempDir(), salvageModules(), o))
+	}
+	fellBack := func(what string, r toyResult, clean toyResult) {
+		t.Helper()
+		a := r.out.Actions[1]
+		if a.Phase2Reason != "directives changed: leaf; stored object unreadable" || a.ProcsRecompiled != 3 ||
+			!reflect.DeepEqual(r.procs, []string{"helper", "leaf", "other"}) {
+			t.Errorf("%s: lib.mc recompiled %v (%d/%d, %q), want a whole-module phase 2",
+				what, r.procs, a.ProcsRecompiled, a.Procs, a.Phase2Reason)
+		}
+		for i := range clean.objs {
+			if !bytes.Equal(parv.EncodeObject(r.objs[i]), parv.EncodeObject(clean.objs[i])) {
+				t.Errorf("%s: %s: object differs from a clean build's", what, clean.out.Actions[i].Module)
+			}
+		}
+	}
+	for i := range orig {
+		flipped := bytes.Clone(orig)
+		flipped[i] ^= 0xff
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("%s byte %d", file, i)
+		fellBack(what, toyBuild(t, dir, salvageModules(), opts[i%2]), cleans[i%2])
+		if got := readArtifact(t, dir, file); !bytes.Equal(got, orig) {
+			t.Fatalf("%s: the rebuild did not restore the object", what)
+		}
+	}
+
+	// An object named for its bytes whose procedures are not lib.mc's.
+	short := parv.EncodeObject(&parv.Object{Module: "lib.mc", Funcs: cleans[0].objs[1].Funcs[:2]})
+	m := readManifest(t, dir)
+	m.Modules["lib.mc"].ObjectFile = artifactFile("obj", "lib.mc", short)
+	if err := os.WriteFile(filepath.Join(dir, m.Modules["lib.mc"].ObjectFile), short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, dir, m)
+	k := len(orig) % 2
+	fellBack("an object missing a procedure", toyBuild(t, dir, salvageModules(), opts[k]), cleans[k])
 }
 
 // TestBuildDirHoldsOnlyNamedFiles checks that after each kind of build the

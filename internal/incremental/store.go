@@ -53,6 +53,7 @@ import (
 	"ipra/internal/cache"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
+	"ipra/internal/summary"
 )
 
 // FormatVersion versions the build directory layout and manifest schema.
@@ -94,6 +95,11 @@ type Store struct {
 	// prevState is the stored analyzer state, once read and verified;
 	// state is the one to persist.
 	prevState, state []byte
+	// sums are the summaries Diff keyed the modules by, and stale marks,
+	// for each module whose keys alone moved, its procedures that phase 2
+	// recompiles (nil for every other module).
+	sums  []*summary.ModuleSummary
+	stale [][]bool
 }
 
 // Open loads the build directory's manifest (creating the directory if
@@ -111,6 +117,7 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
 		next:        make([]moduleState, len(modules)),
 		records:     make([][]byte, len(modules)),
+		stale:       make([][]bool, len(modules)),
 		out:         Outcome{Actions: make([]Action, len(modules))},
 	}
 	for i, name := range modules {

@@ -304,7 +304,7 @@ func (m *Module) Clone() *Module {
 	if m.Funcs != nil {
 		out.Funcs = make([]*Func, len(m.Funcs))
 		for i, f := range m.Funcs {
-			out.Funcs[i] = f.clone()
+			out.Funcs[i] = f.Clone()
 		}
 	}
 	if m.Globals != nil {
@@ -320,7 +320,10 @@ func (m *Module) Clone() *Module {
 	return out
 }
 
-func (f *Func) clone() *Func {
+// Clone deep-copies one function the way Module.Clone copies each of its
+// functions, for a caller that optimizes some functions of a module and
+// not others.
+func (f *Func) Clone() *Func {
 	cp := *f
 	if f.Pinned != nil {
 		cp.Pinned = make(map[Reg]uint8, len(f.Pinned))

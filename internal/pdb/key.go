@@ -10,8 +10,8 @@ import (
 )
 
 // Phase-2 keys: what one module's compiler second phase reads of the
-// database, and nothing more. Phase 2 (ipra's optimizeModule, then
-// codegen.Compile) reads:
+// database, and nothing more. Phase 2 (per procedure, ipra's optimizeFunc,
+// then codegen.CompileFunc; codegen.Data reads no directive) reads:
 //
 //   - of each procedure the module defines: the promotion list, each
 //     entry's Name, Reg, IsEntry and NeedStore, in list order; the FREE,
@@ -33,7 +33,19 @@ import (
 // procedure the module neither defines nor calls. A module's key is one
 // Phase2Key per procedure Consulted names plus its eligibility key; equal
 // keys under two databases mean byte-identical objects.
-// TestPhase2KeySoundness checks that differentially, and fails when phase
+//
+// The same holds per procedure. Phase 2 compiles each procedure alone: it
+// reads the procedure's level-1 IR, the module's globals, the procedure's
+// own directives, the clobber contracts of its direct callees and the
+// eligibility of the globals it names, and no other procedure's IR or
+// directives. So when a module's phase-1 record and eligibility key are
+// unchanged, a procedure whose own key and whose direct callees' keys
+// (the ones its summary record lists) are unchanged compiles to the same
+// code, and a build keeps that code from the module's previous object
+// (incremental.Store.Diff marks the others stale). A procedure's key in
+// the module's set covers its Use in the whole module, a superset of what
+// the procedure alone reads, so the rule errs toward recompiling.
+// TestPhase2KeySoundness checks both differentially, and fails when phase
 // 2 starts reading something the keys omit: change the keys with the
 // reads.
 

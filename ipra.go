@@ -293,12 +293,12 @@ func frontEnd(src Source) (*ir.Module, error) {
 // Phase2 runs the compiler second phase on one module's level-1 IR
 // (Phase1's artifact): apply the program database's directives, finish the
 // optimizer, and generate code, what every Build does per module. It never
-// mutates m; everything runs on a scratch clone. The output is a pure
-// function of the module IR and of what pdb's phase-2 keys cover: the
-// property that lets phase 2 run module-at-a-time in any order (§4.3) and
-// that the build directory's key diff relies on.
+// mutates m; each procedure compiles on a clone of its own. The output is
+// a pure function of the module IR and of what pdb's phase-2 keys cover:
+// the property that lets phase 2 run module-at-a-time in any order (§4.3)
+// and that the build directory's key diff relies on.
 func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
-	return compileModule(m.Clone(), db, db.EligibleSet())
+	return phase2Module(context.Background(), m, db, db.EligibleSet(), nil)
 }
 
 // Summaries produces the summary record of each module of raw IR (a
@@ -464,11 +464,12 @@ func WithAggregatedProfile(p *parv.Profile) BuildOption {
 // WithBuildDir makes the build incremental against a persistent build
 // directory (created if missing): phase 1 re-runs only for modules whose
 // source changed, the analyzer always re-runs, and phase 2 re-runs only
-// for modules whose phase-1 record or phase-2 keys changed. The output is
-// byte-identical to a from-scratch Build; the rebuild record lands in
-// BuildResult.Incremental. Profile-guided builds keep their training pass
-// in a "train" subdirectory so repeat builds skip it too. An empty dir
-// disables the option.
+// for modules whose phase-1 record or phase-2 keys changed, and of a
+// module whose keys alone moved only for the procedures that read a moved
+// key. The output is byte-identical to a from-scratch Build; the rebuild
+// record lands in BuildResult.Incremental. Profile-guided builds keep
+// their training pass in a "train" subdirectory so repeat builds skip it
+// too. An empty dir disables the option.
 func WithBuildDir(dir string) BuildOption {
 	return func(s *buildSettings) { s.buildDir = dir }
 }
@@ -713,11 +714,15 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 	// ---- Compiler second phase for every module the store cannot serve
 	// (order-independent; the program database is shared read-only). A
 	// module whose phase-1 record was reused has no IR yet: it is decoded
-	// here, and only for the modules phase 2 compiles.
+	// here, and only for the modules phase 2 compiles. A module whose keys
+	// alone moved compiles only its stale procedures and keeps the rest of
+	// its stored object.
 	eligible := p.DB.EligibleSet()
 	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
 	err = pipeline.ForEachCtx(p2ctx, cfg.Jobs, n, func(ctx context.Context, i int) error {
-		if p.Objects[i] = st.ReuseObject(i); p.Objects[i] != nil {
+		obj, keep := st.ReuseObject(i)
+		if obj != nil {
+			p.Objects[i] = obj
 			return nil
 		}
 		var err error
@@ -726,7 +731,7 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 				return fmt.Errorf("%s: %w", sources[i].Name, err)
 			}
 		}
-		p.Objects[i], err = phase2Module(ctx, p.Modules[i], p.DB, eligible)
+		p.Objects[i], err = phase2Module(ctx, p.Modules[i], p.DB, eligible, keep)
 		return err
 	})
 	p2Span.End()
@@ -795,44 +800,66 @@ func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store)
 	return nil
 }
 
-// phase2Module is one build's phase 2 of level-1 module m, under a
-// "module" span: compileModule on a clone, with the database's
-// eligibility set computed once per build rather than once per module.
-func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
+// phase2Module is the compiler second phase of level-1 module m, under a
+// "module" span: the module's data symbols, then each procedure in module
+// order, either the code keep holds for it (a store's salvage of the
+// module's previous object) or phase2Func's. A nil keep compiles every
+// procedure. It never mutates m, and it takes the database's eligibility
+// set from the caller, computed once per build rather than once per
+// module.
+func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool, keep []*parv.ObjFunc) (*parv.Object, error) {
 	_, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
 	span.SetStr("module", m.Name)
-	return compileModule(m.Clone(), db, eligible)
-}
-
-// compileModule optimizes level-1 module m in place and generates its
-// object.
-func compileModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
-	optimizeModule(m, db, eligible)
-	obj, err := codegen.Compile(m, db)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m.Name, err)
+	obj := &parv.Object{Module: m.Name, Globals: codegen.Data(m)}
+	if len(m.Funcs) > 0 {
+		obj.Funcs = make([]*parv.ObjFunc, len(m.Funcs))
 	}
+	compiled := 0
+	for j, f := range m.Funcs {
+		if j < len(keep) && keep[j] != nil && keep[j].Name == f.Name {
+			obj.Funcs[j] = keep[j]
+			continue
+		}
+		of, err := phase2Func(f, m, db, eligible)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", m.Name, err)
+		}
+		obj.Funcs[j] = of
+		compiled++
+	}
+	span.SetInt("procs", int64(len(m.Funcs)))
+	span.SetInt("procs_recompiled", int64(compiled))
 	return obj, nil
 }
 
-// optimizeModule applies the database's web directives to every function
-// of level-1 module m and finishes the level-2 optimizer over it
-// (opt.Promote), in place. What it reads of the database is part of pdb's
-// phase-2 keys; keep the two in step.
-func optimizeModule(m *ir.Module, db *pdb.Database, eligible map[string]bool) {
-	for _, f := range m.Funcs {
-		dir := db.Lookup(f.Name)
-		skip := make(map[string]bool, len(dir.Promoted))
-		for _, pg := range dir.Promoted {
-			skip[pg.Name] = true
-		}
-		// Web-promoted globals become pinned register references
-		// before scalar optimization, so copy propagation folds them
-		// into their uses (§5).
-		opt.ApplyWebDirectives(f, dir.Promoted)
-		opt.Promote(f, eligible, skip)
+// phase2Func compiles procedure f of level-1 module m on a clone of f:
+// optimizeFunc, then code generation. It reads f, m's globals, f's own
+// directives, the clobber contracts of f's direct callees and the
+// eligibility of the globals f names: what pdb's phase-2 keys of f, its
+// callees and m's globals cover, which is what lets a store reuse the
+// code of every procedure none of those keys moved for.
+func phase2Func(f *ir.Func, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.ObjFunc, error) {
+	f = f.Clone()
+	optimizeFunc(f, db, eligible)
+	return codegen.CompileFunc(f, m, db)
+}
+
+// optimizeFunc applies the database's web directives to level-1 function
+// f and finishes the level-2 optimizer over it (opt.Promote), in place.
+// What it reads of the database is part of pdb's phase-2 keys; keep the
+// two in step.
+func optimizeFunc(f *ir.Func, db *pdb.Database, eligible map[string]bool) {
+	dir := db.Lookup(f.Name)
+	skip := make(map[string]bool, len(dir.Promoted))
+	for _, pg := range dir.Promoted {
+		skip[pg.Name] = true
 	}
+	// Web-promoted globals become pinned register references before
+	// scalar optimization, so copy propagation folds them into their uses
+	// (§5).
+	opt.ApplyWebDirectives(f, dir.Promoted)
+	opt.Promote(f, eligible, skip)
 }
 
 // phase2Fingerprint versions the persisted phase-2 artifacts (objects in

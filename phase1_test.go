@@ -204,7 +204,7 @@ func FuzzPhase1(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, gotErr := phase2Module(ctx, m, res.DB, res.DB.EligibleSet())
+		got, gotErr := phase2Module(ctx, m, res.DB, res.DB.EligibleSet(), nil)
 		want, wantErr := replayCompile(raw, res.DB)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("build error %v, replay error %v", gotErr, wantErr)

@@ -74,16 +74,17 @@ func keyFamilies(t *testing.T) []keyFamily {
 	return fams
 }
 
-// keyTwin returns a database that agrees with db on everything the phase-2
-// key of the module ms summarizes covers and rewrites everything else: every WebID and Name;
-// the directives of procedures m neither defines nor calls (including
-// procedures db has none for); everything but the clobber contract of
-// procedures the module only calls; the clobber contract of procedures it
-// only defines, and ClobberAtCalls wherever HasClobber is unset; and the
-// eligibility of every global it does not declare. procs and globals name
-// every procedure and global of the program.
-func keyTwin(db *pdb.Database, ms *summary.ModuleSummary, procs, globals []string) *pdb.Database {
-	uses := pdb.Consulted(ms)
+// keyTwin returns a database that agrees with db on everything the
+// phase-2 keys of uses and of the globals a module declares cover, and
+// rewrites everything else: every WebID and Name; the directives of
+// procedures uses does not name (including procedures db has none for);
+// everything but the clobber contract of procedures it names only as
+// called; the clobber contract of procedures it names only as defined, and
+// ClobberAtCalls wherever HasClobber is unset; and the eligibility of every
+// global not declared. uses is a module's (pdb.Consulted) or one
+// procedure's (procUses); procs and globals name every procedure and
+// global of the program.
+func keyTwin(db *pdb.Database, uses map[string]pdb.Use, declared []summary.GlobalInfo, procs, globals []string) *pdb.Database {
 	twin := pdb.New()
 	for _, name := range procs {
 		u := uses[name]
@@ -113,27 +114,51 @@ func keyTwin(db *pdb.Database, ms *summary.ModuleSummary, procs, globals []strin
 		}
 		twin.Procs[name] = &d
 	}
-	declared := make(map[string]bool, len(ms.Globals))
-	for _, g := range ms.Globals {
-		declared[g.Name] = true
+	isDeclared := make(map[string]bool, len(declared))
+	for _, g := range declared {
+		isDeclared[g.Name] = true
 	}
 	eligible := db.EligibleSet()
 	for _, g := range globals {
-		if eligible[g] != !declared[g] {
+		if eligible[g] != !isDeclared[g] {
 			twin.EligibleGlobals = append(twin.EligibleGlobals, g)
 		}
 	}
 	return twin
 }
 
+// procUses is what phase 2 of procedure p reads of the database: its own
+// directives and its direct callees' clobber contracts.
+func procUses(p *summary.ProcRecord) map[string]pdb.Use {
+	uses := map[string]pdb.Use{p.Name: pdb.UseOwn}
+	for _, c := range p.Calls {
+		uses[c.Callee] |= pdb.UseCall
+	}
+	return uses
+}
+
+// procKey is the phase-2 key of what uses names under db: one key per
+// procedure, as pdb.Keys.Module computes a module's.
+func procKey(db *pdb.Database, uses map[string]pdb.Use) map[string]string {
+	keys := make(map[string]string, len(uses))
+	for name, u := range uses {
+		keys[name] = db.Lookup(name).Phase2Key(u)
+	}
+	return keys
+}
+
 // TestPhase2KeySoundness is the differential behind pdb's phase-2 keys:
 // whenever a module's key is equal under two databases, a build's phase 2
-// produces byte-identical objects under both. The modules are a build's
-// level-1 IR (Program.Modules), so they go to phase2Module, not to Phase2,
-// which takes Phase1 output. Besides the database pairs
-// keyFamilies builds, every database is compared against its keyTwin for
-// every module, whose key must be equal: the test fails as soon as phase 2
-// reads something the keys omit.
+// produces byte-identical objects under both; and whenever a procedure's
+// own key, its direct callees' keys and its module's eligibility key are
+// equal, its code is byte-identical, whatever the module's other keys do,
+// which is what lets a build keep the stored code of such a procedure. The
+// modules are a build's level-1 IR (Program.Modules), so they go to
+// phase2Module, not to Phase2, which takes Phase1 output. Besides the
+// database pairs keyFamilies builds, every database is compared against
+// its keyTwin for every module, and for every procedure against the twin
+// of that procedure's key, whose keys must be equal: the test fails as
+// soon as phase 2 reads something the keys omit.
 func TestPhase2KeySoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-build differential matrix")
@@ -146,15 +171,19 @@ func TestPhase2KeySoundness(t *testing.T) {
 		e, p := pdb.NewKeys(db).Module(ms)
 		return moduleKey{e, p}
 	}
-	compile := func(m *ir.Module, db *pdb.Database) []byte {
+	compile := func(m *ir.Module, db *pdb.Database) *parv.Object {
 		t.Helper()
-		obj, err := phase2Module(context.Background(), m, db, db.EligibleSet())
+		obj, err := phase2Module(context.Background(), m, db, db.EligibleSet(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return parv.EncodeObject(obj)
+		return obj
+	}
+	funcBytes := func(f *parv.ObjFunc) []byte {
+		return parv.EncodeObject(&parv.Object{Funcs: []*parv.ObjFunc{f}})
 	}
 	var sameKey, sameKeyDiffDB, diffKey, twins int
+	var procSame, procSameDiffDB, procSameDiffModule, procTwins int
 	for _, fam := range keyFamilies(t) {
 		procSet, globalSet := map[string]bool{}, map[string]bool{}
 		for _, m := range fam.modules {
@@ -174,32 +203,80 @@ func TestPhase2KeySoundness(t *testing.T) {
 
 		for mi, m := range fam.modules {
 			ms := fam.sums[mi]
-			objs := make([][]byte, len(fam.dbs))
+			for k, f := range m.Funcs {
+				if ms.Procs[k].Name != f.Name {
+					t.Fatalf("%s/%s: summary procedure %d is %s, function %s", fam.name, m.Name, k, ms.Procs[k].Name, f.Name)
+				}
+			}
+			uses := make([]map[string]pdb.Use, len(ms.Procs))
+			for k := range ms.Procs {
+				uses[k] = procUses(&ms.Procs[k])
+			}
+			objs := make([]*parv.Object, len(fam.dbs))
 			keys := make([]moduleKey, len(fam.dbs))
+			pkeys := make([][]map[string]string, len(fam.dbs))
 			for i, db := range fam.dbs {
 				objs[i], keys[i] = compile(m, db), keyOf(ms, db)
-				twin := keyTwin(db, ms, procs, globals)
+				twin := keyTwin(db, pdb.Consulted(ms), ms.Globals, procs, globals)
 				if !reflect.DeepEqual(keyOf(ms, twin), keys[i]) {
 					t.Fatalf("%s/%s: the twin of database %d has a different key", fam.name, m.Name, i)
 				}
-				if !bytes.Equal(compile(m, twin), objs[i]) {
+				if !bytes.Equal(parv.EncodeObject(compile(m, twin)), parv.EncodeObject(objs[i])) {
 					t.Errorf("%s/%s: database %d and its twin have equal keys but compile differently: phase 2 reads something the keys omit",
 						fam.name, m.Name, i)
 				}
 				twins++
+				pkeys[i] = make([]map[string]string, len(ms.Procs))
+				for k, f := range m.Funcs {
+					pkeys[i][k] = procKey(db, uses[k])
+					twin := keyTwin(db, uses[k], ms.Globals, procs, globals)
+					if !reflect.DeepEqual(procKey(twin, uses[k]), pkeys[i][k]) || keyOf(ms, twin).eligibility != keys[i].eligibility {
+						t.Fatalf("%s/%s/%s: the procedure twin of database %d has a different key", fam.name, m.Name, f.Name, i)
+					}
+					of, err := phase2Func(f, m, twin, twin.EligibleSet())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(funcBytes(of), funcBytes(objs[i].Funcs[k])) {
+						t.Errorf("%s/%s/%s: database %d and its procedure twin have equal keys but compile differently: phase 2 of a procedure reads something its keys omit",
+							fam.name, m.Name, f.Name, i)
+					}
+					procTwins++
+				}
 			}
 			for i := range fam.dbs {
 				for j := i + 1; j < len(fam.dbs); j++ {
-					if !reflect.DeepEqual(keys[i], keys[j]) {
+					diffDB := fam.dbs[i].Hash() != fam.dbs[j].Hash()
+					moduleEqual := reflect.DeepEqual(keys[i], keys[j])
+					if !moduleEqual {
 						diffKey++
+					} else {
+						sameKey++
+						if diffDB {
+							sameKeyDiffDB++
+						}
+						if !bytes.Equal(parv.EncodeObject(objs[i]), parv.EncodeObject(objs[j])) {
+							t.Errorf("%s/%s: databases %d and %d have equal keys but compile differently", fam.name, m.Name, i, j)
+						}
+					}
+					if keys[i].eligibility != keys[j].eligibility {
 						continue
 					}
-					sameKey++
-					if fam.dbs[i].Hash() != fam.dbs[j].Hash() {
-						sameKeyDiffDB++
-					}
-					if !bytes.Equal(objs[i], objs[j]) {
-						t.Errorf("%s/%s: databases %d and %d have equal keys but compile differently", fam.name, m.Name, i, j)
+					for k, f := range m.Funcs {
+						if !reflect.DeepEqual(pkeys[i][k], pkeys[j][k]) {
+							continue
+						}
+						procSame++
+						if diffDB {
+							procSameDiffDB++
+						}
+						if !moduleEqual {
+							procSameDiffModule++
+						}
+						if !bytes.Equal(funcBytes(objs[i].Funcs[k]), funcBytes(objs[j].Funcs[k])) {
+							t.Errorf("%s/%s/%s: databases %d and %d have equal procedure keys but compile it differently",
+								fam.name, m.Name, f.Name, i, j)
+						}
 					}
 				}
 			}
@@ -207,8 +284,13 @@ func TestPhase2KeySoundness(t *testing.T) {
 	}
 	t.Logf("%d equal-key pairs (%d of them under different databases), %d different-key pairs, %d twins",
 		sameKey, sameKeyDiffDB, diffKey, twins)
+	t.Logf("%d equal-key procedure pairs (%d of them under different databases, %d in modules whose keys differ), %d procedure twins",
+		procSame, procSameDiffDB, procSameDiffModule, procTwins)
 	if sameKeyDiffDB == 0 || diffKey == 0 {
 		t.Error("the database pairs never exercise the key: no equal key under different databases, or no differing key")
+	}
+	if procSameDiffDB == 0 || procSameDiffModule == 0 {
+		t.Error("the database pairs never exercise the procedure keys: no equal procedure key under different databases, or none in a module whose key differs")
 	}
 }
 
