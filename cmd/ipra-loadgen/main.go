@@ -1,10 +1,9 @@
 // ipra-loadgen drives a scripted fleet of build clients against a running
-// ipra-served daemon. Its one mode, profiles (profiles.go), plays a
-// program's profile-aggregation lifecycle: a trained build, stable fleet
-// generations, then a workload shift that must trigger exactly one
-// re-analysis.
+// ipra-served daemon. It plays a program's profile-aggregation lifecycle
+// (profiles.go): a trained build, stable fleet generations, then a
+// workload shift that must trigger exactly one re-analysis.
 //
-//	ipra-loadgen -mode profiles -addr unix:/tmp/ipra.sock -config B
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B
 //
 // The daemon's request latency is measured by the benchmark module's
 // served workload (benchmark/run.sh), not here.
@@ -12,7 +11,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"ipra/internal/cliutil"
 	"ipra/internal/progen"
@@ -20,7 +18,6 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "profiles", "scenario to run; profiles (fleet profile-drift scenario) is the only one")
 		addr    = flag.String("addr", "unix:ipra-served.sock", "daemon address")
 		label   = flag.String("label", "", "label recorded in the report")
 		out     = flag.String("o", "", "write the JSON report here (default stdout)")
@@ -43,9 +40,6 @@ func main() {
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)
-	}
-	if *mode != "profiles" {
-		common.Fatal(fmt.Errorf("unknown -mode %q (want profiles)", *mode))
 	}
 
 	cfg, err := build.Config()

@@ -1,8 +1,8 @@
-// The profiles mode: a scripted fleet-lifecycle scenario against a live
+// The profiles scenario: a scripted fleet lifecycle against a live
 // daemon, the harness behind BENCH_profagg.json and the profagg-smoke CI
 // job.
 //
-//	ipra-loadgen -mode profiles -addr unix:/tmp/ipra.sock -config B \
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B \
 //	    -generations 2 -gen-runs 4 -o BENCH_profagg.json
 //
 // The scenario: build the program under a profiled configuration (the
@@ -47,10 +47,9 @@ type profilesParams struct {
 	srcOut      string
 }
 
-// profilesReport is the -mode profiles JSON output.
+// profilesReport is ipra-loadgen's JSON output.
 type profilesReport struct {
 	Label   string        `json:"label,omitempty"`
-	Mode    string        `json:"mode"`
 	Config  string        `json:"config"`
 	Program progen.Config `json:"program"`
 
@@ -137,7 +136,7 @@ func runProfiles(p profilesParams) error {
 		return fmt.Errorf("training build: %w", err)
 	}
 	if trained.DirectiveHash == "" {
-		return fmt.Errorf("config %s returned no directive hash; -mode profiles needs a profiled configuration (B or F)", p.config)
+		return fmt.Errorf("config %s returned no directive hash; ipra-loadgen needs a profiled configuration (B or F)", p.config)
 	}
 
 	// The fleet: run the served binary, stream the measured counts back
@@ -208,7 +207,7 @@ func runProfiles(p profilesParams) error {
 	}
 
 	rep := profilesReport{
-		Label: p.label, Mode: "profiles", Config: p.config, Program: p.pcfg,
+		Label: p.label, Config: p.config, Program: p.pcfg,
 		StableGenerations: p.generations, RunsPerGeneration: p.genRuns,
 		CyclesTrained:          cyclesTrained,
 		CyclesRetrained:        cyclesRetrained,

@@ -1,7 +1,7 @@
 // ipra-progen writes a synthesized whole program (internal/progen) to a
 // directory of .mc module files, optionally after applying one seeded
-// source edit, so shell-level tooling — the CI incremental-analyzer smoke
-// job, manual cache experiments — can drive mcc over reproducible programs
+// source edit, so shell-level tooling — the CI incremental smoke job,
+// manual cache experiments — can drive mcc over reproducible programs
 // and reproducible dirty regions:
 //
 //	ipra-progen -o src                          write the default program

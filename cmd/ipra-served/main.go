@@ -1,7 +1,7 @@
 // ipra-served is the long-lived compilation daemon: it keeps the
-// phase-1/summary cache, per-program incremental build directories, and
-// analyzer state hot across requests and serves concurrent whole-program
-// builds to many clients over a Unix socket (and optionally TCP).
+// phase-1/summary cache and per-program incremental build directories hot
+// across requests and serves concurrent whole-program builds to many
+// clients over a Unix socket (and optionally TCP).
 //
 //	ipra-served -socket /tmp/ipra.sock -state ~/.ipra-served &
 //	mcc -remote unix:/tmp/ipra.sock -config C -exe prog.exe src/*.mc

@@ -372,21 +372,6 @@ func runIncremental(ctx context.Context, files []string, buildDir string, build 
 		return err
 	}
 
-	if common.Verbose && res.Incremental != nil {
-		if r := res.Incremental.Analyzer; r != nil {
-			if r.Fallback != "" {
-				fmt.Fprintf(os.Stderr, "mcc: analyzer cache: full analysis (%s)\n", r.Fallback)
-			} else {
-				clusters := "reused"
-				if r.ClustersRebuilt {
-					clusters = "rebuilt"
-				}
-				fmt.Fprintf(os.Stderr, "mcc: analyzer cache: %d webs reused, %d rebuilt, clusters %s (%d dirty modules)\n",
-					r.WebsReused, r.WebsRebuilt, clusters, r.DirtyModules)
-			}
-		}
-	}
-
 	exeOut := build.ExePath
 	if exeOut == "" {
 		exeOut = filepath.Join(buildDir, "program.exe")

@@ -440,13 +440,15 @@ func TestIncrementalCleanThenNoOpRebuild(t *testing.T) {
 	if noop.DB.Hash() != clean.DB.Hash() {
 		t.Error("no-op rebuild computed a different program database")
 	}
-	a := out.Analyzer
 	want := "incremental: main.mc: phase 1 reused; phase 2 reused\n" +
 		"incremental: lib.mc: phase 1 reused; phase 2 reused\n" +
-		fmt.Sprintf("incremental: analyzer: %d webs reused, %d rebuilt (%d dirty modules)\n", a.WebsReused, a.WebsRebuilt, a.DirtyModules) +
 		"incremental: 0/2 phase-1 recompiles, 0/2 phase-2 recompiles\n"
 	if buf.String() != want {
 		t.Errorf("explain output:\n%q\nwant:\n%q", buf.String(), want)
+	}
+	// The analyzer re-ran whole and left nothing in the build directory.
+	if states, _ := filepath.Glob(filepath.Join(dir, "analyzer*")); len(states) != 0 {
+		t.Errorf("build directory holds analyzer state %v", states)
 	}
 }
 
@@ -512,15 +514,14 @@ func TestIncrementalSpanNamesMatchStorelessBuild(t *testing.T) {
 
 // TestIncrementalStorelessBuildPersistsNothing checks a build without a
 // build directory does no persistence work: no persist span, no
-// incremental analyzer (so no invalidate-analyzer event or fallback
-// count), no incremental counters, and no rebuild record.
+// invalidation events, no incremental counters, and no rebuild record.
 func TestIncrementalStorelessBuildPersistsNothing(t *testing.T) {
 	for _, name := range []string{"L2", "C"} {
 		res := tracedBuild(t, twoModuleSources(), MustPreset(name))
 		if res.Incremental != nil {
 			t.Errorf("%s: store-less build has an Incremental outcome", name)
 		}
-		for _, span := range []string{"persist", "invalidate-analyzer", "invalidate-phase1", "invalidate-phase2"} {
+		for _, span := range []string{"persist", "invalidate-phase1", "invalidate-phase2"} {
 			if res.Report.Find(span) != nil {
 				t.Errorf("%s: store-less build emitted %q", name, span)
 			}

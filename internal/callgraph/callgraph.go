@@ -210,7 +210,7 @@ func (g *Graph) AddSyntheticCaller(name string, targets []int) *Node {
 }
 
 // Restore assembles a graph from deserialized nodes and start IDs — the
-// incremental analyzer's state-decode path. Edge lists, SCC labels,
+// analyzer state's decode path (core.DecodeState). Edge lists, SCC labels,
 // dominators, and counts must already be populated on the nodes; the
 // name index and traversal orders are re-derived here.
 func Restore(nodes []*Node, starts []int) *Graph {
@@ -226,43 +226,6 @@ func Restore(nodes []*Node, starts []int) *Graph {
 	}
 	g.recomputeOrders()
 	return g
-}
-
-// BindRecords rebinds fresh summary records onto the existing node set:
-// the merged global table, per-node Rec pointers, and the address-taken
-// procedure set are all re-derived, while node identities and edges are
-// left alone. It mirrors Build's duplicate-definition semantics — the
-// first defining record fixes the node's Module, later records only
-// replace Rec. A record or address-taken name that has no node returns an
-// error, signalling the caller to fall back to a full Build.
-func (g *Graph) BindRecords(summaries []*summary.ModuleSummary) error {
-	g.Globals = summary.MergeGlobals(summaries)
-
-	for _, nd := range g.Nodes {
-		nd.Rec = nil
-	}
-	g.AddrTakenProcs = make(map[string]bool)
-	for _, ms := range summaries {
-		for i := range ms.Procs {
-			rec := &ms.Procs[i]
-			id, ok := g.byName[rec.Name]
-			if !ok {
-				return fmt.Errorf("callgraph: rebuild would add node %s", rec.Name)
-			}
-			nd := g.Nodes[id]
-			if nd.Rec == nil {
-				nd.Module = rec.Module
-			}
-			nd.Rec = rec
-			for _, at := range rec.AddrTakenProcs {
-				if _, ok := g.byName[at]; !ok {
-					return fmt.Errorf("callgraph: rebuild would add node %s", at)
-				}
-				g.AddrTakenProcs[at] = true
-			}
-		}
-	}
-	return nil
 }
 
 // buildEdges derives the whole edge set from the summaries onto the

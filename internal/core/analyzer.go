@@ -162,7 +162,6 @@ func Analyze(ctx context.Context, summaries []*summary.ModuleSummary, opt Option
 		return nil, err
 	}
 	a.stageClusters(ctx) // ---- Spill code motion (§4.2).
-	a.stageClusterSets()
 	if err := a.stageDirectives(ctx); err != nil {
 		return nil, err
 	}

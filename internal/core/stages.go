@@ -18,11 +18,8 @@ import (
 
 // analysis threads one analyzer run through its stages. Each stage reads
 // the fields earlier stages published and writes its own outputs back to
-// the struct, so the stage boundaries — graph, counts, reference sets,
-// webs, coloring, clusters, usage sets, directives — are explicit. The
-// incremental analyzer re-runs only the stages an edit invalidated, and
-// because it shares these exact code paths with Analyze, its output is
-// byte-identical to a clean run by construction.
+// the struct, so the stage boundaries — graph and counts, reference sets,
+// webs, coloring, clusters and usage sets, directives — are explicit.
 type analysis struct {
 	opt Options
 	// strategy is the resolved allocation strategy the coloring stage
@@ -69,7 +66,9 @@ func (a *analysis) spillMotion() bool { return a.opt.SpillMotion && !a.noSpillMo
 func webReg(color int) uint8 { return uint8(parv.CalleeSavedLast - color) }
 
 // stageGraph builds the call graph from the summaries, applies the
-// partial-program assumptions, and runs the counts stage.
+// partial-program assumptions, and assigns dynamic call counts: exact
+// profiled counts when a profile is attached, the §6.2 normalization
+// heuristic otherwise.
 func (a *analysis) stageGraph(ctx context.Context, summaries []*summary.ModuleSummary) error {
 	_, span := telemetry.StartSpan(ctx, "callgraph")
 	defer span.End()
@@ -81,20 +80,14 @@ func (a *analysis) stageGraph(ctx context.Context, summaries []*summary.ModuleSu
 	if a.opt.PartialProgram {
 		applyPartialAssumptions(g)
 	}
-	a.stageCounts()
+	if a.opt.Profile != nil {
+		g.ApplyProfile(a.opt.Profile)
+	} else {
+		g.EstimateCounts()
+	}
 	span.SetInt("nodes", int64(len(g.Nodes)))
 	span.SetInt("starts", int64(len(g.Starts)))
 	return nil
-}
-
-// stageCounts assigns dynamic call counts: exact profiled counts when a
-// profile is attached, the §6.2 normalization heuristic otherwise.
-func (a *analysis) stageCounts() {
-	if a.opt.Profile != nil {
-		a.res.Graph.ApplyProfile(a.opt.Profile)
-	} else {
-		a.res.Graph.EstimateCounts()
-	}
 }
 
 // stageRefsets computes the eligible-global universe and the L_REF /
@@ -122,25 +115,16 @@ func (a *analysis) stageWebs(ctx context.Context) {
 		allWebs = webs.Merge(g, sets, allWebs)
 		webs.ComputePriorities(g, sets, allWebs)
 	}
+	ConsiderWebs(g, allWebs)
 	a.res.Webs = allWebs
-	a.finishWebs()
-	span.SetInt("found", int64(a.res.Stats.WebsFound))
-	span.SetInt("considered", int64(a.res.Stats.WebsConsidered))
-}
-
-// finishWebs applies the filters and discard rules to res.Webs and
-// refreshes the web statistics. It is a pure function of the current
-// graph, priorities, and web set, so the incremental path re-runs it
-// after splicing reused and rebuilt webs together.
-func (a *analysis) finishWebs() {
-	ConsiderWebs(a.res.Graph, a.res.Webs)
-	a.res.Stats.WebsFound = len(a.res.Webs)
-	a.res.Stats.WebsConsidered = 0
-	for _, w := range a.res.Webs {
+	a.res.Stats.WebsFound = len(allWebs)
+	for _, w := range allWebs {
 		if !w.Discarded {
 			a.res.Stats.WebsConsidered++
 		}
 	}
+	span.SetInt("found", int64(a.res.Stats.WebsFound))
+	span.SetInt("considered", int64(a.res.Stats.WebsConsidered))
 }
 
 // stageColoring delegates web promotion to the configured strategy and
@@ -156,18 +140,11 @@ func (a *analysis) stageColoring(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("strategy %q: %w", a.strategy.Name(), err)
 	}
-	a.active = append(a.active[:0], asn.Active...)
+	a.active = asn.Active
 	a.res.Blankets = asn.Blankets
 	a.res.Stats.WebsColored = asn.Colored
 	a.noSpillMotion = asn.DisableSpillMotion
-	if cap(a.promotedAt) >= len(g.Nodes) {
-		a.promotedAt = a.promotedAt[:len(g.Nodes)]
-		for i := range a.promotedAt {
-			a.promotedAt[i] = 0
-		}
-	} else {
-		a.promotedAt = make([]regs.Set, len(g.Nodes))
-	}
+	a.promotedAt = make([]regs.Set, len(g.Nodes))
 	for _, w := range a.active {
 		r := webReg(w.Color)
 		w.Nodes.ForEach(func(id int) {
@@ -178,35 +155,23 @@ func (a *analysis) stageColoring(ctx context.Context) error {
 	return nil
 }
 
-// stageClusters identifies and prunes the spill-motion clusters.
+// stageClusters identifies and prunes the spill-motion clusters, then
+// runs the Figure 6 preallocation over them. The preallocation excludes
+// the registers the coloring stage promoted.
 func (a *analysis) stageClusters(ctx context.Context) {
 	if !a.spillMotion() {
 		return
 	}
 	_, span := telemetry.StartSpan(ctx, "clusters")
-	defer span.End()
 	g := a.res.Graph
+	need := needFunc(g)
 	a.res.Clusters = clusters.Identify(g)
-	clusters.Prune(g, a.res.Clusters, needFunc(g))
-	a.refreshClusterStats()
-	span.SetInt("clusters", int64(a.res.Stats.Clusters))
-}
-
-func (a *analysis) refreshClusterStats() {
+	clusters.Prune(g, a.res.Clusters, need)
 	a.res.Stats.Clusters = len(a.res.Clusters.Clusters)
 	a.res.Stats.AvgClusterSize = a.res.Clusters.AverageSize()
-}
-
-// stageClusterSets runs the Figure 6 preallocation over the identified
-// clusters. It depends on the promotion result (promoted registers are
-// excluded from preallocation), so it always re-runs even when the
-// cluster structure itself is reused.
-func (a *analysis) stageClusterSets() {
-	if !a.spillMotion() {
-		return
-	}
-	g := a.res.Graph
-	a.asn = clusters.ComputeSets(g, a.res.Clusters, needFunc(g), func(n int) regs.Set {
+	span.SetInt("clusters", int64(a.res.Stats.Clusters))
+	span.End()
+	a.asn = clusters.ComputeSets(g, a.res.Clusters, need, func(n int) regs.Set {
 		return a.promotedAt[n]
 	})
 }
@@ -256,9 +221,7 @@ func (a *analysis) stageDirectives(ctx context.Context) error {
 			entryAt.Clear(e)
 		}
 	}
-	if a.res.DB.Procs == nil || len(a.res.DB.Procs) > 0 {
-		a.res.DB.Procs = make(map[string]*pdb.ProcDirectives, len(g.Nodes))
-	}
+	a.res.DB.Procs = make(map[string]*pdb.ProcDirectives, len(g.Nodes))
 	nRecs := 0
 	for _, nd := range g.Nodes {
 		if nd.Rec != nil {

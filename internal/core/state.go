@@ -1,16 +1,16 @@
-// Analyzer state persistence: the intermediate artifacts of one program
-// analysis — call graph with cached orders, reference-set columns,
-// per-variable webs, pruned spill clusters — stamped with per-module
-// summary hashes so a later run can tell exactly which slices an edit
-// invalidated. AnalyzeIncremental (incremental.go) consumes a State to
-// rebuild only the dirty region; this file defines the State itself, its
-// construction from a finished Result, and its encoding for the build
-// directory as an internal/wire artifact.
+// The analyzer state: the intermediate artifacts of one program analysis
+// (call graph with cached orders, reference-set columns, per-variable
+// webs, pruned spill clusters), stamped with per-module summary hashes,
+// and its encoding as an internal/wire artifact. No build reads or writes
+// it: the analyzer re-runs whole on every build. The benchmark module
+// (benchmark/replay.go) still encodes and decodes one per traced run for
+// its per-layer core.state_* metrics, so State, NewState, Encode and
+// DecodeState stay, encoding exactly as they did when build directories
+// stored the state, until that probe goes.
 //
 // The encoding is deliberately explicit. Per-node In edge lists are
 // serialized as (from-node, out-index) pairs rather than re-derived,
-// because downstream float summations iterate In edges in creation order
-// and the analyzer's outputs must stay byte-identical to a clean run.
+// because downstream float summations iterate In edges in creation order.
 package core
 
 import (
@@ -28,18 +28,16 @@ import (
 )
 
 // Wire kind and body version of the analyzer state. A state of any other
-// kind or version fails to decode, and the caller falls back to a full
-// analysis. v2: summary stamps hash the summaries' wire encoding, not
-// their JSON.
+// kind or version fails to decode. v2: summary stamps hash the summaries'
+// wire encoding, not their JSON.
 const (
 	stateKind    = "analyzer-state"
 	stateVersion = 2
 )
 
-// moduleStamp records what the analyzer last saw of one module: enough to
-// detect a change (Hash), locate it (RecHashes per procedure), and rebuild
-// the program-wide address-taken set without re-reading every module
-// (AddrTaken, this module's sorted contribution).
+// moduleStamp records what the analysis saw of one module: its summary
+// hash, each procedure's record hash, and the module's sorted contribution
+// to the program-wide address-taken set.
 type moduleStamp struct {
 	Name      string
 	Hash      string
@@ -48,13 +46,12 @@ type moduleStamp struct {
 	AddrTaken []string
 }
 
-// State is the persistent analyzer state between runs. All reference
-// fields are owned by the state: AnalyzeIncremental mutates the graph,
-// sets, and webs in place, so a Result obtained from an earlier run must
-// not be read after a newer incremental run over the same State.
+// State is the analyzer state of one finished analysis. The benchmark
+// module holds it (see the file comment); nothing else in the toolchain
+// builds one.
 type State struct {
 	optKey      string
-	unsupported string // non-empty: program shape the incremental path cannot handle
+	unsupported string // non-empty: a program shape stamped without its artifacts
 	stamps      []moduleStamp
 
 	g        *callgraph.Graph
@@ -64,17 +61,18 @@ type State struct {
 	needs    []int // needFunc value per node at build time
 }
 
-// Unsupported returns the reason the incremental path cannot reuse this
-// state ("" when it can).
-func (st *State) Unsupported() string { return st.unsupported }
+// ReuseStats is the shape of the rebuild record the incremental analyzer
+// kept. The benchmark module reads it from incremental.Outcome.Analyzer,
+// which is now always nil; it stays until that read goes.
+type ReuseStats struct {
+	Fallback                string
+	WebsReused, WebsRebuilt int
+}
 
-// optionsKey fingerprints every option that shapes analyzer output. Jobs
-// is deliberately excluded — results are byte-identical at any setting.
-// The Profile contents are excluded too: a run with a profile attached
-// always recomputes counts, so only its presence matters. The strategy
-// name participates so switching strategies over one build directory
-// falls back to a full analysis instead of patching a state the new
-// policy never produced.
+// optionsKey fingerprints every option that shapes analyzer output, the
+// first string of an encoded state. Jobs is deliberately excluded —
+// results are byte-identical at any setting — and of the profile only its
+// presence counts.
 func optionsKey(opt Options) string {
 	strat := opt.Strategy
 	if strat == "" {
@@ -86,7 +84,7 @@ func optionsKey(opt Options) string {
 		opt.Profile != nil, opt.CallerSavesPreallocation, strings.ToLower(strat))
 }
 
-// makeStamp summarizes one module for later change detection.
+// makeStamp summarizes one module.
 func makeStamp(ms *summary.ModuleSummary) moduleStamp {
 	st := moduleStamp{
 		Name:      ms.Module,
@@ -112,20 +110,11 @@ func makeStamp(ms *summary.ModuleSummary) moduleStamp {
 	return st
 }
 
-// NewState captures the analyzer state of a finished clean run. Program
-// shapes the incremental path cannot patch exactly — duplicate procedure
-// definitions, merged webs, partial programs — are marked unsupported:
-// the state still stamps the modules, but every later run falls back to a
-// full analysis until the shape goes away.
+// NewState captures the analyzer state of a finished analysis. Program
+// shapes whose artifacts a state cannot replay per variable — duplicate
+// procedure definitions, merged webs, partial programs — are stamped
+// without them and marked unsupported.
 func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *State {
-	return newState(res, summaries, opt, nil, nil)
-}
-
-// newState is NewState reusing prev's stamps: a module prev stamped at the
-// same position that dirty does not name (dirty is AnalyzeIncremental's
-// hint, a superset of the modules that changed since prev) keeps its
-// stamp instead of being re-hashed.
-func newState(res *Result, summaries []*summary.ModuleSummary, opt Options, prev *State, dirty []string) *State {
 	st := &State{
 		optKey:   optionsKey(opt),
 		stamps:   make([]moduleStamp, len(summaries)),
@@ -133,17 +122,9 @@ func newState(res *Result, summaries []*summary.ModuleSummary, opt Options, prev
 		sets:     res.Sets,
 		clusters: res.Clusters,
 	}
-	hinted := make(map[string]bool, len(dirty))
-	for _, name := range dirty {
-		hinted[name] = true
-	}
 	procSeen := make(map[string]bool)
 	for i, ms := range summaries {
-		if prev != nil && i < len(prev.stamps) && prev.stamps[i].Name == ms.Module && !hinted[ms.Module] {
-			st.stamps[i] = prev.stamps[i]
-		} else {
-			st.stamps[i] = makeStamp(ms)
-		}
+		st.stamps[i] = makeStamp(ms)
 		for j := range ms.Procs {
 			if procSeen[ms.Procs[j].Name] {
 				st.unsupported = "duplicate procedure " + ms.Procs[j].Name
@@ -185,8 +166,7 @@ func newState(res *Result, summaries []*summary.ModuleSummary, opt Options, prev
 	return st
 }
 
-// Encode serializes the state for the build directory as an
-// analyzer-state wire artifact.
+// Encode serializes the state as an analyzer-state wire artifact.
 func (st *State) Encode() []byte {
 	e := wire.NewEncoder(stateKind, stateVersion)
 	e.Str(st.optKey)
@@ -293,12 +273,11 @@ func (st *State) Encode() []byte {
 }
 
 // DecodeState rebuilds a State from Encode's output. Node Rec pointers
-// and the merged global table are not serialized; AnalyzeIncremental
-// rebinds them from the current summaries before any stage runs.
+// and the merged global table are not serialized.
 //
 // Every node and variable index the state carries is checked against the
 // node and variable counts, and the dominator tree must be a forest: a
-// corrupt state is a decode error, never a panic in a later stage.
+// corrupt state is a decode error, never a state that panics its reader.
 func DecodeState(data []byte) (*State, error) {
 	d, err := wire.NewDecoder(data, stateKind, stateVersion)
 	if err != nil {

@@ -72,9 +72,10 @@ type Assignment struct {
 }
 
 // Strategy is one allocation policy: it selects the promoted webs and
-// assigns their registers. Implementations must be deterministic — the
-// incremental driver replays them and asserts byte-identical output —
-// and safe for concurrent use (one table entry serves all runs).
+// assigns their registers. Implementations must be deterministic — every
+// build re-runs them, and incremental, parallel and remote builds must
+// equal a clean one byte for byte — and safe for concurrent use (one
+// table entry serves all runs).
 type Strategy interface {
 	// Name returns the table name, lower-case and stable.
 	Name() string

@@ -15,8 +15,7 @@
 //	                          recompiled module whose record encodes
 //	                          byte-equal to the stored one (a comment
 //	                          edit, or its revert) counts as unchanged
-//	re-run the analyzer     → always (it is whole-program), reusing the
-//	                          stored analyzer state where the edit allows
+//	re-run the analyzer     → always, whole: it reads every summary
 //	diff the database       → against each module's stored phase-2 keys
 //	phase-2-recompile       → only modules whose phase-1 record or
 //	                          phase-2 keys changed; of a module whose
@@ -27,8 +26,8 @@
 //
 // The build driver (ipra.Build) runs those stages and asks the Store at
 // each one what it may reuse; this package owns only the directory: the
-// manifest, the artifact files (phase-1 records, objects and the
-// analyzer state), the key diff, and the explanation of every decision.
+// manifest, the artifact files (phase-1 records and objects), the key
+// diff, and the explanation of every decision.
 // A build without a directory runs the same stages against a nil *Store.
 //
 // The load-bearing invariant: a build against a store produces the same
@@ -58,8 +57,8 @@ type Action struct {
 	Phase1Rebuilt bool
 	Phase1Reason  string // why phase 1 re-ran; "" when reused
 	// Phase1Unchanged marks a phase-1 re-run whose record encoded
-	// byte-equal to the stored one: the module is not dirty for the
-	// analyzer, and its phase 2 is decided by the key diff alone.
+	// byte-equal to the stored one: its phase 2 is decided by the key diff
+	// alone.
 	Phase1Unchanged bool
 	Phase2Rebuilt   bool
 	Phase2Reason    string // why phase 2 re-ran; "" when reused
@@ -81,8 +80,9 @@ type Outcome struct {
 	// phase-2-recompiled modules into those phase 2 compiled and those
 	// whose stored code it kept.
 	ProcsRecompiled, ProcsReused int
-	// Analyzer reports what the incremental program analyzer reused; nil
-	// when the configuration runs no analyzer.
+	// Analyzer is always nil: the analyzer re-runs whole on every build
+	// and reuses nothing. The benchmark module reads the field; it stays
+	// until that read goes.
 	Analyzer *core.ReuseStats
 	// StateReset is true when an existing build directory's state was
 	// rejected (format/toolchain fingerprint mismatch or corruption).
@@ -145,8 +145,8 @@ const sourceChanged = "source changed"
 // the stored manifest holds, the record is byte-equal to the stored one
 // (a comment edit, or the revert of one) and the module is
 // phase-1-unchanged (a phase1-unchanged event on the context's tracer):
-// not dirty for the analyzer, its phase 2 decided by the key diff alone,
-// and its stored record kept.
+// its phase 2 is decided by the key diff alone, and its stored record is
+// kept.
 func (s *Store) SetPhase1(ctx context.Context, i int, data []byte) {
 	if s == nil {
 		return
@@ -158,42 +158,6 @@ func (s *Store) SetPhase1(ctx context.Context, i int, data []byte) {
 		ev := telemetry.Event(ctx, "phase1-unchanged")
 		ev.SetStr("module", a.Module)
 		ev.End()
-	}
-}
-
-// Dirty lists the modules whose phase-1 record changed: a sound superset
-// of the modules whose summaries changed, which is what the incremental
-// analyzer needs to know.
-func (s *Store) Dirty() []string {
-	var dirty []string
-	for _, a := range s.out.Actions {
-		if a.Phase1Rebuilt && !a.Phase1Unchanged {
-			dirty = append(dirty, a.Module)
-		}
-	}
-	return dirty
-}
-
-// AnalyzerState returns the bytes of the analyzer state the stored
-// manifest names, or nil when it names none or the file does not hold the
-// bytes its name vouches for. Beyond that its content is opaque to the
-// store: a state the analyzer cannot use is the analyzer's to reject.
-func (s *Store) AnalyzerState() []byte {
-	if data, err := s.read(s.prev.Analyzer, "analyzer-state", ""); err == nil {
-		s.prevState = data
-	}
-	return s.prevState
-}
-
-// SetAnalyzer records what the incremental analyzer reused and the
-// refreshed state Persist should keep (nil keeps none), and counts the
-// run on the tracer as incremental or as a declared fallback.
-func (s *Store) SetAnalyzer(ctx context.Context, state []byte, reuse *core.ReuseStats) {
-	s.state, s.out.Analyzer = state, reuse
-	if reuse.Fallback == "" {
-		telemetry.Count(ctx, "incremental.analyzer_incremental", 1)
-	} else {
-		telemetry.Count(ctx, "incremental.analyzer_fallbacks", 1)
 	}
 }
 
@@ -400,14 +364,6 @@ func explain(w io.Writer, resetReason string, out *Outcome) {
 			p2 += fmt.Sprintf(", %d/%d procedures", a.ProcsRecompiled, a.Procs)
 		}
 		fmt.Fprintf(w, "incremental: %s: phase 1 %s; phase 2 %s\n", a.Module, p1, p2)
-	}
-	if r := out.Analyzer; r != nil {
-		if r.Fallback != "" {
-			fmt.Fprintf(w, "incremental: analyzer: full analysis (%s)\n", r.Fallback)
-		} else {
-			fmt.Fprintf(w, "incremental: analyzer: %d webs reused, %d rebuilt (%d dirty modules)\n",
-				r.WebsReused, r.WebsRebuilt, r.DirtyModules)
-		}
 	}
 	fmt.Fprintf(w, "incremental: %d/%d phase-1 recompiles, %d/%d phase-2 recompiles\n",
 		out.Phase1Rebuilds, len(out.Actions), out.Phase2Rebuilds, len(out.Actions))

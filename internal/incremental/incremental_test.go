@@ -15,12 +15,12 @@ import (
 	"time"
 
 	"ipra/internal/cache"
-	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/regs"
 	"ipra/internal/summary"
+	"ipra/internal/wire"
 )
 
 // The store-level tests drive a Store through the same calls the build
@@ -119,11 +119,6 @@ type toyOptions struct {
 	clobber     map[string]regs.Set
 	eligible    []string // the database's eligibility list
 	explain     io.Writer
-	// offered, when non-nil, runs an incremental analyzer: it records the
-	// state the store offered and persists state, a recognizable blob
-	// ("" means "analyzer-state-blob").
-	offered *[][]byte
-	state   string
 }
 
 // toyResult is what one toy build compiled and produced.
@@ -131,7 +126,7 @@ type toyResult struct {
 	out            *Outcome
 	phase1, phase2 []string     // modules each phase compiled, in order
 	procs          []string     // procedures phase 2 compiled, in order
-	dirty          []string     // the store's Dirty() after phase 1
+	dirty          []string     // modules whose phase-1 record changed
 	modules        []*ir.Module // nil where neither phase needed the IR
 	sums           []*summary.ModuleSummary
 	objs           []*parv.Object
@@ -177,20 +172,7 @@ func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyR
 		}
 		r.sums[i] = ms
 	}
-	r.dirty = st.Dirty()
 	db := toyDB(r.sums, o)
-	if o.offered != nil {
-		prev := st.AnalyzerState()
-		*o.offered = append(*o.offered, prev)
-		reuse := &core.ReuseStats{DirtyModules: len(st.Dirty()), WebsReused: len(db.Procs)}
-		if prev == nil {
-			reuse.Fallback = "no analyzer state"
-		}
-		if o.state == "" {
-			o.state = "analyzer-state-blob"
-		}
-		st.SetAnalyzer(ctx, []byte(o.state), reuse)
-	}
 	st.Diff(ctx, r.sums, db)
 	for i, src := range srcs {
 		obj, keep := st.ReuseObject(i)
@@ -211,6 +193,11 @@ func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyR
 		return r, err
 	}
 	r.out = st.Outcome(ctx, o.explain)
+	for _, a := range r.out.Actions {
+		if a.Phase1Rebuilt && !a.Phase1Unchanged {
+			r.dirty = append(r.dirty, a.Module)
+		}
+	}
 	return r, nil
 }
 
@@ -368,13 +355,11 @@ func TestKeyChangeRecompilesStaleProcedures(t *testing.T) {
 
 // TestUnchangedPhase1RecordKeepsPhase2 is the phase-1 cut-off: a source
 // edit whose phase-1 record encodes byte-equal to the stored one (here
-// extra whitespace) re-runs phase 1 only. The module is not dirty for the
-// analyzer, its phase 2 and stored record are reused, and the revert is
-// the same.
+// extra whitespace) re-runs phase 1 only. The module is not dirty, its
+// phase 2 and stored record are reused, and the revert is the same.
 func TestUnchangedPhase1RecordKeepsPhase2(t *testing.T) {
 	dir := t.TempDir()
-	var offered [][]byte
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 	p1 := filepath.Join(dir, readManifest(t, dir).Modules["lib.mc"].Phase1File)
 	before, err := os.Stat(p1)
 	if err != nil {
@@ -389,13 +374,13 @@ func TestUnchangedPhase1RecordKeepsPhase2(t *testing.T) {
 	touched[1].text = "helper>leaf   leaf\n@g"
 	for _, srcs := range [][]toySource{touched, twoModules()} {
 		var buf bytes.Buffer
-		r := toyBuild(t, dir, srcs, toyOptions{offered: &offered, explain: &buf})
+		r := toyBuild(t, dir, srcs, toyOptions{explain: &buf})
 		if !reflect.DeepEqual(r.phase1, []string{"lib.mc"}) || r.out.Phase1Unchanged != 1 || r.out.Phase2Rebuilds != 0 {
 			t.Errorf("phase 1 compiled %v (%d unchanged), phase-2 rebuilds %d; want lib.mc, 1, 0\n%s",
 				r.phase1, r.out.Phase1Unchanged, r.out.Phase2Rebuilds, &buf)
 		}
-		if r.out.Analyzer.DirtyModules != 0 {
-			t.Errorf("analyzer saw %d dirty modules, want 0", r.out.Analyzer.DirtyModules)
+		if len(r.dirty) != 0 {
+			t.Errorf("dirty modules %v, want none", r.dirty)
 		}
 		if !strings.Contains(buf.String(), "lib.mc: phase 1 recompiled (source changed), record unchanged; phase 2 reused") {
 			t.Errorf("explain output missing the cut-off:\n%s", &buf)
@@ -663,221 +648,89 @@ func TestDiffDirectives(t *testing.T) {
 	}
 }
 
-// TestAnalyzerStatePersistence checks the analyzer state round trip: the
-// first build sees no state, repeat builds see exactly what the previous
-// build persisted, and a build that runs no analyzer names no state, so
-// the next analyzer run is offered none and the old artifact is pruned.
-func TestAnalyzerStatePersistence(t *testing.T) {
-	dir := t.TempDir()
-	var offered [][]byte
-
-	var buf bytes.Buffer
-	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
-	if r.out.Analyzer == nil || r.out.Analyzer.Fallback == "" {
-		t.Fatalf("first build: Analyzer = %+v, want a no-state fallback", r.out.Analyzer)
+// encodeParentManifest encodes m the way the parent store format
+// (ipra-build/v3, build-manifest v1) did: the name of an analyzer state
+// followed the fingerprint.
+func encodeParentManifest(m *manifest, analyzer string) []byte {
+	e := wire.NewEncoder(manifestKind, 1)
+	e.Str(m.Fingerprint)
+	e.Str(analyzer)
+	names := sortedNames(m.Modules)
+	e.U(uint64(len(names)))
+	for _, name := range names {
+		ms := m.Modules[name]
+		e.Str(name)
+		e.Str(ms.SourceHash)
+		e.Str(ms.Phase1File)
+		e.Str(ms.ObjectFile)
+		e.Str(ms.EligibleHash)
+		procs := sortedNames(ms.Directives)
+		e.U(uint64(len(procs)))
+		for _, proc := range procs {
+			e.Str(proc)
+			e.Str(ms.Directives[proc])
+		}
 	}
-	if len(offered) != 1 || offered[0] != nil {
-		t.Fatalf("first build offered state %q, want none", offered)
-	}
-	if !strings.Contains(buf.String(), "analyzer: full analysis (no analyzer state)") {
-		t.Errorf("explain output missing analyzer fallback line:\n%s", &buf)
-	}
-	artifact := readManifest(t, dir).Analyzer
-	if !strings.HasPrefix(artifact, "analyzer-state-") || !strings.HasSuffix(artifact, ".wire") {
-		t.Fatalf("manifest names analyzer state %q, want analyzer-state-<hash>.wire", artifact)
-	}
-
-	buf.Reset()
-	r = toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
-	if len(offered) != 2 || string(offered[1]) != "analyzer-state-blob" {
-		t.Fatalf("repeat build offered state %q, want the persisted blob", offered[1])
-	}
-	if r.out.Analyzer == nil || r.out.Analyzer.Fallback != "" {
-		t.Errorf("repeat build: Analyzer = %+v, want incremental", r.out.Analyzer)
-	}
-	if !strings.Contains(buf.String(), "webs reused") {
-		t.Errorf("explain output missing analyzer reuse line:\n%s", &buf)
-	}
-
-	// An edited build still receives the state (the manifest it is named
-	// in holds the records it was computed from; the dirty list carries
-	// the change).
-	edited := twoModules()
-	edited[1].text = "helper>leaf leaf extra"
-	r = toyBuild(t, dir, edited, toyOptions{offered: &offered})
-	if len(offered) != 3 || string(offered[2]) != "analyzer-state-blob" {
-		t.Fatalf("edited build offered state %q, want the persisted blob", offered[2])
-	}
-	if r.out.Analyzer.DirtyModules != 1 {
-		t.Errorf("edited build: DirtyModules = %d, want 1", r.out.Analyzer.DirtyModules)
-	}
-
-	// A build that runs no analyzer advances the manifest and names no
-	// state. The stored state belongs to older records: it is pruned,
-	// and the next analyzer run is offered nothing.
-	older := twoModules()
-	older[0].text = "main>helper main>leaf main-extra"
-	toyBuild(t, dir, older, toyOptions{})
-	if m := readManifest(t, dir); m.Analyzer != "" {
-		t.Errorf("a build without an analyzer named state %q", m.Analyzer)
-	}
-	if _, err := os.Stat(filepath.Join(dir, artifact)); !os.IsNotExist(err) {
-		t.Errorf("unnamed analyzer state %s survived (%v)", artifact, err)
-	}
-	r = toyBuild(t, dir, older, toyOptions{offered: &offered})
-	if len(offered) != 4 || offered[3] != nil {
-		t.Fatalf("stale analyzer state offered after a build without the analyzer: %q", offered[3])
-	}
-	if r.out.Analyzer == nil || r.out.Analyzer.Fallback == "" {
-		t.Errorf("stale-state build: Analyzer = %+v, want fallback", r.out.Analyzer)
-	}
+	return e.Finish()
 }
 
-// TestAnalyzerStateSkipsNoOpWrite ensures a no-edit rebuild does not
-// rewrite the analyzer state when its bytes did not move.
-func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
-	dir := t.TempDir()
-	var offered [][]byte
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-
-	path := filepath.Join(dir, readManifest(t, dir).Analyzer)
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make any rewrite observable regardless of timestamp resolution.
-	if err := os.Chtimes(path, before.ModTime().Add(-time.Hour), before.ModTime().Add(-time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	before, _ = os.Stat(path)
-
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.ModTime().Equal(before.ModTime()) {
-		t.Error("no-op rebuild rewrote the analyzer state")
-	}
-}
-
-// TestAnalyzerStateTamperedIsRewritten overwrites the named analyzer
-// state with junk. The bytes do not match the name, so the store offers no
-// state (the declared fallback), and the build rewrites the artifact even
-// though its name is unchanged, so the next build is offered the real
-// state again.
-func TestAnalyzerStateTamperedIsRewritten(t *testing.T) {
-	dir := t.TempDir()
-	var offered [][]byte
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	path := filepath.Join(dir, readManifest(t, dir).Analyzer)
-	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	if offered[1] != nil || r.out.Analyzer.Fallback != "no analyzer state" {
-		t.Errorf("tampered build offered %q (fallback %q), want no state", offered[1], r.out.Analyzer.Fallback)
-	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != "analyzer-state-blob" {
-		t.Errorf("tampered artifact holds %q after the build (%v), want it rewritten", data, err)
-	}
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	if string(offered[2]) != "analyzer-state-blob" {
-		t.Errorf("build after the rewrite offered %q, want the persisted blob", offered[2])
-	}
-}
-
-// TestAnalyzerStateSurvivesInterruptedPersist cuts a build off after it has
-// written its artifacts, the new analyzer state among them, but before
-// the manifest swap. The next build must be offered the previous state:
-// the live manifest still names it, and it still holds its bytes.
-func TestAnalyzerStateSurvivesInterruptedPersist(t *testing.T) {
-	dir := t.TempDir()
-	var offered [][]byte
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, state: "state-before"})
-	prev := readManifest(t, dir).Analyzer
-
-	// A directory where the manifest's temporary file belongs makes the
-	// swap fail after every artifact write.
-	block := filepath.Join(dir, manifestName+".tmp")
-	if err := os.Mkdir(block, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	edited := twoModules()
-	edited[1].text = "helper>leaf leaf extra @g"
-	if _, err := toyBuildErr(t, dir, edited, toyOptions{offered: &offered, state: "state-cut"}); err == nil {
-		t.Fatal("build with a blocked manifest swap succeeded")
-	}
-	cut := artifactFile("analyzer-state", "", []byte("state-cut"))
-	if _, err := os.Stat(filepath.Join(dir, cut)); err != nil {
-		t.Fatalf("the cut-off build did not write its analyzer state: %v", err)
-	}
-	if err := os.Remove(block); err != nil {
-		t.Fatal(err)
-	}
-
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, state: "state-before"})
-	if string(offered[2]) != "state-before" {
-		t.Errorf("build after the cut-off was offered %q, want the previous state", offered[2])
-	}
-	if m := readManifest(t, dir); m.Analyzer != prev {
-		t.Errorf("manifest names %q, want %q", m.Analyzer, prev)
-	}
-	if _, err := os.Stat(filepath.Join(dir, cut)); !os.IsNotExist(err) {
-		t.Errorf("the cut-off build's analyzer state was not pruned (%v)", err)
-	}
-}
-
-// TestAnalyzerStateParentFile opens a directory in the form older builds
-// wrote: a manifest naming no analyzer state beside a headered
-// analyzer.state file. It offers no state, which costs one full analysis
-// and no module rebuilds, prunes the old file, and the next build is
-// incremental.
+// TestAnalyzerStateParentFile opens a directory in the parent store
+// format: a build-manifest v1 under the ipra-build/v3 fingerprint that
+// names an analyzer-state-*.wire beside the modules' records and objects.
+// The build takes one declared reset, rebuilds every module, and leaves
+// exactly the files its new manifest names; the next build reuses every
+// module, and both equal a clean build.
 func TestAnalyzerStateParentFile(t *testing.T) {
 	dir := t.TempDir()
-	var offered [][]byte
-	toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 	m := readManifest(t, dir)
-	if err := os.Remove(filepath.Join(dir, m.Analyzer)); err != nil {
+	m.Fingerprint = "ipra-build/v3|toy/v1"
+	state := artifactFile("analyzer-state", "", []byte("analyzer-state-blob"))
+	if err := os.WriteFile(filepath.Join(dir, state), []byte("analyzer-state-blob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m.Analyzer = ""
-	writeManifest(t, dir, m)
-	old := filepath.Join(dir, "analyzer.state")
-	if err := os.WriteFile(old, []byte("ipra-analyzer-store/v1\n0123456789abcdef01234567\nanalyzer-state-blob"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeParentManifest(&m, state), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
-	if offered[1] != nil || r.out.Analyzer.Fallback == "" {
-		t.Errorf("offered %q (fallback %q), want no state and a fallback", offered[1], r.out.Analyzer.Fallback)
+	clean := toyBuild(t, t.TempDir(), twoModules(), toyOptions{})
+	sameAsClean := func(what string, r toyResult) {
+		t.Helper()
+		for i := range clean.objs {
+			if !bytes.Equal(parv.EncodeObject(r.objs[i]), parv.EncodeObject(clean.objs[i])) {
+				t.Errorf("%s: %s: object differs from a clean build's", what, clean.out.Actions[i].Module)
+			}
+		}
 	}
-	if r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
-		t.Errorf("reset = %v, rebuilds = %d/%d; want no reset and 0/0\n%s",
+	var buf bytes.Buffer
+	r := toyBuild(t, dir, twoModules(), toyOptions{explain: &buf})
+	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 {
+		t.Errorf("parent-format directory: reset %v, rebuilds %d/%d; want one reset and a full rebuild\n%s",
 			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
 	}
-	if _, err := os.Stat(old); !os.IsNotExist(err) {
-		t.Errorf("analyzer.state survived (%v)", err)
+	if !strings.Contains(buf.String(), "discarding build state: unreadable manifest") {
+		t.Errorf("explain output missing the reset notice:\n%s", &buf)
 	}
-	r = toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	if string(offered[2]) != "analyzer-state-blob" || r.out.Analyzer.Fallback != "" {
-		t.Errorf("next build offered %q (fallback %q), want the persisted blob", offered[2], r.out.Analyzer.Fallback)
+	sameAsClean("reset build", r)
+	onlyNamedFiles(t, "parent-format directory", dir)
+
+	r = toyBuild(t, dir, twoModules(), toyOptions{})
+	if r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("build after the reset: reset %v, rebuilds %d/%d; want every module reused",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
 	}
+	sameAsClean("build after the reset", r)
 }
 
 // TestArtifactByteFlipsFallBack flips each byte of a stored phase-1
-// record, object and analyzer state in turn. A flipped artifact no longer
+// record and object in turn. A flipped artifact no longer
 // matches its name, so every flip is that artifact's declared fallback,
 // the build's outputs equal a clean build's, and the rewrite restores the
 // file's bytes.
 func TestArtifactByteFlipsFallBack(t *testing.T) {
 	dir := t.TempDir()
-	var offered [][]byte
-	clean := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
-	m := readManifest(t, dir)
-	lib := m.Modules["lib.mc"]
+	clean := toyBuild(t, dir, twoModules(), toyOptions{})
+	lib := readManifest(t, dir).Modules["lib.mc"]
 	sameOutputs := func(what string, r toyResult) {
 		t.Helper()
 		if !reflect.DeepEqual(r.sums, clean.sums) {
@@ -901,10 +754,6 @@ func TestArtifactByteFlipsFallBack(t *testing.T) {
 			a := r.out.Actions[1]
 			return a.Phase2Reason == "stored object unreadable" && r.out.Phase1Rebuilds == 0 && r.out.Phase2Rebuilds == 1
 		}},
-		{m.Analyzer, func(r toyResult) bool {
-			return offered[len(offered)-1] == nil && r.out.Analyzer.Fallback == "no analyzer state" &&
-				r.out.Phase1Rebuilds == 0 && r.out.Phase2Rebuilds == 0
-		}},
 	} {
 		path := filepath.Join(dir, c.file)
 		orig := readArtifact(t, dir, c.file)
@@ -915,9 +764,9 @@ func TestArtifactByteFlipsFallBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			what := fmt.Sprintf("%s byte %d", c.file, i)
-			r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered})
+			r := toyBuild(t, dir, twoModules(), toyOptions{})
 			if !c.fellBack(r) {
-				t.Errorf("%s: not the declared fallback: %+v, analyzer %+v", what, r.out.Actions, r.out.Analyzer)
+				t.Errorf("%s: not the declared fallback: %+v", what, r.out.Actions)
 			}
 			sameOutputs(what, r)
 			if got := readArtifact(t, dir, c.file); !bytes.Equal(got, orig) {
@@ -986,63 +835,61 @@ func TestSalvagedObjectByteFlipsFallBack(t *testing.T) {
 	fellBack("an object missing a procedure", toyBuild(t, dir, salvageModules(), opts[k]), cleans[k])
 }
 
+// onlyNamedFiles checks that dir holds exactly the manifest and the files
+// it names.
+func onlyNamedFiles(t *testing.T, what, dir string) {
+	t.Helper()
+	m := readManifest(t, dir)
+	want := []string{manifestName}
+	for _, ms := range m.Modules {
+		want = append(want, ms.Phase1File, ms.ObjectFile)
+	}
+	sort.Strings(want)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: directory holds %v, want %v", what, got, want)
+	}
+}
+
 // TestBuildDirHoldsOnlyNamedFiles checks that after each kind of build the
 // directory holds exactly the manifest and the files it names.
 func TestBuildDirHoldsOnlyNamedFiles(t *testing.T) {
-	onlyNamed := func(what, dir string) {
-		t.Helper()
-		m := readManifest(t, dir)
-		want := []string{manifestName}
-		if m.Analyzer != "" {
-			want = append(want, m.Analyzer)
-		}
-		for _, ms := range m.Modules {
-			want = append(want, ms.Phase1File, ms.ObjectFile)
-		}
-		sort.Strings(want)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, e := range entries {
-			got = append(got, e.Name())
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: directory holds %v, want %v", what, got, want)
-		}
-	}
-	var offered [][]byte
-	analyzer := toyOptions{offered: &offered}
 	edited := twoModules()
 	edited[1].text = "helper>leaf leaf extra @g"
 
 	dir := t.TempDir()
-	toyBuild(t, dir, twoModules(), analyzer)
-	onlyNamed("clean", dir)
-	toyBuild(t, dir, edited, analyzer)
-	onlyNamed("edit", dir)
-	toyBuild(t, dir, edited[:1], analyzer)
-	onlyNamed("module removal", dir)
+	toyBuild(t, dir, twoModules(), toyOptions{})
+	onlyNamedFiles(t, "clean", dir)
+	toyBuild(t, dir, edited, toyOptions{})
+	onlyNamedFiles(t, "edit", dir)
+	toyBuild(t, dir, edited[:1], toyOptions{})
+	onlyNamedFiles(t, "module removal", dir)
 
 	// Persist cut off after its artifact writes: a directory where the
 	// manifest's temporary file belongs blocks the swap.
 	dir = t.TempDir()
-	toyBuild(t, dir, twoModules(), analyzer)
+	toyBuild(t, dir, twoModules(), toyOptions{})
 	block := filepath.Join(dir, manifestName+".tmp")
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := toyBuildErr(t, dir, edited, toyOptions{offered: &offered, state: "state-cut"}); err == nil {
+	if _, err := toyBuildErr(t, dir, edited, toyOptions{}); err == nil {
 		t.Fatal("build with a blocked manifest swap succeeded")
 	}
 	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
-	toyBuild(t, dir, edited, analyzer)
-	onlyNamed("interrupted persist, re-run", dir)
+	toyBuild(t, dir, edited, toyOptions{})
+	onlyNamedFiles(t, "interrupted persist, re-run", dir)
 
-	// A directory in the older store format: a JSON manifest beside
+	// A directory in an older store format: a JSON manifest beside
 	// records under their older names and the headered analyzer state.
 	dir = t.TempDir()
 	for name, data := range map[string]string{
@@ -1056,7 +903,7 @@ func TestBuildDirHoldsOnlyNamedFiles(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	r := toyBuild(t, dir, twoModules(), toyOptions{offered: &offered, explain: &buf})
+	r := toyBuild(t, dir, twoModules(), toyOptions{explain: &buf})
 	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 {
 		t.Errorf("older-format directory: reset %v, rebuilds %d/%d; want a reset and a full rebuild\n%s",
 			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
@@ -1064,15 +911,14 @@ func TestBuildDirHoldsOnlyNamedFiles(t *testing.T) {
 	if !strings.Contains(buf.String(), "discarding build state: manifest.json from an older store format") {
 		t.Errorf("explain output missing the reset notice:\n%s", &buf)
 	}
-	onlyNamed("older store format", dir)
+	onlyNamedFiles(t, "older store format", dir)
 }
 
 // TestManifestRoundTrip checks that a manifest decodes to what was
 // encoded, and that the encoding does not depend on map order.
 func TestManifestRoundTrip(t *testing.T) {
 	m := manifest{
-		Fingerprint: "ipra-build/v3|toy/v1",
-		Analyzer:    "analyzer-state-00.wire",
+		Fingerprint: "ipra-build/v4|toy/v1",
 		Modules: map[string]*moduleState{
 			"b.mc": {SourceHash: "s2", Phase1File: "p1-b", ObjectFile: "obj-b", EligibleHash: "e", Directives: map[string]string{"f": "k1", "g": "k2"}},
 			"a.mc": {SourceHash: "s1", Phase1File: "p1-a", ObjectFile: "obj-a", EligibleHash: "e", Directives: map[string]string{"g": "k2"}},
@@ -1098,7 +944,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 	// A toy store's manifest round-trips to the same bytes.
 	dir := t.TempDir()
-	toyBuild(t, dir, twoModules(), toyOptions{offered: new([][]byte)})
+	toyBuild(t, dir, twoModules(), toyOptions{})
 	stored := readArtifact(t, dir, manifestName)
 	if again := readManifest(t, dir); !bytes.Equal(encodeManifest(&again), stored) {
 		t.Error("a stored manifest does not re-encode to its bytes")
@@ -1107,15 +953,19 @@ func TestManifestRoundTrip(t *testing.T) {
 
 // FuzzManifestDecode: any input decodes to a manifest or an error, never a
 // panic, and an accepted manifest re-encodes to one that decodes equal.
+// The seeds are two stored manifests, a non-manifest, and a manifest in
+// the parent format.
 func FuzzManifestDecode(f *testing.F) {
 	dir := f.TempDir()
-	toyBuild(f, dir, twoModules(), toyOptions{offered: new([][]byte)})
+	toyBuild(f, dir, twoModules(), toyOptions{})
 	f.Add(readArtifact(f, dir, manifestName))
 	edited := twoModules()
 	edited[1].text = "helper>leaf leaf extra @g"
 	toyBuild(f, dir, edited, toyOptions{clobber: map[string]regs.Set{"leaf": regs.Of(19)}})
 	f.Add(readArtifact(f, dir, manifestName))
 	f.Add([]byte("not a manifest"))
+	parent := readManifest(f, dir)
+	f.Add(encodeParentManifest(&parent, "analyzer-state-00.wire"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {

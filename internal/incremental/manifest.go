@@ -9,7 +9,7 @@ import (
 // The manifest is the build directory's root: a wire artifact like every
 // file it names, under its own kind. Its body is
 //
-//	fingerprint, analyzer                      strings
+//	fingerprint                                string
 //	module count                               uvarint
 //	per module, in name order:
 //	  name, source hash, phase-1 file,
@@ -19,11 +19,12 @@ import (
 //	    procedure, key                         strings
 //
 // Every string is a string-table reference, so a key many modules share
-// (a common callee's clobber key) is stored once.
+// (a common callee's clobber key) is stored once. v2 dropped the analyzer
+// state's name after the fingerprint.
 const (
 	manifestName    = "manifest.wire"
 	manifestKind    = "build-manifest"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // moduleState is the manifest record for one module.
@@ -44,17 +45,13 @@ type moduleState struct {
 // manifest is the whole persisted build state.
 type manifest struct {
 	Fingerprint string
-	// Analyzer is the base name of the analyzer state computed from the
-	// modules' phase-1 records; "" when the build ran no analyzer.
-	Analyzer string
-	Modules  map[string]*moduleState
+	Modules     map[string]*moduleState
 }
 
 // encodeManifest serializes m; equal manifests encode to equal bytes.
 func encodeManifest(m *manifest) []byte {
 	e := wire.NewEncoder(manifestKind, manifestVersion)
 	e.Str(m.Fingerprint)
-	e.Str(m.Analyzer)
 	names := sortedNames(m.Modules)
 	e.U(uint64(len(names)))
 	for _, name := range names {
@@ -82,7 +79,6 @@ func decodeManifest(data []byte) (manifest, error) {
 		return manifest{}, err
 	}
 	m := manifest{Fingerprint: d.Str()}
-	m.Analyzer = d.Str()
 	n := d.Count(6) // five strings and a count
 	m.Modules = make(map[string]*moduleState, n)
 	for ; n > 0; n-- {

@@ -3,17 +3,17 @@
 //
 // Layout:
 //
-//	<build-dir>/manifest.wire   fingerprint, analyzer state name, and
-//	                            per-module state (below); a wire artifact
-//	                            of kind build-manifest (manifest.go)
+//	<build-dir>/manifest.wire   fingerprint and per-module state (below);
+//	                            a wire artifact of kind build-manifest
+//	                            (manifest.go)
 //	<build-dir>/p1-<module>-<hash>.wire
 //	                            phase-1 record (summary + IR module, the
 //	                            cache package's entry encoding)
 //	<build-dir>/obj-<module>-<hash>.wire
 //	                            compiled object (parv object encoding)
-//	<build-dir>/analyzer-state-<hash>.wire
-//	                            the incremental analyzer's state (an
-//	                            analyzer-state wire artifact, opaque here)
+//
+// Nothing of the program analyzer is stored: it re-runs whole over the
+// summaries on every build.
 //
 // An artifact's name carries a hash of its module and its bytes
 // (artifactFile), and every read checks the bytes against it (read): a
@@ -32,9 +32,7 @@
 // The manifest records, per module: the phase-1 source hash, the names of
 // the two artifact files, and the module's phase-2 keys (pdb.Keys): one
 // per consulted procedure plus the eligibility key of the globals it
-// declares. The analyzer state it names was computed from exactly the
-// phase-1 records it names; a build that runs no analyzer names none.
-// Everything is guarded by a fingerprint combining the store format
+// declares. Everything is guarded by a fingerprint combining the store format
 // version with the caller's toolchain fingerprint; state written by a
 // different format or toolchain is rejected wholesale — stale artifacts
 // must never survive a compiler upgrade, because nothing else could tell
@@ -64,12 +62,14 @@ import (
 // artifact names gained a content hash, the keys became pdb's phase-2
 // keys, and the analyzer state became an artifact the manifest names. v3:
 // the phase-1 record puts its summary first (cache-entry v2), and the
-// manifest is manifest.wire instead of manifest.json. A v3 store that
-// finds a manifest.json resets: it rebuilds everything once and prunes the
-// old manifest and records.
-const FormatVersion = "ipra-build/v3"
+// manifest is manifest.wire instead of manifest.json. A store that finds a
+// manifest.json resets: it rebuilds everything once and prunes the old
+// manifest and records. v4: the directory holds no analyzer state, and
+// the manifest names none (build-manifest v2); a v3 directory resets once
+// and has its analyzer-state file pruned.
+const FormatVersion = "ipra-build/v4"
 
-// legacyManifest is the v2 manifest, pruned by every v3 save.
+// legacyManifest is the v2 manifest, pruned by every later save.
 const legacyManifest = "manifest.json"
 
 // Store is one build's view of a build directory: the state the previous
@@ -92,9 +92,6 @@ type Store struct {
 	// records holds each module's phase-1 record: the stored one
 	// ReusePhase1 verified, or the fresh one SetPhase1 named.
 	records [][]byte
-	// prevState is the stored analyzer state, once read and verified;
-	// state is the one to persist.
-	prevState, state []byte
 	// sums are the summaries Diff keyed the modules by, and stale marks,
 	// for each module whose keys alone moved, its procedures that phase 2
 	// recompiles (nil for every other module).
@@ -225,23 +222,13 @@ func (s *Store) writeArtifact(base string, data []byte) error {
 
 // Persist writes the build's new state: fresh artifacts for the modules
 // whose phase-1 record or object changed (the records SetPhase1 named),
-// carried-over records for the rest, the analyzer state, then the
-// manifest (atomically; unreferenced artifacts are pruned). Until the
+// carried-over records for the rest, then the manifest (atomically;
+// unreferenced artifacts are pruned). Until the
 // manifest is replaced the previous state stays in force, and the
 // artifacts it names keep their bytes, so a build that fails or is
 // interrupted never poisons later ones.
 func (s *Store) Persist(objs []*parv.Object) error {
 	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
-	if s.state != nil {
-		// The stored file already holds these bytes when it has this name
-		// and read back verified.
-		next.Analyzer = artifactFile("analyzer-state", "", s.state)
-		if next.Analyzer != s.prev.Analyzer || s.prevState == nil {
-			if err := s.writeArtifact(next.Analyzer, s.state); err != nil {
-				return err
-			}
-		}
-	}
 	for i := range s.next {
 		ms, a := &s.next[i], s.out.Actions[i]
 		if ms.Phase1File == "" {
@@ -268,8 +255,8 @@ func (s *Store) Persist(objs []*parv.Object) error {
 
 // save atomically replaces the manifest and prunes artifact files no
 // longer referenced by it (modules removed from the program, artifacts
-// renamed by a format change, superseded analyzer states, and the
-// manifest.json and analyzer.state files of older builds).
+// renamed by a format change, and the manifest.json and analyzer state
+// files of older builds).
 func (s *Store) save(m manifest) error {
 	m.Fingerprint = s.fingerprint
 	tmp := filepath.Join(s.dir, manifestName+".tmp")
@@ -280,7 +267,7 @@ func (s *Store) save(m manifest) error {
 		return fmt.Errorf("incremental: %w", err)
 	}
 
-	referenced := map[string]bool{m.Analyzer: true}
+	referenced := make(map[string]bool, 2*len(m.Modules))
 	for _, ms := range m.Modules {
 		referenced[ms.Phase1File] = true
 		referenced[ms.ObjectFile] = true
@@ -290,8 +277,9 @@ func (s *Store) save(m manifest) error {
 		return nil // pruning is best-effort
 	}
 	for _, e := range entries {
-		// "analyzer" covers both analyzer-state-*.wire and the older
-		// analyzer.state; other files (a profile snapshot) are not ours.
+		// "analyzer" covers the analyzer-state-*.wire and analyzer.state
+		// files older stores kept; other files (a profile snapshot) are
+		// not ours.
 		name := e.Name()
 		ours := strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-") ||
 			strings.HasPrefix(name, "analyzer") || name == legacyManifest

@@ -1,8 +1,9 @@
 // Deterministic seeded edit mutation: given a generated program, produce
-// the program "one edit later". The incremental-analyzer tests and
-// benchmarks replay these edits — a no-op touch, a single-procedure body
-// change, a new call edge, a new recursion cycle — and assert that
-// incremental re-analysis matches a clean analysis byte for byte.
+// the program "one edit later". The incremental-build tests and the
+// edit-loop benchmark replay these edits — a no-op touch, a
+// single-procedure body change, a new call edge, a new recursion cycle —
+// and assert that an incremental rebuild matches a clean build byte for
+// byte.
 //
 // Like Generate, mutation is a pure function of its inputs: the same
 // (cfg, seed, kind) always picks the same procedure and applies the same
@@ -13,28 +14,23 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
-	"sort"
 	"strings"
-
-	"ipra/internal/summary"
 )
 
 // EditKind names one mutation shape.
 type EditKind string
 
 const (
-	// EditNoop touches a module without changing its meaning (a comment at
-	// source level, nothing at summary level): phase 1 re-runs, the
-	// analyzer should reuse everything.
+	// EditNoop touches a module without changing its meaning (a comment):
+	// phase 1 re-runs, and its record comes out unchanged.
 	EditNoop EditKind = "noop"
 	// EditBody changes one procedure's body: global reference frequencies
 	// move and one new global reference appears, but no call edge changes.
 	EditBody EditKind = "body"
 	// EditCall adds one acyclic call edge out of one procedure.
 	EditCall EditKind = "call"
-	// EditCycle adds a back edge closing a recursion cycle — the SCC
-	// structure changes, which the incremental analyzer must detect and
-	// answer with a full re-analysis.
+	// EditCycle adds a back edge closing a recursion cycle: the SCC
+	// structure changes.
 	EditCycle EditKind = "scc"
 )
 
@@ -54,148 +50,13 @@ func pickProc(cfg Config, rng *rand.Rand) int {
 	return lo + rng.Intn(nprocs-1-lo)
 }
 
-// MutateSummaries returns a copy of the generated summaries with one edit
-// applied, plus a description of the edit. Unedited modules are shared
-// with the input slice; the edited module is deep-copied. The summaries
-// must come from GenerateSummaries(cfg).
-func MutateSummaries(cfg Config, sums []*summary.ModuleSummary, seed int64, kind EditKind) ([]*summary.ModuleSummary, string) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*summary.ModuleSummary, len(sums))
-	copy(out, sums)
-	if kind == EditNoop {
-		return out, "no-op"
-	}
-
-	pi := pickProc(cfg, rng)
-	mi := pi % cfg.Modules
-	ms := copyModuleSummary(sums[mi])
-	out[mi] = ms
-	rec := findRecord(ms, fmt.Sprintf("p%d", pi))
-	if rec == nil {
-		return out, "no-op (procedure not found)"
-	}
-
-	switch kind {
-	case EditBody:
-		// Shift an existing reference's weight and introduce one reference
-		// the procedure did not have, borrowed from a sibling record so the
-		// variable certainly exists.
-		rec.GlobalRefs[0].Freq += 3
-		rec.GlobalRefs[0].Reads += 3
-		if name := borrowGlobal(ms, rec); name != "" {
-			rec.GlobalRefs = append(rec.GlobalRefs, summary.GlobalRef{Name: name, Freq: 1, Reads: 1})
-			sort.Slice(rec.GlobalRefs, func(i, j int) bool { return rec.GlobalRefs[i].Name < rec.GlobalRefs[j].Name })
-			return out, fmt.Sprintf("body edit in p%d (+ref %s)", pi, name)
-		}
-		return out, fmt.Sprintf("body edit in p%d", pi)
-
-	case EditCall:
-		nprocs := cfg.Modules * cfg.ProcsPerModule
-		callee := pi + 1 + rng.Intn(nprocs-pi-1)
-		name := fmt.Sprintf("p%d", callee)
-		for _, cs := range rec.Calls {
-			if cs.Callee == name {
-				// Already called: adding a call site just raises the
-				// frequency, like a second source-level call would.
-				bumpCall(rec, name, 2)
-				return out, fmt.Sprintf("call edit in p%d (freq %s)", pi, name)
-			}
-		}
-		rec.Calls = append(rec.Calls, summary.CallSite{Callee: name, Freq: 2})
-		return out, fmt.Sprintf("call edit in p%d (new edge to %s)", pi, name)
-
-	case EditCycle:
-		// Make the edited procedure call back into one of its direct
-		// callers, closing a cycle.
-		caller := findCaller(sums, fmt.Sprintf("p%d", pi))
-		if caller == "" || caller == rec.Name {
-			rec.Calls = append(rec.Calls, summary.CallSite{Callee: rec.Name, Freq: 1})
-			return out, fmt.Sprintf("scc edit in p%d (self loop)", pi)
-		}
-		rec.Calls = append(rec.Calls, summary.CallSite{Callee: caller, Freq: 1})
-		return out, fmt.Sprintf("scc edit in p%d (back edge to %s)", pi, caller)
-	}
-	return out, "no-op (unknown kind)"
-}
-
-func copyModuleSummary(ms *summary.ModuleSummary) *summary.ModuleSummary {
-	cp := &summary.ModuleSummary{
-		Module:  ms.Module,
-		Procs:   make([]summary.ProcRecord, len(ms.Procs)),
-		Globals: append([]summary.GlobalInfo(nil), ms.Globals...),
-	}
-	for i := range ms.Procs {
-		rec := ms.Procs[i]
-		rec.GlobalRefs = append([]summary.GlobalRef(nil), rec.GlobalRefs...)
-		rec.Calls = append([]summary.CallSite(nil), rec.Calls...)
-		rec.AddrTakenProcs = append([]string(nil), rec.AddrTakenProcs...)
-		cp.Procs[i] = rec
-	}
-	return cp
-}
-
-func findRecord(ms *summary.ModuleSummary, name string) *summary.ProcRecord {
-	for i := range ms.Procs {
-		if ms.Procs[i].Name == name {
-			return &ms.Procs[i]
-		}
-	}
-	return nil
-}
-
-// borrowGlobal finds a global referenced elsewhere in the module but not
-// by rec — a variable the edited body could plausibly start using.
-func borrowGlobal(ms *summary.ModuleSummary, rec *summary.ProcRecord) string {
-	has := make(map[string]bool, len(rec.GlobalRefs))
-	for _, gr := range rec.GlobalRefs {
-		has[gr.Name] = true
-	}
-	for i := range ms.Procs {
-		for _, gr := range ms.Procs[i].GlobalRefs {
-			if !has[gr.Name] && gr.Name != "check" {
-				return gr.Name
-			}
-		}
-	}
-	return ""
-}
-
-func bumpCall(rec *summary.ProcRecord, callee string, delta int64) {
-	for i := range rec.Calls {
-		if rec.Calls[i].Callee == callee {
-			rec.Calls[i].Freq += delta
-			return
-		}
-	}
-}
-
-// findCaller returns the name of some procedure with a direct call to
-// target ("" when none exists).
-func findCaller(sums []*summary.ModuleSummary, target string) string {
-	for _, ms := range sums {
-		for i := range ms.Procs {
-			for _, cs := range ms.Procs[i].Calls {
-				if cs.Callee == target && ms.Procs[i].Name != target {
-					return ms.Procs[i].Name
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// ----------------------------------------------------------------------------
-// Source-level mutation
-
 var procHeadRE = regexp.MustCompile(`(?m)^int (p\d+)\(int x(, int depth)?\) \{$`)
 
 // Mutate returns a copy of the generated modules with one edit applied at
 // source level, plus a description. The modules must come from
 // Generate(cfg). The edited program still terminates: the cycle edit
 // guards its back edge with a bounded counter (which also adds a static
-// global, so the analyzer's eligible universe moves — a full re-analysis,
-// which is exactly what a changed recursion structure demands anyway).
+// global, so the analyzer's eligible universe moves).
 func Mutate(cfg Config, mods []Module, seed int64, kind EditKind) ([]Module, string) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))

@@ -111,56 +111,6 @@ func Compute(g *callgraph.Graph, vars []string) *Sets {
 	return s
 }
 
-// RecomputeVars recomputes the L_REF/P_REF/C_REF columns of the given
-// variable indexes in place and reports which of them actually changed.
-// Each variable's column is independent in the dataflow equations — the
-// union propagation never mixes bits across variables — so recomputing a
-// sub-universe with Compute and splicing the bits back is exact. The
-// incremental analyzer calls this with the variables referenced by dirty
-// modules (plus those adjacent to changed edges) instead of re-running the
-// full fixpoint.
-//
-// The graph must already reflect the new summaries (node Rec pointers and
-// edges), and the variable universe s.Vars must be unchanged.
-func RecomputeVars(g *callgraph.Graph, s *Sets, dirty []int) []int {
-	if len(dirty) == 0 {
-		return nil
-	}
-	subVars := make([]string, len(dirty))
-	for j, vi := range dirty {
-		subVars[j] = s.Vars[vi]
-	}
-	sub := Compute(g, subVars)
-
-	changed := make([]bool, len(dirty))
-	splice := func(dst, src []ir.BitSet) {
-		for n := range dst {
-			for j, vi := range dirty {
-				if src[n].Has(j) {
-					if !dst[n].Has(vi) {
-						dst[n].Set(vi)
-						changed[j] = true
-					}
-				} else if dst[n].Has(vi) {
-					dst[n].Clear(vi)
-					changed[j] = true
-				}
-			}
-		}
-	}
-	splice(s.LRef, sub.LRef)
-	splice(s.PRef, sub.PRef)
-	splice(s.CRef, sub.CRef)
-
-	var out []int
-	for j, vi := range dirty {
-		if changed[j] {
-			out = append(out, vi)
-		}
-	}
-	return out
-}
-
 // setNames returns the variable names present in the given per-node set,
 // iterating set bits word-wise rather than probing every variable index.
 func (s *Sets) setNames(bs ir.BitSet) []string {

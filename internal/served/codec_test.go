@@ -35,10 +35,9 @@ func codecResponses() []*BuildResponse {
 		{RequestID: 1, Config: "L2", Modules: 1, Exe: []byte("exe"), Instructions: 3, ElapsedMS: 0.25},
 		{RequestID: 1 << 40, Config: "C", Modules: 3, Exe: []byte{0, 1, 2, 0xff}, Instructions: 120,
 			Dedup: true, ResultCached: true,
-			Incremental: &IncrementalSummary{StateReset: true, Phase1Rebuilds: 2, Phase2Rebuilds: 1,
-				AnalyzerFallback: "call structure changed"},
-			Counters:  map[string]int64{"served.builds": 1, "cache.hits": 3, "analyzer.delta": -2},
-			ElapsedMS: 12.5, Trace: json.RawMessage(`{"traceEvents":[]}`), DirectiveHash: "0123abcd"},
+			Incremental: &IncrementalSummary{StateReset: true, Phase1Rebuilds: 2, Phase2Rebuilds: 1},
+			Counters:    map[string]int64{"served.builds": 1, "cache.hits": 3, "analyzer.delta": -2},
+			ElapsedMS:   12.5, Trace: json.RawMessage(`{"traceEvents":[]}`), DirectiveHash: "0123abcd"},
 		{Incremental: &IncrementalSummary{}},
 	}
 }

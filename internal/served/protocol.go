@@ -1,7 +1,7 @@
 // The wire protocol of the build service, carried over HTTP on a Unix
 // socket (the default) or TCP. Build requests and replies are wire
-// artifacts (internal/wire) of the kinds "build-request" and
-// "build-response", version 1: source text and the executable travel as
+// artifacts (internal/wire) of the kinds "build-request" (version 1) and
+// "build-response" (version 2): source text and the executable travel as
 // raw length-prefixed bytes, so neither is escaped or base64-encoded.
 // Profile records and snapshots are wire artifacts of internal/profagg.
 // Everything else is JSON.
@@ -108,9 +108,6 @@ type IncrementalSummary struct {
 	StateReset     bool
 	Phase1Rebuilds int
 	Phase2Rebuilds int
-	// AnalyzerFallback names why a full (rather than incremental)
-	// analysis ran; "" when the incremental path succeeded.
-	AnalyzerFallback string
 }
 
 // BuildResponse is the daemon's reply to one BuildRequest.
@@ -299,12 +296,13 @@ func validProgramKey(s string) bool {
 	return len(s) == 16 && strings.Trim(s, "0123456789abcdef") == ""
 }
 
-// The /v1/build bodies are wire artifacts of these kinds.
+// The /v1/build bodies are wire artifacts of these kinds. build-response
+// v2 dropped the analyzer fallback from the rebuild record.
 const (
 	buildRequestKind     = "build-request"
 	buildRequestVersion  = 1
 	buildResponseKind    = "build-response"
-	buildResponseVersion = 1
+	buildResponseVersion = 2
 )
 
 // errNotCanonical rejects a body that decodes but is not the encoding of
@@ -382,7 +380,6 @@ func (r *BuildResponse) encode() []byte {
 		e.Bool(inc.StateReset)
 		e.U(uint64(inc.Phase1Rebuilds))
 		e.U(uint64(inc.Phase2Rebuilds))
-		e.Str(inc.AnalyzerFallback)
 	}
 	names := make([]string, 0, len(r.Counters))
 	for name := range r.Counters {
@@ -417,10 +414,9 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 	}
 	if d.Bool() {
 		r.Incremental = &IncrementalSummary{
-			StateReset:       d.Bool(),
-			Phase1Rebuilds:   int(d.U()),
-			Phase2Rebuilds:   int(d.U()),
-			AnalyzerFallback: d.Str(),
+			StateReset:     d.Bool(),
+			Phase1Rebuilds: int(d.U()),
+			Phase2Rebuilds: int(d.U()),
 		}
 	}
 	if n := d.Count(2); n > 0 {

@@ -1,7 +1,6 @@
 // Package served is the compilation-as-a-service daemon behind
-// cmd/ipra-served: a long-lived server that keeps the whole-program
-// allocator's interprocedural state hot across builds and serves
-// concurrent build requests from many clients.
+// cmd/ipra-served: a long-lived server that keeps compiled artifacts hot
+// across builds and serves concurrent build requests from many clients.
 //
 // What stays hot between requests:
 //
@@ -10,8 +9,8 @@
 //     build directory stores the very bytes the cache holds;
 //   - one persistent incremental build directory per (config, strategy,
 //     module name-set) program identity (internal/incremental), so an
-//     edited program gets a minimal rebuild and its analyzer-state
-//     artifact carries the call graph, webs, and clusters forward;
+//     edited program recompiles only what its edit reaches; the program
+//     analyzer re-runs whole on every build;
 //   - a bounded in-memory result cache (an internal/lru map) from request
 //     keys to finished responses, so a byte-identical re-request never
 //     compiles at all.
@@ -439,9 +438,6 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 			StateReset:     out.StateReset,
 			Phase1Rebuilds: out.Phase1Rebuilds,
 			Phase2Rebuilds: out.Phase2Rebuilds,
-		}
-		if out.Analyzer != nil {
-			resp.Incremental.AnalyzerFallback = out.Analyzer.Fallback
 		}
 	}
 	if req.Trace {

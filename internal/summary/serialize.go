@@ -9,14 +9,13 @@ import (
 
 // Hash returns a stable content hash of a module summary: the sha256 of
 // its wire encoding (AppendSummary), hex-encoded and truncated to 8 bytes.
-// The incremental analyzer stamps its persisted state with these hashes
-// and diffs them against fresh summaries to find the dirty modules.
+// The analyzer state (core.State) stamps each module with it.
 func Hash(ms *ModuleSummary) string {
 	return hash(func(e *wire.Encoder) { AppendSummary(e, ms) })
 }
 
-// RecordHash returns a stable content hash of one procedure record, used
-// for per-procedure dirtiness within an already-dirty module.
+// RecordHash returns a stable content hash of one procedure record, the
+// analyzer state's per-procedure stamp.
 func RecordHash(rec *ProcRecord) string {
 	return hash(func(e *wire.Encoder) { appendProc(e, rec) })
 }

@@ -101,53 +101,43 @@ type identifyState struct {
 	// lrefNodes[vi] lists the node IDs with variable vi in L_REF,
 	// ascending.
 	lrefNodes [][]int
-	// lazy defers building lrefNodes[vi] until websFor(vi) asks for it:
-	// the incremental analyzer rebuilds a handful of variables, so paying
-	// the full inverted-index build up front would dominate its runtime.
-	// Lazy state must not be shared across goroutines.
-	lazy      bool
-	lrefReady ir.BitSet
 	// sccMembers[c] lists the node IDs of SCC c, ascending (SCCs are
 	// numbered densely by the call graph).
 	sccMembers [][]int
 }
 
-func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets, lazy bool) *identifyState {
-	st := &identifyState{g: g, sets: sets, lazy: lazy, lrefNodes: make([][]int, len(sets.Vars))}
-	if lazy {
-		st.lrefReady = ir.NewBitSet(len(sets.Vars))
-	} else {
-		// Two-pass slab build: count every (node, variable) L_REF pair,
-		// carve one backing slab, then fill. Per-variable appends would pay
-		// an allocation chain per variable; the word loop also avoids a
-		// heap-allocated ForEach closure per node.
-		counts := make([]int, len(sets.Vars))
-		total := 0
-		for _, nd := range g.Nodes {
-			for wi, word := range sets.LRef[nd.ID] {
-				for word != 0 {
-					vi := wi*64 + bits.TrailingZeros64(word)
-					word &= word - 1
-					counts[vi]++
-					total++
-				}
+func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets) *identifyState {
+	st := &identifyState{g: g, sets: sets, lrefNodes: make([][]int, len(sets.Vars))}
+	// Two-pass slab build: count every (node, variable) L_REF pair, carve
+	// one backing slab, then fill. Per-variable appends would pay an
+	// allocation chain per variable; the word loop also avoids a
+	// heap-allocated ForEach closure per node.
+	counts := make([]int, len(sets.Vars))
+	total := 0
+	for _, nd := range g.Nodes {
+		for wi, word := range sets.LRef[nd.ID] {
+			for word != 0 {
+				vi := wi*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				counts[vi]++
+				total++
 			}
 		}
-		slab := make([]int, total)
-		off := 0
-		for vi, c := range counts {
-			if c > 0 {
-				st.lrefNodes[vi] = slab[off : off : off+c]
-				off += c
-			}
+	}
+	slab := make([]int, total)
+	off := 0
+	for vi, c := range counts {
+		if c > 0 {
+			st.lrefNodes[vi] = slab[off : off : off+c]
+			off += c
 		}
-		for _, nd := range g.Nodes {
-			for wi, word := range sets.LRef[nd.ID] {
-				for word != 0 {
-					vi := wi*64 + bits.TrailingZeros64(word)
-					word &= word - 1
-					st.lrefNodes[vi] = append(st.lrefNodes[vi], nd.ID)
-				}
+	}
+	for _, nd := range g.Nodes {
+		for wi, word := range sets.LRef[nd.ID] {
+			for word != 0 {
+				vi := wi*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				st.lrefNodes[vi] = append(st.lrefNodes[vi], nd.ID)
 			}
 		}
 	}
@@ -163,7 +153,7 @@ func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets, lazy bool) *identi
 		sccCounts[nd.SCC]++
 	}
 	sccSlab := make([]int, len(g.Nodes))
-	off := 0
+	off = 0
 	for c, n := range sccCounts {
 		if n > 0 {
 			st.sccMembers[c] = sccSlab[off : off : off+n]
@@ -174,20 +164,6 @@ func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets, lazy bool) *identi
 		st.sccMembers[nd.SCC] = append(st.sccMembers[nd.SCC], nd.ID)
 	}
 	return st
-}
-
-// lref returns the ascending node IDs whose L_REF contains variable vi,
-// materializing the list on first use in lazy mode.
-func (st *identifyState) lref(vi int) []int {
-	if st.lazy && !st.lrefReady.Has(vi) {
-		st.lrefReady.Set(vi)
-		for _, nd := range st.g.Nodes {
-			if st.sets.LRef[nd.ID].Has(vi) {
-				st.lrefNodes[vi] = append(st.lrefNodes[vi], nd.ID)
-			}
-		}
-	}
-	return st.lrefNodes[vi]
 }
 
 // identArena batches the allocations of web construction: Web structs and
@@ -214,11 +190,11 @@ func (a *identArena) newWeb(v string, nodes int, fromCycle bool) *Web {
 }
 
 // websFor runs Compute_Webs for a single variable, allocating out of ar.
-// In eager mode it touches only read-only shared state, so distinct
-// variables can run concurrently with per-call (or per-worker) arenas.
+// It touches only read-only shared state, so distinct variables can run
+// concurrently with per-call (or per-worker) arenas.
 func (st *identifyState) websFor(vi int, ar *identArena) []*Web {
 	g, sets := st.g, st.sets
-	lref := st.lref(vi)
+	lref := st.lrefNodes[vi]
 	v := sets.Vars[vi]
 	var vwebs []*Web
 	// covered is the union of all webs built so far for this variable: a
@@ -278,7 +254,7 @@ func Identify(g *callgraph.Graph, sets *refsets.Sets) []*Web {
 // assigned afterwards, so the output is byte-identical to the sequential
 // run regardless of worker interleaving.
 func IdentifyJobs(g *callgraph.Graph, sets *refsets.Sets, jobs int) []*Web {
-	st := newIdentifyState(g, sets, false)
+	st := newIdentifyState(g, sets)
 	perVar := make([][]*Web, len(sets.Vars))
 	if pipeline.Workers(jobs) <= 1 || len(sets.Vars) < 2 {
 		var ar identArena
@@ -304,28 +280,6 @@ func IdentifyJobs(g *callgraph.Graph, sets *refsets.Sets, jobs int) []*Web {
 	}
 	return webs
 }
-
-// Identifier exposes per-variable web construction to the incremental
-// analyzer: it builds the shared inverted indexes once, then rebuilds only
-// the web lists of dirty variables through the same websFor code path
-// IdentifyJobs uses, so a rebuilt list is byte-identical to the clean one.
-type Identifier struct {
-	st *identifyState
-	ar identArena
-}
-
-// NewIdentifier prepares per-variable web construction over the graph.
-func NewIdentifier(g *callgraph.Graph, sets *refsets.Sets) *Identifier {
-	return &Identifier{st: newIdentifyState(g, sets, true)}
-}
-
-// WebsFor computes the webs of one variable (by index). IDs and entry
-// lists are left unset; callers assign IDs over the assembled program-wide
-// list and fill entries with ComputeEntries, exactly as IdentifyJobs does.
-func (id *Identifier) WebsFor(vi int) []*Web { return id.st.websFor(vi, &id.ar) }
-
-// ComputeEntries fills w.Entries from the current graph edges.
-func ComputeEntries(g *callgraph.Graph, w *Web) { computeEntries(g, w) }
 
 // growWeb runs the repeat/until loop of Compute_Webs: expand from the seed
 // nodes, then repeatedly pull in the external predecessors of any member

@@ -68,15 +68,13 @@ type Config struct {
 	// Strategy names the allocation strategy the analyzer delegates web
 	// promotion to ("" selects the default, the paper's priority
 	// coloring). Presets carry it explicitly; derive variants with
-	// WithStrategy. The name participates in the incremental analyzer's
-	// options hash and the daemon's request keys, so switching strategies
-	// invalidates exactly what it must.
+	// WithStrategy. The name participates in the daemon's request keys, so
+	// a strategy switch never shares a cached result; over a build
+	// directory it recompiles the modules whose phase-2 keys it moves.
 	Strategy string
-	// WantProfile marks configurations that use dynamic call counts; the
-	// caller must supply Profile or build with the WithProfile option.
+	// WantProfile marks configurations that use dynamic call counts: build
+	// them with the WithProfile or WithAggregatedProfile option.
 	WantProfile bool
-	// Profile supplies exact call counts collected from a prior run.
-	Profile *parv.Profile
 	// DataSize overrides the simulated data memory size (bytes).
 	DataSize int32
 	// Jobs bounds compiler parallelism: 0 uses one worker per CPU
@@ -93,11 +91,11 @@ type Config struct {
 }
 
 // analyzerOptions resolves the analyzer options one build pass hands the
-// program analyzer: the configured options plus the per-build profile,
-// job bound, and allocation strategy.
-func (c Config) analyzerOptions() core.Options {
+// program analyzer: the configured options plus the pass's profile (nil
+// for heuristic counts), the job bound, and the allocation strategy.
+func (c Config) analyzerOptions(profile *parv.Profile) core.Options {
 	o := c.Analyzer
-	o.Profile = c.Profile
+	o.Profile = profile
 	o.Jobs = c.Jobs
 	if c.Strategy != "" {
 		o.Strategy = c.Strategy
@@ -576,13 +574,11 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 
 // runBuild dispatches one Build under its resolved settings.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
-	switch {
-	case s.aggProfile != nil:
-		// Externally supplied counts replace the training pass entirely:
-		// one pass against the main build directory, with the profile
-		// wired through the analyzer exactly as a training run's would be.
-		cfg.Profile = s.aggProfile
-	case s.profiled:
+	// Externally supplied counts replace the training pass entirely: one
+	// pass against the main build directory, with the profile wired
+	// through the analyzer exactly as a training run's would be.
+	profile := s.aggProfile
+	if profile == nil && s.profiled {
 		// Profile-guided (§6.1): compile with heuristic counts, run once
 		// to collect call counts, then re-analyze and re-compile with the
 		// profile. Incremental builds keep the training pass's state in a
@@ -593,7 +589,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 		if s.buildDir != "" {
 			trainDir = filepath.Join(s.buildDir, "train")
 		}
-		first, _, err := buildPass(ctx, sources, cfg, trainDir, s.stderr)
+		first, _, err := buildPass(ctx, sources, cfg, nil, trainDir, s.stderr)
 		if err != nil {
 			return err
 		}
@@ -608,9 +604,9 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 		if err != nil {
 			return fmt.Errorf("profiling run: %w", err)
 		}
-		cfg.Profile = res.Train.Profile
+		profile = res.Train.Profile
 	}
-	p, out, err := buildPass(ctx, sources, cfg, s.buildDir, s.stderr)
+	p, out, err := buildPass(ctx, sources, cfg, profile, s.buildDir, s.stderr)
 	if err != nil {
 		return err
 	}
@@ -624,26 +620,27 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 }
 
 // buildPass runs the pipeline once over the sources: phase 1 → analyze →
-// diff → phase 2 → link → persist. With a build directory the pass
-// reuses every artifact the stored state proves current, persists the
-// new state, and returns the record of what it rebuilt and why (explained
-// on explainW when non-nil). Without one (dir == "") there is no store:
-// every module compiles, nothing is loaded or persisted, and the Outcome
-// is nil. Reuse is pure memoization, so the program is byte-identical
-// either way.
+// diff → phase 2 → link → persist. The analyzer takes its call counts from
+// profile, or estimates them when profile is nil. With a build directory
+// the pass reuses every artifact the stored state proves current,
+// persists the new state, and returns the record of what it rebuilt and
+// why (explained on explainW when non-nil). Without one (dir == "") there
+// is no store: every module compiles, nothing is loaded or persisted, and
+// the Outcome is nil. Reuse is pure memoization, so the program is
+// byte-identical either way.
 //
 // Phase 1, the summaries, and phase 2 fan out across cfg.Jobs workers
 // into position-indexed slices, so the output is identical to a
 // sequential (Jobs: 1) pass.
 //
 // The configuration needs no fingerprint of its own in the build state:
-// nothing in Config reaches phase 1, and phase 2 sees the configuration
-// only through the program database, of which each module's phase-2 keys
-// cover everything phase 2 reads. Switching configurations — or
-// allocation strategies, which participate in the analyzer's own options
-// hash — over one build directory therefore rebuilds exactly the modules
-// whose keys the switch changes.
-func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
+// nothing in Config reaches phase 1, the analyzer re-runs whole on every
+// pass, and phase 2 sees the configuration only through the program
+// database, of which each module's phase-2 keys cover everything phase 2
+// reads. Switching configurations, allocation strategies or profiles over
+// one build directory therefore rebuilds exactly the modules whose keys
+// the switch changes.
+func buildPass(ctx context.Context, sources []Source, cfg Config, profile *parv.Profile, dir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
 	ctx, span := telemetry.StartSpan(ctx, "incremental")
 	defer span.End()
 	span.SetInt("modules", int64(len(sources)))
@@ -702,7 +699,7 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 	}
 
 	// ---- Program analyzer: always re-run on the whole summary set.
-	if err := analyze(ctx, p, cfg, st); err != nil {
+	if err := analyze(ctx, p, cfg, profile); err != nil {
 		return nil, nil, err
 	}
 
@@ -760,43 +757,22 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, dir string, ex
 	return p, st.Outcome(ctx, explainW), nil
 }
 
-// analyze runs the program analyzer over p's summaries and sets p's
-// analysis and database; the level-2 baseline gets a database holding
-// only the program-wide eligibility list. With a store, the incremental
-// analyzer starts from the state the store held (an unreadable blob just
-// means a full analysis), rebuilds only what the phase-1 rebuilds
-// invalidated, and hands the refreshed encoding back to the store.
-func analyze(ctx context.Context, p *Program, cfg Config, st *incremental.Store) error {
+// analyze runs the program analyzer over p's summaries, with call counts
+// from profile when it is non-nil, and sets p's analysis and database; the
+// level-2 baseline gets a database holding only the program-wide
+// eligibility list. The analysis is whole on every build (§2, §4.3): a
+// build directory stores nothing of it.
+func analyze(ctx context.Context, p *Program, cfg Config, profile *parv.Profile) error {
 	if !cfg.UseAnalyzer {
 		p.DB = pdb.New()
 		p.DB.EligibleGlobals = summary.EligibleNames(summary.MergeGlobals(p.Summaries))
 		return nil
 	}
-	o := cfg.analyzerOptions()
-	if st == nil {
-		res, err := core.Analyze(ctx, p.Summaries, o)
-		if err != nil {
-			return err
-		}
-		p.Analysis, p.DB = res, res.DB
-		return nil
-	}
-	var prev *core.State
-	if data := st.AnalyzerState(); len(data) > 0 {
-		if s, err := core.DecodeState(data); err == nil {
-			prev = s
-		}
-	}
-	res, next, reuse, err := core.AnalyzeIncremental(ctx, p.Summaries, o, prev, st.Dirty())
+	res, err := core.Analyze(ctx, p.Summaries, cfg.analyzerOptions(profile))
 	if err != nil {
 		return err
 	}
 	p.Analysis, p.DB = res, res.DB
-	var state []byte
-	if next != nil && next.Unsupported() == "" {
-		state = next.Encode()
-	}
-	st.SetAnalyzer(ctx, state, reuse)
 	return nil
 }
 

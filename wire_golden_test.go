@@ -399,10 +399,9 @@ func FuzzWireExecutableDecode(f *testing.F) {
 	})
 }
 
-// FuzzAnalyzerStateDecode feeds arbitrary bytes to core.DecodeState, as a
-// corrupt analyzer-state artifact in a build directory would. Decoding must return
-// a state or an error; a decoded state must then carry a no-op and a body
-// edit through AnalyzeIncremental to a result or an error, never a panic.
+// FuzzAnalyzerStateDecode feeds arbitrary bytes to core.DecodeState, the
+// analyzer-state codec the benchmark's per-layer probe decodes. Decoding
+// must return a state or an error, never panic.
 func FuzzAnalyzerStateDecode(f *testing.F) {
 	// The seed state's program is small enough for many executions per
 	// second and still has indirect calls, recursion, statics, webs and
@@ -417,11 +416,7 @@ func FuzzAnalyzerStateDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	st := core.NewState(res, sums, opt)
-	if r := st.Unsupported(); r != "" {
-		f.Fatalf("state unsupported: %s", r)
-	}
-	data := st.Encode()
+	data := core.NewState(res, sums, opt).Encode()
 	f.Add(data)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		f.Add(data[:n])
@@ -432,30 +427,9 @@ func FuzzAnalyzerStateDecode(f *testing.F) {
 		f.Add(bad)
 	}
 
-	body, _ := progen.MutateSummaries(cfg, sums, 1, progen.EditBody)
-	edits := []struct {
-		sums  []*summary.ModuleSummary
-		dirty []string
-	}{
-		{sums, []string{sums[0].Module}},
-		{body, nil},
-	}
-	for i := range body {
-		if body[i] != sums[i] {
-			edits[1].dirty = append(edits[1].dirty, body[i].Module)
-		}
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, ed := range edits {
-			// Each run patches its state in place: decode a fresh one.
-			prev, err := core.DecodeState(data)
-			if err != nil {
-				return
-			}
-			res, _, _, err := core.AnalyzeIncremental(ctx, ed.sums, opt, prev, ed.dirty)
-			if err == nil && res == nil {
-				t.Fatal("AnalyzeIncremental returned neither a result nor an error")
-			}
+		if st, err := core.DecodeState(data); err == nil && st == nil {
+			t.Fatal("DecodeState returned neither a state nor an error")
 		}
 	})
 }
