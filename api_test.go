@@ -95,8 +95,8 @@ func TestMustPreset(t *testing.T) {
 // registered names, resolution, and WithStrategy derivation.
 func TestStrategyAPI(t *testing.T) {
 	names := StrategyNames()
-	if len(names) != 3 || names[0] != DefaultStrategy {
-		t.Fatalf("StrategyNames() = %v, want default-first 3 strategies", names)
+	if len(names) != 2 || names[0] != DefaultStrategy {
+		t.Fatalf("StrategyNames() = %v, want default-first 2 strategies", names)
 	}
 	for _, name := range names {
 		canon, err := ResolveStrategy(strings.ToUpper(name))
@@ -107,8 +107,10 @@ func TestStrategyAPI(t *testing.T) {
 	if canon, err := ResolveStrategy(""); err != nil || canon != DefaultStrategy {
 		t.Errorf("ResolveStrategy(\"\") = %q, %v", canon, err)
 	}
-	if _, err := ResolveStrategy("nope"); err == nil {
-		t.Error("ResolveStrategy(\"nope\") should fail")
+	for _, bad := range []string{"nope", "spill-everywhere"} {
+		if _, err := ResolveStrategy(bad); err == nil {
+			t.Errorf("ResolveStrategy(%q) should fail", bad)
+		}
 	}
 
 	cfg := MustPreset("C").WithStrategy("tiling")

@@ -8,7 +8,8 @@
 //
 // Flags select the paper's strategies: -promotion {none,coloring,greedy,
 // blanket}, -regs N (coloring registers), -spill-motion, and -profile to
-// supply profiled call counts.
+// supply profiled call counts; -strategy picks the allocation strategy
+// (priority or tiling), registered as on mcc.
 //
 // For scaling experiments, -synth <preset> analyzes a synthesized whole
 // program (small/medium/large, ~500/2000/10000 procedures) instead of
@@ -36,7 +37,6 @@ func main() {
 	var (
 		out         = flag.String("o", "prog.pdb", "program database output path")
 		promotion   = flag.String("promotion", "coloring", "global variable promotion: none, coloring, greedy, blanket")
-		strategy    = flag.String("strategy", "", "allocation strategy ("+strings.Join(core.StrategyNames(), ", ")+"; default "+core.DefaultStrategyName+")")
 		regsN       = flag.Int("regs", 6, "callee-saves registers reserved for web coloring")
 		blanketN    = flag.Int("blanket", 6, "globals promoted under blanket mode")
 		spillMotion = flag.Bool("spill-motion", true, "enable spill code motion (clusters)")
@@ -46,6 +46,8 @@ func main() {
 		callerSaves = flag.Bool("caller-saves", false, "banded caller-saves preallocation (§7.6.2)")
 		synth       = flag.String("synth", "", "analyze a synthesized program instead of summary files ("+strings.Join(progen.PresetNames(), ", ")+")")
 	)
+	var build cliutil.BuildFlags
+	build.RegisterStrategy(flag.CommandLine)
 	common := cliutil.New("ipra-analyze")
 	common.Register(flag.CommandLine)
 	flag.Parse()
@@ -59,7 +61,7 @@ func main() {
 	ctx := common.Context(context.Background())
 
 	opt := core.DefaultOptions()
-	canon, err := core.ResolveStrategy(*strategy)
+	canon, err := core.ResolveStrategy(build.StrategyName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipra-analyze: %v\n", err)
 		os.Exit(2)

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,10 +43,10 @@ func main() {
 	ctx := common.Context(context.Background())
 
 	var err error
-	if *strategies != "" {
-		err = runMatrix(ctx, common, *strategies, *jsonPath, *only)
+	if *webstats {
+		err = census.Print(ctx, os.Stdout)
 	} else {
-		err = run(ctx, common, *table, *raw, *webstats, *only)
+		err = run(ctx, common.Jobs, *table, *raw, *strategies, *jsonPath, *only)
 	}
 	if common.Verbose {
 		common.CacheStats(os.Stderr)
@@ -58,60 +59,28 @@ func main() {
 	}
 }
 
-// runMatrix drives the benchmark × configuration × strategy sweep.
-func runMatrix(ctx context.Context, common *cliutil.Common, strategies, jsonPath, only string) error {
-	opt := bench.MatrixOptions{Jobs: common.Jobs}
-	if strategies != "all" {
+// run drives the sweep: Tables 4 and 5 (or -raw) over the default
+// strategy, or the strategy matrix when -strategies names any.
+func run(ctx context.Context, jobs, table int, raw bool, strategies, jsonPath, only string) error {
+	opt := bench.Options{Jobs: jobs, Strategies: []string{ipra.DefaultStrategy}}
+	switch strategies {
+	case "":
+	case "all":
+		opt.Strategies = nil
+	default:
 		opt.Strategies = strings.Split(strategies, ",")
 	}
 	if only != "" {
 		opt.Benchmarks = []string{only}
 	}
-	rows, err := bench.RunMatrix(ctx, opt)
+	rows, err := bench.Run(ctx, opt)
 	if err != nil {
 		return err
 	}
-	bench.WriteMatrixTable(os.Stdout, rows)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := bench.WriteMatrixJSON(f, rows)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
-		}
-	}
-	for _, r := range rows {
-		if len(r.Mismatch) > 0 {
-			return fmt.Errorf("behaviour mismatch in %s: %s", r.Benchmark, strings.Join(r.Mismatch, ","))
-		}
-		// A false LowerBoundHolds is reported in the table and recorded in
-		// the JSON rather than failing the run: a contender can genuinely
-		// land below the do-nothing oracle when its spill motion
-		// mispredicts (protoc under profile-trained B does exactly this).
-	}
-	return nil
-}
-
-func run(ctx context.Context, common *cliutil.Common, table int, raw, webstats bool, only string) error {
-	if webstats {
-		return census.Print(ctx, os.Stdout)
-	}
-
-	opt := bench.Options{Jobs: common.Jobs}
-	if only != "" {
-		opt.Benchmarks = []string{only}
-	}
-	rows, err := bench.RunAll(ctx, opt)
-	if err != nil {
-		return err
-	}
-	if raw {
+	switch {
+	case strategies != "":
+		return writeMatrix(rows, jsonPath)
+	case raw:
 		for _, r := range rows {
 			bench.WriteRaw(os.Stdout, r)
 			fmt.Println()
@@ -124,6 +93,29 @@ func run(ctx context.Context, common *cliutil.Common, table int, raw, webstats b
 	}
 	if table == 0 || table == 5 {
 		bench.WriteTable5(os.Stdout, rows)
+	}
+	return nil
+}
+
+// writeMatrix prints the per-strategy tables, writes the JSON when asked,
+// and fails on any behaviour mismatch.
+func writeMatrix(rows []*bench.Row, jsonPath string) error {
+	bench.WriteMatrixTable(os.Stdout, rows)
+	if jsonPath != "" {
+		if err := cliutil.WriteFile(jsonPath, func(w io.Writer) error {
+			return bench.WriteMatrixJSON(w, rows)
+		}); err != nil {
+			return err
+		}
+	}
+	for _, r := range rows {
+		if len(r.Mismatch) > 0 {
+			return fmt.Errorf("behaviour mismatch in %s: %s", r.Benchmark, strings.Join(r.Mismatch, ","))
+		}
+		// A false LowerBoundHolds is reported in the table and recorded in
+		// the JSON rather than failing the run: spill motion that
+		// mispredicts can genuinely land below L2 (protoc under
+		// profile-trained B does exactly this).
 	}
 	return nil
 }

@@ -8,13 +8,15 @@
 //     references over level-2 optimization,
 //
 // for configurations A–F, plus the §6.2 web census for the PA-optimizer
-// analog.
+// analog. The same sweep, over every allocation strategy, gives the
+// strategy matrix (BENCH_strategies.json).
 package bench
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"ipra"
@@ -22,9 +24,13 @@ import (
 	"ipra/internal/pipeline"
 )
 
-// Cell is one measurement of one benchmark under one configuration.
+// Cell is one measurement of one benchmark under one configuration and
+// allocation strategy.
 type Cell struct {
-	Config string
+	// Strategy is the allocation strategy the cell was built under; the
+	// L2 baseline has none.
+	Strategy string `json:"strategy,omitempty"`
+	Config   string
 	// Exit and Output validate behavioural equivalence with the baseline.
 	Exit   int32
 	Output string
@@ -40,35 +46,95 @@ type Cell struct {
 	SingletonReduction float64
 }
 
-// Row is one benchmark across all configurations.
+// Row is one benchmark across the sweep's configurations and strategies.
 type Row struct {
-	Benchmark   string
-	Description string
-	Baseline    Cell // the L2 measurement
-	Cells       []Cell
-	// Mismatch records configurations whose behaviour diverged from L2
-	// (this must be empty; it is reported rather than panicking so the
-	// harness can show every benchmark).
-	Mismatch []string
+	Benchmark   string `json:"benchmark"`
+	Description string `json:"description,omitempty"`
+	// Baseline is the L2 measurement every cell normalizes against.
+	Baseline Cell `json:"baseline"`
+	// Cells come in configuration-major, strategy-minor order.
+	Cells []Cell `json:"cells"`
+	// Mismatch lists the config/strategy cells whose behaviour diverged
+	// from L2 (this must be empty; it is reported rather than panicking so
+	// the harness can show every benchmark).
+	Mismatch []string `json:"mismatch,omitempty"`
+	// LowerBoundHolds is true when no cell took more cycles than the L2
+	// baseline. L2 is the spill-everywhere floor of Bouchez et al.: no
+	// promotion, no spill motion, the standard linkage convention
+	// everywhere. False is not an error: spill motion that mispredicts can
+	// land below it (the bound speaks to allocation quality, not to every
+	// interprocedural transformation).
+	LowerBoundHolds bool `json:"lowerBoundHolds"`
 }
 
 // Options control a sweep.
 type Options struct {
 	// Benchmarks restricts the suite (nil = all).
 	Benchmarks []string
-	// MaxInstrsScale scales each benchmark's instruction budget.
-	MaxInstrsScale float64
+	// Configs restricts the configurations (nil = Table 4 A-F).
+	Configs []string
+	// Strategies restricts the allocation strategies (nil = every
+	// strategy). Tables 4 and 5 are the sweep over the default strategy.
+	Strategies []string
 	// Jobs bounds sweep parallelism: 0 uses one worker per CPU, 1 runs
-	// the sweep sequentially. The (benchmark, configuration) cells are
-	// independent measurements — the simulator counts cycles
-	// deterministically — so the tables are identical at every setting.
+	// the sweep sequentially. The cells are independent measurements —
+	// the simulator counts cycles deterministically — so the tables are
+	// identical at every setting.
 	Jobs int
 }
 
-// RunBenchmark measures one benchmark under the baseline and every
-// configuration, fanning the configuration cells across jobs workers
-// (the L2 baseline is measured first: every cell normalizes against it).
-func RunBenchmark(ctx context.Context, b benchprogs.Benchmark, jobs int) (*Row, error) {
+// Run measures benchmark × configuration × strategy, fanning the
+// benchmarks, and within each the cells, across opt.Jobs workers. Rows
+// come back in suite (Table 3) order regardless of completion order.
+func Run(ctx context.Context, opt Options) ([]*Row, error) {
+	strategies := opt.Strategies
+	if len(strategies) == 0 {
+		strategies = ipra.StrategyNames()
+	}
+	configs := ipra.Configs()
+	if len(opt.Configs) > 0 {
+		configs = nil
+		for _, name := range opt.Configs {
+			cfg, err := ipra.PresetByName(name)
+			if err != nil {
+				return nil, err
+			}
+			configs = append(configs, cfg)
+		}
+	}
+	var points []ipra.Config
+	for _, cfg := range configs {
+		for _, s := range strategies {
+			canon, err := ipra.ResolveStrategy(s)
+			if err != nil {
+				return nil, err
+			}
+			points = append(points, cfg.WithStrategy(canon))
+		}
+	}
+
+	var selected []benchprogs.Benchmark
+	var names []string
+	for _, b := range benchprogs.All() {
+		names = append(names, b.Name)
+		if len(opt.Benchmarks) == 0 || slices.Contains(opt.Benchmarks, b.Name) {
+			selected = append(selected, b)
+		}
+	}
+	for _, want := range opt.Benchmarks {
+		if !slices.Contains(names, want) {
+			return nil, fmt.Errorf("unknown benchmark %q (valid: %s)", want, strings.Join(names, ", "))
+		}
+	}
+	return pipeline.MapCtx(ctx, opt.Jobs, selected, func(ctx context.Context, _ int, b benchprogs.Benchmark) (*Row, error) {
+		return runRow(ctx, b, points, opt.Jobs)
+	})
+}
+
+// runRow measures one benchmark under the baseline and every point of the
+// sweep (the L2 baseline is measured first: every cell normalizes
+// against it).
+func runRow(ctx context.Context, b benchprogs.Benchmark, points []ipra.Config, jobs int) (*Row, error) {
 	files, err := b.Sources()
 	if err != nil {
 		return nil, err
@@ -79,18 +145,18 @@ func RunBenchmark(ctx context.Context, b benchprogs.Benchmark, jobs int) (*Row, 
 	}
 
 	row := &Row{Benchmark: b.Name, Description: b.Description}
-
 	base, err := measure(ctx, sources, withJobs(ipra.MustPreset("L2"), jobs), b.MaxInstrs)
 	if err != nil {
 		return nil, fmt.Errorf("%s/L2: %w", b.Name, err)
 	}
 	row.Baseline = *base
 
-	cells, err := pipeline.MapCtx(ctx, jobs, ipra.Configs(), func(ctx context.Context, _ int, cfg ipra.Config) (Cell, error) {
+	cells, err := pipeline.MapCtx(ctx, jobs, points, func(ctx context.Context, _ int, cfg ipra.Config) (Cell, error) {
 		cell, err := measure(ctx, sources, withJobs(cfg, jobs), b.MaxInstrs)
 		if err != nil {
-			return Cell{}, fmt.Errorf("%s/%s: %w", b.Name, cfg.Name, err)
+			return Cell{}, fmt.Errorf("%s/%s/%s: %w", b.Name, cfg.Name, cfg.Strategy, err)
 		}
+		cell.Strategy = cfg.Strategy
 		cell.CyclesImprovement = pctImprovement(base.Cycles, cell.Cycles)
 		cell.SingletonReduction = pctImprovement(base.SingletonRefs, cell.SingletonRefs)
 		return *cell, nil
@@ -98,9 +164,13 @@ func RunBenchmark(ctx context.Context, b benchprogs.Benchmark, jobs int) (*Row, 
 	if err != nil {
 		return nil, err
 	}
+	row.LowerBoundHolds = true
 	for _, cell := range cells {
 		if cell.Exit != base.Exit || cell.Output != base.Output {
-			row.Mismatch = append(row.Mismatch, cell.Config)
+			row.Mismatch = append(row.Mismatch, cell.Config+"/"+cell.Strategy)
+		}
+		if cell.Cycles > base.Cycles {
+			row.LowerBoundHolds = false
 		}
 		row.Cells = append(row.Cells, cell)
 	}
@@ -142,38 +212,6 @@ func pctImprovement(base, v uint64) float64 {
 		return 0
 	}
 	return 100 * (float64(base) - float64(v)) / float64(base)
-}
-
-// RunAll measures the whole suite, fanning the benchmarks across
-// opt.Jobs workers. Rows come back in suite (Table 3) order regardless
-// of completion order.
-func RunAll(ctx context.Context, opt Options) ([]*Row, error) {
-	var selected []benchprogs.Benchmark
-	var names []string
-	for _, b := range benchprogs.All() {
-		names = append(names, b.Name)
-		if len(opt.Benchmarks) > 0 && !contains(opt.Benchmarks, b.Name) {
-			continue
-		}
-		selected = append(selected, b)
-	}
-	for _, want := range opt.Benchmarks {
-		if !contains(names, want) {
-			return nil, fmt.Errorf("unknown benchmark %q (valid: %s)", want, strings.Join(names, ", "))
-		}
-	}
-	return pipeline.MapCtx(ctx, opt.Jobs, selected, func(ctx context.Context, _ int, b benchprogs.Benchmark) (*Row, error) {
-		return RunBenchmark(ctx, b, opt.Jobs)
-	})
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // legend matches the paper's Table 4 key.

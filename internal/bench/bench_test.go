@@ -10,13 +10,13 @@ import (
 	"ipra/internal/core"
 )
 
-// TestRunAllUnknownBenchmarkListsValidNames pins the error contract: a
+// TestRunUnknownBenchmarkListsValidNames pins the error contract: a
 // mistyped -bench name must name every valid benchmark so the caller can
 // correct it without digging through the source.
-func TestRunAllUnknownBenchmarkListsValidNames(t *testing.T) {
-	_, err := RunAll(context.Background(), Options{Benchmarks: []string{"no-such-benchmark"}})
+func TestRunUnknownBenchmarkListsValidNames(t *testing.T) {
+	_, err := Run(context.Background(), Options{Benchmarks: []string{"no-such-benchmark"}})
 	if err == nil {
-		t.Fatal("RunAll accepted an unknown benchmark name")
+		t.Fatal("Run accepted an unknown benchmark name")
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, `"no-such-benchmark"`) {

@@ -106,35 +106,26 @@ func (c *Common) Finish() error {
 		c.cpuFile = nil
 	}
 	if c.memProf != "" {
-		f, err := os.Create(c.memProf)
-		if err != nil {
-			return err
-		}
 		runtime.GC()
-		werr := pprof.WriteHeapProfile(f)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
+		if err := WriteFile(c.memProf, pprof.WriteHeapProfile); err != nil {
+			return err
 		}
 	}
 	if c.tracePath != "" {
-		if err := writeFileWith(c.tracePath, c.tracer.WriteChromeTrace); err != nil {
+		if err := WriteFile(c.tracePath, c.tracer.WriteChromeTrace); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
 	if c.reportPath != "" {
-		if err := writeFileWith(c.reportPath, c.tracer.Report().WriteJSON); err != nil {
+		if err := WriteFile(c.reportPath, c.tracer.Report().WriteJSON); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
 	}
 	return nil
 }
 
-// writeFileWith streams one export function into a freshly created file.
-func writeFileWith(path string, write func(io.Writer) error) error {
+// WriteFile streams one export function into a freshly created file.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

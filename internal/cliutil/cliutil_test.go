@@ -46,7 +46,8 @@ func TestBuildFlagsResolvePresets(t *testing.T) {
 }
 
 // TestBuildFlagsRejectUnknownConfig: a bad -config fails with the preset
-// list in the message, at Config() time, not at build time.
+// list in the message, and a bad -strategy with the strategy list, at
+// Config() time, not at build time.
 func TestBuildFlagsRejectUnknownConfig(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	b := &BuildFlags{}
@@ -62,6 +63,20 @@ func TestBuildFlagsRejectUnknownConfig(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list preset %s", err, name)
 		}
+	}
+
+	// A removed strategy fails the same way, listing the strategies left.
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	b = &BuildFlags{}
+	b.RegisterBuild(fs)
+	if err := fs.Parse([]string{"-strategy", "spill-everywhere"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = b.Config(); err == nil {
+		t.Fatal("-strategy spill-everywhere accepted")
+	}
+	if want := strings.Join(ipra.StrategyNames(), ", "); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the strategies %s", err, want)
 	}
 }
 

@@ -86,11 +86,10 @@ type Options struct {
 	// directives are byte-identical at every setting — results are merged
 	// in variable-index order.
 	Jobs int
-	// Strategy names the allocation strategy web promotion is delegated
-	// to ("" selects DefaultStrategyName, the paper's priority coloring).
-	// The strategy decides which webs occupy which callee-saves registers
-	// and may veto spill motion; see strategy.go and StrategyNames for
-	// the table of strategies.
+	// Strategy names the allocation strategy the coloring stage runs (""
+	// selects DefaultStrategyName, the paper's priority coloring). The
+	// strategy decides which webs occupy which callee-saves registers; see
+	// strategy.go and StrategyNames for the table of strategies.
 	Strategy string
 	// CallerSavesPreallocation enables the §7.6.2 [Chow 88]-style
 	// extension: each procedure's caller-saves usage is contracted to its
@@ -158,9 +157,7 @@ func Analyze(ctx context.Context, summaries []*summary.ModuleSummary, opt Option
 	}
 	a.stageRefsets(ctx) // ---- Global variable promotion (§4.1).
 	a.stageWebs(ctx)
-	if err := a.stageColoring(ctx); err != nil {
-		return nil, err
-	}
+	a.stageColoring(ctx)
 	a.stageClusters(ctx) // ---- Spill code motion (§4.2).
 	if err := a.stageDirectives(ctx); err != nil {
 		return nil, err

@@ -22,10 +22,7 @@ import (
 // webs, coloring, clusters and usage sets, directives — are explicit.
 type analysis struct {
 	opt Options
-	// strategy is the resolved allocation strategy the coloring stage
-	// delegates to.
-	strategy Strategy
-	res      *Result
+	res *Result
 
 	// eligible is the promotion-eligible global universe (sorted).
 	eligible []string
@@ -36,29 +33,17 @@ type analysis struct {
 	promotedAt []regs.Set
 	// asn carries the cluster register usage sets.
 	asn *clusters.Assignment
-	// noSpillMotion is the strategy's veto: set by stageColoring when the
-	// assignment disables the cluster stages (spill-everywhere).
-	noSpillMotion bool
 }
 
 // newAnalysis resolves the allocation strategy and allocates the result
 // shell.
 func newAnalysis(opt Options) (*analysis, error) {
-	strat, err := StrategyByName(opt.Strategy)
+	strat, err := ResolveStrategy(opt.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	return &analysis{
-		opt:      opt,
-		strategy: strat,
-		res:      &Result{DB: pdb.New(), Strategy: strat.Name()},
-	}, nil
+	return &analysis{opt: opt, res: &Result{DB: pdb.New(), Strategy: strat}}, nil
 }
-
-// spillMotion reports whether the cluster stages should run: the option
-// must be on and the strategy must not have vetoed it. Only valid after
-// stageColoring.
-func (a *analysis) spillMotion() bool { return a.opt.SpillMotion && !a.noSpillMotion }
 
 // webReg maps a web color to its machine register: webs take registers
 // from the top of the callee-saves set (the cluster preallocation fills
@@ -127,23 +112,24 @@ func (a *analysis) stageWebs(ctx context.Context) {
 	span.SetInt("considered", int64(a.res.Stats.WebsConsidered))
 }
 
-// stageColoring delegates web promotion to the configured strategy and
-// reserves the chosen registers per node.
-func (a *analysis) stageColoring(ctx context.Context) error {
+// stageColoring runs the resolved strategy's web promotion and reserves
+// the chosen registers per node.
+func (a *analysis) stageColoring(ctx context.Context) {
 	_, span := telemetry.StartSpan(ctx, "coloring")
 	defer span.End()
 	span.SetStr("mode", a.opt.Promotion.String())
-	span.SetStr("strategy", a.strategy.Name())
+	span.SetStr("strategy", a.res.Strategy)
 	g := a.res.Graph
-	in := &StrategyInput{Graph: g, Sets: a.res.Sets, Webs: a.res.Webs, Opt: a.opt}
-	asn, err := a.strategy.Allocate(ctx, in)
-	if err != nil {
-		return fmt.Errorf("strategy %q: %w", a.strategy.Name(), err)
+	var asn assignment
+	switch a.res.Strategy {
+	case StrategyTiling:
+		asn = colorTiling(g, a.res.Webs, a.opt)
+	default: // StrategyPriority
+		asn = colorPriority(g, a.res.Sets, a.res.Webs, a.opt)
 	}
 	a.active = asn.Active
 	a.res.Blankets = asn.Blankets
 	a.res.Stats.WebsColored = asn.Colored
-	a.noSpillMotion = asn.DisableSpillMotion
 	a.promotedAt = make([]regs.Set, len(g.Nodes))
 	for _, w := range a.active {
 		r := webReg(w.Color)
@@ -152,14 +138,13 @@ func (a *analysis) stageColoring(ctx context.Context) error {
 		})
 	}
 	span.SetInt("colored", int64(a.res.Stats.WebsColored))
-	return nil
 }
 
 // stageClusters identifies and prunes the spill-motion clusters, then
 // runs the Figure 6 preallocation over them. The preallocation excludes
 // the registers the coloring stage promoted.
 func (a *analysis) stageClusters(ctx context.Context) {
-	if !a.spillMotion() {
+	if !a.opt.SpillMotion {
 		return
 	}
 	_, span := telemetry.StartSpan(ctx, "clusters")

@@ -108,6 +108,8 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*summary
 	reason := ""
 	prev := s.prev.Modules[a.Module]
 	switch {
+	case s.out.StateReset:
+		reason = "state reset" // explain names the reason once
 	case prev == nil:
 		reason = s.resetReason
 		if reason == "" {

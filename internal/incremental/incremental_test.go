@@ -500,13 +500,18 @@ func TestCorruptManifestAndArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	toyBuild(t, dir, twoModules(), toyOptions{})
 
-	// Corrupt manifest: full rebuild, no error.
+	// Corrupt manifest: full rebuild, no error, and an older format is not
+	// what it is called.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := toyBuild(t, dir, twoModules(), toyOptions{})
+	var reset bytes.Buffer
+	r := toyBuild(t, dir, twoModules(), toyOptions{explain: &reset})
 	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 {
 		t.Errorf("corrupt manifest: reset=%v rebuilds=%d, want full reset", r.out.StateReset, r.out.Phase1Rebuilds)
+	}
+	if !strings.Contains(reset.String(), "discarding build state: unreadable manifest: wire: not a wire file") {
+		t.Errorf("corrupt manifest: explain output:\n%s", &reset)
 	}
 
 	// Corrupt one object file: that module silently recompiles.
@@ -708,8 +713,18 @@ func TestAnalyzerStateParentFile(t *testing.T) {
 		t.Errorf("parent-format directory: reset %v, rebuilds %d/%d; want one reset and a full rebuild\n%s",
 			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
 	}
-	if !strings.Contains(buf.String(), "discarding build state: unreadable manifest") {
-		t.Errorf("explain output missing the reset notice:\n%s", &buf)
+	// The manifest's only fault is its older wire version: the reset names
+	// the older format, once, and every module line says only that the
+	// state was reset.
+	notice := "discarding build state: manifest.wire from an older store format"
+	if n := strings.Count(buf.String(), notice); n != 1 {
+		t.Errorf("explain output holds the reset notice %d times, want once:\n%s", n, &buf)
+	}
+	if n := strings.Count(buf.String(), "older store format"); n != 1 {
+		t.Errorf("explain output repeats the reset reason (%d times):\n%s", n, &buf)
+	}
+	if !strings.Contains(buf.String(), "lib.mc: phase 1 recompiled (state reset); phase 2 recompiled (state reset)") {
+		t.Errorf("explain output missing the per-module reset line:\n%s", &buf)
 	}
 	sameAsClean("reset build", r)
 	onlyNamedFiles(t, "parent-format directory", dir)

@@ -42,6 +42,7 @@ package incremental
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -52,6 +53,7 @@ import (
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/summary"
+	"ipra/internal/wire"
 )
 
 // FormatVersion versions the build directory layout and manifest schema.
@@ -84,7 +86,8 @@ type Store struct {
 	fingerprint string // FormatVersion + toolchain: the manifest guard
 	prev        manifest
 	// resetReason names why the build starts from nothing: a first build
-	// in an empty directory, or (with out.StateReset) rejected state.
+	// in an empty directory, or (with out.StateReset) rejected state. A
+	// first build gives it to every module; a reset prints it once.
 	resetReason string
 
 	out  Outcome
@@ -138,7 +141,11 @@ func Open(dir, toolchainFingerprint string, modules []string) (*Store, error) {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
 	m, err := decodeManifest(data)
-	if err != nil {
+	switch {
+	case errors.Is(err, wire.ErrOldVersion):
+		s.out.StateReset, s.resetReason = true, manifestName+" from an older store format"
+		return s, nil
+	case err != nil:
 		s.out.StateReset, s.resetReason = true, "unreadable manifest: "+err.Error()
 		return s, nil
 	}

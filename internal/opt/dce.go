@@ -4,13 +4,10 @@ import (
 	"ipra/internal/ir"
 )
 
-// DeadCodeElim removes instructions whose results are unused and that have
+// deadCodeElim removes instructions whose results are unused and that have
 // no side effects, iterating until stable. It reports whether anything was
-// removed.
-func DeadCodeElim(f *ir.Func) bool { return deadCodeElim(f, new(ir.Liveness)) }
-
-// deadCodeElim is DeadCodeElim computing liveness in lv, so the passes of
-// one function's pipeline share its storage.
+// removed. It computes liveness in lv, so the passes of one function's
+// pipeline share its storage.
 func deadCodeElim(f *ir.Func, lv *ir.Liveness) bool {
 	changed := false
 	live := ir.NewBitSet(int(f.NextReg))

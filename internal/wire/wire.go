@@ -30,6 +30,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -160,6 +161,11 @@ func (e *Encoder) Finish() []byte {
 	return out
 }
 
+// ErrOldVersion is wrapped by NewDecoder's error for a file of the
+// expected kind written under an older version of it, so a reader can
+// tell an outdated artifact from a damaged one.
+var ErrOldVersion = errors.New("older version")
+
 // Decoder reads one wire file. Decoding errors are sticky: after the
 // first, every method returns zero values, and Finish reports the error.
 type Decoder struct {
@@ -188,6 +194,9 @@ func NewDecoder(data []byte, kind string, version uint64) (*Decoder, error) {
 		return nil, fmt.Errorf("wire: truncated header (kind %q)", kind)
 	}
 	rest = rest[n:]
+	if gotVersion < version {
+		return nil, fmt.Errorf("wire: %s is an %w (got v%d, want v%d)", kind, ErrOldVersion, gotVersion, version)
+	}
 	if gotVersion != version {
 		return nil, fmt.Errorf("wire: %s version mismatch (got v%d, want v%d)", kind, gotVersion, version)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -103,8 +104,11 @@ func TestHeaderMismatch(t *testing.T) {
 	if _, err := NewDecoder(data, "beta", 2); err == nil {
 		t.Error("kind mismatch not detected")
 	}
-	if _, err := NewDecoder(data, "alpha", 3); err == nil {
-		t.Error("version mismatch not detected")
+	if _, err := NewDecoder(data, "alpha", 3); !errors.Is(err, ErrOldVersion) {
+		t.Errorf("older version: got %v, want an error wrapping ErrOldVersion", err)
+	}
+	if _, err := NewDecoder(data, "alpha", 1); err == nil || errors.Is(err, ErrOldVersion) {
+		t.Errorf("newer version: got %v, want a mismatch that is not ErrOldVersion", err)
 	}
 	if _, err := NewDecoder([]byte("not a wire file at all"), "alpha", 2); err == nil {
 		t.Error("bad magic not detected")

@@ -65,9 +65,9 @@ type Config struct {
 	UseAnalyzer bool
 	// Analyzer configures the program analyzer when enabled.
 	Analyzer core.Options
-	// Strategy names the allocation strategy the analyzer delegates web
-	// promotion to ("" selects the default, the paper's priority
-	// coloring). Presets carry it explicitly; derive variants with
+	// Strategy names the allocation strategy the analyzer's coloring
+	// stage runs ("" selects the default, the paper's priority coloring;
+	// StrategyNames lists the others). Presets carry it explicitly; derive variants with
 	// WithStrategy. The name participates in the daemon's request keys, so
 	// a strategy switch never shares a cached result; over a build
 	// directory it recompiles the modules whose phase-2 keys it moves.
@@ -110,16 +110,15 @@ func (c Config) analyzerOptions(profile *parv.Profile) core.Options {
 // preset lists.
 var presetBuilders = []struct {
 	name  string
-	desc  string
 	build func() Config
 }{
-	{"L2", "level-2 baseline: global optimization only, standard linkage", buildLevel2},
-	{"A", "spill code motion only", buildConfigA},
-	{"B", "spill code motion with profile information", buildConfigB},
-	{"C", "spill motion plus 6-register web coloring", buildConfigC},
-	{"D", "spill motion plus greedy coloring", buildConfigD},
-	{"E", "spill motion plus blanket promotion of the 6 hottest globals", buildConfigE},
-	{"F", "configuration C with profile information", buildConfigF},
+	{"L2", buildLevel2}, // level-2 baseline: global optimization only, standard linkage
+	{"A", buildConfigA}, // spill code motion only
+	{"B", buildConfigB}, // spill code motion with profile information
+	{"C", buildConfigC}, // spill motion plus 6-register web coloring
+	{"D", buildConfigD}, // spill motion plus greedy coloring
+	{"E", buildConfigE}, // spill motion plus blanket promotion of the 6 hottest globals
+	{"F", buildConfigF}, // configuration C with profile information
 }
 
 func buildLevel2() Config {
@@ -209,12 +208,11 @@ func MustPreset(name string) Config {
 // priority-based web coloring.
 const DefaultStrategy = core.DefaultStrategyName
 
-// The allocation strategy names, re-exported so matrix drivers can name
-// individual policies without importing internal/core.
+// The allocation strategy names, re-exported so callers can name a policy
+// without importing internal/core.
 const (
-	StrategyPriority        = core.StrategyPriority
-	StrategySpillEverywhere = core.StrategySpillEverywhere
-	StrategyTiling          = core.StrategyTiling
+	StrategyPriority = core.StrategyPriority
+	StrategyTiling   = core.StrategyTiling
 )
 
 // StrategyNames lists the allocation strategies, default first. Use with

@@ -53,10 +53,11 @@ func TestStrategyDifferential(t *testing.T) {
 	}
 }
 
-// TestSpillEverywhereLowerBound pins the oracle role of the
-// spill-everywhere strategy: on dhrystone under configuration C it must
-// save no more cycles over the L2 baseline than any other strategy —
-// it is the floor of the experiment matrix, not a contender.
+// TestSpillEverywhereLowerBound pins the floor of the strategy matrix.
+// The spill-everywhere formulation of Bouchez et al. (promote nothing,
+// no spill motion, the standard linkage convention everywhere) is the L2
+// baseline, so on dhrystone under configuration C no strategy may take
+// more cycles than L2.
 func TestSpillEverywhereLowerBound(t *testing.T) {
 	b, err := benchprogs.ByName("dhrystone")
 	if err != nil {
@@ -73,7 +74,6 @@ func TestSpillEverywhereLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cycles := make(map[string]uint64)
 	for _, strat := range StrategyNames() {
 		p, err := Build(context.Background(), sources, MustPreset("C").WithStrategy(strat), WithVerify())
 		if err != nil {
@@ -86,21 +86,12 @@ func TestSpillEverywhereLowerBound(t *testing.T) {
 		if got.Exit != want.Exit {
 			t.Fatalf("%s: exit %d != L2 %d", strat, got.Exit, want.Exit)
 		}
-		cycles[strat] = got.Stats.Cycles
 		t.Logf("%s: cycles=%d (L2 %d, saved %d)",
 			strat, got.Stats.Cycles, want.Stats.Cycles,
 			int64(want.Stats.Cycles)-int64(got.Stats.Cycles))
-	}
-
-	floor := int64(want.Stats.Cycles) - int64(cycles["spill-everywhere"])
-	for _, strat := range StrategyNames() {
-		if strat == "spill-everywhere" {
-			continue
-		}
-		saved := int64(want.Stats.Cycles) - int64(cycles[strat])
-		if floor > saved {
-			t.Errorf("spill-everywhere saved %d cycles, more than %s's %d — not a lower bound",
-				floor, strat, saved)
+		if got.Stats.Cycles > want.Stats.Cycles {
+			t.Errorf("%s took %d cycles, more than L2's %d — below the spill-everywhere floor",
+				strat, got.Stats.Cycles, want.Stats.Cycles)
 		}
 	}
 }
