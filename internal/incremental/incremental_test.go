@@ -500,8 +500,8 @@ func TestCorruptManifestAndArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	toyBuild(t, dir, twoModules(), toyOptions{})
 
-	// Corrupt manifest: full rebuild, no error, and an older format is not
-	// what it is called.
+	// Corrupt manifest: full rebuild, no error, and the reset calls it
+	// unreadable, not an older format.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
