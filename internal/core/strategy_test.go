@@ -29,8 +29,8 @@ func TestStrategyRegistry(t *testing.T) {
 	if canon, err := core.ResolveStrategy(""); err != nil || canon != core.DefaultStrategyName {
 		t.Errorf("ResolveStrategy(\"\") = %q, %v", canon, err)
 	}
-	// spill-everywhere was a copy of the level-2 baseline and is gone; its
-	// name fails like any unknown one, listing the strategies that remain.
+	// A removed strategy's name fails like any unknown one, listing the
+	// table.
 	for _, bad := range []string{"bogus", "spill-everywhere"} {
 		_, err := core.ResolveStrategy(bad)
 		if err == nil {

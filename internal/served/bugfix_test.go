@@ -87,8 +87,7 @@ func TestServedErrorStatusClasses(t *testing.T) {
 			http.StatusBadRequest, ReasonBadRequest)
 	})
 	t.Run("unknown strategy", func(t *testing.T) {
-		// spill-everywhere was a copy of the L2 baseline and is gone: a
-		// request naming it is a request defect like any unknown name.
+		// A removed strategy is a request defect like any unknown name.
 		for _, strat := range []string{"no-such-strategy", "spill-everywhere"} {
 			expectStatus(t, New(Options{Jobs: 1}),
 				&BuildRequest{Config: "A", Strategy: strat, Sources: srcs},
