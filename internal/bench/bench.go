@@ -71,8 +71,6 @@ type Row struct {
 type Options struct {
 	// Benchmarks restricts the suite (nil = all).
 	Benchmarks []string
-	// Configs restricts the configurations (nil = Table 4 A-F).
-	Configs []string
 	// Strategies restricts the allocation strategies (nil = every
 	// strategy). Tables 4 and 5 are the sweep over the default strategy.
 	Strategies []string
@@ -91,19 +89,8 @@ func Run(ctx context.Context, opt Options) ([]*Row, error) {
 	if len(strategies) == 0 {
 		strategies = ipra.StrategyNames()
 	}
-	configs := ipra.Configs()
-	if len(opt.Configs) > 0 {
-		configs = nil
-		for _, name := range opt.Configs {
-			cfg, err := ipra.PresetByName(name)
-			if err != nil {
-				return nil, err
-			}
-			configs = append(configs, cfg)
-		}
-	}
 	var points []ipra.Config
-	for _, cfg := range configs {
+	for _, cfg := range ipra.Configs() {
 		for _, s := range strategies {
 			canon, err := ipra.ResolveStrategy(s)
 			if err != nil {

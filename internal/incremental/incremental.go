@@ -108,8 +108,6 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*summary
 	reason := ""
 	prev := s.prev.Modules[a.Module]
 	switch {
-	case s.out.StateReset:
-		reason = "state reset" // explain names the reason once
 	case prev == nil:
 		reason = s.resetReason
 		if reason == "" {
@@ -133,6 +131,11 @@ func (s *Store) ReusePhase1(ctx context.Context, i int, key cache.Key) (*summary
 	ev.SetStr("module", a.Module)
 	ev.SetStr("reason", reason)
 	ev.End()
+	if s.out.StateReset {
+		// The event keeps the cause for traces; explain prints it once,
+		// above module lines that say only this.
+		reason = "state reset"
+	}
 	a.Phase1Rebuilt, a.Phase1Reason = true, reason
 	return nil, false
 }

@@ -20,6 +20,7 @@ import (
 	"ipra/internal/pdb"
 	"ipra/internal/regs"
 	"ipra/internal/summary"
+	"ipra/internal/telemetry"
 	"ipra/internal/wire"
 )
 
@@ -119,6 +120,7 @@ type toyOptions struct {
 	clobber     map[string]regs.Set
 	eligible    []string // the database's eligibility list
 	explain     io.Writer
+	tracer      *telemetry.Tracer // nil: the build is not traced
 }
 
 // toyResult is what one toy build compiled and produced.
@@ -147,6 +149,9 @@ func toyBuild(t testing.TB, dir string, srcs []toySource, o toyOptions) toyResul
 func toyBuildErr(t testing.TB, dir string, srcs []toySource, o toyOptions) (toyResult, error) {
 	t.Helper()
 	ctx := context.Background()
+	if o.tracer != nil {
+		ctx = telemetry.WithTracer(ctx, o.tracer)
+	}
 	if o.fingerprint == "" {
 		o.fingerprint = "toy/v1"
 	}
@@ -478,7 +483,8 @@ func TestFingerprintMismatchDiscardsState(t *testing.T) {
 	toyBuild(t, dir, twoModules(), toyOptions{})
 
 	var buf bytes.Buffer
-	r := toyBuild(t, dir, twoModules(), toyOptions{fingerprint: "toy/v2", explain: &buf})
+	tr := telemetry.New()
+	r := toyBuild(t, dir, twoModules(), toyOptions{fingerprint: "toy/v2", explain: &buf, tracer: tr})
 	if !r.out.StateReset {
 		t.Error("fingerprint mismatch must be reported as a state reset")
 	}
@@ -487,6 +493,22 @@ func TestFingerprintMismatchDiscardsState(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "discarding build state: fingerprint mismatch") {
 		t.Errorf("explain output missing reset notice:\n%s", &buf)
+	}
+	// Explain names the cause once; each module's invalidate-phase1 event
+	// still carries it, for traces that get no explain text.
+	var causes []any
+	for _, sp := range tr.Report().Spans {
+		if sp.Name == "invalidate-phase1" {
+			causes = append(causes, sp.Attrs["reason"])
+		}
+	}
+	if len(causes) != 2 {
+		t.Errorf("reset build traced %d invalidate-phase1 events, want 2", len(causes))
+	}
+	for _, c := range causes {
+		if reason, _ := c.(string); !strings.HasPrefix(reason, "fingerprint mismatch") {
+			t.Errorf("invalidate-phase1 reason = %v, want the fingerprint mismatch", c)
+		}
 	}
 
 	// The new state must be valid: an immediate rebuild is a no-op.

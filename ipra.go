@@ -208,13 +208,6 @@ func MustPreset(name string) Config {
 // priority-based web coloring.
 const DefaultStrategy = core.DefaultStrategyName
 
-// The allocation strategy names, re-exported so callers can name a policy
-// without importing internal/core.
-const (
-	StrategyPriority = core.StrategyPriority
-	StrategyTiling   = core.StrategyTiling
-)
-
 // StrategyNames lists the allocation strategies, default first. Use with
 // Config.WithStrategy or a CLI -strategy flag.
 func StrategyNames() []string { return core.StrategyNames() }
