@@ -3,7 +3,7 @@
 // (profiles.go): a trained build, stable fleet generations, then a
 // workload shift that must trigger exactly one re-analysis.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -seed 5 -config B
 //
 // The daemon's request latency is measured by the benchmark module's
 // served workload (benchmark/run.sh), not here.

@@ -2,8 +2,8 @@
 // daemon, the harness behind BENCH_profagg.json and the profagg-smoke CI
 // job.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B \
-//	    -generations 2 -gen-runs 4 -o BENCH_profagg.json
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -seed 5 -config B \
+//	    -generations 2 -gen-runs 4 -label profagg-fleet -o BENCH_profagg.json
 //
 // The scenario: build the program under a profiled configuration (the
 // daemon trains and registers a drift model), run the served binary on
@@ -15,7 +15,8 @@
 // are written out so CI can reproduce the daemon's bytes with a clean
 // local build. Any protocol violation — a stable generation that drifts,
 // a shift that does not, a re-analysis count other than one — exits
-// nonzero.
+// nonzero. Drift is exact, so the scenario needs a program whose shift
+// moves a directive: seed 5 does; under B, seeds 1, 2 and 4 do not.
 package main
 
 import (
@@ -167,7 +168,7 @@ func runProfiles(p profilesParams) error {
 	// The workload shift: one generation synthesized under the rotated
 	// hot set, weighted to dominate the aggregate mean.
 	shifted := profagg.NewRecord(fingerprint, program, trained.DirectiveHash)
-	shifted.AddRuns(progen.SynthesizeProfile(p.pcfg, progen.DistShift, 1), 8*uint64(p.generations)*p.genRuns)
+	shifted.AddRuns(progen.SynthesizeProfile(p.pcfg, 1), 8*uint64(p.generations)*p.genRuns)
 	ir, err := client.IngestProfile(ctx, shifted.Encode())
 	if err != nil {
 		return fmt.Errorf("shifted generation: %w", err)

@@ -342,22 +342,6 @@ func discardUncompilableWebs(g *callgraph.Graph, ws []*webs.Web) {
 	}
 }
 
-// ConsiderWebs decides which webs are considered for coloring under the
-// current priorities: it clears every earlier discard, applies the §6.2
-// economic filter, then the structural rules (members without summary
-// records, cross-module static entries). Every analysis runs it, and so
-// does the profile-drift model in internal/profagg when it re-prices an
-// analysis's webs under another profile, so both consider the same webs.
-func ConsiderWebs(g *callgraph.Graph, ws []*webs.Web) {
-	for _, w := range ws {
-		w.Discarded = false
-		w.DiscardReason = ""
-	}
-	webs.Filter(ws, false)
-	discardCrossModuleStatics(g, ws)
-	discardUncompilableWebs(g, ws)
-}
-
 // discardCrossModuleStatics drops webs for static globals whose entry nodes
 // lie outside the defining module: the second phase could not insert the
 // load/store for a static belonging to another module (§7.4).

@@ -100,7 +100,9 @@ func (a *analysis) stageWebs(ctx context.Context) {
 		allWebs = webs.Merge(g, sets, allWebs)
 		webs.ComputePriorities(g, sets, allWebs)
 	}
-	ConsiderWebs(g, allWebs)
+	webs.Filter(allWebs, false)
+	discardCrossModuleStatics(g, allWebs)
+	discardUncompilableWebs(g, allWebs)
 	a.res.Webs = allWebs
 	a.res.Stats.WebsFound = len(allWebs)
 	for _, w := range allWebs {

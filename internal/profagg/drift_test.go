@@ -3,6 +3,7 @@ package profagg_test
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ipra"
@@ -10,6 +11,7 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/profagg"
 	"ipra/internal/progen"
+	"ipra/internal/summary"
 	"ipra/internal/webs"
 )
 
@@ -18,21 +20,40 @@ var driftCfg = progen.Config{
 	SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
 }
 
-// analyzeB analyzes the drift scenario under preset B with profile p, as
-// the daemon's profiled build does.
-func analyzeB(t *testing.T, p *parv.Profile) *core.Result {
+// driftProgram is one analyzed program of the drift scenario's shape: its
+// summaries and the analyzer options of preset.
+type driftProgram struct {
+	sums []*summary.ModuleSummary
+	opt  core.Options
+}
+
+func newDriftProgram(preset string, seed int64) driftProgram {
+	cfg := driftCfg
+	cfg.Seed = seed
+	return driftProgram{progen.GenerateSummaries(cfg), ipra.MustPreset(preset).AnalyzerOptions(nil)}
+}
+
+// analyze runs the analyzer over the program under p, as the daemon's
+// profiled build does.
+func (d driftProgram) analyze(t *testing.T, p *parv.Profile) *core.Result {
 	t.Helper()
-	o := ipra.MustPreset("B").Analyzer
+	o := d.opt
 	o.Profile = p
-	res, err := core.Analyze(context.Background(), progen.GenerateSummaries(driftCfg), o)
+	res, err := core.Analyze(context.Background(), d.sums, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// consideredIDs is the considered-web order of an analysis.
-func consideredIDs(res *core.Result) []int {
+// model is the drift model of a build trained on p.
+func (d driftProgram) model(t *testing.T, p *parv.Profile) *profagg.DriftModel {
+	t.Helper()
+	return profagg.NewDriftModel(d.sums, d.opt, d.analyze(t, p).DB.Hash())
+}
+
+// consideredOrder is the sequence of web IDs an analysis colors.
+func consideredOrder(res *core.Result) []int {
 	var ids []int
 	for _, w := range webs.Considered(res.Webs) {
 		ids = append(ids, w.ID)
@@ -40,81 +61,107 @@ func consideredIDs(res *core.Result) []int {
 	return ids
 }
 
-// TestDriftModelPhaseShift is the differential test for the drift
-// trigger: over a preset B analysis, rotating the synthetic workload's hot
-// set by one phase must flip at least one web's position in the
-// considered-priority order, while re-presenting the trained profile (or
-// any aggregate of identical runs of it) must not.
+// shifted is the synthetic workload of the drift scenario's shape under
+// seed at phase.
+func shifted(seed int64, phase int) *parv.Profile {
+	cfg := driftCfg
+	cfg.Seed = seed
+	return progen.SynthesizeProfile(cfg, phase)
+}
+
+// TestDriftModelPhaseShift: over a preset B program trained on phase 0,
+// re-presenting the trained profile (or any aggregate of identical runs
+// of it) is not drift, rotating the workload's hot set by one phase is,
+// and concurrent checks on one model agree.
 func TestDriftModelPhaseShift(t *testing.T) {
-	trained := progen.SynthesizeProfile(driftCfg, progen.DistShift, 0)
-	m := profagg.NewDriftModel(analyzeB(t, trained), "dh0")
-	if len(m.BaseOrder()) == 0 {
-		t.Fatal("trained order is empty; the scenario promotes no webs")
+	prog := newDriftProgram("B", driftCfg.Seed)
+	trained, moved := shifted(driftCfg.Seed, 0), shifted(driftCfg.Seed, 1)
+	if reflect.DeepEqual(moved, trained) {
+		t.Fatal("phase shift produced an identical profile; test is vacuous")
 	}
+	m := prog.model(t, trained)
 	if m.Drifted(trained) {
 		t.Fatal("trained profile reported as drifted")
 	}
 
 	// A fleet of identical runs aggregates to exactly the trained profile.
-	agg := profagg.NewAggregate("fp", "prog", "dh0")
-	rec := profagg.NewRecord("fp", "prog", "dh0")
+	agg := profagg.NewAggregate("fp", "prog", m.DirectiveHash)
+	rec := profagg.NewRecord("fp", "prog", m.DirectiveHash)
 	rec.AddRuns(trained, 5)
 	agg.Merge(rec)
 	if m.Drifted(agg.MeanProfile()) {
 		t.Fatal("aggregate of identical runs reported as drifted")
 	}
 
-	shifted := progen.SynthesizeProfile(driftCfg, progen.DistShift, 1)
-	if reflect.DeepEqual(shifted, trained) {
-		t.Fatal("phase shift produced an identical profile; test is vacuous")
+	// The model is read-only: two checks may run on it at once.
+	var wg sync.WaitGroup
+	got := make([]bool, 2)
+	for i, p := range []*parv.Profile{trained, moved} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = m.Drifted(p)
+		}()
 	}
-	if !m.Drifted(shifted) {
-		t.Fatal("phase-shifted profile did not flip the priority order")
+	wg.Wait()
+	if got[0] || !got[1] {
+		t.Fatalf("concurrent checks of the trained and shifted profiles read %v, want [false true]", got)
 	}
+}
 
-	// Rebase models a committed re-analysis: the shifted profile becomes
-	// the new baseline and stops reading as drift.
-	m.Rebase(shifted, "dh1")
-	if m.DirectiveHash != "dh1" {
-		t.Fatalf("DirectiveHash = %q after rebase, want dh1", m.DirectiveHash)
-	}
-	// Re-pricing the trained analysis in place orders the webs exactly as
-	// a fresh analysis under the shifted profile does.
-	if got, want := m.BaseOrder(), consideredIDs(analyzeB(t, shifted)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rebased order %v, fresh analysis %v", got, want)
-	}
-	if m.Drifted(shifted) {
-		t.Fatal("rebased baseline still reads as drifted")
-	}
-	if !m.Drifted(trained) {
-		t.Fatal("old baseline no longer reads as drifted after rebase")
+// TestDriftIsExact pins two checks of programs trained on phase 0 where
+// the considered-web order — what coloring consumes — and the program
+// database disagree: F seed 7's shift keeps the order but moves
+// directives (spill-motion clusters read the counts too), and B seed 3's
+// reorders webs, which B never colors, without moving a directive. Drift
+// follows the database.
+func TestDriftIsExact(t *testing.T) {
+	for _, c := range []struct {
+		preset string
+		seed   int64
+		drift  bool
+	}{
+		{"F", 7, true},
+		{"B", 3, false},
+	} {
+		prog := newDriftProgram(c.preset, c.seed)
+		before, after := prog.analyze(t, shifted(c.seed, 0)), prog.analyze(t, shifted(c.seed, 1))
+		if reordered := !reflect.DeepEqual(consideredOrder(before), consideredOrder(after)); reordered == c.drift {
+			t.Fatalf("%s seed %d: web order changed = %t; the case no longer separates order from directives", c.preset, c.seed, reordered)
+		}
+		m := profagg.NewDriftModel(prog.sums, prog.opt, before.DB.Hash())
+		if got := m.Drifted(shifted(c.seed, 1)); got != c.drift {
+			t.Errorf("%s seed %d phase 1: Drifted = %t, want %t", c.preset, c.seed, got, c.drift)
+		}
 	}
 }
 
 // TestStoreRetrainLifecycle walks the store through the daemon's
 // sequence: training build registers a model, stable generations merge
 // without drift, a shifted generation trips the check, BeginRetrain
-// hands back the build context and activates the aggregate, and
-// RegisterRetrained re-pins the aggregate to the re-analysis's hash.
+// hands back the build context and activates the aggregate, and the
+// retrained build's Register re-pins the aggregate to its directive hash.
 func TestStoreRetrainLifecycle(t *testing.T) {
-	trained := progen.SynthesizeProfile(driftCfg, progen.DistShift, 0)
-	model := profagg.NewDriftModel(analyzeB(t, trained), "dh0")
+	prog := newDriftProgram("B", driftCfg.Seed)
+	trained := shifted(driftCfg.Seed, 0)
+	model := prog.model(t, trained)
+	dh0 := model.DirectiveHash
 
 	s := profagg.New(profagg.Options{Fingerprint: "fp"})
-	const prog = "progB"
+	const key = "progB"
 	type buildCtx struct{ name string }
-	s.Register(prog, model, &buildCtx{name: "request"})
+	s.Register(key, model, &buildCtx{name: "request"})
 
-	if _, _, ok := s.ActiveAggregate(prog); ok {
+	if _, _, ok := s.ActiveAggregate(key); ok {
 		t.Fatal("aggregate active before any retrain")
 	}
-	if _, ok := s.BeginRetrain(prog); ok {
+	if _, ok := s.BeginRetrain(key); ok {
 		t.Fatal("BeginRetrain succeeded with no aggregate")
 	}
 
 	// Two stable generations: merged, checked, no drift.
 	for gen := 0; gen < 2; gen++ {
-		r := profagg.NewRecord("fp", prog, "dh0")
+		r := profagg.NewRecord("fp", key, dh0)
 		r.AddRuns(trained, 4)
 		res, err := s.Ingest(r)
 		if err != nil || !res.Accepted {
@@ -126,46 +173,50 @@ func TestStoreRetrainLifecycle(t *testing.T) {
 	}
 
 	// A shifted generation heavy enough to move the mean trips the check.
-	shifted := profagg.NewRecord("fp", prog, "dh0")
-	shifted.AddRuns(progen.SynthesizeProfile(driftCfg, progen.DistShift, 1), 64)
-	res, err := s.Ingest(shifted)
+	heavy := profagg.NewRecord("fp", key, dh0)
+	heavy.AddRuns(shifted(driftCfg.Seed, 1), 64)
+	res, err := s.Ingest(heavy)
 	if err != nil || !res.Accepted || !res.Drifted {
 		t.Fatalf("shifted generation: err %v, %+v, want accepted+drifted", err, res)
 	}
 
-	meta, ok := s.BeginRetrain(prog)
+	meta, ok := s.BeginRetrain(key)
 	if !ok {
 		t.Fatal("BeginRetrain failed after drift")
 	}
 	if bc, ok := meta.(*buildCtx); !ok || bc.name != "request" {
 		t.Fatalf("meta = %#v, want the registered build context", meta)
 	}
-	hash, prof, ok := s.ActiveAggregate(prog)
+	hash, prof, ok := s.ActiveAggregate(key)
 	if !ok || hash == "" || prof == nil {
 		t.Fatal("ActiveAggregate not exposed during retrain")
 	}
 
-	s.AbortRetrain(prog)
-	if _, _, ok := s.ActiveAggregate(prog); ok {
+	s.AbortRetrain(key)
+	if _, _, ok := s.ActiveAggregate(key); ok {
 		t.Fatal("aggregate still active after abort")
 	}
 
-	if _, ok := s.BeginRetrain(prog); !ok {
+	if _, ok := s.BeginRetrain(key); !ok {
 		t.Fatal("BeginRetrain retry failed")
 	}
-	model.Rebase(prof, "dh1")
-	s.RegisterRetrained(prog, model, meta)
-	if _, _, ok := s.ActiveAggregate(prog); !ok {
-		t.Fatal("aggregate inactive after RegisterRetrained")
+	retrained := prog.model(t, prof)
+	dh1 := retrained.DirectiveHash
+	if dh1 == dh0 {
+		t.Fatal("the drifted aggregate's analysis kept the trained directive hash")
+	}
+	s.Register(key, retrained, meta)
+	if _, _, ok := s.ActiveAggregate(key); !ok {
+		t.Fatal("aggregate inactive after the retrained build registered")
 	}
 
 	// Fleet binaries from the retrained build stamp the new hash.
-	next := profagg.NewRecord("fp", prog, "dh1")
+	next := profagg.NewRecord("fp", key, dh1)
 	next.AddRuns(prof, 4)
 	if res, _ := s.Ingest(next); !res.Accepted {
 		t.Fatalf("post-retrain record rejected: %+v", res)
 	}
-	old := profagg.NewRecord("fp", prog, "dh0")
+	old := profagg.NewRecord("fp", key, dh0)
 	old.AddRuns(trained, 1)
 	if res, _ := s.Ingest(old); res.Accepted || res.Reason != profagg.ReasonStaleDirectives {
 		t.Fatalf("pre-retrain record accepted: %+v", res)

@@ -3,8 +3,8 @@
 // count records from many VM runs, merges them into per-program aggregate
 // counters with a persisted snapshot in the program's build directory,
 // and detects profile drift — the point where the aggregated counts would
-// change the allocator's weighted web coloring — so re-analysis is
-// triggered only when it buys cycles.
+// change the program database — so re-analysis is triggered only when it
+// changes the allocation.
 //
 // Versioning: every record carries the producing binary's toolchain
 // fingerprint and the directive hash of the program database it was
@@ -13,13 +13,11 @@
 // allocations would corrupt the aggregate, because the directives change
 // which procedures pay save/restore traffic.
 //
-// Drift detection re-runs the priority function's weight computation
-// (webs.ComputePriorities) over the aggregate's mean profile and compares
-// the resulting considered-web priority order against the order the
-// current allocation was trained on. The paper's coloring is a
-// deterministic greedy walk in priority order over a profile-independent
-// interference structure, so an unchanged order proves the coloring would
-// not change; see drift.go.
+// Drift detection re-runs the program analyzer over the build's summaries
+// under the aggregate's mean profile and compares the resulting program
+// database's hash with the one the current allocation was built from; a
+// re-analysis fires exactly when it would change a directive. See
+// drift.go.
 package profagg
 
 import (
@@ -69,16 +67,8 @@ func NewRecord(fingerprint, program, directiveHash string) *Record {
 	}
 }
 
-// AddRun folds one run's profile into the record.
-func (r *Record) AddRun(p *parv.Profile) {
-	r.Runs++
-	for k, n := range p.Edges {
-		r.Edges[k] += n
-	}
-}
-
-// AddRuns folds a pre-aggregated profile representing runs identical
-// runs — how a client streams a synthetic or batched generation without
+// AddRuns folds a profile representing runs identical runs — one run's
+// profile with runs 1, or a synthetic or batched generation without
 // materializing every run.
 func (r *Record) AddRuns(p *parv.Profile, runs uint64) {
 	r.Runs += runs

@@ -27,7 +27,7 @@ func testProfile() *parv.Profile {
 
 func TestRecordRoundTrip(t *testing.T) {
 	r := NewRecord("fp1", "prog1", "dh1")
-	r.AddRun(testProfile())
+	r.AddRuns(testProfile(), 1)
 	r.AddRuns(testProfile(), 3)
 	if r.Runs != 4 {
 		t.Fatalf("Runs = %d, want 4", r.Runs)
@@ -56,7 +56,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestAggregateRoundTrip(t *testing.T) {
 	a := NewAggregate("fp1", "prog1", "dh1")
 	r := NewRecord("fp1", "prog1", "dh1")
-	r.AddRun(testProfile())
+	r.AddRuns(testProfile(), 1)
 	a.Merge(r)
 	a.Merge(r)
 	a.Retrained = true
@@ -120,7 +120,7 @@ func TestStoreIngestGuards(t *testing.T) {
 	s := New(Options{Fingerprint: "fp", Tracer: tr})
 
 	stale := NewRecord("other-fp", "prog", "dh")
-	stale.AddRun(testProfile())
+	stale.AddRuns(testProfile(), 1)
 	res, err := s.Ingest(stale)
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
@@ -130,13 +130,13 @@ func TestStoreIngestGuards(t *testing.T) {
 	}
 
 	good := NewRecord("fp", "prog", "dh")
-	good.AddRun(testProfile())
+	good.AddRuns(testProfile(), 1)
 	if res, _ = s.Ingest(good); !res.Accepted || res.Runs != 1 {
 		t.Fatalf("good record not accepted: %+v", res)
 	}
 
 	wrongDir := NewRecord("fp", "prog", "dh-next")
-	wrongDir.AddRun(testProfile())
+	wrongDir.AddRuns(testProfile(), 1)
 	if res, _ = s.Ingest(wrongDir); res.Accepted || res.Reason != ReasonStaleDirectives {
 		t.Fatalf("stale directives accepted: %+v", res)
 	}
@@ -164,7 +164,7 @@ func TestStoreLRUAndPersistence(t *testing.T) {
 
 	for _, prog := range []string{"a", "b", "c", "a"} {
 		r := NewRecord("fp", prog, "dh")
-		r.AddRun(testProfile())
+		r.AddRuns(testProfile(), 1)
 		if res, err := s.Ingest(r); err != nil || !res.Accepted {
 			t.Fatalf("ingest %s: %v / %+v", prog, err, res)
 		}
@@ -189,7 +189,7 @@ func TestStoreLRUAndPersistence(t *testing.T) {
 	// A fresh store over the same directory resumes where this one left.
 	s2 := New(Options{Fingerprint: "fp", Dir: dir})
 	r := NewRecord("fp", "b", "dh")
-	r.AddRun(testProfile())
+	r.AddRuns(testProfile(), 1)
 	res, err := s2.Ingest(r)
 	if err != nil || !res.Accepted {
 		t.Fatalf("restart ingest: %v / %+v", err, res)

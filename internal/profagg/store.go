@@ -34,7 +34,8 @@ type Options struct {
 }
 
 // Store is the daemon-side aggregation service: per-program aggregates,
-// drift models, and snapshot persistence behind one mutex.
+// drift models, and snapshot persistence behind one mutex. Drift checks
+// read only their model, so they run outside it.
 type Store struct {
 	opts   Options
 	tracer *telemetry.Tracer
@@ -59,8 +60,9 @@ type IngestResult struct {
 	// then carries the machine-readable cause.
 	Accepted bool
 	Reason   string
-	// Drifted reports that the post-merge aggregate's web-priority order
-	// diverged from the trained order (only checked when ModelReady).
+	// Drifted reports that analyzing the program under the post-merge
+	// aggregate's mean profile yields another program database than the
+	// registered build's (only checked when ModelReady).
 	Drifted bool
 	// ModelReady is true when a drift model was available to check
 	// against (a profiled build of the program has run in this daemon).
@@ -140,20 +142,36 @@ func (s *Store) persist(st *programState) {
 }
 
 // Ingest validates and merges one record, then checks the post-merge
-// aggregate for drift when a model is available. Rejections are reported
-// in the result, not as errors; the error path is reserved for malformed
-// input.
+// aggregate for drift when a model is available. The check runs after the
+// store's lock is released: it is a whole analysis, and other programs'
+// records and every profiled build request take the same lock.
+// Rejections are reported in the result, not as errors; the error path is
+// reserved for malformed input.
 func (s *Store) Ingest(rec *Record) (*IngestResult, error) {
 	if rec == nil || rec.Program == "" {
 		return nil, fmt.Errorf("profagg: record has no program key")
 	}
+	out, model, mean := s.merge(rec)
+	if model != nil {
+		s.tracer.Add("profagg.drift_checks", 1)
+		if out.Drifted = model.Drifted(mean); out.Drifted {
+			s.tracer.Add("profagg.drift_detected", 1)
+		}
+	}
+	return out, nil
+}
+
+// merge is Ingest's locked half: it validates and merges rec, persists
+// the aggregate, and returns the result plus the model and mean profile
+// to check (nil when the record was rejected or no model is registered).
+func (s *Store) merge(rec *Record) (*IngestResult, *DriftModel, *parv.Profile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tracer.Add("profagg.records", 1)
 
 	if rec.Fingerprint != s.opts.Fingerprint {
 		s.tracer.Add("profagg.rejected_stale", 1)
-		return &IngestResult{Reason: ReasonStaleFingerprint}, nil
+		return &IngestResult{Reason: ReasonStaleFingerprint}, nil, nil
 	}
 	st := s.state(rec.Program)
 	expect := rec.DirectiveHash
@@ -165,7 +183,7 @@ func (s *Store) Ingest(rec *Record) (*IngestResult, error) {
 	}
 	if rec.DirectiveHash != expect {
 		s.tracer.Add("profagg.rejected_stale", 1)
-		return &IngestResult{Reason: ReasonStaleDirectives, ModelReady: st.model != nil}, nil
+		return &IngestResult{Reason: ReasonStaleDirectives, ModelReady: st.model != nil}, nil, nil
 	}
 
 	if st.agg == nil {
@@ -181,49 +199,36 @@ func (s *Store) Ingest(rec *Record) (*IngestResult, error) {
 		Runs:       st.agg.Runs,
 		Records:    st.agg.Records,
 	}
-	if st.model != nil {
-		s.tracer.Add("profagg.drift_checks", 1)
-		if st.model.Drifted(st.agg.MeanProfile()) {
-			out.Drifted = true
-			s.tracer.Add("profagg.drift_detected", 1)
-		}
+	if st.model == nil {
+		return out, nil, nil
 	}
-	return out, nil
+	return out, st.model, st.agg.MeanProfile()
 }
 
-// Register installs the drift model a fresh training build produced. A
-// new directive hash means the fleet's existing counts were measured
-// under a different allocation, so the aggregate resets and collection
-// starts over against the new binary.
+// Register installs the drift model of a profiled build of the program,
+// with the embedder's build context. An aggregate marked Retrained was
+// that build's training input: it is kept and re-pinned to the model's
+// directive hash, so the fleet's next records — produced by binaries of
+// the retrained build — are accepted. Any other aggregate measured under
+// another directive hash resets: its counts belong to a different
+// allocation, and collection starts over against the new binary.
 func (s *Store) Register(program string, model *DriftModel, meta any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state(program)
 	st.model = model
 	st.meta = meta
-	if st.agg != nil && st.agg.DirectiveHash != model.DirectiveHash {
+	switch {
+	case st.agg == nil:
+	case st.agg.Retrained:
+		st.agg.DirectiveHash = model.DirectiveHash
+		s.persist(st)
+	case st.agg.DirectiveHash != model.DirectiveHash:
 		st.agg = nil
 		s.tracer.Add("profagg.aggregate_resets", 1)
 		if dir := s.dirFor(program); dir != "" {
 			os.Remove(filepath.Join(dir, snapshotFile))
 		}
-	}
-}
-
-// RegisterRetrained installs the model of a build trained on this
-// program's aggregate: the aggregate is kept (it is the training input)
-// and re-pinned to the re-analysis's directive hash, so the fleet's next
-// records — produced by binaries of the retrained build — are accepted.
-func (s *Store) RegisterRetrained(program string, model *DriftModel, meta any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state(program)
-	st.model = model
-	st.meta = meta
-	if st.agg != nil {
-		st.agg.DirectiveHash = model.DirectiveHash
-		st.agg.Retrained = true
-		s.persist(st)
 	}
 }
 
@@ -246,7 +251,7 @@ func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Prof
 // BeginRetrain flips the program onto its aggregated allocation and
 // returns the embedder's build context. From this point ActiveAggregate
 // gates every build of the program; the embedder runs the rebuild and
-// either RegisterRetrained (success) or AbortRetrain (failure).
+// either Register (success) or AbortRetrain (failure).
 func (s *Store) BeginRetrain(program string) (meta any, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,11 +2,9 @@
 //
 // SynthesizeProfile walks the same deterministic call DAG that Generate
 // and GenerateSummaries build and assigns dynamic call counts under a
-// chosen frequency distribution, producing a parv.Profile without running
-// the simulator. The distributions open a scenario axis for the profile
-// pipeline: skewed (Zipf-like) popularity, bimodal hot/cold split, and a
-// phase-shifting variant whose hot set rotates with a phase counter — the
-// workload change profile-drift detection exists to catch.
+// Zipf-like popularity whose hot set rotates with a phase counter,
+// producing a parv.Profile without running the simulator: the workload
+// change profile-drift detection exists to catch.
 package progen
 
 import (
@@ -15,73 +13,29 @@ import (
 	"ipra/internal/parv"
 )
 
-// ProfileDist names a synthetic call-frequency distribution.
-type ProfileDist string
-
-const (
-	// DistUniform weighs every procedure equally (the control case: the
-	// shape of the heuristic estimate, exercised with exact counts).
-	DistUniform ProfileDist = "uniform"
-	// DistZipf gives procedures Zipf-like popularity: a deterministic
-	// rank permutation with hyperbolically decaying weight, so a few
-	// procedures dominate the dynamic call counts.
-	DistZipf ProfileDist = "zipf"
-	// DistBimodal splits procedures into a hot fifth (8× weight) and a
-	// cold rest, the classic hot/cold working-set shape.
-	DistBimodal ProfileDist = "bimodal"
-	// DistShift is DistZipf with the popularity ranking rotated by the
-	// phase parameter: successive phases move the hot set across the
-	// program, modelling a fleet whose workload mix changes over time.
-	DistShift ProfileDist = "shift"
-)
-
-// ProfileDists lists the distributions, control first.
-func ProfileDists() []ProfileDist {
-	return []ProfileDist{DistUniform, DistZipf, DistBimodal, DistShift}
-}
-
 // countCap bounds per-edge counts so deep DAG propagation can never
 // overflow (counts are sums of products along call paths).
 const countCap = uint64(1) << 40
 
-// distWeight returns the distribution's weight for one procedure, in
-// 1..8. All arithmetic is integral and a pure function of (id, nprocs,
-// dist, phase), so synthesized profiles are deterministic across
+// weight returns one procedure's popularity under phase, in 1..8: a
+// deterministic rank permutation, rotated by a third of the program per
+// phase, with weight decaying hyperbolically from 8 down to 1 across the
+// rank range. All arithmetic is integral and a pure function of (id,
+// nprocs, phase), so synthesized profiles are deterministic across
 // processes and platforms.
-func distWeight(dist ProfileDist, id, nprocs, phase int) uint64 {
-	zipf := func(rank int) uint64 {
-		// Hyperbolic decay from 8 down to 1 across the rank range.
-		w := uint64(8 * nprocs / (nprocs + 8*rank))
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-	switch dist {
-	case DistZipf:
-		return zipf((id*31 + 7) % nprocs)
-	case DistBimodal:
-		if (id*131+17)%5 == 0 {
-			return 8
-		}
-		return 1
-	case DistShift:
-		stride := nprocs/3 + 1
-		return zipf((id*31 + 7 + phase*stride) % nprocs)
-	default: // DistUniform
-		return 4
-	}
+func weight(id, nprocs, phase int) uint64 {
+	rank := (id*31 + 7 + phase*(nprocs/3+1)) % nprocs
+	return max(uint64(8*nprocs/(nprocs+8*rank)), 1)
 }
 
 // SynthesizeProfile produces exact call-edge counts for the program
-// Generate(cfg) describes, under the named distribution. phase only
-// matters for DistShift, where it selects which region of the program is
-// hot. Counts propagate top-down over the call DAG — each procedure's
-// invocation count flows to its callees, scaled by the callee's
-// distribution weight — so the profile is structurally consistent: every
+// Generate(cfg) describes, with phase selecting which region of the
+// program is hot. Counts propagate top-down over the call DAG — each
+// procedure's invocation count flows to its callees, scaled by the
+// callee's weight — so the profile is structurally consistent: every
 // procedure's call count equals the sum of its incoming edge counts, as
 // in a real simulator run.
-func SynthesizeProfile(cfg Config, dist ProfileDist, phase int) *parv.Profile {
+func SynthesizeProfile(cfg Config, phase int) *parv.Profile {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	procs, _ := buildLayout(cfg, rng)
@@ -103,24 +57,23 @@ func SynthesizeProfile(cfg Config, dist ProfileDist, phase int) *parv.Profile {
 	}
 
 	// main drives the same roots emitMain calls, LoopIters times each,
-	// scaled by the root's distribution weight.
+	// scaled by the root's weight.
 	for i := 0; i < 6 && i < nprocs; i++ {
 		p := procs[i*7%nprocs]
-		add("main", p.id, uint64(cfg.LoopIters)*distWeight(dist, p.id, nprocs, phase))
+		add("main", p.id, uint64(cfg.LoopIters)*weight(p.id, nprocs, phase))
 	}
 
 	// Propagate down the DAG. Procedure i calls only higher indexes, so a
 	// single pass in id order sees every caller's final count before its
 	// callees. Each call-site edge carries the caller's invocation count
-	// scaled by the callee's weight, normalized by the uniform weight (4)
-	// so the control distribution neither amplifies nor damps.
+	// scaled by the callee's weight, normalized by the middle weight (4).
 	for _, p := range procs {
 		n := inv[p.id]
 		if n == 0 {
 			continue
 		}
 		for _, c := range p.callees {
-			m := n * distWeight(dist, c, nprocs, phase) / 4
+			m := n * weight(c, nprocs, phase) / 4
 			if m == 0 {
 				m = 1
 			}

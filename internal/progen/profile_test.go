@@ -3,8 +3,6 @@ package progen
 import (
 	"reflect"
 	"testing"
-
-	"ipra/internal/parv"
 )
 
 var profileCfg = Config{
@@ -12,21 +10,19 @@ var profileCfg = Config{
 	SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
 }
 
-// TestSynthesizeProfileDeterministic: equal (cfg, dist, phase) inputs
-// produce deeply equal profiles, and generating a profile must not
-// perturb the program generator (layout randomness is all re-derived
-// from the seed, never shared).
+// TestSynthesizeProfileDeterministic: equal (cfg, phase) inputs produce
+// deeply equal profiles, and generating a profile must not perturb the
+// program generator (layout randomness is all re-derived from the seed,
+// never shared).
 func TestSynthesizeProfileDeterministic(t *testing.T) {
 	before := Generate(profileCfg)
-	for _, dist := range ProfileDists() {
-		a := SynthesizeProfile(profileCfg, dist, 1)
-		b := SynthesizeProfile(profileCfg, dist, 1)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("dist %s: two syntheses differ", dist)
-		}
-		if len(a.Edges) == 0 || len(a.Calls) == 0 {
-			t.Errorf("dist %s: empty profile", dist)
-		}
+	a := SynthesizeProfile(profileCfg, 1)
+	b := SynthesizeProfile(profileCfg, 1)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two syntheses differ")
+	}
+	if len(a.Edges) == 0 || len(a.Calls) == 0 {
+		t.Error("empty profile")
 	}
 	after := Generate(profileCfg)
 	if !reflect.DeepEqual(before, after) {
@@ -38,71 +34,42 @@ func TestSynthesizeProfileDeterministic(t *testing.T) {
 // the sum of its incoming edge counts — the structural invariant a real
 // simulator profile satisfies, which ApplyProfile relies on.
 func TestSynthesizeProfileConsistent(t *testing.T) {
-	for _, dist := range ProfileDists() {
-		p := SynthesizeProfile(profileCfg, dist, 0)
+	for phase := 0; phase < 3; phase++ {
+		p := SynthesizeProfile(profileCfg, phase)
 		sums := make(map[string]uint64)
 		for k, n := range p.Edges {
 			sums[k.Callee] += n
 		}
 		for name, want := range sums {
 			if p.Calls[name] != want {
-				t.Errorf("dist %s: Calls[%s] = %d, edge sum %d", dist, name, p.Calls[name], want)
+				t.Errorf("phase %d: Calls[%s] = %d, edge sum %d", phase, name, p.Calls[name], want)
 			}
 		}
 		if len(sums) != len(p.Calls) {
-			t.Errorf("dist %s: %d called procs, %d edge targets", dist, len(p.Calls), len(sums))
+			t.Errorf("phase %d: %d called procs, %d edge targets", phase, len(p.Calls), len(sums))
 		}
 	}
 }
 
-// TestSynthesizeProfileShapes: the skewed distributions actually differ
-// from the uniform control, and DistShift responds to its phase while
-// the others ignore it.
+// TestSynthesizeProfileShapes: the phase moves the hot set, so
+// successive phases produce different profiles.
 func TestSynthesizeProfileShapes(t *testing.T) {
-	uniform := SynthesizeProfile(profileCfg, DistUniform, 0)
-	for _, dist := range []ProfileDist{DistZipf, DistBimodal, DistShift} {
-		if reflect.DeepEqual(SynthesizeProfile(profileCfg, dist, 0), uniform) {
-			t.Errorf("dist %s is indistinguishable from uniform", dist)
-		}
-	}
-
-	s0 := SynthesizeProfile(profileCfg, DistShift, 0)
-	s1 := SynthesizeProfile(profileCfg, DistShift, 1)
+	s0 := SynthesizeProfile(profileCfg, 0)
+	s1 := SynthesizeProfile(profileCfg, 1)
 	if reflect.DeepEqual(s0, s1) {
-		t.Error("DistShift phase 0 and 1 produced identical profiles")
-	}
-	for _, dist := range []ProfileDist{DistUniform, DistZipf, DistBimodal} {
-		if !reflect.DeepEqual(SynthesizeProfile(profileCfg, dist, 0), SynthesizeProfile(profileCfg, dist, 9)) {
-			t.Errorf("dist %s should be phase-independent", dist)
-		}
+		t.Error("phase 0 and 1 produced identical profiles")
 	}
 }
 
-// TestSynthesizeProfileSkew: under Zipf the hottest procedure dominates
-// the coldest by a wide margin; under uniform the same ratio stays small
-// relative to it. Guards against a weight function collapsing to flat.
+// TestSynthesizeProfileSkew: the hottest procedure dominates the coldest
+// by a wide margin. Guards against the weight function collapsing to
+// flat.
 func TestSynthesizeProfileSkew(t *testing.T) {
-	spread := func(p *parv.Profile) (min, max uint64) {
-		min = ^uint64(0)
-		for _, n := range p.Calls {
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		return min, max
+	minN, maxN := ^uint64(0), uint64(0)
+	for _, n := range SynthesizeProfile(profileCfg, 0).Calls {
+		minN, maxN = min(minN, n), max(maxN, n)
 	}
-	_, maxU := spread(SynthesizeProfile(profileCfg, DistUniform, 0))
-	minZ, maxZ := spread(SynthesizeProfile(profileCfg, DistZipf, 0))
-	if minZ == 0 {
-		minZ = 1
-	}
-	if maxZ/minZ < 4 {
-		t.Errorf("zipf spread %d/%d too flat", maxZ, minZ)
-	}
-	if maxU == 0 {
-		t.Error("uniform profile has no calls")
+	if maxN/max(minN, 1) < 4 {
+		t.Errorf("spread %d/%d too flat", maxN, minN)
 	}
 }

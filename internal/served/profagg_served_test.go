@@ -3,6 +3,7 @@ package served
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,9 +35,9 @@ func runExe(t *testing.T, exe []byte) *parv.Profile {
 // TestProfileDriftEndToEnd drives the whole aggregation pipeline over
 // HTTP: a profiled build trains the drift model, stable generations of
 // fleet records merge without triggering anything, a shifted generation
-// flips the priority order and provokes exactly one re-analysis, and the
-// retrained executable the daemon then serves is byte-identical to a
-// clean local build on the aggregate's mean profile.
+// moves the program's directives and provokes exactly one re-analysis,
+// and the retrained executable the daemon then serves is byte-identical
+// to a clean local build on the aggregate's mean profile.
 func TestProfileDriftEndToEnd(t *testing.T) {
 	srv := New(Options{Jobs: 2, StateDir: t.TempDir()})
 	ts := httptest.NewServer(srv.Handler())
@@ -79,7 +80,7 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 
 	// A workload shift: one generation heavy enough to move the mean.
 	shifted := profagg.NewRecord(srv.Fingerprint(), program, resp.DirectiveHash)
-	shifted.AddRuns(progen.SynthesizeProfile(testProgram, progen.DistShift, 1), 64)
+	shifted.AddRuns(progen.SynthesizeProfile(testProgram, 1), 64)
 	ir, err := client.IngestProfile(ctx, shifted.Encode())
 	if err != nil {
 		t.Fatalf("shifted gen: %v", err)
@@ -107,8 +108,8 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-retrain build: %v", err)
 	}
-	if bytes.Equal(resp.Exe, resp2.Exe) {
-		t.Log("note: retrained executable is byte-identical to the trained one (order flip without coloring change)")
+	if ir.DirectiveHash == resp.DirectiveHash {
+		t.Fatal("the re-analysis kept the trained directive hash")
 	}
 
 	// Byte-identity oracle: a clean local build on the aggregate's mean
@@ -139,6 +140,38 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), resp2.Exe) {
 		t.Fatal("daemon's retrained executable differs from a clean local build on the aggregated profile")
+	}
+}
+
+// TestProfileModelSurvivesUnprofiledBuilds: only a profiled
+// configuration's program can have an aggregate, so builds under any
+// other configuration leave the profile store alone and cannot evict a
+// trained program's drift model from its bounded state table.
+func TestProfileModelSurvivesUnprofiledBuilds(t *testing.T) {
+	srv := New(Options{Jobs: 1, ProfilePrograms: 2})
+	ctx := context.Background()
+	req := &BuildRequest{Config: "B", Sources: testSources(t), TrainInstrs: testTrainInstrs}
+	resp, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatalf("training build: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		src := Source{Name: fmt.Sprintf("m%d.mc", i), Text: "int main() { return 0; }\n"}
+		if _, err := srv.Build(ctx, &BuildRequest{Config: "C", Sources: []Source{src}}); err != nil {
+			t.Fatalf("C build %d: %v", i, err)
+		}
+	}
+	rec := profagg.NewRecord(srv.Fingerprint(), req.ProgramKey(), resp.DirectiveHash)
+	rec.AddRuns(runExe(t, resp.Exe), 1)
+	ir, err := srv.IngestProfile(ctx, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ir.Accepted || !ir.ModelReady {
+		t.Fatalf("record after three C builds: %+v, want accepted with a live model", ir)
+	}
+	if n := srv.Counters()["profagg.evictions"]; n != 0 {
+		t.Errorf("profagg.evictions = %d after unprofiled builds, want 0", n)
 	}
 }
 

@@ -157,10 +157,10 @@ type ProfileIngestResponse struct {
 	Records uint64 `json:"records"`
 	// ModelReady reports a drift model was available to check against.
 	ModelReady bool `json:"modelReady"`
-	// Drifted reports the merged aggregate would reorder the considered
-	// webs; Reanalyzed that the daemon rebuilt the program from the
-	// aggregate in response, with DirectiveHash identifying the new
-	// allocation the fleet should roll onto.
+	// Drifted reports that analyzing under the merged aggregate would
+	// change the program's directives; Reanalyzed that the daemon rebuilt
+	// the program from the aggregate in response, with DirectiveHash
+	// identifying the new allocation the fleet should roll onto.
 	Drifted       bool   `json:"drifted"`
 	Reanalyzed    bool   `json:"reanalyzed"`
 	DirectiveHash string `json:"directiveHash,omitempty"`

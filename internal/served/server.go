@@ -236,7 +236,8 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if err := req.Validate(); err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if _, err := ipra.PresetByName(req.Config); err != nil {
+	cfg, err := ipra.PresetByName(req.Config)
+	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
 	// Canonicalize the strategy before any key is computed so "" and
@@ -256,8 +257,10 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	// When a drift-triggered re-analysis has committed this program to a
 	// fleet-aggregated allocation, every build of it uses the aggregate's
 	// mean profile, and the aggregate's content hash extends the request
-	// key so results from different aggregate states never alias.
-	if req.aggProfile == nil {
+	// key so results from different aggregate states never alias. Only a
+	// profiled configuration's program can have an aggregate (the program
+	// key names the configuration), so no other build touches the store.
+	if cfg.WantProfile && req.aggProfile == nil {
 		if hash, prof, ok := s.profiles.ActiveAggregate(req.ProgramKey()); ok {
 			req.aggHash, req.aggProfile = hash, prof
 		}
@@ -432,7 +435,12 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	if res.Program.DB != nil {
 		resp.DirectiveHash = res.Program.DB.Hash()
 	}
-	s.registerProfileModel(req, cfg, res, resp.DirectiveHash)
+	if cfg.WantProfile {
+		// The fleet's counts are checked against this build's allocation;
+		// the request clone is what a detected drift replays.
+		model := profagg.NewDriftModel(res.Summaries, cfg.AnalyzerOptions(nil), resp.DirectiveHash)
+		s.profiles.Register(req.ProgramKey(), model, req.clone())
+	}
 	if out := res.Incremental; out != nil {
 		resp.Incremental = &IncrementalSummary{
 			StateReset:     out.StateReset,
@@ -494,31 +502,11 @@ func (s *Server) dirLocks() int {
 	return len(s.dirLock)
 }
 
-// registerProfileModel installs or refreshes the program's drift model
-// after a profile-carrying build: a training build registers the trained
-// order (resetting any aggregate measured under older directives), an
-// aggregated build re-pins the aggregate to the new allocation. The
-// request clone retained as the model's context is what a later drift
-// detection replays through Build.
-func (s *Server) registerProfileModel(req *BuildRequest, cfg ipra.Config, res *ipra.BuildResult, directiveHash string) {
-	if !cfg.WantProfile || directiveHash == "" || res.Analysis == nil {
-		return
-	}
-	program := req.ProgramKey()
-	model := profagg.NewDriftModel(res.Analysis, directiveHash)
-	switch {
-	case req.aggProfile != nil:
-		s.profiles.RegisterRetrained(program, model, req.clone())
-	case res.Train != nil && res.Train.Profile != nil:
-		s.profiles.Register(program, model, req.clone())
-	}
-}
-
-// IngestProfile merges one fleet record and, when the merged aggregate
-// drifts from the trained order, replays the program's build request
-// against the aggregate — the in-process form of POST /v1/profile. A
-// record whose program is not a program key is an error: the key names
-// the directory its aggregate is written to.
+// IngestProfile merges one fleet record and, when analyzing under the
+// merged aggregate would change the program's directives, replays the
+// program's build request against the aggregate — the in-process form of
+// POST /v1/profile. A record whose program is not a program key is an
+// error: the key names the directory its aggregate is written to.
 func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*ProfileIngestResponse, error) {
 	if rec == nil || !validProgramKey(rec.Program) {
 		return nil, fmt.Errorf("served: profile record does not name a program key")

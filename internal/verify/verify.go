@@ -61,9 +61,6 @@ const (
 	ClassHashes       = "hashes"
 )
 
-// Classes lists every invariant class the checker reports.
-var Classes = []string{ClassWebs, ClassInterference, ClassClusters, ClassCallEdges, ClassHashes}
-
 // Violation is one invariant breach.
 type Violation struct {
 	// Class is the invariant class (one of the Class* constants).

@@ -90,10 +90,10 @@ type Config struct {
 	DisableCache bool
 }
 
-// analyzerOptions resolves the analyzer options one build pass hands the
+// AnalyzerOptions resolves the analyzer options a build pass hands the
 // program analyzer: the configured options plus the pass's profile (nil
 // for heuristic counts), the job bound, and the allocation strategy.
-func (c Config) analyzerOptions(profile *parv.Profile) core.Options {
+func (c Config) AnalyzerOptions(profile *parv.Profile) core.Options {
 	o := c.Analyzer
 	o.Profile = profile
 	o.Jobs = c.Jobs
@@ -759,7 +759,7 @@ func analyze(ctx context.Context, p *Program, cfg Config, profile *parv.Profile)
 		p.DB.EligibleGlobals = summary.EligibleNames(summary.MergeGlobals(p.Summaries))
 		return nil
 	}
-	res, err := core.Analyze(ctx, p.Summaries, cfg.analyzerOptions(profile))
+	res, err := core.Analyze(ctx, p.Summaries, cfg.AnalyzerOptions(profile))
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func TestWithAggregatedProfileByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	srcs := aggTestSources(t)
 	cfg := MustPreset("B")
-	prof := progen.SynthesizeProfile(aggTestCfg, progen.DistShift, 1)
+	prof := progen.SynthesizeProfile(aggTestCfg, 1)
 
 	agg, err := Build(ctx, srcs, cfg, WithAggregatedProfile(prof), WithVerify())
 	if err != nil {
