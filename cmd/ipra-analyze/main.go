@@ -8,8 +8,9 @@
 //
 // Flags select the paper's strategies: -promotion {none,coloring,greedy,
 // blanket}, -regs N (coloring registers), -spill-motion, and -profile to
-// supply profiled call counts; -strategy picks the allocation strategy
-// (priority or tiling), registered as on mcc.
+// supply profiled call counts from a profile snapshot (mvm -profile's or
+// ipra-served's); -strategy picks the allocation strategy (priority or
+// tiling), registered as on mcc.
 //
 // For scaling experiments, -synth <preset> analyzes a synthesized whole
 // program (small/medium/large, ~500/2000/10000 procedures) instead of
@@ -40,7 +41,7 @@ func main() {
 		regsN       = flag.Int("regs", 6, "callee-saves registers reserved for web coloring")
 		blanketN    = flag.Int("blanket", 6, "globals promoted under blanket mode")
 		spillMotion = flag.Bool("spill-motion", true, "enable spill code motion (clusters)")
-		profilePath = flag.String("profile", "", "JSON profile file with exact call counts (from mvm -profile)")
+		profilePath = flag.String("profile", "", "profile snapshot with exact call counts (from mvm -profile or ipra-served)")
 		partial     = flag.Bool("partial", false, "partial call graph: assume unknown external callers (§7.2)")
 		mergeWebs   = flag.Bool("merge-webs", false, "re-merge webs through common dominators (§7.6.1)")
 		callerSaves = flag.Bool("caller-saves", false, "banded caller-saves preallocation (§7.6.2)")
@@ -89,7 +90,7 @@ func main() {
 	}
 
 	if *profilePath != "" {
-		if opt.Profile, err = cliutil.ReadProfile(*profilePath); err != nil {
+		if opt.Profile, err = cliutil.ReadSnapshot(*profilePath); err != nil {
 			fatal(err)
 		}
 	}

@@ -3,7 +3,11 @@
 // (profiles.go): a trained build, stable fleet generations, then a
 // workload shift that must trigger exactly one re-analysis.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -seed 5 -config B
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B -exe retrained.exe
+//
+// The default seed, 5, generates a program whose shift moves a directive
+// under B; -strategy selects the allocation strategy of every build, and
+// -exe names the file the retrained executable is written to.
 //
 // The daemon's request latency is measured by the benchmark module's
 // served workload (benchmark/run.sh), not here.
@@ -22,14 +26,13 @@ func main() {
 		label   = flag.String("label", "", "label recorded in the report")
 		out     = flag.String("o", "", "write the JSON report here (default stdout)")
 		preset  = flag.String("preset", "", "progen size preset (overrides the size flags)")
-		seed    = flag.Int64("seed", 1, "program generation seed")
+		seed    = flag.Int64("seed", 5, "program generation seed")
 		modules = flag.Int("modules", 8, "compilation units")
 		procs   = flag.Int("procs", 10, "procedures per module")
 		globals = flag.Int("globals", 48, "scalar global variables")
 
 		generations = flag.Int("generations", 2, "stable fleet generations streamed before the workload shift")
 		genRuns     = flag.Uint64("gen-runs", 4, "VM runs batched into each generation's record")
-		exeOut      = flag.String("exe-out", "", "write the retrained executable here")
 		snapOut     = flag.String("snapshot-out", "", "write the aggregate snapshot here")
 		srcOut      = flag.String("src-out", "", "write the generated module sources into this directory")
 	)
@@ -56,10 +59,10 @@ func main() {
 		}
 	}
 	p := profilesParams{
-		addr: *addr, config: cfg.Name, trainInstrs: build.TrainInstrs,
+		addr: *addr, config: cfg.Name, strategy: cfg.Strategy, trainInstrs: build.TrainInstrs,
 		pcfg: pcfg, mods: progen.Generate(pcfg), label: *label, out: *out,
 		generations: *generations, genRuns: *genRuns,
-		exeOut: *exeOut, snapOut: *snapOut, srcOut: *srcOut,
+		exe: build.ExePath, snapOut: *snapOut, srcOut: *srcOut,
 	}
 	if err := runProfiles(p); err != nil {
 		common.Fatal(err)

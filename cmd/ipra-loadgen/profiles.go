@@ -2,7 +2,7 @@
 // daemon, the harness behind BENCH_profagg.json and the profagg-smoke CI
 // job.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -seed 5 -config B \
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B \
 //	    -generations 2 -gen-runs 4 -label profagg-fleet -o BENCH_profagg.json
 //
 // The scenario: build the program under a profiled configuration (the
@@ -16,7 +16,8 @@
 // local build. Any protocol violation — a stable generation that drifts,
 // a shift that does not, a re-analysis count other than one — exits
 // nonzero. Drift is exact, so the scenario needs a program whose shift
-// moves a directive: seed 5 does; under B, seeds 1, 2 and 4 do not.
+// moves a directive: seed 5, the default, does; under B, seeds 1, 2 and 4
+// do not.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 type profilesParams struct {
 	addr        string
 	config      string
+	strategy    string
 	trainInstrs uint64
 	pcfg        progen.Config
 	mods        []progen.Module
@@ -43,7 +45,7 @@ type profilesParams struct {
 	out         string
 	generations int
 	genRuns     uint64
-	exeOut      string
+	exe         string
 	snapOut     string
 	srcOut      string
 }
@@ -123,7 +125,7 @@ func runProfiles(p profilesParams) error {
 	for i, m := range p.mods {
 		srcs[i] = served.Source{Name: m.Name, Text: m.Text}
 	}
-	req := &served.BuildRequest{Config: p.config, Sources: srcs, TrainInstrs: p.trainInstrs}
+	req := &served.BuildRequest{Config: p.config, Strategy: p.strategy, Sources: srcs, TrainInstrs: p.trainInstrs}
 	program := req.ProgramKey()
 
 	before, err := client.Stats(ctx)
@@ -146,10 +148,9 @@ func runProfiles(p profilesParams) error {
 	if err != nil {
 		return err
 	}
-	fingerprint, err := daemonFingerprint(ctx, client)
-	if err != nil {
-		return err
-	}
+	// Records carry the toolchain fingerprint the daemon stamps on its
+	// state, or they are rejected.
+	fingerprint := before.Fingerprint
 	for gen := 0; gen < p.generations; gen++ {
 		rec := profagg.NewRecord(fingerprint, program, trained.DirectiveHash)
 		rec.AddRuns(stableProf, p.genRuns)
@@ -225,8 +226,8 @@ func runProfiles(p profilesParams) error {
 	rep.AvoidedReanalyses = p.generations
 	rep.SavedMS = float64(p.generations) * rep.Drift.ReanalysisMS
 
-	if p.exeOut != "" {
-		if err := os.WriteFile(p.exeOut, retrained.Exe, 0o644); err != nil {
+	if p.exe != "" {
+		if err := os.WriteFile(p.exe, retrained.Exe, 0o644); err != nil {
 			return err
 		}
 	}
@@ -258,17 +259,4 @@ func runProfiles(p profilesParams) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&rep)
-}
-
-// daemonFingerprint reads the toolchain fingerprint the daemon stamps on
-// its state; records must carry it to be accepted.
-func daemonFingerprint(ctx context.Context, client *served.Client) (string, error) {
-	st, err := client.Stats(ctx)
-	if err != nil {
-		return "", err
-	}
-	if st.Fingerprint == "" {
-		return "", fmt.Errorf("daemon reported no toolchain fingerprint")
-	}
-	return st.Fingerprint, nil
 }

@@ -20,13 +20,14 @@
 //	                          full build on a running ipra-served daemon;
 //	                          the returned executable is byte-identical
 //	                          to a local build of the same sources/config
-//	mcc -profile-snapshot agg.snap file.mc ...
-//	                          full build against an aggregated fleet
-//	                          profile (a profagg snapshot, e.g. from
-//	                          ipra-served's /v1/profile/snapshot) instead
-//	                          of a training run; byte-identical to the
-//	                          daemon's retrained executable for the same
-//	                          aggregate
+//	mcc -profile-snapshot prof.snap file.mc ...
+//	                          the -incremental build of a profiled
+//	                          configuration (B, F) with the snapshot's
+//	                          call counts (mvm -profile's file, or a fleet
+//	                          aggregate from ipra-served's
+//	                          /v1/profile/snapshot) instead of a training
+//	                          run; byte-identical to the daemon's
+//	                          retrained executable for the same aggregate
 //
 // Run the program analyzer (ipra-analyze) between the phases; without a
 // program database, phase 2 compiles at plain level-2 optimization. The
@@ -49,7 +50,6 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/pipeline"
-	"ipra/internal/profagg"
 	"ipra/internal/served"
 )
 
@@ -60,7 +60,7 @@ func main() {
 		link        = flag.String("link", "", "link object files into the named executable image")
 		incremental = flag.Bool("incremental", false, "full minimal-rebuild compile of MiniC sources against -build-dir")
 		remote      = flag.String("remote", "", "build on an ipra-served daemon at this address (unix:/path or host:port)")
-		profileSnap = flag.String("profile-snapshot", "", "build against this aggregated profile snapshot instead of a training run")
+		profileSnap = flag.String("profile-snapshot", "", "take a profiled configuration's call counts from this profile snapshot instead of a training run (implies -incremental)")
 		pdbPath     = flag.String("pdb", "", "program database for phase 2 (from ipra-analyze)")
 		outDir      = flag.String("o", ".", "output directory")
 		buildDir    = flag.String("build-dir", ".mcc-build", "incremental build-state directory")
@@ -87,12 +87,9 @@ func main() {
 		err = runLink(flag.Args(), *link)
 	case *remote != "":
 		err = runRemote(ctx, flag.Args(), *remote, build, common)
-	case *profileSnap != "":
+	case *incremental || *profileSnap != "":
 		localBuild = true
-		err = runSnapshotBuild(ctx, flag.Args(), *profileSnap, build, common)
-	case *incremental:
-		localBuild = true
-		err = runIncremental(ctx, flag.Args(), *buildDir, build, common, *explain)
+		err = runIncremental(ctx, flag.Args(), *buildDir, *profileSnap, build, common, *explain)
 	default:
 		fmt.Fprintln(os.Stderr, "mcc: specify -phase1, -phase2, -link, -incremental, -remote, or -profile-snapshot (see -help)")
 		os.Exit(2)
@@ -284,65 +281,13 @@ func runRemote(ctx context.Context, files []string, addr string, build *cliutil.
 	return nil
 }
 
-// runSnapshotBuild compiles against an aggregated fleet profile: the
-// snapshot's mean profile replaces the training run, so the output is
-// byte-identical to the daemon's retrained executable for the same
-// aggregate — the CI job's independent check on the drift pipeline.
-func runSnapshotBuild(ctx context.Context, files []string, snapPath string, build *cliutil.BuildFlags, common *cliutil.Common) error {
-	if len(files) == 0 {
-		return fmt.Errorf("profile-snapshot: no source files")
-	}
-	cfg, err := build.Config()
-	if err != nil {
-		return err
-	}
-	if !cfg.WantProfile {
-		return fmt.Errorf("profile-snapshot: config %s does not use profiles; pick a profiled configuration (B or F)", cfg.Name)
-	}
-	cfg.Jobs = common.Jobs
-
-	data, err := os.ReadFile(snapPath)
-	if err != nil {
-		return err
-	}
-	agg, err := profagg.DecodeAggregate(data)
-	if err != nil {
-		return fmt.Errorf("profile-snapshot: %w", err)
-	}
-	if fp := ipra.ToolchainFingerprint(); agg.Fingerprint != fp {
-		return fmt.Errorf("profile-snapshot: aggregate from toolchain %s, this mcc is %s", agg.Fingerprint, fp)
-	}
-	sources, err := readSources(files)
-	if err != nil {
-		return err
-	}
-
-	opts := []ipra.BuildOption{ipra.WithAggregatedProfile(agg.MeanProfile())}
-	if common.Verify {
-		opts = append(opts, ipra.WithVerify())
-	}
-	res, err := ipra.Build(ctx, sources, cfg, opts...)
-	if err != nil {
-		return err
-	}
-
-	exeOut := build.ExePath
-	if exeOut == "" {
-		exeOut = "program.exe"
-	}
-	if err := parv.WriteExecutableFile(exeOut, res.Exe); err != nil {
-		return err
-	}
-	fmt.Printf("mcc: %d modules -> %s (%d instructions, config %s, aggregated profile of %d runs)\n",
-		len(sources), exeOut, len(res.Exe.Code), cfg.Name, agg.Runs)
-	return nil
-}
-
 // runIncremental is the minimal-rebuild driver: both compiler phases, the
 // program analyzer, and the link in one command, backed by the persistent
-// build directory. Profiled configurations (B, F) run their training pass
-// against a "train" subdirectory, so repeat builds skip it too.
-func runIncremental(ctx context.Context, files []string, buildDir string, build *cliutil.BuildFlags, common *cliutil.Common, explain bool) error {
+// build directory. A profiled configuration (B, F) takes its call counts
+// from the snapshot at snapPath when one is named, or else runs its
+// training pass against a "train" subdirectory, so repeat builds skip it
+// too.
+func runIncremental(ctx context.Context, files []string, buildDir, snapPath string, build *cliutil.BuildFlags, common *cliutil.Common, explain bool) error {
 	if len(files) == 0 {
 		return fmt.Errorf("incremental: no source files")
 	}
@@ -357,12 +302,16 @@ func runIncremental(ctx context.Context, files []string, buildDir string, build 
 		return err
 	}
 
-	opts := []ipra.BuildOption{ipra.WithBuildDir(buildDir)}
+	opts := []ipra.BuildOption{ipra.WithBuildDir(buildDir), ipra.WithProfile(build.TrainInstrs)}
+	if snapPath != "" {
+		prof, err := cliutil.ReadSnapshot(snapPath)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, ipra.WithAggregatedProfile(prof))
+	}
 	if explain {
 		opts = append(opts, ipra.WithStderr(os.Stderr))
-	}
-	if cfg.WantProfile {
-		opts = append(opts, ipra.WithProfile(build.TrainInstrs))
 	}
 	if common.Verify {
 		opts = append(opts, ipra.WithVerify())

@@ -1,10 +1,12 @@
 // mvm runs a linked PARV executable on the instruction-level simulator and
 // reports the execution statistics the paper's evaluation uses: total
 // cycles (no cache model), instructions, memory references, and singleton
-// memory references. With -profile it also writes gprof-style call-edge
-// counts for ipra-analyze.
+// memory references. With -profile it also writes the run's gprof-style
+// call-edge counts as a one-run profile snapshot (the profagg-snapshot
+// format ipra-served aggregates into), which ipra-analyze -profile and
+// mcc -profile-snapshot read.
 //
-//	mvm [-profile prof.json] [-disasm] prog.exe
+//	mvm [-profile prof.snap] [-disasm] prog.exe
 package main
 
 import (
@@ -12,13 +14,15 @@ import (
 	"fmt"
 	"os"
 
+	"ipra"
 	"ipra/internal/cliutil"
 	"ipra/internal/parv"
+	"ipra/internal/profagg"
 )
 
 func main() {
 	var (
-		profileOut = flag.String("profile", "", "write call-edge profile JSON to this path")
+		profileOut = flag.String("profile", "", "write the run's call-edge profile snapshot to this path")
 		disasm     = flag.Bool("disasm", false, "disassemble instead of running")
 		maxInstrs  = flag.Uint64("max-instrs", 0, "instruction budget (0 = default)")
 		quiet      = flag.Bool("q", false, "suppress statistics")
@@ -54,7 +58,10 @@ func main() {
 	}
 
 	if *profileOut != "" {
-		if err := cliutil.WriteProfile(*profileOut, vm.Profile()); err != nil {
+		// One run of no served program: no program key or directive hash.
+		agg := profagg.NewAggregate(ipra.ToolchainFingerprint(), "", "")
+		agg.Merge(&profagg.Record{Runs: 1, Edges: vm.Profile().Edges})
+		if err := os.WriteFile(*profileOut, agg.Encode(), 0o644); err != nil {
 			fatal(err)
 		}
 	}

@@ -171,11 +171,7 @@ func withJobs(cfg ipra.Config, jobs int) ipra.Config {
 }
 
 func measure(ctx context.Context, sources []ipra.Source, cfg ipra.Config, maxInstrs uint64) (*Cell, error) {
-	var opts []ipra.BuildOption
-	if cfg.WantProfile {
-		opts = append(opts, ipra.WithProfile(maxInstrs))
-	}
-	p, err := ipra.Build(ctx, sources, cfg, opts...)
+	p, err := ipra.Build(ctx, sources, cfg, ipra.WithProfile(maxInstrs))
 	if err != nil {
 		return nil, err
 	}

@@ -688,11 +688,16 @@ func (g *Graph) EstimateCounts() {
 }
 
 // ApplyProfile overrides the heuristic counts with exact profiled counts
-// (§7.5). Edges absent from the profile get count 0; nodes keep a tiny
-// epsilon so priority functions never divide by zero.
+// (§7.5): a node's count is the sum of the profile's arcs into it.
+// Edges absent from the profile get count 0; nodes keep a tiny epsilon so
+// priority functions never divide by zero.
 func (g *Graph) ApplyProfile(p *parv.Profile) {
+	calls := make(map[string]uint64)
+	for k, n := range p.Edges {
+		calls[k.Callee] += n
+	}
 	for _, nd := range g.Nodes {
-		nd.Count = float64(p.Calls[nd.Name])
+		nd.Count = float64(calls[nd.Name])
 		if isStart(g, nd.ID) && nd.Count == 0 {
 			nd.Count = 1
 		}

@@ -311,7 +311,6 @@ func TestApplyProfile(t *testing.T) {
 	g := mustBuild(t, 2, [][2]int{{0, 1}})
 	prof := &parv.Profile{
 		Edges: map[parv.EdgeKey]uint64{{Caller: "p0", Callee: "p1"}: 1234},
-		Calls: map[string]uint64{"p1": 1234},
 	}
 	g.ApplyProfile(prof)
 	if g.NodeByName("p1").Count != 1234 {

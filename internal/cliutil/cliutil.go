@@ -4,24 +4,23 @@
 // telemetry (-trace, -report). Each tool registers one Common on its flag
 // set, calls Start after parsing, threads Context into the library, and
 // calls Finish on the way out; the artifacts land wherever the flags
-// pointed without any per-tool plumbing. It also holds the call-edge
-// profile file that mvm writes and ipra-analyze reads.
+// pointed without any per-tool plumbing. It also reads the profile
+// snapshots that mvm -profile writes and ipra-analyze and mcc read.
 package cliutil
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"ipra"
 	"ipra/internal/parv"
+	"ipra/internal/profagg"
 	"ipra/internal/telemetry"
 )
 
@@ -196,56 +195,24 @@ func (b *BuildFlags) Config() (ipra.Config, error) {
 	return cfg, nil
 }
 
-// profileFile is the call-edge profile file that mvm -profile writes and
-// ipra-analyze -profile reads: JSON, one entry per call edge, sorted by
-// caller and then callee.
-type profileFile struct {
-	Edges []profileEdge `json:"edges"`
-}
-
-type profileEdge struct {
-	Caller string `json:"caller"`
-	Callee string `json:"callee"`
-	Count  uint64 `json:"count"`
-}
-
-// WriteProfile writes p's call edges to path as a profile file.
-func WriteProfile(path string, p *parv.Profile) error {
-	var f profileFile
-	for k, n := range p.Edges {
-		f.Edges = append(f.Edges, profileEdge{Caller: k.Caller, Callee: k.Callee, Count: n})
-	}
-	sort.Slice(f.Edges, func(i, j int) bool {
-		a, b := &f.Edges[i], &f.Edges[j]
-		if a.Caller != b.Caller {
-			return a.Caller < b.Caller
-		}
-		return a.Callee < b.Callee
-	})
-	data, err := json.MarshalIndent(&f, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadProfile reads a profile file. A procedure's call count is the sum of
-// the counts of the edges into it, as parv.VM.Profile computes it.
-func ReadProfile(path string) (*parv.Profile, error) {
+// ReadSnapshot reads a profile file — a profagg snapshot, as mvm -profile
+// writes for one run and ipra-served serves for a fleet aggregate — and
+// returns its per-run mean counts. A snapshot stamped by another toolchain
+// is an error, since its counts were measured on binaries this one would
+// not build.
+func ReadSnapshot(path string) (*parv.Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f profileFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("profile %s: %w", path, err)
+	agg, err := profagg.DecodeAggregate(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	p := &parv.Profile{Edges: make(map[parv.EdgeKey]uint64), Calls: make(map[string]uint64)}
-	for _, e := range f.Edges {
-		p.Edges[parv.EdgeKey{Caller: e.Caller, Callee: e.Callee}] += e.Count
-		p.Calls[e.Callee] += e.Count
+	if fp := ipra.ToolchainFingerprint(); agg.Fingerprint != fp {
+		return nil, fmt.Errorf("%s: profile from toolchain %s, this one is %s", path, agg.Fingerprint, fp)
 	}
-	return p, nil
+	return agg.MeanProfile(), nil
 }
 
 // CacheStats prints the process-wide phase-1 cache counters to w, the

@@ -4,13 +4,14 @@ import (
 	"context"
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ipra"
-	"ipra/internal/parv"
+	"ipra/internal/profagg"
 )
 
 // TestBuildFlagsResolvePresets: the shared -config flag resolves every
@@ -104,10 +105,11 @@ func TestBuildFlagsTrainingDefault(t *testing.T) {
 	}
 }
 
-// TestProfileFileRoundtrip: a profile written the way mvm -profile writes
-// it reads back, the way ipra-analyze -profile reads it, with the edges
-// and call counts of the run.
-func TestProfileFileRoundtrip(t *testing.T) {
+// TestReadSnapshot: a one-run snapshot written the way mvm -profile
+// writes it reads back, the way ipra-analyze -profile and mcc
+// -profile-snapshot read it, as the run's own profile; one stamped by
+// another toolchain is refused.
+func TestReadSnapshot(t *testing.T) {
 	src := ipra.Source{Name: "m.mc", Text: []byte(`
 int leaf(int x) { return x + 1; }
 int mid(int x) { return leaf(x) + leaf(x + 1); }
@@ -122,24 +124,31 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := parv.NewVM(res.Exe)
-	vm.ProfileEdges = true
-	if _, err := vm.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := vm.Profile()
-	if len(want.Edges) < 3 {
-		t.Fatalf("run profiled %d edges, want at least 3", len(want.Edges))
-	}
-	path := filepath.Join(t.TempDir(), "prof.json")
-	if err := WriteProfile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(path)
+	run, err := res.Run(0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Calls, want.Calls) {
+	want := run.Profile
+	if len(want.Edges) < 3 {
+		t.Fatalf("run profiled %d edges, want at least 3", len(want.Edges))
+	}
+	write := func(fingerprint string) string {
+		agg := profagg.NewAggregate(fingerprint, "", "")
+		agg.Merge(&profagg.Record{Runs: 1, Edges: want.Edges})
+		path := filepath.Join(t.TempDir(), "prof.snap")
+		if err := os.WriteFile(path, agg.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	got, err := ReadSnapshot(write(ipra.ToolchainFingerprint()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("profile read back differs:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := ReadSnapshot(write("another-toolchain")); err == nil || !strings.Contains(err.Error(), "another-toolchain") {
+		t.Errorf("snapshot of another toolchain: err = %v, want one naming it", err)
 	}
 }

@@ -282,7 +282,6 @@ func TestPruneDropsUnprofitableClusters(t *testing.T) {
 			{Caller: "main", Callee: "hot"}: 10000,
 			{Caller: "hot", Callee: "cold"}: 3,
 		},
-		Calls: map[string]uint64{"hot": 10000, "cold": 3},
 	})
 	id := clusters.Identify(g)
 	clusters.Prune(g, id, need(g))

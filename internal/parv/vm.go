@@ -35,10 +35,10 @@ type EdgeKey struct {
 }
 
 // Profile is the gprof-style output of a profiled run: exact dynamic call
-// counts per arc and per procedure (§6.1 used gprof for the same purpose).
+// counts per arc (§6.1 used gprof for the same purpose). A procedure's
+// call count is the sum of the counts of the arcs into it.
 type Profile struct {
 	Edges map[EdgeKey]uint64
-	Calls map[string]uint64
 }
 
 // haltRA is the sentinel return address installed in rp for the entry call;
@@ -330,12 +330,11 @@ func (vm *VM) funcName(f int32) string {
 
 // Profile converts the collected edge counts to symbolic form.
 func (vm *VM) Profile() *Profile {
-	p := &Profile{Edges: make(map[EdgeKey]uint64), Calls: make(map[string]uint64)}
+	p := &Profile{Edges: make(map[EdgeKey]uint64)}
 	for k, n := range vm.edges {
 		caller := vm.funcName(int32(k >> 32))
 		callee := vm.funcName(int32(k))
 		p.Edges[EdgeKey{Caller: caller, Callee: callee}] += n
-		p.Calls[callee] += n
 	}
 	return p
 }

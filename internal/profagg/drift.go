@@ -13,6 +13,7 @@ package profagg
 
 import (
 	"context"
+	"maps"
 
 	"ipra/internal/core"
 	"ipra/internal/parv"
@@ -20,9 +21,9 @@ import (
 )
 
 // DriftModel holds what one program's analysis reads — its module
-// summaries and analyzer options — plus the directive hash of the
-// allocation the fleet's binaries were built from. It never changes after
-// construction, so concurrent checks may share it.
+// summaries and analyzer options, profile included — plus the directive
+// hash of the allocation the fleet's binaries were built from. It never
+// changes after construction, so concurrent checks may share it.
 type DriftModel struct {
 	sums []*summary.ModuleSummary
 	opt  core.Options
@@ -34,17 +35,21 @@ type DriftModel struct {
 }
 
 // NewDriftModel returns the model of a build that analyzed sums under
-// opt (whatever profile opt carries is replaced by each check's) and
-// produced the program database with hash directiveHash. The summaries
-// are read, never written.
+// opt, the profile it trained on or was given included, and produced the
+// program database with hash directiveHash. The summaries are read, never
+// written.
 func NewDriftModel(sums []*summary.ModuleSummary, opt core.Options, directiveHash string) *DriftModel {
 	return &DriftModel{sums: sums, opt: opt, DirectiveHash: directiveHash}
 }
 
 // Drifted reports whether analyzing the program under p yields another
-// program database than the model's. An analysis that fails counts as
-// drift, so the rebuild that follows reports the failure.
+// program database than the model's. The model's own profile answers
+// false without an analysis. An analysis that fails counts as drift, so
+// the rebuild that follows reports the failure.
 func (m *DriftModel) Drifted(p *parv.Profile) bool {
+	if q := m.opt.Profile; q != nil && p != nil && maps.Equal(p.Edges, q.Edges) {
+		return false
+	}
 	opt := m.opt
 	opt.Profile = p
 	res, err := core.Analyze(context.TODO(), m.sums, opt)

@@ -46,10 +46,13 @@ func (d driftProgram) analyze(t *testing.T, p *parv.Profile) *core.Result {
 	return res
 }
 
-// model is the drift model of a build trained on p.
+// model is the drift model of a build trained on p: the options carry p,
+// as the daemon registers them.
 func (d driftProgram) model(t *testing.T, p *parv.Profile) *profagg.DriftModel {
 	t.Helper()
-	return profagg.NewDriftModel(d.sums, d.opt, d.analyze(t, p).DB.Hash())
+	o := d.opt
+	o.Profile = p
+	return profagg.NewDriftModel(d.sums, o, d.analyze(t, p).DB.Hash())
 }
 
 // consideredOrder is the sequence of web IDs an analysis colors.
@@ -106,6 +109,30 @@ func TestDriftModelPhaseShift(t *testing.T) {
 	wg.Wait()
 	if got[0] || !got[1] {
 		t.Fatalf("concurrent checks of the trained and shifted profiles read %v, want [false true]", got)
+	}
+}
+
+// TestDriftModelSkipsItsOwnProfile: the profile a model was built under
+// produced the model's database, so checking it runs no analysis. This
+// model's options name an unknown strategy, so any analysis of it fails
+// and reads as drift: the trained profile, and an aggregate of identical
+// runs of it, still read false, and another profile reads true.
+func TestDriftModelSkipsItsOwnProfile(t *testing.T) {
+	prog := newDriftProgram("B", driftCfg.Seed)
+	trained := shifted(driftCfg.Seed, 0)
+	o := prog.opt
+	o.Profile = trained
+	o.Strategy = "no-such-strategy"
+	m := profagg.NewDriftModel(prog.sums, o, "directives")
+	agg := profagg.NewAggregate("fp", "prog", m.DirectiveHash)
+	rec := profagg.NewRecord("fp", "prog", m.DirectiveHash)
+	rec.AddRuns(trained, 5)
+	agg.Merge(rec)
+	if m.Drifted(trained) || m.Drifted(agg.MeanProfile()) {
+		t.Error("the model's own profile was analyzed")
+	}
+	if !m.Drifted(shifted(driftCfg.Seed, 1)) {
+		t.Error("another profile read as no drift although its analysis fails")
 	}
 }
 

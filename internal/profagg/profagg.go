@@ -195,16 +195,14 @@ func (a *Aggregate) MeanProfile() *parv.Profile {
 		runs = 1
 	}
 	edges := make(map[parv.EdgeKey]uint64, len(a.Edges))
-	calls := make(map[string]uint64)
 	for k, n := range a.Edges {
 		m := (n + runs/2) / runs
 		if m == 0 && n > 0 {
 			m = 1
 		}
 		edges[k] = m
-		calls[k.Callee] += m
 	}
-	return &parv.Profile{Edges: edges, Calls: calls}
+	return &parv.Profile{Edges: edges}
 }
 
 // Hash digests the aggregate's content — identity, run totals, and every

@@ -32,9 +32,7 @@ func weight(id, nprocs, phase int) uint64 {
 // Generate(cfg) describes, with phase selecting which region of the
 // program is hot. Counts propagate top-down over the call DAG — each
 // procedure's invocation count flows to its callees, scaled by the
-// callee's weight — so the profile is structurally consistent: every
-// procedure's call count equals the sum of its incoming edge counts, as
-// in a real simulator run.
+// callee's weight.
 func SynthesizeProfile(cfg Config, phase int) *parv.Profile {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -90,12 +88,5 @@ func SynthesizeProfile(cfg Config, phase int) *parv.Profile {
 			edges[parv.EdgeKey{Caller: p.name, Callee: p.name}] += k
 		}
 	}
-
-	// Per-procedure call counts are the incoming edge sums, exactly how
-	// the simulator's Profile() derives them.
-	calls := make(map[string]uint64)
-	for k, n := range edges {
-		calls[k.Callee] += n
-	}
-	return &parv.Profile{Edges: edges, Calls: calls}
+	return &parv.Profile{Edges: edges}
 }

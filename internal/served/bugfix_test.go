@@ -140,10 +140,10 @@ func TestServedDirLockHeldDuringBuild(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	inner := srv.buildFn
-	srv.buildFn = func(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+	srv.buildFn = func(ctx context.Context, j *job) (*BuildResponse, error) {
 		started <- struct{}{}
 		<-release
-		return inner(ctx, req)
+		return inner(ctx, j)
 	}
 
 	srcA := Source{Name: "m.mc", Text: "int main() { return 1; }"}

@@ -132,8 +132,8 @@ func TestReadBodyBoundsPresize(t *testing.T) {
 // validation, admission and the error mapping without compiling.
 func stubbedServer() *Server {
 	srv := New(Options{Jobs: 1})
-	srv.buildFn = func(_ context.Context, req *BuildRequest) (*BuildResponse, error) {
-		return &BuildResponse{Config: req.Config, Modules: len(req.Sources), Exe: []byte("exe")}, nil
+	srv.buildFn = func(_ context.Context, j *job) (*BuildResponse, error) {
+		return &BuildResponse{Config: j.req.Config, Modules: len(j.req.Sources), Exe: []byte("exe")}, nil
 	}
 	return srv
 }

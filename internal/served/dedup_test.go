@@ -20,9 +20,9 @@ func TestServedDedup(t *testing.T) {
 	// than racing against a fast compile.
 	release := make(chan struct{})
 	inner := srv.buildFn
-	srv.buildFn = func(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+	srv.buildFn = func(ctx context.Context, j *job) (*BuildResponse, error) {
 		<-release
-		return inner(ctx, req)
+		return inner(ctx, j)
 	}
 
 	srcs := testSources(t)

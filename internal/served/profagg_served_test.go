@@ -143,6 +143,46 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	}
 }
 
+// TestProfileRequestReusedAcrossReanalyses: a caller that keeps one
+// request across two drift-triggered re-analyses gets each re-analysis's
+// allocation, as a fresh request does; the program's active aggregate is
+// resolved on every Build, never remembered in the request.
+func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
+	srv := New(Options{Jobs: 2})
+	ctx := context.Background()
+	srcs := testSources(t)
+	req := &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs}
+	resp, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatalf("training build: %v", err)
+	}
+	hash := resp.DirectiveHash
+	for _, shift := range []struct {
+		phase int
+		runs  uint64
+	}{{1, 64}, {2, 128}} {
+		rec := profagg.NewRecord(srv.Fingerprint(), req.ProgramKey(), hash)
+		rec.AddRuns(progen.SynthesizeProfile(testProgram, shift.phase), shift.runs)
+		ir, err := srv.IngestProfile(ctx, rec)
+		if err != nil || !ir.Reanalyzed {
+			t.Fatalf("phase %d: %+v, %v; want a re-analysis", shift.phase, ir, err)
+		}
+		reused, err := srv.Build(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := srv.Build(ctx, &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.DirectiveHash != ir.DirectiveHash || fresh.DirectiveHash != ir.DirectiveHash {
+			t.Fatalf("phase %d: reused request got %s, fresh one %s; the re-analysis produced %s",
+				shift.phase, reused.DirectiveHash, fresh.DirectiveHash, ir.DirectiveHash)
+		}
+		hash = ir.DirectiveHash
+	}
+}
+
 // TestProfileModelSurvivesUnprofiledBuilds: only a profiled
 // configuration's program can have an aggregate, so builds under any
 // other configuration leave the profile store alone and cannot evict a

@@ -48,7 +48,6 @@ import (
 	"strings"
 
 	"ipra"
-	"ipra/internal/parv"
 	"ipra/internal/wire"
 )
 
@@ -64,8 +63,8 @@ type BuildRequest struct {
 	// column A-F.
 	Config string
 	// Strategy names the allocation strategy ("" for the preset's
-	// default). The server canonicalizes it on admission; it participates
-	// in both the dedup/result key and the build-directory identity.
+	// default), case-insensitively. It participates in both the
+	// dedup/result key and the build-directory identity.
 	Strategy string
 	// Sources is the complete module set of the program.
 	Sources []Source
@@ -79,22 +78,12 @@ type BuildRequest struct {
 	// response (per-request telemetry is always collected; the trace
 	// export is opt-in because it is large).
 	Trace bool
-
-	// aggProfile/aggHash are resolved once per request on admission, when
-	// the program serves from a fleet-aggregated allocation: the
-	// aggregate's mean profile replaces the training run, and its content
-	// hash extends the dedup/result keys so responses built against
-	// different aggregate states never alias. Never set by clients.
-	aggProfile *parv.Profile
-	aggHash    string
 }
 
-// clone copies the request for retention (the profile store keeps the
-// program's last request as its retrain context), dropping the resolved
-// aggregate so a replay re-resolves it against the store's current state.
+// clone copies the request for retention: the profile store keeps the
+// program's last request as its retrain context.
 func (r *BuildRequest) clone() *BuildRequest {
 	cp := *r
-	cp.aggProfile, cp.aggHash = nil, ""
 	cp.Sources = append([]Source(nil), r.Sources...)
 	return &cp
 }

@@ -142,6 +142,32 @@ func TestServedStatelessMatchesStateful(t *testing.T) {
 	}
 }
 
+// TestServedBuildLeavesRequestAlone: Build never writes the request it
+// is given, so two goroutines may build one request at once (the race
+// detector sees no write), and a strategy left empty reads back empty.
+func TestServedBuildLeavesRequestAlone(t *testing.T) {
+	srv := New(Options{Jobs: 1})
+	req := &BuildRequest{Config: "C", Sources: testSources(t)}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = srv.Build(context.Background(), req)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if req.Strategy != "" {
+		t.Errorf("Build rewrote the request's strategy to %q", req.Strategy)
+	}
+}
+
 // TestServedUnixSocket exercises the real daemon transport: a Unix
 // socket listener, health handshake, one build, graceful shutdown.
 func TestServedUnixSocket(t *testing.T) {
@@ -227,10 +253,10 @@ func TestServedQueueSaturation(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	inner := srv.buildFn
-	srv.buildFn = func(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+	srv.buildFn = func(ctx context.Context, j *job) (*BuildResponse, error) {
 		started <- struct{}{}
 		<-release
-		return inner(ctx, req)
+		return inner(ctx, j)
 	}
 
 	srcs := testSources(t)
@@ -283,10 +309,10 @@ func TestServedShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	inner := srv.buildFn
-	srv.buildFn = func(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+	srv.buildFn = func(ctx context.Context, j *job) (*BuildResponse, error) {
 		started <- struct{}{}
 		<-release
-		return inner(ctx, req)
+		return inner(ctx, j)
 	}
 
 	srcs := testSources(t)

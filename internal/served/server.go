@@ -143,7 +143,7 @@ type Server struct {
 
 	// buildFn runs one deduplicated build; tests wrap it to hold builds
 	// open and provoke dedup/saturation deterministically.
-	buildFn func(ctx context.Context, req *BuildRequest) (*BuildResponse, error)
+	buildFn func(ctx context.Context, j *job) (*BuildResponse, error)
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server
@@ -229,24 +229,29 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// job is one request resolved for building, once, by Build: the preset
+// under the request's strategy with the server's Jobs, the program key
+// (build directory and profile-store key), the single-flight and
+// result-cache key, and the mean profile of the program's active
+// aggregate (nil while it serves from its training run).
+type job struct {
+	req     *BuildRequest
+	cfg     ipra.Config
+	program string
+	key     string
+	agg     *parv.Profile
+}
+
 // Build serves one request through the full admission path — result
 // cache, single-flight, bounded queue — exactly as the HTTP handler
-// does; it is the in-process entry point tests and embedders use.
+// does; it is the in-process entry point tests and embedders use. It
+// never writes req, so callers may reuse and share requests.
 func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	cfg, err := ipra.PresetByName(req.Config)
+	began := time.Now()
+	j, err := s.resolve(req)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	// Canonicalize the strategy before any key is computed so "" and
-	// the default name deduplicate (and cache) as one request.
-	canon, err := ipra.ResolveStrategy(req.Strategy)
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	req.Strategy = canon
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -254,24 +259,7 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	defer s.inflightN.Add(-1)
 	s.tracer.Add("served.requests", 1)
 
-	// When a drift-triggered re-analysis has committed this program to a
-	// fleet-aggregated allocation, every build of it uses the aggregate's
-	// mean profile, and the aggregate's content hash extends the request
-	// key so results from different aggregate states never alias. Only a
-	// profiled configuration's program can have an aggregate (the program
-	// key names the configuration), so no other build touches the store.
-	if cfg.WantProfile && req.aggProfile == nil {
-		if hash, prof, ok := s.profiles.ActiveAggregate(req.ProgramKey()); ok {
-			req.aggHash, req.aggProfile = hash, prof
-		}
-	}
-
-	began := time.Now()
-	key := req.Key(s.fingerprint)
-	if req.aggHash != "" {
-		key += "|agg:" + req.aggHash
-	}
-	if resp, ok := s.cachedResult(key); ok {
+	if resp, ok := s.cachedResult(j.key); ok {
 		s.tracer.Add("served.result_hits", 1)
 		out := *resp
 		out.RequestID = s.nextID.Add(1)
@@ -285,7 +273,7 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	// Single-flight: the first arrival under a key becomes the leader
 	// and builds; everyone else waits for its response.
 	s.mu.Lock()
-	if fl, ok := s.flights[key]; ok {
+	if fl, ok := s.flights[j.key]; ok {
 		s.mu.Unlock()
 		s.tracer.Add("served.dedup_hits", 1)
 		select {
@@ -303,18 +291,48 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 		return &out, nil
 	}
 	fl := &inflight{done: make(chan struct{})}
-	s.flights[key] = fl
+	s.flights[j.key] = fl
 	s.mu.Unlock()
 
-	fl.resp, fl.err = s.admitAndBuild(ctx, req)
+	fl.resp, fl.err = s.admitAndBuild(ctx, j)
 	s.mu.Lock()
-	delete(s.flights, key)
+	delete(s.flights, j.key)
 	if fl.err == nil && s.results != nil {
-		s.results.Put(key, fl.resp)
+		s.results.Put(j.key, fl.resp)
 	}
 	s.mu.Unlock()
 	close(fl.done)
 	return fl.resp, fl.err
+}
+
+// resolve validates req and fixes its job. Once a drift-triggered
+// re-analysis commits the program to its fleet aggregate, every build
+// uses the aggregate's mean profile, and the aggregate's hash extends the
+// key so results of different aggregate states never alias. Only a
+// profiled configuration's program can have an aggregate (the program key
+// names the configuration), so no other build touches the store.
+func (s *Server) resolve(req *BuildRequest) (*job, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	cfg, err := ipra.PresetByName(req.Config)
+	if err != nil {
+		return nil, err
+	}
+	strat, err := ipra.ResolveStrategy(req.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithStrategy(strat)
+	cfg.Jobs = s.opts.Jobs
+	j := &job{req: req, cfg: cfg, program: req.ProgramKey(), key: req.Key(s.fingerprint)}
+	if cfg.WantProfile {
+		if hash, prof, ok := s.profiles.ActiveAggregate(j.program); ok {
+			j.key += "|agg:" + hash
+			j.agg = prof
+		}
+	}
+	return j, nil
 }
 
 // cachedResult looks a finished response up in the result cache.
@@ -329,7 +347,7 @@ func (s *Server) cachedResult(key string) (*BuildResponse, bool) {
 
 // admitAndBuild pushes one leader request through the bounded queue and
 // runs its build.
-func (s *Server) admitAndBuild(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+func (s *Server) admitAndBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 	select {
 	case s.admission <- struct{}{}:
 	default:
@@ -353,7 +371,7 @@ func (s *Server) admitAndBuild(ctx context.Context, req *BuildRequest) (*BuildRe
 	}()
 
 	s.tracer.Add("served.builds", 1)
-	resp, err := s.buildFn(ctx, req)
+	resp, err := s.buildFn(ctx, j)
 	if err != nil {
 		s.tracer.Add("served.errors", 1)
 	}
@@ -361,40 +379,26 @@ func (s *Server) admitAndBuild(ctx context.Context, req *BuildRequest) (*BuildRe
 }
 
 // runBuild executes one underlying ipra.Build with per-request telemetry.
-func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
+// ipra.Build decides where a profiled build's counts come from: the
+// program's aggregate when the job has one, or else a training run.
+func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 	began := time.Now()
 	id := s.nextID.Add(1)
-
-	cfg, err := ipra.PresetByName(req.Config)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := ipra.ResolveStrategy(req.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.WithStrategy(strat)
-	cfg.Jobs = s.opts.Jobs
+	req, cfg := j.req, j.cfg
 
 	sources := make([]ipra.Source, len(req.Sources))
 	for i, src := range req.Sources {
 		sources[i] = ipra.Source{Name: src.Name, Text: []byte(src.Text)}
 	}
 
+	instrs := req.TrainInstrs
+	if instrs == 0 {
+		instrs = s.opts.TrainInstrs
+	}
 	reqTracer := telemetry.New()
-	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer)}
-	if cfg.WantProfile {
-		if req.aggProfile != nil {
-			// The program serves from its fleet aggregate: the mean
-			// profile replaces the training run entirely.
-			opts = append(opts, ipra.WithAggregatedProfile(req.aggProfile))
-		} else {
-			instrs := req.TrainInstrs
-			if instrs == 0 {
-				instrs = s.opts.TrainInstrs
-			}
-			opts = append(opts, ipra.WithProfile(instrs))
-		}
+	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer), ipra.WithProfile(instrs)}
+	if j.agg != nil {
+		opts = append(opts, ipra.WithAggregatedProfile(j.agg))
 	}
 	if req.Verify {
 		opts = append(opts, ipra.WithVerify())
@@ -402,7 +406,7 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 
 	var buildDir string
 	if s.opts.StateDir != "" {
-		buildDir = filepath.Join(s.opts.StateDir, req.ProgramKey())
+		buildDir = filepath.Join(s.opts.StateDir, j.program)
 		opts = append(opts, ipra.WithBuildDir(buildDir))
 		// Two different source versions of the same program share a
 		// build directory; serialize them so concurrent edits never
@@ -435,11 +439,16 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	if res.Program.DB != nil {
 		resp.DirectiveHash = res.Program.DB.Hash()
 	}
-	if cfg.WantProfile {
-		// The fleet's counts are checked against this build's allocation;
-		// the request clone is what a detected drift replays.
-		model := profagg.NewDriftModel(res.Summaries, cfg.AnalyzerOptions(nil), resp.DirectiveHash)
-		s.profiles.Register(req.ProgramKey(), model, req.clone())
+	// The fleet's counts are checked against this build's allocation,
+	// under the options of the analysis that produced it, profile
+	// included; the request copy is what a detected drift replays.
+	prof := j.agg
+	if res.Train != nil {
+		prof = res.Train.Profile
+	}
+	if prof != nil {
+		model := profagg.NewDriftModel(res.Summaries, cfg.AnalyzerOptions(prof), resp.DirectiveHash)
+		s.profiles.Register(j.program, model, req.clone())
 	}
 	if out := res.Incremental; out != nil {
 		resp.Incremental = &IncrementalSummary{
@@ -536,7 +545,7 @@ func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*Profi
 		return out, nil
 	}
 	began := time.Now()
-	resp, err := s.Build(ctx, req.clone())
+	resp, err := s.Build(ctx, req)
 	if err != nil {
 		s.profiles.AbortRetrain(rec.Program)
 		s.logf("profagg: %s: re-analysis failed: %v", rec.Program, err)

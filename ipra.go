@@ -18,11 +18,12 @@
 //     and reports cycles, memory references, and call-edge profiles.
 //
 // Build is the single entry point: it drives the whole pipeline over a
-// source set under one Config, with functional options selecting
-// profile-guided compilation (WithProfile), persistent incremental build
-// state (WithBuildDir), and build-event telemetry (WithTelemetry). The
-// named configurations of the paper's Table 4 come from the Presets
-// registry ("L2" plus columns "A".."F").
+// source set under one Config, with functional options selecting the
+// call counts of a profiled configuration (WithProfile,
+// WithAggregatedProfile), persistent incremental build state
+// (WithBuildDir), and build-event telemetry (WithTelemetry). The named
+// configurations of the paper's Table 4 come from the Presets registry
+// ("L2" plus columns "A".."F").
 package ipra
 
 import (
@@ -72,8 +73,9 @@ type Config struct {
 	// a strategy switch never shares a cached result; over a build
 	// directory it recompiles the modules whose phase-2 keys it moves.
 	Strategy string
-	// WantProfile marks configurations that use dynamic call counts: build
-	// them with the WithProfile or WithAggregatedProfile option.
+	// WantProfile marks configurations that use dynamic call counts
+	// (§6.1): Build takes them from WithAggregatedProfile, or else runs a
+	// training pass (bounded by WithProfile) to measure them.
 	WantProfile bool
 	// DataSize overrides the simulated data memory size (bytes).
 	DataSize int32
@@ -416,38 +418,30 @@ type BuildOption func(*buildSettings)
 
 // buildSettings is the resolved option set of one Build.
 type buildSettings struct {
-	profiled    bool
 	trainInstrs uint64
-	aggProfile  *parv.Profile
+	profile     *parv.Profile
 	buildDir    string
 	tracer      *telemetry.Tracer
 	stderr      io.Writer
 	verify      bool
 }
 
-// WithProfile enables profile-guided compilation (§6.1, Table 4 columns B
-// and F): Build compiles with heuristic call counts, runs the result once
-// on the simulator to collect gprof-style call-edge counts (maxInstrs
-// bounds the training run; 0 uses the simulator default), then re-analyzes
-// and re-compiles with the profile. The training RunResult lands in
-// BuildResult.Train.
+// WithProfile bounds the training run of a profiled configuration
+// (Config.WantProfile; Table 4 columns B and F) to maxInstrs simulated
+// instructions; 0, the default, uses the simulator's own bound. A
+// configuration that runs no training pass ignores it.
 func WithProfile(maxInstrs uint64) BuildOption {
-	return func(s *buildSettings) {
-		s.profiled = true
-		s.trainInstrs = maxInstrs
-	}
+	return func(s *buildSettings) { s.trainInstrs = maxInstrs }
 }
 
-// WithAggregatedProfile supplies exact call counts collected outside this
-// build — typically a fleet aggregate's mean profile (internal/profagg) —
-// instead of running a training pass. The analyzer consumes p exactly as
-// it would a fresh training run's profile, so the output is byte-identical
-// to a WithProfile build whose training run happened to produce p. When
-// combined with WithProfile, the aggregated profile wins and the training
-// run is skipped (that is what a drift-triggered re-analysis wants: same
-// request, counts replaced by the fleet's).
+// WithAggregatedProfile supplies the call counts of a profiled
+// configuration from outside the build — typically a fleet aggregate's
+// mean profile (internal/profagg) — so no training pass runs. The analyzer
+// consumes p exactly as it would a training run's profile, so the output
+// is byte-identical to a build whose training run happened to produce p.
+// On a configuration without WantProfile, Build fails.
 func WithAggregatedProfile(p *parv.Profile) BuildOption {
-	return func(s *buildSettings) { s.aggProfile = p }
+	return func(s *buildSettings) { s.profile = p }
 }
 
 // WithBuildDir makes the build incremental against a persistent build
@@ -520,7 +514,8 @@ func verifyAnalysis(ctx context.Context, p *Program) error {
 // directly), plus the artifacts of the options in effect.
 type BuildResult struct {
 	*Program
-	// Train is the profiling run of a WithProfile build (nil otherwise).
+	// Train is the training run of a profiled build (nil when no
+	// training pass ran).
 	Train *RunResult
 	// Incremental is the rebuild record of a WithBuildDir build
 	// (nil otherwise).
@@ -534,9 +529,10 @@ type BuildResult struct {
 // phase and summaries, program analyzer (when cfg.UseAnalyzer), compiler
 // second phase, and link, fanning the module-at-a-time phases across
 // cfg.Jobs workers with output byte-identical to a sequential run.
-// Module names must be unique. Options select profile-guided compilation
-// (WithProfile), persistent incremental build state (WithBuildDir), and
-// telemetry (WithTelemetry). Every build runs the same driver; a build
+// Module names must be unique. A profiled configuration (WantProfile)
+// takes its call counts from WithAggregatedProfile or else trains (§6.1);
+// other options select persistent incremental build state (WithBuildDir)
+// and telemetry (WithTelemetry). Every build runs the same driver; a build
 // without a build directory is one with no store to reuse from.
 func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOption) (*BuildResult, error) {
 	var s buildSettings
@@ -563,13 +559,16 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 	return res, nil
 }
 
-// runBuild dispatches one Build under its resolved settings.
+// runBuild dispatches one Build under its resolved settings. It is the
+// one place that decides where the analyzer's call counts come from: a
+// configuration without WantProfile estimates them, and a profiled one
+// takes the aggregated profile or else trains.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
-	// Externally supplied counts replace the training pass entirely: one
-	// pass against the main build directory, with the profile wired
-	// through the analyzer exactly as a training run's would be.
-	profile := s.aggProfile
-	if profile == nil && s.profiled {
+	profile := s.profile
+	if profile != nil && !cfg.WantProfile {
+		return fmt.Errorf("configuration %s estimates its call counts; an aggregated profile needs a profiled configuration (B or F)", cfg.Name)
+	}
+	if profile == nil && cfg.WantProfile {
 		// Profile-guided (§6.1): compile with heuristic counts, run once
 		// to collect call counts, then re-analyze and re-compile with the
 		// profile. Incremental builds keep the training pass's state in a

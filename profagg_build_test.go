@@ -3,8 +3,10 @@ package ipra
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
+	"ipra/internal/benchprogs"
 	"ipra/internal/profagg"
 	"ipra/internal/progen"
 )
@@ -100,5 +102,54 @@ func TestAggregatedProfileMeanMatchesTraining(t *testing.T) {
 	}
 	if !bytes.Equal(exeBytes(t, trained.Program.Exe), exeBytes(t, rebuilt.Program.Exe)) {
 		t.Fatal("mean-profile rebuild differs from the original profiled build")
+	}
+}
+
+// TestProfiledConfigsTrainWithoutOptions: Build alone decides where a
+// profiled configuration's counts come from, so B and F given no option
+// still train, and equal the builds whose training run WithProfile bounds
+// (fgrep finishes under both bounds). Their executables differ from A's
+// and C's, which share everything with them but the counts.
+func TestProfiledConfigsTrainWithoutOptions(t *testing.T) {
+	ctx := context.Background()
+	b, err := benchprogs.ByName("fgrep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := benchSources(t, b)
+	for _, pair := range [][2]string{{"B", "A"}, {"F", "C"}} {
+		bare, err := Build(ctx, srcs, MustPreset(pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.Train == nil {
+			t.Errorf("%s without options ran no training pass", pair[0])
+		}
+		bounded, err := Build(ctx, srcs, MustPreset(pair[0]), WithProfile(b.MaxInstrs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		heuristic, err := Build(ctx, srcs, MustPreset(pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exeBytes(t, bare.Exe)
+		if !bytes.Equal(got, exeBytes(t, bounded.Exe)) {
+			t.Errorf("%s without options differs from %s WithProfile(%d)", pair[0], pair[0], b.MaxInstrs)
+		}
+		if bytes.Equal(got, exeBytes(t, heuristic.Exe)) {
+			t.Errorf("%s without options compiled as %s", pair[0], pair[1])
+		}
+	}
+}
+
+// TestAggregatedProfileNeedsProfiledConfig: counts supplied to a
+// configuration that estimates its own are an error naming it, not a
+// silently ignored option.
+func TestAggregatedProfileNeedsProfiledConfig(t *testing.T) {
+	srcs := aggTestSources(t)
+	_, err := Build(context.Background(), srcs, MustPreset("C"), WithAggregatedProfile(progen.SynthesizeProfile(aggTestCfg, 0)))
+	if err == nil || !strings.Contains(err.Error(), "configuration C") {
+		t.Fatalf("WithAggregatedProfile on C: err = %v, want one naming configuration C", err)
 	}
 }
