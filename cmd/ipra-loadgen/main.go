@@ -3,8 +3,9 @@
 // (profiles.go): a trained build, stable fleet generations, then a
 // workload shift that must trigger exactly one re-analysis.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B -exe retrained.exe
+//	ipra-loadgen -addr unix:/tmp/ipra.sock -exe retrained.exe
 //
+// -config defaults to B and must name a profiled configuration (B or F).
 // The default seed, 5, generates a program whose shift moves a directive
 // under B; -strategy selects the allocation strategy of every build, and
 // -exe names the file the retrained executable is written to.
@@ -15,6 +16,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 
 	"ipra/internal/cliutil"
 	"ipra/internal/progen"
@@ -36,7 +38,7 @@ func main() {
 		snapOut     = flag.String("snapshot-out", "", "write the aggregate snapshot here")
 		srcOut      = flag.String("src-out", "", "write the generated module sources into this directory")
 	)
-	build := &cliutil.BuildFlags{}
+	build := &cliutil.BuildFlags{ConfigName: "B"}
 	build.RegisterBuild(flag.CommandLine)
 	common := cliutil.New("ipra-loadgen")
 	common.Register(flag.CommandLine)
@@ -49,6 +51,9 @@ func main() {
 	if err != nil {
 		common.Fatal(err)
 	}
+	if !cfg.WantProfile {
+		common.Fatal(fmt.Errorf("configuration %s estimates its call counts; the fleet scenario needs a profiled configuration (B or F)", cfg.Name))
+	}
 	pcfg := progen.Config{
 		Seed: *seed, Modules: *modules, ProcsPerModule: *procs, Globals: *globals,
 		SubsystemSize: 6, Recursion: true, Statics: true, LoopIters: 2,
@@ -59,7 +64,7 @@ func main() {
 		}
 	}
 	p := profilesParams{
-		addr: *addr, config: cfg.Name, strategy: cfg.Strategy, trainInstrs: build.TrainInstrs,
+		addr: *addr, config: cfg.Name, strategy: cfg.Strategy,
 		pcfg: pcfg, mods: progen.Generate(pcfg), label: *label, out: *out,
 		generations: *generations, genRuns: *genRuns,
 		exe: build.ExePath, snapOut: *snapOut, srcOut: *srcOut,

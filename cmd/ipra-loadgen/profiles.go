@@ -2,13 +2,13 @@
 // daemon, the harness behind BENCH_profagg.json and the profagg-smoke CI
 // job.
 //
-//	ipra-loadgen -addr unix:/tmp/ipra.sock -config B \
+//	ipra-loadgen -addr unix:/tmp/ipra.sock \
 //	    -generations 2 -gen-runs 4 -label profagg-fleet -o BENCH_profagg.json
 //
 // The scenario: build the program under a profiled configuration (the
 // daemon trains and registers a drift model), run the served binary on
-// the simulator and stream the measured counts back as stable fleet
-// generations (none may trigger a re-analysis), then stream one
+// the simulator and post the measured counts back as stable fleet
+// generations (none may trigger a re-analysis), then post one
 // generation synthesized under a phase-shifted distribution heavy enough
 // to move the aggregate mean (exactly one re-analysis must fire). The
 // retrained executable, the aggregate snapshot, and the program sources
@@ -38,7 +38,6 @@ type profilesParams struct {
 	addr        string
 	config      string
 	strategy    string
-	trainInstrs uint64
 	pcfg        progen.Config
 	mods        []progen.Module
 	label       string
@@ -89,16 +88,16 @@ type profilesReport struct {
 	WallSec                float64 `json:"wallSec"`
 }
 
-// runOnce executes a served executable once on the simulator with edge
-// profiling and returns the measured profile and cycle count.
-func runOnce(exe []byte, budget uint64) (*parv.Profile, uint64, error) {
+// runOnce executes a served executable once on the simulator, as mvm
+// does, with edge profiling and returns the measured profile and cycles.
+func runOnce(exe []byte) (*parv.Profile, uint64, error) {
 	decoded, err := parv.DecodeExecutable(exe)
 	if err != nil {
 		return nil, 0, fmt.Errorf("decode executable: %w", err)
 	}
 	vm := parv.NewVM(decoded)
 	vm.ProfileEdges = true
-	if _, err := vm.Run(budget); err != nil {
+	if _, err := vm.Run(0); err != nil {
 		return nil, 0, fmt.Errorf("simulator run: %w", err)
 	}
 	return vm.Profile(), vm.Stats.Cycles, nil
@@ -125,7 +124,7 @@ func runProfiles(p profilesParams) error {
 	for i, m := range p.mods {
 		srcs[i] = served.Source{Name: m.Name, Text: m.Text}
 	}
-	req := &served.BuildRequest{Config: p.config, Strategy: p.strategy, Sources: srcs, TrainInstrs: p.trainInstrs}
+	req := &served.BuildRequest{Config: p.config, Strategy: p.strategy, Sources: srcs}
 	program := req.ProgramKey()
 
 	before, err := client.Stats(ctx)
@@ -138,23 +137,20 @@ func runProfiles(p profilesParams) error {
 	if err != nil {
 		return fmt.Errorf("training build: %w", err)
 	}
-	if trained.DirectiveHash == "" {
-		return fmt.Errorf("config %s returned no directive hash; ipra-loadgen needs a profiled configuration (B or F)", p.config)
-	}
 
 	// The fleet: run the served binary, stream the measured counts back
 	// in stable generations. None of these may trigger a re-analysis.
-	stableProf, cyclesTrained, err := runOnce(trained.Exe, p.trainInstrs)
+	stableProf, cyclesTrained, err := runOnce(trained.Exe)
 	if err != nil {
 		return err
 	}
-	// Records carry the toolchain fingerprint the daemon stamps on its
-	// state, or they are rejected.
+	// Generations carry the toolchain fingerprint the daemon stamps on
+	// its state, or they are rejected.
 	fingerprint := before.Fingerprint
 	for gen := 0; gen < p.generations; gen++ {
-		rec := profagg.NewRecord(fingerprint, program, trained.DirectiveHash)
-		rec.AddRuns(stableProf, p.genRuns)
-		ir, err := client.IngestProfile(ctx, rec.Encode())
+		stable := profagg.NewAggregate(fingerprint, program, trained.DirectiveHash)
+		stable.AddRuns(stableProf, p.genRuns)
+		ir, err := client.IngestProfile(ctx, stable.Encode())
 		if err != nil {
 			return fmt.Errorf("stable generation %d: %w", gen, err)
 		}
@@ -168,7 +164,7 @@ func runProfiles(p profilesParams) error {
 
 	// The workload shift: one generation synthesized under the rotated
 	// hot set, weighted to dominate the aggregate mean.
-	shifted := profagg.NewRecord(fingerprint, program, trained.DirectiveHash)
+	shifted := profagg.NewAggregate(fingerprint, program, trained.DirectiveHash)
 	shifted.AddRuns(progen.SynthesizeProfile(p.pcfg, 1), 8*uint64(p.generations)*p.genRuns)
 	ir, err := client.IngestProfile(ctx, shifted.Encode())
 	if err != nil {
@@ -186,7 +182,7 @@ func runProfiles(p profilesParams) error {
 	if err != nil {
 		return fmt.Errorf("post-retrain build: %w", err)
 	}
-	_, cyclesRetrained, err := runOnce(retrained.Exe, p.trainInstrs)
+	_, cyclesRetrained, err := runOnce(retrained.Exe)
 	if err != nil {
 		return err
 	}

@@ -6,10 +6,10 @@
 //	ipra-served -socket /tmp/ipra.sock -state ~/.ipra-served &
 //	mcc -remote unix:/tmp/ipra.sock -config C -exe prog.exe src/*.mc
 //
-// Identical concurrent requests share one build (single-flight), repeat
-// requests are served from an in-memory result cache, and distinct
-// requests pass a bounded admission queue — beyond -concurrency running
-// plus -queue waiting, clients get 503 with a Retry-After hint. Every
+// Identical requests share one build through one in-memory table of
+// running and finished builds (-result-cache), and distinct requests
+// pass a bounded admission queue — beyond -concurrency running plus
+// -queue waiting, clients get 503 with a Retry-After hint. Every
 // cache is guarded by the toolchain fingerprint, so a daemon built from
 // different compiler sources re-validates and rebuilds rather than
 // serving stale artifacts. SIGINT/SIGTERM drain gracefully: in-flight
@@ -38,12 +38,10 @@ func main() {
 		stateDir    = flag.String("state", "", "root directory for per-program incremental build state (empty: stateless in-memory builds)")
 		concurrency = flag.Int("concurrency", 0, "max concurrent builds (0 = one per CPU)")
 		queue       = flag.Int("queue", 0, "max builds waiting for a slot before 503 (0 = 4x concurrency)")
-		cacheSize   = flag.Int("result-cache", 128, "in-memory result cache entries (negative disables)")
+		cacheSize   = flag.Int("result-cache", 128, "in-memory result cache entries, running builds included")
 		profProgs   = flag.Int("profile-programs", 0, "max in-memory per-program profile aggregates (0 = 128)")
 		drainWait   = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight builds")
 	)
-	build := &cliutil.BuildFlags{}
-	build.RegisterTraining(flag.CommandLine)
 	common := cliutil.New("ipra-served")
 	common.Register(flag.CommandLine)
 	flag.Parse()
@@ -58,7 +56,6 @@ func main() {
 		Jobs:               common.Jobs,
 		ResultCacheEntries: *cacheSize,
 		ProfilePrograms:    *profProgs,
-		TrainInstrs:        build.TrainInstrs,
 		Tracer:             common.Tracer(),
 		Log:                os.Stderr,
 	})

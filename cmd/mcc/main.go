@@ -33,7 +33,8 @@
 // program database, phase 2 compiles at plain level-2 optimization. The
 // incremental mode runs the analyzer itself (-config picks the Table 4
 // configuration) and guarantees output byte-identical to a clean build;
-// -explain prints why each module was or wasn't rebuilt.
+// -explain prints why each module was or wasn't rebuilt. B and F train on
+// one run of the program, stopped at 100 M instructions.
 package main
 
 import (
@@ -240,11 +241,10 @@ func runRemote(ctx context.Context, files []string, addr string, build *cliutil.
 	client.Retries = 4
 
 	req := &served.BuildRequest{
-		Config:      cfg.Name,
-		Strategy:    cfg.Strategy,
-		Sources:     make([]served.Source, len(sources)),
-		TrainInstrs: build.TrainInstrs,
-		Verify:      common.Verify,
+		Config:   cfg.Name,
+		Strategy: cfg.Strategy,
+		Sources:  make([]served.Source, len(sources)),
+		Verify:   common.Verify,
 	}
 	for i, s := range sources {
 		req.Sources[i] = served.Source{Name: s.Name, Text: string(s.Text)}
@@ -302,7 +302,7 @@ func runIncremental(ctx context.Context, files []string, buildDir, snapPath stri
 		return err
 	}
 
-	opts := []ipra.BuildOption{ipra.WithBuildDir(buildDir), ipra.WithProfile(build.TrainInstrs)}
+	opts := []ipra.BuildOption{ipra.WithBuildDir(buildDir)}
 	if snapPath != "" {
 		prof, err := cliutil.ReadSnapshot(snapPath)
 		if err != nil {

@@ -2,8 +2,8 @@
 // reports the execution statistics the paper's evaluation uses: total
 // cycles (no cache model), instructions, memory references, and singleton
 // memory references. With -profile it also writes the run's gprof-style
-// call-edge counts as a one-run profile snapshot (the profagg-snapshot
-// format ipra-served aggregates into), which ipra-analyze -profile and
+// call-edge counts as a one-run profile snapshot (the profagg-snapshot,
+// ipra-served's one profile artifact), which ipra-analyze -profile and
 // mcc -profile-snapshot read.
 //
 //	mvm [-profile prof.snap] [-disasm] prog.exe
@@ -60,7 +60,7 @@ func main() {
 	if *profileOut != "" {
 		// One run of no served program: no program key or directive hash.
 		agg := profagg.NewAggregate(ipra.ToolchainFingerprint(), "", "")
-		agg.Merge(&profagg.Record{Runs: 1, Edges: vm.Profile().Edges})
+		agg.AddRuns(vm.Profile(), 1)
 		if err := os.WriteFile(*profileOut, agg.Encode(), 0o644); err != nil {
 			fatal(err)
 		}

@@ -9,6 +9,7 @@
 package cliutil
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -138,29 +139,26 @@ func WriteFile(path string, write func(io.Writer) error) error {
 }
 
 // BuildFlags is the shared whole-program-build flag block: configuration
-// preset selection, training budget, and executable output path. Every
+// preset selection, allocation strategy, and executable output path. Every
 // command that drives a full build — mcc's incremental and remote modes,
 // ipra-loadgen — registers this one block, so the preset table, defaults,
 // and help text can never drift between tools (the preset list itself
 // lives in the ipra registry; nothing here hand-maintains a copy).
 type BuildFlags struct {
-	// ConfigName is the -config value: L2 or Table 4 column A-F.
+	// ConfigName is the -config value: L2 or Table 4 column A-F. Its
+	// value at RegisterBuild is the flag's default; empty means C.
 	ConfigName string
 	// StrategyName is the -strategy value: an allocation strategy, or ""
 	// for the preset's default (priority coloring).
 	StrategyName string
-	// TrainInstrs is the -train-instrs value: the instruction budget of
-	// the training run of profiled configurations (B, F).
-	TrainInstrs uint64
 	// ExePath is the -exe value; each tool defines its own default.
 	ExePath string
 }
 
 // RegisterBuild installs the shared build flags on fs.
 func (b *BuildFlags) RegisterBuild(fs *flag.FlagSet) {
-	fs.StringVar(&b.ConfigName, "config", "C", "build configuration: L2 or Table 4 column A-F ("+strings.Join(ipra.PresetNames(), ", ")+")")
+	fs.StringVar(&b.ConfigName, "config", cmp.Or(b.ConfigName, "C"), "build configuration: L2 or Table 4 column A-F ("+strings.Join(ipra.PresetNames(), ", ")+")")
 	b.RegisterStrategy(fs)
-	b.RegisterTraining(fs)
 	fs.StringVar(&b.ExePath, "exe", "", "executable output path")
 }
 
@@ -168,13 +166,6 @@ func (b *BuildFlags) RegisterBuild(fs *flag.FlagSet) {
 // compose it with their own configuration flags.
 func (b *BuildFlags) RegisterStrategy(fs *flag.FlagSet) {
 	fs.StringVar(&b.StrategyName, "strategy", "", "allocation strategy ("+strings.Join(ipra.StrategyNames(), ", ")+"; default "+ipra.DefaultStrategy+")")
-}
-
-// RegisterTraining installs only -train-instrs — for tools (the build
-// daemon) that never pick a configuration themselves but still need the
-// shared training-budget default.
-func (b *BuildFlags) RegisterTraining(fs *flag.FlagSet) {
-	fs.Uint64Var(&b.TrainInstrs, "train-instrs", 100_000_000, "instruction budget for the training run of profiled configurations (B, F)")
 }
 
 // Config resolves the -config preset from the ipra registry and applies

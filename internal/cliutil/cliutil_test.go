@@ -81,27 +81,19 @@ func TestBuildFlagsRejectUnknownConfig(t *testing.T) {
 	}
 }
 
-// TestBuildFlagsTrainingDefault: the training budget default is shared
-// between full registration (clients) and training-only registration
-// (the daemon), so the two can never drift.
-func TestBuildFlagsTrainingDefault(t *testing.T) {
-	full := flag.NewFlagSet("full", flag.ContinueOnError)
-	b1 := &BuildFlags{}
-	b1.RegisterBuild(full)
-	trainOnly := flag.NewFlagSet("train", flag.ContinueOnError)
-	b2 := &BuildFlags{}
-	b2.RegisterTraining(trainOnly)
-	if err := full.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := trainOnly.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if b1.TrainInstrs != b2.TrainInstrs || b1.TrainInstrs == 0 {
-		t.Errorf("training defaults drifted: full=%d trainOnly=%d", b1.TrainInstrs, b2.TrainInstrs)
-	}
-	if trainOnly.Lookup("config") != nil || trainOnly.Lookup("exe") != nil {
-		t.Error("RegisterTraining leaked client-only flags")
+// TestBuildFlagsConfigDefault: -config defaults to C, or to the
+// configuration a tool set before registering (ipra-loadgen's B).
+func TestBuildFlagsConfigDefault(t *testing.T) {
+	for _, c := range []struct{ preset, want string }{{"", "C"}, {"B", "B"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		b := &BuildFlags{ConfigName: c.preset}
+		b.RegisterBuild(fs)
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err := b.Config(); err != nil || cfg.Name != c.want {
+			t.Errorf("preset %q: resolved %q (%v), want %s", c.preset, cfg.Name, err, c.want)
+		}
 	}
 }
 
@@ -134,7 +126,7 @@ int main() {
 	}
 	write := func(fingerprint string) string {
 		agg := profagg.NewAggregate(fingerprint, "", "")
-		agg.Merge(&profagg.Record{Runs: 1, Edges: want.Edges})
+		agg.AddRuns(want, 1)
 		path := filepath.Join(t.TempDir(), "prof.snap")
 		if err := os.WriteFile(path, agg.Encode(), 0o644); err != nil {
 			t.Fatal(err)

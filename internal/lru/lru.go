@@ -1,6 +1,6 @@
 // Package lru is the one least-recently-used map behind every bounded
 // cache in the system: the phase-1 record cache, the build daemon's
-// result cache and the profile-aggregation store's per-program states.
+// request table and the profile-aggregation store's per-program states.
 //
 // A Cache is not safe for concurrent use; each owner guards it with the
 // mutex that already protects the rest of its state.

@@ -89,9 +89,7 @@ func TestDriftModelPhaseShift(t *testing.T) {
 
 	// A fleet of identical runs aggregates to exactly the trained profile.
 	agg := profagg.NewAggregate("fp", "prog", m.DirectiveHash)
-	rec := profagg.NewRecord("fp", "prog", m.DirectiveHash)
-	rec.AddRuns(trained, 5)
-	agg.Merge(rec)
+	agg.AddRuns(trained, 5)
 	if m.Drifted(agg.MeanProfile()) {
 		t.Fatal("aggregate of identical runs reported as drifted")
 	}
@@ -125,9 +123,7 @@ func TestDriftModelSkipsItsOwnProfile(t *testing.T) {
 	o.Strategy = "no-such-strategy"
 	m := profagg.NewDriftModel(prog.sums, o, "directives")
 	agg := profagg.NewAggregate("fp", "prog", m.DirectiveHash)
-	rec := profagg.NewRecord("fp", "prog", m.DirectiveHash)
-	rec.AddRuns(trained, 5)
-	agg.Merge(rec)
+	agg.AddRuns(trained, 5)
 	if m.Drifted(trained) || m.Drifted(agg.MeanProfile()) {
 		t.Error("the model's own profile was analyzed")
 	}
@@ -188,7 +184,7 @@ func TestStoreRetrainLifecycle(t *testing.T) {
 
 	// Two stable generations: merged, checked, no drift.
 	for gen := 0; gen < 2; gen++ {
-		r := profagg.NewRecord("fp", key, dh0)
+		r := profagg.NewAggregate("fp", key, dh0)
 		r.AddRuns(trained, 4)
 		res, err := s.Ingest(r)
 		if err != nil || !res.Accepted {
@@ -200,7 +196,7 @@ func TestStoreRetrainLifecycle(t *testing.T) {
 	}
 
 	// A shifted generation heavy enough to move the mean trips the check.
-	heavy := profagg.NewRecord("fp", key, dh0)
+	heavy := profagg.NewAggregate("fp", key, dh0)
 	heavy.AddRuns(shifted(driftCfg.Seed, 1), 64)
 	res, err := s.Ingest(heavy)
 	if err != nil || !res.Accepted || !res.Drifted {
@@ -238,12 +234,12 @@ func TestStoreRetrainLifecycle(t *testing.T) {
 	}
 
 	// Fleet binaries from the retrained build stamp the new hash.
-	next := profagg.NewRecord("fp", key, dh1)
+	next := profagg.NewAggregate("fp", key, dh1)
 	next.AddRuns(prof, 4)
 	if res, _ := s.Ingest(next); !res.Accepted {
 		t.Fatalf("post-retrain record rejected: %+v", res)
 	}
-	old := profagg.NewRecord("fp", key, dh0)
+	old := profagg.NewAggregate("fp", key, dh0)
 	old.AddRuns(trained, 1)
 	if res, _ := s.Ingest(old); res.Accepted || res.Reason != profagg.ReasonStaleDirectives {
 		t.Fatalf("pre-retrain record accepted: %+v", res)

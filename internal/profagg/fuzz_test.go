@@ -9,11 +9,12 @@ import (
 	"ipra/internal/progen"
 )
 
-// profiledArtifacts returns the bytes a daemon takes in for a profiled
-// build of a small generated program: a fleet record of its training
-// profile, as POST /v1/profile receives it, and the snapshot of an
-// aggregate that merged it, as the daemon reads it back from disk.
-func profiledArtifacts(f *testing.F) (record, snapshot []byte) {
+// profiledSnapshots returns the bytes a daemon takes in for a profiled
+// build of a small generated program: one generation of its training
+// profile, as POST /v1/profile receives it, and an aggregate that merged
+// two such generations and retrained, as the daemon reads it back from
+// disk.
+func profiledSnapshots(f *testing.F) (generation, merged []byte) {
 	f.Helper()
 	mods := progen.Generate(progen.Config{Seed: 7, Modules: 3, ProcsPerModule: 5, Globals: 12,
 		SubsystemSize: 3, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 1})
@@ -25,47 +26,24 @@ func profiledArtifacts(f *testing.F) (record, snapshot []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec := NewRecord(ipra.ToolchainFingerprint(), "0123456789abcdef", res.Program.DB.Hash())
-	rec.AddRuns(res.Train.Profile, 4)
-	agg := NewAggregate(rec.Fingerprint, rec.Program, rec.DirectiveHash)
-	agg.Merge(rec)
-	agg.Merge(rec)
+	gen := NewAggregate(ipra.ToolchainFingerprint(), "0123456789abcdef", res.Program.DB.Hash())
+	gen.AddRuns(res.Train.Profile, 4)
+	agg := NewAggregate(gen.Fingerprint, gen.Program, gen.DirectiveHash)
+	agg.Merge(gen)
+	agg.Merge(gen)
 	agg.Retrained = true
-	return rec.Encode(), agg.Encode()
-}
-
-// FuzzProfileRecordDecode: any bytes decode to a record or an error,
-// never a panic. An accepted record re-encodes to one that decodes equal,
-// and a store ingests it without a panic.
-func FuzzProfileRecordDecode(f *testing.F) {
-	record, snapshot := profiledArtifacts(f)
-	f.Add(record)
-	f.Add(record[:len(record)/2])
-	f.Add(snapshot)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeRecord(data)
-		if err != nil {
-			return
-		}
-		again, err := DecodeRecord(rec.Encode())
-		if err != nil {
-			t.Fatalf("re-decode of an accepted record failed: %v", err)
-		}
-		if !reflect.DeepEqual(again, rec) {
-			t.Fatal("an accepted record does not round-trip")
-		}
-		New(Options{Fingerprint: rec.Fingerprint}).Ingest(rec)
-	})
+	return gen.Encode(), agg.Encode()
 }
 
 // FuzzAggregateDecode: any bytes decode to an aggregate or an error,
 // never a panic. An accepted aggregate re-encodes to one that decodes
-// equal, and yields its mean profile and hash without a panic.
+// equal, yields its mean profile and hash, and a store ingests it,
+// without a panic.
 func FuzzAggregateDecode(f *testing.F) {
-	record, snapshot := profiledArtifacts(f)
-	f.Add(snapshot)
-	f.Add(snapshot[:len(snapshot)/2])
-	f.Add(record)
+	generation, merged := profiledSnapshots(f)
+	f.Add(generation)
+	f.Add(generation[:len(generation)/2])
+	f.Add(merged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agg, err := DecodeAggregate(data)
 		if err != nil {
@@ -80,5 +58,6 @@ func FuzzAggregateDecode(f *testing.F) {
 		}
 		agg.MeanProfile()
 		agg.Hash()
+		New(Options{Fingerprint: agg.Fingerprint}).Ingest(agg)
 	})
 }

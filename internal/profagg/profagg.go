@@ -1,14 +1,15 @@
 // Package profagg is the fleet-scale profile-aggregation service behind
-// ipra-served's /v1/profile endpoint: it ingests wire-encoded call-edge
-// count records from many VM runs, merges them into per-program aggregate
-// counters with a persisted snapshot in the program's build directory,
-// and detects profile drift — the point where the aggregated counts would
-// change the program database — so re-analysis is triggered only when it
-// changes the allocation.
+// ipra-served's /v1/profile endpoint: it merges the call-edge counts of
+// many VM runs, posted as snapshots of one generation each, into
+// per-program aggregates persisted as snapshots in the program's build
+// directory, and detects profile drift — the point where the aggregated
+// counts would change the program database — so re-analysis is triggered
+// only when it changes the allocation. The snapshot, an encoded
+// Aggregate, is the one profile artifact; mvm -profile writes one run.
 //
-// Versioning: every record carries the producing binary's toolchain
-// fingerprint and the directive hash of the program database it was
-// compiled against. Records from a stale binary (either mismatch) are
+// Versioning: every posted aggregate carries the producing binary's
+// toolchain fingerprint and the directive hash of the program database it
+// was compiled against. Counts from a stale binary (either mismatch) are
 // rejected rather than merged; mixing counts measured under different
 // allocations would corrupt the aggregate, because the directives change
 // which procedures pay save/restore traffic.
@@ -30,17 +31,16 @@ import (
 	"ipra/internal/wire"
 )
 
-// Wire kinds and versions of the two profagg artifacts.
+// The wire kind and version of the one profagg artifact, an Aggregate.
 const (
-	recordKind      = "profagg-record"
-	recordVersion   = 1
 	snapshotKind    = "profagg-snapshot"
 	snapshotVersion = 1
 )
 
-// Record is one ingest unit: the call-edge counts of one or more runs of
-// one program binary, stamped with the identity of what produced them.
-type Record struct {
+// Aggregate is call-edge counts summed over runs of one program binary,
+// stamped with what produced them: one posted generation, or the merged
+// state of every generation the daemon accepted for the program.
+type Aggregate struct {
 	// Fingerprint is ipra.ToolchainFingerprint() of the binary's builder.
 	Fingerprint string
 	// Program is the served program key (config + strategy + module set)
@@ -50,16 +50,21 @@ type Record struct {
 	// profiled binary came from; it pins the allocation the counts were
 	// measured under.
 	DirectiveHash string
-	// Runs is how many VM runs are summed into Edges (clients batch one
-	// generation of runs per record, statsd-style).
-	Runs uint64
+	// Runs counts the VM runs summed into Edges; Records the generations
+	// (a client batches one generation of runs per post, statsd-style).
+	Runs, Records uint64
+	// Retrained marks that the current allocation was re-analyzed from
+	// this aggregate (rather than from a single training run); a daemon
+	// restart resumes serving the aggregated allocation. It is the
+	// daemon's own state: a posted aggregate's flag is ignored.
+	Retrained bool
 	// Edges are the summed call-edge counts.
 	Edges map[parv.EdgeKey]uint64
 }
 
-// NewRecord starts a record for the identified program binary.
-func NewRecord(fingerprint, program, directiveHash string) *Record {
-	return &Record{
+// NewAggregate starts an empty aggregate for the identified program.
+func NewAggregate(fingerprint, program, directiveHash string) *Aggregate {
+	return &Aggregate{
 		Fingerprint:   fingerprint,
 		Program:       program,
 		DirectiveHash: directiveHash,
@@ -67,13 +72,24 @@ func NewRecord(fingerprint, program, directiveHash string) *Record {
 	}
 }
 
-// AddRuns folds a profile representing runs identical runs — one run's
-// profile with runs 1, or a synthetic or batched generation without
-// materializing every run.
-func (r *Record) AddRuns(p *parv.Profile, runs uint64) {
-	r.Runs += runs
+// AddRuns folds in one generation: a profile representing runs identical
+// runs — one run's profile with runs 1, or a synthetic or batched
+// generation without materializing every run.
+func (a *Aggregate) AddRuns(p *parv.Profile, runs uint64) {
+	a.Runs += runs
+	a.Records++
 	for k, n := range p.Edges {
-		r.Edges[k] += n * runs
+		a.Edges[k] += n * runs
+	}
+}
+
+// Merge folds another aggregate's runs, records and counts in. Identity
+// checks happen in the store; Merge just sums.
+func (a *Aggregate) Merge(b *Aggregate) {
+	a.Runs += b.Runs
+	a.Records += b.Records
+	for k, n := range b.Edges {
+		a.Edges[k] += n
 	}
 }
 
@@ -91,96 +107,6 @@ func sortedEdges(edges map[parv.EdgeKey]uint64) []parv.EdgeKey {
 		return keys[i].Callee < keys[j].Callee
 	})
 	return keys
-}
-
-func encodeEdges(e *wire.Encoder, edges map[parv.EdgeKey]uint64) {
-	keys := sortedEdges(edges)
-	e.U(uint64(len(keys)))
-	for _, k := range keys {
-		e.Str(k.Caller)
-		e.Str(k.Callee)
-		e.U(edges[k])
-	}
-}
-
-func decodeEdges(d *wire.Decoder) map[parv.EdgeKey]uint64 {
-	n := d.Count(3)
-	edges := make(map[parv.EdgeKey]uint64, n)
-	for i := 0; i < n; i++ {
-		caller := d.Str()
-		callee := d.Str()
-		edges[parv.EdgeKey{Caller: caller, Callee: callee}] = d.U()
-	}
-	return edges
-}
-
-// Encode serializes the record in the profagg-record wire format.
-func (r *Record) Encode() []byte {
-	e := wire.NewEncoder(recordKind, recordVersion)
-	e.Str(r.Fingerprint)
-	e.Str(r.Program)
-	e.Str(r.DirectiveHash)
-	e.U(r.Runs)
-	encodeEdges(e, r.Edges)
-	return e.Finish()
-}
-
-// DecodeRecord parses one wire-encoded record.
-func DecodeRecord(data []byte) (*Record, error) {
-	d, err := wire.NewDecoder(data, recordKind, recordVersion)
-	if err != nil {
-		return nil, err
-	}
-	r := &Record{
-		Fingerprint:   d.Str(),
-		Program:       d.Str(),
-		DirectiveHash: d.Str(),
-		Runs:          d.U(),
-	}
-	r.Edges = decodeEdges(d)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	if r.Runs == 0 {
-		return nil, fmt.Errorf("profagg: record carries zero runs")
-	}
-	return r, nil
-}
-
-// Aggregate is the per-program merged state: total counts over every
-// accepted record, plus the identity they are all pinned to.
-type Aggregate struct {
-	Fingerprint   string
-	Program       string
-	DirectiveHash string
-	// Runs counts VM runs merged in; Records counts ingested records
-	// (generations).
-	Runs, Records uint64
-	// Retrained marks that the current allocation was re-analyzed from
-	// this aggregate (rather than from a single training run); a daemon
-	// restart resumes serving the aggregated allocation.
-	Retrained bool
-	Edges     map[parv.EdgeKey]uint64
-}
-
-// NewAggregate starts an empty aggregate for the identified program.
-func NewAggregate(fingerprint, program, directiveHash string) *Aggregate {
-	return &Aggregate{
-		Fingerprint:   fingerprint,
-		Program:       program,
-		DirectiveHash: directiveHash,
-		Edges:         make(map[parv.EdgeKey]uint64),
-	}
-}
-
-// Merge folds one accepted record in. Identity checks happen in the
-// store; Merge just sums.
-func (a *Aggregate) Merge(r *Record) {
-	a.Runs += r.Runs
-	a.Records++
-	for k, n := range r.Edges {
-		a.Edges[k] += n
-	}
 }
 
 // MeanProfile renders the aggregate as a per-run mean profile — the form
@@ -206,8 +132,8 @@ func (a *Aggregate) MeanProfile() *parv.Profile {
 }
 
 // Hash digests the aggregate's content — identity, run totals, and every
-// edge count. It extends the daemon's result-cache and single-flight keys
-// once a program serves from an aggregated allocation, so responses built
+// edge count. It extends the daemon's request-table keys once a program
+// serves from an aggregated allocation, so responses built
 // against different aggregate states never alias.
 func (a *Aggregate) Hash() string {
 	h := sha256.New()
@@ -235,11 +161,17 @@ func (a *Aggregate) Encode() []byte {
 	e.U(a.Runs)
 	e.U(a.Records)
 	e.Bool(a.Retrained)
-	encodeEdges(e, a.Edges)
+	keys := sortedEdges(a.Edges)
+	e.U(uint64(len(keys)))
+	for _, k := range keys {
+		e.Str(k.Caller)
+		e.Str(k.Callee)
+		e.U(a.Edges[k])
+	}
 	return e.Finish()
 }
 
-// DecodeAggregate parses one snapshot.
+// DecodeAggregate parses one snapshot; zero runs is an error.
 func DecodeAggregate(data []byte) (*Aggregate, error) {
 	d, err := wire.NewDecoder(data, snapshotKind, snapshotVersion)
 	if err != nil {
@@ -253,9 +185,18 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 		Records:       d.U(),
 		Retrained:     d.Bool(),
 	}
-	a.Edges = decodeEdges(d)
+	n := d.Count(3)
+	a.Edges = make(map[parv.EdgeKey]uint64, n)
+	for i := 0; i < n; i++ {
+		caller := d.Str()
+		callee := d.Str()
+		a.Edges[parv.EdgeKey{Caller: caller, Callee: callee}] = d.U()
+	}
 	if err := d.Finish(); err != nil {
 		return nil, err
+	}
+	if a.Runs == 0 {
+		return nil, fmt.Errorf("profagg: snapshot carries zero runs")
 	}
 	return a, nil
 }

@@ -24,44 +24,24 @@ func testProfile() *parv.Profile {
 	}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	r := NewRecord("fp1", "prog1", "dh1")
-	r.AddRuns(testProfile(), 1)
-	r.AddRuns(testProfile(), 3)
-	if r.Runs != 4 {
-		t.Fatalf("Runs = %d, want 4", r.Runs)
-	}
-	if got := r.Edges[edge("p0", "p1")]; got != 4*40 {
-		t.Fatalf("batched edge = %d, want %d", got, 4*40)
-	}
-
-	back, err := DecodeRecord(r.Encode())
-	if err != nil {
-		t.Fatalf("DecodeRecord: %v", err)
-	}
-	if !reflect.DeepEqual(r, back) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, r)
-	}
-
-	empty := NewRecord("fp1", "prog1", "dh1")
-	if _, err := DecodeRecord(empty.Encode()); err == nil {
-		t.Fatal("zero-run record decoded without error")
-	}
-	if _, err := DecodeRecord([]byte("garbage")); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
-}
-
 func TestAggregateRoundTrip(t *testing.T) {
 	a := NewAggregate("fp1", "prog1", "dh1")
-	r := NewRecord("fp1", "prog1", "dh1")
-	r.AddRuns(testProfile(), 1)
-	a.Merge(r)
-	a.Merge(r)
-	a.Retrained = true
-	if a.Runs != 2 || a.Records != 2 {
-		t.Fatalf("totals = %d runs / %d records, want 2/2", a.Runs, a.Records)
+	a.AddRuns(testProfile(), 1)
+	a.AddRuns(testProfile(), 3)
+	if a.Runs != 4 || a.Records != 2 {
+		t.Fatalf("totals = %d runs / %d records, want 4/2", a.Runs, a.Records)
 	}
+	if got := a.Edges[edge("p0", "p1")]; got != 4*40 {
+		t.Fatalf("batched edge = %d, want %d", got, 4*40)
+	}
+	merged := NewAggregate("fp1", "prog1", "dh1")
+	merged.Merge(a)
+	merged.Merge(a)
+	if merged.Runs != 8 || merged.Records != 4 || merged.Edges[edge("p0", "p1")] != 8*40 {
+		t.Fatalf("merged totals = %d runs / %d records / %d, want 8/4/%d",
+			merged.Runs, merged.Records, merged.Edges[edge("p0", "p1")], 8*40)
+	}
+	a.Retrained = true
 
 	back, err := DecodeAggregate(a.Encode())
 	if err != nil {
@@ -81,6 +61,13 @@ func TestAggregateRoundTrip(t *testing.T) {
 	back.Edges[edge("p0", "p1")]++
 	if back.Hash() == h {
 		t.Fatal("hash insensitive to an edge count change")
+	}
+
+	if _, err := DecodeAggregate(NewAggregate("fp1", "prog1", "dh1").Encode()); err == nil {
+		t.Fatal("zero-run aggregate decoded without error")
+	}
+	if _, err := DecodeAggregate([]byte("garbage")); err == nil {
+		t.Fatal("garbage decoded without error")
 	}
 }
 
@@ -103,9 +90,7 @@ func TestMeanProfile(t *testing.T) {
 
 	one := testProfile()
 	ident := NewAggregate("fp", "prog", "dh")
-	rec := NewRecord("fp", "prog", "dh")
-	rec.AddRuns(one, 37)
-	ident.Merge(rec)
+	ident.AddRuns(one, 37)
 	if !reflect.DeepEqual(ident.MeanProfile(), one) {
 		t.Fatal("mean over identical runs differs from the single run")
 	}
@@ -115,7 +100,7 @@ func TestStoreIngestGuards(t *testing.T) {
 	tr := telemetry.New()
 	s := New(Options{Fingerprint: "fp", Tracer: tr})
 
-	stale := NewRecord("other-fp", "prog", "dh")
+	stale := NewAggregate("other-fp", "prog", "dh")
 	stale.AddRuns(testProfile(), 1)
 	res, err := s.Ingest(stale)
 	if err != nil {
@@ -125,20 +110,25 @@ func TestStoreIngestGuards(t *testing.T) {
 		t.Fatalf("stale fingerprint accepted: %+v", res)
 	}
 
-	good := NewRecord("fp", "prog", "dh")
+	// A posted Retrained flag is the poster's, not the daemon's state.
+	good := NewAggregate("fp", "prog", "dh")
 	good.AddRuns(testProfile(), 1)
+	good.Retrained = true
 	if res, _ = s.Ingest(good); !res.Accepted || res.Runs != 1 {
-		t.Fatalf("good record not accepted: %+v", res)
+		t.Fatalf("good aggregate not accepted: %+v", res)
+	}
+	if _, _, ok := s.ActiveAggregate("prog"); ok {
+		t.Fatal("a posted Retrained flag activated the aggregate")
 	}
 
-	wrongDir := NewRecord("fp", "prog", "dh-next")
+	wrongDir := NewAggregate("fp", "prog", "dh-next")
 	wrongDir.AddRuns(testProfile(), 1)
 	if res, _ = s.Ingest(wrongDir); res.Accepted || res.Reason != ReasonStaleDirectives {
 		t.Fatalf("stale directives accepted: %+v", res)
 	}
 
 	if _, err := s.Ingest(nil); err == nil {
-		t.Fatal("nil record ingested without error")
+		t.Fatal("nil aggregate ingested without error")
 	}
 	c := tr.Counters()
 	if c["profagg.rejected_stale"] != 2 {
@@ -159,7 +149,7 @@ func TestStoreLRUAndPersistence(t *testing.T) {
 	s := New(Options{Fingerprint: "fp", Dir: dir, MaxPrograms: 2, Tracer: tr})
 
 	for _, prog := range []string{"a", "b", "c", "a"} {
-		r := NewRecord("fp", prog, "dh")
+		r := NewAggregate("fp", prog, "dh")
 		r.AddRuns(testProfile(), 1)
 		if res, err := s.Ingest(r); err != nil || !res.Accepted {
 			t.Fatalf("ingest %s: %v / %+v", prog, err, res)
@@ -184,7 +174,7 @@ func TestStoreLRUAndPersistence(t *testing.T) {
 
 	// A fresh store over the same directory resumes where this one left.
 	s2 := New(Options{Fingerprint: "fp", Dir: dir})
-	r := NewRecord("fp", "b", "dh")
+	r := NewAggregate("fp", "b", "dh")
 	r.AddRuns(testProfile(), 1)
 	res, err := s2.Ingest(r)
 	if err != nil || !res.Accepted {

@@ -18,7 +18,7 @@ const snapshotFile = "profagg.snapshot"
 
 // Options configure a Store.
 type Options struct {
-	// Fingerprint is the daemon's toolchain fingerprint; records stamped
+	// Fingerprint is the daemon's toolchain fingerprint; counts stamped
 	// with any other are rejected as stale.
 	Fingerprint string
 	// Dir maps a program key to its persistent directory (typically the
@@ -54,10 +54,10 @@ type programState struct {
 	meta any
 }
 
-// IngestResult reports what one record did to the aggregate.
+// IngestResult reports what one posted aggregate did to the program's.
 type IngestResult struct {
-	// Accepted is false when the record was rejected as stale; Reason
-	// then carries the machine-readable cause.
+	// Accepted is false when the posted counts were rejected as stale;
+	// Reason then carries the machine-readable cause.
 	Accepted bool
 	Reason   string
 	// Drifted reports that analyzing the program under the post-merge
@@ -141,17 +141,17 @@ func (s *Store) persist(st *programState) {
 	}
 }
 
-// Ingest validates and merges one record, then checks the post-merge
-// aggregate for drift when a model is available. The check runs after the
-// store's lock is released: it is a whole analysis, and other programs'
-// records and every profiled build request take the same lock.
-// Rejections are reported in the result, not as errors; the error path is
-// reserved for malformed input.
-func (s *Store) Ingest(rec *Record) (*IngestResult, error) {
-	if rec == nil || rec.Program == "" {
-		return nil, fmt.Errorf("profagg: record has no program key")
+// Ingest validates and merges one posted aggregate (its Retrained flag is
+// ignored), then checks the post-merge aggregate for drift when a model
+// is available. The check runs after the store's lock is released: it is
+// a whole analysis, and other programs' posts and every profiled build
+// request take the same lock. Rejections are reported in the result, not
+// as errors; the error path is reserved for malformed input.
+func (s *Store) Ingest(posted *Aggregate) (*IngestResult, error) {
+	if posted == nil || posted.Program == "" {
+		return nil, fmt.Errorf("profagg: posted aggregate has no program key")
 	}
-	out, model, mean := s.merge(rec)
+	out, model, mean := s.merge(posted)
 	if model != nil {
 		s.tracer.Add("profagg.drift_checks", 1)
 		if out.Drifted = model.Drifted(mean); out.Drifted {
@@ -161,36 +161,36 @@ func (s *Store) Ingest(rec *Record) (*IngestResult, error) {
 	return out, nil
 }
 
-// merge is Ingest's locked half: it validates and merges rec, persists
+// merge is Ingest's locked half: it validates and merges posted, persists
 // the aggregate, and returns the result plus the model and mean profile
-// to check (nil when the record was rejected or no model is registered).
-func (s *Store) merge(rec *Record) (*IngestResult, *DriftModel, *parv.Profile) {
+// to check (nil when the post was rejected or no model is registered).
+func (s *Store) merge(posted *Aggregate) (*IngestResult, *DriftModel, *parv.Profile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tracer.Add("profagg.records", 1)
 
-	if rec.Fingerprint != s.opts.Fingerprint {
+	if posted.Fingerprint != s.opts.Fingerprint {
 		s.tracer.Add("profagg.rejected_stale", 1)
 		return &IngestResult{Reason: ReasonStaleFingerprint}, nil, nil
 	}
-	st := s.state(rec.Program)
-	expect := rec.DirectiveHash
+	st := s.state(posted.Program)
+	expect := posted.DirectiveHash
 	switch {
 	case st.model != nil:
 		expect = st.model.DirectiveHash
 	case st.agg != nil:
 		expect = st.agg.DirectiveHash
 	}
-	if rec.DirectiveHash != expect {
+	if posted.DirectiveHash != expect {
 		s.tracer.Add("profagg.rejected_stale", 1)
 		return &IngestResult{Reason: ReasonStaleDirectives, ModelReady: st.model != nil}, nil, nil
 	}
 
 	if st.agg == nil {
-		st.agg = NewAggregate(rec.Fingerprint, rec.Program, rec.DirectiveHash)
+		st.agg = NewAggregate(posted.Fingerprint, posted.Program, posted.DirectiveHash)
 	}
-	st.agg.Merge(rec)
-	s.tracer.Add("profagg.runs", int64(rec.Runs))
+	st.agg.Merge(posted)
+	s.tracer.Add("profagg.runs", int64(posted.Runs))
 	s.persist(st)
 
 	out := &IngestResult{

@@ -95,9 +95,18 @@ func TestServedErrorStatusClasses(t *testing.T) {
 		}
 	})
 	t.Run("compile error", func(t *testing.T) {
-		bad := []Source{{Name: "bad.mc", Text: "int main( {"}}
-		expectStatus(t, New(Options{Jobs: 1}), &BuildRequest{Config: "A", Sources: bad},
-			http.StatusUnprocessableEntity, ReasonCompile)
+		// A failed build leaves the request table, so the same request
+		// sent again builds again rather than taking the stored error.
+		srv := New(Options{Jobs: 1})
+		bad := &BuildRequest{Config: "A", Sources: []Source{{Name: "bad.mc", Text: "int main( {"}}}
+		for i := 0; i < 2; i++ {
+			expectStatus(t, srv, bad, http.StatusUnprocessableEntity, ReasonCompile)
+		}
+		c := srv.Counters()
+		if c["served.builds"] != 2 || c["served.result_hits"] != 0 || c["served.dedup_hits"] != 0 {
+			t.Errorf("two sends of a failing request: %d builds, %d result hits, %d dedup hits; want 2/0/0",
+				c["served.builds"], c["served.result_hits"], c["served.dedup_hits"])
+		}
 	})
 	t.Run("internal error", func(t *testing.T) {
 		// A StateDir that is a regular file makes the incremental store's
@@ -192,10 +201,10 @@ func TestClientWaitReadyHonorsContext(t *testing.T) {
 	}
 }
 
-// TestServedResultCacheBound: the result cache holds at most
-// ResultCacheEntries responses and evicts the least recently used one.
-// With room for two of three programs, the first one built is the one
-// rebuilt; with the cache disabled, every request builds.
+// TestServedResultCacheBound: the request table holds at most
+// ResultCacheEntries builds and evicts the least recently used one. With
+// room for two of three programs, the first one built is the one
+// rebuilt.
 func TestServedResultCacheBound(t *testing.T) {
 	request := func(i int) *BuildRequest {
 		src := Source{Name: "m.mc", Text: fmt.Sprintf("int main() { return %d; }", i)}
@@ -230,12 +239,5 @@ func TestServedResultCacheBound(t *testing.T) {
 	}
 	if built, hit := send(srv, 0); !built || hit {
 		t.Errorf("evicted request 0 sent again: built %v, result hit %v; want a rebuild", built, hit)
-	}
-
-	srv = New(Options{Jobs: 1, ResultCacheEntries: -1})
-	for _, i := range []int{0, 0, 1, 1} {
-		if built, hit := send(srv, i); !built || hit {
-			t.Errorf("cache disabled, request %d: built %v, result hit %v; want a build", i, built, hit)
-		}
 	}
 }

@@ -23,10 +23,9 @@ import (
 //	http://host:port     TCP, explicit scheme
 type Client struct {
 	// Retries is how many times Build re-submits after a queue-full 503,
-	// honoring the server's Retry-After hint; 0 means fail fast.
+	// honoring the server's Retry-After hint up to retryCap; 0 means fail
+	// fast.
 	Retries int
-	// RetryCap bounds one Retry-After wait; 0 means 5s.
-	RetryCap time.Duration
 
 	baseURL string
 	http    *http.Client
@@ -130,13 +129,12 @@ func decodeStatusError(resp *http.Response) error {
 	return se
 }
 
+// retryCap bounds one Retry-After wait of Build.
+const retryCap = 5 * time.Second
+
 // Build submits one build request, retrying queue-full rejections up to
 // c.Retries times with the server's Retry-After backoff.
 func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
-	retryCap := c.RetryCap
-	if retryCap <= 0 {
-		retryCap = 5 * time.Second
-	}
 	body := req.encode()
 	for attempt := 0; ; attempt++ {
 		data, err := c.roundTrip(ctx, http.MethodPost, "/v1/build", body)
@@ -151,9 +149,7 @@ func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 		if wait <= 0 {
 			wait = 250 * time.Millisecond
 		}
-		if wait > retryCap {
-			wait = retryCap
-		}
+		wait = min(wait, retryCap)
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
@@ -162,10 +158,11 @@ func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	}
 }
 
-// IngestProfile streams one wire-encoded fleet record to the daemon and
-// returns its drift verdict.
-func (c *Client) IngestProfile(ctx context.Context, record []byte) (*ProfileIngestResponse, error) {
-	data, err := c.roundTrip(ctx, http.MethodPost, "/v1/profile", record)
+// IngestProfile posts one wire-encoded profile snapshot (a fleet
+// generation's profagg.Aggregate) to the daemon and returns its drift
+// verdict.
+func (c *Client) IngestProfile(ctx context.Context, snapshot []byte) (*ProfileIngestResponse, error) {
+	data, err := c.roundTrip(ctx, http.MethodPost, "/v1/profile", snapshot)
 	if err != nil {
 		return nil, err
 	}

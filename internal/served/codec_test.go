@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"ipra/internal/wire"
 )
 
 // codecRequests cover every BuildRequest field, each at its zero value in
@@ -19,7 +21,7 @@ import (
 func codecRequests() []*BuildRequest {
 	return []*BuildRequest{
 		{Config: "L2", Sources: []Source{{Name: "m.mc", Text: "int main() { return 0; }"}}},
-		{Config: "B", Strategy: "tiling", TrainInstrs: 5_000_000, Verify: true, Trace: true,
+		{Config: "B", Strategy: "tiling", Verify: true, Trace: true,
 			Sources: []Source{
 				{Name: "a.mc", Text: "int f() { return 1; }\n"},
 				{Name: "empty.mc", Text: ""},
@@ -185,9 +187,10 @@ func FuzzBuildResponseDecode(f *testing.F) {
 }
 
 // TestServedRejectsJSONAndTruncatedBodies: /v1/build reads only a
-// build-request artifact. A JSON body, which a client from before the
-// wire codec sends, and a truncated artifact each come back through the
-// Client as 400 bad-request, and neither reaches admission.
+// build-request v2 artifact. A JSON body, which a client from before the
+// wire codec sends, a v1 artifact, which carried a training-run budget,
+// and a truncated artifact each come back through the Client as 400
+// bad-request naming the fault, and none reaches admission.
 func TestServedRejectsJSONAndTruncatedBodies(t *testing.T) {
 	srv := stubbedServer()
 	ts := httptest.NewServer(srv.Handler())
@@ -197,17 +200,32 @@ func TestServedRejectsJSONAndTruncatedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := codecRequests()[0].encode()
-	for name, body := range map[string][]byte{
-		"json":      []byte(jsonBuildBody),
-		"truncated": whole[:len(whole)-1],
+	// The v1 layout: config, strategy, budget, verify, trace, sources.
+	v1 := wire.NewEncoder(buildRequestKind, 1)
+	v1.Str("L2")
+	v1.Str("")
+	v1.U(100_000_000)
+	v1.Bool(false)
+	v1.Bool(false)
+	v1.U(1)
+	v1.Str("m.mc")
+	v1.Text("int main() { return 0; }")
+	for name, c := range map[string]struct {
+		body []byte
+		want string
+	}{
+		"json":      {[]byte(jsonBuildBody), "not a wire file"},
+		"v1":        {v1.Finish(), "older version (got v1, want v2)"},
+		"truncated": {whole[:len(whole)-1], "wire:"},
 	} {
-		_, err := client.roundTrip(context.Background(), http.MethodPost, "/v1/build", body)
-		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusBadRequest || se.Reason != ReasonBadRequest {
-			t.Errorf("%s body: got %v, want a 400 %q StatusError", name, err, ReasonBadRequest)
+		_, err := client.roundTrip(context.Background(), http.MethodPost, "/v1/build", c.body)
+		se, ok := err.(*StatusError)
+		if !ok || se.Code != http.StatusBadRequest || se.Reason != ReasonBadRequest || !strings.Contains(se.Message, c.want) {
+			t.Errorf("%s body: got %v, want a 400 %q StatusError naming %q", name, err, ReasonBadRequest, c.want)
 		}
 	}
 	if n := srv.Counters()["served.requests"]; n != 0 {
-		t.Errorf("served.requests = %d after two malformed bodies, want 0", n)
+		t.Errorf("served.requests = %d after three malformed bodies, want 0", n)
 	}
 	if _, err := client.Build(context.Background(), codecRequests()[0]); err != nil {
 		t.Errorf("a well-formed request after them: %v", err)

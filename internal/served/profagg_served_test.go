@@ -14,6 +14,7 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/profagg"
 	"ipra/internal/progen"
+	"ipra/internal/wire"
 )
 
 // runExe decodes a served executable and runs it on the simulator with
@@ -26,7 +27,7 @@ func runExe(t *testing.T, exe []byte) *parv.Profile {
 	}
 	vm := parv.NewVM(decoded)
 	vm.ProfileEdges = true
-	if _, err := vm.Run(testTrainInstrs); err != nil {
+	if _, err := vm.Run(0); err != nil {
 		t.Fatalf("vm run: %v", err)
 	}
 	return vm.Profile()
@@ -34,7 +35,7 @@ func runExe(t *testing.T, exe []byte) *parv.Profile {
 
 // TestProfileDriftEndToEnd drives the whole aggregation pipeline over
 // HTTP: a profiled build trains the drift model, stable generations of
-// fleet records merge without triggering anything, a shifted generation
+// fleet counts merge without triggering anything, a shifted generation
 // moves the program's directives and provokes exactly one re-analysis,
 // and the retrained executable the daemon then serves is byte-identical
 // to a clean local build on the aggregate's mean profile.
@@ -49,7 +50,7 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	srcs := testSources(t)
-	req := &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs}
+	req := &BuildRequest{Config: "B", Sources: srcs}
 	program := req.ProgramKey()
 
 	resp, err := client.Build(ctx, req)
@@ -64,9 +65,9 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	// streams back counts that match the training run.
 	stable := runExe(t, resp.Exe)
 	for gen := 0; gen < 2; gen++ {
-		rec := profagg.NewRecord(srv.Fingerprint(), program, resp.DirectiveHash)
-		rec.AddRuns(stable, 4)
-		ir, err := client.IngestProfile(ctx, rec.Encode())
+		counts := profagg.NewAggregate(srv.Fingerprint(), program, resp.DirectiveHash)
+		counts.AddRuns(stable, 4)
+		ir, err := client.IngestProfile(ctx, counts.Encode())
 		if err != nil {
 			t.Fatalf("stable gen %d: %v", gen, err)
 		}
@@ -79,7 +80,7 @@ func TestProfileDriftEndToEnd(t *testing.T) {
 	}
 
 	// A workload shift: one generation heavy enough to move the mean.
-	shifted := profagg.NewRecord(srv.Fingerprint(), program, resp.DirectiveHash)
+	shifted := profagg.NewAggregate(srv.Fingerprint(), program, resp.DirectiveHash)
 	shifted.AddRuns(progen.SynthesizeProfile(testProgram, 1), 64)
 	ir, err := client.IngestProfile(ctx, shifted.Encode())
 	if err != nil {
@@ -151,7 +152,7 @@ func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
 	srv := New(Options{Jobs: 2})
 	ctx := context.Background()
 	srcs := testSources(t)
-	req := &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs}
+	req := &BuildRequest{Config: "B", Sources: srcs}
 	resp, err := srv.Build(ctx, req)
 	if err != nil {
 		t.Fatalf("training build: %v", err)
@@ -161,9 +162,9 @@ func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
 		phase int
 		runs  uint64
 	}{{1, 64}, {2, 128}} {
-		rec := profagg.NewRecord(srv.Fingerprint(), req.ProgramKey(), hash)
-		rec.AddRuns(progen.SynthesizeProfile(testProgram, shift.phase), shift.runs)
-		ir, err := srv.IngestProfile(ctx, rec)
+		gen := profagg.NewAggregate(srv.Fingerprint(), req.ProgramKey(), hash)
+		gen.AddRuns(progen.SynthesizeProfile(testProgram, shift.phase), shift.runs)
+		ir, err := srv.IngestProfile(ctx, gen)
 		if err != nil || !ir.Reanalyzed {
 			t.Fatalf("phase %d: %+v, %v; want a re-analysis", shift.phase, ir, err)
 		}
@@ -171,7 +172,7 @@ func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := srv.Build(ctx, &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs})
+		fresh, err := srv.Build(ctx, &BuildRequest{Config: "B", Sources: srcs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
 func TestProfileModelSurvivesUnprofiledBuilds(t *testing.T) {
 	srv := New(Options{Jobs: 1, ProfilePrograms: 2})
 	ctx := context.Background()
-	req := &BuildRequest{Config: "B", Sources: testSources(t), TrainInstrs: testTrainInstrs}
+	req := &BuildRequest{Config: "B", Sources: testSources(t)}
 	resp, err := srv.Build(ctx, req)
 	if err != nil {
 		t.Fatalf("training build: %v", err)
@@ -201,23 +202,25 @@ func TestProfileModelSurvivesUnprofiledBuilds(t *testing.T) {
 			t.Fatalf("C build %d: %v", i, err)
 		}
 	}
-	rec := profagg.NewRecord(srv.Fingerprint(), req.ProgramKey(), resp.DirectiveHash)
-	rec.AddRuns(runExe(t, resp.Exe), 1)
-	ir, err := srv.IngestProfile(ctx, rec)
+	gen := profagg.NewAggregate(srv.Fingerprint(), req.ProgramKey(), resp.DirectiveHash)
+	gen.AddRuns(runExe(t, resp.Exe), 1)
+	ir, err := srv.IngestProfile(ctx, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ir.Accepted || !ir.ModelReady {
-		t.Fatalf("record after three C builds: %+v, want accepted with a live model", ir)
+		t.Fatalf("generation after three C builds: %+v, want accepted with a live model", ir)
 	}
 	if n := srv.Counters()["profagg.evictions"]; n != 0 {
 		t.Errorf("profagg.evictions = %d after unprofiled builds, want 0", n)
 	}
 }
 
-// TestProfileVersionGuard: records stamped by a stale toolchain or a
-// stale allocation are rejected, not merged — mixing counts measured
-// under different allocations would corrupt the aggregate.
+// TestProfileVersionGuard: counts stamped by a stale toolchain or a stale
+// allocation are rejected, not merged — mixing counts measured under
+// different allocations would corrupt the aggregate — and a body in any
+// format but a profile snapshot, the profagg-record kind this endpoint
+// took before included, is a bad request.
 func TestProfileVersionGuard(t *testing.T) {
 	srv := New(Options{Jobs: 2, StateDir: t.TempDir()})
 	ts := httptest.NewServer(srv.Handler())
@@ -229,7 +232,7 @@ func TestProfileVersionGuard(t *testing.T) {
 	ctx := context.Background()
 
 	srcs := testSources(t)
-	req := &BuildRequest{Config: "B", Sources: srcs, TrainInstrs: testTrainInstrs}
+	req := &BuildRequest{Config: "B", Sources: srcs}
 	resp, err := client.Build(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -237,27 +240,38 @@ func TestProfileVersionGuard(t *testing.T) {
 	program := req.ProgramKey()
 	prof := runExe(t, resp.Exe)
 
-	wrongFP := profagg.NewRecord("stale-toolchain", program, resp.DirectiveHash)
+	wrongFP := profagg.NewAggregate("stale-toolchain", program, resp.DirectiveHash)
 	wrongFP.AddRuns(prof, 1)
 	ir, err := client.IngestProfile(ctx, wrongFP.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ir.Accepted || ir.Reason != profagg.ReasonStaleFingerprint {
-		t.Fatalf("stale-toolchain record: %+v", ir)
+		t.Fatalf("stale-toolchain snapshot: %+v", ir)
 	}
 
-	wrongHash := profagg.NewRecord(srv.Fingerprint(), program, "0000000000000000")
+	wrongHash := profagg.NewAggregate(srv.Fingerprint(), program, "0000000000000000")
 	wrongHash.AddRuns(prof, 1)
 	if ir, err = client.IngestProfile(ctx, wrongHash.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if ir.Accepted || ir.Reason != profagg.ReasonStaleDirectives {
-		t.Fatalf("stale-allocation record: %+v", ir)
+		t.Fatalf("stale-allocation snapshot: %+v", ir)
 	}
 
-	if _, err := client.IngestProfile(ctx, []byte("not a record")); err == nil {
-		t.Fatal("malformed record body accepted")
+	// A profagg-record v1 body: fingerprint, program, directive hash,
+	// runs, then the edges.
+	e := wire.NewEncoder("profagg-record", 1)
+	e.Str(srv.Fingerprint())
+	e.Str(program)
+	e.Str(resp.DirectiveHash)
+	e.U(1)
+	e.U(0)
+	for name, body := range map[string][]byte{"garbage": []byte("not a snapshot"), "profagg-record": e.Finish()} {
+		_, err := client.IngestProfile(ctx, body)
+		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusBadRequest || se.Reason != ReasonBadRequest {
+			t.Errorf("%s body: got %v, want a 400 %q StatusError", name, err, ReasonBadRequest)
+		}
 	}
 
 	c := srv.Counters()
@@ -288,10 +302,10 @@ func TestProfileProgramKeyConfined(t *testing.T) {
 	}
 	ctx := context.Background()
 	prof := &parv.Profile{Edges: map[parv.EdgeKey]uint64{{Caller: "main", Callee: "f"}: 3}}
-	record := func(program string) *profagg.Record {
-		rec := profagg.NewRecord(srv.Fingerprint(), program, "directives")
-		rec.AddRuns(prof, 2)
-		return rec
+	generation := func(program string) *profagg.Aggregate {
+		gen := profagg.NewAggregate(srv.Fingerprint(), program, "directives")
+		gen.AddRuns(prof, 2)
+		return gen
 	}
 	badRequest := func(what string, err error) {
 		t.Helper()
@@ -301,23 +315,23 @@ func TestProfileProgramKeyConfined(t *testing.T) {
 	}
 
 	for _, program := range []string{"../escaped", "/tmp/abs", "0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0"} {
-		if _, err := srv.IngestProfile(ctx, record(program)); err == nil {
+		if _, err := srv.IngestProfile(ctx, generation(program)); err == nil {
 			t.Errorf("IngestProfile accepted program %q", program)
 		}
-		_, err := client.IngestProfile(ctx, record(program).Encode())
-		badRequest("record for "+program, err)
+		_, err := client.IngestProfile(ctx, generation(program).Encode())
+		badRequest("snapshot for "+program, err)
 		_, err = client.ProfileSnapshot(ctx, program)
 		badRequest("snapshot of "+program, err)
 	}
 	if _, err := os.Stat(filepath.Join(root, "escaped")); !os.IsNotExist(err) {
-		t.Errorf("a record for ../escaped touched %s (stat: %v)", filepath.Join(root, "escaped"), err)
+		t.Errorf("a snapshot for ../escaped touched %s (stat: %v)", filepath.Join(root, "escaped"), err)
 	}
 
 	// A key of the right shape is still served.
 	const program = "0123456789abcdef"
-	ir, err := client.IngestProfile(ctx, record(program).Encode())
+	ir, err := client.IngestProfile(ctx, generation(program).Encode())
 	if err != nil || !ir.Accepted {
-		t.Fatalf("record for a well-formed key: %+v, %v", ir, err)
+		t.Fatalf("snapshot for a well-formed key: %+v, %v", ir, err)
 	}
 	snap, err := client.ProfileSnapshot(ctx, program)
 	if err != nil {

@@ -1,18 +1,19 @@
 // The wire protocol of the build service, carried over HTTP on a Unix
 // socket (the default) or TCP. Build requests and replies are wire
-// artifacts (internal/wire) of the kinds "build-request" (version 1) and
+// artifacts (internal/wire) of the kinds "build-request" (version 2) and
 // "build-response" (version 2): source text and the executable travel as
 // raw length-prefixed bytes, so neither is escaped or base64-encoded.
-// Profile records and snapshots are wire artifacts of internal/profagg.
-// Everything else is JSON.
+// Profiles travel both ways as the one internal/profagg artifact, the
+// "profagg-snapshot". Everything else is JSON.
 //
 // Endpoints:
 //
 //	POST /v1/build   compile a source set under a named configuration;
 //	                 the body is an encoded BuildRequest, the reply an
 //	                 encoded BuildResponse
-//	POST /v1/profile wire-encoded profagg.Record body; merges fleet call
-//	                 counts and replies with a JSON ProfileIngestResponse
+//	POST /v1/profile wire-encoded profagg.Aggregate body, one fleet
+//	                 generation's snapshot; merges its call counts and
+//	                 replies with a JSON ProfileIngestResponse
 //	GET  /v1/profile/snapshot?program=KEY
 //	                 the program's wire-encoded aggregate snapshot
 //	GET  /v1/stats   JSON ServerStats: telemetry counters plus live gauges
@@ -23,7 +24,7 @@
 // digits. Every error reply, on every endpoint, is a JSON errorResponse
 // that carries a machine-readable Reason alongside the human-readable
 // message, and the status code classifies the fault: 400 for a malformed
-// request (a /v1/build body that is not a build-request artifact, JSON
+// request (a /v1/build body that is not a build-request v2 artifact, JSON
 // included), 404 with Reason "not-found" for a snapshot the daemon does
 // not hold, 422 for a compile failure in the submitted program, 500 for a
 // server-side fault, 503 with Reason "saturated" (plus Retry-After) for a
@@ -64,13 +65,10 @@ type BuildRequest struct {
 	Config string
 	// Strategy names the allocation strategy ("" for the preset's
 	// default), case-insensitively. It participates in both the
-	// dedup/result key and the build-directory identity.
+	// request key and the build-directory identity.
 	Strategy string
 	// Sources is the complete module set of the program.
 	Sources []Source
-	// TrainInstrs bounds the training run of profiled configurations
-	// (B, F); 0 uses the server default.
-	TrainInstrs uint64
 	// Verify runs the whole-program allocation verifier over the
 	// analyzer's output and fails the request on violations.
 	Verify bool
@@ -111,14 +109,14 @@ type BuildResponse struct {
 	// Instructions is the executable's code length, a cheap sanity
 	// check clients print without decoding Exe.
 	Instructions int
-	// Dedup is true when this request shared another identical
-	// in-flight build (single-flight) instead of compiling.
+	// Dedup is true when this request shared another identical build
+	// that was still running instead of compiling.
 	Dedup bool
-	// ResultCached is true when the response was served whole from the
-	// in-memory result cache without any build.
+	// ResultCached is true when the response was served whole from an
+	// identical build that had already finished.
 	ResultCached bool
 	// Incremental summarizes build-dir reuse; nil for stateless builds
-	// and for dedup/result-cache responses.
+	// and for responses shared from another identical request's build.
 	Incremental *IncrementalSummary
 	// Counters is the request-scoped telemetry counter snapshot (cache
 	// traffic, rebuild totals, verifier violations, ...). Shared
@@ -226,11 +224,11 @@ func (r *BuildRequest) strategyKey() string {
 	return s
 }
 
-// Key fingerprints a request for single-flight deduplication and the
-// result cache: two requests share a key exactly when an identical build
-// under an identical toolchain would produce identical bytes. The
-// toolchain fingerprint is part of the key so a daemon can never serve a
-// result computed by different compiler semantics.
+// Key fingerprints a request for the daemon's request table: two
+// requests share a key exactly when an identical build under an identical
+// toolchain would produce identical bytes. The toolchain fingerprint is
+// part of the key so a daemon can never serve a result computed by
+// different compiler semantics.
 func (r *BuildRequest) Key(fingerprint string) string {
 	h := sha256.New()
 	writeField := func(s string) {
@@ -240,9 +238,6 @@ func (r *BuildRequest) Key(fingerprint string) string {
 	writeField(fingerprint)
 	writeField(strings.ToUpper(r.Config))
 	writeField(r.strategyKey())
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], r.TrainInstrs)
-	h.Write(n[:])
 	if r.Verify {
 		h.Write([]byte{1})
 	} else {
@@ -285,11 +280,12 @@ func validProgramKey(s string) bool {
 	return len(s) == 16 && strings.Trim(s, "0123456789abcdef") == ""
 }
 
-// The /v1/build bodies are wire artifacts of these kinds. build-response
-// v2 dropped the analyzer fallback from the rebuild record.
+// The /v1/build bodies are wire artifacts of these kinds. build-request
+// v2 dropped the training-run budget, which decides no output byte;
+// build-response v2 dropped the analyzer fallback from the rebuild record.
 const (
 	buildRequestKind     = "build-request"
-	buildRequestVersion  = 1
+	buildRequestVersion  = 2
 	buildResponseKind    = "build-response"
 	buildResponseVersion = 2
 )
@@ -305,14 +301,13 @@ var errNotCanonical = errors.New("served: body is not in canonical wire form")
 func (r *BuildRequest) encode() []byte {
 	e := wire.NewEncoder(buildRequestKind, buildRequestVersion)
 	// The sources' text, plus every varint at its widest.
-	size := 5 * binary.MaxVarintLen64
+	size := 4 * binary.MaxVarintLen64
 	for _, src := range r.Sources {
 		size += len(src.Text) + 2*binary.MaxVarintLen64
 	}
 	e.Grow(size)
 	e.Str(r.Config)
 	e.Str(r.Strategy)
-	e.U(r.TrainInstrs)
 	e.Bool(r.Verify)
 	e.Bool(r.Trace)
 	e.U(uint64(len(r.Sources)))
@@ -330,11 +325,10 @@ func decodeBuildRequest(data []byte) (*BuildRequest, error) {
 		return nil, err
 	}
 	r := &BuildRequest{
-		Config:      d.Str(),
-		Strategy:    d.Str(),
-		TrainInstrs: d.U(),
-		Verify:      d.Bool(),
-		Trace:       d.Bool(),
+		Config:   d.Str(),
+		Strategy: d.Str(),
+		Verify:   d.Bool(),
+		Trace:    d.Bool(),
 	}
 	if n := d.Count(2); n > 0 {
 		r.Sources = make([]Source, n)

@@ -23,8 +23,6 @@ var testProgram = progen.Config{
 	SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 1,
 }
 
-const testTrainInstrs = 5_000_000
-
 func testSources(t *testing.T) []Source {
 	t.Helper()
 	mods := progen.Generate(testProgram)
@@ -35,8 +33,9 @@ func testSources(t *testing.T) []Source {
 	return out
 }
 
-// localExe builds the same request locally and returns the canonical
-// executable bytes — the oracle every daemon response must match.
+// localExe builds the same request locally, as the daemon does, with no
+// option, and returns the canonical executable bytes — the oracle every
+// daemon response must match.
 func localExe(t *testing.T, config string, srcs []Source) []byte {
 	t.Helper()
 	cfg, err := ipra.PresetByName(config)
@@ -47,11 +46,7 @@ func localExe(t *testing.T, config string, srcs []Source) []byte {
 	for i, s := range srcs {
 		sources[i] = ipra.Source{Name: s.Name, Text: []byte(s.Text)}
 	}
-	var opts []ipra.BuildOption
-	if cfg.WantProfile {
-		opts = append(opts, ipra.WithProfile(testTrainInstrs))
-	}
-	res, err := ipra.Build(context.Background(), sources, cfg, opts...)
+	res, err := ipra.Build(context.Background(), sources, cfg)
 	if err != nil {
 		t.Fatalf("local build (%s): %v", config, err)
 	}
@@ -80,7 +75,7 @@ func TestServedByteIdentity(t *testing.T) {
 		config := config
 		t.Run(config, func(t *testing.T) {
 			want := localExe(t, config, srcs)
-			req := &BuildRequest{Config: config, Sources: srcs, TrainInstrs: testTrainInstrs}
+			req := &BuildRequest{Config: config, Sources: srcs}
 			resp, err := client.Build(context.Background(), req)
 			if err != nil {
 				t.Fatalf("remote build: %v", err)

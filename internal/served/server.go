@@ -11,22 +11,23 @@
 //     module name-set) program identity (internal/incremental), so an
 //     edited program recompiles only what its edit reaches; the program
 //     analyzer re-runs whole on every build;
-//   - a bounded in-memory result cache (an internal/lru map) from request
-//     keys to finished responses, so a byte-identical re-request never
-//     compiles at all.
+//   - one bounded in-memory request table (an internal/lru map) from
+//     request keys to builds, running or finished, so an identical
+//     request never compiles again: it shares the running build
+//     (served.dedup_hits) or takes the finished response
+//     (served.result_hits).
 //
 // Every cache layer is keyed or guarded by the toolchain fingerprint: the
-// result cache and single-flight keys embed it directly, and the
-// incremental store rejects on-disk state stamped by any other
-// fingerprint, so a daemon can never serve bytes a local build of the
-// same toolchain would not produce.
+// request key embeds it directly, and the incremental store rejects
+// on-disk state stamped by any other fingerprint, so a daemon can never
+// serve bytes a local build of the same toolchain would not produce.
 //
-// Concurrency control is two-level. Identical in-flight requests collapse
-// into one build (single-flight; followers share the leader's response
-// and tick served.dedup_hits). Distinct requests pass a bounded admission
-// queue: at most Concurrency builds run, at most QueueDepth more wait,
-// and anything beyond that is rejected immediately with 503 and a
-// Retry-After hint rather than queued without bound.
+// Concurrency control is two-level. Identical requests collapse into one
+// build through the request table; only the first arrival under a key
+// builds. Distinct requests pass a bounded admission queue: at most
+// Concurrency builds run, at most QueueDepth more wait, and anything
+// beyond that is rejected immediately with 503 and a Retry-After hint
+// rather than queued without bound.
 package served
 
 import (
@@ -57,7 +58,7 @@ import (
 type Options struct {
 	// StateDir is the root under which per-program incremental build
 	// directories live; empty serves every build statelessly from
-	// memory (still deduplicated and result-cached).
+	// memory (still through the request table).
 	StateDir string
 	// Concurrency bounds simultaneously executing builds; 0 means one
 	// per CPU.
@@ -68,12 +69,9 @@ type Options struct {
 	QueueDepth int
 	// Jobs is the per-build compiler parallelism (ipra.Config.Jobs).
 	Jobs int
-	// ResultCacheEntries bounds the in-memory response cache; 0 means
-	// 128, negative disables it.
+	// ResultCacheEntries bounds the request table, running builds and
+	// finished responses together; 0 or less means 128.
 	ResultCacheEntries int
-	// TrainInstrs is the default training-run budget for profiled
-	// configurations when the request leaves it zero.
-	TrainInstrs uint64
 	// ProfilePrograms bounds the profile-aggregation store's in-memory
 	// per-program states (internal/profagg); 0 means 128.
 	ProfilePrograms int
@@ -107,12 +105,13 @@ type RequestError struct{ Err error }
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
 
-// inflight is one single-flight entry: the leader builds, followers wait
-// on done and read resp/err.
-type inflight struct {
-	done chan struct{}
-	resp *BuildResponse
-	err  error
+// entry is one request key's build in the request table. Its builder
+// sets resp or err and finished under Server.mu, then closes done.
+type entry struct {
+	done     chan struct{}
+	finished bool
+	resp     *BuildResponse
+	err      error
 }
 
 // Server is one daemon instance. Create with New, expose with Handler or
@@ -133,11 +132,10 @@ type Server struct {
 	draining   atomic.Bool
 
 	mu      sync.Mutex
-	flights map[string]*inflight
 	dirLock map[string]*dirMutex // per-build-dir serialization, refcounted
-	// results caches finished responses by request key; nil when
-	// Options.ResultCacheEntries disables it.
-	results *lru.Cache[string, *BuildResponse]
+	// builds is the request table: every request key's running or
+	// finished build. A failed build leaves it.
+	builds *lru.Cache[string, *entry]
 
 	profiles *profagg.Store
 
@@ -160,11 +158,8 @@ func New(opts Options) *Server {
 	if opts.QueueDepth < 0 {
 		opts.QueueDepth = 0
 	}
-	if opts.ResultCacheEntries == 0 {
+	if opts.ResultCacheEntries <= 0 {
 		opts.ResultCacheEntries = 128
-	}
-	if opts.TrainInstrs == 0 {
-		opts.TrainInstrs = 100_000_000
 	}
 	fp := opts.Fingerprint
 	if fp == "" {
@@ -181,11 +176,8 @@ func New(opts Options) *Server {
 		start:       time.Now(),
 		admission:   make(chan struct{}, opts.Concurrency+opts.QueueDepth),
 		running:     make(chan struct{}, opts.Concurrency),
-		flights:     make(map[string]*inflight),
 		dirLock:     make(map[string]*dirMutex),
-	}
-	if opts.ResultCacheEntries > 0 {
-		s.results = lru.New[string, *BuildResponse](opts.ResultCacheEntries)
+		builds:      lru.New[string, *entry](opts.ResultCacheEntries),
 	}
 	var dir func(string) string
 	if opts.StateDir != "" {
@@ -231,9 +223,9 @@ func (s *Server) logf(format string, args ...any) {
 
 // job is one request resolved for building, once, by Build: the preset
 // under the request's strategy with the server's Jobs, the program key
-// (build directory and profile-store key), the single-flight and
-// result-cache key, and the mean profile of the program's active
-// aggregate (nil while it serves from its training run).
+// (build directory and profile-store key), the request-table key, and the
+// mean profile of the program's active aggregate (nil while it serves
+// from its training run).
 type job struct {
 	req     *BuildRequest
 	cfg     ipra.Config
@@ -242,10 +234,10 @@ type job struct {
 	agg     *parv.Profile
 }
 
-// Build serves one request through the full admission path — result
-// cache, single-flight, bounded queue — exactly as the HTTP handler
-// does; it is the in-process entry point tests and embedders use. It
-// never writes req, so callers may reuse and share requests.
+// Build serves one request through the full admission path — request
+// table, bounded queue — exactly as the HTTP handler does; it is the
+// in-process entry point tests and embedders use. It never writes req, so
+// callers may reuse and share requests.
 func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, error) {
 	began := time.Now()
 	j, err := s.resolve(req)
@@ -259,50 +251,57 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	defer s.inflightN.Add(-1)
 	s.tracer.Add("served.requests", 1)
 
-	if resp, ok := s.cachedResult(j.key); ok {
-		s.tracer.Add("served.result_hits", 1)
-		out := *resp
-		out.RequestID = s.nextID.Add(1)
-		out.ResultCached = true
-		out.Incremental = nil
-		out.ElapsedMS = float64(time.Since(began).Microseconds()) / 1000
-		s.logf("req %d: %s %d modules: result cache hit", out.RequestID, req.Config, len(req.Sources))
-		return &out, nil
+	// The first arrival under a key stores its entry and builds; a later
+	// one shares that build, running or finished, and takes no admission
+	// slot.
+	s.mu.Lock()
+	e, found := s.builds.Get(j.key)
+	running := found && !e.finished
+	if !found {
+		e = &entry{done: make(chan struct{})}
+		s.builds.Put(j.key, e)
+	}
+	s.mu.Unlock()
+	if !found {
+		resp, err := s.admitAndBuild(ctx, j)
+		s.mu.Lock()
+		e.resp, e.err, e.finished = resp, err, true
+		if err != nil {
+			// An error is never served from the table: the entry leaves
+			// it before its waiters wake, unless eviction replaced it.
+			if cur, ok := s.builds.Get(j.key); ok && cur == e {
+				s.builds.Remove(j.key)
+			}
+		}
+		s.mu.Unlock()
+		close(e.done)
+		return resp, err
 	}
 
-	// Single-flight: the first arrival under a key becomes the leader
-	// and builds; everyone else waits for its response.
-	s.mu.Lock()
-	if fl, ok := s.flights[j.key]; ok {
-		s.mu.Unlock()
+	how := "result cache hit"
+	if running {
 		s.tracer.Add("served.dedup_hits", 1)
+		how = "deduplicated against in-flight build"
 		select {
-		case <-fl.done:
+		case <-e.done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if fl.err != nil {
-			return nil, fl.err
+		if e.err != nil {
+			return nil, e.err
 		}
-		out := *fl.resp
-		out.RequestID = s.nextID.Add(1)
-		out.Dedup = true
-		s.logf("req %d: %s %d modules: deduplicated against in-flight build", out.RequestID, req.Config, len(req.Sources))
-		return &out, nil
+	} else {
+		s.tracer.Add("served.result_hits", 1)
 	}
-	fl := &inflight{done: make(chan struct{})}
-	s.flights[j.key] = fl
-	s.mu.Unlock()
-
-	fl.resp, fl.err = s.admitAndBuild(ctx, j)
-	s.mu.Lock()
-	delete(s.flights, j.key)
-	if fl.err == nil && s.results != nil {
-		s.results.Put(j.key, fl.resp)
+	out := *e.resp
+	out.RequestID = s.nextID.Add(1)
+	out.Dedup, out.ResultCached = running, !running
+	if !running {
+		out.Incremental = nil
+		out.ElapsedMS = float64(time.Since(began).Microseconds()) / 1000
 	}
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.resp, fl.err
+	s.logf("req %d: %s %d modules: %s", out.RequestID, req.Config, len(req.Sources), how)
+	return &out, nil
 }
 
 // resolve validates req and fixes its job. Once a drift-triggered
@@ -333,16 +332,6 @@ func (s *Server) resolve(req *BuildRequest) (*job, error) {
 		}
 	}
 	return j, nil
-}
-
-// cachedResult looks a finished response up in the result cache.
-func (s *Server) cachedResult(key string) (*BuildResponse, bool) {
-	if s.results == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.results.Get(key)
 }
 
 // admitAndBuild pushes one leader request through the bounded queue and
@@ -391,12 +380,8 @@ func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 		sources[i] = ipra.Source{Name: src.Name, Text: []byte(src.Text)}
 	}
 
-	instrs := req.TrainInstrs
-	if instrs == 0 {
-		instrs = s.opts.TrainInstrs
-	}
 	reqTracer := telemetry.New()
-	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer), ipra.WithProfile(instrs)}
+	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer)}
 	if j.agg != nil {
 		opts = append(opts, ipra.WithAggregatedProfile(j.agg))
 	}
@@ -471,7 +456,7 @@ func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 // waiters keeping it alive. The refcount lets unlockDir prune the entry
 // the moment the last interested build releases it, so the dirLock map
 // tracks only directories with active builds instead of growing by one
-// entry per program ever served (the result cache is bounded; this map
+// entry per program ever served (the request table is bounded; this map
 // must be too).
 type dirMutex struct {
 	mu   sync.Mutex
@@ -511,16 +496,17 @@ func (s *Server) dirLocks() int {
 	return len(s.dirLock)
 }
 
-// IngestProfile merges one fleet record and, when analyzing under the
-// merged aggregate would change the program's directives, replays the
-// program's build request against the aggregate — the in-process form of
-// POST /v1/profile. A record whose program is not a program key is an
-// error: the key names the directory its aggregate is written to.
-func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*ProfileIngestResponse, error) {
-	if rec == nil || !validProgramKey(rec.Program) {
-		return nil, fmt.Errorf("served: profile record does not name a program key")
+// IngestProfile merges one posted aggregate — a fleet generation's
+// counts — and, when analyzing under the program's merged aggregate would
+// change its directives, replays the program's build request against the
+// aggregate — the in-process form of POST /v1/profile. A post whose
+// program is not a program key is an error: the key names the directory
+// its aggregate is written to.
+func (s *Server) IngestProfile(ctx context.Context, posted *profagg.Aggregate) (*ProfileIngestResponse, error) {
+	if posted == nil || !validProgramKey(posted.Program) {
+		return nil, fmt.Errorf("served: profile does not name a program key")
 	}
-	res, err := s.profiles.Ingest(rec)
+	res, err := s.profiles.Ingest(posted)
 	if err != nil {
 		return nil, err
 	}
@@ -535,27 +521,27 @@ func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*Profi
 	if !res.Drifted {
 		return out, nil
 	}
-	meta, ok := s.profiles.BeginRetrain(rec.Program)
+	meta, ok := s.profiles.BeginRetrain(posted.Program)
 	if !ok {
 		return out, nil
 	}
 	req, ok := meta.(*BuildRequest)
 	if !ok {
-		s.profiles.AbortRetrain(rec.Program)
+		s.profiles.AbortRetrain(posted.Program)
 		return out, nil
 	}
 	began := time.Now()
 	resp, err := s.Build(ctx, req)
 	if err != nil {
-		s.profiles.AbortRetrain(rec.Program)
-		s.logf("profagg: %s: re-analysis failed: %v", rec.Program, err)
+		s.profiles.AbortRetrain(posted.Program)
+		s.logf("profagg: %s: re-analysis failed: %v", posted.Program, err)
 		return out, nil
 	}
 	s.tracer.Add("profagg.reanalyses", 1)
 	s.tracer.Add("profagg.reanalysis_ms", time.Since(began).Milliseconds())
 	out.Reanalyzed = true
 	out.DirectiveHash = resp.DirectiveHash
-	s.logf("profagg: %s: drift after %d runs, re-analyzed in %.0fms", rec.Program, res.Runs, resp.ElapsedMS)
+	s.logf("profagg: %s: drift after %d runs, re-analyzed in %.0fms", posted.Program, res.Runs, resp.ElapsedMS)
 	return out, nil
 }
 
@@ -692,12 +678,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
 		return
 	}
-	rec, err := profagg.DecodeRecord(body)
+	posted, err := profagg.DecodeAggregate(body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
 		return
 	}
-	resp, err := s.IngestProfile(r.Context(), rec)
+	resp, err := s.IngestProfile(r.Context(), posted)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
 		return

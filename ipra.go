@@ -426,9 +426,14 @@ type buildSettings struct {
 	verify      bool
 }
 
+// trainBound is the training-run bound WithProfile overrides.
+const trainBound = 100_000_000
+
 // WithProfile bounds the training run of a profiled configuration
 // (Config.WantProfile; Table 4 columns B and F) to maxInstrs simulated
-// instructions; 0, the default, uses the simulator's own bound. A
+// instructions in place of trainBound, 100 M — far past the longest
+// benchmark run (22.2 M, war under L2), and a program that never halts
+// fails in about a second; 0 uses the simulator's own bound. A
 // configuration that runs no training pass ignores it.
 func WithProfile(maxInstrs uint64) BuildOption {
 	return func(s *buildSettings) { s.trainInstrs = maxInstrs }
@@ -535,7 +540,7 @@ type BuildResult struct {
 // and telemetry (WithTelemetry). Every build runs the same driver; a build
 // without a build directory is one with no store to reuse from.
 func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOption) (*BuildResult, error) {
-	var s buildSettings
+	s := buildSettings{trainInstrs: trainBound}
 	for _, o := range opts {
 		o(&s)
 	}

@@ -92,9 +92,7 @@ func TestAggregatedProfileMeanMatchesTraining(t *testing.T) {
 	}
 
 	a := profagg.NewAggregate(ToolchainFingerprint(), "prog", trained.Program.DB.Hash())
-	rec := profagg.NewRecord(a.Fingerprint, a.Program, a.DirectiveHash)
-	rec.AddRuns(trained.Train.Profile, 9)
-	a.Merge(rec)
+	a.AddRuns(trained.Train.Profile, 9)
 
 	rebuilt, err := Build(ctx, srcs, cfg, WithAggregatedProfile(a.MeanProfile()))
 	if err != nil {
@@ -140,6 +138,21 @@ func TestProfiledConfigsTrainWithoutOptions(t *testing.T) {
 		if bytes.Equal(got, exeBytes(t, heuristic.Exe)) {
 			t.Errorf("%s without options compiled as %s", pair[0], pair[1])
 		}
+	}
+}
+
+// TestTrainingRunBoundedByDefault: a training run that WithProfile does
+// not bound stops at 100 M instructions, so a profiled build of a program
+// that never halts fails in about a second instead of running on to the
+// simulator's own bound.
+func TestTrainingRunBoundedByDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 100 M instructions")
+	}
+	spin := Source{Name: "spin.mc", Text: []byte("int main() { int i = 0; while (1) { i = i + 1; } return i; }\n")}
+	_, err := Build(context.Background(), []Source{spin}, MustPreset("B"))
+	if err == nil || !strings.Contains(err.Error(), "instruction limit (100000000) exceeded") {
+		t.Fatalf("B build of a program that never halts: err = %v, want the 100 M instruction limit", err)
 	}
 }
 
