@@ -35,29 +35,52 @@ func profiledSnapshots(f *testing.F) (generation, merged []byte) {
 	return gen.Encode(), agg.Encode()
 }
 
-// FuzzAggregateDecode: any bytes decode to an aggregate or an error,
-// never a panic. An accepted aggregate re-encodes to one that decodes
-// equal, yields its mean profile and hash, and a store ingests it,
-// without a panic.
-func FuzzAggregateDecode(f *testing.F) {
+// decodedRoundTrip decodes data as a snapshot and returns the aggregate,
+// or nil when the bytes are rejected. An accepted aggregate must
+// re-encode to one that decodes equal.
+func decodedRoundTrip(t *testing.T, data []byte) *Aggregate {
+	t.Helper()
+	agg, err := DecodeAggregate(data)
+	if err != nil {
+		return nil
+	}
+	again, err := DecodeAggregate(agg.Encode())
+	if err != nil {
+		t.Fatalf("re-decode of an accepted aggregate failed: %v", err)
+	}
+	if !reflect.DeepEqual(again, agg) {
+		t.Fatal("an accepted aggregate does not round-trip")
+	}
+	return agg
+}
+
+// FuzzProfileRecordDecode: any bytes posted to /v1/profile as a fleet
+// record (one generation's snapshot) decode to an aggregate or an error,
+// never a panic, and a store ingests an accepted one without a panic.
+func FuzzProfileRecordDecode(f *testing.F) {
 	generation, merged := profiledSnapshots(f)
 	f.Add(generation)
 	f.Add(generation[:len(generation)/2])
 	f.Add(merged)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		agg, err := DecodeAggregate(data)
-		if err != nil {
-			return
+		if rec := decodedRoundTrip(t, data); rec != nil {
+			New(Options{Fingerprint: rec.Fingerprint}).Ingest(rec)
 		}
-		again, err := DecodeAggregate(agg.Encode())
-		if err != nil {
-			t.Fatalf("re-decode of an accepted aggregate failed: %v", err)
+	})
+}
+
+// FuzzAggregateDecode: any bytes read back as a persisted aggregate decode
+// to an aggregate or an error, never a panic, and an accepted one yields
+// its mean profile and hash without a panic.
+func FuzzAggregateDecode(f *testing.F) {
+	generation, merged := profiledSnapshots(f)
+	f.Add(merged)
+	f.Add(merged[:len(merged)/2])
+	f.Add(generation)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if agg := decodedRoundTrip(t, data); agg != nil {
+			agg.MeanProfile()
+			agg.Hash()
 		}
-		if !reflect.DeepEqual(again, agg) {
-			t.Fatal("an accepted aggregate does not round-trip")
-		}
-		agg.MeanProfile()
-		agg.Hash()
-		New(Options{Fingerprint: agg.Fingerprint}).Ingest(agg)
 	})
 }

@@ -24,6 +24,35 @@ func testProfile() *parv.Profile {
 	}
 }
 
+// TestRecordRoundTrip: one generation, as a fleet client posts it, is a
+// snapshot of one record whose counts are the profile times its runs; it
+// decodes back equal, and no runs or garbage are rejected.
+func TestRecordRoundTrip(t *testing.T) {
+	r := NewAggregate("fp1", "prog1", "dh1")
+	r.AddRuns(testProfile(), 4)
+	if r.Runs != 4 || r.Records != 1 {
+		t.Fatalf("totals = %d runs / %d records, want 4/1", r.Runs, r.Records)
+	}
+	if got := r.Edges[edge("p0", "p1")]; got != 4*40 {
+		t.Fatalf("batched edge = %d, want %d", got, 4*40)
+	}
+
+	back, err := DecodeAggregate(r.Encode())
+	if err != nil {
+		t.Fatalf("DecodeAggregate: %v", err)
+	}
+	if !reflect.DeepEqual(r, back) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, r)
+	}
+
+	if _, err := DecodeAggregate(NewAggregate("fp1", "prog1", "dh1").Encode()); err == nil {
+		t.Fatal("zero-run record decoded without error")
+	}
+	if _, err := DecodeAggregate([]byte("garbage")); err == nil {
+		t.Fatal("garbage decoded without error")
+	}
+}
+
 func TestAggregateRoundTrip(t *testing.T) {
 	a := NewAggregate("fp1", "prog1", "dh1")
 	a.AddRuns(testProfile(), 1)
@@ -32,7 +61,7 @@ func TestAggregateRoundTrip(t *testing.T) {
 		t.Fatalf("totals = %d runs / %d records, want 4/2", a.Runs, a.Records)
 	}
 	if got := a.Edges[edge("p0", "p1")]; got != 4*40 {
-		t.Fatalf("batched edge = %d, want %d", got, 4*40)
+		t.Fatalf("summed edge = %d, want %d", got, 4*40)
 	}
 	merged := NewAggregate("fp1", "prog1", "dh1")
 	merged.Merge(a)
@@ -61,13 +90,6 @@ func TestAggregateRoundTrip(t *testing.T) {
 	back.Edges[edge("p0", "p1")]++
 	if back.Hash() == h {
 		t.Fatal("hash insensitive to an edge count change")
-	}
-
-	if _, err := DecodeAggregate(NewAggregate("fp1", "prog1", "dh1").Encode()); err == nil {
-		t.Fatal("zero-run aggregate decoded without error")
-	}
-	if _, err := DecodeAggregate([]byte("garbage")); err == nil {
-		t.Fatal("garbage decoded without error")
 	}
 }
 
