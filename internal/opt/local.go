@@ -31,8 +31,9 @@ func Level2(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 func Promote(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 	PromoteGlobals(f, eligible, skipGlobals)
 	var lv ir.Liveness
+	st := newLVState()
 	for i := 0; i < 3; i++ {
-		LocalOpt(f)
+		st.run(f)
 		changed := SimplifyCFG(f)
 		changed = deadCodeElim(f, &lv) || changed
 		if !changed {
@@ -46,8 +47,9 @@ func Promote(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) 
 // describe and what phase 2 starts from.
 func Level1(f *ir.Func) {
 	var lv ir.Liveness
+	st := newLVState()
 	for i := 0; i < 2; i++ {
-		LocalOpt(f)
+		st.run(f)
 		SimplifyCFG(f)
 		deadCodeElim(f, &lv)
 	}
@@ -59,12 +61,31 @@ func Level1(f *ir.Func) {
 
 // LocalOpt optimizes each basic block independently.
 func LocalOpt(f *ir.Func) {
-	st := &lvState{
+	st := newLVState()
+	st.run(f)
+}
+
+// newLVState returns an empty state. It inlines, so a state that serves
+// one function's rounds starts its tables on the caller's stack, and only
+// a table that outgrows that room moves to the heap.
+func newLVState() lvState {
+	return lvState{
 		constOf: make(map[ir.Reg]int64),
 		copyOf:  make(map[ir.Reg]copyFact),
 		exprVN:  make(map[vnKey]exprFact),
 		loadVN:  make(map[memKey]loadFact),
-		gen:     make([]uint32, f.NextReg+1),
+	}
+}
+
+// run optimizes each basic block of f independently. One state serves
+// every round over a function: its tables are cleared between blocks,
+// keeping the room they grew, and its generations are replaced when
+// f.NextReg has grown. A generation only tells a fact recorded in the
+// current block from a stale one, so the counts left from earlier blocks
+// and rounds need no reset.
+func (st *lvState) run(f *ir.Func) {
+	if n := int(f.NextReg) + 1; len(st.gen) < n {
+		st.gen = make([]uint32, n)
 	}
 	for _, b := range f.Blocks {
 		clear(st.constOf)

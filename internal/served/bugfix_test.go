@@ -241,3 +241,28 @@ func TestServedResultCacheBound(t *testing.T) {
 		t.Errorf("evicted request 0 sent again: built %v, result hit %v; want a rebuild", built, hit)
 	}
 }
+
+// TestServedTraceIsPartOfTheKey: a request that asks for its trace and
+// one that does not never share a response. Each order of the two
+// builds twice and returns a trace exactly when one was asked for.
+func TestServedTraceIsPartOfTheKey(t *testing.T) {
+	srcs := testSources(t)
+	for _, first := range []bool{false, true} {
+		srv := New(Options{Jobs: 1})
+		for _, traced := range []bool{first, !first} {
+			resp, err := srv.Build(context.Background(), &BuildRequest{Config: "C", Sources: srcs, Trace: traced})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.ResultCached || resp.Dedup {
+				t.Errorf("trace %v after trace %v: served from the other request's build", traced, first)
+			}
+			if got := len(resp.Trace) > 0; got != traced {
+				t.Errorf("trace %v after trace %v: response carries a trace: %v", traced, first, got)
+			}
+		}
+		if n := srv.Counters()["served.builds"]; n != 2 {
+			t.Errorf("trace %v first: served.builds = %d, want 2", first, n)
+		}
+	}
+}

@@ -106,6 +106,137 @@ func TestBuildCodecRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// rawSection is one section of a hand-assembled wire file.
+type rawSection struct {
+	id      uint64
+	payload []byte
+}
+
+// rawFile assembles a wire file from its sections, in the order given.
+func rawFile(kind string, sections ...rawSection) []byte {
+	out := []byte("ipra-wire/1\n")
+	out = binary.AppendUvarint(out, uint64(len(kind)))
+	out = append(out, kind...)
+	out = binary.AppendUvarint(out, 2)
+	for _, s := range sections {
+		out = binary.AppendUvarint(out, s.id)
+		out = binary.AppendUvarint(out, uint64(len(s.payload)))
+		out = append(out, s.payload...)
+	}
+	return out
+}
+
+// rawTable is a string-table payload listing strs in order.
+func rawTable(strs ...string) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(strs)))
+	for _, s := range strs {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	return out
+}
+
+// uv is v's uvarint; long is v's uvarint with a redundant continuation
+// byte, which decodes to v all the same.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+func long(v uint64) []byte {
+	b := uv(v)
+	b[len(b)-1] |= 0x80
+	return append(b, 0)
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// namedBody is one hand-assembled body and what is odd about it.
+type namedBody struct {
+	name string
+	data []byte
+}
+
+// nonCanonical builds one body for each way a body that decodes can
+// differ from the encoding of what it decodes to. The request cases vary
+// the build-request of codecRequests()[0] — config "L2", strategy "", one
+// source — and the reply cases a build-response whose counters are
+// {"a": 1, "b": 2}. Each list opens with the canonical body its parts
+// assemble, which TestNonCanonicalBodiesRejected checks against the
+// encoder's bytes.
+func nonCanonical() (requests, replies []namedBody) {
+	text := codecRequests()[0].Sources[0].Text
+	req := func(table []byte, body ...[]byte) []byte {
+		return rawFile(buildRequestKind, rawSection{1, table}, rawSection{2, cat(body...)})
+	}
+	table := rawTable("L2", "", "m.mc")
+	src := cat(uv(2), uv(uint64(len(text))), []byte(text))
+	requests = []namedBody{
+		{"canonical", req(table, uv(0), uv(1), []byte{0, 0}, uv(1), src)},
+		{"long count", req(table, uv(0), uv(1), []byte{0, 0}, long(1), src)},
+		{"long length", req(table, uv(0), uv(1), []byte{0, 0}, uv(1), uv(2), long(uint64(len(text))), []byte(text))},
+		{"long reference", req(table, long(0), uv(1), []byte{0, 0}, uv(1), src)},
+		{"bool byte 2", req(table, uv(0), uv(1), []byte{2, 0}, uv(1), src)},
+		{"unreferenced string", req(rawTable("L2", "", "m.mc", "x.mc"), uv(0), uv(1), []byte{0, 0}, uv(1), src)},
+		{"repeated string", req(rawTable("L2", "", "L2"), uv(0), uv(1), []byte{0, 0}, uv(1), uv(2), src[1:])},
+		{"strings out of order", req(rawTable("", "L2", "m.mc"), uv(1), uv(0), []byte{0, 0}, uv(1), src)},
+		{"unknown section", cat(req(table, uv(0), uv(1), []byte{0, 0}, uv(1), src), uv(9), uv(0))},
+		{"sections swapped", rawFile(buildRequestKind,
+			rawSection{2, cat(uv(0), uv(1), []byte{0, 0}, uv(1), src)}, rawSection{1, table})},
+	}
+	// A reply's table is "C", the counter names, then "" (the directive
+	// hash, the last string referenced).
+	reply := func(names []string, counters ...[]byte) []byte {
+		// RequestID 0, Config "C", 0 modules, no Exe, 0 instructions,
+		// three false bools, the counters, ElapsedMS 0, no Trace,
+		// DirectiveHash "".
+		body := cat(uv(0), uv(0), uv(0), uv(0), uv(0), []byte{0, 0, 0},
+			uv(uint64(len(counters))), cat(counters...), make([]byte, 8), uv(0), uv(uint64(len(names)+1)))
+		table := rawTable(append(append([]string{"C"}, names...), "")...)
+		return rawFile(buildResponseKind, rawSection{1, table}, rawSection{2, body})
+	}
+	counter := func(ref uint64, v int64) []byte { return binary.AppendVarint(uv(ref), v) }
+	replies = []namedBody{
+		{"canonical", reply([]string{"a", "b"}, counter(1, 1), counter(2, 2))},
+		{"counters out of order", reply([]string{"b", "a"}, counter(1, 2), counter(2, 1))},
+		{"counter repeated", reply([]string{"a"}, counter(1, 1), counter(1, 1))},
+	}
+	return requests, replies
+}
+
+// TestNonCanonicalBodiesRejected: every body of nonCanonical but the
+// canonical one in each list decodes to a value that encodes to other
+// bytes, and comes back as errNotCanonical; a request body does so
+// through the /v1/build handler as 400 bad-request, before admission.
+func TestNonCanonicalBodiesRejected(t *testing.T) {
+	requests, replies := nonCanonical()
+	if !bytes.Equal(requests[0].data, codecRequests()[0].encode()) {
+		t.Fatal("the hand-assembled canonical request differs from the encoder's")
+	}
+	want := &BuildResponse{Config: "C", Counters: map[string]int64{"a": 1, "b": 2}}
+	if !bytes.Equal(replies[0].data, want.encode()) {
+		t.Fatal("the hand-assembled canonical reply differs from the encoder's")
+	}
+	srv := stubbedServer()
+	handler := srv.Handler()
+	for _, c := range requests[1:] {
+		if _, err := decodeBuildRequest(c.data); !errors.Is(err, errNotCanonical) {
+			t.Errorf("request, %s: err = %v, want errNotCanonical", c.name, err)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/build", bytes.NewReader(c.data)))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusBadRequest ||
+			er.Reason != ReasonBadRequest || !strings.Contains(er.Error, errNotCanonical.Error()) {
+			t.Errorf("request, %s: handler answered %d %s, want 400 %q naming the canonical form", c.name, rec.Code, rec.Body, ReasonBadRequest)
+		}
+	}
+	for _, c := range replies[1:] {
+		if _, err := decodeBuildResponse(c.data); !errors.Is(err, errNotCanonical) {
+			t.Errorf("reply, %s: err = %v, want errNotCanonical", c.name, err)
+		}
+	}
+	if n := srv.Counters()["served.requests"]; n != 0 {
+		t.Errorf("served.requests = %d after only non-canonical bodies, want 0", n)
+	}
+}
+
 // TestReadBodyBoundsPresize: a body is read into one buffer sized from
 // its declared length, but a declared length reserves at most maxPresize
 // bytes before they arrive.
@@ -155,6 +286,10 @@ func FuzzBuildRequestDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)-1])
 	}
+	requests, _ := nonCanonical()
+	for _, c := range requests {
+		f.Add(c.data)
+	}
 	f.Add([]byte(jsonBuildBody))
 	f.Add([]byte{})
 	handler := stubbedServer().Handler()
@@ -177,6 +312,10 @@ func FuzzBuildResponseDecode(f *testing.F) {
 		data := resp.encode()
 		f.Add(data)
 		f.Add(data[:len(data)-1])
+	}
+	_, replies := nonCanonical()
+	for _, c := range replies {
+		f.Add(c.data)
 	}
 	f.Add([]byte(`{"requestId":1,"exe":"ZXhl"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -33,11 +33,24 @@
 //
 // A BuildResponse's Exe field is the canonical parv executable encoding
 // (parv.EncodeExecutable), so a daemon-served build can be compared
-// byte-for-byte against a local one with cmp.
+// byte-for-byte against a local one with cmp. In a response Client.Build
+// decoded, Exe is a slice of the reply body it read, not a copy: the
+// caller owns it, and holding it holds that body.
+//
+// Each build body crosses the codec with one copy per side. An encoder
+// writes the sources or the executable into a buffer that has room for
+// the wire header ahead of the body and frames the body in place; a
+// decoder copies each source text into its string, reads the executable
+// in place, and proves the body canonical by comparing it, field by
+// field, with what its decoded value would encode to (wire.Checker).
+//
+// A BuildResponse's ElapsedMS runs from the start of Server.Build to just
+// before the reply is encoded. Reading and decoding the request body, and
+// encoding and writing the reply, fall outside it: a client that
+// subtracts ElapsedMS from its round trip counts them as transport.
 package served
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -47,6 +60,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"ipra"
 	"ipra/internal/wire"
@@ -105,6 +119,8 @@ type BuildResponse struct {
 	Modules   int
 	// Exe is the canonical executable image (parv encoding);
 	// byte-identical to a local build of the same sources and config.
+	// Client.Build returns it as a slice of the reply body it read, which
+	// no one else holds: the caller may keep or modify it.
 	Exe []byte
 	// Instructions is the executable's code length, a cheap sanity
 	// check clients print without decoding Exe.
@@ -122,7 +138,10 @@ type BuildResponse struct {
 	// traffic, rebuild totals, verifier violations, ...). Shared
 	// (dedup) responses carry the leader's counters.
 	Counters map[string]int64
-	// ElapsedMS is the server-side wall time of the request.
+	// ElapsedMS is the server-side wall time of the request, from the
+	// start of Server.Build to just before the reply is encoded: the
+	// request body's read and decode and the reply's encode and write
+	// are not in it. Shared (dedup) responses carry the leader's.
 	ElapsedMS float64
 	// Trace is the request's Chrome trace-event JSON when asked for.
 	Trace json.RawMessage
@@ -226,28 +245,35 @@ func (r *BuildRequest) strategyKey() string {
 
 // Key fingerprints a request for the daemon's request table: two
 // requests share a key exactly when an identical build under an identical
-// toolchain would produce identical bytes. The toolchain fingerprint is
-// part of the key so a daemon can never serve a result computed by
-// different compiler semantics.
+// toolchain would produce identical responses, the trace included. The
+// toolchain fingerprint is part of the key so a daemon can never serve a
+// result computed by different compiler semantics.
 func (r *BuildRequest) Key(fingerprint string) string {
 	h := sha256.New()
+	sep := []byte{0}
 	writeField := func(s string) {
-		io.WriteString(h, s)
-		h.Write([]byte{0})
+		// The hash only reads what it is given, so each string is hashed
+		// where it lies rather than copied into a []byte first.
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+		h.Write(sep)
 	}
 	writeField(fingerprint)
 	writeField(strings.ToUpper(r.Config))
 	writeField(r.strategyKey())
-	if r.Verify {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
+	h.Write([]byte{boolByte(r.Verify), boolByte(r.Trace)})
 	for _, s := range r.Sources {
 		writeField(s.Name)
 		writeField(s.Text)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// boolByte is the byte Key hashes for a flag.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ProgramKey names the request's program identity — configuration plus
@@ -297,24 +323,45 @@ const (
 // re-encodes to the same bytes.
 var errNotCanonical = errors.New("served: body is not in canonical wire form")
 
+// fieldWriter is what a build body's fields are written to: a
+// wire.Encoder encodes them, and a wire.Checker compares them with a
+// body that decoded, so one function fixes each body's layout for both.
+type fieldWriter interface {
+	U(uint64)
+	I(int64)
+	Bool(bool)
+	F64(float64)
+	Str(string)
+	Text(string)
+	Bytes([]byte)
+}
+
+// writeFields writes the request's build-request body.
+func (r *BuildRequest) writeFields(w fieldWriter) {
+	w.Str(r.Config)
+	w.Str(r.Strategy)
+	w.Bool(r.Verify)
+	w.Bool(r.Trace)
+	w.U(uint64(len(r.Sources)))
+	for _, src := range r.Sources {
+		w.Str(src.Name)
+		w.Text(src.Text)
+	}
+}
+
 // encode serializes the request as a build-request artifact.
 func (r *BuildRequest) encode() []byte {
 	e := wire.NewEncoder(buildRequestKind, buildRequestVersion)
-	// The sources' text, plus every varint at its widest.
+	// The sources' text, plus every varint at its widest; the string
+	// table holds the config, the strategy and the source names.
 	size := 4 * binary.MaxVarintLen64
+	strs := len(r.Config) + len(r.Strategy) + 3*binary.MaxVarintLen64
 	for _, src := range r.Sources {
 		size += len(src.Text) + 2*binary.MaxVarintLen64
+		strs += len(src.Name) + binary.MaxVarintLen64
 	}
-	e.Grow(size)
-	e.Str(r.Config)
-	e.Str(r.Strategy)
-	e.Bool(r.Verify)
-	e.Bool(r.Trace)
-	e.U(uint64(len(r.Sources)))
-	for _, src := range r.Sources {
-		e.Str(src.Name)
-		e.Text(src.Text)
-	}
+	e.Grow(size, strs)
+	r.writeFields(e)
 	return e.Finish()
 }
 
@@ -339,48 +386,69 @@ func decodeBuildRequest(data []byte) (*BuildRequest, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(r.encode(), data) {
+	c := wire.NewChecker(data, buildRequestKind, buildRequestVersion)
+	r.writeFields(c)
+	if !c.Finish() {
 		return nil, errNotCanonical
 	}
 	return r, nil
 }
 
-// encode serializes the response as a build-response artifact. Counters
-// go as name-sorted pairs, so equal responses encode to equal bytes.
-func (r *BuildResponse) encode() []byte {
-	e := wire.NewEncoder(buildResponseKind, buildResponseVersion)
-	// The executable and the trace, plus every varint at its widest.
-	e.Grow(len(r.Exe) + len(r.Trace) + binary.MaxVarintLen64*(2*len(r.Counters)+16))
-	e.U(r.RequestID)
-	e.Str(r.Config)
-	e.U(uint64(r.Modules))
-	e.Bytes(r.Exe)
-	e.U(uint64(r.Instructions))
-	e.Bool(r.Dedup)
-	e.Bool(r.ResultCached)
-	e.Bool(r.Incremental != nil)
-	if inc := r.Incremental; inc != nil {
-		e.Bool(inc.StateReset)
-		e.U(uint64(inc.Phase1Rebuilds))
-		e.U(uint64(inc.Phase2Rebuilds))
-	}
+// counterNames returns the response's counter names in the order the
+// body lists them: sorted, so equal responses encode to equal bytes.
+func (r *BuildResponse) counterNames() []string {
 	names := make([]string, 0, len(r.Counters))
 	for name := range r.Counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	e.U(uint64(len(names)))
-	for _, name := range names {
-		e.Str(name)
-		e.I(r.Counters[name])
+	return names
+}
+
+// writeFields writes the response's build-response body, its counters as
+// name-sorted pairs.
+func (r *BuildResponse) writeFields(w fieldWriter, names []string) {
+	w.U(r.RequestID)
+	w.Str(r.Config)
+	w.U(uint64(r.Modules))
+	w.Bytes(r.Exe)
+	w.U(uint64(r.Instructions))
+	w.Bool(r.Dedup)
+	w.Bool(r.ResultCached)
+	w.Bool(r.Incremental != nil)
+	if inc := r.Incremental; inc != nil {
+		w.Bool(inc.StateReset)
+		w.U(uint64(inc.Phase1Rebuilds))
+		w.U(uint64(inc.Phase2Rebuilds))
 	}
-	e.F64(r.ElapsedMS)
-	e.Bytes(r.Trace)
-	e.Str(r.DirectiveHash)
+	w.U(uint64(len(names)))
+	for _, name := range names {
+		w.Str(name)
+		w.I(r.Counters[name])
+	}
+	w.F64(r.ElapsedMS)
+	w.Bytes(r.Trace)
+	w.Str(r.DirectiveHash)
+}
+
+// encode serializes the response as a build-response artifact.
+func (r *BuildResponse) encode() []byte {
+	e := wire.NewEncoder(buildResponseKind, buildResponseVersion)
+	names := r.counterNames()
+	// The executable and the trace, plus every varint at its widest; the
+	// string table holds the config, the counter names and the directive
+	// hash.
+	strs := len(r.Config) + len(r.DirectiveHash) + 3*binary.MaxVarintLen64
+	for _, name := range names {
+		strs += len(name) + binary.MaxVarintLen64
+	}
+	e.Grow(len(r.Exe)+len(r.Trace)+binary.MaxVarintLen64*(2*len(names)+16), strs)
+	r.writeFields(e, names)
 	return e.Finish()
 }
 
-// decodeBuildResponse parses a build-response artifact.
+// decodeBuildResponse parses a build-response artifact. The decoded Exe
+// is a slice of data.
 func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 	d, err := wire.NewDecoder(data, buildResponseKind, buildResponseVersion)
 	if err != nil {
@@ -390,7 +458,7 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 		RequestID:    d.U(),
 		Config:       d.Str(),
 		Modules:      int(d.U()),
-		Exe:          d.Bytes(),
+		Exe:          d.BytesView(),
 		Instructions: int(d.U()),
 		Dedup:        d.Bool(),
 		ResultCached: d.Bool(),
@@ -415,7 +483,9 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(r.encode(), data) {
+	c := wire.NewChecker(data, buildResponseKind, buildResponseVersion)
+	r.writeFields(c, r.counterNames())
+	if !c.Finish() {
 		return nil, errNotCanonical
 	}
 	return r, nil

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -360,5 +361,76 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResultHitCopiesEachBodyOnce pins what a result-cache hit
+// allocates, client and server together, over a real Unix socket: on the
+// served benchmark's program (progen seed 500, 25 modules × 20
+// procedures, 64 globals), less than three times its request body plus
+// its reply body. Each side copies each body once — the client encodes
+// the request and reads the reply, the server reads the request, decodes
+// its sources and encodes the reply — so a copy that comes back, such as
+// a re-encode to check a body canonical, fails it.
+func TestResultHitCopiesEachBodyOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	dir, err := os.MkdirTemp("", "served")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	srv := New(Options{Jobs: 2})
+	l, err := ListenUnix(filepath.Join(dir, "d.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	defer func() {
+		srv.Shutdown(context.Background())
+		<-done
+	}()
+	client, err := Dial("unix:" + filepath.Join(dir, "d.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := client.WaitReady(ctx, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	mods := progen.Generate(progen.Config{Seed: 500, Modules: 25, ProcsPerModule: 20, Globals: 64,
+		SubsystemSize: 6, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 2})
+	req := &BuildRequest{Config: "C", Sources: make([]Source, len(mods))}
+	for i, m := range mods {
+		req.Sources[i] = Source{Name: m.Name, Text: m.Text}
+	}
+	var resp *BuildResponse
+	hit := func() {
+		if resp, err = client.Build(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The build, then hits enough to settle the connection's buffers.
+	for i := 0; i < 5; i++ {
+		hit()
+	}
+	const hits = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		hit()
+	}
+	runtime.ReadMemStats(&after)
+	if !resp.ResultCached {
+		t.Fatal("a repeated request was not a result-cache hit")
+	}
+	bodies := len(req.encode()) + len(resp.encode())
+	perHit := float64(after.TotalAlloc-before.TotalAlloc) / hits
+	t.Logf("a hit allocates %.0f bytes, %.2f times its %d bytes of request and reply", perHit, perHit/float64(bodies), bodies)
+	if perHit >= 3*float64(bodies) {
+		t.Errorf("a hit allocates %.0f bytes, %.2f times its bodies; want under 3", perHit, perHit/float64(bodies))
 	}
 }

@@ -223,15 +223,17 @@ func (s *Server) logf(format string, args ...any) {
 
 // job is one request resolved for building, once, by Build: the preset
 // under the request's strategy with the server's Jobs, the program key
-// (build directory and profile-store key), the request-table key, and the
+// (build directory and profile-store key), the request-table key, the
 // mean profile of the program's active aggregate (nil while it serves
-// from its training run).
+// from its training run), and when Build began, which ElapsedMS counts
+// from.
 type job struct {
 	req     *BuildRequest
 	cfg     ipra.Config
 	program string
 	key     string
 	agg     *parv.Profile
+	began   time.Time
 }
 
 // Build serves one request through the full admission path — request
@@ -244,6 +246,7 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
+	j.began = began
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -371,7 +374,6 @@ func (s *Server) admitAndBuild(ctx context.Context, j *job) (*BuildResponse, err
 // ipra.Build decides where a profiled build's counts come from: the
 // program's aggregate when the job has one, or else a training run.
 func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
-	began := time.Now()
 	id := s.nextID.Add(1)
 	req, cfg := j.req, j.cfg
 
@@ -419,7 +421,7 @@ func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 		Exe:          exeBuf.Bytes(),
 		Instructions: len(res.Exe.Code),
 		Counters:     reqTracer.Counters(),
-		ElapsedMS:    float64(time.Since(began).Microseconds()) / 1000,
+		ElapsedMS:    float64(time.Since(j.began).Microseconds()) / 1000,
 	}
 	if res.Program.DB != nil {
 		resp.DirectiveHash = res.Program.DB.Hash()

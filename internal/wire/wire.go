@@ -26,14 +26,30 @@
 // encoding contains no maps and no iteration-order dependence: the same
 // value always encodes to the same bytes, in any process, which is what
 // lets the build system compare artifacts with a plain byte diff.
+//
+// Finish normally copies the body behind a freshly built header, into a
+// buffer of exactly the file's size. An encoder that calls Grow first
+// (the build daemon's request and reply bodies) gets its body allocated
+// with room ahead of it, and Finish writes the header and string table
+// into that room and returns the one buffer; a string table larger than
+// the room Grow was promised falls back to the copy.
+//
+// A decoder accepts any encoding that parses: a varint with redundant
+// continuation bytes, a bool byte above 1, an unreferenced or repeated
+// table string, unknown sections. A reader that must see each value in
+// exactly one encoding proves a decoded file canonical with a Checker:
+// it replays the field calls that would encode the decoded value and
+// compares each with the file's bytes where they lie, then compares the
+// header and string table those calls imply, so no second file is built.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // magic identifies a wire file; the trailing framing version covers the
@@ -52,8 +68,12 @@ type Encoder struct {
 	kind    string
 	version uint64
 	body    []byte
-	idx     map[string]uint64
-	tab     []string
+	// frame is the buffer Grow allocated the body in, or nil: the body
+	// starts at frame[len(frame)], and frame[:len(frame)] is the room
+	// Finish writes the header and string table into.
+	frame []byte
+	idx   map[string]uint64
+	tab   []string
 }
 
 // NewEncoder starts a wire file of the given kind and body version.
@@ -63,8 +83,15 @@ func NewEncoder(kind string, version uint64) *Encoder {
 
 // Grow reserves room for n more body bytes, so an encoder that knows its
 // size up front (a large inline payload) fills one buffer instead of
-// regrowing it.
-func (e *Encoder) Grow(n int) { e.body = slices.Grow(e.body, n) }
+// regrowing it. The buffer also has room ahead of the body for the
+// header and a string table of up to strs bytes, so that Finish frames
+// the body where it lies instead of copying it. Called before the first
+// field, Grow copies nothing.
+func (e *Encoder) Grow(n, strs int) {
+	room := len(magic) + len(e.kind) + 5*binary.MaxVarintLen64 + strs
+	e.frame = make([]byte, room, room+len(e.body)+n)
+	e.body = append(e.frame[room:], e.body...)
+}
 
 // U appends an unsigned varint.
 func (e *Encoder) U(v uint64) { e.body = binary.AppendUvarint(e.body, v) }
@@ -139,26 +166,61 @@ func (e *Encoder) Ints(vs []int) {
 	}
 }
 
-// Finish assembles and returns the complete wire file.
+// Finish assembles and returns the complete wire file. When the body
+// still lies in the buffer Grow reserved and the header fits the room
+// ahead of it, the file is that buffer; otherwise the body is copied
+// behind the header into a buffer of exactly the file's size.
 func (e *Encoder) Finish() []byte {
-	var strs []byte
-	strs = binary.AppendUvarint(strs, uint64(len(e.tab)))
-	for _, s := range e.tab {
-		strs = binary.AppendUvarint(strs, uint64(len(s)))
-		strs = append(strs, s...)
+	t := tableLen(e.tab)
+	n := headLen(e.kind, e.version, t, len(e.body))
+	// An append that outgrew the reserved buffer moved the body and
+	// left a strictly larger capacity behind.
+	room := len(e.frame)
+	if n <= room && cap(e.body) == cap(e.frame)-room {
+		out := appendHead(e.frame[room-n:room-n], e.kind, e.version, e.tab, t, len(e.body))
+		return out[:n+len(e.body)]
 	}
-	out := make([]byte, 0, len(magic)+2*binary.MaxVarintLen64+len(e.kind)+len(strs)+len(e.body)+16)
+	out := appendHead(make([]byte, 0, n+len(e.body)), e.kind, e.version, e.tab, t, len(e.body))
+	return append(out, e.body...)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// tableLen is the length of the string-table section's payload.
+func tableLen(tab []string) int {
+	n := uvarintLen(uint64(len(tab)))
+	for _, s := range tab {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// headLen is the length of everything appendHead writes: the bytes of a
+// wire file ahead of its body, for a string table of tabLen bytes.
+func headLen(kind string, version uint64, tabLen, bodyLen int) int {
+	return len(magic) + uvarintLen(uint64(len(kind))) + len(kind) + uvarintLen(version) +
+		uvarintLen(secStrings) + uvarintLen(uint64(tabLen)) + tabLen +
+		uvarintLen(secBody) + uvarintLen(uint64(bodyLen))
+}
+
+// appendHead appends the magic, kind, version, string-table section and
+// body section header of a wire file whose table, tab, encodes to tabLen
+// bytes and whose body is bodyLen bytes.
+func appendHead(out []byte, kind string, version uint64, tab []string, tabLen, bodyLen int) []byte {
 	out = append(out, magic...)
-	out = binary.AppendUvarint(out, uint64(len(e.kind)))
-	out = append(out, e.kind...)
-	out = binary.AppendUvarint(out, e.version)
+	out = binary.AppendUvarint(out, uint64(len(kind)))
+	out = append(out, kind...)
+	out = binary.AppendUvarint(out, version)
 	out = binary.AppendUvarint(out, secStrings)
-	out = binary.AppendUvarint(out, uint64(len(strs)))
-	out = append(out, strs...)
+	out = binary.AppendUvarint(out, uint64(tabLen))
+	out = binary.AppendUvarint(out, uint64(len(tab)))
+	for _, s := range tab {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
 	out = binary.AppendUvarint(out, secBody)
-	out = binary.AppendUvarint(out, uint64(len(e.body)))
-	out = append(out, e.body...)
-	return out
+	return binary.AppendUvarint(out, uint64(bodyLen))
 }
 
 // ErrOldVersion is wrapped by NewDecoder's error for a file of the
@@ -363,6 +425,20 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
+// BytesView reads a length-prefixed byte slice in place: the result
+// aliases the decoded file, so it stays valid, and keeps the file alive,
+// for as long as the caller holds it. Its capacity ends with it, so an
+// append copies instead of writing over the bytes that follow.
+func (d *Decoder) BytesView() []byte {
+	n := d.Count(1)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := d.body[:n:n]
+	d.body = d.body[n:]
+	return out
+}
+
 // Text reads a length-prefixed inline string written by Encoder.Text.
 func (d *Decoder) Text() string {
 	n := d.Count(1)
@@ -437,4 +513,128 @@ func (d *Decoder) Finish() error {
 		return d.corrupt(fmt.Sprintf("%d trailing bytes after body", len(d.body)))
 	}
 	return nil
+}
+
+// Checker proves a wire file canonical, the encoding of the value it
+// decodes to, without encoding that value again. The caller decodes the
+// file, then makes on a Checker the field calls that would encode the
+// decoded value: each call compares its field with the file's body where
+// the encoding puts it, and Finish compares the header and string table
+// the calls imply with the file's. So a varint with a redundant byte, a
+// bool byte above 1, an unreferenced, repeated or out-of-order table
+// string, an extra or misplaced section, and any field out of step all
+// fail the check.
+type Checker struct {
+	kind    string
+	version uint64
+	data    []byte
+	body    []byte // the body not yet compared
+	bodyLen int
+	idx     map[string]uint64
+	tab     []string
+	ok      bool
+}
+
+// NewChecker starts checking data as a canonical wire file of the given
+// kind and version. A file not laid out as an Encoder lays one out — the
+// header, the string table, the body and nothing else — fails at once.
+func NewChecker(data []byte, kind string, version uint64) *Checker {
+	c := &Checker{kind: kind, version: version, data: data, idx: make(map[string]uint64)}
+	head := len(magic) + uvarintLen(uint64(len(kind))) + len(kind) + uvarintLen(version)
+	if len(data) < head {
+		return c
+	}
+	rest := data[head:]
+	var payload []byte
+	for _, id := range []uint64{secStrings, secBody} {
+		got, n := binary.Uvarint(rest)
+		if n <= 0 || got != id {
+			return c
+		}
+		rest = rest[n:]
+		size, n := binary.Uvarint(rest)
+		if n <= 0 || size > uint64(len(rest)-n) {
+			return c
+		}
+		payload, rest = rest[n:n+int(size)], rest[n+int(size):]
+	}
+	c.body, c.bodyLen, c.ok = payload, len(payload), len(rest) == 0
+	return c
+}
+
+// expect compares b with the next body bytes.
+func (c *Checker) expect(b []byte) {
+	if !bytes.HasPrefix(c.body, b) {
+		c.ok, c.body = false, nil
+		return
+	}
+	c.body = c.body[len(b):]
+}
+
+// U checks an unsigned varint.
+func (c *Checker) U(v uint64) {
+	var b [binary.MaxVarintLen64]byte
+	c.expect(binary.AppendUvarint(b[:0], v))
+}
+
+// I checks a signed (zigzag) varint.
+func (c *Checker) I(v int64) {
+	var b [binary.MaxVarintLen64]byte
+	c.expect(binary.AppendVarint(b[:0], v))
+}
+
+// Bool checks a 0/1 byte.
+func (c *Checker) Bool(v bool) {
+	b := [1]byte{0}
+	if v {
+		b[0] = 1
+	}
+	c.expect(b[:])
+}
+
+// F64 checks a float64's little-endian IEEE-754 bits.
+func (c *Checker) F64(v float64) {
+	var b [8]byte
+	c.expect(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+}
+
+// Str checks a string-table reference, numbering strings in first-use
+// order as the Encoder does.
+func (c *Checker) Str(s string) {
+	i, ok := c.idx[s]
+	if !ok {
+		i = uint64(len(c.tab))
+		c.idx[s] = i
+		c.tab = append(c.tab, s)
+	}
+	c.U(i)
+}
+
+// Bytes checks a length-prefixed byte slice.
+func (c *Checker) Bytes(b []byte) {
+	c.U(uint64(len(b)))
+	c.expect(b)
+}
+
+// Text checks a length-prefixed inline string.
+func (c *Checker) Text(s string) {
+	c.U(uint64(len(s)))
+	if len(c.body) < len(s) || string(c.body[:len(s)]) != s {
+		c.ok, c.body = false, nil
+		return
+	}
+	c.body = c.body[len(s):]
+}
+
+// Finish reports whether the file is exactly the encoding of the fields
+// checked: every body byte compared, and the header and string table
+// equal to what an Encoder given those fields writes.
+func (c *Checker) Finish() bool {
+	if !c.ok || len(c.body) != 0 {
+		return false
+	}
+	t := tableLen(c.tab)
+	n := headLen(c.kind, c.version, t, c.bodyLen)
+	return n == len(c.data)-c.bodyLen &&
+		bytes.Equal(appendHead(make([]byte, 0, n), c.kind, c.version, c.tab, t, c.bodyLen), c.data[:n])
 }

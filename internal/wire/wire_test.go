@@ -186,6 +186,144 @@ func TestTrailingBodyBytesDetected(t *testing.T) {
 	}
 }
 
+// fields writes one value of every kind a Checker checks, a string
+// table entry of tableBytes bytes among them.
+func fields(tableBytes int, w interface {
+	U(uint64)
+	I(int64)
+	Bool(bool)
+	F64(float64)
+	Str(string)
+	Text(string)
+	Bytes([]byte)
+}) {
+	w.Str("first")
+	w.U(300)
+	w.I(-5)
+	w.Bool(true)
+	w.F64(2.5)
+	w.Str(string(bytes.Repeat([]byte("s"), tableBytes)))
+	w.Text("inline text")
+	w.Bytes([]byte{7, 8, 9})
+	w.Str("first")
+	w.Bytes(nil)
+}
+
+// TestGrowFramesInPlace: an encoder that calls Grow writes the same bytes
+// as one that does not, and when the body stays within what Grow reserved
+// and the string table within what it was promised, the file is the
+// buffer Grow allocated, the body never copied. A string table or a body
+// larger than promised falls back to the copy.
+func TestGrowFramesInPlace(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		body, strs int
+		table      int
+		wantFramed bool
+	}{
+		{"fits", 64, 64, 20, true},
+		{"string table too large", 64, 8, 200, false},
+		{"body outgrew the frame", 4, 64, 20, false},
+	} {
+		plain := NewEncoder("grow", 1)
+		fields(c.table, plain)
+		want := plain.Finish()
+		if len(want) != cap(want) {
+			t.Errorf("%s: Finish without Grow returned %d bytes in a %d-byte buffer", c.name, len(want), cap(want))
+		}
+
+		e := NewEncoder("grow", 1)
+		e.Grow(c.body, c.strs)
+		frame := e.frame[:cap(e.frame)]
+		fields(c.table, e)
+		got := e.Finish()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Grow changed the encoding", c.name)
+		}
+		framed := &got[len(got)-len(e.body)] == &frame[len(e.frame)]
+		if framed != c.wantFramed {
+			t.Errorf("%s: framed in place %v, want %v", c.name, framed, c.wantFramed)
+		}
+	}
+}
+
+// TestBytesView: BytesView returns the bytes Bytes would copy, in place,
+// with a capacity that ends with them, and nil for an empty slice.
+func TestBytesView(t *testing.T) {
+	e := NewEncoder("view", 1)
+	e.Bytes([]byte{1, 2, 3})
+	e.Bytes(nil)
+	e.U(4)
+	data := e.Finish()
+	d, err := NewDecoder(data, "view", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := d.BytesView()
+	if !bytes.Equal(v, []byte{1, 2, 3}) || cap(v) != 3 {
+		t.Fatalf("BytesView() = %v (cap %d), want [1 2 3] (cap 3)", v, cap(v))
+	}
+	if &v[0] != &data[len(data)-5] {
+		t.Error("BytesView copied the bytes")
+	}
+	if v := d.BytesView(); v != nil {
+		t.Errorf("BytesView() = %v, want nil", v)
+	}
+	if d.U() != 4 || d.Finish() != nil {
+		t.Error("BytesView left the decoder out of step")
+	}
+}
+
+// TestChecker: a Checker given the fields that encoded a file accepts it,
+// and rejects it when one field differs, when a varint carries a
+// redundant byte, when the string table differs from the one the fields
+// imply, and when the sections are not exactly the table and the body.
+func TestChecker(t *testing.T) {
+	e := NewEncoder("check", 1)
+	fields(3, e)
+	data := e.Finish()
+	check := func(data []byte, table int) bool {
+		c := NewChecker(data, "check", 1)
+		fields(table, c)
+		return c.Finish()
+	}
+	if !check(data, 3) {
+		t.Fatal("the checker rejected the encoder's own bytes")
+	}
+	if check(data, 4) {
+		t.Error("the checker accepted a different string")
+	}
+	c := NewChecker(data, "check", 1)
+	fields(3, c)
+	c.U(0)
+	if c.Finish() {
+		t.Error("the checker accepted a field the file does not hold")
+	}
+	if check(data[:len(data)-1], 3) {
+		t.Error("the checker accepted a truncated file")
+	}
+
+	// Files assembled around the encoder's body and string table.
+	file := func(tab []string, body []byte) []byte {
+		return append(appendHead(nil, "check", 1, tab, tableLen(tab), len(body)), body...)
+	}
+	if !bytes.Equal(file(e.tab, e.body), data) {
+		t.Fatal("the assembled file differs from the encoder's")
+	}
+	// The body opens with the reference to "first", then U(300).
+	long := file(e.tab, append([]byte{e.body[0], 0xac, 0x82, 0x00}, e.body[3:]...))
+	for name, bad := range map[string][]byte{
+		"a varint with a redundant byte": long,
+		"an unreferenced string":         file(append(e.tab, "x"), e.body),
+		"an unknown section":             append(bytes.Clone(data), 9, 0),
+		"its string table only":          data[:len(data)-len(e.body)-1-uvarintLen(uint64(len(e.body)))],
+	} {
+		if check(bad, 3) {
+			t.Errorf("the checker accepted a file with %s", name)
+		}
+	}
+}
+
 // FuzzWireDecode drives the framing layer with arbitrary bytes: every
 // outcome must be a clean error or a clean decode, never a panic.
 func FuzzWireDecode(f *testing.F) {
