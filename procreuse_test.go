@@ -27,7 +27,11 @@ import (
 // procedures. The first such build is repeated over a copy of the
 // directory as it stood before, with a byte of a salvaged module's stored
 // object flipped: that module's phase 2 must run whole, with the same
-// executable.
+// executable. The -explain text of every build, in order, must equal the
+// configuration's golden under testdata/phase2_explain at both worker
+// counts: it pins every module, procedure and reason the key diff decides
+// (`go test -run TestPhase2ReusesProcedureCode -update .` re-pins it after
+// an intentional change of those decisions).
 func TestPhase2ReusesProcedureCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-edit replay")
@@ -47,6 +51,7 @@ func TestPhase2ReusesProcedureCode(t *testing.T) {
 				ctx := context.Background()
 				dir, before := t.TempDir(), ""
 				salvages := 0
+				var decisions bytes.Buffer
 				for v := 0; v <= edits; v++ {
 					mods, desc := base, "base"
 					if v > 0 {
@@ -71,6 +76,7 @@ func TestPhase2ReusesProcedureCode(t *testing.T) {
 					if !bytes.Equal(canonicalExe(t, res.Exe), want) {
 						t.Fatalf("%s: incremental executable differs from a store-less build\n%s", label, &explain)
 					}
+					fmt.Fprintf(&decisions, "== %s\n%s", label, &explain)
 					out, procs := res.Incremental, 0
 					salvaged := ""
 					for i, a := range out.Actions {
@@ -115,8 +121,41 @@ func TestPhase2ReusesProcedureCode(t *testing.T) {
 				if salvages == 0 {
 					t.Error("no build recompiled fewer procedures than its recompiled modules hold")
 				}
+				checkExplainGolden(t, name, jobs, decisions.Bytes())
 			})
 		}
+	}
+}
+
+// checkExplainGolden compares the replay's explain text under the named
+// configuration with its golden. Under -update the one-worker run rewrites
+// the golden and the two-worker run, which may race it, compares nothing.
+func checkExplainGolden(t *testing.T, name string, jobs int, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "phase2_explain", name+".txt")
+	if *updateGoldens {
+		if jobs == 1 {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("explain text differs from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("explain text differs from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 

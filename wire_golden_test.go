@@ -19,7 +19,7 @@ import (
 	"ipra/internal/summary"
 )
 
-var updateWireGolden = flag.Bool("update", false, "rewrite the golden wire fixtures under testdata/wire")
+var updateGoldens = flag.Bool("update", false, "rewrite the golden wire fixtures under testdata/wire and the replay's explain text under testdata/phase2_explain")
 
 // The golden fixtures pin the wire encoding of every serialized artifact
 // kind, one file per kind named with its version. A fixture mismatch means the encoding changed shape:
@@ -177,14 +177,14 @@ func goldenFixtures(t testing.TB) map[string][]byte {
 // affected kind and the incremental FormatVersion, then run with -update.
 func TestWireGolden(t *testing.T) {
 	fixtures := goldenFixtures(t)
-	if *updateWireGolden {
+	if *updateGoldens {
 		if err := os.MkdirAll(wireGoldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for name, got := range fixtures {
 		path := filepath.Join(wireGoldenDir, name)
-		if *updateWireGolden {
+		if *updateGoldens {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
