@@ -135,9 +135,18 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 	if cfg.Entry == "" {
 		cfg.Entry = "main"
 	}
+	nfuncs, ndefined := len(runtimeRoutines), 0
+	for _, o := range objs {
+		nfuncs += len(o.Funcs)
+		for _, g := range o.Globals {
+			if g.Defined {
+				ndefined++
+			}
+		}
+	}
 	exe := &Executable{
-		FuncIdx:    make(map[string]int),
-		GlobalAddr: make(map[string]int32),
+		FuncIdx:    make(map[string]int, nfuncs),
+		GlobalAddr: make(map[string]int32, ndefined),
 		DataSize:   cfg.DataSize,
 	}
 
@@ -146,9 +155,9 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 		sym *DataSym
 		mod string
 	}
-	defs := make(map[string]gdef)
-	var order []string
-	referenced := make(map[string]bool)
+	defs := make(map[string]gdef, ndefined)
+	order := make([]string, 0, ndefined)
+	referenced := make(map[string]bool, ndefined)
 	for _, o := range objs {
 		for _, g := range o.Globals {
 			referenced[g.Name] = true
@@ -190,49 +199,37 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 		copy(exe.Data[off:off+g.Size], g.Init)
 	}
 
-	// ---- Collect functions, synthesizing runtime intrinsics on demand.
-	type fdef struct {
-		fn  *ObjFunc
-		mod string
-	}
-	fdefs := make(map[string]fdef)
-	var forder []*ObjFunc
+	// ---- Collect functions in module order; FuncIdx numbers them as
+	// the text lays them out. One pass over the code and data relocations
+	// names the runtime routines the program uses, and those it does not
+	// define follow its functions in runtimeRoutines order.
+	forder := make([]*ObjFunc, 0, nfuncs)
+	var used [len(runtimeRoutines)]bool
 	for _, o := range objs {
 		for _, f := range o.Funcs {
-			if prev, dup := fdefs[f.Name]; dup {
-				return nil, fmt.Errorf("link: function %s defined in both %s and %s", f.Name, prev.mod, o.Module)
+			if _, dup := exe.FuncIdx[f.Name]; dup {
+				return nil, fmt.Errorf("link: function %s defined in both %s and %s", f.Name, definer(objs, f.Name), o.Module)
 			}
-			fdefs[f.Name] = fdef{fn: f, mod: o.Module}
+			exe.FuncIdx[f.Name] = len(forder)
 			forder = append(forder, f)
-		}
-	}
-	needs := func(name string) bool {
-		if _, ok := fdefs[name]; ok {
-			return false
-		}
-		for _, o := range objs {
-			for _, f := range o.Funcs {
-				for _, r := range f.Relocs {
-					if (r.Kind == RelCall || r.Kind == RelFuncAddr) && r.Sym == name {
-						return true
-					}
-				}
-			}
-			for _, g := range o.Globals {
-				for _, dr := range g.DataRelocs {
-					if dr.Target == name {
-						return true
-					}
+			for _, r := range f.Relocs {
+				if k := runtimeRoutine(r.Sym); k >= 0 && (r.Kind == RelCall || r.Kind == RelFuncAddr) {
+					used[k] = true
 				}
 			}
 		}
-		return false
+		for _, g := range o.Globals {
+			for _, dr := range g.DataRelocs {
+				if k := runtimeRoutine(dr.Target); k >= 0 {
+					used[k] = true
+				}
+			}
+		}
 	}
-	for name, code := range runtimeIntrinsics() {
-		if needs(name) {
-			f := &ObjFunc{Name: name, Code: code}
-			fdefs[name] = fdef{fn: f, mod: "<runtime>"}
-			forder = append(forder, f)
+	for k, rt := range runtimeRoutines {
+		if _, defined := exe.FuncIdx[rt.name]; used[k] && !defined {
+			exe.FuncIdx[rt.name] = len(forder)
+			forder = append(forder, &ObjFunc{Name: rt.name, Code: rt.code})
 		}
 	}
 
@@ -245,7 +242,6 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 	exe.Funcs = make([]FuncInfo, 0, len(forder))
 	for _, f := range forder {
 		start := len(exe.Code)
-		exe.FuncIdx[f.Name] = len(exe.Funcs)
 		exe.Code = append(exe.Code, f.Code...)
 		for pc := start; pc < len(exe.Code); pc++ {
 			switch exe.Code[pc].Op {
@@ -257,8 +253,8 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 	}
 
 	// ---- Apply code relocations.
-	for _, f := range forder {
-		base := exe.Funcs[exe.FuncIdx[f.Name]].Start
+	for i, f := range forder {
+		base := exe.Funcs[i].Start
 		for _, r := range f.Relocs {
 			in := &exe.Code[base+r.Index]
 			switch r.Kind {
@@ -322,22 +318,48 @@ func Link(objs []*Object, cfg LinkConfig) (*Executable, error) {
 	return exe, nil
 }
 
-// runtimeIntrinsics returns the bodies of the runtime service routines the
-// linker can synthesize. Each follows the standard linkage: argument in
-// r26, result in r28, return via rp.
-func runtimeIntrinsics() map[string][]Instr {
-	return map[string][]Instr{
-		"putchar": {
-			{Op: SYS, Imm: SysPutchar},
-			{Op: BV, Ra: RegRP},
-		},
-		"putint": {
-			{Op: SYS, Imm: SysPutint},
-			{Op: BV, Ra: RegRP},
-		},
-		"exit": {
-			{Op: SYS, Imm: SysExit},
-			{Op: BV, Ra: RegRP}, // unreachable
-		},
+// definer returns the module of the first object that defines the named
+// function.
+func definer(objs []*Object, name string) string {
+	for _, o := range objs {
+		for _, f := range o.Funcs {
+			if f.Name == name {
+				return o.Module
+			}
+		}
 	}
+	return ""
+}
+
+// runtimeRoutines are the runtime service routines the linker can
+// synthesize, in the order it lays them out. Each follows the standard
+// linkage: argument in r26, result in r28, return via rp. Link copies
+// their code into the executable and never writes it.
+var runtimeRoutines = [...]struct {
+	name string
+	code []Instr
+}{
+	{"putchar", []Instr{
+		{Op: SYS, Imm: SysPutchar},
+		{Op: BV, Ra: RegRP},
+	}},
+	{"putint", []Instr{
+		{Op: SYS, Imm: SysPutint},
+		{Op: BV, Ra: RegRP},
+	}},
+	{"exit", []Instr{
+		{Op: SYS, Imm: SysExit},
+		{Op: BV, Ra: RegRP}, // unreachable
+	}},
+}
+
+// runtimeRoutine returns the index in runtimeRoutines of the routine the
+// symbol names, or -1.
+func runtimeRoutine(sym string) int {
+	for k := range runtimeRoutines {
+		if runtimeRoutines[k].name == sym {
+			return k
+		}
+	}
+	return -1
 }

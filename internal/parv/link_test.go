@@ -111,6 +111,57 @@ func TestLinkRuntimeIntrinsicsSynthesized(t *testing.T) {
 	}
 }
 
+// TestLinkRuntimeRoutineOrder: the routines a program uses but does not
+// define follow its functions in one fixed order, whichever relocation
+// names them and in whatever order, and a routine the program defines is
+// not synthesized.
+func TestLinkRuntimeRoutineOrder(t *testing.T) {
+	ret := []Instr{{Op: BV, Ra: RegRP}}
+	names := func(exe *Executable) string {
+		var out []string
+		for i, fi := range exe.Funcs {
+			if exe.FuncIdx[fi.Name] != i {
+				t.Errorf("FuncIdx[%s] = %d, want %d", fi.Name, exe.FuncIdx[fi.Name], i)
+			}
+			out = append(out, fi.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	for i := 0; i < 20; i++ {
+		exe, err := Link([]*Object{{
+			Module: "a.mc",
+			Funcs: []*ObjFunc{{Name: "main", Code: []Instr{{Op: BL}, {Op: LDI}, {Op: BV, Ra: RegRP}}, Relocs: []Reloc{
+				{Index: 0, Kind: RelCall, Sym: "exit"},
+				{Index: 1, Kind: RelFuncAddr, Sym: "putint"},
+			}}},
+			Globals: []*DataSym{{Name: "tab", Size: 4, Init: make([]byte, 4), Defined: true,
+				DataRelocs: []DataReloc{{Target: "putchar"}}}},
+		}}, LinkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := names(exe), "main putchar putint exit"; got != want {
+			t.Fatalf("link %d laid out %s, want %s", i, got, want)
+		}
+	}
+	exe, err := Link([]*Object{{
+		Module: "a.mc",
+		Funcs: []*ObjFunc{
+			{Name: "main", Code: []Instr{{Op: BL}, {Op: BL}, {Op: BV, Ra: RegRP}}, Relocs: []Reloc{
+				{Index: 0, Kind: RelCall, Sym: "exit"},
+				{Index: 1, Kind: RelCall, Sym: "putint"},
+			}},
+			{Name: "putint", Code: ret},
+		},
+	}}, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := names(exe), "main putint exit"; got != want {
+		t.Errorf("with putint defined, laid out %s, want %s", got, want)
+	}
+}
+
 func TestLinkDataRelocs(t *testing.T) {
 	// table[0] = &value, table[1] = &fn.
 	table := &DataSym{

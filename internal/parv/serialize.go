@@ -13,6 +13,7 @@ package parv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sort"
@@ -162,9 +163,18 @@ func DecodeObject(data []byte) (*Object, error) {
 
 // EncodeExecutable writes the canonical serialization of exe: the same
 // executable always encodes to the same bytes, so on-disk images can be
-// compared with a plain byte diff.
+// compared with a plain byte diff. The encoder is sized from the code up
+// front, so the file is built in one buffer and copied once, into buf.
 func EncodeExecutable(buf *bytes.Buffer, exe *Executable) error {
+	// GlobalAddr flattened in name order: map iteration must not reach the
+	// bytes.
+	names := make([]string, 0, len(exe.GlobalAddr))
+	for name := range exe.GlobalAddr {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	e := wire.NewEncoder(exeWireKind, exeWireVersion)
+	e.Grow(exeBodyBound(exe, names))
 	appendCode(e, exe.Code)
 	e.U(uint64(len(exe.Funcs)))
 	for _, fi := range exe.Funcs {
@@ -173,13 +183,6 @@ func EncodeExecutable(buf *bytes.Buffer, exe *Executable) error {
 		e.U(uint64(fi.End))
 	}
 	e.Bytes(exe.Data)
-	// GlobalAddr flattened in name order: map iteration must not reach the
-	// bytes.
-	names := make([]string, 0, len(exe.GlobalAddr))
-	for name := range exe.GlobalAddr {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	e.U(uint64(len(names)))
 	for _, name := range names {
 		e.Str(name)
@@ -189,6 +192,39 @@ func EncodeExecutable(buf *bytes.Buffer, exe *Executable) error {
 	e.I(int64(exe.Entry))
 	buf.Write(e.Finish())
 	return nil
+}
+
+// exeBodyBound bounds the body and string table of exe's encoding, for
+// Encoder.Grow. Link names every instruction's symbol after a function or
+// a global, so the table holds at most those names and "", and every
+// reference takes at most the width of the table's largest index; the
+// other fields are counted exactly.
+func exeBodyBound(exe *Executable, globals []string) (body, strs int) {
+	var tmp [binary.MaxVarintLen64]byte
+	uv := func(v uint64) int { return binary.PutUvarint(tmp[:], v) }
+	sv := func(v int64) int { return binary.PutVarint(tmp[:], v) }
+	strs = 1
+	for _, fi := range exe.Funcs {
+		strs += uv(uint64(len(fi.Name))) + len(fi.Name)
+	}
+	for _, name := range globals {
+		strs += uv(uint64(len(name))) + len(name)
+	}
+	ref := uv(uint64(len(exe.Funcs) + len(globals)))
+	strs += ref
+	// Per instruction: seven one-byte fields, the immediate, the target
+	// and the symbol reference.
+	body = uv(uint64(len(exe.Code))) + len(exe.Code)*(7+ref)
+	for i := range exe.Code {
+		body += sv(int64(exe.Code[i].Imm)) + sv(int64(exe.Code[i].Target))
+	}
+	body += uv(uint64(len(exe.Funcs)))
+	for _, fi := range exe.Funcs {
+		body += ref + uv(uint64(fi.Start)) + uv(uint64(fi.End))
+	}
+	body += uv(uint64(len(exe.Data))) + len(exe.Data)
+	body += uv(uint64(len(globals))) + len(globals)*(ref+binary.MaxVarintLen32)
+	return body + 2*binary.MaxVarintLen64, strs
 }
 
 // DecodeExecutable reads a canonical executable image, rebuilding the
