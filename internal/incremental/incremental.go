@@ -40,7 +40,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"ipra/internal/cache"
@@ -167,21 +167,25 @@ func (s *Store) SetPhase1(ctx context.Context, i int, data []byte) {
 }
 
 // Diff decides phase 2 for every module: a module recompiles when its
-// phase-1 record changed, or when one of its phase-2 keys (pdb.Keys, from
-// the module's summary) differs from the stored one. A module whose
-// phase-1 record and eligibility key are unchanged recompiles only its
-// stale procedures (staleProcs): a procedure's phase 2 reads nothing of
-// the database but what its own key, its direct callees' keys and the
-// eligibility key cover. Each decision the diff alone discovers is
-// recorded as an invalidate-phase2 event.
+// phase-1 record changed, or when one of its phase-2 keys differs from the
+// stored one: its eligibility key, or a key of a procedure its summary
+// names (movedProcs). pdb.Keys computes each consulted procedure's key
+// pair once for the whole program. A module whose phase-1 record and
+// eligibility key are unchanged recompiles only its stale procedures
+// (staleProcs): a procedure's phase 2 reads nothing of the database but
+// what its own key, its direct callees' keys and the eligibility key
+// cover. Each decision the diff alone discovers is recorded as an
+// invalidate-phase2 event.
 func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb.Database) {
 	if s == nil {
 		return
 	}
 	keys := pdb.NewKeys(db)
+	s.procs = keys.Procs(sums)
+	moves := keyMoves(s.prev.Procs, s.procs)
 	for i, ms := range sums {
 		next, a := &s.next[i], &s.out.Actions[i]
-		next.EligibleHash, next.Directives = keys.Module(ms)
+		next.Eligibility = keys.Eligibility(ms.Globals)
 		a.Procs = len(ms.Procs)
 		if a.Phase1Rebuilt && !a.Phase1Unchanged {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
@@ -190,12 +194,12 @@ func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb
 		}
 		prev := s.prev.Modules[a.Module]
 		reason := ""
-		if prev.EligibleHash != next.EligibleHash {
+		if prev.Eligibility != next.Eligibility {
 			reason = "eligible globals changed"
 			a.ProcsRecompiled = a.Procs
-		} else if changed := diffDirectives(prev.Directives, next.Directives); len(changed) > 0 {
-			reason = "directives changed: " + strings.Join(changed, ", ")
-			s.stale[i], a.ProcsRecompiled = staleProcs(ms, changed)
+		} else if moved := movedProcs(ms, moves); len(moved) > 0 {
+			reason = "directives changed: " + strings.Join(moved, ", ")
+			s.stale[i], a.ProcsRecompiled = staleProcs(ms, moved)
 		}
 		if reason != "" {
 			a.Phase2Rebuilt, a.Phase2Reason = true, reason
@@ -206,6 +210,74 @@ func (s *Store) Diff(ctx context.Context, sums []*summary.ModuleSummary, db *pdb
 		}
 	}
 	s.sums = sums
+}
+
+// moves says which halves of a procedure's key pair moved since the
+// previous build.
+type moves uint8
+
+const (
+	ownMoved moves = 1 << iota
+	callMoved
+)
+
+// keyMoves compares the key pair of every procedure in cur, the build's
+// table, with prev, the stored one, and returns the moves of those whose
+// pair moved. A procedure prev lacks moved both halves. It walks prev,
+// which the manifest decode left in one piece of memory, and looks up cur,
+// which the build just filled.
+func keyMoves(prev, cur map[string]pdb.ProcKeys) map[string]moves {
+	out := make(map[string]moves)
+	found := 0
+	for name, p := range prev {
+		k, ok := cur[name]
+		if !ok {
+			continue // no module consults it any more
+		}
+		found++
+		var m moves
+		if p.Own != k.Own {
+			m |= ownMoved
+		}
+		if p.Call != k.Call {
+			m |= callMoved
+		}
+		if m != 0 {
+			out[name] = m
+		}
+	}
+	if found < len(cur) {
+		for name := range cur {
+			if _, ok := prev[name]; !ok {
+				out[name] = ownMoved | callMoved
+			}
+		}
+	}
+	return out
+}
+
+// movedProcs returns the sorted names of the procedures whose keys the
+// module ms summarizes reads and which moved (keyMoves): a procedure it
+// defines whose own key moved, and a procedure it calls directly (itself
+// included) whose call key moved.
+func movedProcs(ms *summary.ModuleSummary, moved map[string]moves) []string {
+	if len(moved) == 0 {
+		return nil
+	}
+	var names []string
+	for j := range ms.Procs {
+		p := &ms.Procs[j]
+		if moved[p.Name]&ownMoved != 0 {
+			names = append(names, p.Name)
+		}
+		for _, c := range p.Calls {
+			if moved[c.Callee]&callMoved != 0 {
+				names = append(names, c.Callee)
+			}
+		}
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // staleProcs marks, in summary order, the procedures of the module ms
@@ -326,25 +398,6 @@ func (s *Store) Outcome(ctx context.Context, w io.Writer) *Outcome {
 		explain(w, s.resetReason, out)
 	}
 	return out
-}
-
-// diffDirectives returns the sorted names of procedures whose directive
-// hashes differ between the stored and current maps (including procedures
-// present on only one side).
-func diffDirectives(prev, cur map[string]string) []string {
-	var changed []string
-	for name, h := range cur {
-		if prev[name] != h {
-			changed = append(changed, name)
-		}
-	}
-	for name := range prev {
-		if _, ok := cur[name]; !ok {
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
-	return changed
 }
 
 // explain writes the per-module rebuild record in module order, preceded

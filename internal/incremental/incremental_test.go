@@ -3,6 +3,7 @@ package incremental
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -644,6 +645,10 @@ func TestModuleRemovalPrunesArtifacts(t *testing.T) {
 	}
 }
 
+// TestConsultedProcs: the procedures whose keys a module reads are its
+// own, by their own keys, and the direct callees its summary records
+// (itself and runtime routines included, indirect calls not), by their
+// call keys; the program-wide table holds exactly those.
 func TestConsultedProcs(t *testing.T) {
 	m := &ir.Module{
 		Name: "m.mc",
@@ -657,31 +662,90 @@ func TestConsultedProcs(t *testing.T) {
 			{Name: "h", Blocks: []*ir.Block{{}}},
 		},
 	}
-	got := pdb.Consulted(summary.SummarizeModule(m))
-	want := map[string]pdb.Use{"f": pdb.UseOwn | pdb.UseCall, "g": pdb.UseCall, "h": pdb.UseOwn, "putint": pdb.UseCall}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Consulted = %v, want %v", got, want)
+	ms := summary.SummarizeModule(m)
+	cur := pdb.NewKeys(pdb.New()).Procs([]*summary.ModuleSummary{ms})
+	if got, want := sortedNames(cur), []string{"f", "g", "h", "putint"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the table holds %v, want %v", got, want)
+	}
+	if got, want := movedProcs(ms, keyMoves(nil, cur)), []string{"f", "g", "h", "putint"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("against an empty table, moved %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		half string
+		want []string
+	}{{"own", []string{"f", "h"}}, {"call", []string{"f", "g", "putint"}}} {
+		prev := make(map[string]pdb.ProcKeys, len(cur))
+		for name, k := range cur {
+			if c.half == "own" {
+				k.Own[0] ^= 1
+			} else {
+				k.Call[0] ^= 1
+			}
+			prev[name] = k
+		}
+		if got := movedProcs(ms, keyMoves(prev, cur)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("every %s key moved: the module reads %v, want %v", c.half, got, c.want)
+		}
 	}
 }
 
+// TestDiffDirectives pins keyMoves and movedProcs, the key diff: an unchanged
+// pair is not moved, a moved own key moves a defined procedure, a moved
+// call key a called one, a procedure missing from the previous table is
+// moved, and a procedure the module does not read is not, whatever its
+// keys did.
 func TestDiffDirectives(t *testing.T) {
-	prev := map[string]string{"a": "1", "b": "2", "gone": "3"}
-	cur := map[string]string{"a": "1", "b": "9", "new": "4"}
-	if got := diffDirectives(prev, cur); !reflect.DeepEqual(got, []string{"b", "gone", "new"}) {
-		t.Errorf("diff = %v", got)
+	ms := &summary.ModuleSummary{Module: "m.mc", Procs: []summary.ProcRecord{
+		{Name: "a", Calls: []summary.CallSite{{Callee: "new"}, {Callee: "callee"}, {Callee: "a"}}},
+		{Name: "b", Calls: []summary.CallSite{{Callee: "callee"}}},
+		{Name: "own"},
+	}}
+	key := func(own, call byte) pdb.ProcKeys {
+		return pdb.ProcKeys{Own: pdb.Key{own}, Call: pdb.CallKey{call}}
 	}
-	if got := diffDirectives(prev, prev); got != nil {
+	prev := map[string]pdb.ProcKeys{
+		"a": key(1, 1), "b": key(2, 2), "gone": key(3, 3), "callee": key(4, 4), "own": key(5, 5),
+	}
+	cur := map[string]pdb.ProcKeys{
+		"a": key(1, 1), "b": key(9, 2), "new": key(4, 4),
+		// Only the half the module does not read moved.
+		"callee": key(8, 4), "own": key(5, 8),
+	}
+	if got := movedProcs(ms, keyMoves(prev, cur)); !reflect.DeepEqual(got, []string{"b", "new"}) {
+		t.Errorf("diff = %v, want [b new]", got)
+	}
+	cur["callee"], cur["a"] = key(4, 9), key(1, 7)
+	if got := movedProcs(ms, keyMoves(prev, cur)); !reflect.DeepEqual(got, []string{"a", "b", "callee", "new"}) {
+		t.Errorf("diff with moved call keys = %v, want [a b callee new]", got)
+	}
+	if got := movedProcs(ms, keyMoves(cur, cur)); got != nil {
 		t.Errorf("self-diff = %v, want empty", got)
 	}
 }
 
 // encodeParentManifest encodes m the way the parent store format
 // (ipra-build/v3, build-manifest v1) did: the name of an analyzer state
-// followed the fingerprint.
+// followed the fingerprint, and the modules were laid out as in v2.
 func encodeParentManifest(m *manifest, analyzer string) []byte {
 	e := wire.NewEncoder(manifestKind, 1)
 	e.Str(m.Fingerprint)
 	e.Str(analyzer)
+	encodeV2Modules(e, m)
+	return e.Finish()
+}
+
+// encodeV2Manifest encodes m in the build-manifest v2 layout (store format
+// ipra-build/v4): the fingerprint, then per module its source hash, file
+// names, hex eligibility key and one hex key per procedure it consults,
+// here every procedure of m's table.
+func encodeV2Manifest(m *manifest) []byte {
+	e := wire.NewEncoder(manifestKind, 2)
+	e.Str(m.Fingerprint)
+	encodeV2Modules(e, m)
+	return e.Finish()
+}
+
+func encodeV2Modules(e *wire.Encoder, m *manifest) {
 	names := sortedNames(m.Modules)
 	e.U(uint64(len(names)))
 	for _, name := range names {
@@ -690,15 +754,14 @@ func encodeParentManifest(m *manifest, analyzer string) []byte {
 		e.Str(ms.SourceHash)
 		e.Str(ms.Phase1File)
 		e.Str(ms.ObjectFile)
-		e.Str(ms.EligibleHash)
-		procs := sortedNames(ms.Directives)
+		e.Str(fmt.Sprintf("%x", ms.Eligibility))
+		procs := sortedNames(m.Procs)
 		e.U(uint64(len(procs)))
 		for _, proc := range procs {
 			e.Str(proc)
-			e.Str(ms.Directives[proc])
+			e.Str(fmt.Sprintf("%x", m.Procs[proc].Own))
 		}
 	}
-	return e.Finish()
 }
 
 // TestAnalyzerStateParentFile opens a directory in the parent store
@@ -952,14 +1015,22 @@ func TestBuildDirHoldsOnlyNamedFiles(t *testing.T) {
 }
 
 // TestManifestRoundTrip checks that a manifest decodes to what was
-// encoded, and that the encoding does not depend on map order.
+// encoded, that the encoding does not depend on map order, that a key
+// several procedures share is stored once, and that a key of the wrong
+// length or a v2 manifest does not decode.
 func TestManifestRoundTrip(t *testing.T) {
+	own := func(b byte) pdb.Key { return pdb.Key{0: b, 15: b} }
 	m := manifest{
-		Fingerprint: "ipra-build/v4|toy/v1",
+		Fingerprint: "ipra-build/v5|toy/v1",
 		Modules: map[string]*moduleState{
-			"b.mc": {SourceHash: "s2", Phase1File: "p1-b", ObjectFile: "obj-b", EligibleHash: "e", Directives: map[string]string{"f": "k1", "g": "k2"}},
-			"a.mc": {SourceHash: "s1", Phase1File: "p1-a", ObjectFile: "obj-a", EligibleHash: "e", Directives: map[string]string{"g": "k2"}},
-			"c.mc": {Directives: map[string]string{}},
+			"b.mc": {SourceHash: "s2", Phase1File: "p1-b", ObjectFile: "obj-b", Eligibility: own(7)},
+			"a.mc": {SourceHash: "s1", Phase1File: "p1-a", ObjectFile: "obj-a", Eligibility: own(7)},
+			"c.mc": {},
+		},
+		Procs: map[string]pdb.ProcKeys{
+			"f":      {Own: own(1)},
+			"g":      {Own: own(2), Call: pdb.CallKey{1, 0x18}},
+			"putint": {Own: own(1)},
 		},
 	}
 	data := encodeManifest(&m)
@@ -975,8 +1046,46 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatal("encoding depends on map order")
 		}
 	}
+	if n := bytes.Count(data, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}); n != 1 {
+		t.Errorf("an own key two procedures share is stored %d times, want once", n)
+	}
 	if _, err := decodeManifest(data[:len(data)-1]); err == nil {
 		t.Error("a truncated manifest decoded")
+	}
+	// A module's eligibility key, and a procedure's own and call keys, of
+	// the wrong length.
+	for _, short := range []func(e *wire.Encoder){
+		func(e *wire.Encoder) {
+			e.U(1)
+			for _, s := range []string{"a.mc", "", "", "", "short"} {
+				e.Str(s)
+			}
+			e.U(0)
+		},
+		func(e *wire.Encoder) {
+			e.U(0)
+			e.U(1)
+			e.Str("f")
+			e.Str(string(make([]byte, 15)))
+			e.Str(string(make([]byte, 5)))
+		},
+		func(e *wire.Encoder) {
+			e.U(0)
+			e.U(1)
+			e.Str("f")
+			e.Str(string(make([]byte, 16)))
+			e.Str(string(make([]byte, 16)))
+		},
+	} {
+		e := wire.NewEncoder(manifestKind, manifestVersion)
+		e.Str("ipra-build/v5|toy/v1")
+		short(e)
+		if _, err := decodeManifest(e.Finish()); err == nil || !strings.Contains(err.Error(), "wrong length") {
+			t.Errorf("a manifest holding a key of the wrong length decoded (%v)", err)
+		}
+	}
+	if _, err := decodeManifest(encodeV2Manifest(&m)); !errors.Is(err, wire.ErrOldVersion) {
+		t.Errorf("a v2 manifest reads as %v, want an older version", err)
 	}
 
 	// A toy store's manifest round-trips to the same bytes.
@@ -988,10 +1097,42 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestV2ManifestResetsOnce opens a directory an ipra-build/v4 store wrote:
+// its build-manifest v2 is an older version, so the build takes one
+// declared reset, rebuilds every module to a clean build's objects, and
+// the next build reuses every module.
+func TestV2ManifestResetsOnce(t *testing.T) {
+	dir := t.TempDir()
+	clean := toyBuild(t, dir, twoModules(), toyOptions{})
+	m := readManifest(t, dir)
+	m.Fingerprint = "ipra-build/v4|toy/v1"
+	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeV2Manifest(&m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r := toyBuild(t, dir, twoModules(), toyOptions{explain: &buf})
+	if !r.out.StateReset || r.out.Phase1Rebuilds != 2 || r.out.Phase2Rebuilds != 2 ||
+		strings.Count(buf.String(), "discarding build state: manifest.wire from an older store format") != 1 {
+		t.Errorf("v2 manifest: reset %v, rebuilds %d/%d; want one declared reset and a full rebuild\n%s",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds, &buf)
+	}
+	for i := range clean.objs {
+		if !bytes.Equal(parv.EncodeObject(r.objs[i]), parv.EncodeObject(clean.objs[i])) {
+			t.Errorf("%s: object differs from a clean build's", clean.out.Actions[i].Module)
+		}
+	}
+	onlyNamedFiles(t, "v2 manifest", dir)
+	if r := toyBuild(t, dir, twoModules(), toyOptions{}); r.out.StateReset || r.out.Phase1Rebuilds != 0 || r.out.Phase2Rebuilds != 0 {
+		t.Errorf("build after the reset: reset %v, rebuilds %d/%d; want every module reused",
+			r.out.StateReset, r.out.Phase1Rebuilds, r.out.Phase2Rebuilds)
+	}
+}
+
 // FuzzManifestDecode: any input decodes to a manifest or an error, never a
 // panic, and an accepted manifest re-encodes to one that decodes equal.
-// The seeds are two stored manifests, a non-manifest, and a manifest in
-// the parent format.
+// The seeds are two stored (v3) manifests, a non-manifest, manifests in
+// the v1 and v2 layouts, and a stored manifest whose procedures hold
+// clobber contracts.
 func FuzzManifestDecode(f *testing.F) {
 	dir := f.TempDir()
 	toyBuild(f, dir, twoModules(), toyOptions{})
@@ -1003,6 +1144,9 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte("not a manifest"))
 	parent := readManifest(f, dir)
 	f.Add(encodeParentManifest(&parent, "analyzer-state-00.wire"))
+	f.Add(encodeV2Manifest(&parent))
+	toyBuild(f, dir, edited, toyOptions{clobber: map[string]regs.Set{"leaf": regs.Of(19), "helper": regs.Of(20, 21)}, promote: map[string]uint8{"main": 16}})
+	f.Add(readArtifact(f, dir, manifestName))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {

@@ -3,6 +3,7 @@ package incremental
 import (
 	"sort"
 
+	"ipra/internal/pdb"
 	"ipra/internal/wire"
 )
 
@@ -14,17 +15,24 @@ import (
 //	per module, in name order:
 //	  name, source hash, phase-1 file,
 //	  object file, eligibility key             strings
-//	  directive count                          uvarint
-//	  per key, in procedure name order:
-//	    procedure, key                         strings
+//	procedure count                            uvarint
+//	per procedure, in name order:
+//	  name, own key, call key                  strings
 //
-// Every string is a string-table reference, so a key many modules share
-// (a common callee's clobber key) is stored once. v2 dropped the analyzer
-// state's name after the fingerprint.
+// The procedure table holds the phase-2 key pair (pdb.ProcKeys) of every
+// procedure some module consulted, once for the whole program; a module's
+// keys are its eligibility key and the pairs of the procedures its summary
+// names. Keys are their raw bytes, 16 for an eligibility or own key and 5
+// for a call key, and a key of another length is an error. Every string
+// is a string-table reference, so a key many procedures share (the call
+// key of every procedure without a clobber contract) is stored once. v3
+// replaced v2's per-module maps of hex keys, one per consulted procedure,
+// with the table; v2 dropped the analyzer state's name after the
+// fingerprint.
 const (
 	manifestName    = "manifest.wire"
 	manifestKind    = "build-manifest"
-	manifestVersion = 2
+	manifestVersion = 3
 )
 
 // moduleState is the manifest record for one module.
@@ -35,17 +43,17 @@ type moduleState struct {
 	// Phase1File / ObjectFile are base names inside the build directory.
 	Phase1File string
 	ObjectFile string
-	// EligibleHash is the eligibility key of the globals the module
-	// declares; Directives holds one phase-2 key per consulted procedure
-	// (the module's own functions and its direct callees).
-	EligibleHash string
-	Directives   map[string]string
+	// Eligibility is the eligibility key of the globals the module
+	// declares.
+	Eligibility pdb.Key
 }
 
 // manifest is the whole persisted build state.
 type manifest struct {
 	Fingerprint string
 	Modules     map[string]*moduleState
+	// Procs holds the key pair of every procedure a module consulted.
+	Procs map[string]pdb.ProcKeys
 }
 
 // encodeManifest serializes m; equal manifests encode to equal bytes.
@@ -60,13 +68,15 @@ func encodeManifest(m *manifest) []byte {
 		e.Str(ms.SourceHash)
 		e.Str(ms.Phase1File)
 		e.Str(ms.ObjectFile)
-		e.Str(ms.EligibleHash)
-		procs := sortedNames(ms.Directives)
-		e.U(uint64(len(procs)))
-		for _, proc := range procs {
-			e.Str(proc)
-			e.Str(ms.Directives[proc])
-		}
+		e.Str(string(ms.Eligibility[:]))
+	}
+	procs := sortedNames(m.Procs)
+	e.U(uint64(len(procs)))
+	for _, name := range procs {
+		k := m.Procs[name]
+		e.Str(name)
+		e.Str(string(k.Own[:]))
+		e.Str(string(k.Call[:]))
 	}
 	return e.Finish()
 }
@@ -79,26 +89,38 @@ func decodeManifest(data []byte) (manifest, error) {
 		return manifest{}, err
 	}
 	m := manifest{Fingerprint: d.Str()}
-	n := d.Count(6) // five strings and a count
+	n := d.Count(5) // five strings
 	m.Modules = make(map[string]*moduleState, n)
 	for ; n > 0; n-- {
 		name := d.Str()
 		ms := &moduleState{SourceHash: d.Str()}
 		ms.Phase1File = d.Str()
 		ms.ObjectFile = d.Str()
-		ms.EligibleHash = d.Str()
-		k := d.Count(2)
-		ms.Directives = make(map[string]string, k)
-		for ; k > 0; k-- {
-			proc := d.Str()
-			ms.Directives[proc] = d.Str()
-		}
+		readKey(d, ms.Eligibility[:])
 		m.Modules[name] = ms
+	}
+	n = d.Count(3) // three strings
+	m.Procs = make(map[string]pdb.ProcKeys, n)
+	for ; n > 0; n-- {
+		name := d.Str()
+		var k pdb.ProcKeys
+		readKey(d, k.Own[:])
+		readKey(d, k.Call[:])
+		m.Procs[name] = k
 	}
 	if err := d.Finish(); err != nil {
 		return manifest{}, err
 	}
 	return m, nil
+}
+
+// readKey reads a key string into key, which it must fill exactly.
+func readKey(d *wire.Decoder, key []byte) {
+	if s := d.Str(); len(s) == len(key) {
+		copy(key, s)
+	} else {
+		d.Fail("a key of the wrong length")
+	}
 }
 
 func sortedNames[V any](m map[string]V) []string {

@@ -30,13 +30,14 @@
 // phase 2 re-runs.
 //
 // The manifest records, per module: the phase-1 source hash, the names of
-// the two artifact files, and the module's phase-2 keys (pdb.Keys): one
-// per consulted procedure plus the eligibility key of the globals it
-// declares. Everything is guarded by a fingerprint combining the store format
-// version with the caller's toolchain fingerprint; state written by a
-// different format or toolchain is rejected wholesale — stale artifacts
-// must never survive a compiler upgrade, because nothing else could tell
-// them apart from fresh ones.
+// the two artifact files, and the eligibility key of the globals it
+// declares; and once for the whole program, the phase-2 key pair
+// (pdb.ProcKeys) of every procedure a module consulted. Everything is
+// guarded by a fingerprint combining the store format version with the
+// caller's toolchain fingerprint; state written by a different format or
+// toolchain is rejected wholesale — stale artifacts must never survive a
+// compiler upgrade, because nothing else could tell them apart from fresh
+// ones.
 package incremental
 
 import (
@@ -52,6 +53,7 @@ import (
 	"ipra/internal/cache"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
+	"ipra/internal/pdb"
 	"ipra/internal/summary"
 	"ipra/internal/wire"
 )
@@ -68,8 +70,11 @@ import (
 // manifest.json resets: it rebuilds everything once and prunes the old
 // manifest and records. v4: the directory holds no analyzer state, and
 // the manifest names none (build-manifest v2); a v3 directory resets once
-// and has its analyzer-state file pruned.
-const FormatVersion = "ipra-build/v4"
+// and has its analyzer-state file pruned. v5: the manifest holds one
+// phase-2 key pair per procedure for the whole program instead of one key
+// per consulted procedure per module (build-manifest v3); a v4 directory
+// resets once.
+const FormatVersion = "ipra-build/v5"
 
 // legacyManifest is the v2 manifest, pruned by every later save.
 const legacyManifest = "manifest.json"
@@ -95,10 +100,12 @@ type Store struct {
 	// records holds each module's phase-1 record: the stored one
 	// ReusePhase1 verified, or the fresh one SetPhase1 named.
 	records [][]byte
-	// sums are the summaries Diff keyed the modules by, and stale marks,
-	// for each module whose keys alone moved, its procedures that phase 2
-	// recompiles (nil for every other module).
+	// sums are the summaries Diff keyed the modules by, procs the key pair
+	// of every procedure they consult, and stale marks, for each module
+	// whose keys alone moved, its procedures that phase 2 recompiles (nil
+	// for every other module).
 	sums  []*summary.ModuleSummary
+	procs map[string]pdb.ProcKeys
 	stale [][]bool
 }
 
@@ -235,7 +242,7 @@ func (s *Store) writeArtifact(base string, data []byte) error {
 // artifacts it names keep their bytes, so a build that fails or is
 // interrupted never poisons later ones.
 func (s *Store) Persist(objs []*parv.Object) error {
-	next := manifest{Modules: make(map[string]*moduleState, len(s.next))}
+	next := manifest{Modules: make(map[string]*moduleState, len(s.next)), Procs: s.procs}
 	for i := range s.next {
 		ms, a := &s.next[i], s.out.Actions[i]
 		if ms.Phase1File == "" {

@@ -172,8 +172,9 @@ func TestDirectiveHashStability(t *testing.T) {
 }
 
 // TestPhase2Key pins what the phase-2 keys cover: renumbering every web
-// changes no key, and every field phase 2 reads changes the key of the
-// use that reads it.
+// changes no key, and every field phase 2 reads changes the half of the
+// key pair that covers it (the own key what a defining module reads, the
+// call key what a calling module reads) and no other.
 func TestPhase2Key(t *testing.T) {
 	mk := func() *Database {
 		db := New()
@@ -194,26 +195,29 @@ func TestPhase2Key(t *testing.T) {
 		return db
 	}
 	globals := []summary.GlobalInfo{{Name: "a"}, {Name: "b"}, {Name: "g"}}
-	uses := []Use{UseOwn, UseCall, UseOwn | UseCall}
 	type key struct {
-		procs       [3]string
-		eligibility string
+		own         Key
+		call        CallKey
+		eligibility Key
 	}
 	keyOf := func(db *Database) key {
-		var out key
-		for i, u := range uses {
-			out.procs[i] = db.Lookup("f").Phase2Key(u)
-		}
-		out.eligibility = NewKeys(db).Eligibility(globals)
-		return out
+		k := db.Lookup("f").Phase2Keys()
+		return key{k.Own, k.Call, NewKeys(db).Eligibility(globals)}
 	}
 	base := keyOf(mk())
-	for i := range uses {
-		for j := range uses {
-			if i != j && base.procs[i] == base.procs[j] {
-				t.Errorf("keys of uses %d and %d are equal", uses[i], uses[j])
-			}
-		}
+	if want := (CallKey{1, 0, 0, 0x38, 0}); base.call != want {
+		t.Errorf("call key %v, want HasClobber then ClobberAtCalls little-endian, %v", base.call, want)
+	}
+
+	// The program-wide table holds one pair per procedure a module defines
+	// or calls directly; a procedure without directives gets the standard
+	// convention's.
+	ms := &summary.ModuleSummary{Module: "m.mc", Procs: []summary.ProcRecord{
+		{Name: "f", Calls: []summary.CallSite{{Callee: "h"}, {Callee: "f"}}},
+	}}
+	table := NewKeys(mk()).Procs([]*summary.ModuleSummary{ms})
+	if want := map[string]ProcKeys{"f": mk().Procs["f"].Phase2Keys(), "h": Standard("h").Phase2Keys()}; !reflect.DeepEqual(table, want) {
+		t.Errorf("Procs = %v, want %v", table, want)
 	}
 
 	// Fields phase 2 never reads: no key moves.
@@ -225,6 +229,7 @@ func TestPhase2Key(t *testing.T) {
 		},
 		"undeclared global eligible": func(db *Database) { db.EligibleGlobals = append(db.EligibleGlobals, "zz") },
 		"unrelated procedure":        func(db *Database) { db.Procs["h"] = Standard("h") },
+		"directive name":             func(db *Database) { db.Procs["f"].Name = "f'" },
 	} {
 		db := mk()
 		mut(db)
@@ -240,12 +245,12 @@ func TestPhase2Key(t *testing.T) {
 		t.Error("ClobberAtCalls moved a key although HasClobber is unset")
 	}
 
-	// Fields phase 2 reads: the key of every use that reads them moves,
+	// Fields phase 2 reads: the half of the pair that covers them moves,
 	// and no other.
-	own, call := []bool{true, false, true}, []bool{false, true, true}
+	own, call := [2]bool{true, false}, [2]bool{false, true}
 	for _, c := range []struct {
 		name  string
-		reads []bool // per use in uses
+		reads [2]bool // own key, call key
 		mut   func(*ProcDirectives)
 	}{
 		{"promotion reg", own, func(d *ProcDirectives) { d.Promoted[0].Reg = 15 }},
@@ -265,10 +270,11 @@ func TestPhase2Key(t *testing.T) {
 		db := mk()
 		c.mut(db.Procs["f"])
 		got := keyOf(db)
-		for i, u := range uses {
-			if moved := got.procs[i] != base.procs[i]; moved != c.reads[i] {
-				t.Errorf("%s: key of use %d moved = %v, want %v", c.name, u, moved, c.reads[i])
-			}
+		if moved := got.own != base.own; moved != c.reads[0] {
+			t.Errorf("%s: own key moved = %v, want %v", c.name, moved, c.reads[0])
+		}
+		if moved := got.call != base.call; moved != c.reads[1] {
+			t.Errorf("%s: call key moved = %v, want %v", c.name, moved, c.reads[1])
 		}
 		if got.eligibility != base.eligibility {
 			t.Errorf("%s: eligibility key moved", c.name)
@@ -283,9 +289,9 @@ func TestPhase2Key(t *testing.T) {
 		db := mk()
 		db.EligibleGlobals = eligible
 		got := keyOf(db)
-		if got.eligibility == base.eligibility || got.procs != base.procs {
+		if got.eligibility == base.eligibility || got.own != base.own || got.call != base.call {
 			t.Errorf("%s: eligibility key moved = %v, procedure keys moved = %v", name,
-				got.eligibility != base.eligibility, got.procs != base.procs)
+				got.eligibility != base.eligibility, got.own != base.own || got.call != base.call)
 		}
 	}
 }

@@ -74,6 +74,56 @@ func keyFamilies(t *testing.T) []keyFamily {
 	return fams
 }
 
+// use says which half of a procedure's key pair one module's phase 2
+// reads: the own key where the module defines the procedure, the call key
+// where it calls the procedure directly.
+type use uint8
+
+const (
+	useOwn use = 1 << iota
+	useCall
+)
+
+// moduleUses is what the phase 2 of the module ms summarizes reads: the
+// own keys of its procedures and the call keys of the direct callees its
+// summary records, the halves the build's key diff compares.
+func moduleUses(ms *summary.ModuleSummary) map[string]use {
+	uses := make(map[string]use)
+	for i := range ms.Procs {
+		for name, u := range procUses(&ms.Procs[i]) {
+			uses[name] |= u
+		}
+	}
+	return uses
+}
+
+// procUses is what phase 2 of procedure p reads of the database: its own
+// directives and its direct callees' clobber contracts.
+func procUses(p *summary.ProcRecord) map[string]use {
+	uses := map[string]use{p.Name: useOwn}
+	for _, c := range p.Calls {
+		uses[c.Callee] |= useCall
+	}
+	return uses
+}
+
+// readKeys returns, of each procedure uses names, the halves of its key
+// pair in table that uses reads, the other half zero.
+func readKeys(table map[string]pdb.ProcKeys, uses map[string]use) map[string]pdb.ProcKeys {
+	keys := make(map[string]pdb.ProcKeys, len(uses))
+	for name, u := range uses {
+		k := table[name]
+		if u&useOwn == 0 {
+			k.Own = pdb.Key{}
+		}
+		if u&useCall == 0 {
+			k.Call = pdb.CallKey{}
+		}
+		keys[name] = k
+	}
+	return keys
+}
+
 // keyTwin returns a database that agrees with db on everything the
 // phase-2 keys of uses and of the globals a module declares cover, and
 // rewrites everything else: every WebID and Name; the directives of
@@ -81,10 +131,10 @@ func keyFamilies(t *testing.T) []keyFamily {
 // everything but the clobber contract of procedures it names only as
 // called; the clobber contract of procedures it names only as defined, and
 // ClobberAtCalls wherever HasClobber is unset; and the eligibility of every
-// global not declared. uses is a module's (pdb.Consulted) or one
-// procedure's (procUses); procs and globals name every procedure and
-// global of the program.
-func keyTwin(db *pdb.Database, uses map[string]pdb.Use, declared []summary.GlobalInfo, procs, globals []string) *pdb.Database {
+// global not declared. uses is a module's (moduleUses) or one procedure's
+// (procUses); procs and globals name every procedure and global of the
+// program.
+func keyTwin(db *pdb.Database, uses map[string]use, declared []summary.GlobalInfo, procs, globals []string) *pdb.Database {
 	twin := pdb.New()
 	for _, name := range procs {
 		u := uses[name]
@@ -101,15 +151,15 @@ func keyTwin(db *pdb.Database, uses map[string]pdb.Use, declared []summary.Globa
 		for i := range d.Promoted {
 			d.Promoted[i].WebID = 1000 - d.Promoted[i].WebID
 		}
-		if u&pdb.UseOwn == 0 {
+		if u&useOwn == 0 {
 			d.Promoted = append(d.Promoted, pdb.PromotedGlobal{Name: globals[0], Reg: 18, IsEntry: true, NeedStore: true})
 			d.Free, d.Caller, d.Callee, d.MSpill = d.MSpill, d.Free, d.Caller, d.Callee
 			d.IsClusterRoot = !d.IsClusterRoot
 		}
-		if u&pdb.UseCall == 0 {
+		if u&useCall == 0 {
 			d.HasClobber = !d.HasClobber
 		}
-		if u&pdb.UseCall == 0 || !d.HasClobber {
+		if u&useCall == 0 || !d.HasClobber {
 			d.ClobberAtCalls ^= 0x0007fff8
 		}
 		twin.Procs[name] = &d
@@ -125,26 +175,6 @@ func keyTwin(db *pdb.Database, uses map[string]pdb.Use, declared []summary.Globa
 		}
 	}
 	return twin
-}
-
-// procUses is what phase 2 of procedure p reads of the database: its own
-// directives and its direct callees' clobber contracts.
-func procUses(p *summary.ProcRecord) map[string]pdb.Use {
-	uses := map[string]pdb.Use{p.Name: pdb.UseOwn}
-	for _, c := range p.Calls {
-		uses[c.Callee] |= pdb.UseCall
-	}
-	return uses
-}
-
-// procKey is the phase-2 key of what uses names under db: one key per
-// procedure, as pdb.Keys.Module computes a module's.
-func procKey(db *pdb.Database, uses map[string]pdb.Use) map[string]string {
-	keys := make(map[string]string, len(uses))
-	for name, u := range uses {
-		keys[name] = db.Lookup(name).Phase2Key(u)
-	}
-	return keys
 }
 
 // TestPhase2KeySoundness is the differential behind pdb's phase-2 keys:
@@ -164,12 +194,17 @@ func TestPhase2KeySoundness(t *testing.T) {
 		t.Skip("full-build differential matrix")
 	}
 	type moduleKey struct {
-		eligibility string
-		procs       map[string]string
+		eligibility pdb.Key
+		procs       map[string]pdb.ProcKeys
 	}
-	keyOf := func(ms *summary.ModuleSummary, db *pdb.Database) moduleKey {
-		e, p := pdb.NewKeys(db).Module(ms)
-		return moduleKey{e, p}
+	// keyOf is the whole key of the module ms summarizes under db, the
+	// keys the build's diff compares: its eligibility key, and the halves
+	// of the key pairs pdb.Keys.Procs computes that it reads. table is
+	// that table.
+	keyOf := func(ms *summary.ModuleSummary, db *pdb.Database) (key moduleKey, table map[string]pdb.ProcKeys) {
+		keys := pdb.NewKeys(db)
+		table = keys.Procs([]*summary.ModuleSummary{ms})
+		return moduleKey{keys.Eligibility(ms.Globals), readKeys(table, moduleUses(ms))}, table
 	}
 	compile := func(m *ir.Module, db *pdb.Database) *parv.Object {
 		t.Helper()
@@ -208,17 +243,19 @@ func TestPhase2KeySoundness(t *testing.T) {
 					t.Fatalf("%s/%s: summary procedure %d is %s, function %s", fam.name, m.Name, k, ms.Procs[k].Name, f.Name)
 				}
 			}
-			uses := make([]map[string]pdb.Use, len(ms.Procs))
+			uses := make([]map[string]use, len(ms.Procs))
 			for k := range ms.Procs {
 				uses[k] = procUses(&ms.Procs[k])
 			}
 			objs := make([]*parv.Object, len(fam.dbs))
 			keys := make([]moduleKey, len(fam.dbs))
-			pkeys := make([][]map[string]string, len(fam.dbs))
+			pkeys := make([][]map[string]pdb.ProcKeys, len(fam.dbs))
 			for i, db := range fam.dbs {
-				objs[i], keys[i] = compile(m, db), keyOf(ms, db)
-				twin := keyTwin(db, pdb.Consulted(ms), ms.Globals, procs, globals)
-				if !reflect.DeepEqual(keyOf(ms, twin), keys[i]) {
+				var table map[string]pdb.ProcKeys
+				objs[i] = compile(m, db)
+				keys[i], table = keyOf(ms, db)
+				twin := keyTwin(db, moduleUses(ms), ms.Globals, procs, globals)
+				if twinKey, _ := keyOf(ms, twin); !reflect.DeepEqual(twinKey, keys[i]) {
 					t.Fatalf("%s/%s: the twin of database %d has a different key", fam.name, m.Name, i)
 				}
 				if !bytes.Equal(parv.EncodeObject(compile(m, twin)), parv.EncodeObject(objs[i])) {
@@ -226,11 +263,12 @@ func TestPhase2KeySoundness(t *testing.T) {
 						fam.name, m.Name, i)
 				}
 				twins++
-				pkeys[i] = make([]map[string]string, len(ms.Procs))
+				pkeys[i] = make([]map[string]pdb.ProcKeys, len(ms.Procs))
 				for k, f := range m.Funcs {
-					pkeys[i][k] = procKey(db, uses[k])
+					pkeys[i][k] = readKeys(table, uses[k])
 					twin := keyTwin(db, uses[k], ms.Globals, procs, globals)
-					if !reflect.DeepEqual(procKey(twin, uses[k]), pkeys[i][k]) || keyOf(ms, twin).eligibility != keys[i].eligibility {
+					twinKey, twinTable := keyOf(ms, twin)
+					if !reflect.DeepEqual(readKeys(twinTable, uses[k]), pkeys[i][k]) || twinKey.eligibility != keys[i].eligibility {
 						t.Fatalf("%s/%s/%s: the procedure twin of database %d has a different key", fam.name, m.Name, f.Name, i)
 					}
 					of, err := phase2Func(f, m, twin, twin.EligibleSet())
