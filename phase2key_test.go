@@ -13,6 +13,7 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/progen"
+	"ipra/internal/regs"
 	"ipra/internal/summary"
 )
 
@@ -177,6 +178,51 @@ func keyTwin(db *pdb.Database, uses map[string]use, declared []summary.GlobalInf
 	return twin
 }
 
+// dropLowest removes the lowest register of *s, reporting false when *s
+// is empty.
+func dropLowest(s *regs.Set) bool {
+	if s.Empty() {
+		return false
+	}
+	*s = s.Remove(s.Regs()[0])
+	return true
+}
+
+// directiveFlips change one field of a procedure's own directives that
+// phase 2 reads, each in a way phase 2 can compile; flip reports false
+// when the change does not apply. Each field must move some procedure's
+// code somewhere in keyFamilies, or the families would not show that the
+// own key has to cover it. (No configuration of the families publishes a
+// clobber contract, so the call key's fields have no flips here; keyTwin
+// and TestPhase2ReusesProcedureCode's C+prealloc replay cover them.)
+var directiveFlips = []struct {
+	field string
+	flip  func(d *pdb.ProcDirectives) bool
+}{
+	{"FREE", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Free) }},
+	{"CALLER", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Caller) }},
+	{"CALLEE", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Callee) }},
+	{"MSPILL", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.MSpill) }},
+	{"IsClusterRoot", func(d *pdb.ProcDirectives) bool {
+		d.IsClusterRoot = !d.IsClusterRoot
+		return !d.MSpill.Empty()
+	}},
+	{"IsEntry", func(d *pdb.ProcDirectives) bool {
+		if len(d.Promoted) == 0 {
+			return false
+		}
+		d.Promoted[0].IsEntry = !d.Promoted[0].IsEntry
+		return true
+	}},
+	{"NeedStore", func(d *pdb.ProcDirectives) bool {
+		if len(d.Promoted) == 0 {
+			return false
+		}
+		d.Promoted[0].NeedStore = !d.Promoted[0].NeedStore
+		return true
+	}},
+}
+
 // TestPhase2KeySoundness is the differential behind pdb's phase-2 keys:
 // whenever a module's key is equal under two databases, a build's phase 2
 // produces byte-identical objects under both; and whenever a procedure's
@@ -188,7 +234,11 @@ func keyTwin(db *pdb.Database, uses map[string]use, declared []summary.GlobalInf
 // database pairs keyFamilies builds, every database is compared against
 // its keyTwin for every module, and for every procedure against the twin
 // of that procedure's key, whose keys must be equal: the test fails as
-// soon as phase 2 reads something the keys omit.
+// soon as phase 2 reads something the keys omit. Every procedure is also
+// compiled under each of the directiveFlips of its own directives: where
+// its keys stay equal its code must too, and every flip must move some
+// procedure's code, so a key that stopped covering a field phase 2 reads
+// fails the test.
 func TestPhase2KeySoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-build differential matrix")
@@ -219,6 +269,7 @@ func TestPhase2KeySoundness(t *testing.T) {
 	}
 	var sameKey, sameKeyDiffDB, diffKey, twins int
 	var procSame, procSameDiffDB, procSameDiffModule, procTwins int
+	flipsMoved := make([]int, len(directiveFlips))
 	for _, fam := range keyFamilies(t) {
 		procSet, globalSet := map[string]bool{}, map[string]bool{}
 		for _, m := range fam.modules {
@@ -280,6 +331,34 @@ func TestPhase2KeySoundness(t *testing.T) {
 							fam.name, m.Name, f.Name, i)
 					}
 					procTwins++
+
+					orig, had := db.Procs[f.Name]
+					for fi, fl := range directiveFlips {
+						d := *db.Lookup(f.Name)
+						d.Promoted = append([]pdb.PromotedGlobal(nil), d.Promoted...)
+						if !fl.flip(&d) {
+							continue
+						}
+						db.Procs[f.Name] = &d
+						_, flipped := keyOf(ms, db)
+						of, err := phase2Func(f, m, db, db.EligibleSet())
+						if had {
+							db.Procs[f.Name] = orig
+						} else {
+							delete(db.Procs, f.Name)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						moved := !bytes.Equal(funcBytes(of), funcBytes(objs[i].Funcs[k]))
+						if moved {
+							flipsMoved[fi]++
+						}
+						if moved && reflect.DeepEqual(readKeys(flipped, uses[k]), pkeys[i][k]) {
+							t.Errorf("%s/%s/%s: database %d with %s flipped has equal keys but compiles differently: the own key omits %s",
+								fam.name, m.Name, f.Name, i, fl.field, fl.field)
+						}
+					}
 				}
 			}
 			for i := range fam.dbs {
@@ -329,6 +408,12 @@ func TestPhase2KeySoundness(t *testing.T) {
 	}
 	if procSameDiffDB == 0 || procSameDiffModule == 0 {
 		t.Error("the database pairs never exercise the procedure keys: no equal procedure key under different databases, or none in a module whose key differs")
+	}
+	for fi, fl := range directiveFlips {
+		t.Logf("flipping %s moved the code of %d procedures", fl.field, flipsMoved[fi])
+		if flipsMoved[fi] == 0 {
+			t.Errorf("flipping %s never moved a procedure's code: the families do not show that the keys must cover it", fl.field)
+		}
 	}
 }
 
