@@ -16,7 +16,10 @@
 //	                          byte-equal to the stored one (a comment
 //	                          edit, or its revert) counts as unchanged
 //	re-run the analyzer     → always, whole: it reads every summary
-//	diff the database       → against each module's stored phase-2 keys
+//	diff the database       → the key pair of every consulted procedure
+//	                          against the stored table, once; then each
+//	                          module's own and callee keys and its
+//	                          eligibility key against the moves
 //	phase-2-recompile       → only modules whose phase-1 record or
 //	                          phase-2 keys changed; of a module whose
 //	                          keys alone moved, only the procedures that

@@ -89,7 +89,8 @@ func (d *ProcDirectives) Phase2Keys() ProcKeys {
 	return k
 }
 
-// Keys computes phase-2 keys under one database.
+// Keys computes phase-2 keys under one database, for one goroutine at a
+// time.
 type Keys struct {
 	db       *Database
 	eligible map[string]bool
