@@ -32,10 +32,9 @@ func analyzerWorkload(tb testing.TB, preset string) []*summary.ModuleSummary {
 // construction, count estimation, reference sets, web identification and
 // coloring, cluster identification, register usage sets, database assembly
 // — over a synthesized whole program.
-func benchmarkAnalyzer(b *testing.B, preset string, jobs int) {
+func benchmarkAnalyzer(b *testing.B, preset string) {
 	sums := analyzerWorkload(b, preset)
 	opt := core.DefaultOptions()
-	opt.Jobs = jobs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Analyze(context.Background(), sums, opt)
@@ -48,11 +47,6 @@ func benchmarkAnalyzer(b *testing.B, preset string, jobs int) {
 	}
 }
 
-func BenchmarkAnalyzerSmall(b *testing.B)  { benchmarkAnalyzer(b, "small", 1) }
-func BenchmarkAnalyzerMedium(b *testing.B) { benchmarkAnalyzer(b, "medium", 1) }
-func BenchmarkAnalyzerLarge(b *testing.B)  { benchmarkAnalyzer(b, "large", 1) }
-
-// The parallel variants fan per-variable web construction across workers
-// (0 = one per CPU); output is byte-identical by construction, which
-// TestAnalyzerParallelDeterminism asserts.
-func BenchmarkAnalyzerLargeParallel(b *testing.B) { benchmarkAnalyzer(b, "large", 0) }
+func BenchmarkAnalyzerSmall(b *testing.B)  { benchmarkAnalyzer(b, "small") }
+func BenchmarkAnalyzerMedium(b *testing.B) { benchmarkAnalyzer(b, "medium") }
+func BenchmarkAnalyzerLarge(b *testing.B)  { benchmarkAnalyzer(b, "large") }

@@ -14,8 +14,8 @@
 //
 // For scaling experiments, -synth <preset> analyzes a synthesized whole
 // program (small/medium/large, ~500/2000/10000 procedures) instead of
-// phase-1 records, -j bounds analyzer parallelism, and -cpuprofile/
-// -memprofile capture pprof data for the run.
+// phase-1 records, and -cpuprofile/-memprofile capture pprof data for the
+// run. The analyzer runs on one goroutine, so the tool takes no -j.
 package main
 
 import (
@@ -74,7 +74,6 @@ func main() {
 	opt.PartialProgram = *partial
 	opt.MergeWebs = *mergeWebs
 	opt.CallerSavesPreallocation = *callerSaves
-	opt.Jobs = common.Jobs
 	switch *promotion {
 	case "none":
 		opt.Promotion = core.PromoteNone

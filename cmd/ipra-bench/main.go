@@ -36,6 +36,7 @@ func main() {
 	)
 	common := cliutil.New("ipra-bench")
 	common.Register(flag.CommandLine)
+	common.RegisterJobs(flag.CommandLine)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		fatal(err)

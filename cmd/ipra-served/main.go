@@ -44,6 +44,7 @@ func main() {
 	)
 	common := cliutil.New("ipra-served")
 	common.Register(flag.CommandLine)
+	common.RegisterJobs(flag.CommandLine)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)

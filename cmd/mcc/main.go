@@ -71,6 +71,7 @@ func main() {
 	build.RegisterBuild(flag.CommandLine)
 	common := cliutil.New("mcc")
 	common.Register(flag.CommandLine)
+	common.RegisterJobs(flag.CommandLine)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)

@@ -1,8 +1,9 @@
-// Package cliutil holds the flag handling shared by the repo's command
-// drivers (mcc, ipra-bench, ipra-analyze, mvm): parallelism (-j), verbose
-// diagnostics (-v), pprof capture (-cpuprofile, -memprofile), and build
-// telemetry (-trace, -report). Each tool registers one Common on its flag
-// set, calls Start after parsing, threads Context into the library, and
+// Package cliutil holds the flag handling shared by the repo's commands
+// (mcc, ipra-bench, ipra-analyze, ipra-served, ipra-loadgen): verbose
+// diagnostics (-v), pprof capture (-cpuprofile, -memprofile), build
+// telemetry (-trace, -report), and, on the tools that run a worker pool,
+// parallelism (-j). Each tool registers one Common on its flag set,
+// calls Start after parsing, threads Context into the library, and
 // calls Finish on the way out; the artifacts land wherever the flags
 // pointed without any per-tool plumbing. It also reads the profile
 // snapshots that mvm -profile writes and ipra-analyze and mcc read.
@@ -27,7 +28,8 @@ import (
 
 // Common is the shared flag block of one command invocation.
 type Common struct {
-	// Jobs is the -j value: 0 = one worker per CPU, 1 = sequential.
+	// Jobs is the -j value (RegisterJobs): 0 = one worker per CPU, 1 =
+	// sequential.
 	Jobs int
 	// Verbose is the -v value; each tool decides what extra output it
 	// unlocks (cache statistics, analysis reports, ...).
@@ -52,13 +54,18 @@ func New(tool string) *Common { return &Common{tool: tool} }
 
 // Register installs the shared flags on fs.
 func (c *Common) Register(fs *flag.FlagSet) {
-	fs.IntVar(&c.Jobs, "j", 0, "parallel jobs (0 = one per CPU, 1 = sequential)")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose diagnostic output")
 	fs.BoolVar(&c.Verify, "verify", false, "check the analyzer's output against the paper's allocation invariants")
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile at exit to this file")
 	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON build trace to this file (chrome://tracing, Perfetto)")
 	fs.StringVar(&c.reportPath, "report", "", "write a machine-readable JSON build report to this file")
+}
+
+// RegisterJobs installs -j on fs, for the tools that fan work across a
+// worker pool.
+func (c *Common) RegisterJobs(fs *flag.FlagSet) {
+	fs.IntVar(&c.Jobs, "j", 0, "parallel jobs (0 = one per CPU, 1 = sequential)")
 }
 
 // Start begins whatever the parsed flags requested up front: the CPU

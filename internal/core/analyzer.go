@@ -81,10 +81,9 @@ type Options struct {
 	// webs of a global variable are merged through their common dominator
 	// when sharing one cold entry beats paying per-web entry transfers.
 	MergeWebs bool
-	// Jobs bounds analyzer parallelism (per-variable web construction):
-	// 0 uses one worker per CPU, 1 forces the sequential path. The
-	// directives are byte-identical at every setting — results are merged
-	// in variable-index order.
+	// Jobs is read by nothing: the analyzer runs on the caller's
+	// goroutine. The field stays only because the benchmark module's
+	// layer replay assigns it; it goes when that replay does.
 	Jobs int
 	// Strategy names the allocation strategy the coloring stage runs (""
 	// selects DefaultStrategyName, the paper's priority coloring). The

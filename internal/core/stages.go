@@ -94,7 +94,7 @@ func (a *analysis) stageWebs(ctx context.Context) {
 	_, span := telemetry.StartSpan(ctx, "webs")
 	defer span.End()
 	g, sets := a.res.Graph, a.res.Sets
-	allWebs := webs.IdentifyJobs(g, sets, a.opt.Jobs)
+	allWebs := webs.Identify(g, sets)
 	webs.ComputePriorities(g, sets, allWebs)
 	if a.opt.MergeWebs {
 		allWebs = webs.Merge(g, sets, allWebs)

@@ -70,9 +70,8 @@ type ReuseStats struct {
 }
 
 // optionsKey fingerprints every option that shapes analyzer output, the
-// first string of an encoded state. Jobs is deliberately excluded —
-// results are byte-identical at any setting — and of the profile only its
-// presence counts.
+// first string of an encoded state. Jobs, which shapes nothing, is
+// excluded, and of the profile only its presence counts.
 func optionsKey(opt Options) string {
 	strat := opt.Strategy
 	if strat == "" {

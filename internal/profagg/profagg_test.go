@@ -2,10 +2,12 @@ package profagg
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ipra/internal/core"
 	"ipra/internal/parv"
 	"ipra/internal/telemetry"
 )
@@ -118,9 +120,32 @@ func TestMeanProfile(t *testing.T) {
 	}
 }
 
+// testModel is a drift model of directive hash dh trained on
+// testProfile, so a post of testProfile's counts is checked for drift
+// without an analysis.
+func testModel(dh string) *DriftModel {
+	return NewDriftModel(nil, core.Options{Profile: testProfile()}, dh)
+}
+
 func TestStoreIngestGuards(t *testing.T) {
 	tr := telemetry.New()
-	s := New(Options{Fingerprint: "fp", Tracer: tr})
+	base := t.TempDir()
+	s := New(Options{Fingerprint: "fp", Dir: func(p string) string { return filepath.Join(base, p) }, Tracer: tr})
+
+	// Nothing registered a model for prog and no snapshot is stored: the
+	// post is refused and leaves neither state nor directory behind.
+	unknown := NewAggregate("fp", "prog", "dh")
+	unknown.AddRuns(testProfile(), 1)
+	if res, err := s.Ingest(unknown); err != nil || res.Accepted || res.Reason != ReasonUnknownProgram {
+		t.Fatalf("a post for an unknown program: %+v, %v", res, err)
+	}
+	if n := s.Programs(); n != 0 {
+		t.Fatalf("a refused post left %d program states", n)
+	}
+	if _, err := os.Stat(filepath.Join(base, "prog")); !os.IsNotExist(err) {
+		t.Fatalf("a refused post created its directory (stat: %v)", err)
+	}
+	s.Register("prog", testModel("dh"), nil)
 
 	stale := NewAggregate("other-fp", "prog", "dh")
 	stale.AddRuns(testProfile(), 1)
@@ -153,24 +178,28 @@ func TestStoreIngestGuards(t *testing.T) {
 		t.Fatal("nil aggregate ingested without error")
 	}
 	c := tr.Counters()
-	if c["profagg.rejected_stale"] != 2 {
-		t.Fatalf("rejected_stale = %d, want 2", c["profagg.rejected_stale"])
+	if c["profagg.rejected_stale"] != 2 || c["profagg.rejected_unknown"] != 1 {
+		t.Fatalf("rejected_stale = %d, rejected_unknown = %d, want 2 and 1", c["profagg.rejected_stale"], c["profagg.rejected_unknown"])
 	}
-	if c["profagg.runs"] != 1 || c["profagg.records"] != 3 {
-		t.Fatalf("runs/records = %d/%d, want 1/3", c["profagg.runs"], c["profagg.records"])
+	if c["profagg.runs"] != 1 || c["profagg.records"] != 4 {
+		t.Fatalf("runs/records = %d/%d, want 1/4", c["profagg.runs"], c["profagg.records"])
 	}
 }
 
 // TestStoreLRUAndPersistence: the per-program state map stays bounded
 // under program churn, and evicted aggregates come back from their
-// snapshots — including across a fresh Store (daemon restart).
+// snapshots — including across a fresh Store (daemon restart), whose
+// posts a stored snapshot makes known without a registered model.
 func TestStoreLRUAndPersistence(t *testing.T) {
 	base := t.TempDir()
 	dir := func(p string) string { return filepath.Join(base, p) }
 	tr := telemetry.New()
 	s := New(Options{Fingerprint: "fp", Dir: dir, MaxPrograms: 2, Tracer: tr})
 
-	for _, prog := range []string{"a", "b", "c", "a"} {
+	for i, prog := range []string{"a", "b", "c", "a"} {
+		if i < 3 {
+			s.Register(prog, testModel("dh"), nil)
+		}
 		r := NewAggregate("fp", prog, "dh")
 		r.AddRuns(testProfile(), 1)
 		if res, err := s.Ingest(r); err != nil || !res.Accepted {

@@ -56,8 +56,9 @@ type programState struct {
 
 // IngestResult reports what one posted aggregate did to the program's.
 type IngestResult struct {
-	// Accepted is false when the posted counts were rejected as stale;
-	// Reason then carries the machine-readable cause.
+	// Accepted is false when the posted counts were rejected as stale or
+	// for a program the store does not know; Reason then carries the
+	// machine-readable cause.
 	Accepted bool
 	Reason   string
 	// Drifted reports that analyzing the program under the post-merge
@@ -71,10 +72,13 @@ type IngestResult struct {
 	Runs, Records uint64
 }
 
-// Rejection reasons.
+// Rejection reasons. A program is unknown until a profiled build of it
+// registers a drift model or its directory holds a snapshot: only then is
+// there an allocation its counts can be checked against.
 const (
 	ReasonStaleFingerprint = "stale-fingerprint"
 	ReasonStaleDirectives  = "stale-directives"
+	ReasonUnknownProgram   = "unknown-program"
 )
 
 // New returns an empty store.
@@ -100,23 +104,33 @@ func (s *Store) dirFor(program string) string {
 	return s.opts.Dir(program)
 }
 
-// state returns the program's live state, creating it (and loading any
-// persisted snapshot) on first touch. Caller holds s.mu.
-func (s *Store) state(program string) *programState {
+// lookup returns the program's live state, loading its persisted
+// snapshot on first touch, or nil when the store knows nothing of the
+// program: no state in memory and no snapshot of this toolchain on disk.
+// Caller holds s.mu.
+func (s *Store) lookup(program string) *programState {
 	if st, ok := s.programs.Get(program); ok {
 		return st
 	}
-	st := &programState{program: program}
-	if dir := s.dirFor(program); dir != "" {
-		if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
-			if agg, err := DecodeAggregate(data); err == nil &&
-				agg.Fingerprint == s.opts.Fingerprint && agg.Program == program {
-				st.agg = agg
-				s.tracer.Add("profagg.snapshot_loads", 1)
-			}
-		}
+	dir := s.dirFor(program)
+	if dir == "" {
+		return nil
 	}
-	if n := s.programs.Put(program, st); n > 0 {
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		return nil
+	}
+	agg, err := DecodeAggregate(data)
+	if err != nil || agg.Fingerprint != s.opts.Fingerprint || agg.Program != program {
+		return nil
+	}
+	s.tracer.Add("profagg.snapshot_loads", 1)
+	return s.add(&programState{program: program, agg: agg})
+}
+
+// add makes st the program's live state. Caller holds s.mu.
+func (s *Store) add(st *programState) *programState {
+	if n := s.programs.Put(st.program, st); n > 0 {
 		s.tracer.Add("profagg.evictions", int64(n))
 	}
 	return st
@@ -142,11 +156,12 @@ func (s *Store) persist(st *programState) {
 }
 
 // Ingest validates and merges one posted aggregate (its Retrained flag is
-// ignored), then checks the post-merge aggregate for drift when a model
-// is available. The check runs after the store's lock is released: it is
-// a whole analysis, and other programs' posts and every profiled build
-// request take the same lock. Rejections are reported in the result, not
-// as errors; the error path is reserved for malformed input.
+// ignored) into a program the store knows, then checks the post-merge
+// aggregate for drift when a model is available. The check runs after the
+// store's lock is released: it is a whole analysis, and other programs'
+// posts and every profiled build request take the same lock. Rejections
+// are reported in the result, not as errors; the error path is reserved
+// for malformed input.
 func (s *Store) Ingest(posted *Aggregate) (*IngestResult, error) {
 	if posted == nil || posted.Program == "" {
 		return nil, fmt.Errorf("profagg: posted aggregate has no program key")
@@ -173,12 +188,16 @@ func (s *Store) merge(posted *Aggregate) (*IngestResult, *DriftModel, *parv.Prof
 		s.tracer.Add("profagg.rejected_stale", 1)
 		return &IngestResult{Reason: ReasonStaleFingerprint}, nil, nil
 	}
-	st := s.state(posted.Program)
-	expect := posted.DirectiveHash
-	switch {
-	case st.model != nil:
+	// A live state holds a model, an aggregate or both.
+	st := s.lookup(posted.Program)
+	if st == nil {
+		s.tracer.Add("profagg.rejected_unknown", 1)
+		return &IngestResult{Reason: ReasonUnknownProgram}, nil, nil
+	}
+	var expect string
+	if st.model != nil {
 		expect = st.model.DirectiveHash
-	case st.agg != nil:
+	} else {
 		expect = st.agg.DirectiveHash
 	}
 	if posted.DirectiveHash != expect {
@@ -215,7 +234,10 @@ func (s *Store) merge(posted *Aggregate) (*IngestResult, *DriftModel, *parv.Prof
 func (s *Store) Register(program string, model *DriftModel, meta any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(program)
+	st := s.lookup(program)
+	if st == nil {
+		st = s.add(&programState{program: program})
+	}
 	st.model = model
 	st.meta = meta
 	switch {
@@ -241,8 +263,8 @@ func (s *Store) Register(program string, model *DriftModel, meta any) {
 func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Profile, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(program)
-	if st.agg == nil || !st.agg.Retrained {
+	st := s.lookup(program)
+	if st == nil || st.agg == nil || !st.agg.Retrained {
 		return "", nil, false
 	}
 	return st.agg.Hash(), st.agg.MeanProfile(), true
@@ -280,8 +302,8 @@ func (s *Store) AbortRetrain(program string) {
 func (s *Store) Snapshot(program string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(program)
-	if st.agg == nil {
+	st := s.lookup(program)
+	if st == nil || st.agg == nil {
 		return nil, false
 	}
 	return st.agg.Encode(), true

@@ -31,14 +31,13 @@ func codecRequests() []*BuildRequest {
 }
 
 // codecResponses cover every BuildResponse field: Incremental nil, set,
-// and set to its zero value; Counters and Trace empty and non-empty.
+// and set to its zero value; Trace empty and non-empty.
 func codecResponses() []*BuildResponse {
 	return []*BuildResponse{
-		{RequestID: 1, Config: "L2", Modules: 1, Exe: []byte("exe"), Instructions: 3, ElapsedMS: 0.25},
-		{RequestID: 1 << 40, Config: "C", Modules: 3, Exe: []byte{0, 1, 2, 0xff}, Instructions: 120,
+		{RequestID: 1, Config: "L2", Exe: []byte("exe"), Instructions: 3, ElapsedMS: 0.25},
+		{RequestID: 1 << 40, Config: "C", Exe: []byte{0, 1, 2, 0xff}, Instructions: 120,
 			Dedup: true, ResultCached: true,
 			Incremental: &IncrementalSummary{StateReset: true, Phase1Rebuilds: 2, Phase2Rebuilds: 1},
-			Counters:    map[string]int64{"served.builds": 1, "cache.hits": 3, "analyzer.delta": -2},
 			ElapsedMS:   12.5, Trace: json.RawMessage(`{"traceEvents":[]}`), DirectiveHash: "0123abcd"},
 		{Incremental: &IncrementalSummary{}},
 	}
@@ -73,25 +72,41 @@ func TestBuildCodecRoundTrip(t *testing.T) {
 			t.Errorf("response %d does not re-encode to its bytes", i)
 		}
 	}
-	// Counters go in name order whatever order the map yields them in.
-	resp := codecResponses()[1]
-	first := resp.encode()
-	for i := 0; i < 20; i++ {
-		if !bytes.Equal(resp.encode(), first) {
-			t.Fatal("one response encoded to two different byte strings")
-		}
+}
+
+// TestBuildResponseV2Rejected: a build-response v2 body, which carried
+// the module count and the request's counters, is an older version.
+func TestBuildResponseV2Rejected(t *testing.T) {
+	e := wire.NewEncoder(buildResponseKind, 2)
+	e.U(1)
+	e.Str("C")
+	e.U(3) // modules
+	e.Bytes([]byte("exe"))
+	e.U(3)
+	e.Bool(false)
+	e.Bool(false)
+	e.Bool(false)
+	e.U(1) // one counter
+	e.Str("cache.hits")
+	e.I(2)
+	e.F64(0.5)
+	e.Bytes(nil)
+	e.Str("")
+	if _, err := decodeBuildResponse(e.Finish()); !errors.Is(err, wire.ErrOldVersion) {
+		t.Errorf("a v2 reply: err = %v, want wire.ErrOldVersion", err)
 	}
 }
 
-// TestBuildCodecRejectsNonCanonical: the wire framing skips sections it
-// does not know, and a bool byte above 1 reads as true; a build body that
-// uses either is refused, so each value has exactly one encoding.
+// TestBuildCodecRejectsNonCanonical: the wire framing reads only the
+// string table and then the body, and a bool byte above 1 reads as true;
+// a build body with another section is an error, and one with such a
+// bool is refused, so each value has exactly one encoding.
 func TestBuildCodecRejectsNonCanonical(t *testing.T) {
 	data := codecRequests()[0].encode()
 	extra := binary.AppendUvarint(bytes.Clone(data), 9) // section id 9, empty
 	extra = binary.AppendUvarint(extra, 0)
-	if _, err := decodeBuildRequest(extra); !errors.Is(err, errNotCanonical) {
-		t.Errorf("request with an unknown section: err = %v, want errNotCanonical", err)
+	if _, err := decodeBuildRequest(extra); err == nil {
+		t.Error("a request with an unknown section decoded")
 	}
 	// The one byte in which these two encodings differ is Dedup's.
 	plain := (&BuildResponse{Config: "C"}).encode()
@@ -113,11 +128,11 @@ type rawSection struct {
 }
 
 // rawFile assembles a wire file from its sections, in the order given.
-func rawFile(kind string, sections ...rawSection) []byte {
+func rawFile(kind string, version uint64, sections ...rawSection) []byte {
 	out := []byte("ipra-wire/1\n")
 	out = binary.AppendUvarint(out, uint64(len(kind)))
 	out = append(out, kind...)
-	out = binary.AppendUvarint(out, 2)
+	out = binary.AppendUvarint(out, version)
 	for _, s := range sections {
 		out = binary.AppendUvarint(out, s.id)
 		out = binary.AppendUvarint(out, uint64(len(s.payload)))
@@ -156,14 +171,15 @@ type namedBody struct {
 // nonCanonical builds one body for each way a body that decodes can
 // differ from the encoding of what it decodes to. The request cases vary
 // the build-request of codecRequests()[0] — config "L2", strategy "", one
-// source — and the reply cases a build-response whose counters are
-// {"a": 1, "b": 2}. Each list opens with the canonical body its parts
+// source — and the reply cases the build-response of config "C" and
+// nothing else. Each list opens with the canonical body its parts
 // assemble, which TestNonCanonicalBodiesRejected checks against the
-// encoder's bytes.
-func nonCanonical() (requests, replies []namedBody) {
+// encoder's bytes. misframed are that request with its sections
+// rearranged, which the wire framing rejects before the body is read.
+func nonCanonical() (requests, replies, misframed []namedBody) {
 	text := codecRequests()[0].Sources[0].Text
 	req := func(table []byte, body ...[]byte) []byte {
-		return rawFile(buildRequestKind, rawSection{1, table}, rawSection{2, cat(body...)})
+		return rawFile(buildRequestKind, buildRequestVersion, rawSection{1, table}, rawSection{2, cat(body...)})
 	}
 	table := rawTable("L2", "", "m.mc")
 	src := cat(uv(2), uv(uint64(len(text))), []byte(text))
@@ -176,41 +192,39 @@ func nonCanonical() (requests, replies []namedBody) {
 		{"unreferenced string", req(rawTable("L2", "", "m.mc", "x.mc"), uv(0), uv(1), []byte{0, 0}, uv(1), src)},
 		{"repeated string", req(rawTable("L2", "", "L2"), uv(0), uv(1), []byte{0, 0}, uv(1), uv(2), src[1:])},
 		{"strings out of order", req(rawTable("", "L2", "m.mc"), uv(1), uv(0), []byte{0, 0}, uv(1), src)},
+	}
+	misframed = []namedBody{
 		{"unknown section", cat(req(table, uv(0), uv(1), []byte{0, 0}, uv(1), src), uv(9), uv(0))},
-		{"sections swapped", rawFile(buildRequestKind,
+		{"sections swapped", rawFile(buildRequestKind, buildRequestVersion,
 			rawSection{2, cat(uv(0), uv(1), []byte{0, 0}, uv(1), src)}, rawSection{1, table})},
 	}
-	// A reply's table is "C", the counter names, then "" (the directive
-	// hash, the last string referenced).
-	reply := func(names []string, counters ...[]byte) []byte {
-		// RequestID 0, Config "C", 0 modules, no Exe, 0 instructions,
-		// three false bools, the counters, ElapsedMS 0, no Trace,
+	// A reply's table is "C", then "" (the directive hash).
+	reply := func(exeLen, bools []byte) []byte {
+		// RequestID 0, Config "C", the Exe's length and no bytes, 0
+		// instructions, the three bools, ElapsedMS 0, no Trace,
 		// DirectiveHash "".
-		body := cat(uv(0), uv(0), uv(0), uv(0), uv(0), []byte{0, 0, 0},
-			uv(uint64(len(counters))), cat(counters...), make([]byte, 8), uv(0), uv(uint64(len(names)+1)))
-		table := rawTable(append(append([]string{"C"}, names...), "")...)
-		return rawFile(buildResponseKind, rawSection{1, table}, rawSection{2, body})
+		body := cat(uv(0), uv(0), exeLen, uv(0), bools, make([]byte, 8), uv(0), uv(1))
+		return rawFile(buildResponseKind, buildResponseVersion, rawSection{1, rawTable("C", "")}, rawSection{2, body})
 	}
-	counter := func(ref uint64, v int64) []byte { return binary.AppendVarint(uv(ref), v) }
 	replies = []namedBody{
-		{"canonical", reply([]string{"a", "b"}, counter(1, 1), counter(2, 2))},
-		{"counters out of order", reply([]string{"b", "a"}, counter(1, 2), counter(2, 1))},
-		{"counter repeated", reply([]string{"a"}, counter(1, 1), counter(1, 1))},
+		{"canonical", reply(uv(0), []byte{0, 0, 0})},
+		{"long length", reply(long(0), []byte{0, 0, 0})},
+		{"bool byte 2", reply(uv(0), []byte{2, 0, 0})},
 	}
-	return requests, replies
+	return requests, replies, misframed
 }
 
 // TestNonCanonicalBodiesRejected: every body of nonCanonical but the
 // canonical one in each list decodes to a value that encodes to other
 // bytes, and comes back as errNotCanonical; a request body does so
-// through the /v1/build handler as 400 bad-request, before admission.
+// through the /v1/build handler as 400 bad-request, before admission. A
+// misframed request is a 400 bad-request as well.
 func TestNonCanonicalBodiesRejected(t *testing.T) {
-	requests, replies := nonCanonical()
+	requests, replies, misframed := nonCanonical()
 	if !bytes.Equal(requests[0].data, codecRequests()[0].encode()) {
 		t.Fatal("the hand-assembled canonical request differs from the encoder's")
 	}
-	want := &BuildResponse{Config: "C", Counters: map[string]int64{"a": 1, "b": 2}}
-	if !bytes.Equal(replies[0].data, want.encode()) {
+	if !bytes.Equal(replies[0].data, (&BuildResponse{Config: "C"}).encode()) {
 		t.Fatal("the hand-assembled canonical reply differs from the encoder's")
 	}
 	srv := stubbedServer()
@@ -225,6 +239,17 @@ func TestNonCanonicalBodiesRejected(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusBadRequest ||
 			er.Reason != ReasonBadRequest || !strings.Contains(er.Error, errNotCanonical.Error()) {
 			t.Errorf("request, %s: handler answered %d %s, want 400 %q naming the canonical form", c.name, rec.Code, rec.Body, ReasonBadRequest)
+		}
+	}
+	for _, c := range misframed {
+		if _, err := decodeBuildRequest(c.data); err == nil {
+			t.Errorf("request, %s: decoded", c.name)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/build", bytes.NewReader(c.data)))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusBadRequest || er.Reason != ReasonBadRequest {
+			t.Errorf("request, %s: handler answered %d %s, want 400 %q", c.name, rec.Code, rec.Body, ReasonBadRequest)
 		}
 	}
 	for _, c := range replies[1:] {
@@ -266,7 +291,7 @@ func TestReadBodyBoundsPresize(t *testing.T) {
 func stubbedServer() *Server {
 	srv := New(Options{Jobs: 1})
 	srv.buildFn = func(_ context.Context, j *job) (*BuildResponse, error) {
-		return &BuildResponse{Config: j.req.Config, Modules: len(j.req.Sources), Exe: []byte("exe")}, nil
+		return &BuildResponse{Config: j.req.Config, Exe: []byte("exe")}, nil
 	}
 	return srv
 }
@@ -286,8 +311,8 @@ func FuzzBuildRequestDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)-1])
 	}
-	requests, _ := nonCanonical()
-	for _, c := range requests {
+	requests, _, misframed := nonCanonical()
+	for _, c := range append(requests, misframed...) {
 		f.Add(c.data)
 	}
 	f.Add([]byte(jsonBuildBody))
@@ -313,7 +338,7 @@ func FuzzBuildResponseDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)-1])
 	}
-	_, replies := nonCanonical()
+	_, replies, _ := nonCanonical()
 	for _, c := range replies {
 		f.Add(c.data)
 	}

@@ -327,9 +327,17 @@ func TestProfileProgramKeyConfined(t *testing.T) {
 		t.Errorf("a snapshot for ../escaped touched %s (stat: %v)", filepath.Join(root, "escaped"), err)
 	}
 
-	// A key of the right shape is still served.
-	const program = "0123456789abcdef"
-	ir, err := client.IngestProfile(ctx, generation(program).Encode())
+	// The key of a program built under a profiled configuration is
+	// still served.
+	req := &BuildRequest{Config: "B", Sources: testSources(t)}
+	resp, err := client.Build(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := req.ProgramKey()
+	gen := profagg.NewAggregate(srv.Fingerprint(), program, resp.DirectiveHash)
+	gen.AddRuns(prof, 2)
+	ir, err := client.IngestProfile(ctx, gen.Encode())
 	if err != nil || !ir.Accepted {
 		t.Fatalf("snapshot for a well-formed key: %+v, %v", ir, err)
 	}
@@ -339,5 +347,75 @@ func TestProfileProgramKeyConfined(t *testing.T) {
 	}
 	if agg, err := profagg.DecodeAggregate(snap); err != nil || agg.Program != program || agg.Runs != 2 {
 		t.Fatalf("snapshot of a well-formed key: %+v, %v", agg, err)
+	}
+}
+
+// TestProfileUnknownProgramRefused: the daemon merges fleet counts only
+// into a program it built under a profiled configuration (or whose
+// snapshot it holds). A post for a key nothing built, and one for a
+// program built under C, which has no drift model, are refused as
+// unknown-program, counted, and leave no snapshot behind; once a B build
+// of the program has run, its posts are accepted.
+func TestProfileUnknownProgramRefused(t *testing.T) {
+	state := t.TempDir()
+	srv := New(Options{Jobs: 1, StateDir: state})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	srcs := testSources(t)
+	prof := &parv.Profile{Edges: map[parv.EdgeKey]uint64{{Caller: "main", Callee: "f"}: 3}}
+	post := func(program, directiveHash string) *ProfileIngestResponse {
+		t.Helper()
+		gen := profagg.NewAggregate(srv.Fingerprint(), program, directiveHash)
+		gen.AddRuns(prof, 2)
+		ir, err := client.IngestProfile(ctx, gen.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ir
+	}
+	snapshot := func(program string) string { return filepath.Join(state, program, "profagg.snapshot") }
+
+	reqB := &BuildRequest{Config: "B", Sources: srcs}
+	keyB := reqB.ProgramKey()
+	if ir := post(keyB, "directives"); ir.Accepted || ir.Reason != profagg.ReasonUnknownProgram {
+		t.Errorf("a post for a key nothing built: %+v, want refused as %s", ir, profagg.ReasonUnknownProgram)
+	}
+	if _, err := os.Stat(filepath.Join(state, keyB)); !os.IsNotExist(err) {
+		t.Errorf("a refused post created the program's directory (stat: %v)", err)
+	}
+
+	reqC := &BuildRequest{Config: "C", Sources: srcs}
+	respC, err := client.Build(ctx, reqC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyC := reqC.ProgramKey()
+	if ir := post(keyC, respC.DirectiveHash); ir.Accepted || ir.Reason != profagg.ReasonUnknownProgram {
+		t.Errorf("a post for a program built under C: %+v, want refused as %s", ir, profagg.ReasonUnknownProgram)
+	}
+	if _, err := os.Stat(snapshot(keyC)); !os.IsNotExist(err) {
+		t.Errorf("a refused post wrote a snapshot (stat: %v)", err)
+	}
+	if _, err := client.ProfileSnapshot(ctx, keyC); err == nil {
+		t.Error("the daemon serves a snapshot of a program built under C")
+	}
+
+	respB, err := client.Build(ctx, reqB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir := post(keyB, respB.DirectiveHash); !ir.Accepted || !ir.ModelReady || ir.Runs != 2 {
+		t.Errorf("a post after the B build: %+v, want accepted against the model", ir)
+	}
+	if _, err := os.Stat(snapshot(keyB)); err != nil {
+		t.Errorf("an accepted post wrote no snapshot: %v", err)
+	}
+	if n := srv.Counters()["profagg.rejected_unknown"]; n != 2 {
+		t.Errorf("profagg.rejected_unknown = %d, want 2", n)
 	}
 }

@@ -116,7 +116,6 @@ type BuildResponse struct {
 	// RequestID identifies the request in the daemon's log and trace.
 	RequestID uint64
 	Config    string
-	Modules   int
 	// Exe is the canonical executable image (parv encoding);
 	// byte-identical to a local build of the same sources and config.
 	// Client.Build returns it as a slice of the reply body it read, which
@@ -134,10 +133,6 @@ type BuildResponse struct {
 	// Incremental summarizes build-dir reuse; nil for stateless builds
 	// and for responses shared from another identical request's build.
 	Incremental *IncrementalSummary
-	// Counters is the request-scoped telemetry counter snapshot (cache
-	// traffic, rebuild totals, verifier violations, ...). Shared
-	// (dedup) responses carry the leader's counters.
-	Counters map[string]int64
 	// ElapsedMS is the server-side wall time of the request, from the
 	// start of Server.Build to just before the reply is encoded: the
 	// request body's read and decode and the reply's encode and write
@@ -154,8 +149,10 @@ type BuildResponse struct {
 
 // ProfileIngestResponse is the /v1/profile reply.
 type ProfileIngestResponse struct {
-	// Accepted is false when the record was rejected as stale; Reason
-	// then names the cause ("stale-fingerprint" or "stale-directives").
+	// Accepted is false when the record was rejected; Reason then names
+	// the cause: "stale-fingerprint", "stale-directives", or
+	// "unknown-program" for a program this daemon holds no drift model or
+	// snapshot of (one never built here under B or F).
 	Accepted bool   `json:"accepted"`
 	Reason   string `json:"reason,omitempty"`
 	// Runs and Records are the aggregate totals after the merge.
@@ -308,17 +305,19 @@ func validProgramKey(s string) bool {
 
 // The /v1/build bodies are wire artifacts of these kinds. build-request
 // v2 dropped the training-run budget, which decides no output byte;
-// build-response v2 dropped the analyzer fallback from the rebuild record.
+// build-response v2 dropped the analyzer fallback from the rebuild record,
+// and v3 the module count and the request's counters, which no client
+// read (the server's counters are at /v1/stats).
 const (
 	buildRequestKind     = "build-request"
 	buildRequestVersion  = 2
 	buildResponseKind    = "build-response"
-	buildResponseVersion = 2
+	buildResponseVersion = 3
 )
 
 // errNotCanonical rejects a body that decodes but is not the encoding of
-// what it decodes to: an unsorted or repeated counter, a bool byte other
-// than 0 or 1, an unreferenced string, a skipped section. Each value has
+// what it decodes to: a varint with a redundant byte, a bool byte other
+// than 0 or 1, an unreferenced or repeated string. Each value has
 // one encoding, so the codec's fuzz tests can check that an accepted body
 // re-encodes to the same bytes.
 var errNotCanonical = errors.New("served: body is not in canonical wire form")
@@ -394,23 +393,10 @@ func decodeBuildRequest(data []byte) (*BuildRequest, error) {
 	return r, nil
 }
 
-// counterNames returns the response's counter names in the order the
-// body lists them: sorted, so equal responses encode to equal bytes.
-func (r *BuildResponse) counterNames() []string {
-	names := make([]string, 0, len(r.Counters))
-	for name := range r.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// writeFields writes the response's build-response body, its counters as
-// name-sorted pairs.
-func (r *BuildResponse) writeFields(w fieldWriter, names []string) {
+// writeFields writes the response's build-response body.
+func (r *BuildResponse) writeFields(w fieldWriter) {
 	w.U(r.RequestID)
 	w.Str(r.Config)
-	w.U(uint64(r.Modules))
 	w.Bytes(r.Exe)
 	w.U(uint64(r.Instructions))
 	w.Bool(r.Dedup)
@@ -421,11 +407,6 @@ func (r *BuildResponse) writeFields(w fieldWriter, names []string) {
 		w.U(uint64(inc.Phase1Rebuilds))
 		w.U(uint64(inc.Phase2Rebuilds))
 	}
-	w.U(uint64(len(names)))
-	for _, name := range names {
-		w.Str(name)
-		w.I(r.Counters[name])
-	}
 	w.F64(r.ElapsedMS)
 	w.Bytes(r.Trace)
 	w.Str(r.DirectiveHash)
@@ -434,16 +415,11 @@ func (r *BuildResponse) writeFields(w fieldWriter, names []string) {
 // encode serializes the response as a build-response artifact.
 func (r *BuildResponse) encode() []byte {
 	e := wire.NewEncoder(buildResponseKind, buildResponseVersion)
-	names := r.counterNames()
 	// The executable and the trace, plus every varint at its widest; the
-	// string table holds the config, the counter names and the directive
-	// hash.
+	// string table holds the config and the directive hash.
 	strs := len(r.Config) + len(r.DirectiveHash) + 3*binary.MaxVarintLen64
-	for _, name := range names {
-		strs += len(name) + binary.MaxVarintLen64
-	}
-	e.Grow(len(r.Exe)+len(r.Trace)+binary.MaxVarintLen64*(2*len(names)+16), strs)
-	r.writeFields(e, names)
+	e.Grow(len(r.Exe)+len(r.Trace)+binary.MaxVarintLen64*16, strs)
+	r.writeFields(e)
 	return e.Finish()
 }
 
@@ -457,7 +433,6 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 	r := &BuildResponse{
 		RequestID:    d.U(),
 		Config:       d.Str(),
-		Modules:      int(d.U()),
 		Exe:          d.BytesView(),
 		Instructions: int(d.U()),
 		Dedup:        d.Bool(),
@@ -470,13 +445,6 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 			Phase2Rebuilds: int(d.U()),
 		}
 	}
-	if n := d.Count(2); n > 0 {
-		r.Counters = make(map[string]int64, n)
-		for i := 0; i < n; i++ {
-			name := d.Str()
-			r.Counters[name] = d.I()
-		}
-	}
 	r.ElapsedMS = d.F64()
 	r.Trace = d.Bytes()
 	r.DirectiveHash = d.Str()
@@ -484,7 +452,7 @@ func decodeBuildResponse(data []byte) (*BuildResponse, error) {
 		return nil, err
 	}
 	c := wire.NewChecker(data, buildResponseKind, buildResponseVersion)
-	r.writeFields(c, r.counterNames())
+	r.writeFields(c)
 	if !c.Finish() {
 		return nil, errNotCanonical
 	}

@@ -84,7 +84,7 @@ func TestServedByteIdentity(t *testing.T) {
 			if !bytes.Equal(resp.Exe, want) {
 				t.Fatalf("daemon exe differs from local build (%d vs %d bytes)", len(resp.Exe), len(want))
 			}
-			if resp.Instructions == 0 || resp.Modules != len(srcs) {
+			if resp.Instructions == 0 || resp.Config != config {
 				t.Fatalf("bad response metadata: %+v", resp)
 			}
 

@@ -417,10 +417,8 @@ func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 	resp := &BuildResponse{
 		RequestID:    id,
 		Config:       cfg.Name,
-		Modules:      len(sources),
 		Exe:          exeBuf.Bytes(),
 		Instructions: len(res.Exe.Code),
-		Counters:     reqTracer.Counters(),
 		ElapsedMS:    float64(time.Since(j.began).Microseconds()) / 1000,
 	}
 	if res.Program.DB != nil {

@@ -18,7 +18,6 @@ import (
 
 	"ipra/internal/callgraph"
 	"ipra/internal/ir"
-	"ipra/internal/pipeline"
 	"ipra/internal/refsets"
 )
 
@@ -90,7 +89,7 @@ func (w *Web) String() string {
 // ----------------------------------------------------------------------------
 // Web identification (Figure 2)
 
-// identifyState is the shared, read-only context for per-variable web
+// identifyState is the read-only context for per-variable web
 // construction. It inverts the reference sets once — per-variable L_REF
 // node lists and per-SCC member lists — so each variable visits only the
 // nodes that mention it instead of scanning the whole graph.
@@ -167,9 +166,9 @@ func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets) *identifyState {
 }
 
 // identArena batches the allocations of web construction: Web structs and
-// node bit sets both come from chunked, never-reclaimed slabs, so one
-// variable's construction pays a constant number of allocations instead
-// of several per web. An arena must not be shared across goroutines.
+// node bit sets both come from chunked, never-reclaimed slabs that every
+// variable's construction shares, so identification pays a few
+// allocations per slab instead of several per web.
 type identArena struct {
 	bits ir.BitArena
 	webs []Web
@@ -190,8 +189,6 @@ func (a *identArena) newWeb(v string, nodes int, fromCycle bool) *Web {
 }
 
 // websFor runs Compute_Webs for a single variable, allocating out of ar.
-// It touches only read-only shared state, so distinct variables can run
-// concurrently with per-call (or per-worker) arenas.
 func (st *identifyState) websFor(vi int, ar *identArena) []*Web {
 	g, sets := st.g, st.sets
 	lref := st.lrefNodes[vi]
@@ -241,38 +238,14 @@ func (st *identifyState) websFor(vi int, ar *identArena) []*Web {
 
 // Identify computes the webs of every eligible global variable, following
 // the Compute_Webs/Expand_Web algorithm of Figure 2, plus the paper's
-// companion rule for recursive call chains.
+// companion rule for recursive call chains. Variables are visited in
+// index order, all out of one arena, and web IDs follow that order.
 func Identify(g *callgraph.Graph, sets *refsets.Sets) []*Web {
-	return IdentifyJobs(g, sets, 1)
-}
-
-// IdentifyJobs is Identify with the per-variable construction fanned
-// across a bounded worker pool: webs of distinct variables never interact
-// until coloring, so each variable is an independent work item. jobs
-// follows pipeline.Workers semantics (0 = one worker per CPU, 1 =
-// sequential). Results are concatenated in variable-index order and IDs
-// assigned afterwards, so the output is byte-identical to the sequential
-// run regardless of worker interleaving.
-func IdentifyJobs(g *callgraph.Graph, sets *refsets.Sets, jobs int) []*Web {
 	st := newIdentifyState(g, sets)
-	perVar := make([][]*Web, len(sets.Vars))
-	if pipeline.Workers(jobs) <= 1 || len(sets.Vars) < 2 {
-		var ar identArena
-		for vi := range sets.Vars {
-			perVar[vi] = st.websFor(vi, &ar)
-		}
-	} else {
-		// Arenas are not goroutine-safe, so parallel construction pays one
-		// arena per variable; each still batches that variable's webs.
-		perVar, _ = pipeline.Map(jobs, make([]struct{}, len(sets.Vars)),
-			func(vi int, _ struct{}) ([]*Web, error) {
-				var ar identArena
-				return st.websFor(vi, &ar), nil
-			})
-	}
+	var ar identArena
 	var webs []*Web
-	for _, vw := range perVar {
-		webs = append(webs, vw...)
+	for vi := range sets.Vars {
+		webs = append(webs, st.websFor(vi, &ar)...)
 	}
 	for i, w := range webs {
 		w.ID = i + 1

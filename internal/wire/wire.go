@@ -4,19 +4,20 @@
 // and by the build daemon's request and reply bodies.
 //
 // A wire file is a fixed magic string, a kind tag with a per-kind format
-// version, and a sequence of length-prefixed sections:
+// version, and two length-prefixed sections:
 //
 //	"ipra-wire/1\n"
 //	kind    uvarint-length string  ("cache-entry", "object", ...)
 //	version uvarint                (per-kind body format version)
-//	section*                       (id uvarint, length uvarint, payload)
+//	strings 1, length uvarint, payload
+//	body    2, length uvarint, payload
 //
-// Section 1 is the string table (every distinct string once, deduplicated;
-// the body refers to strings by table index), section 2 is the body.
-// Decoders skip sections with ids they do not recognize, so new optional
-// sections can be added without a version bump; any change to the body
-// layout of a kind must bump that kind's version, and decoders reject
-// versions they were not built for.
+// The string table lists every distinct string once, deduplicated; the
+// body refers to strings by table index. Nothing follows the body. A
+// decoder rejects a file whose sections are not exactly the table and
+// then the body: one missing, repeated, out of order or extra. Any change
+// to the body layout of a kind must bump that kind's version, and
+// decoders reject versions they were not built for.
 //
 // Scalars are uvarint/varint encoded; floats and bitset words are
 // little-endian 64-bit values, bitsets written as their raw []uint64
@@ -34,9 +35,9 @@
 // into that room and returns the one buffer; a string table larger than
 // the room Grow was promised falls back to the copy.
 //
-// A decoder accepts any encoding that parses: a varint with redundant
-// continuation bytes, a bool byte above 1, an unreferenced or repeated
-// table string, unknown sections. A reader that must see each value in
+// A decoder accepts any body and string table that parse: a varint with
+// redundant continuation bytes, a bool byte above 1, an unreferenced or
+// repeated table string. A reader that must see each value in
 // exactly one encoding proves a decoded file canonical with a Checker:
 // it replays the field calls that would encode the decoded value and
 // compares each with the file's bytes where they lie, then compares the
@@ -56,7 +57,7 @@ import (
 // header and section layout itself (the per-kind version covers bodies).
 const magic = "ipra-wire/1\n"
 
-// Section identifiers.
+// Section identifiers, in the order a file holds them.
 const (
 	secStrings = 1
 	secBody    = 2
@@ -240,64 +241,11 @@ type Decoder struct {
 // NewDecoder parses the header and sections of data, verifying the magic,
 // kind, and version. The returned decoder is positioned at the body.
 func NewDecoder(data []byte, kind string, version uint64) (*Decoder, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("wire: not a wire file (want %s kind %q)", magic[:len(magic)-1], kind)
+	strs, body, err := frame(data, kind, version)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[len(magic):]
-	gotKind, rest, ok := cutString(rest)
-	if !ok {
-		return nil, fmt.Errorf("wire: truncated header (kind %q)", kind)
-	}
-	if gotKind != kind {
-		return nil, fmt.Errorf("wire: kind mismatch (got %q, want %q)", gotKind, kind)
-	}
-	gotVersion, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: truncated header (kind %q)", kind)
-	}
-	rest = rest[n:]
-	if gotVersion < version {
-		return nil, fmt.Errorf("wire: %s is an %w (got v%d, want v%d)", kind, ErrOldVersion, gotVersion, version)
-	}
-	if gotVersion != version {
-		return nil, fmt.Errorf("wire: %s version mismatch (got v%d, want v%d)", kind, gotVersion, version)
-	}
-
-	d := &Decoder{kind: kind}
-	var strs []byte
-	haveStrs, haveBody := false, false
-	for len(rest) > 0 {
-		id, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, d.corrupt("truncated section header")
-		}
-		rest = rest[n:]
-		size, n := binary.Uvarint(rest)
-		if n <= 0 || size > uint64(len(rest)-n) {
-			return nil, d.corrupt("section length exceeds file")
-		}
-		payload := rest[n : n+int(size)]
-		rest = rest[n+int(size):]
-		switch id {
-		case secStrings:
-			if haveStrs {
-				return nil, d.corrupt("duplicate string table")
-			}
-			haveStrs, strs = true, payload
-		case secBody:
-			if haveBody {
-				return nil, d.corrupt("duplicate body")
-			}
-			haveBody, d.body = true, payload
-		default:
-			// Unknown section: skip. Future encoders may add optional
-			// sections without breaking older readers.
-		}
-	}
-	if !haveStrs || !haveBody {
-		return nil, d.corrupt("missing string table or body")
-	}
-
+	d := &Decoder{kind: kind, body: body}
 	count, n := binary.Uvarint(strs)
 	if n <= 0 || count > uint64(len(strs)) {
 		return nil, d.corrupt("corrupt string table")
@@ -312,6 +260,54 @@ func NewDecoder(data []byte, kind string, version uint64) (*Decoder, error) {
 		d.tab[i], strs = s, rest
 	}
 	return d, nil
+}
+
+// frame checks the magic, kind and version of data and splits the rest
+// into the string table's and the body's payloads, which must be its only
+// sections, in that order.
+func frame(data []byte, kind string, version uint64) (strs, body []byte, err error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, nil, fmt.Errorf("wire: not a wire file (want %s kind %q)", magic[:len(magic)-1], kind)
+	}
+	rest := data[len(magic):]
+	gotKind, rest, ok := cutString(rest)
+	if !ok {
+		return nil, nil, fmt.Errorf("wire: truncated header (kind %q)", kind)
+	}
+	if gotKind != kind {
+		return nil, nil, fmt.Errorf("wire: kind mismatch (got %q, want %q)", gotKind, kind)
+	}
+	gotVersion, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("wire: truncated header (kind %q)", kind)
+	}
+	rest = rest[n:]
+	if gotVersion < version {
+		return nil, nil, fmt.Errorf("wire: %s is an %w (got v%d, want v%d)", kind, ErrOldVersion, gotVersion, version)
+	}
+	if gotVersion != version {
+		return nil, nil, fmt.Errorf("wire: %s version mismatch (got v%d, want v%d)", kind, gotVersion, version)
+	}
+	var payloads [2][]byte
+	for i, want := range [2]uint64{secStrings, secBody} {
+		id, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return nil, nil, fmt.Errorf("wire: %s: missing section %d", kind, want)
+		}
+		if id != want {
+			return nil, nil, fmt.Errorf("wire: %s: section %d where section %d belongs", kind, id, want)
+		}
+		rest = rest[n:]
+		size, n := binary.Uvarint(rest)
+		if n <= 0 || size > uint64(len(rest)-n) {
+			return nil, nil, fmt.Errorf("wire: %s: section %d length exceeds file", kind, want)
+		}
+		payloads[i], rest = rest[n:n+int(size)], rest[n+int(size):]
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("wire: %s: %d bytes after the body", kind, len(rest))
+	}
+	return payloads[0], payloads[1], nil
 }
 
 // cutString reads one uvarint-length-prefixed string.
@@ -540,25 +536,9 @@ type Checker struct {
 // header, the string table, the body and nothing else — fails at once.
 func NewChecker(data []byte, kind string, version uint64) *Checker {
 	c := &Checker{kind: kind, version: version, data: data, idx: make(map[string]uint64)}
-	head := len(magic) + uvarintLen(uint64(len(kind))) + len(kind) + uvarintLen(version)
-	if len(data) < head {
-		return c
+	if _, body, err := frame(data, kind, version); err == nil {
+		c.body, c.bodyLen, c.ok = body, len(body), true
 	}
-	rest := data[head:]
-	var payload []byte
-	for _, id := range []uint64{secStrings, secBody} {
-		got, n := binary.Uvarint(rest)
-		if n <= 0 || got != id {
-			return c
-		}
-		rest = rest[n:]
-		size, n := binary.Uvarint(rest)
-		if n <= 0 || size > uint64(len(rest)-n) {
-			return c
-		}
-		payload, rest = rest[n:n+int(size)], rest[n+int(size):]
-	}
-	c.body, c.bodyLen, c.ok = payload, len(payload), len(rest) == 0
 	return c
 }
 

@@ -153,21 +153,43 @@ func TestOversizedCountFails(t *testing.T) {
 	}
 }
 
-func TestUnknownSectionSkipped(t *testing.T) {
-	e := NewEncoder("skip", 1)
+// TestSectionsAreTableThenBody: a file is read only when its sections are
+// the string table and then the body, as every encoder writes them; an
+// extra, missing, repeated or out-of-order section is an error.
+func TestSectionsAreTableThenBody(t *testing.T) {
+	e := NewEncoder("frame", 1)
+	e.Str("s")
 	e.U(99)
 	data := e.Finish()
-	// Append a trailing unknown section id=9 with 3 payload bytes.
-	data = append(data, 9, 3, 0xaa, 0xbb, 0xcc)
-	d, err := NewDecoder(data, "skip", 1)
+	d, err := NewDecoder(data, "frame", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.U(); v != 99 {
-		t.Errorf("U() = %d, want 99", v)
+	if s, v := d.Str(), d.U(); s != "s" || v != 99 || d.Finish() != nil {
+		t.Fatalf("decoded %q, %d, %v", s, v, d.Finish())
 	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
+	// The file's last two sections: the body, and the table before it.
+	body := data[len(data)-1-uvarintLen(uint64(len(e.body)))-len(e.body):]
+	n := tableLen(e.tab)
+	table := data[len(data)-len(body)-1-uvarintLen(uint64(n))-n : len(data)-len(body)]
+	head := data[:len(data)-len(body)-len(table)]
+	if table[0] != secStrings || body[0] != secBody {
+		t.Fatal("the sections are not where the encoder puts them")
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{head}, parts...), nil) }
+	for name, bad := range map[string][]byte{
+		"an unknown section after the body":  join(table, body, []byte{9, 3, 0xaa, 0xbb, 0xcc}),
+		"an unknown section before the body": join(table, []byte{9, 0}, body),
+		"a repeated body":                    join(table, body, body),
+		"a repeated string table":            join(table, table, body),
+		"no body":                            join(table),
+		"no string table":                    join(body),
+		"the body first":                     join(body, table),
+		"a byte after the body":              join(table, body, []byte{0}),
+	} {
+		if _, err := NewDecoder(bad, "frame", 1); err == nil {
+			t.Errorf("a file with %s decoded", name)
+		}
 	}
 }
 

@@ -83,7 +83,8 @@ type Config struct {
 	// (GOMAXPROCS), 1 forces the sequential path, higher values set the
 	// pool size explicitly. Both compiler phases and the summary
 	// computation are module-at-a-time and order-independent (§2, §4.3),
-	// so the output is identical at every setting.
+	// so the output is identical at every setting. The program analyzer
+	// between the phases runs on the calling goroutine.
 	Jobs int
 	// DisableCache bypasses the process-wide phase-1/summary cache. The
 	// cache is keyed on module source content, so hits are byte-for-byte
@@ -94,11 +95,10 @@ type Config struct {
 
 // AnalyzerOptions resolves the analyzer options a build pass hands the
 // program analyzer: the configured options plus the pass's profile (nil
-// for heuristic counts), the job bound, and the allocation strategy.
+// for heuristic counts) and the allocation strategy.
 func (c Config) AnalyzerOptions(profile *parv.Profile) core.Options {
 	o := c.Analyzer
 	o.Profile = profile
-	o.Jobs = c.Jobs
 	if c.Strategy != "" {
 		o.Strategy = c.Strategy
 	}

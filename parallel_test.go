@@ -27,10 +27,10 @@ func determinismConfigs() []Config {
 	return append([]Config{MustPreset("L2")}, Configs()...)
 }
 
-// TestParallelCompileDeterminism checks the tentpole guarantee: a
-// parallel, cache-served Compile produces byte-identical executables and
-// identical analyzer reports to a sequential, cache-bypassing one, for
-// the baseline and every Table 4 configuration.
+// TestParallelCompileDeterminism checks that a parallel, cache-served
+// build produces byte-identical executables, the same directive database
+// and identical analyzer reports to a sequential, cache-bypassing one,
+// for the baseline and every Table 4 configuration.
 func TestParallelCompileDeterminism(t *testing.T) {
 	ResetPhase1Cache()
 	for _, b := range []string{"dhrystone", "crtool"} {
@@ -63,6 +63,12 @@ func TestParallelCompileDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(seq.Exe, par.Exe) {
 					t.Errorf("%s/%s: %s executable struct differs from sequential", b, cfg.Name, label)
+				}
+				if (seq.DB == nil) != (par.DB == nil) {
+					t.Fatalf("%s/%s: %s database presence differs", b, cfg.Name, label)
+				}
+				if seq.DB != nil && seq.DB.Hash() != par.DB.Hash() {
+					t.Errorf("%s/%s: %s directive database hash differs from sequential", b, cfg.Name, label)
 				}
 				if (seq.Analysis == nil) != (par.Analysis == nil) {
 					t.Fatalf("%s/%s: %s analysis presence differs", b, cfg.Name, label)

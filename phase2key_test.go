@@ -26,8 +26,18 @@ type keyFamily struct {
 	dbs     []*pdb.Database
 }
 
+// keyConfigs are the configurations keyFamilies builds under: L2, A–F,
+// and C with caller-saves preallocation, the one whose databases publish
+// clobber contracts, which the call key covers.
+func keyConfigs() []Config {
+	prealloc := MustPreset("C")
+	prealloc.Name = "C+prealloc"
+	prealloc.Analyzer.CallerSavesPreallocation = true
+	return append(determinismConfigs(), prealloc)
+}
+
 // keyFamilies builds the database pairs TestPhase2KeySoundness compares,
-// under L2 and A–F: each generated program before and after one edit of
+// under keyConfigs: each generated program before and after one edit of
 // every kind (the edited modules compiled under both databases), and each
 // benchmark program under every configuration.
 func keyFamilies(t *testing.T) []keyFamily {
@@ -49,7 +59,7 @@ func keyFamilies(t *testing.T) []keyFamily {
 		pcfg := analyzerEditConfig()
 		pcfg.Seed = seed
 		base := progen.Generate(pcfg)
-		for _, cfg := range determinismConfigs() {
+		for _, cfg := range keyConfigs() {
 			before := build(progenSources(base), cfg, 5_000_000)
 			for i, kind := range progen.EditKinds() {
 				edited, desc := progen.Mutate(pcfg, base, seed*100+int64(i), kind)
@@ -65,7 +75,7 @@ func keyFamilies(t *testing.T) []keyFamily {
 	}
 	for _, b := range benchprogs.All() {
 		fam := keyFamily{name: b.Name}
-		for _, cfg := range determinismConfigs() {
+		for _, cfg := range keyConfigs() {
 			res := build(benchSources(t, b), cfg, b.MaxInstrs)
 			fam.modules, fam.sums = res.Modules, res.Summaries
 			fam.dbs = append(fam.dbs, res.DB)
@@ -188,37 +198,58 @@ func dropLowest(s *regs.Set) bool {
 	return true
 }
 
-// directiveFlips change one field of a procedure's own directives that
-// phase 2 reads, each in a way phase 2 can compile; flip reports false
-// when the change does not apply. Each field must move some procedure's
-// code somewhere in keyFamilies, or the families would not show that the
-// own key has to cover it. (No configuration of the families publishes a
-// clobber contract, so the call key's fields have no flips here; keyTwin
-// and TestPhase2ReusesProcedureCode's C+prealloc replay cover them.)
+// directiveFlips change one field of the directives that phase 2 reads,
+// each in a way phase 2 can compile; flip reports false when the change
+// does not apply. An own flip changes a field of a procedure's own
+// directives, which its own key covers; a call flip changes a field of
+// the clobber contract of one of its direct callees, which the callee's
+// call key covers. Each field must move some procedure's code somewhere
+// in keyFamilies, or the families would not show that the keys have to
+// cover it. Codegen reads a callee without a contract, or with an empty
+// one, as clobbering every caller-saves register, so only clearing
+// HasClobber, not setting it, can move a caller's code.
 var directiveFlips = []struct {
 	field string
+	call  bool
 	flip  func(d *pdb.ProcDirectives) bool
 }{
-	{"FREE", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Free) }},
-	{"CALLER", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Caller) }},
-	{"CALLEE", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Callee) }},
-	{"MSPILL", func(d *pdb.ProcDirectives) bool { return dropLowest(&d.MSpill) }},
-	{"IsClusterRoot", func(d *pdb.ProcDirectives) bool {
+	{"FREE", false, func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Free) }},
+	{"CALLER", false, func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Caller) }},
+	{"CALLEE", false, func(d *pdb.ProcDirectives) bool { return dropLowest(&d.Callee) }},
+	{"MSPILL", false, func(d *pdb.ProcDirectives) bool { return dropLowest(&d.MSpill) }},
+	{"IsClusterRoot", false, func(d *pdb.ProcDirectives) bool {
 		d.IsClusterRoot = !d.IsClusterRoot
 		return !d.MSpill.Empty()
 	}},
-	{"IsEntry", func(d *pdb.ProcDirectives) bool {
+	{"IsEntry", false, func(d *pdb.ProcDirectives) bool {
 		if len(d.Promoted) == 0 {
 			return false
 		}
 		d.Promoted[0].IsEntry = !d.Promoted[0].IsEntry
 		return true
 	}},
-	{"NeedStore", func(d *pdb.ProcDirectives) bool {
+	{"NeedStore", false, func(d *pdb.ProcDirectives) bool {
 		if len(d.Promoted) == 0 {
 			return false
 		}
 		d.Promoted[0].NeedStore = !d.Promoted[0].NeedStore
+		return true
+	}},
+	{"HasClobber", true, func(d *pdb.ProcDirectives) bool {
+		if !d.HasClobber || d.ClobberAtCalls.Empty() {
+			return false
+		}
+		d.HasClobber = false
+		return true
+	}},
+	{"ClobberAtCalls", true, func(d *pdb.ProcDirectives) bool {
+		// Its lowest caller-saves register: rp, below it, never holds a
+		// value across a call.
+		cs := d.ClobberAtCalls.Intersect(regs.StdCallerSaved())
+		if !d.HasClobber || cs.Empty() {
+			return false
+		}
+		d.ClobberAtCalls = d.ClobberAtCalls.Remove(cs.Regs()[0])
 		return true
 	}},
 }
@@ -235,10 +266,10 @@ var directiveFlips = []struct {
 // its keyTwin for every module, and for every procedure against the twin
 // of that procedure's key, whose keys must be equal: the test fails as
 // soon as phase 2 reads something the keys omit. Every procedure is also
-// compiled under each of the directiveFlips of its own directives: where
-// its keys stay equal its code must too, and every flip must move some
-// procedure's code, so a key that stopped covering a field phase 2 reads
-// fails the test.
+// compiled under each of the directiveFlips of its own directives and of
+// each direct callee's: where its keys stay equal its code must too, and
+// every flip must move some procedure's code, so a key that stopped
+// covering a field phase 2 reads fails the test.
 func TestPhase2KeySoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-build differential matrix")
@@ -269,7 +300,7 @@ func TestPhase2KeySoundness(t *testing.T) {
 	}
 	var sameKey, sameKeyDiffDB, diffKey, twins int
 	var procSame, procSameDiffDB, procSameDiffModule, procTwins int
-	flipsMoved := make([]int, len(directiveFlips))
+	flipsTried, flipsMoved := make([]int, len(directiveFlips)), make([]int, len(directiveFlips))
 	for _, fam := range keyFamilies(t) {
 		procSet, globalSet := map[string]bool{}, map[string]bool{}
 		for _, m := range fam.modules {
@@ -332,31 +363,37 @@ func TestPhase2KeySoundness(t *testing.T) {
 					}
 					procTwins++
 
-					orig, had := db.Procs[f.Name]
 					for fi, fl := range directiveFlips {
-						d := *db.Lookup(f.Name)
-						d.Promoted = append([]pdb.PromotedGlobal(nil), d.Promoted...)
-						if !fl.flip(&d) {
-							continue
-						}
-						db.Procs[f.Name] = &d
-						_, flipped := keyOf(ms, db)
-						of, err := phase2Func(f, m, db, db.EligibleSet())
-						if had {
-							db.Procs[f.Name] = orig
-						} else {
-							delete(db.Procs, f.Name)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						moved := !bytes.Equal(funcBytes(of), funcBytes(objs[i].Funcs[k]))
-						if moved {
-							flipsMoved[fi]++
-						}
-						if moved && reflect.DeepEqual(readKeys(flipped, uses[k]), pkeys[i][k]) {
-							t.Errorf("%s/%s/%s: database %d with %s flipped has equal keys but compiles differently: the own key omits %s",
-								fam.name, m.Name, f.Name, i, fl.field, fl.field)
+						for name, u := range uses[k] {
+							if (fl.call && u&useCall == 0) || (!fl.call && name != f.Name) {
+								continue
+							}
+							orig, had := db.Procs[name]
+							d := *db.Lookup(name)
+							d.Promoted = append([]pdb.PromotedGlobal(nil), d.Promoted...)
+							if !fl.flip(&d) {
+								continue
+							}
+							db.Procs[name] = &d
+							_, flipped := keyOf(ms, db)
+							of, err := phase2Func(f, m, db, db.EligibleSet())
+							if had {
+								db.Procs[name] = orig
+							} else {
+								delete(db.Procs, name)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							flipsTried[fi]++
+							moved := !bytes.Equal(funcBytes(of), funcBytes(objs[i].Funcs[k]))
+							if moved {
+								flipsMoved[fi]++
+							}
+							if moved && reflect.DeepEqual(readKeys(flipped, uses[k]), pkeys[i][k]) {
+								t.Errorf("%s/%s/%s: database %d with %s of %s flipped has equal keys but compiles differently: the keys omit %s",
+									fam.name, m.Name, f.Name, i, fl.field, name, fl.field)
+							}
 						}
 					}
 				}
@@ -410,7 +447,7 @@ func TestPhase2KeySoundness(t *testing.T) {
 		t.Error("the database pairs never exercise the procedure keys: no equal procedure key under different databases, or none in a module whose key differs")
 	}
 	for fi, fl := range directiveFlips {
-		t.Logf("flipping %s moved the code of %d procedures", fl.field, flipsMoved[fi])
+		t.Logf("flipping %s moved the code of %d of %d procedures compiled under it", fl.field, flipsMoved[fi], flipsTried[fi])
 		if flipsMoved[fi] == 0 {
 			t.Errorf("flipping %s never moved a procedure's code: the families do not show that the keys must cover it", fl.field)
 		}

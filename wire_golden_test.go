@@ -410,7 +410,6 @@ func FuzzAnalyzerStateDecode(f *testing.F) {
 		SubsystemSize: 3, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 2}
 	sums := progen.GenerateSummaries(cfg)
 	opt := core.DefaultOptions()
-	opt.Jobs = 1
 	ctx := context.Background()
 	res, err := core.Analyze(ctx, sums, opt)
 	if err != nil {
