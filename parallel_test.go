@@ -82,6 +82,51 @@ func TestParallelCompileDeterminism(t *testing.T) {
 	}
 }
 
+// TestAnalyzerParallelDeterminism checks that the program analyzer's
+// output does not depend on the build's job count: with the cache
+// bypassed on both sides, a build whose phase-1 and summary pools run 8
+// workers hands the analyzer the same program, so it must emit the same
+// directive database, and the same final executable, as a build on one
+// goroutine, for the baseline and every Table 4 configuration.
+func TestAnalyzerParallelDeterminism(t *testing.T) {
+	ResetPhase1Cache()
+	for _, b := range []string{"dhrystone", "crtool"} {
+		bm, err := benchprogs.ByName(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := benchSources(t, bm)
+		for _, cfg := range determinismConfigs() {
+			seqCfg := cfg
+			seqCfg.Jobs = 1
+			seqCfg.DisableCache = true
+			parCfg := cfg
+			parCfg.Jobs = 8
+			parCfg.DisableCache = true
+
+			seq, err := Build(context.Background(), sources, seqCfg)
+			if err != nil {
+				t.Fatalf("%s/%s sequential: %v", b, cfg.Name, err)
+			}
+			par, err := Build(context.Background(), sources, parCfg)
+			if err != nil {
+				t.Fatalf("%s/%s parallel: %v", b, cfg.Name, err)
+			}
+
+			if (seq.DB == nil) != (par.DB == nil) {
+				t.Fatalf("%s/%s: database presence differs", b, cfg.Name)
+			}
+			if seq.DB != nil && seq.DB.Hash() != par.DB.Hash() {
+				t.Errorf("%s/%s: directive database hash differs between jobs=1 and jobs=8",
+					b, cfg.Name)
+			}
+			if !bytes.Equal(exeBytes(t, seq.Exe), exeBytes(t, par.Exe)) {
+				t.Errorf("%s/%s: jobs=8 executable differs from jobs=1", b, cfg.Name)
+			}
+		}
+	}
+}
+
 // TestParallelCompileProfiledDeterminism covers the profile-guided path
 // (compile, train on the VM, re-analyze, re-compile) the same way.
 func TestParallelCompileProfiledDeterminism(t *testing.T) {
