@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ipra"
+	"ipra/internal/core"
 	"ipra/internal/progen"
 )
 
@@ -56,15 +57,30 @@ func decodedRoundTrip(t *testing.T, data []byte) *Aggregate {
 
 // FuzzProfileRecordDecode: any bytes posted to /v1/profile as a fleet
 // record (one generation's snapshot) decode to an aggregate or an error,
-// never a panic, and a store ingests an accepted one without a panic.
+// never a panic, and a store that registered the program's drift model
+// merges an accepted one and checks it for drift without a panic. The
+// model is trained on the record's own mean, which the merge into an
+// empty aggregate reproduces, so the check answers without an analysis.
 func FuzzProfileRecordDecode(f *testing.F) {
 	generation, merged := profiledSnapshots(f)
 	f.Add(generation)
 	f.Add(generation[:len(generation)/2])
 	f.Add(merged)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rec := decodedRoundTrip(t, data); rec != nil {
-			New(Options{Fingerprint: rec.Fingerprint}).Ingest(rec)
+		rec := decodedRoundTrip(t, data)
+		if rec == nil {
+			return
+		}
+		s := New(Options{Fingerprint: rec.Fingerprint})
+		s.Register(rec.Program, NewDriftModel(nil, core.Options{Profile: rec.MeanProfile()}, rec.DirectiveHash), nil)
+		res, err := s.Ingest(rec)
+		switch {
+		case rec.Program == "":
+			if err == nil {
+				t.Fatal("a record without a program key was ingested")
+			}
+		case err != nil || !res.Accepted || !res.ModelReady || res.Drifted || res.Runs != rec.Runs || res.Records != rec.Records:
+			t.Fatalf("a record against its own model: %+v, %v; want accepted without drift", res, err)
 		}
 	})
 }

@@ -186,6 +186,41 @@ func TestStoreIngestGuards(t *testing.T) {
 	}
 }
 
+// TestStoreRestore: Restore re-installs a model only where none is live,
+// so a cached reply of an earlier build cannot displace a later build's
+// model, while a model the bounded table evicted comes back.
+func TestStoreRestore(t *testing.T) {
+	s := New(Options{Fingerprint: "fp", MaxPrograms: 1})
+	post := func(dh string) *IngestResult {
+		t.Helper()
+		r := NewAggregate("fp", "prog", dh)
+		r.AddRuns(testProfile(), 1)
+		res, err := s.Ingest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	s.Register("prog", testModel("dh-new"), nil)
+	s.Restore("prog", testModel("dh-old"), nil)
+	if res := post("dh-old"); res.Accepted || res.Reason != ReasonStaleDirectives {
+		t.Fatalf("a post under the restored hash with a live model: %+v, want stale", res)
+	}
+	if res := post("dh-new"); !res.Accepted || !res.ModelReady {
+		t.Fatalf("a post under the live model's hash: %+v, want accepted", res)
+	}
+
+	s.Register("other", testModel("dh"), nil) // evicts prog
+	if res := post("dh-new"); res.Accepted || res.Reason != ReasonUnknownProgram {
+		t.Fatalf("a post after eviction: %+v, want unknown", res)
+	}
+	s.Restore("prog", testModel("dh-old"), nil)
+	if res := post("dh-old"); !res.Accepted || !res.ModelReady || res.Runs != 1 {
+		t.Fatalf("a post after Restore: %+v, want accepted against the restored model", res)
+	}
+}
+
 // TestStoreLRUAndPersistence: the per-program state map stays bounded
 // under program churn, and evicted aggregates come back from their
 // snapshots — including across a fresh Store (daemon restart), whose

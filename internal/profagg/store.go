@@ -27,7 +27,7 @@ type Options struct {
 	Dir func(program string) string
 	// MaxPrograms bounds the in-memory per-program states (LRU);
 	// 0 means 128. Evicted aggregates live on in their snapshots; the
-	// evicted drift model is rebuilt by the next profiled build.
+	// evicted drift model comes back with the next Register or Restore.
 	MaxPrograms int
 	// Tracer receives the profagg.* counters; nil allocates one.
 	Tracer *telemetry.Tracer
@@ -234,6 +234,25 @@ func (s *Store) merge(posted *Aggregate) (*IngestResult, *DriftModel, *parv.Prof
 func (s *Store) Register(program string, model *DriftModel, meta any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.register(program, model, meta)
+}
+
+// Restore registers model as Register does, but only when the program has
+// no live drift model: an embedder answering a profiled request from a
+// cache of earlier builds re-installs the model of the build it replays
+// when the bounded state table evicted it, and leaves a live model, which
+// may be a later build's, alone.
+func (s *Store) Restore(program string, model *DriftModel, meta any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, ok := s.programs.Get(program); ok && st.model != nil {
+		return
+	}
+	s.register(program, model, meta)
+}
+
+// register is Register's locked half. Caller holds s.mu.
+func (s *Store) register(program string, model *DriftModel, meta any) {
 	st := s.lookup(program)
 	if st == nil {
 		st = s.add(&programState{program: program})

@@ -216,6 +216,55 @@ func TestProfileModelSurvivesUnprofiledBuilds(t *testing.T) {
 	}
 }
 
+// TestProfileResultHitRestoresModel: a B request answered from the result
+// cache re-installs its build's drift model after the profile store's
+// bounded table evicted it, so the program's fleet posts, refused as
+// unknown while no model or snapshot backs them, are accepted again
+// without another build.
+func TestProfileResultHitRestoresModel(t *testing.T) {
+	srv := New(Options{Jobs: 1, StateDir: t.TempDir(), ProfilePrograms: 1})
+	ctx := context.Background()
+	req := &BuildRequest{Config: "B", Sources: testSources(t)}
+	resp, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatalf("training build: %v", err)
+	}
+	other := &BuildRequest{Config: "B", Sources: []Source{{Name: "m.mc", Text: "int main() { return 0; }\n"}}}
+	if _, err := srv.Build(ctx, other); err != nil {
+		t.Fatalf("second program's build: %v", err)
+	}
+	if n := srv.Counters()["profagg.evictions"]; n != 1 {
+		t.Fatalf("profagg.evictions = %d after a second B program, want 1", n)
+	}
+	gen := profagg.NewAggregate(srv.Fingerprint(), req.ProgramKey(), resp.DirectiveHash)
+	gen.AddRuns(runExe(t, resp.Exe), 1)
+	post := func() *ProfileIngestResponse {
+		t.Helper()
+		ir, err := srv.IngestProfile(ctx, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ir
+	}
+	if ir := post(); ir.Accepted || ir.Reason != profagg.ReasonUnknownProgram {
+		t.Fatalf("a post after the model's eviction: %+v, want refused as %s", ir, profagg.ReasonUnknownProgram)
+	}
+
+	hit, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.ResultCached {
+		t.Fatal("the training request sent again was rebuilt, want a result-cache hit")
+	}
+	if ir := post(); !ir.Accepted || !ir.ModelReady || ir.Drifted || ir.Runs != 1 {
+		t.Fatalf("a post after the result-cache hit: %+v, want accepted against the model", ir)
+	}
+	if n := srv.Counters()["served.builds"]; n != 2 {
+		t.Errorf("served.builds = %d, want 2", n)
+	}
+}
+
 // TestProfileVersionGuard: counts stamped by a stale toolchain or a stale
 // allocation are rejected, not merged — mixing counts measured under
 // different allocations would corrupt the aggregate — and a body in any

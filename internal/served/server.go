@@ -112,6 +112,9 @@ type entry struct {
 	finished bool
 	resp     *BuildResponse
 	err      error
+	// model is the drift model the build registered (profiled
+	// configurations only); a result-cache hit restores it.
+	model *profagg.DriftModel
 }
 
 // Server is one daemon instance. Create with New, expose with Handler or
@@ -226,7 +229,7 @@ func (s *Server) logf(format string, args ...any) {
 // (build directory and profile-store key), the request-table key, the
 // mean profile of the program's active aggregate (nil while it serves
 // from its training run), and when Build began, which ElapsedMS counts
-// from.
+// from. A profiled build sets model to the drift model it registered.
 type job struct {
 	req     *BuildRequest
 	cfg     ipra.Config
@@ -234,6 +237,7 @@ type job struct {
 	key     string
 	agg     *parv.Profile
 	began   time.Time
+	model   *profagg.DriftModel
 }
 
 // Build serves one request through the full admission path — request
@@ -268,7 +272,7 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if !found {
 		resp, err := s.admitAndBuild(ctx, j)
 		s.mu.Lock()
-		e.resp, e.err, e.finished = resp, err, true
+		e.resp, e.err, e.model, e.finished = resp, err, j.model, true
 		if err != nil {
 			// An error is never served from the table: the entry leaves
 			// it before its waiters wake, unless eviction replaced it.
@@ -295,6 +299,12 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 		}
 	} else {
 		s.tracer.Add("served.result_hits", 1)
+		// The profile store's bounded table may have evicted the
+		// model since the build registered it; without it the
+		// program's fleet posts would be refused as unknown.
+		if e.model != nil {
+			s.profiles.Restore(j.program, e.model, req.clone())
+		}
 	}
 	out := *e.resp
 	out.RequestID = s.nextID.Add(1)
@@ -432,8 +442,8 @@ func (s *Server) runBuild(ctx context.Context, j *job) (*BuildResponse, error) {
 		prof = res.Train.Profile
 	}
 	if prof != nil {
-		model := profagg.NewDriftModel(res.Summaries, cfg.AnalyzerOptions(prof), resp.DirectiveHash)
-		s.profiles.Register(j.program, model, req.clone())
+		j.model = profagg.NewDriftModel(res.Summaries, cfg.AnalyzerOptions(prof), resp.DirectiveHash)
+		s.profiles.Register(j.program, j.model, req.clone())
 	}
 	if out := res.Incremental; out != nil {
 		resp.Incremental = &IncrementalSummary{
