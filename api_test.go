@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ipra/internal/core"
 )
 
 // TestPresetRegistry pins the Presets registry: names in Table 4 order,
@@ -72,9 +74,9 @@ func TestPresetByName(t *testing.T) {
 	// Registry values are fresh copies: mutating one must not leak into
 	// the next lookup.
 	a, _ := PresetByName("C")
-	a.Analyzer.ColoringRegs = 99
+	a.Analyzer.Promotion = core.PromoteGreedy
 	b, _ := PresetByName("C")
-	if b.Analyzer.ColoringRegs == 99 {
+	if b.Analyzer.Promotion != core.PromoteColoring {
 		t.Error("PresetByName returns shared Config values")
 	}
 }

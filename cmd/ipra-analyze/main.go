@@ -1,16 +1,21 @@
 // ipra-analyze is the program analyzer tool (§4 of the paper). It reads
 // the summary records at the head of the phase-1 records (.p1) that
-// `mcc -phase1` writes, and never their code; builds the program call
-// graph; runs global variable promotion and spill code motion; and writes
-// the program database consumed by `mcc -phase2`.
+// `mcc -phase1` writes, and never their code; runs the build's analyzer
+// step (ipra.Analyze) over them; and writes the program database consumed
+// by `mcc -phase2 -pdb`.
 //
-//	ipra-analyze -o prog.pdb main.p1 lib.p1 ...
+//	ipra-analyze [-config C] -o prog.pdb main.p1 lib.p1 ...
 //
-// Flags select the paper's strategies: -promotion {none,coloring,greedy,
-// blanket}, -regs N (coloring registers), -spill-motion, and -profile to
-// supply profiled call counts from a profile snapshot (mvm -profile's or
-// ipra-served's); -strategy picks the allocation strategy (priority or
-// tiling), registered as on mcc.
+// -config names the configuration as mcc does: L2 or a Table 4 column
+// A-F (default C), and -strategy the allocation strategy (priority or
+// tiling). Under L2 the database holds only the program-wide eligibility
+// list, the level-2 baseline. The profiled columns B and F need -profile,
+// a profile snapshot with the call counts (mvm -profile's or
+// ipra-served's), since the file flow has no training run; any other
+// configuration refuses one. -partial, -merge-webs and -caller-saves turn
+// on the §7 extensions under an analyzer configuration. Phase 2 and link
+// under the database give the executable `mcc -incremental` builds under
+// the same configuration, byte for byte.
 //
 // For scaling experiments, -synth <preset> analyzes a synthesized whole
 // program (small/medium/large, ~500/2000/10000 procedures) instead of
@@ -25,9 +30,10 @@ import (
 	"os"
 	"strings"
 
+	"ipra"
 	"ipra/internal/cache"
 	"ipra/internal/cliutil"
-	"ipra/internal/core"
+	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/progen"
 	"ipra/internal/summary"
@@ -37,18 +43,14 @@ import (
 func main() {
 	var (
 		out         = flag.String("o", "prog.pdb", "program database output path")
-		promotion   = flag.String("promotion", "coloring", "global variable promotion: none, coloring, greedy, blanket")
-		regsN       = flag.Int("regs", 6, "callee-saves registers reserved for web coloring")
-		blanketN    = flag.Int("blanket", 6, "globals promoted under blanket mode")
-		spillMotion = flag.Bool("spill-motion", true, "enable spill code motion (clusters)")
-		profilePath = flag.String("profile", "", "profile snapshot with exact call counts (from mvm -profile or ipra-served)")
+		profilePath = flag.String("profile", "", "profile snapshot with exact call counts, for B and F (from mvm -profile or ipra-served)")
 		partial     = flag.Bool("partial", false, "partial call graph: assume unknown external callers (§7.2)")
 		mergeWebs   = flag.Bool("merge-webs", false, "re-merge webs through common dominators (§7.6.1)")
 		callerSaves = flag.Bool("caller-saves", false, "banded caller-saves preallocation (§7.6.2)")
 		synth       = flag.String("synth", "", "analyze a synthesized program instead of summary files ("+strings.Join(progen.PresetNames(), ", ")+")")
 	)
 	var build cliutil.BuildFlags
-	build.RegisterStrategy(flag.CommandLine)
+	build.RegisterConfig(flag.CommandLine)
 	common := cliutil.New("ipra-analyze")
 	common.Register(flag.CommandLine)
 	flag.Parse()
@@ -56,43 +58,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ipra-analyze: no phase-1 records (or use -synth <preset>)")
 		os.Exit(2)
 	}
-	if err := common.Start(); err != nil {
-		fatal(err)
-	}
-	ctx := common.Context(context.Background())
-
-	opt := core.DefaultOptions()
-	canon, err := core.ResolveStrategy(build.StrategyName)
+	cfg, err := build.Config()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipra-analyze: %v\n", err)
 		os.Exit(2)
 	}
-	opt.Strategy = canon
-	opt.SpillMotion = *spillMotion
-	opt.ColoringRegs = *regsN
-	opt.BlanketCount = *blanketN
-	opt.PartialProgram = *partial
-	opt.MergeWebs = *mergeWebs
-	opt.CallerSavesPreallocation = *callerSaves
-	switch *promotion {
-	case "none":
-		opt.Promotion = core.PromoteNone
-	case "coloring":
-		opt.Promotion = core.PromoteColoring
-	case "greedy":
-		opt.Promotion = core.PromoteGreedy
-	case "blanket":
-		opt.Promotion = core.PromoteBlanket
-	default:
-		fmt.Fprintf(os.Stderr, "ipra-analyze: unknown promotion mode %q\n", *promotion)
-		os.Exit(2)
+	if (*partial || *mergeWebs || *callerSaves) && !cfg.UseAnalyzer {
+		fatal(fmt.Errorf("configuration %s runs no analyzer; -partial, -merge-webs and -caller-saves need one of A-F", cfg.Name))
 	}
-
-	if *profilePath != "" {
-		if opt.Profile, err = cliutil.ReadSnapshot(*profilePath); err != nil {
+	cfg.Analyzer.PartialProgram = *partial
+	cfg.Analyzer.MergeWebs = *mergeWebs
+	cfg.Analyzer.CallerSavesPreallocation = *callerSaves
+	var profile *parv.Profile
+	switch {
+	case *profilePath != "":
+		if profile, err = cliutil.ReadSnapshot(*profilePath); err != nil {
 			fatal(err)
 		}
+	case cfg.WantProfile:
+		fatal(fmt.Errorf("configuration %s needs -profile: the file flow has no training run (mvm -profile writes a snapshot)", cfg.Name))
 	}
+	if err := common.Start(); err != nil {
+		fatal(err)
+	}
+	ctx := common.Context(context.Background())
 
 	var sums []*summary.ModuleSummary
 	if *synth != "" {
@@ -114,11 +103,11 @@ func main() {
 		sums = append(sums, ms)
 	}
 
-	res, err := core.Analyze(ctx, sums, opt)
+	db, res, err := ipra.Analyze(ctx, sums, cfg, profile)
 	if err != nil {
 		fatal(err)
 	}
-	if common.Verify {
+	if common.Verify && res != nil {
 		if vs := verify.Check(res.Graph, res.Sets, res.DB); len(vs) > 0 {
 			for _, v := range vs {
 				fmt.Fprintf(os.Stderr, "ipra-analyze: verify: %s\n", v)
@@ -127,17 +116,17 @@ func main() {
 		}
 		fmt.Printf("ipra-analyze: verify: %d procedures clean\n", len(res.DB.Procs))
 	}
-	if err := pdb.WriteFile(*out, res.DB); err != nil {
+	if err := pdb.WriteFile(*out, db); err != nil {
 		fatal(err)
 	}
-	if common.Verbose {
+	if common.Verbose && res != nil {
 		fmt.Print(res.Report())
 	}
 	if err := common.Finish(); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("ipra-analyze: %d summaries -> %s (%d procedures)\n",
-		len(sums), *out, len(res.DB.Procs))
+		len(sums), *out, len(db.Procs))
 }
 
 func fatal(err error) {

@@ -11,6 +11,8 @@ import (
 
 	"ipra"
 	"ipra/internal/cache"
+	"ipra/internal/parv"
+	"ipra/internal/profagg"
 	"ipra/internal/summary"
 )
 
@@ -18,16 +20,7 @@ import (
 // summary breaks what the analyzer assumes: each must make it exit 1 with
 // a message naming the module, not analyze the record.
 func TestRejectsInvalidSummaries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool")
-	}
-	dir := t.TempDir()
-	tool := filepath.Join(dir, "ipra-analyze")
-	// go test puts its own toolchain first on the PATH.
-	build := exec.Command("go", "build", "-o", tool, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	tool := buildTool(t)
 
 	const src = `int g;
 int leaf(int x) { g = g + x; return g; }
@@ -78,5 +71,78 @@ int main() { int i; for (i = 0; i < 3; i++) leaf(i); return g; }
 				t.Errorf("stderr does not name the module:\n%s", msg)
 			}
 		})
+	}
+}
+
+// buildTool builds the command into a temporary directory.
+func buildTool(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the tool")
+	}
+	tool := filepath.Join(t.TempDir(), "ipra-analyze")
+	// go test puts its own toolchain first on the PATH.
+	build := exec.Command("go", "build", "-o", tool, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return tool
+}
+
+// TestConfigurationFlags: the tool names its configuration with -config
+// alone. The flags that used to pick analyzer options are unknown (exit
+// 2), B and F need a profile, any other configuration refuses one, and
+// the §7 flags need a configuration that runs the analyzer (exit 1, each
+// message naming what is wrong).
+func TestConfigurationFlags(t *testing.T) {
+	tool := buildTool(t)
+	dir := t.TempDir()
+	m, ms, err := ipra.Phase1(ipra.Source{Name: "p.mc", Text: []byte("int g;\nint main() { g = 1; return g; }\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := filepath.Join(dir, "p.p1")
+	if err := os.WriteFile(p1, cache.EncodeEntry(m, ms), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	agg := profagg.NewAggregate(ipra.ToolchainFingerprint(), "", "")
+	agg.AddRuns(&parv.Profile{Edges: map[parv.EdgeKey]uint64{}}, 1)
+	snap := filepath.Join(dir, "p.snap")
+	if err := os.WriteFile(snap, agg.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "p.pdb")
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-promotion", "none"}, 2, "-promotion"},
+		{[]string{"-regs", "4"}, 2, "-regs"},
+		{[]string{"-blanket", "1"}, 2, "-blanket"},
+		{[]string{"-spill-motion=false"}, 2, "-spill-motion"},
+		{[]string{"-config", "B"}, 1, "-profile"},
+		{[]string{"-config", "F"}, 1, "-profile"},
+		{[]string{"-profile", snap}, 1, "configuration C"},
+		{[]string{"-config", "L2", "-profile", snap}, 1, "configuration L2"},
+		{[]string{"-config", "L2", "-partial"}, 1, "configuration L2"},
+		{[]string{"-config", "L2"}, 0, ""},
+		{[]string{"-config", "B", "-profile", snap}, 0, ""},
+	}
+	for _, tc := range cases {
+		var stderr bytes.Buffer
+		cmd := exec.Command(tool, append(append(tc.args, "-o", out), p1)...)
+		cmd.Stderr = &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatal(err)
+			}
+			code = exit.ExitCode()
+		}
+		if code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit %d, want %d naming %q; stderr:\n%s", tc.args, code, tc.code, tc.want, stderr.String())
+		}
 	}
 }

@@ -29,12 +29,14 @@
 //	                          run; byte-identical to the daemon's
 //	                          retrained executable for the same aggregate
 //
-// Run the program analyzer (ipra-analyze) between the phases; without a
-// program database, phase 2 compiles at plain level-2 optimization. The
-// incremental mode runs the analyzer itself (-config picks the Table 4
-// configuration) and guarantees output byte-identical to a clean build;
-// -explain prints why each module was or wasn't rebuilt. B and F train on
-// one run of the program, stopped at 100 M instructions.
+// Run the program analyzer (ipra-analyze -config X) between the phases:
+// phase 2 always reads the database it writes, as in Figure 1, and the
+// file flow's executable equals `mcc -incremental -config X`'s byte for
+// byte (`-config L2` writes the level-2 baseline's database). The
+// incremental mode runs the analyzer itself (-config picks L2 or the
+// Table 4 configuration) and guarantees output byte-identical to a clean
+// build; -explain prints why each module was or wasn't rebuilt. B and F
+// train on one run of the program, stopped at 100 M instructions.
 package main
 
 import (
@@ -62,7 +64,7 @@ func main() {
 		incremental = flag.Bool("incremental", false, "full minimal-rebuild compile of MiniC sources against -build-dir")
 		remote      = flag.String("remote", "", "build on an ipra-served daemon at this address (unix:/path or host:port)")
 		profileSnap = flag.String("profile-snapshot", "", "take a profiled configuration's call counts from this profile snapshot instead of a training run (implies -incremental)")
-		pdbPath     = flag.String("pdb", "", "program database for phase 2 (from ipra-analyze)")
+		pdbPath     = flag.String("pdb", "", "program database for phase 2, required (from ipra-analyze)")
 		outDir      = flag.String("o", ".", "output directory")
 		buildDir    = flag.String("build-dir", ".mcc-build", "incremental build-state directory")
 		explain     = flag.Bool("explain", false, "print why each module was or wasn't rebuilt (incremental mode)")
@@ -151,13 +153,12 @@ func runPhase2(files []string, pdbPath, outDir string, jobs int) error {
 	if len(files) == 0 {
 		return fmt.Errorf("phase2: no phase-1 records")
 	}
-	db := pdb.New()
-	if pdbPath != "" {
-		var err error
-		db, err = pdb.ReadFile(pdbPath)
-		if err != nil {
-			return err
-		}
+	if pdbPath == "" {
+		return fmt.Errorf("phase2: no program database: name one with -pdb (ipra-analyze -config L2 writes the level-2 baseline's)")
+	}
+	db, err := pdb.ReadFile(pdbPath)
+	if err != nil {
+		return err
 	}
 	lines, err := pipeline.Map(jobs, files, func(_ int, f string) (string, error) {
 		data, err := os.ReadFile(f)

@@ -145,15 +145,16 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	return cerr
 }
 
-// BuildFlags is the shared whole-program-build flag block: configuration
-// preset selection, allocation strategy, and executable output path. Every
-// command that drives a full build — mcc's incremental and remote modes,
+// BuildFlags is the shared configuration flag block: configuration
+// preset selection, allocation strategy, and, on the commands that link a
+// whole program, the executable output path. Every command that names a
+// configuration — mcc's incremental and remote modes, ipra-analyze,
 // ipra-loadgen — registers this one block, so the preset table, defaults,
 // and help text can never drift between tools (the preset list itself
 // lives in the ipra registry; nothing here hand-maintains a copy).
 type BuildFlags struct {
 	// ConfigName is the -config value: L2 or Table 4 column A-F. Its
-	// value at RegisterBuild is the flag's default; empty means C.
+	// value at RegisterConfig is the flag's default; empty means C.
 	ConfigName string
 	// StrategyName is the -strategy value: an allocation strategy, or ""
 	// for the preset's default (priority coloring).
@@ -162,17 +163,16 @@ type BuildFlags struct {
 	ExePath string
 }
 
-// RegisterBuild installs the shared build flags on fs.
-func (b *BuildFlags) RegisterBuild(fs *flag.FlagSet) {
+// RegisterConfig installs -config and -strategy on fs.
+func (b *BuildFlags) RegisterConfig(fs *flag.FlagSet) {
 	fs.StringVar(&b.ConfigName, "config", cmp.Or(b.ConfigName, "C"), "build configuration: L2 or Table 4 column A-F ("+strings.Join(ipra.PresetNames(), ", ")+")")
-	b.RegisterStrategy(fs)
-	fs.StringVar(&b.ExePath, "exe", "", "executable output path")
+	fs.StringVar(&b.StrategyName, "strategy", "", "allocation strategy ("+strings.Join(ipra.StrategyNames(), ", ")+"; default "+ipra.DefaultStrategy+")")
 }
 
-// RegisterStrategy installs only -strategy — split out so tools can
-// compose it with their own configuration flags.
-func (b *BuildFlags) RegisterStrategy(fs *flag.FlagSet) {
-	fs.StringVar(&b.StrategyName, "strategy", "", "allocation strategy ("+strings.Join(ipra.StrategyNames(), ", ")+"; default "+ipra.DefaultStrategy+")")
+// RegisterBuild installs the configuration flags and -exe on fs.
+func (b *BuildFlags) RegisterBuild(fs *flag.FlagSet) {
+	b.RegisterConfig(fs)
+	fs.StringVar(&b.ExePath, "exe", "", "executable output path")
 }
 
 // Config resolves the -config preset from the ipra registry and applies

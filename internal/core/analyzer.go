@@ -61,12 +61,6 @@ type Options struct {
 	SpillMotion bool
 	// Promotion selects the web promotion strategy.
 	Promotion PromotionMode
-	// ColoringRegs is the number of callee-saves registers reserved for
-	// web coloring (the paper's experiments use 6).
-	ColoringRegs int
-	// BlanketCount is the number of globals blanket promotion dedicates
-	// registers to (the paper uses 6).
-	BlanketCount int
 	// Profile, when non-nil, replaces the heuristic call counts with exact
 	// profiled counts (§7.5, Table 4 columns B and F).
 	Profile *parv.Profile
@@ -100,15 +94,16 @@ type Options struct {
 	CallerSavesPreallocation bool
 }
 
+// PromotionRegs is the number of the 16 callee-saves registers global
+// variable promotion may occupy, as in the paper's experiments: web
+// coloring reserves this many, and blanket promotion dedicates one to
+// each of this many hottest globals.
+const PromotionRegs = 6
+
 // DefaultOptions returns the paper's primary configuration: spill motion
 // plus 6-register web coloring (Table 4 column C).
 func DefaultOptions() Options {
-	return Options{
-		SpillMotion:  true,
-		Promotion:    PromoteColoring,
-		ColoringRegs: 6,
-		BlanketCount: 6,
-	}
+	return Options{SpillMotion: true, Promotion: PromoteColoring}
 }
 
 // Stats summarizes an analysis for reports (§6.2 publishes these numbers

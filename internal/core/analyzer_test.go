@@ -176,18 +176,17 @@ func TestAnalyzeSpillMotionOnly(t *testing.T) {
 func TestAnalyzeBlanket(t *testing.T) {
 	o := core.DefaultOptions()
 	o.Promotion = core.PromoteBlanket
-	o.BlanketCount = 1
 	res, err := core.Analyze(context.Background(), twoModuleProgram(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blankets) != 1 {
-		t.Fatalf("blankets = %d, want 1", len(res.Blankets))
+	if len(res.Blankets) == 0 || len(res.Blankets) > core.PromotionRegs {
+		t.Fatalf("blankets = %d, want 1 to %d", len(res.Blankets), core.PromotionRegs)
 	}
-	// The hottest global (shared) is promoted in every procedure that the
-	// analyzer knows.
+	// The hottest global (shared) leads the list and is promoted in every
+	// procedure that the analyzer knows.
 	if res.Blankets[0].Var != "shared" {
-		t.Errorf("blanket picked %s, want shared", res.Blankets[0].Var)
+		t.Errorf("hottest blanket is %s, want shared", res.Blankets[0].Var)
 	}
 	for _, name := range []string{"main", "work", "leafy"} {
 		d := res.DB.Lookup(name)

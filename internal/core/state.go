@@ -78,7 +78,7 @@ func optionsKey(opt Options) string {
 		strat = DefaultStrategyName
 	}
 	return fmt.Sprintf("v3|sm=%t|pm=%d|cr=%d|bc=%d|pp=%t|mw=%t|prof=%t|csp=%t|strat=%s",
-		opt.SpillMotion, opt.Promotion, opt.ColoringRegs, opt.BlanketCount,
+		opt.SpillMotion, opt.Promotion, PromotionRegs, PromotionRegs,
 		opt.PartialProgram, opt.MergeWebs,
 		opt.Profile != nil, opt.CallerSavesPreallocation, strings.ToLower(strat))
 }

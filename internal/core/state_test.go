@@ -134,8 +134,8 @@ func TestOptionsKeyDistinguishes(t *testing.T) {
 	variants := []func(*Options){
 		func(o *Options) { o.SpillMotion = false },
 		func(o *Options) { o.Promotion = PromoteGreedy },
-		func(o *Options) { o.ColoringRegs = 4 },
-		func(o *Options) { o.BlanketCount = 3 },
+		func(o *Options) { o.Promotion = PromoteBlanket },
+		func(o *Options) { o.Strategy = StrategyTiling },
 		func(o *Options) { o.PartialProgram = true },
 		func(o *Options) { o.MergeWebs = true },
 		func(o *Options) { o.CallerSavesPreallocation = true },

@@ -82,7 +82,7 @@ func colorPriority(g *callgraph.Graph, sets *refsets.Sets, allWebs []*webs.Web, 
 	var asn assignment
 	switch opt.Promotion {
 	case PromoteColoring:
-		asn.Colored = webs.Color(allWebs, coloringRegs(opt))
+		asn.Colored = webs.Color(allWebs, PromotionRegs)
 		for _, w := range allWebs {
 			if !w.Discarded && w.Color >= 0 {
 				asn.Active = append(asn.Active, w)
@@ -103,11 +103,7 @@ func colorPriority(g *callgraph.Graph, sets *refsets.Sets, allWebs []*webs.Web, 
 			}
 		}
 	case PromoteBlanket:
-		n := opt.BlanketCount
-		if n <= 0 {
-			n = 6
-		}
-		blankets := webs.BlanketSelect(g, sets, allWebs, n)
+		blankets := webs.BlanketSelect(g, sets, allWebs, PromotionRegs)
 		// A blanket web's loads are inserted at its entry procedures. An
 		// entry without a summary record is code we never compile — the
 		// unknown callers of a partial program (§7.2) — so nothing would
@@ -149,7 +145,6 @@ func colorTiling(g *callgraph.Graph, allWebs []*webs.Web, opt Options) assignmen
 	if opt.Promotion == PromoteNone {
 		return asn
 	}
-	k := coloringRegs(opt)
 	pos := make([]int, len(g.Nodes))
 	for i, id := range g.ReversePostorder() {
 		pos[id] = i
@@ -191,13 +186,13 @@ func colorTiling(g *callgraph.Graph, allWebs []*webs.Web, opt Options) assignmen
 	})
 
 	// busyUntil[c] is the end position of register c's current occupant.
-	busyUntil := make([]int, k)
+	busyUntil := make([]int, PromotionRegs)
 	for c := range busyUntil {
 		busyUntil[c] = -1
 	}
 	for _, iv := range ivs {
 		reg := -1
-		for c := 0; c < k; c++ {
+		for c := range busyUntil {
 			if busyUntil[c] < iv.lo {
 				reg = c
 				break
@@ -212,17 +207,4 @@ func colorTiling(g *callgraph.Graph, allWebs []*webs.Web, opt Options) assignmen
 		asn.Colored++
 	}
 	return asn
-}
-
-// coloringRegs clamps the configured web-coloring register budget to the
-// callee-saves capacity (the paper's experiments use 6 of 16).
-func coloringRegs(opt Options) int {
-	k := opt.ColoringRegs
-	if k <= 0 {
-		k = 6
-	}
-	if k > 16 {
-		k = 16
-	}
-	return k
 }

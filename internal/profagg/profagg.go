@@ -131,22 +131,13 @@ func (a *Aggregate) MeanProfile() *parv.Profile {
 	return &parv.Profile{Edges: edges}
 }
 
-// Hash digests the aggregate's content — identity, run totals, and every
-// edge count. It extends the daemon's request-table keys once a program
-// serves from an aggregated allocation, so responses built
-// against different aggregate states never alias.
-func (a *Aggregate) Hash() string {
+// profileHash digests a profile's edge counts in caller, then callee
+// order. The daemon's request keys carry the digest of the mean profile a
+// retrained build reads, so aggregates with one mean share results.
+func profileHash(p *parv.Profile) string {
 	h := sha256.New()
-	field := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	field(a.Fingerprint)
-	field(a.Program)
-	field(a.DirectiveHash)
-	fmt.Fprintf(h, "%d|%d|", a.Runs, a.Records)
-	for _, k := range sortedEdges(a.Edges) {
-		fmt.Fprintf(h, "%s\x00%s\x00%d|", k.Caller, k.Callee, a.Edges[k])
+	for _, k := range sortedEdges(p.Edges) {
+		fmt.Fprintf(h, "%s\x00%s\x00%d|", k.Caller, k.Callee, p.Edges[k])
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -273,12 +273,15 @@ func (s *Store) register(program string, model *DriftModel, meta any) {
 	}
 }
 
-// ActiveAggregate returns the aggregate hash and mean profile a build of
-// the program must use — set once a drift-triggered re-analysis has
-// committed to the aggregated allocation. The hash extends the daemon's
-// request keys; the profile feeds WithAggregatedProfile. A program not in
-// memory loads its snapshot, so a persisted retrained aggregate still
-// gates builds after a daemon restart.
+// ActiveAggregate returns the mean profile a build of the program must
+// use, and its digest — set once a drift-triggered re-analysis has
+// committed to the aggregated allocation. The profile feeds
+// WithAggregatedProfile; the digest extends the daemon's request keys. It
+// covers only what the build reads, so neither the re-analysis's Register
+// re-pinning the directive hash nor a post that leaves the mean unchanged
+// moves the key. A program not in memory loads its snapshot, so a
+// persisted retrained aggregate still gates builds after a daemon
+// restart.
 func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Profile, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,7 +289,8 @@ func (s *Store) ActiveAggregate(program string) (hash string, profile *parv.Prof
 	if st == nil || st.agg == nil || !st.agg.Retrained {
 		return "", nil, false
 	}
-	return st.agg.Hash(), st.agg.MeanProfile(), true
+	mean := st.agg.MeanProfile()
+	return profileHash(mean), mean, true
 }
 
 // BeginRetrain flips the program onto its aggregated allocation and

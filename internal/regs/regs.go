@@ -23,11 +23,18 @@ func Of(rs ...uint8) Set {
 	return s
 }
 
+// The conventional sets, computed once: directive validation asks for
+// them once per procedure of every analysis.
+var (
+	stdCalleeSaved = Of(parv.CalleeSaved()...)
+	stdCallerSaved = Of(parv.CallerSaved()...)
+)
+
 // StdCalleeSaved is the conventional callee-saves set (r3–r18).
-func StdCalleeSaved() Set { return Of(parv.CalleeSaved()...) }
+func StdCalleeSaved() Set { return stdCalleeSaved }
 
 // StdCallerSaved is the conventional caller-saves set.
-func StdCallerSaved() Set { return Of(parv.CallerSaved()...) }
+func StdCallerSaved() Set { return stdCallerSaved }
 
 // Has reports membership.
 func (s Set) Has(r uint8) bool { return s&(1<<r) != 0 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipra"
 	"ipra/internal/incremental"
 )
 
@@ -87,20 +88,18 @@ func TestServedFingerprintSafety(t *testing.T) {
 	}
 }
 
-// TestServedResultCacheKeyedByFingerprint: two servers over the same
-// request but different fingerprints compute different request keys, so
-// a result computed under other compiler semantics can never be
-// returned from cache.
+// TestServedResultCacheKeyedByFingerprint: the same request under two
+// toolchain fingerprints has two request keys, so a result computed under
+// other compiler semantics can never be returned from cache; a server
+// keys its requests under the toolchain's own fingerprint.
 func TestServedResultCacheKeyedByFingerprint(t *testing.T) {
 	srcs := testSources(t)
 	req := &BuildRequest{Config: "L2", Sources: srcs}
 
-	a := New(Options{Fingerprint: "toolchain/v1"})
-	b := New(Options{Fingerprint: "toolchain/v2"})
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("fingerprint override not applied")
-	}
-	if req.Key(a.Fingerprint()) == req.Key(b.Fingerprint()) {
+	if req.Key("toolchain/v1") == req.Key("toolchain/v2") {
 		t.Fatal("result-cache keys collide across toolchain fingerprints")
+	}
+	if fp := New(Options{}).Fingerprint(); fp != ipra.ToolchainFingerprint() {
+		t.Fatalf("server fingerprint %q, want the toolchain's %q", fp, ipra.ToolchainFingerprint())
 	}
 }

@@ -184,6 +184,96 @@ func TestProfileRequestReusedAcrossReanalyses(t *testing.T) {
 	}
 }
 
+// TestProfileRetrainedKeyFollowsMean: a retrained program's request key
+// covers the aggregate's mean profile, the only part of the aggregate its
+// build reads. The request repeated after the re-analysis, and after a
+// post that leaves the mean unchanged, is a result-cache hit; after a post
+// that moves the mean it is built again, equal to a local build on the
+// new mean.
+func TestProfileRetrainedKeyFollowsMean(t *testing.T) {
+	srv := New(Options{Jobs: 2, StateDir: t.TempDir()})
+	ctx := context.Background()
+	srcs := testSources(t)
+	req := &BuildRequest{Config: "B", Sources: srcs}
+	program := req.ProgramKey()
+	resp, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatalf("training build: %v", err)
+	}
+	post := func(hash string, p *parv.Profile, runs uint64) *ProfileIngestResponse {
+		t.Helper()
+		gen := profagg.NewAggregate(srv.Fingerprint(), program, hash)
+		gen.AddRuns(p, runs)
+		ir, err := srv.IngestProfile(ctx, gen)
+		if err != nil || !ir.Accepted {
+			t.Fatalf("post of %d runs: %+v, %v; want accepted", runs, ir, err)
+		}
+		return ir
+	}
+	builds := func() int64 { return srv.Counters()["served.builds"] }
+
+	// 64 runs of one profile: the mean is that profile, exactly.
+	shifted := progen.SynthesizeProfile(testProgram, 1)
+	ir := post(resp.DirectiveHash, shifted, 64)
+	if !ir.Reanalyzed {
+		t.Fatalf("shifted post: %+v, want a re-analysis", ir)
+	}
+	if n := builds(); n != 2 {
+		t.Fatalf("served.builds = %d after the re-analysis, want 2", n)
+	}
+	for _, step := range []string{"the re-analysis", "a post that leaves the mean unchanged"} {
+		if step != "the re-analysis" {
+			if ir := post(ir.DirectiveHash, shifted, 4); ir.Drifted {
+				t.Fatalf("%s drifted: %+v", step, ir)
+			}
+		}
+		hit, err := srv.Build(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.ResultCached || hit.DirectiveHash != ir.DirectiveHash {
+			t.Errorf("request after %s: cached=%v, directives %s; want a result-cache hit on %s",
+				step, hit.ResultCached, hit.DirectiveHash, ir.DirectiveHash)
+		}
+		if n := builds(); n != 2 {
+			t.Errorf("served.builds = %d after %s, want 2", n, step)
+		}
+	}
+
+	// As many runs of another workload phase move the mean.
+	moved := post(ir.DirectiveHash, progen.SynthesizeProfile(testProgram, 2), 68)
+	rebuilt, err := srv.Build(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := builds(); n != 3 {
+		t.Errorf("served.builds = %d after a post that moves the mean (reanalyzed=%v), want 3", n, moved.Reanalyzed)
+	}
+	snap, ok := srv.profiles.Snapshot(program)
+	if !ok {
+		t.Fatal("no snapshot of the retrained program")
+	}
+	agg, err := profagg.DecodeAggregate(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([]ipra.Source, len(srcs))
+	for i, s := range srcs {
+		sources[i] = ipra.Source{Name: s.Name, Text: []byte(s.Text)}
+	}
+	local, err := ipra.Build(ctx, sources, ipra.MustPreset("B"), ipra.WithAggregatedProfile(agg.MeanProfile()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := parv.EncodeExecutable(&buf, local.Exe); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), rebuilt.Exe) {
+		t.Error("the build after the mean moved differs from a local build on the new mean")
+	}
+}
+
 // TestProfileModelSurvivesUnprofiledBuilds: only a profiled
 // configuration's program can have an aggregate, so builds under any
 // other configuration leave the profile store alone and cannot evict a

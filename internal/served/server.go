@@ -75,10 +75,6 @@ type Options struct {
 	// ProfilePrograms bounds the profile-aggregation store's in-memory
 	// per-program states (internal/profagg); 0 means 128.
 	ProfilePrograms int
-	// Fingerprint overrides the toolchain fingerprint guarding all
-	// served state; empty uses ipra.ToolchainFingerprint(). Tests use
-	// the override to prove stale-state rejection.
-	Fingerprint string
 	// Tracer receives server-lifetime telemetry (the served.* counters
 	// plus every request's counters merged in); nil allocates one
 	// internally so Stats always works.
@@ -164,10 +160,7 @@ func New(opts Options) *Server {
 	if opts.ResultCacheEntries <= 0 {
 		opts.ResultCacheEntries = 128
 	}
-	fp := opts.Fingerprint
-	if fp == "" {
-		fp = ipra.ToolchainFingerprint()
-	}
+	fp := ipra.ToolchainFingerprint()
 	tr := opts.Tracer
 	if tr == nil {
 		tr = telemetry.New()
@@ -319,8 +312,9 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 
 // resolve validates req and fixes its job. Once a drift-triggered
 // re-analysis commits the program to its fleet aggregate, every build
-// uses the aggregate's mean profile, and the aggregate's hash extends the
-// key so results of different aggregate states never alias. Only a
+// uses the aggregate's mean profile, and the mean's digest extends the
+// key: results built under different means never alias, and aggregates
+// with one mean, the only part of them a build reads, share results. Only a
 // profiled configuration's program can have an aggregate (the program key
 // names the configuration), so no other build touches the store.
 func (s *Server) resolve(req *BuildRequest) (*job, error) {

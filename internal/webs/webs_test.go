@@ -215,6 +215,11 @@ func TestBlanketSelect(t *testing.T) {
 	if len(bs) == 2 && bs[0].Color == bs[1].Color {
 		t.Error("blanket webs share a register")
 	}
+	// A budget of one keeps only the hottest global.
+	one := webs.BlanketSelect(g, sets, ws, 1)
+	if len(one) != 1 || len(bs) == 0 || one[0].Var != bs[0].Var {
+		t.Errorf("BlanketSelect(1) = %d webs, want the hottest of %d", len(one), len(bs))
+	}
 }
 
 // TestRecursiveCycleWeb exercises the §4.1.2 special case: a global

@@ -566,13 +566,11 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 
 // runBuild dispatches one Build under its resolved settings. It is the
 // one place that decides where the analyzer's call counts come from: a
-// configuration without WantProfile estimates them, and a profiled one
-// takes the aggregated profile or else trains.
+// configuration without WantProfile estimates them (Analyze rejects a
+// profile for it), and a profiled one takes the aggregated profile or
+// else trains.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
 	profile := s.profile
-	if profile != nil && !cfg.WantProfile {
-		return fmt.Errorf("configuration %s estimates its call counts; an aggregated profile needs a profiled configuration (B or F)", cfg.Name)
-	}
 	if profile == nil && cfg.WantProfile {
 		// Profile-guided (§6.1): compile with heuristic counts, run once
 		// to collect call counts, then re-analyze and re-compile with the
@@ -694,7 +692,7 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, profile *parv.
 	}
 
 	// ---- Program analyzer: always re-run on the whole summary set.
-	if err := analyze(ctx, p, cfg, profile); err != nil {
+	if p.DB, p.Analysis, err = Analyze(ctx, p.Summaries, cfg, profile); err != nil {
 		return nil, nil, err
 	}
 
@@ -752,23 +750,32 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, profile *parv.
 	return p, st.Outcome(ctx, explainW), nil
 }
 
-// analyze runs the program analyzer over p's summaries, with call counts
-// from profile when it is non-nil, and sets p's analysis and database; the
-// level-2 baseline gets a database holding only the program-wide
-// eligibility list. The analysis is whole on every build (§2, §4.3): a
-// build directory stores nothing of it.
-func analyze(ctx context.Context, p *Program, cfg Config, profile *parv.Profile) error {
+// Analyze is the program analyzer step of every build, and of
+// ipra-analyze between the file flow's two compiler phases (§2, Figure
+// 1): it reads the whole program's summaries and returns the program
+// database phase 2 compiles under, with the analysis behind it. A
+// configuration without the analyzer (L2) gets a database holding only
+// the program-wide eligibility list, under which phase 2 promotes every
+// unaliased global within each procedure, and a nil analysis. Otherwise
+// the analyzer runs under cfg.AnalyzerOptions(profile): the profile's call
+// counts, or estimated ones when profile is nil (a profiled
+// configuration's training pass). A profile under a configuration that
+// estimates its counts is an error naming the configuration. The analysis
+// is whole on every build (§4.3): a build directory stores nothing of it.
+func Analyze(ctx context.Context, sums []*summary.ModuleSummary, cfg Config, profile *parv.Profile) (*pdb.Database, *core.Result, error) {
+	if profile != nil && !cfg.WantProfile {
+		return nil, nil, fmt.Errorf("configuration %s estimates its call counts; a profile needs a profiled configuration (B or F)", cfg.Name)
+	}
 	if !cfg.UseAnalyzer {
-		p.DB = pdb.New()
-		p.DB.EligibleGlobals = summary.EligibleNames(summary.MergeGlobals(p.Summaries))
-		return nil
+		db := pdb.New()
+		db.EligibleGlobals = summary.EligibleNames(summary.MergeGlobals(sums))
+		return db, nil, nil
 	}
-	res, err := core.Analyze(ctx, p.Summaries, cfg.AnalyzerOptions(profile))
+	res, err := core.Analyze(ctx, sums, cfg.AnalyzerOptions(profile))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	p.Analysis, p.DB = res, res.DB
-	return nil
+	return res.DB, res, nil
 }
 
 // phase2Module is the compiler second phase of level-1 module m, under a

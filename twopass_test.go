@@ -10,7 +10,6 @@ import (
 
 	"ipra/internal/benchprogs"
 	"ipra/internal/cache"
-	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
@@ -29,12 +28,22 @@ import (
 // The point of the paper's organization is that phase 2 is order
 // independent and module-at-a-time; this test compiles the modules in
 // reverse order from a cold start (files only), then links them in source
-// order, where the executable must equal Build's byte for byte. Each .p1
-// file must equal the record a build directory stores for its module.
+// order. The analyzer is Analyze, the step every build runs, so under L2
+// and every Table 4 column the executable must equal Build's byte for
+// byte; B and F analyze under the profile of a run of their training
+// pass's file-flow executable, as mvm -profile records one. Each .p1 file
+// must equal the record a build directory stores for its module.
 func TestTwoPassFileBasedPipeline(t *testing.T) {
-	dir := t.TempDir()
-	sources := []Source{
-		{Name: "main.mc", Text: []byte(`
+	dhry, err := benchprogs.ByName("dhrystone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := []struct {
+		name    string
+		sources []Source
+	}{
+		{"total", []Source{
+			{Name: "main.mc", Text: []byte(`
 extern int total;
 int add(int x);
 int main() {
@@ -43,112 +52,149 @@ int main() {
 	return total & 255;
 }
 `)},
-		{Name: "lib.mc", Text: []byte(`
+			{Name: "lib.mc", Text: []byte(`
 int total;
 int add(int x) { total += x; return total; }
 `)},
+		}},
+		{"dhrystone", benchSources(t, dhry)},
 	}
+	for _, prog := range programs {
+		t.Run(prog.name, func(t *testing.T) {
+			dir := t.TempDir()
+			readFile := func(path string) []byte {
+				t.Helper()
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
 
-	// ---- Phase 1: write one .p1 file per module.
-	var p1Paths []string
-	for _, src := range sources {
-		m, ms, err := Phase1(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, src.Name+".p1")
-		if err := os.WriteFile(path, cache.EncodeEntry(m, ms), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		p1Paths = append(p1Paths, path)
-	}
-	readFile := func(path string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
+			// ---- Phase 1: write one .p1 file per module.
+			var p1Paths []string
+			for _, src := range prog.sources {
+				m, ms, err := Phase1(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, src.Name+".p1")
+				if err := os.WriteFile(path, cache.EncodeEntry(m, ms), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				p1Paths = append(p1Paths, path)
+			}
 
-	// ---- Program analyzer: read only the summaries, write the database.
-	var sums []*summary.ModuleSummary
-	for _, p := range p1Paths {
-		ms, err := cache.DecodeSummary(readFile(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, ms)
-	}
-	res, err := core.Analyze(context.Background(), sums, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbPath := filepath.Join(dir, "prog.pdb")
-	if err := pdb.WriteFile(dbPath, res.DB); err != nil {
-		t.Fatal(err)
-	}
+			// fileFlow runs the analyzer on the .p1 files' summaries
+			// alone, writes the database, and compiles and links from
+			// the files.
+			fileFlow := func(cfg Config, profile *parv.Profile) *parv.Executable {
+				t.Helper()
+				var sums []*summary.ModuleSummary
+				for _, p := range p1Paths {
+					ms, err := cache.DecodeSummary(readFile(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sums = append(sums, ms)
+				}
+				written, _, err := Analyze(context.Background(), sums, cfg, profile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dbPath := filepath.Join(dir, cfg.Name+".pdb")
+				if err := pdb.WriteFile(dbPath, written); err != nil {
+					t.Fatal(err)
+				}
 
-	// ---- Phase 2: reload everything from disk, reverse module order.
-	db, err := pdb.ReadFile(dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := make([]*parv.Object, len(p1Paths))
-	for i := len(p1Paths) - 1; i >= 0; i-- {
-		m, _, err := cache.DecodeEntry(readFile(p1Paths[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if objs[i], err = Phase2(m, db); err != nil {
-			t.Fatal(err)
-		}
-	}
+				// ---- Phase 2: reload everything from disk, reverse
+				// module order.
+				db, err := pdb.ReadFile(dbPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				objs := make([]*parv.Object, len(p1Paths))
+				for i := len(p1Paths) - 1; i >= 0; i-- {
+					m, _, err := cache.DecodeEntry(readFile(p1Paths[i]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if objs[i], err = Phase2(m, db); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-	// ---- Link in source order.
-	exe, err := parv.Link(objs, parv.LinkConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := parv.NewVM(exe)
-	exit, err := vm.Run(10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exit != 5050&255 {
-		t.Errorf("exit = %d, want %d", exit, 5050&255)
-	}
+				// ---- Link in source order.
+				exe, err := parv.Link(objs, parv.LinkConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exe
+			}
 
-	// The web for `total` spans both modules: `add` must execute no
-	// memory references to it.
-	if vm.Stats.SingletonRefs() > 6 {
-		t.Errorf("singleton refs = %d; interprocedural promotion across the "+
-			"module boundary did not take effect", vm.Stats.SingletonRefs())
-	}
+			for _, name := range PresetNames() {
+				cfg := MustPreset(name)
+				var profile *parv.Profile
+				if cfg.WantProfile {
+					train := parv.NewVM(fileFlow(cfg, nil))
+					train.ProfileEdges = true
+					if _, err := train.Run(trainBound); err != nil {
+						t.Fatal(err)
+					}
+					profile = train.Profile()
+				}
+				exe := fileFlow(cfg, profile)
 
-	// The same program through Build is the same executable, byte for
-	// byte: the file-based flow and the build driver share both phases,
-	// and each .p1 file is the record the build directory stores.
-	buildDir := filepath.Join(dir, "build")
-	p2, err := Build(context.Background(), sources, MustPreset("C"), WithBuildDir(buildDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exeBytes(t, exe), exeBytes(t, p2.Exe)) {
-		t.Error("file-based executable differs from Build's")
-	}
-	records, err := filepath.Glob(filepath.Join(buildDir, "p1-*.wire"))
-	if err != nil || len(records) != len(p1Paths) {
-		t.Fatalf("build directory holds phase-1 records %v (%v), want %d", records, err, len(p1Paths))
-	}
-	for _, p := range p1Paths {
-		found := false
-		for _, r := range records {
-			found = found || bytes.Equal(readFile(p), readFile(r))
-		}
-		if !found {
-			t.Errorf("%s equals no phase-1 record of the build directory", filepath.Base(p))
-		}
+				var opts []BuildOption
+				buildDir := filepath.Join(dir, "build-"+name)
+				if name == "C" {
+					opts = append(opts, WithBuildDir(buildDir))
+				}
+				res, err := Build(context.Background(), prog.sources, cfg, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(exeBytes(t, exe), exeBytes(t, res.Exe)) {
+					t.Errorf("%s: file-based executable differs from Build's", name)
+				}
+				if name != "C" {
+					continue
+				}
+
+				// Each .p1 file is the record the build directory
+				// stores.
+				records, err := filepath.Glob(filepath.Join(buildDir, "p1-*.wire"))
+				if err != nil || len(records) != len(p1Paths) {
+					t.Fatalf("build directory holds phase-1 records %v (%v), want %d", records, err, len(p1Paths))
+				}
+				for _, p := range p1Paths {
+					found := false
+					for _, r := range records {
+						found = found || bytes.Equal(readFile(p), readFile(r))
+					}
+					if !found {
+						t.Errorf("%s equals no phase-1 record of the build directory", filepath.Base(p))
+					}
+				}
+				if prog.name != "total" {
+					continue
+				}
+				vm := parv.NewVM(exe)
+				exit, err := vm.Run(10_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exit != 5050&255 {
+					t.Errorf("exit = %d, want %d", exit, 5050&255)
+				}
+				// The web for `total` spans both modules: `add` must
+				// execute no memory references to it.
+				if vm.Stats.SingletonRefs() > 6 {
+					t.Errorf("singleton refs = %d; interprocedural promotion across the "+
+						"module boundary did not take effect", vm.Stats.SingletonRefs())
+				}
+			}
+		})
 	}
 }
 
