@@ -10,9 +10,9 @@ import (
 	"ipra/internal/summary"
 )
 
-// analyzerWorkloads caches the synthesized summary sets per preset: the
-// workload construction (deterministic in the preset's seed) is setup, not
-// the thing under measurement.
+// analyzerWorkloads caches the summary sets per preset: compiling the
+// preset's program through phase 1 (deterministic in the preset's seed) is
+// setup, not the thing under measurement.
 var analyzerWorkloads sync.Map // preset name -> []*summary.ModuleSummary
 
 func analyzerWorkload(tb testing.TB, preset string) []*summary.ModuleSummary {
@@ -23,15 +23,31 @@ func analyzerWorkload(tb testing.TB, preset string) []*summary.ModuleSummary {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sums := progen.GenerateSummaries(cfg)
+	sums := phase1Summaries(tb, cfg)
 	analyzerWorkloads.Store(preset, sums)
+	return sums
+}
+
+// phase1Summaries compiles the program progen generates for cfg through
+// phase 1 and returns its summaries in generation order, what ipra-analyze
+// reads from the modules' .p1 records.
+func phase1Summaries(tb testing.TB, cfg progen.Config) []*summary.ModuleSummary {
+	tb.Helper()
+	var sums []*summary.ModuleSummary
+	for _, src := range progenSources(progen.Generate(cfg)) {
+		_, ms, err := Phase1(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sums = append(sums, ms)
+	}
 	return sums
 }
 
 // benchmarkAnalyzer measures one full program-analyzer run — call graph
 // construction, count estimation, reference sets, web identification and
 // coloring, cluster identification, register usage sets, database assembly
-// — over a synthesized whole program.
+// — over the phase-1 summaries of a generated whole program.
 func benchmarkAnalyzer(b *testing.B, preset string) {
 	sums := analyzerWorkload(b, preset)
 	opt := core.DefaultOptions()

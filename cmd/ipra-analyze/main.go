@@ -15,12 +15,15 @@
 // configuration refuses one. -partial, -merge-webs and -caller-saves turn
 // on the §7 extensions under an analyzer configuration. Phase 2 and link
 // under the database give the executable `mcc -incremental` builds under
-// the same configuration, byte for byte.
+// the same configuration, byte for byte. A program holds each module
+// once: two records of one module are an error naming it.
 //
-// For scaling experiments, -synth <preset> analyzes a synthesized whole
-// program (small/medium/large, ~500/2000/10000 procedures) instead of
-// phase-1 records, and -cpuprofile/-memprofile capture pprof data for the
-// run. The analyzer runs on one goroutine, so the tool takes no -j.
+// For scaling experiments, -synth <preset> generates a progen preset
+// program (small/medium/large, ~500/2000/10000 procedures), compiles its
+// modules through phase 1 in generation order, and analyzes their
+// summaries, exactly as if their .p1 records were named in that order.
+// -cpuprofile and -trace start after phase 1, so they cover the analysis
+// alone. The analyzer runs on one goroutine, so the tool takes no -j.
 package main
 
 import (
@@ -47,12 +50,12 @@ func main() {
 		partial     = flag.Bool("partial", false, "partial call graph: assume unknown external callers (§7.2)")
 		mergeWebs   = flag.Bool("merge-webs", false, "re-merge webs through common dominators (§7.6.1)")
 		callerSaves = flag.Bool("caller-saves", false, "banded caller-saves preallocation (§7.6.2)")
-		synth       = flag.String("synth", "", "analyze a synthesized program instead of summary files ("+strings.Join(progen.PresetNames(), ", ")+")")
+		synth       = flag.String("synth", "", "analyze phase 1's summaries of a generated preset program ("+strings.Join(progen.PresetNames(), ", ")+")")
 	)
 	var build cliutil.BuildFlags
 	build.RegisterConfig(flag.CommandLine)
 	common := cliutil.New("ipra-analyze")
-	common.Register(flag.CommandLine)
+	common.Register(flag.CommandLine, cliutil.FlagVerbose|cliutil.FlagVerify|cliutil.FlagTelemetry)
 	flag.Parse()
 	if flag.NArg() == 0 && *synth == "" {
 		fmt.Fprintln(os.Stderr, "ipra-analyze: no phase-1 records (or use -synth <preset>)")
@@ -78,10 +81,6 @@ func main() {
 	case cfg.WantProfile:
 		fatal(fmt.Errorf("configuration %s needs -profile: the file flow has no training run (mvm -profile writes a snapshot)", cfg.Name))
 	}
-	if err := common.Start(); err != nil {
-		fatal(err)
-	}
-	ctx := common.Context(context.Background())
 
 	var sums []*summary.ModuleSummary
 	if *synth != "" {
@@ -89,7 +88,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sums = progen.GenerateSummaries(pcfg)
+		for _, m := range progen.Generate(pcfg) {
+			_, ms, err := ipra.Phase1(ipra.Source{Name: m.Name, Text: []byte(m.Text)})
+			if err != nil {
+				fatal(fmt.Errorf("%s: %w", m.Name, err))
+			}
+			sums = append(sums, ms)
+		}
 	}
 	for _, f := range flag.Args() {
 		data, err := os.ReadFile(f)
@@ -103,6 +108,11 @@ func main() {
 		sums = append(sums, ms)
 	}
 
+	// The CPU profile and the trace cover the analysis alone.
+	if err := common.Start(); err != nil {
+		fatal(err)
+	}
+	ctx := common.Context(context.Background())
 	db, res, err := ipra.Analyze(ctx, sums, cfg, profile)
 	if err != nil {
 		fatal(err)

@@ -13,6 +13,7 @@ import (
 	"ipra/internal/cache"
 	"ipra/internal/parv"
 	"ipra/internal/profagg"
+	"ipra/internal/progen"
 	"ipra/internal/summary"
 )
 
@@ -71,6 +72,92 @@ int main() { int i; for (i = 0; i < 3; i++) leaf(i); return g; }
 				t.Errorf("stderr does not name the module:\n%s", msg)
 			}
 		})
+	}
+}
+
+// TestRejectsModuleGivenTwice: a program holds each module once, so the
+// same record named twice is an exit 1 naming the module under every
+// configuration, L2 included, not an analysis of a program with every
+// procedure twice.
+func TestRejectsModuleGivenTwice(t *testing.T) {
+	tool := buildTool(t)
+	dir := t.TempDir()
+	m, ms, err := ipra.Phase1(ipra.Source{Name: "twice.mc", Text: []byte("int g;\nint main() { g = 1; return g; }\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := filepath.Join(dir, "twice.p1")
+	if err := os.WriteFile(p1, cache.EncodeEntry(m, ms), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, config := range []string{"L2", "C"} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(tool, "-config", config, "-o", filepath.Join(dir, "p.pdb"), p1, p1)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-config %s: exit: %v, want status 1; stderr:\n%s", config, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, `duplicate module name "twice.mc"`) {
+			t.Errorf("-config %s: stderr does not name the module:\n%s", config, msg)
+		}
+	}
+}
+
+// TestSynthIsTheFileFlow: -synth small analyzes what the file flow's
+// phase 1 writes for the preset's program. Its database equals the one
+// the tool writes over the modules' .p1 records named in generation
+// order, and its summaries verify clean. Adding one of those records to
+// -synth names its module twice.
+func TestSynthIsTheFileFlow(t *testing.T) {
+	tool := buildTool(t)
+	dir := t.TempDir()
+	pcfg, err := progen.Preset("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []string
+	for _, mod := range progen.Generate(pcfg) {
+		m, ms, err := ipra.Phase1(ipra.Source{Name: mod.Name, Text: []byte(mod.Text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1 := filepath.Join(dir, strings.TrimSuffix(mod.Name, ".mc")+".p1")
+		if err := os.WriteFile(p1, cache.EncodeEntry(m, ms), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, p1)
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(tool, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	synth, files := filepath.Join(dir, "synth.pdb"), filepath.Join(dir, "files.pdb")
+	if out := run("-synth", "small", "-verify", "-o", synth); !strings.Contains(out, "verify: 501 procedures clean") {
+		t.Errorf("-synth small -verify:\n%s", out)
+	}
+	run(append([]string{"-o", files}, records...)...)
+	a, err := os.ReadFile(synth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("-synth small's database differs from the file flow's over the same program")
+	}
+
+	out, err := exec.Command(tool, "-synth", "small", "-o", synth, records[0]).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), `duplicate module name "gen0.mc"`) {
+		t.Errorf("-synth small gen0.p1: %v\n%s", err, out)
 	}
 }
 

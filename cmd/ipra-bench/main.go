@@ -35,8 +35,7 @@ func main() {
 		jsonPath   = flag.String("json", "", "write the strategy matrix as JSON to this file")
 	)
 	common := cliutil.New("ipra-bench")
-	common.Register(flag.CommandLine)
-	common.RegisterJobs(flag.CommandLine)
+	common.Register(flag.CommandLine, cliutil.FlagVerbose|cliutil.FlagTelemetry|cliutil.FlagJobs)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		fatal(err)

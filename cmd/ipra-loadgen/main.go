@@ -41,7 +41,7 @@ func main() {
 	build := &cliutil.BuildFlags{ConfigName: "B"}
 	build.RegisterBuild(flag.CommandLine)
 	common := cliutil.New("ipra-loadgen")
-	common.Register(flag.CommandLine)
+	common.Register(flag.CommandLine, 0)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)

@@ -43,8 +43,7 @@ func main() {
 		drainWait   = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight builds")
 	)
 	common := cliutil.New("ipra-served")
-	common.Register(flag.CommandLine)
-	common.RegisterJobs(flag.CommandLine)
+	common.Register(flag.CommandLine, cliutil.FlagTelemetry|cliutil.FlagJobs)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)

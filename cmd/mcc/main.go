@@ -72,8 +72,7 @@ func main() {
 	build := &cliutil.BuildFlags{}
 	build.RegisterBuild(flag.CommandLine)
 	common := cliutil.New("mcc")
-	common.Register(flag.CommandLine)
-	common.RegisterJobs(flag.CommandLine)
+	common.Register(flag.CommandLine, cliutil.FlagVerbose|cliutil.FlagVerify|cliutil.FlagTelemetry|cliutil.FlagJobs)
 	flag.Parse()
 	if err := common.Start(); err != nil {
 		common.Fatal(err)

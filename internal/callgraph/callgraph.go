@@ -549,7 +549,7 @@ func (g *Graph) recomputeOrders() {
 
 	visited := make([]bool, n)
 	post := make([]int, 0, n)
-	// Iterative DFS: synthesized call graphs reach tens of thousands of
+	// Iterative DFS: generated call graphs reach tens of thousands of
 	// nodes, and recursion depth tracks the longest call chain.
 	type frame struct{ v, ei int }
 	var stack []frame

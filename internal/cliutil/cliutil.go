@@ -1,12 +1,12 @@
 // Package cliutil holds the flag handling shared by the repo's commands
-// (mcc, ipra-bench, ipra-analyze, ipra-served, ipra-loadgen): verbose
-// diagnostics (-v), pprof capture (-cpuprofile, -memprofile), build
-// telemetry (-trace, -report), and, on the tools that run a worker pool,
-// parallelism (-j). Each tool registers one Common on its flag set,
-// calls Start after parsing, threads Context into the library, and
-// calls Finish on the way out; the artifacts land wherever the flags
-// pointed without any per-tool plumbing. It also reads the profile
-// snapshots that mvm -profile writes and ipra-analyze and mcc read.
+// (mcc, ipra-bench, ipra-analyze, ipra-served, ipra-loadgen): pprof
+// capture (-cpuprofile, -memprofile), and, on the tools that read them,
+// verbose diagnostics (-v), the verifier (-verify), build telemetry
+// (-trace, -report) and parallelism (-j). Each tool registers one Common
+// on its flag set, calls Start after parsing, threads Context into the
+// library, and calls Finish on the way out; the artifacts land wherever
+// the flags pointed without any per-tool plumbing. It also reads the
+// profile snapshots that mvm -profile writes and ipra-analyze and mcc read.
 package cliutil
 
 import (
@@ -28,14 +28,14 @@ import (
 
 // Common is the shared flag block of one command invocation.
 type Common struct {
-	// Jobs is the -j value (RegisterJobs): 0 = one worker per CPU, 1 =
+	// Jobs is the -j value (FlagJobs): 0 = one worker per CPU, 1 =
 	// sequential.
 	Jobs int
-	// Verbose is the -v value; each tool decides what extra output it
-	// unlocks (cache statistics, analysis reports, ...).
+	// Verbose is the -v value (FlagVerbose); each tool decides what extra
+	// output it unlocks (cache statistics, analysis reports, ...).
 	Verbose bool
-	// Verify is the -verify value: run the internal/verify invariant
-	// checker over the program analyzer's output and fail on violations.
+	// Verify is the -verify value (FlagVerify): check the program
+	// analyzer's output with internal/verify and fail on violations.
 	Verify bool
 
 	tool       string
@@ -48,24 +48,38 @@ type Common struct {
 	cpuFile *os.File
 }
 
+// Flags names the shared flags a tool reads, beyond the pprof flags that
+// every tool honours.
+type Flags uint8
+
+const (
+	FlagVerbose   Flags = 1 << iota // -v
+	FlagVerify                      // -verify
+	FlagTelemetry                   // -trace and -report, for tools whose work records into the tracer
+	FlagJobs                        // -j, for tools that fan work across a worker pool
+)
+
 // New returns a Common labelled with the tool name (used in error
 // messages).
 func New(tool string) *Common { return &Common{tool: tool} }
 
-// Register installs the shared flags on fs.
-func (c *Common) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Verbose, "v", false, "verbose diagnostic output")
-	fs.BoolVar(&c.Verify, "verify", false, "check the analyzer's output against the paper's allocation invariants")
+// Register installs the pprof flags and each shared flag of want on fs.
+func (c *Common) Register(fs *flag.FlagSet, want Flags) {
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile at exit to this file")
-	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON build trace to this file (chrome://tracing, Perfetto)")
-	fs.StringVar(&c.reportPath, "report", "", "write a machine-readable JSON build report to this file")
-}
-
-// RegisterJobs installs -j on fs, for the tools that fan work across a
-// worker pool.
-func (c *Common) RegisterJobs(fs *flag.FlagSet) {
-	fs.IntVar(&c.Jobs, "j", 0, "parallel jobs (0 = one per CPU, 1 = sequential)")
+	if want&FlagVerbose != 0 {
+		fs.BoolVar(&c.Verbose, "v", false, "verbose diagnostic output")
+	}
+	if want&FlagVerify != 0 {
+		fs.BoolVar(&c.Verify, "verify", false, "check the analyzer's output against the paper's allocation invariants")
+	}
+	if want&FlagTelemetry != 0 {
+		fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON build trace to this file (chrome://tracing, Perfetto)")
+		fs.StringVar(&c.reportPath, "report", "", "write a machine-readable JSON build report to this file")
+	}
+	if want&FlagJobs != 0 {
+		fs.IntVar(&c.Jobs, "j", 0, "parallel jobs (0 = one per CPU, 1 = sequential)")
+	}
 }
 
 // Start begins whatever the parsed flags requested up front: the CPU

@@ -14,6 +14,34 @@ import (
 	"ipra/internal/profagg"
 )
 
+// TestRegisterInstallsWhatTheToolReads: every tool gets the pprof flags,
+// and a shared flag only when the tool asks for it, so a tool that never
+// reads a flag refuses it at parsing.
+func TestRegisterInstallsWhatTheToolReads(t *testing.T) {
+	shared := map[Flags][]string{
+		FlagVerbose:   {"v"},
+		FlagVerify:    {"verify"},
+		FlagTelemetry: {"trace", "report"},
+		FlagJobs:      {"j"},
+	}
+	for _, want := range []Flags{0, FlagTelemetry | FlagJobs, FlagVerbose | FlagTelemetry | FlagJobs, FlagVerbose | FlagVerify | FlagTelemetry} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		New("test").Register(fs, want)
+		for _, name := range []string{"cpuprofile", "memprofile"} {
+			if fs.Lookup(name) == nil {
+				t.Errorf("Register(%b) left out -%s", want, name)
+			}
+		}
+		for bit, names := range shared {
+			for _, name := range names {
+				if got := fs.Lookup(name) != nil; got != (want&bit != 0) {
+					t.Errorf("Register(%b): -%s installed = %t", want, name, got)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildFlagsResolvePresets: the shared -config flag resolves every
 // registry preset (case-insensitively) to the same configuration the
 // library registry builds — the one table every build-driving tool

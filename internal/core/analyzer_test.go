@@ -5,9 +5,30 @@ import (
 	"strings"
 	"testing"
 
+	"ipra"
 	"ipra/internal/core"
+	"ipra/internal/progen"
 	"ipra/internal/summary"
 )
+
+// presetSummaries compiles the program of a progen preset through phase 1
+// and returns its summaries, the analyzer's input.
+func presetSummaries(t *testing.T, preset string) []*summary.ModuleSummary {
+	t.Helper()
+	cfg, err := progen.Preset(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums []*summary.ModuleSummary
+	for _, m := range progen.Generate(cfg) {
+		_, ms, err := ipra.Phase1(ipra.Source{Name: m.Name, Text: []byte(m.Text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, ms)
+	}
+	return sums
+}
 
 // twoModuleProgram is a cross-module program: main.mc drives, lib.mc owns
 // the globals. A static in lib.mc is also referenced from a lib procedure

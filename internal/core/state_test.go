@@ -1,31 +1,27 @@
-package core
+package core_test
 
 import (
 	"bytes"
 	"context"
 	"testing"
 
-	"ipra/internal/progen"
+	"ipra/internal/core"
 	"ipra/internal/webs"
 )
 
 // TestStateRoundTrip: a state decodes from its encoding and re-encodes to
 // the same bytes, for every promotion mode's analysis.
 func TestStateRoundTrip(t *testing.T) {
-	cfg, err := progen.Preset("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := progen.GenerateSummaries(cfg)
-	for _, mode := range []PromotionMode{PromoteNone, PromoteColoring, PromoteGreedy, PromoteBlanket} {
-		opt := DefaultOptions()
+	sums := presetSummaries(t, "small")
+	for _, mode := range []core.PromotionMode{core.PromoteNone, core.PromoteColoring, core.PromoteGreedy, core.PromoteBlanket} {
+		opt := core.DefaultOptions()
 		opt.Promotion = mode
-		res, err := Analyze(context.Background(), sums, opt)
+		res, err := core.Analyze(context.Background(), sums, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := NewState(res, sums, opt).Encode()
-		decoded, err := DecodeState(data)
+		data := core.NewState(res, sums, opt).Encode()
+		decoded, err := core.DecodeState(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", mode, err)
 		}
@@ -39,14 +35,10 @@ func TestStateRoundTrip(t *testing.T) {
 // an otherwise valid state per case: each must be a decode error, never a
 // state that panics the next analysis.
 func TestDecodeStateRejectsBadIndexes(t *testing.T) {
-	cfg, err := progen.Preset("small")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	opt := DefaultOptions()
-	sums := progen.GenerateSummaries(cfg)
-	res, err := Analyze(ctx, sums, opt)
+	opt := core.DefaultOptions()
+	sums := presetSummaries(t, "small")
+	res, err := core.Analyze(ctx, sums, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,66 +55,67 @@ func TestDecodeStateRejectsBadIndexes(t *testing.T) {
 	if web == nil {
 		t.Fatal("program has no web with entries to corrupt")
 	}
+	st := core.NewState(res, sums, opt)
+	g, sets, cl := st.Artifacts()
 	cases := []struct {
 		name    string
-		corrupt func(st *State) func()
+		corrupt func() func()
 	}{
-		{"cluster member", func(st *State) func() {
-			c := st.clusters.Clusters[0]
+		{"cluster member", func() func() {
+			c := cl.Clusters[0]
 			saved := c.Members
 			c.Members = append(append([]int(nil), saved...), 1<<20)
 			return func() { c.Members = saved }
 		}},
-		{"cluster root", func(st *State) func() {
-			c := st.clusters.Clusters[0]
+		{"cluster root", func() func() {
+			c := cl.Clusters[0]
 			saved := c.Root
 			c.Root = 1 << 20
 			return func() { c.Root = saved }
 		}},
-		{"member root", func(st *State) func() {
-			st.clusters.MemberRoot[1<<20] = st.clusters.Clusters[0].Root
-			return func() { delete(st.clusters.MemberRoot, 1<<20) }
+		{"member root", func() func() {
+			cl.MemberRoot[1<<20] = cl.Clusters[0].Root
+			return func() { delete(cl.MemberRoot, 1<<20) }
 		}},
-		{"web entry", func(st *State) func() {
+		{"web entry", func() func() {
 			saved := web.Entries
 			web.Entries = append(append([]int(nil), saved...), 1<<20)
 			return func() { web.Entries = saved }
 		}},
-		{"scc id", func(st *State) func() {
-			nd := st.g.Nodes[0]
+		{"scc id", func() func() {
+			nd := g.Nodes[0]
 			saved := nd.SCC
 			nd.SCC = 1 << 40
 			return func() { nd.SCC = saved }
 		}},
-		{"idom", func(st *State) func() {
-			nd := st.g.Nodes[len(st.g.Nodes)-1]
+		{"idom", func() func() {
+			nd := g.Nodes[len(g.Nodes)-1]
 			saved := nd.IDom
 			nd.IDom = 1 << 20
 			return func() { nd.IDom = saved }
 		}},
-		{"idom cycle", func(st *State) func() {
-			nd := st.g.Nodes[0]
+		{"idom cycle", func() func() {
+			nd := g.Nodes[0]
 			saved := nd.IDom
 			nd.IDom = 0
 			return func() { nd.IDom = saved }
 		}},
-		{"variable bit", func(st *State) func() {
-			row := st.sets.LRef[0]
+		{"variable bit", func() func() {
+			row := sets.LRef[0]
 			saved := row[len(row)-1]
 			row[len(row)-1] |= 1 << 63
 			return func() { row[len(row)-1] = saved }
 		}},
 	}
-	st := NewState(res, sums, opt)
 	for _, tc := range cases {
-		restore := tc.corrupt(st)
+		restore := tc.corrupt()
 		data := st.Encode()
 		restore()
-		if _, err := DecodeState(data); err == nil {
+		if _, err := core.DecodeState(data); err == nil {
 			t.Errorf("%s: corrupt state decoded without error", tc.name)
 		}
 	}
-	if _, err := DecodeState(st.Encode()); err != nil {
+	if _, err := core.DecodeState(st.Encode()); err != nil {
 		t.Fatalf("restored state no longer decodes: %v", err)
 	}
 }
@@ -130,21 +123,21 @@ func TestDecodeStateRejectsBadIndexes(t *testing.T) {
 // TestOptionsKeyDistinguishes ensures the option fingerprint separates
 // every output-shaping field.
 func TestOptionsKeyDistinguishes(t *testing.T) {
-	base := DefaultOptions()
-	variants := []func(*Options){
-		func(o *Options) { o.SpillMotion = false },
-		func(o *Options) { o.Promotion = PromoteGreedy },
-		func(o *Options) { o.Promotion = PromoteBlanket },
-		func(o *Options) { o.Strategy = StrategyTiling },
-		func(o *Options) { o.PartialProgram = true },
-		func(o *Options) { o.MergeWebs = true },
-		func(o *Options) { o.CallerSavesPreallocation = true },
+	base := core.DefaultOptions()
+	variants := []func(*core.Options){
+		func(o *core.Options) { o.SpillMotion = false },
+		func(o *core.Options) { o.Promotion = core.PromoteGreedy },
+		func(o *core.Options) { o.Promotion = core.PromoteBlanket },
+		func(o *core.Options) { o.Strategy = core.StrategyTiling },
+		func(o *core.Options) { o.PartialProgram = true },
+		func(o *core.Options) { o.MergeWebs = true },
+		func(o *core.Options) { o.CallerSavesPreallocation = true },
 	}
-	seenKeys := map[string]int{optionsKey(base): -1}
+	seenKeys := map[string]int{core.OptionsKey(base): -1}
 	for i, v := range variants {
 		o := base
 		v(&o)
-		k := optionsKey(o)
+		k := core.OptionsKey(o)
 		if j, dup := seenKeys[k]; dup {
 			t.Errorf("variant %d collides with %d: %s", i, j, k)
 		}
@@ -153,7 +146,7 @@ func TestOptionsKeyDistinguishes(t *testing.T) {
 	// Jobs must NOT change the key: output is identical at any setting.
 	o := base
 	o.Jobs = 7
-	if optionsKey(o) != optionsKey(base) {
+	if core.OptionsKey(o) != core.OptionsKey(base) {
 		t.Error("Jobs changed the options key")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ipra/internal/core"
-	"ipra/internal/progen"
 	"ipra/internal/verify"
 )
 
@@ -51,16 +50,12 @@ func TestAnalyzeUnknownStrategy(t *testing.T) {
 	}
 }
 
-// TestStrategiesVerifierClean runs every strategy over a
-// synthesized program under every promotion mode and checks the
+// TestStrategiesVerifierClean runs every strategy over the phase-1
+// summaries of a generated program under every promotion mode and checks the
 // independent allocation verifier stays clean and the result names the
 // strategy that produced it.
 func TestStrategiesVerifierClean(t *testing.T) {
-	pcfg, err := progen.Preset("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := progen.GenerateSummaries(pcfg)
+	sums := presetSummaries(t, "small")
 
 	modes := []core.PromotionMode{
 		core.PromoteNone, core.PromoteColoring, core.PromoteGreedy, core.PromoteBlanket,

@@ -20,17 +20,26 @@ var driftCfg = progen.Config{
 	SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
 }
 
-// driftProgram is one analyzed program of the drift scenario's shape: its
-// summaries and the analyzer options of preset.
+// driftProgram is one analyzed program of the drift scenario's shape: the
+// summaries phase 1 writes for it and the analyzer options of preset.
 type driftProgram struct {
 	sums []*summary.ModuleSummary
 	opt  core.Options
 }
 
-func newDriftProgram(preset string, seed int64) driftProgram {
+func newDriftProgram(t *testing.T, preset string, seed int64) driftProgram {
+	t.Helper()
 	cfg := driftCfg
 	cfg.Seed = seed
-	return driftProgram{progen.GenerateSummaries(cfg), ipra.MustPreset(preset).AnalyzerOptions(nil)}
+	var sums []*summary.ModuleSummary
+	for _, m := range progen.Generate(cfg) {
+		_, ms, err := ipra.Phase1(ipra.Source{Name: m.Name, Text: []byte(m.Text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, ms)
+	}
+	return driftProgram{sums, ipra.MustPreset(preset).AnalyzerOptions(nil)}
 }
 
 // analyze runs the analyzer over the program under p, as the daemon's
@@ -77,7 +86,7 @@ func shifted(seed int64, phase int) *parv.Profile {
 // of it) is not drift, rotating the workload's hot set by one phase is,
 // and concurrent checks on one model agree.
 func TestDriftModelPhaseShift(t *testing.T) {
-	prog := newDriftProgram("B", driftCfg.Seed)
+	prog := newDriftProgram(t, "B", driftCfg.Seed)
 	trained, moved := shifted(driftCfg.Seed, 0), shifted(driftCfg.Seed, 1)
 	if reflect.DeepEqual(moved, trained) {
 		t.Fatal("phase shift produced an identical profile; test is vacuous")
@@ -116,7 +125,7 @@ func TestDriftModelPhaseShift(t *testing.T) {
 // and reads as drift: the trained profile, and an aggregate of identical
 // runs of it, still read false, and another profile reads true.
 func TestDriftModelSkipsItsOwnProfile(t *testing.T) {
-	prog := newDriftProgram("B", driftCfg.Seed)
+	prog := newDriftProgram(t, "B", driftCfg.Seed)
 	trained := shifted(driftCfg.Seed, 0)
 	o := prog.opt
 	o.Profile = trained
@@ -147,7 +156,7 @@ func TestDriftIsExact(t *testing.T) {
 		{"F", 7, true},
 		{"B", 3, false},
 	} {
-		prog := newDriftProgram(c.preset, c.seed)
+		prog := newDriftProgram(t, c.preset, c.seed)
 		before, after := prog.analyze(t, shifted(c.seed, 0)), prog.analyze(t, shifted(c.seed, 1))
 		if reordered := !reflect.DeepEqual(consideredOrder(before), consideredOrder(after)); reordered == c.drift {
 			t.Fatalf("%s seed %d: web order changed = %t; the case no longer separates order from directives", c.preset, c.seed, reordered)
@@ -165,7 +174,7 @@ func TestDriftIsExact(t *testing.T) {
 // hands back the build context and activates the aggregate, and the
 // retrained build's Register re-pins the aggregate to its directive hash.
 func TestStoreRetrainLifecycle(t *testing.T) {
-	prog := newDriftProgram("B", driftCfg.Seed)
+	prog := newDriftProgram(t, "B", driftCfg.Seed)
 	trained := shifted(driftCfg.Seed, 0)
 	model := prog.model(t, trained)
 	dh0 := model.DirectiveHash

@@ -1,10 +1,10 @@
 // Synthetic call-frequency profiles over generated programs.
 //
 // SynthesizeProfile walks the same deterministic call DAG that Generate
-// and GenerateSummaries build and assigns dynamic call counts under a
-// Zipf-like popularity whose hot set rotates with a phase counter,
-// producing a parv.Profile without running the simulator: the workload
-// change profile-drift detection exists to catch.
+// builds and assigns dynamic call counts under a Zipf-like popularity
+// whose hot set rotates with a phase counter, producing a parv.Profile
+// without running the simulator: the workload change profile-drift
+// detection exists to catch.
 package progen
 
 import (

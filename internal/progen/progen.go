@@ -4,13 +4,16 @@
 // variables tend to occur in localized sets of procedures", §4.1.1),
 // occasional recursion, statics, and indirect calls.
 //
-// The generator serves two purposes:
+// The generator serves three purposes:
 //
 //   - the §6.2 web census: reproducing the shape of the PA-optimizer
 //     experiment (hundreds of eligible globals splitting into more webs,
 //     many discarded as sparse, most of the rest colorable with 6
 //     registers) requires a program far larger than the hand-written
-//     suite; and
+//     suite;
+//   - the analyzer's scaling workloads: ipra-analyze -synth and the
+//     analyzer benchmarks analyze the summaries the compiler's first
+//     phase writes for a Preset program, up to ~10000 procedures; and
 //   - differential testing: every generated program accumulates a
 //     checksum, so any disagreement between compiler configurations is a
 //     miscompilation.
@@ -19,10 +22,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-
-	"ipra/internal/summary"
 )
 
 // Config sizes a generated program. Generation is a pure function of the
@@ -109,7 +109,6 @@ type global struct {
 	module int
 	name   string
 	static bool
-	owner  int // first proc of its subsystem
 }
 
 // withDefaults fills unset size fields.
@@ -130,9 +129,9 @@ func (cfg Config) withDefaults() Config {
 }
 
 // buildLayout constructs the interprocedural skeleton — the call DAG and
-// the global-to-subsystem assignment — consuming rng exactly as the
-// original in-line construction did, so Generate's output for a given seed
-// is unchanged.
+// the global-to-subsystem assignment. Generate and SynthesizeProfile both
+// draw it first from a fresh rand.Rand of the seed, so the profile
+// describes the program Generate writes.
 func buildLayout(cfg Config, rng *rand.Rand) ([]*proc, []*global) {
 	nprocs := cfg.Modules * cfg.ProcsPerModule
 
@@ -170,7 +169,7 @@ func buildLayout(cfg Config, rng *rand.Rand) ([]*proc, []*global) {
 	globals := make([]*global, cfg.Globals)
 	for gi := range globals {
 		owner := rng.Intn(nprocs)
-		g := &global{id: gi, owner: owner, module: procs[owner].module}
+		g := &global{id: gi, module: procs[owner].module}
 		g.static = cfg.Statics && rng.Intn(4) == 0
 		if g.static {
 			g.name = fmt.Sprintf("sg%d", gi)
@@ -242,132 +241,6 @@ func Generate(cfg Config) []Module {
 		mods = append(mods, Module{Name: fmt.Sprintf("gen%d.mc", m), Text: b.String()})
 	}
 	return mods
-}
-
-// GenerateSummaries synthesizes the summary files the compiler first phase
-// would produce for the program Generate(cfg) describes, without running
-// the MiniC frontend. The records carry the same interprocedural structure
-// — the call DAG, subsystem-localized global references, recursion,
-// indirect dispatch, statics — with deterministic frequencies, so the
-// program analyzer sees a workload of the right shape at any size. It is
-// deterministic in cfg.Seed, like Generate.
-func GenerateSummaries(cfg Config) []*summary.ModuleSummary {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	procs, globals := buildLayout(cfg, rng)
-
-	modName := func(m int) string { return fmt.Sprintf("gen%d.mc", m) }
-	sums := make([]*summary.ModuleSummary, cfg.Modules)
-	for m := range sums {
-		sums[m] = &summary.ModuleSummary{Module: modName(m)}
-	}
-
-	// Global tables: the defining module declares each variable; other
-	// modules that reference a non-static see it as an extern (undefined).
-	for _, g := range globals {
-		sums[g.module].Globals = append(sums[g.module].Globals, summary.GlobalInfo{
-			Name: g.name, Module: modName(g.module), Size: 4,
-			Defined: true, Static: g.static, Scalar: true,
-		})
-	}
-	sums[0].Globals = append(sums[0].Globals, summary.GlobalInfo{
-		Name: "check", Module: modName(0), Size: 4, Defined: true, Scalar: true,
-	})
-	if cfg.IndirectCalls {
-		sums[0].Globals = append(sums[0].Globals, summary.GlobalInfo{
-			Name: "dispatch", Module: modName(0), Size: 16, Defined: true, AddrTaken: true,
-		})
-	}
-
-	for _, p := range procs {
-		rec := summary.ProcRecord{Name: p.name, Module: modName(p.module)}
-
-		// Subsystem global references, aggregated per name with
-		// deterministic loop-depth-style weights.
-		refs := make(map[int]*summary.GlobalRef)
-		order := []int{}
-		for _, gi := range p.globals {
-			g := globals[gi]
-			if g.static && g.module != p.module {
-				continue
-			}
-			r := refs[gi]
-			if r == nil {
-				r = &summary.GlobalRef{Name: g.name}
-				refs[gi] = r
-				order = append(order, gi)
-			}
-			f := int64(1 + (p.id+3*gi)%10)
-			r.Freq += f
-			if (p.id^gi)%3 == 0 {
-				r.Writes += f
-			} else {
-				r.Reads += f
-			}
-		}
-		for _, gi := range order {
-			rec.GlobalRefs = append(rec.GlobalRefs, *refs[gi])
-		}
-		// Every generated procedure updates the program checksum.
-		rec.GlobalRefs = append(rec.GlobalRefs, summary.GlobalRef{Name: "check", Freq: 1, Reads: 1, Writes: 1})
-		sort.Slice(rec.GlobalRefs, func(i, j int) bool { return rec.GlobalRefs[i].Name < rec.GlobalRefs[j].Name })
-
-		calls := make(map[int]int64)
-		var callOrder []int
-		for _, c := range p.callees {
-			if calls[c] == 0 {
-				callOrder = append(callOrder, c)
-			}
-			calls[c] += int64(1 + (p.id+c)%4)
-		}
-		if p.deep { // bounded self-recursion
-			if calls[p.id] == 0 {
-				callOrder = append(callOrder, p.id)
-			}
-			calls[p.id] += 2
-		}
-		sort.Ints(callOrder)
-		for _, c := range callOrder {
-			rec.Calls = append(rec.Calls, summary.CallSite{Callee: procs[c].name, Freq: calls[c]})
-		}
-
-		rec.CalleeSavesNeeded = 1 + (p.id*7)%6
-		rec.CalleeSavesBase = rec.CalleeSavesNeeded
-		rec.CallerSavesNeeded = (p.id * 5) % 4
-		sums[p.module].Procs = append(sums[p.module].Procs, rec)
-	}
-
-	// main: drives a handful of roots and the dispatch table, mirroring
-	// emitMain's shape.
-	main := summary.ProcRecord{
-		Name: "main", Module: modName(0),
-		GlobalRefs: []summary.GlobalRef{{Name: "check", Freq: 8, Reads: 4, Writes: 4}},
-	}
-	seen := make(map[int]bool)
-	for i := 0; i < 6 && i < len(procs); i++ {
-		p := procs[i*7%len(procs)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			main.Calls = append(main.Calls, summary.CallSite{Callee: p.name, Freq: int64(cfg.LoopIters)})
-		}
-	}
-	sort.Slice(main.Calls, func(i, j int) bool { return main.Calls[i].Callee < main.Calls[j].Callee })
-	if cfg.IndirectCalls {
-		main.MakesIndirectCalls = true
-		main.IndirectCallFreq = int64(cfg.LoopIters)
-		targets := make(map[string]bool)
-		for i := 0; i < 4 && i < len(procs); i++ {
-			targets[procs[(i*13)%(1+len(procs)/4)].name] = true
-		}
-		for t := range targets {
-			main.AddrTakenProcs = append(main.AddrTakenProcs, t)
-		}
-		sort.Strings(main.AddrTakenProcs)
-	}
-	main.CalleeSavesNeeded = 2
-	main.CalleeSavesBase = 2
-	sums[0].Procs = append(sums[0].Procs, main)
-	return sums
 }
 
 // emitProc writes one procedure body: global traffic, arithmetic, loops,

@@ -20,51 +20,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateSummariesDeterministic: the synthesized summary workload is
-// equally reproducible, and structurally consistent with the layout.
-func TestGenerateSummariesDeterministic(t *testing.T) {
-	cfg, err := Preset("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := GenerateSummaries(cfg)
-	b := GenerateSummaries(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("GenerateSummaries is not deterministic in the seed")
-	}
-	if len(a) != cfg.Modules {
-		t.Fatalf("got %d module summaries, want %d", len(a), cfg.Modules)
-	}
-	procs := 0
-	defined := make(map[string]bool)
-	for _, ms := range a {
-		procs += len(ms.Procs)
-		for _, g := range ms.Globals {
-			if g.Defined {
-				if defined[g.Name] {
-					t.Fatalf("global %s defined in two modules", g.Name)
-				}
-				defined[g.Name] = true
-			}
-		}
-		for _, p := range ms.Procs {
-			for _, c := range p.Calls {
-				if c.Freq <= 0 {
-					t.Fatalf("%s calls %s with non-positive frequency", p.Name, c.Callee)
-				}
-			}
-		}
-	}
-	// The presets promise ~Modules×ProcsPerModule procedures (+ main).
-	if want := cfg.Modules*cfg.ProcsPerModule + 1; procs != want {
-		t.Fatalf("got %d procedures, want %d", procs, want)
-	}
-	// Every global of the layout must be defined exactly once, plus check.
-	if len(defined) < cfg.Globals {
-		t.Fatalf("only %d of %d globals defined", len(defined), cfg.Globals)
-	}
-}
-
 // TestPresets: every published preset resolves and scales as documented.
 func TestPresets(t *testing.T) {
 	sizes := map[string]int{"small": 500, "medium": 2000, "large": 10000}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ipra"
 	"ipra/internal/callgraph"
 	"ipra/internal/core"
 	"ipra/internal/pdb"
@@ -207,7 +208,7 @@ func TestViolationString(t *testing.T) {
 }
 
 // TestAnalyzerOutputVerifies is the self-application sweep at unit scale:
-// the analyzer's own output over synthesized whole programs must satisfy
+// the analyzer's own output over generated whole programs must satisfy
 // every invariant under each promotion strategy and extension.
 func TestAnalyzerOutputVerifies(t *testing.T) {
 	cfgs := []struct {
@@ -261,7 +262,7 @@ func TestAnalyzerOutputVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := progen.GenerateSummaries(pcfg)
+	sums := phase1Summaries(t, pcfg)
 	for _, tc := range cfgs {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := core.Analyze(context.Background(), sums, tc.opt())
@@ -280,6 +281,21 @@ func TestAnalyzerOutputVerifies(t *testing.T) {
 	}
 }
 
+// phase1Summaries compiles the program progen generates for cfg through
+// phase 1 and returns its summaries, the analyzer's input.
+func phase1Summaries(t *testing.T, cfg progen.Config) []*summary.ModuleSummary {
+	t.Helper()
+	var sums []*summary.ModuleSummary
+	for _, m := range progen.Generate(cfg) {
+		_, ms, err := ipra.Phase1(ipra.Source{Name: m.Name, Text: []byte(m.Text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, ms)
+	}
+	return sums
+}
+
 // TestAnalyzerOutputVerifiesAcrossSeeds widens the sweep over generated
 // program shapes (recursion, indirect calls, statics).
 func TestAnalyzerOutputVerifiesAcrossSeeds(t *testing.T) {
@@ -288,7 +304,7 @@ func TestAnalyzerOutputVerifiesAcrossSeeds(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			sums := progen.GenerateSummaries(progen.Config{
+			sums := phase1Summaries(t, progen.Config{
 				Seed:           seed,
 				Modules:        3,
 				ProcsPerModule: 8,

@@ -638,14 +638,12 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, profile *parv.
 	defer span.End()
 	span.SetInt("modules", int64(len(sources)))
 
+	if err := checkModuleNames(sources, func(src Source) string { return src.Name }); err != nil {
+		return nil, nil, err
+	}
 	n := len(sources)
 	names := make([]string, n)
-	seen := make(map[string]bool, n)
 	for i, src := range sources {
-		if seen[src.Name] {
-			return nil, nil, fmt.Errorf("duplicate module name %q", src.Name)
-		}
-		seen[src.Name] = true
 		names[i] = src.Name
 	}
 	toolchain := ToolchainFingerprint()
@@ -760,9 +758,13 @@ func buildPass(ctx context.Context, sources []Source, cfg Config, profile *parv.
 // the analyzer runs under cfg.AnalyzerOptions(profile): the profile's call
 // counts, or estimated ones when profile is nil (a profiled
 // configuration's training pass). A profile under a configuration that
-// estimates its counts is an error naming the configuration. The analysis
-// is whole on every build (§4.3): a build directory stores nothing of it.
+// estimates its counts is an error naming the configuration, and so are
+// two summaries of one module. The analysis is whole on every build
+// (§4.3): a build directory stores nothing of it.
 func Analyze(ctx context.Context, sums []*summary.ModuleSummary, cfg Config, profile *parv.Profile) (*pdb.Database, *core.Result, error) {
+	if err := checkModuleNames(sums, func(ms *summary.ModuleSummary) string { return ms.Module }); err != nil {
+		return nil, nil, err
+	}
 	if profile != nil && !cfg.WantProfile {
 		return nil, nil, fmt.Errorf("configuration %s estimates its call counts; a profile needs a profiled configuration (B or F)", cfg.Name)
 	}
@@ -776,6 +778,19 @@ func Analyze(ctx context.Context, sums []*summary.ModuleSummary, cfg Config, pro
 		return nil, nil, err
 	}
 	return res.DB, res, nil
+}
+
+// checkModuleNames rejects a program that holds one module twice: a
+// build's sources, or the summaries the analyzer reads, each named by name.
+func checkModuleNames[T any](mods []T, name func(T) string) error {
+	seen := make(map[string]bool, len(mods))
+	for _, m := range mods {
+		if seen[name(m)] {
+			return fmt.Errorf("duplicate module name %q", name(m))
+		}
+		seen[name(m)] = true
+	}
+	return nil
 }
 
 // phase2Module is the compiler second phase of level-1 module m, under a

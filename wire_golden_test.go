@@ -408,7 +408,7 @@ func FuzzAnalyzerStateDecode(f *testing.F) {
 	// clusters.
 	cfg := progen.Config{Seed: 5, Modules: 3, ProcsPerModule: 6, Globals: 16,
 		SubsystemSize: 3, Recursion: true, IndirectCalls: true, Statics: true, LoopIters: 2}
-	sums := progen.GenerateSummaries(cfg)
+	sums := phase1Summaries(f, cfg)
 	opt := core.DefaultOptions()
 	ctx := context.Background()
 	res, err := core.Analyze(ctx, sums, opt)
